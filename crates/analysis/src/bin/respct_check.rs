@@ -2,10 +2,10 @@
 //! checker and report persistency-discipline findings.
 //!
 //! ```text
-//! respct-check [hashmap|queue|kvstore|recovery|all] [--async] [--races]
+//! respct-check [hashmap|queue|kvstore|recovery|all] [--races]
 //!              [--pipeline K] [--format text|json]
 //! respct-check --sweep [hashmap|queue|both] [--ops N] [--seed S]
-//!              [--budget B] [--stride K] [--trace-out PATH] [--async]
+//!              [--budget B] [--stride K] [--trace-out PATH]
 //!              [--pipeline K]
 //! ```
 //!
@@ -35,24 +35,20 @@
 //! deterministic single-threaded run of the workload is recorded, then
 //! every persistency-relevant instant of the trace is crashed — with the
 //! reachable eviction/write-back subsets enumerated up to `--budget`
-//! images per instant — recovered via [`Pool::recover_from_image`], and
+//! images per instant — recovered via [`Pool::recover_with`], and
 //! compared against the model snapshot of the last committed checkpoint.
 //! Any divergence fails the run; with `--trace-out PATH` the offending
 //! trace (one event per line) is written there for offline replay.
 //!
-//! `--async` runs the selected workloads (or sweeps) with
-//! [`PoolConfig::async_checkpoint`] enabled, exercising the two-phase
-//! drain commit under the checker's drain-ordering rule. Asynchronous
-//! runs tolerate redundant-flush advisories (on-demand push-outs can
-//! legitimately double-flush a line) but still fail on any
-//! error-severity diagnostic.
-//!
-//! `--pipeline K` (K > 1; implies async) runs with
-//! [`PoolConfig::epoch_pipeline`] set to `K`, exercising the epoch-ring
-//! pipelined drain under the checker's ring-commit-order rule. Do not
-//! combine with `--races`: the pipelined commit handshake is published
-//! through `drain_oldest` atomics the token-based happens-before engine
-//! cannot observe, so race findings on a pipelined trace are noise.
+//! `--pipeline K` (K = 1..=4) runs the selected workloads (or sweeps) with
+//! [`PoolConfig::async_checkpoint`] enabled and
+//! [`PoolConfig::epoch_pipeline`] set to `K`, exercising the background
+//! drain — ring-slot claim, executor flush, ordered ring commit — under
+//! the checker's ring-commit-order rule, and under the race detector's
+//! commit and push-out rules when combined with `--races`. Without the
+//! flag the pool checkpoints synchronously. Background-drain runs tolerate
+//! redundant-flush advisories (on-demand push-outs can legitimately
+//! double-flush a line) but still fail on any error-severity diagnostic.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -69,13 +65,23 @@ const THREADS: usize = 4;
 const OPS_PER_THREAD: u64 = 3_000;
 const CKPT_PERIOD: Duration = Duration::from_millis(5);
 
-/// How a workload should run: async drain on/off, race detection on/off,
-/// epoch-pipeline depth (1 = single in-flight drain, today's default).
+/// How a workload should run: race detection on/off, and the ring depth of
+/// the background drain (`None` = synchronous checkpoints).
 #[derive(Clone, Copy)]
 struct RunOpts {
-    async_on: bool,
     races: bool,
-    pipeline: usize,
+    pipeline: Option<usize>,
+}
+
+/// Pool config for a run: synchronous checkpoints without a ring depth,
+/// the background drain at depth `k` with `Some(k)`.
+fn pool_config(pipeline: Option<usize>, flushers: usize) -> PoolConfig {
+    PoolConfig::builder()
+        .flusher_threads(flushers)
+        .async_checkpoint(pipeline.is_some())
+        .epoch_pipeline(pipeline.unwrap_or(1))
+        .build()
+        .expect("config")
 }
 
 /// The sinks attached to a run's region.
@@ -136,13 +142,7 @@ fn checked_pool(bytes: usize, seed: u64, flushers: usize, opts: RunOpts) -> (Sin
     // exercise the eviction paths without swamping the trace.
     let region = Region::new(RegionConfig::sim(bytes, SimConfig::with_eviction(4, seed)));
     let sinks = Sinks::attach(&region, opts.races);
-    let cfg = PoolConfig::builder()
-        .flusher_threads(flushers)
-        .async_checkpoint(opts.async_on)
-        .epoch_pipeline(opts.pipeline)
-        .build()
-        .expect("config");
-    let pool = Pool::create(region, cfg).expect("pool");
+    let pool = Pool::create(region, pool_config(opts.pipeline, flushers)).expect("pool");
     (sinks, pool)
 }
 
@@ -266,11 +266,7 @@ fn run_kvstore(opts: RunOpts) -> RunOut {
 
 /// Crash in a dirty epoch, recover, re-execute, checkpoint, repeat.
 fn run_recovery(opts: RunOpts) -> RunOut {
-    let cfg = PoolConfig::builder()
-        .async_checkpoint(opts.async_on)
-        .epoch_pipeline(opts.pipeline)
-        .build()
-        .expect("config");
+    let cfg = pool_config(opts.pipeline, 0);
     let region = Region::new(RegionConfig::sim(32 << 20, SimConfig::with_eviction(4, 44)));
     let sinks = Sinks::attach(&region, opts.races);
     let mut cells = Vec::new();
@@ -309,8 +305,7 @@ fn sweep_main(args: &[String]) -> ExitCode {
     cfg.eviction_budget = 3;
     cfg.stride = 4;
     let mut trace_out: Option<String> = None;
-    let mut async_on = false;
-    let mut pipeline = 1usize;
+    let mut pipeline: Option<usize> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |name: &str| {
@@ -327,19 +322,14 @@ fn sweep_main(args: &[String]) -> ExitCode {
             "--budget" => cfg.eviction_budget = value("--budget").parse().expect("--budget"),
             "--stride" => cfg.stride = value("--stride").parse().expect("--stride"),
             "--trace-out" => trace_out = Some(value("--trace-out")),
-            "--async" => async_on = true,
-            "--pipeline" => pipeline = value("--pipeline").parse().expect("--pipeline"),
+            "--pipeline" => pipeline = Some(value("--pipeline").parse().expect("--pipeline")),
             other => {
                 eprintln!("unknown sweep argument {other:?}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    cfg.pool = PoolConfig::builder()
-        .async_checkpoint(async_on || pipeline > 1)
-        .epoch_pipeline(pipeline)
-        .build()
-        .expect("config");
+    cfg.pool = pool_config(pipeline, 0);
     cfg.seed = seed;
     let mut failed = false;
     for w in workloads {
@@ -406,12 +396,16 @@ fn exit_for(outs: &[(&str, RunOut)]) -> u8 {
     }
 }
 
-fn json_doc(outs: &[(&str, RunOut)], async_on: bool, races: bool, exit: u8) -> String {
+fn json_doc(outs: &[(&str, RunOut)], opts: RunOpts, exit: u8) -> String {
     let mut s = String::with_capacity(1024);
     s.push_str("{\"mode\":\"");
-    s.push_str(if async_on { "async" } else { "sync" });
+    s.push_str(if opts.pipeline.is_some() {
+        "async"
+    } else {
+        "sync"
+    });
     s.push_str("\",\"races\":");
-    s.push_str(if races { "true" } else { "false" });
+    s.push_str(if opts.races { "true" } else { "false" });
     s.push_str(&format!(",\"exit\":{exit},\"workloads\":["));
     for (i, (name, out)) in outs.iter().enumerate() {
         if i > 0 {
@@ -435,23 +429,21 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("--sweep") {
         return sweep_main(&argv[1..]);
     }
-    let mut pipeline = 1usize;
+    let mut pipeline = None;
     if let Some(pos) = argv.iter().position(|a| a == "--pipeline") {
         let parsed = argv.get(pos + 1).and_then(|k| k.parse().ok());
         let Some(k) = parsed.filter(|&k: &usize| k >= 1) else {
             eprintln!("--pipeline requires a positive integer depth");
             return ExitCode::from(EXIT_USAGE);
         };
-        pipeline = k;
+        pipeline = Some(k);
         argv.drain(pos..=pos + 1);
     }
     let opts = RunOpts {
-        // A pipeline depth implies the asynchronous drain machinery.
-        async_on: argv.iter().any(|a| a == "--async") || pipeline > 1,
         races: argv.iter().any(|a| a == "--races"),
         pipeline,
     };
-    argv.retain(|a| a != "--async" && a != "--races");
+    argv.retain(|a| a != "--races");
     let mut json = false;
     if let Some(pos) = argv.iter().position(|a| a == "--format") {
         let Some(fmt) = argv.get(pos + 1) else {
@@ -493,7 +485,9 @@ fn main() -> ExitCode {
     let mut outs: Vec<(&str, RunOut)> = Vec::new();
     for (name, run) in selected {
         if !json {
-            let mode = if opts.async_on { " (async drain)" } else { "" };
+            let mode = opts
+                .pipeline
+                .map_or(String::new(), |k| format!(" (background drain, K={k})"));
             println!("== {name}{mode} ==");
         }
         let out = run(opts);
@@ -508,7 +502,7 @@ fn main() -> ExitCode {
     }
     let exit = exit_for(&outs);
     if json {
-        println!("{}", json_doc(&outs, opts.async_on, opts.races, exit));
+        println!("{}", json_doc(&outs, opts, exit));
     } else if exit == EXIT_ERROR {
         eprintln!("persistency violations found");
     } else if exit == EXIT_PERF {

@@ -34,21 +34,20 @@
 //!    asserts the shard's pwbs are covered by a fence. Every opened shard
 //!    must be closed before the `OrderBarrier`; double-opens and closes
 //!    without a begin are protocol violations too.
-//! 7. **Drain commit order** — an asynchronous checkpoint releases threads
-//!    at `DrainBegin` (snapshotting the tracked lines and their content
-//!    generations) and commits at `DrainCommit` (the drain-state word goes
-//!    durable-zero). At commit, every snapshotted line must be durable *at
-//!    least at its snapshot generation*; later epoch-N+1 stores to the same
-//!    line are fine — they belong to the next checkpoint.
-//! 8. **Ring commit order** — a pipelined checkpoint (`epoch_pipeline(K)`)
-//!    opens each epoch's drain at `PipelineBegin` (snapshotting tracked
-//!    lines under that epoch's generation; unlike rule 7, *several* drains
-//!    may legally be open at once) and commits at `RingCommit`. Commits
-//!    must appear in strict epoch order — `RingCommit { e }` while an
-//!    epoch older than `e` is still open is a violation, because zeroing
-//!    slot `e` durably claims every predecessor committed (and releases
-//!    epoch-`e` frees for reclamation). At each commit, the epoch's own
-//!    snapshot must be durable at its snapshot generations, as in rule 7.
+//! 7. **Ring commit order** — an `async_checkpoint` pool (ring depth
+//!    K = 1..=4) releases threads at `PipelineBegin`, which claims ring
+//!    slot `epoch mod K` and snapshots the tracked lines with their
+//!    content generations, and commits at `RingCommit` (the slot goes
+//!    durable-zero). Up to K drains may be open at once, but a claim of a
+//!    slot whose previous epoch is still open is a violation (at K = 1:
+//!    a second drain began before the first committed), and commits must
+//!    appear in strict epoch order — `RingCommit { e }` while an epoch
+//!    older than `e` is still open is a violation, because zeroing slot
+//!    `e` durably claims every predecessor committed (and releases
+//!    epoch-`e` frees for reclamation). At each commit, every line of the
+//!    epoch's own snapshot must be durable *at least at its snapshot
+//!    generation*; later stores to the same line are fine — they belong to
+//!    the next checkpoint.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -81,6 +80,15 @@ struct CellState {
     logged_epoch: Option<u64>,
 }
 
+/// One background drain between its `PipelineBegin` and its `RingCommit`.
+struct OpenDrain {
+    /// The ring slot the epoch claimed.
+    slot: u64,
+    /// Snapshot taken at `PipelineBegin`: line -> content generation the
+    /// drain promised to persist before `RingCommit`.
+    owed: HashMap<u64, u64>,
+}
+
 #[derive(Default)]
 struct CheckerState {
     lines: HashMap<u64, LineState>,
@@ -90,13 +98,13 @@ struct CheckerState {
     cells: BTreeMap<u64, CellState>,
     /// Lines the current epoch's tracking lists promise to flush.
     tracked: HashSet<u64>,
-    /// Snapshot taken at `DrainBegin`: line -> content generation the
-    /// asynchronous drain promised to persist before `DrainCommit`.
-    draining_tracked: HashMap<u64, u64>,
-    /// Per-epoch snapshots taken at `PipelineBegin` (pipelined mode): each
-    /// open epoch's line -> generation debt, keyed by epoch so rule 8 can
-    /// both check commits in order and settle each epoch's own debt.
-    ring_open: BTreeMap<u64, HashMap<u64, u64>>,
+    /// Open background drains, keyed by epoch so rule 7 can both check
+    /// commits in order and settle each epoch's own debt.
+    ring_open: BTreeMap<u64, OpenDrain>,
+    /// `(tid, line)` of on-demand push-outs (`DrainPushOut`) whose fence has
+    /// not been seen yet. A push-out is an application thread's own,
+    /// voluntary flush; no commit relies on it, so rule 3 ignores it.
+    pushing_out: HashSet<(u64, u64)>,
     /// Flush shards opened (`ShardFlushBegin`) but not yet fenced-and-closed
     /// (`ShardFlushEnd`) in the current checkpoint.
     open_shards: HashSet<u64>,
@@ -122,7 +130,6 @@ impl CheckerState {
             DiagnosticKind::RedundantFlush => "redundant",
             DiagnosticKind::EpochDiscipline => "epoch",
             DiagnosticKind::ShardFence => "shard",
-            DiagnosticKind::DrainCommitOrder => "drain",
             DiagnosticKind::RingCommitOrder => "ring",
             DiagnosticKind::RecoveryDivergence => "divergence",
             DiagnosticKind::PersistRace => "race",
@@ -153,6 +160,7 @@ impl CheckerState {
             TraceEvent::Store { addr, len, .. } => self.on_store(addr, len),
             TraceEvent::Pwb { tid, line } => self.on_pwb(tid, line),
             TraceEvent::Psync { tid } => {
+                self.pushing_out.retain(|&(t, _)| t != tid);
                 for (line, g) in self.pending.remove(&tid).unwrap_or_default() {
                     let l = self.line_mut(line);
                     l.persisted_gen = l.persisted_gen.max(g);
@@ -190,8 +198,8 @@ impl CheckerState {
                     l.evicted = false;
                 }
                 self.pending.clear();
+                self.pushing_out.clear();
                 self.tracked.clear();
-                self.draining_tracked.clear();
                 self.ring_open.clear();
                 self.open_shards.clear();
                 for c in self.cells.values_mut() {
@@ -200,7 +208,7 @@ impl CheckerState {
                 self.in_checkpoint = false;
                 self.in_recovery = false;
             }
-            TraceEvent::Marker { tid: _, marker } => self.on_marker(marker),
+            TraceEvent::Marker { tid, marker } => self.on_marker(tid, marker),
             // Happens-before bookkeeping belongs to the race detector; the
             // cache-line state machine ignores it.
             TraceEvent::SyncRel { .. } | TraceEvent::SyncAcq { .. } | TraceEvent::Load { .. } => {}
@@ -271,7 +279,7 @@ impl CheckerState {
         self.pending.entry(tid).or_default().push((line, gen));
     }
 
-    fn on_marker(&mut self, marker: TraceMarker) {
+    fn on_marker(&mut self, tid: u64, marker: TraceMarker) {
         match marker {
             TraceMarker::CellDeclare { addr, vsize, .. } => {
                 self.cells.insert(
@@ -336,7 +344,6 @@ impl CheckerState {
                 }
                 self.ckpt_full = full;
                 self.in_checkpoint = true;
-                self.open_shards.clear();
             }
             TraceMarker::ShardFlushBegin { shard, lines: _ } => {
                 if !self.open_shards.insert(shard) {
@@ -380,9 +387,11 @@ impl CheckerState {
                 // data write-back is durable. An unfenced pwb of a tracked
                 // line at this point can reach NVMM *after* the commit.
                 let mut unfenced: Vec<u64> = Vec::new();
-                for pends in self.pending.values() {
+                for (&pwb_tid, pends) in &self.pending {
                     for &(line, _) in pends {
-                        if self.tracked.contains(&line) || self.draining_tracked.contains_key(&line)
+                        if !self.pushing_out.contains(&(pwb_tid, line))
+                            && (self.tracked.contains(&line)
+                                || self.ring_open.values().any(|d| d.owed.contains_key(&line)))
                         {
                             unfenced.push(line);
                         }
@@ -449,7 +458,6 @@ impl CheckerState {
                     }
                 }
                 self.in_checkpoint = false;
-                self.open_shards.clear();
             }
             TraceMarker::RecoveryBegin { failed_epoch } => {
                 self.epoch = Some(failed_epoch);
@@ -483,12 +491,26 @@ impl CheckerState {
                 }
                 self.in_recovery = false;
             }
-            TraceMarker::DrainBegin { epoch } => {
-                // The async epoch swap: threads are released here, so this
+            TraceMarker::PipelineBegin { epoch, slot } => {
+                // The ring-slot claim: threads are released here, so this
                 // marker doubles as the (volatile) epoch advance. Snapshot
                 // what the drain owes — the tracked lines at their current
                 // content generation. Later stores to the same lines belong
-                // to epoch `epoch + 1` and are NOT the drain's problem.
+                // to epoch `epoch + 1` and are NOT this drain's problem.
+                // Several drains may legally be open at once, but never two
+                // on one slot: the claim overwrites the record recovery
+                // needs to roll the previous holder back.
+                if let Some((&held, _)) = self.ring_open.iter().find(|(_, d)| d.slot == slot) {
+                    self.diag(
+                        DiagnosticKind::RingCommitOrder,
+                        None,
+                        None,
+                        format!(
+                            "ring slot {slot} claimed for epoch {epoch} while epoch {held} \
+                             still holds it uncommitted"
+                        ),
+                    );
+                }
                 if !self.in_checkpoint {
                     self.diag(
                         DiagnosticKind::EpochDiscipline,
@@ -507,19 +529,7 @@ impl CheckerState {
                     ),
                     _ => {}
                 }
-                if !self.draining_tracked.is_empty() {
-                    self.diag(
-                        DiagnosticKind::DrainCommitOrder,
-                        None,
-                        None,
-                        format!(
-                            "drain for epoch {epoch} begins while {} line(s) of the \
-                             previous drain are still uncommitted",
-                            self.draining_tracked.len()
-                        ),
-                    );
-                }
-                self.draining_tracked = self
+                let owed: HashMap<u64, u64> = self
                     .tracked
                     .drain()
                     .map(|line| {
@@ -527,86 +537,11 @@ impl CheckerState {
                         (line, gen)
                     })
                     .collect();
-                self.epoch = Some(epoch + 1);
-            }
-            TraceMarker::DrainCommit { epoch } => {
-                // Rule 7: the drain-state word is durably zero — the
-                // checkpoint of `epoch` is committed. Every line the drain
-                // snapshotted must be durable at (or past) its snapshot
-                // generation, or a crash right now recovers to epoch+1 with
-                // epoch data missing.
-                if self.ckpt_full {
-                    let mut missed: Vec<(u64, u64, u64)> = self
-                        .draining_tracked
-                        .iter()
-                        .filter_map(|(&line, &snap_gen)| {
-                            let durable = self.lines.get(&line).map_or(0, |s| s.persisted_gen);
-                            (durable < snap_gen).then_some((line, snap_gen, durable))
-                        })
-                        .collect();
-                    missed.sort_unstable();
-                    for (line, snap_gen, durable) in missed {
-                        self.diag(
-                            DiagnosticKind::DrainCommitOrder,
-                            Some(line),
-                            None,
-                            format!(
-                                "drain for epoch {epoch} committed but line {line} is durable \
-                                 only at gen {durable} < snapshot gen {snap_gen}"
-                            ),
-                        );
-                    }
-                }
-                if let Some(e) = self.epoch {
-                    if epoch + 1 != e {
-                        self.diag(
-                            DiagnosticKind::EpochDiscipline,
-                            None,
-                            None,
-                            format!("drain commit for epoch {epoch}, current {e}"),
-                        );
-                    }
-                }
-                self.draining_tracked.clear();
-            }
-            TraceMarker::PipelineBegin { epoch } => {
-                // The pipelined ring-slot claim: like `DrainBegin` this is
-                // the volatile epoch advance and snapshots what the drain
-                // owes, but unlike rule 7 several drains may legally be open
-                // at once — overlap is the whole point, so no diagnostic for
-                // an earlier uncommitted epoch here. Ordering is enforced at
-                // `RingCommit` instead.
-                if !self.in_checkpoint {
-                    self.diag(
-                        DiagnosticKind::EpochDiscipline,
-                        None,
-                        None,
-                        format!("pipelined drain begins for epoch {epoch} outside a checkpoint"),
-                    );
-                }
-                match self.epoch {
-                    None => self.epoch = Some(epoch),
-                    Some(e) if e != epoch => self.diag(
-                        DiagnosticKind::EpochDiscipline,
-                        None,
-                        None,
-                        format!("pipelined drain begins for epoch {epoch}, current {e}"),
-                    ),
-                    _ => {}
-                }
-                let snapshot: HashMap<u64, u64> = self
-                    .tracked
-                    .drain()
-                    .map(|line| {
-                        let gen = self.lines.get(&line).map_or(0, |s| s.gen);
-                        (line, gen)
-                    })
-                    .collect();
-                self.ring_open.insert(epoch, snapshot);
+                self.ring_open.insert(epoch, OpenDrain { slot, owed });
                 self.epoch = Some(epoch + 1);
             }
             TraceMarker::RingCommit { epoch } => {
-                // Rule 8: ring slot `epoch % K` is durably zero. Commits
+                // Rule 7: ring slot `epoch % K` is durably zero. Commits
                 // must retire oldest-first — zeroing this slot claims every
                 // predecessor already committed, so an older epoch still
                 // open here means a crash now would leave a ring hole.
@@ -634,8 +569,12 @@ impl CheckerState {
                         None,
                         format!("ring commit for epoch {epoch} without a matching PipelineBegin"),
                     ),
-                    Some(snapshot) if self.ckpt_full => {
-                        let mut missed: Vec<(u64, u64, u64)> = snapshot
+                    // Every line the drain snapshotted must be durable at
+                    // (or past) its snapshot generation, or a crash right
+                    // now recovers past `epoch` with its data missing.
+                    Some(drain) if self.ckpt_full => {
+                        let mut missed: Vec<(u64, u64, u64)> = drain
+                            .owed
                             .iter()
                             .filter_map(|(&line, &snap_gen)| {
                                 let durable = self.lines.get(&line).map_or(0, |s| s.persisted_gen);
@@ -659,8 +598,12 @@ impl CheckerState {
                 }
             }
             TraceMarker::RestartPoint { .. } => {}
-            // Push-out ordering is a happens-before rule (race detector).
-            TraceMarker::DrainPushOut { .. } => {}
+            // Push-out ordering is a happens-before rule (race detector);
+            // here the marker only exempts the push-out's own write-back
+            // from rule 3 until its fence lands.
+            TraceMarker::DrainPushOut { addr, .. } => {
+                self.pushing_out.insert((tid, addr / 64));
+            }
         }
     }
 
@@ -830,6 +773,39 @@ mod tests {
     }
 
     #[test]
+    fn pushout_in_flight_at_the_barrier_is_not_the_commits_problem() {
+        // An application thread's push-out of line 10 sits between its pwb
+        // and its psync when the drain executor reaches its order barrier.
+        // The commit relies on the executor's own (fenced) flush of the
+        // line, not on the push-out.
+        let r = replay(&[
+            marker(TraceMarker::EpochAdvance { epoch: 1 }),
+            TraceEvent::store_meta(1, 640, 8),
+            marker(TraceMarker::TrackLine { line: 10 }),
+            marker(TraceMarker::CheckpointBegin {
+                epoch: 1,
+                full: true,
+            }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
+            marker(TraceMarker::CheckpointEnd { epoch: 1 }),
+            TraceEvent::Pwb { tid: 3, line: 10 },
+            TraceEvent::Psync { tid: 3 },
+            TraceEvent::Marker {
+                tid: 5,
+                marker: TraceMarker::DrainPushOut {
+                    addr: 640,
+                    epoch: 1,
+                },
+            },
+            TraceEvent::Pwb { tid: 5, line: 10 },
+            marker(TraceMarker::OrderBarrier),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
+            TraceEvent::Psync { tid: 5 },
+        ]);
+        assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
     fn logging_rule_enforced() {
         let cell = 1024u64;
         let r = replay(&[
@@ -993,7 +969,10 @@ mod tests {
     }
 
     #[test]
-    fn async_drain_cycle_is_clean() {
+    fn ring_cycle_is_clean() {
+        // K = 2: epoch 2 opens while epoch 1's drain is still flushing
+        // (legal under rule 7), and the commits retire in order, each
+        // behind its own order barrier.
         let r = replay(&[
             marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
@@ -1003,44 +982,37 @@ mod tests {
                 full: true,
             }),
             // Threads released before the flush; line 10 still dirty here.
-            marker(TraceMarker::DrainBegin { epoch: 1 }),
-            TraceEvent::Pwb { tid: 1, line: 10 },
-            TraceEvent::Psync { tid: 1 },
-            marker(TraceMarker::OrderBarrier),
-            marker(TraceMarker::DrainCommit { epoch: 1 }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 1 }),
             marker(TraceMarker::CheckpointEnd { epoch: 1 }),
+            // Released threads run epoch 2 while epoch 1 still drains.
+            TraceEvent::store_meta(2, 704, 8),
+            marker(TraceMarker::TrackLine { line: 11 }),
+            marker(TraceMarker::CheckpointBegin {
+                epoch: 2,
+                full: true,
+            }),
+            marker(TraceMarker::PipelineBegin { epoch: 2, slot: 0 }),
+            marker(TraceMarker::CheckpointEnd { epoch: 2 }),
+            // Drain worker settles both epochs oldest-first.
+            TraceEvent::Pwb { tid: 3, line: 10 },
+            TraceEvent::Psync { tid: 3 },
+            marker(TraceMarker::OrderBarrier),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
+            TraceEvent::Pwb { tid: 3, line: 11 },
+            TraceEvent::Psync { tid: 3 },
+            marker(TraceMarker::OrderBarrier),
+            marker(TraceMarker::RingCommit { epoch: 2 }),
         ]);
         assert!(r.is_clean(), "{r}");
         assert!(r.diagnostics.is_empty(), "{r}");
     }
 
     #[test]
-    fn drain_commit_before_durable_flagged() {
-        let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
-            TraceEvent::store_meta(1, 640, 8),
-            marker(TraceMarker::TrackLine { line: 10 }),
-            marker(TraceMarker::CheckpointBegin {
-                epoch: 1,
-                full: true,
-            }),
-            marker(TraceMarker::DrainBegin { epoch: 1 }),
-            // no pwb/psync of line 10: the drain skipped its write-backs
-            marker(TraceMarker::OrderBarrier),
-            marker(TraceMarker::DrainCommit { epoch: 1 }),
-            marker(TraceMarker::CheckpointEnd { epoch: 1 }),
-        ]);
-        let v = r.of_kind(DiagnosticKind::DrainCommitOrder);
-        assert_eq!(v.len(), 1, "{r}");
-        assert_eq!(v[0].line, Some(10));
-        assert!(!r.is_clean(), "{r}");
-    }
-
-    #[test]
     fn post_release_stores_do_not_charge_the_drain() {
-        // A thread re-dirties line 10 after DrainBegin (epoch 2 work). The
-        // drain only owes the snapshot generation, which the pwb+psync
-        // below covers — the newer store is the *next* checkpoint's debt.
+        // K = 1. A thread re-dirties line 10 after PipelineBegin (epoch 2
+        // work). The drain only owes the snapshot generation, which the
+        // pwb+psync below covers — the newer store is the *next*
+        // checkpoint's debt.
         let r = replay(&[
             marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
@@ -1049,21 +1021,18 @@ mod tests {
                 epoch: 1,
                 full: true,
             }),
-            marker(TraceMarker::DrainBegin { epoch: 1 }),
-            TraceEvent::Pwb { tid: 1, line: 10 },
-            TraceEvent::Psync { tid: 1 },
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
+            marker(TraceMarker::CheckpointEnd { epoch: 1 }),
+            TraceEvent::Pwb { tid: 3, line: 10 },
+            TraceEvent::Psync { tid: 3 },
             // Released thread writes the same line for epoch 2.
             TraceEvent::store_meta(2, 648, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::OrderBarrier),
-            marker(TraceMarker::DrainCommit { epoch: 1 }),
-            marker(TraceMarker::CheckpointEnd { epoch: 1 }),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
         ]);
         assert!(r.is_clean(), "{r}");
-        assert!(
-            r.of_kind(DiagnosticKind::DrainCommitOrder).is_empty(),
-            "{r}"
-        );
+        assert!(r.of_kind(DiagnosticKind::RingCommitOrder).is_empty(), "{r}");
     }
 
     #[test]
@@ -1074,44 +1043,38 @@ mod tests {
                 epoch: 1,
                 full: true,
             }),
-            marker(TraceMarker::DrainBegin { epoch: 2 }), // current is 1
+            marker(TraceMarker::PipelineBegin { epoch: 2, slot: 0 }), // current is 1
         ]);
         assert_eq!(r.of_kind(DiagnosticKind::EpochDiscipline).len(), 1, "{r}");
     }
 
     #[test]
-    fn pipelined_ring_cycle_is_clean() {
-        // Two epochs overlap: epoch 2 opens while epoch 1's drain is still
-        // flushing (legal under rule 8), and the commits retire in order.
+    fn claim_of_a_still_open_slot_flagged() {
+        // K = 1: epoch 2 claims slot 0 while epoch 1 — still uncommitted —
+        // holds it. The claim overwrites the only durable record that
+        // epoch 1 must roll back. (At K = 2 the same two claims land on
+        // different slots and are legal: `ring_cycle_is_clean`.)
         let r = replay(&[
             marker(TraceMarker::EpochAdvance { epoch: 1 }),
-            TraceEvent::store_meta(1, 640, 8),
-            marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: true,
             }),
-            marker(TraceMarker::PipelineBegin { epoch: 1 }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             marker(TraceMarker::CheckpointEnd { epoch: 1 }),
-            // Released threads run epoch 2 while epoch 1 still drains.
-            TraceEvent::store_meta(2, 704, 8),
-            marker(TraceMarker::TrackLine { line: 11 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 2,
                 full: true,
             }),
-            marker(TraceMarker::PipelineBegin { epoch: 2 }),
+            marker(TraceMarker::PipelineBegin { epoch: 2, slot: 0 }),
             marker(TraceMarker::CheckpointEnd { epoch: 2 }),
-            // Drain worker settles both epochs oldest-first.
-            TraceEvent::Pwb { tid: 3, line: 10 },
-            TraceEvent::Psync { tid: 3 },
             marker(TraceMarker::RingCommit { epoch: 1 }),
-            TraceEvent::Pwb { tid: 3, line: 11 },
-            TraceEvent::Psync { tid: 3 },
             marker(TraceMarker::RingCommit { epoch: 2 }),
         ]);
-        assert!(r.is_clean(), "{r}");
-        assert!(r.diagnostics.is_empty(), "{r}");
+        let v = r.of_kind(DiagnosticKind::RingCommitOrder);
+        assert_eq!(v.len(), 1, "{r}");
+        assert!(v[0].detail.contains("still holds it"), "{r}");
+        assert!(!r.is_clean(), "{r}");
     }
 
     #[test]
@@ -1126,7 +1089,7 @@ mod tests {
                 epoch: 1,
                 full: true,
             }),
-            marker(TraceMarker::PipelineBegin { epoch: 1 }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 1 }),
             marker(TraceMarker::CheckpointEnd { epoch: 1 }),
             TraceEvent::store_meta(2, 704, 8),
             marker(TraceMarker::TrackLine { line: 11 }),
@@ -1134,7 +1097,7 @@ mod tests {
                 epoch: 2,
                 full: true,
             }),
-            marker(TraceMarker::PipelineBegin { epoch: 2 }),
+            marker(TraceMarker::PipelineBegin { epoch: 2, slot: 0 }),
             marker(TraceMarker::CheckpointEnd { epoch: 2 }),
             TraceEvent::Pwb { tid: 3, line: 10 },
             TraceEvent::Pwb { tid: 3, line: 11 },
@@ -1158,7 +1121,7 @@ mod tests {
                 epoch: 1,
                 full: true,
             }),
-            marker(TraceMarker::PipelineBegin { epoch: 1 }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 1 }),
             // no pwb/psync of line 10: the worker skipped its write-backs
             marker(TraceMarker::RingCommit { epoch: 1 }),
             marker(TraceMarker::CheckpointEnd { epoch: 1 }),

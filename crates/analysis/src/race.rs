@@ -7,7 +7,8 @@
 //! [`TraceEvent::SyncRel`]/[`TraceEvent::SyncAcq`] edges the runtime emits
 //! at every protocol synchronization point (quiescence flags, the
 //! checkpoint timer, the checkpoint-serialization lock, [`TracedMutex`]
-//! locks, flusher acknowledgements, and the asynchronous-drain handshake).
+//! locks, flusher acknowledgements, the drain-ticket hand-off, and the
+//! drain-commit handshake).
 //!
 //! The vector-clock discipline is FastTrack-style, applied to the trace:
 //!
@@ -34,17 +35,17 @@
 //!   (that is the InCLL design), and data-parallel apps legitimately share
 //!   boundary lines.
 //! * **(b) Un-ordered protocol point** — the epoch-counter commit
-//!   (`EpochAdvance`) and the drain commit (`DrainCommit`) must be
-//!   happens-before-after the fence that covered every line the closing
-//!   checkpoint charges; likewise a thread that pushed out a draining line
-//!   ([`TraceMarker::DrainPushOut`]) must acquire the drain's commit
-//!   release before its next store to that line.
+//!   (`EpochAdvance`) and each ring commit (`RingCommit`, any ring depth)
+//!   must be happens-before-after a fence of every line *its own* epoch
+//!   charges; likewise a thread that pushed out a line owed to epoch `e`
+//!   ([`TraceMarker::DrainPushOut`]) must acquire the release of `e`'s own
+//!   commit before its next store to that line.
 //! * **(c) Racy recovery read** — a recovery-time load (the region traces
 //!   loads only inside the recovery window) of a line on which another
 //!   thread has an in-flight (unfenced) write-back.
 //!
 //! Per-line write histories reset at every epoch boundary
-//! (`EpochAdvance`, `DrainBegin`, crash/restore, `RecoveryEnd`): ResPCT's
+//! (`EpochAdvance`, `PipelineBegin`, crash/restore, `RecoveryEnd`): ResPCT's
 //! epoch rollback makes cross-epoch write pairs harmless by construction.
 //!
 //! [`TracedMutex`]: https://docs.rs/respct
@@ -123,28 +124,24 @@ struct RaceState {
     /// never synchronizes with.
     line_fence: HashMap<u64, HashMap<u64, (u64, u64)>>,
     /// Checkpoint-cycle generation (bumped at `CheckpointBegin`): commits
-    /// only accept fences issued during their own cycle, so a fence from an
-    /// earlier checkpoint cannot vouch for a line that was re-dirtied and
-    /// re-flushed since.
+    /// only accept fences issued since their own cycle began, so a fence
+    /// from an earlier checkpoint cannot vouch for a line that was
+    /// re-dirtied and re-flushed since.
     gen: u64,
     /// Unfenced write-backs per thread.
     pending_pwbs: HashMap<u64, Vec<u64>>,
     /// Lines the current epoch's tracking lists charge to the next commit.
     tracked: HashSet<u64>,
-    /// Snapshot of `tracked` taken at `DrainBegin` — the lines the drain
-    /// commit is charged with.
-    draining: HashSet<u64>,
-    /// Push-out obligations: `(tid, line)` → the drain commit the thread's
-    /// next store to `line` must be ordered after (`None` until the commit
-    /// appears in the stream).
-    pushouts: HashMap<(u64, u64), Option<(u64, u64)>>,
-    /// True between `DrainBegin` and `DrainCommit`. A push-out marker that
-    /// arrives *outside* this window raced with the commit in the trace
-    /// stream (the worker sampled `drain_active` just before the committer
-    /// cleared it); its obligation binds to the last commit directly.
-    drain_inflight: bool,
-    /// `(committer, clock)` of the most recent drain commit.
-    last_drain_commit: Option<(u64, u64)>,
+    /// Open background drains: epoch → (cycle generation at its
+    /// `PipelineBegin`, the `tracked` snapshot its `RingCommit` is charged
+    /// with). Several may be open at once on a ring deeper than 1.
+    ring_open: HashMap<u64, (u64, Vec<u64>)>,
+    /// `(committer, clock)` of each epoch's `RingCommit`: the committer's
+    /// own clock component *before* the release it is about to emit.
+    ring_commits: HashMap<u64, (u64, u64)>,
+    /// Push-out obligations: `(tid, line)` → the epoch whose commit the
+    /// thread's next store to `line` must be ordered after.
+    pushouts: HashMap<(u64, u64), u64>,
     in_checkpoint: bool,
     ckpt_full: bool,
     in_recovery: bool,
@@ -226,10 +223,9 @@ impl RaceState {
                 self.pending_pwbs.clear();
                 self.line_fence.clear();
                 self.tracked.clear();
-                self.draining.clear();
+                self.ring_open.clear();
+                self.ring_commits.clear();
                 self.pushouts.clear();
-                self.drain_inflight = false;
-                self.last_drain_commit = None;
                 self.in_checkpoint = false;
                 self.in_recovery = false;
             }
@@ -272,9 +268,10 @@ impl RaceState {
         let mut hits: Vec<(u64, WriteRec)> = Vec::new();
         for line in first..=last {
             // Push-out obligation: the first store to a pushed-out line
-            // must be ordered after the drain's commit release.
-            if let Some(commit) = self.pushouts.remove(&(tid, line)) {
-                match commit {
+            // must be ordered after the commit release of the epoch the
+            // line was owed to.
+            if let Some(owed_to) = self.pushouts.remove(&(tid, line)) {
+                match self.ring_commits.get(&owed_to).copied() {
                     Some((d, c)) if clock.get(d) >= c => {}
                     Some((d, c)) => self.diag(
                         DiagnosticKind::UnorderedCommit,
@@ -282,8 +279,8 @@ impl RaceState {
                         Some(addr),
                         format!(
                             "thread {tid} overwrote pushed-out line {line} without \
-                             acquiring the drain commit of thread {d} (needs clock {c}, \
-                             has {})",
+                             acquiring epoch {owed_to}'s commit by thread {d} (needs \
+                             clock {c}, has {})",
                             clock.get(d)
                         ),
                     ),
@@ -293,7 +290,7 @@ impl RaceState {
                         Some(addr),
                         format!(
                             "thread {tid} overwrote pushed-out line {line} before the \
-                             drain committed"
+                             drain of epoch {owed_to} committed"
                         ),
                     ),
                 }
@@ -370,11 +367,13 @@ impl RaceState {
     }
 
     /// Rule (b) at a commit point: every charged line must have *some*
-    /// current-cycle fence the committing thread is happens-before-after
-    /// (its own, or one whose `Psync` it acquired — e.g. a flusher ack).
-    /// Lines with no current-cycle fence at all are skipped: that is the
-    /// checker's missed-flush/ordering domain, not an HB question.
-    fn check_commit(&mut self, what: &str, committer: u64, lines: &[u64]) {
+    /// fence issued since cycle `since` — the cycle that closed the
+    /// committing epoch — that the committing thread is
+    /// happens-before-after (its own, or one whose `Psync` it acquired —
+    /// e.g. a flusher ack). Lines with no such fence at all are skipped:
+    /// that is the checker's missed-flush/ordering domain, not an HB
+    /// question.
+    fn check_commit(&mut self, what: &str, committer: u64, lines: &[u64], since: u64) {
         let clock = self.clock(committer).clone();
         let mut bad: Vec<(u64, u64, u64, u64)> = Vec::new();
         for &line in lines {
@@ -384,7 +383,7 @@ impl RaceState {
             let mut nearest: Option<(u64, u64, u64)> = None;
             let mut covered = false;
             for (&u, &(g, c)) in fences {
-                if g != self.gen {
+                if g < since {
                     continue;
                 }
                 if u == committer || clock.get(u) >= c {
@@ -460,48 +459,33 @@ impl RaceState {
             TraceMarker::EpochAdvance { epoch } => {
                 if self.in_checkpoint && self.ckpt_full {
                     let lines: Vec<u64> = self.tracked.iter().copied().collect();
-                    self.check_commit("epoch commit", tid, &lines);
+                    self.check_commit("epoch commit", tid, &lines, self.gen);
                 }
                 self.tracked.clear();
                 self.reset_epoch_writes();
                 self.epoch = Some(epoch);
             }
-            TraceMarker::DrainBegin { epoch } => {
-                self.draining = std::mem::take(&mut self.tracked);
+            TraceMarker::PipelineBegin { epoch, .. } => {
+                let lines = self.tracked.drain().collect();
+                self.ring_open.insert(epoch, (self.gen, lines));
                 self.reset_epoch_writes();
                 self.epoch = Some(epoch + 1);
-                self.drain_inflight = true;
             }
-            TraceMarker::DrainCommit { .. } => {
-                if self.ckpt_full {
-                    let lines: Vec<u64> = self.draining.iter().copied().collect();
-                    self.check_commit("drain commit", tid, &lines);
-                }
-                self.draining.clear();
-                // Resolve outstanding push-out obligations against this
-                // commit: the committer's clock component *before* the
-                // release it is about to emit.
-                let c = self.clock(tid).get(tid);
-                for v in self.pushouts.values_mut() {
-                    if v.is_none() {
-                        *v = Some((tid, c));
+            TraceMarker::RingCommit { epoch } => {
+                if let Some((since, lines)) = self.ring_open.remove(&epoch) {
+                    if self.ckpt_full {
+                        self.check_commit("ring commit", tid, &lines, since);
                     }
                 }
-                self.drain_inflight = false;
-                self.last_drain_commit = Some((tid, c));
+                let c = self.clock(tid).get(tid);
+                self.ring_commits.insert(epoch, (tid, c));
             }
-            TraceMarker::DrainPushOut { addr } => {
-                // A push-out marker outside the drain window lost a benign
-                // trace-order race: the worker sampled `drain_active` an
-                // instant before the committer cleared it, and the commit
-                // marker reached the sink first. Its obligation is against
-                // that commit, which has already been recorded.
-                let commit = if self.drain_inflight {
-                    None
-                } else {
-                    self.last_drain_commit
-                };
-                self.pushouts.insert((tid, addr / 64), commit);
+            TraceMarker::DrainPushOut { addr, epoch } => {
+                // Keyed by the tag's own epoch, so the benign trace-order
+                // race (the commit marker reaching the sink before this
+                // one) needs no special case: the obligation resolves
+                // against that epoch's commit whenever the store arrives.
+                self.pushouts.insert((tid, addr / 64), epoch);
             }
             TraceMarker::CheckpointEnd { .. } => {
                 self.in_checkpoint = false;
@@ -515,21 +499,10 @@ impl RaceState {
                 self.in_recovery = false;
                 self.reset_epoch_writes();
             }
-            TraceMarker::PipelineBegin { epoch } => {
-                // Pipelined ring commits publish through `drain_oldest`
-                // atomics the token-based detector cannot see, so pipelined
-                // traces run with race detection off. Keep the epoch
-                // bookkeeping coherent anyway so rule (a) stays sane if a
-                // mixed trace slips through.
-                self.tracked.clear();
-                self.reset_epoch_writes();
-                self.epoch = Some(epoch + 1);
-            }
             TraceMarker::OrderBarrier
             | TraceMarker::ShardFlushBegin { .. }
             | TraceMarker::ShardFlushEnd { .. }
             | TraceMarker::RecoveryApply { .. }
-            | TraceMarker::RingCommit { .. }
             | TraceMarker::RestartPoint { .. } => {}
         }
     }
@@ -827,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_commit_checks_snapshot_lines() {
+    fn ring_commit_checks_its_own_epochs_snapshot() {
         let r = replay(&[
             TraceEvent::store_meta(2, 640, 8),
             marker(2, TraceMarker::TrackLine { line: 10 }),
@@ -838,29 +811,89 @@ mod tests {
                     full: true,
                 },
             ),
-            marker(9, TraceMarker::DrainBegin { epoch: 1 }),
+            marker(9, TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             TraceEvent::Pwb { tid: 3, line: 10 },
             TraceEvent::Psync { tid: 3 },
-            // Committer 9 never acquires flusher 3's release.
-            marker(9, TraceMarker::DrainCommit { epoch: 1 }),
+            // Committer 7 never acquires flusher 3's release.
+            marker(7, TraceMarker::RingCommit { epoch: 1 }),
         ]);
         assert_eq!(r.of_kind(DiagnosticKind::UnorderedCommit).len(), 1, "{r}");
+    }
+
+    /// On a ring deeper than 1 the next checkpoint cycle may begin before
+    /// an older epoch's lines are fenced: the commit accepts fences issued
+    /// since *its own* cycle began, so the overlap is clean — and still
+    /// flagged when the only such fence is one the committer never joined.
+    #[test]
+    fn ring_commit_accepts_fences_from_overlapping_cycles() {
+        let ack = SyncToken::Chan { id: 0x5000 };
+        let run = |acked: bool| {
+            let mut evs = vec![
+                TraceEvent::store_meta(2, 640, 8),
+                marker(2, TraceMarker::TrackLine { line: 10 }),
+                marker(
+                    9,
+                    TraceMarker::CheckpointBegin {
+                        epoch: 1,
+                        full: true,
+                    },
+                ),
+                marker(9, TraceMarker::PipelineBegin { epoch: 1, slot: 1 }),
+                // Epoch 2's checkpoint starts while epoch 1 still drains.
+                marker(
+                    9,
+                    TraceMarker::CheckpointBegin {
+                        epoch: 2,
+                        full: true,
+                    },
+                ),
+                marker(9, TraceMarker::PipelineBegin { epoch: 2, slot: 0 }),
+                TraceEvent::Pwb { tid: 3, line: 10 },
+                TraceEvent::Psync { tid: 3 },
+                rel(3, ack),
+            ];
+            if acked {
+                evs.push(acq(7, ack));
+            }
+            evs.push(marker(7, TraceMarker::RingCommit { epoch: 1 }));
+            replay(&evs)
+        };
+        let clean = run(true);
+        assert!(clean.is_clean(), "{clean}");
+        let dirty = run(false);
+        assert_eq!(
+            dirty.of_kind(DiagnosticKind::UnorderedCommit).len(),
+            1,
+            "{dirty}"
+        );
     }
 
     #[test]
     fn pushout_store_needs_the_drain_commit_edge() {
         let drain = SyncToken::Drain;
         let clean = replay(&[
-            marker(2, TraceMarker::DrainPushOut { addr: 640 }),
-            marker(9, TraceMarker::DrainCommit { epoch: 1 }),
+            marker(
+                2,
+                TraceMarker::DrainPushOut {
+                    addr: 640,
+                    epoch: 1,
+                },
+            ),
+            marker(9, TraceMarker::RingCommit { epoch: 1 }),
             rel(9, drain),
             acq(2, drain),
             TraceEvent::store_meta(2, 640, 8),
         ]);
         assert!(clean.is_clean(), "{clean}");
         let dirty = replay(&[
-            marker(2, TraceMarker::DrainPushOut { addr: 640 }),
-            marker(9, TraceMarker::DrainCommit { epoch: 1 }),
+            marker(
+                2,
+                TraceMarker::DrainPushOut {
+                    addr: 640,
+                    epoch: 1,
+                },
+            ),
+            marker(9, TraceMarker::RingCommit { epoch: 1 }),
             rel(9, drain),
             // Missing acquire — the DrainHandshake fault shape.
             TraceEvent::store_meta(2, 640, 8),
@@ -872,39 +905,58 @@ mod tests {
         );
     }
 
+    /// A push-out obligation resolves against the commit of the tag's *own*
+    /// epoch: acquiring an older epoch's commit release does not license
+    /// the overwrite, and a store before that commit is flagged outright.
     #[test]
-    fn pushout_store_before_commit_flagged() {
+    fn pushout_binds_to_its_own_epochs_commit() {
+        let drain = SyncToken::Drain;
         let r = replay(&[
-            marker(2, TraceMarker::DrainPushOut { addr: 640 }),
-            TraceEvent::store_meta(2, 640, 8),
+            marker(
+                2,
+                TraceMarker::DrainPushOut {
+                    addr: 640,
+                    epoch: 2,
+                },
+            ),
+            marker(9, TraceMarker::RingCommit { epoch: 1 }),
+            rel(9, drain),
+            acq(2, drain),
+            TraceEvent::store_meta(2, 640, 8), // epoch 2 has not committed
         ]);
         let v = r.of_kind(DiagnosticKind::UnorderedCommit);
         assert_eq!(v.len(), 1, "{r}");
-        assert!(v[0].detail.contains("before the drain committed"), "{r}");
+        assert!(v[0].detail.contains("before the drain of epoch 2"), "{r}");
     }
 
     /// A push-out marker that loses the trace-order race with its own
-    /// drain commit (the worker sampled `drain_active` just before the
-    /// committer cleared it) binds to that commit instead of waiting for
-    /// one that will never come — provided the worker still has the edge.
+    /// epoch's commit (the commit marker reached the sink first) still
+    /// binds to that commit — provided the worker has the edge.
     #[test]
     fn pushout_marker_after_commit_binds_to_that_commit() {
         let drain = SyncToken::Drain;
+        let pushout = marker(
+            2,
+            TraceMarker::DrainPushOut {
+                addr: 640,
+                epoch: 1,
+            },
+        );
         let clean = replay(&[
-            marker(9, TraceMarker::DrainBegin { epoch: 1 }),
-            marker(9, TraceMarker::DrainCommit { epoch: 1 }),
+            marker(9, TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
+            marker(9, TraceMarker::RingCommit { epoch: 1 }),
             rel(9, drain),
-            marker(2, TraceMarker::DrainPushOut { addr: 640 }),
+            pushout,
             acq(2, drain),
             TraceEvent::store_meta(2, 640, 8),
         ]);
         assert!(clean.is_clean(), "{clean}");
         // Without the acquire the late-bound obligation still fires.
         let dirty = replay(&[
-            marker(9, TraceMarker::DrainBegin { epoch: 1 }),
-            marker(9, TraceMarker::DrainCommit { epoch: 1 }),
+            marker(9, TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
+            marker(9, TraceMarker::RingCommit { epoch: 1 }),
             rel(9, drain),
-            marker(2, TraceMarker::DrainPushOut { addr: 640 }),
+            pushout,
             TraceEvent::store_meta(2, 640, 8),
         ]);
         assert_eq!(

@@ -48,19 +48,16 @@ pub enum DiagnosticKind {
     /// ran. A crash between the barrier and the missing fence would commit
     /// an epoch whose shard data may not be durable.
     ShardFence,
-    /// The two-phase epoch commit of an asynchronous checkpoint closed
-    /// (`DrainCommit`, the drain-state word going durable-zero) while a
-    /// line snapshotted at `DrainBegin` was not yet durable at its
-    /// snapshot generation: a crash after the commit would recover to
-    /// epoch N+1 with epoch-N data missing.
-    DrainCommitOrder,
-    /// The pipelined epoch-record ring broke its ordered-commit invariant:
-    /// a `RingCommit` was published while an *older* epoch's drain was
-    /// still uncommitted, or an epoch committed while a line it snapshotted
-    /// at `PipelineBegin` was not yet durable at its snapshot generation. A
-    /// crash between an out-of-order pair leaves a hole in the ring, which
-    /// recovery rejects as corruption — and the frees the early commit
-    /// released may already have clobbered rollback state.
+    /// The background drain's epoch-record ring (depth K = 1..=4) broke its
+    /// ordered-commit invariant: a slot was claimed while its previous
+    /// epoch was still uncommitted, a `RingCommit` was published while an
+    /// *older* epoch's drain was still uncommitted, or an epoch committed
+    /// while a line it snapshotted at `PipelineBegin` was not yet durable at
+    /// its snapshot generation (a crash after the commit would recover past
+    /// that epoch with its data missing). A crash between an out-of-order
+    /// pair leaves a hole in the ring, which recovery rejects as corruption
+    /// — and the frees the early commit released may already have clobbered
+    /// rollback state.
     RingCommitOrder,
     /// A crash-point sweep found a reachable crash image whose recovered
     /// state differs from the model snapshot of the last committed
@@ -74,8 +71,8 @@ pub enum DiagnosticKind {
     /// Also raised for a recovery-time load racing another thread's
     /// in-flight write-back.
     PersistRace,
-    /// A protocol commit point (the epoch-counter store or the drain-state
-    /// commit) is not happens-before-ordered after a fence it charges —
+    /// A protocol commit point (the epoch-counter store or a ring commit)
+    /// is not happens-before-ordered after a fence it charges —
     /// or a pushed-out line was overwritten without acquiring the drain's
     /// commit release. The commit's durability can race the data it
     /// promises is durable.
@@ -100,7 +97,6 @@ impl DiagnosticKind {
             DiagnosticKind::RedundantFlush => "redundant_flush",
             DiagnosticKind::EpochDiscipline => "epoch_discipline",
             DiagnosticKind::ShardFence => "shard_fence",
-            DiagnosticKind::DrainCommitOrder => "drain_commit_order",
             DiagnosticKind::RingCommitOrder => "ring_commit_order",
             DiagnosticKind::RecoveryDivergence => "recovery_divergence",
             DiagnosticKind::PersistRace => "persist_race",

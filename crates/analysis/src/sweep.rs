@@ -6,7 +6,7 @@
 //! instant (each store, write-back, fence, eviction — and *always* at
 //! checkpoint-protocol boundaries like shard fences and the epoch commit),
 //! materializes the crash images reachable under PCSO at that instant. Each
-//! image is handed to [`Pool::recover_from_image`] on a synthetic region,
+//! image is handed to [`Pool::recover_with`] on a synthetic region,
 //! and the recovered pool is checked against a caller-supplied oracle —
 //! typically "the recovered structures equal the model snapshot of the last
 //! checkpoint that committed before this instant".
@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use respct::layout::{MAGIC, OFF_MAGIC};
-use respct::{Pool, PoolConfig, RecoveryReport};
+use respct::{Pool, PoolConfig, RecoveryOptions, RecoveryReport};
 use respct_pmem::{is_crash_point, is_protocol_point, Replayer, TraceEvent};
 
 use crate::report::{Diagnostic, DiagnosticKind, Report};
@@ -159,13 +159,16 @@ where
             .enumerate()
         {
             images += 1;
-            // Recovery may *panic* on images no correct execution can
-            // produce (e.g. an epoch-ring hole left by an out-of-order
-            // commit). A sweep must survive that and report it as a
-            // divergence, not die: a panicking recovery is exactly the
+            // Recovery refuses images no correct execution can produce with
+            // a typed error (e.g. `CorruptRing` for the hole an out-of-order
+            // commit leaves). The registry walk and the oracle, though, follow
+            // persistent pointers through bounds-checked region accesses and
+            // *panic* on a diverged image; a sweep must survive that and
+            // report it as a divergence, not die — it is exactly the
             // broken-protocol evidence the sweep exists to surface.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                match Pool::recover_from_image(&image, cfg.pool.clone()) {
+                let opts = RecoveryOptions::from_image(&image).config(cfg.pool.clone());
+                match Pool::recover_with(opts) {
                     Ok((pool, rec)) => (Some(rec.failed_epoch), oracle(&pool, &rec)),
                     Err(e) => (None, Err(format!("recovery failed: {e:?}"))),
                 }
@@ -185,7 +188,7 @@ where
                     diverge(
                         None,
                         format!(
-                            "event #{idx} ({ev:?}), image #{img_idx}: recovery panicked: {msg}"
+                            "event #{idx} ({ev:?}), image #{img_idx}: recovery or oracle panicked: {msg}"
                         ),
                     );
                 }
@@ -259,9 +262,8 @@ pub mod workloads {
     }
 
     /// [`record_run`] with an explicit pool configuration — how the sweep
-    /// suite records asynchronous-drain traces (crash points inside the
-    /// drain window only exist when the recorded pool drained in the
-    /// background).
+    /// suite records background-drain traces (crash points inside a drain
+    /// window only exist when the recorded pool drained on the executor).
     pub fn record_run_with<M: Clone>(
         seed: u64,
         ops: u64,

@@ -6,14 +6,13 @@
 //! (`PoolConfig::epoch_pipeline(K)`) — and compares the *restart-point
 //! stall* distribution: the time application threads actually spend parked
 //! for a checkpoint. Synchronous checkpoints hold threads through the whole
-//! flush, so their stall tail tracks the flush time; asynchronous ones
-//! release at the epoch swap, so the tail collapses to quiescence + the
-//! draining-record persist; pipelined ones shrink the parked window itself
-//! to the ring-slot claim (one store pair + fence) because the flush, the
-//! dedup, *and* the previous epoch's commit all run on the drain executor.
-//! The `stw_ratio` field (async `stw_mean_ns` / pipelined `stw_mean_ns`)
-//! captures that last step. Emits `BENCH_ckpt.json` (schema checked by
-//! `scripts/validate_bench_ckpt.py`).
+//! flush, so their stall tail tracks the flush time; `async_checkpoint`
+//! pools release at the ring-slot claim (one store pair + fence) and flush
+//! on the drain executor, at ring depth 1 (the async arm) and K (the
+//! pipelined arm) alike — depth only decides how many commits a new
+//! checkpoint may run ahead of. `stw_mean_ns` is the same window in every
+//! arm: `timer` raised to `timer` released. Emits `BENCH_ckpt.json` (schema
+//! checked by `scripts/validate_bench_ckpt.py`).
 //!
 //! This binary takes its own flags (not [`respct_bench::args::BenchArgs`],
 //! which rejects flags it does not know).
@@ -135,7 +134,7 @@ fn run_arm(o: &Opts, async_on: bool, pipeline: usize) -> ModeStats {
         run_map_mix(&map, o.threads, o.secs, 300_000, 90, 0xc4a7)
     };
     let stall = pool.runtime_metrics().rp_stall_snapshot();
-    let snap = pool.ckpt_stats().snapshot();
+    let snap = pool.runtime_metrics().ckpt_snapshot();
     let ckpts = snap.count.max(1);
     ModeStats {
         mops: t.mops(),
@@ -160,40 +159,25 @@ fn main() {
     );
 
     // ABAB(C) repetitions so container noise hits every arm equally; the
-    // triple with the cleanest separation is reported, same policy as the
-    // obs_metrics overhead bench. "Cleanest" balances the two floors the
-    // validator gates on — async p99 stall speedup (2x) and pipelined
-    // stop-the-world shrink (5x) — by scoring each rep on whichever of the
-    // two is proportionally weaker.
-    let stw_ratio = |a: &ModeStats, p: &ModeStats| {
-        a.stw_mean_ns
-            / if p.stw_mean_ns > 0.0 {
-                p.stw_mean_ns
-            } else {
-                1.0
-            }
-    };
+    // triple with the cleanest separation on the floor the validator gates
+    // on — async p99 stall speedup — is reported, same policy as the
+    // obs_metrics overhead bench.
     let mut best: Option<(ModeStats, ModeStats, ModeStats)> = None;
     for rep in 0..o.reps {
         let sync = run_arm(&o, false, 1);
         let async_ = run_arm(&o, true, 1);
         let pipe = run_arm(&o, true, o.pipeline);
         println!(
-            "rep {rep}: stall p99 sync {}us, async {}us, pipelined {}us; \
-             stw mean async {}us -> pipelined {}us",
+            "rep {rep}: stall p99 sync {}us, async {}us, pipelined {}us",
             f3(sync.stall_p99_ns as f64 / 1e3),
             f3(async_.stall_p99_ns as f64 / 1e3),
             f3(pipe.stall_p99_ns as f64 / 1e3),
-            f3(async_.stw_mean_ns / 1e3),
-            f3(pipe.stw_mean_ns / 1e3),
         );
-        let score = |s: &ModeStats, a: &ModeStats, p: &ModeStats| {
-            let p99 = s.stall_p99_ns as f64 / (a.stall_p99_ns.max(1)) as f64;
-            (p99 / 2.0).min(stw_ratio(a, p) / 5.0)
-        };
+        let score =
+            |s: &ModeStats, a: &ModeStats| s.stall_p99_ns as f64 / a.stall_p99_ns.max(1) as f64;
         if best
             .as_ref()
-            .is_none_or(|(bs, ba, bp)| score(&sync, &async_, &pipe) > score(bs, ba, bp))
+            .is_none_or(|(bs, ba, _)| score(&sync, &async_) > score(bs, ba))
         {
             best = Some((sync, async_, pipe));
         }
@@ -201,7 +185,6 @@ fn main() {
     let (sync, async_, pipe) = best.expect("at least one rep");
     let p50_speedup = sync.stall_p50_ns as f64 / async_.stall_p50_ns.max(1) as f64;
     let p99_speedup = sync.stall_p99_ns as f64 / async_.stall_p99_ns.max(1) as f64;
-    let stw_ratio = stw_ratio(&async_, &pipe);
 
     let mut table = Table::new(&[
         "mode",
@@ -225,19 +208,16 @@ fn main() {
     }
     table.print();
     println!(
-        "stall speedup: p50 {}x, p99 {}x ({} on-demand push-outs); \
-         pipelined stw shrink {}x",
+        "stall speedup: p50 {}x, p99 {}x ({} on-demand push-outs)",
         f3(p50_speedup),
         f3(p99_speedup),
         async_.drain_pushouts,
-        f3(stw_ratio),
     );
 
     let out = format!(
         "{{\"bench\":\"ckpt_stall\",\"threads\":{},\"secs\":{},\"reps\":{},\
          \"period_ms\":{},\"pipeline\":{},\"sync\":{},\"async\":{},\
-         \"pipelined\":{},\"p50_speedup\":{:.3},\"p99_speedup\":{:.3},\
-         \"stw_ratio\":{:.3}}}\n",
+         \"pipelined\":{},\"p50_speedup\":{:.3},\"p99_speedup\":{:.3}}}\n",
         o.threads,
         o.secs,
         o.reps,
@@ -248,7 +228,6 @@ fn main() {
         pipe.to_json(),
         p50_speedup,
         p99_speedup,
-        stw_ratio,
     );
     match std::fs::write(&o.out, &out) {
         Ok(()) => println!("(written to {})", o.out),

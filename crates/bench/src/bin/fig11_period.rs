@@ -55,12 +55,12 @@ fn main() {
         let map = PHashMap::create(&h, nbuckets);
         drop(h);
         prefill_map(&map, keyspace);
-        let before = pool.ckpt_stats().snapshot();
+        let before = pool.runtime_metrics().ckpt_snapshot();
         let t = {
             let _ckpt = pool.start_checkpointer(Duration::from_millis(period_ms));
             run_map_mix(&map, threads, args.secs, keyspace, update_pct, 0xf11)
         };
-        let snap = pool.ckpt_stats().snapshot().since_counts(&before);
+        let snap = pool.runtime_metrics().ckpt_snapshot().since_counts(&before);
         let effective_ms = if snap.count > 0 {
             t.duration.as_secs_f64() * 1e3 / snap.count as f64
         } else {

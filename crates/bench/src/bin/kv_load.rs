@@ -324,7 +324,7 @@ fn run_arm(o: &Opts, name: &str) -> ArmStats {
     let stats = measure(o, server.local_addr(), 0);
     let ckpts = service
         .pool()
-        .map_or(0, |p| p.ckpt_stats().snapshot().count);
+        .map_or(0, |p| p.runtime_metrics().ckpt_snapshot().count);
     drop(server);
     ArmStats { ckpts, ..stats }
 }

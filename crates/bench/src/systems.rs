@@ -185,7 +185,7 @@ pub fn measure_respct_map(
         let _ckpt = (name != "respct-incll").then(|| pool.start_checkpointer(s.period));
         run_map_mix(&m, s.threads, s.secs, s.keyspace, s.update_pct, s.seed)
     };
-    let snap = pool.ckpt_stats().snapshot();
+    let snap = pool.runtime_metrics().ckpt_snapshot();
     (t, snap)
 }
 

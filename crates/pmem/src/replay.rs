@@ -69,8 +69,8 @@ pub fn is_protocol_point(ev: &TraceEvent) -> bool {
                 | TraceMarker::ShardFlushEnd { .. }
                 | TraceMarker::OrderBarrier
                 | TraceMarker::EpochAdvance { .. }
-                | TraceMarker::DrainBegin { .. }
-                | TraceMarker::DrainCommit { .. }
+                | TraceMarker::PipelineBegin { .. }
+                | TraceMarker::RingCommit { .. }
                 | TraceMarker::CheckpointEnd { .. },
             ..
         }

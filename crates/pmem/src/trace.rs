@@ -72,28 +72,19 @@ pub enum TraceMarker {
     /// shards opened since `CheckpointBegin` must be closed before the
     /// `OrderBarrier` that precedes the epoch commit.
     ShardFlushEnd { shard: u64 },
-    /// Asynchronous checkpoint released the quiesced threads: the draining
-    /// record (`state = epoch`, `epoch = epoch + 1`) is durable, the old
-    /// flush-shard lists are snapshotted, and the background drain of
-    /// epoch `epoch` begins while application threads run in `epoch + 1`.
-    DrainBegin { epoch: u64 },
-    /// Every snapshotted shard of the background drain of epoch `epoch` is
-    /// written back and fenced, and the drain-state word is committed back
-    /// to zero — the two-phase commit of `epoch` is complete.
-    DrainCommit { epoch: u64 },
-    /// A pipelined checkpoint claimed ring slot `epoch % K` for `epoch` and
-    /// released the quiesced threads: the claim (`ring[slot] = epoch`,
-    /// `epoch = epoch + 1`) is durable, the epoch's tracking lists are
-    /// snapshotted under the epoch's generation, and the drain of `epoch`
-    /// proceeds in the background while up to `K - 1` older drains may
-    /// still be committing. Unlike [`TraceMarker::DrainBegin`], an earlier
-    /// uncommitted drain is legal here.
-    PipelineBegin { epoch: u64 },
-    /// The pipelined drain of `epoch` is complete: every snapshotted line
+    /// An `async_checkpoint` pool claimed ring slot `slot` (`epoch % K`,
+    /// K = 1..=4) for `epoch` and released the quiesced threads: the claim
+    /// (`ring[slot] = epoch`, `epoch = epoch + 1`) is durable, the epoch's
+    /// tracking lists are snapshotted under the epoch's generation, and the
+    /// drain of `epoch` proceeds on the drain executor while up to `K - 1`
+    /// older drains may still be committing. Claiming a slot whose previous
+    /// epoch has not committed is a discipline violation (checker rule 7).
+    PipelineBegin { epoch: u64, slot: u64 },
+    /// The background drain of `epoch` is complete: every snapshotted line
     /// is written back and fenced, and ring slot `epoch % K` is committed
     /// back to zero. Commits must appear in epoch order — a `RingCommit`
     /// for `epoch` while an older claimed epoch is still uncommitted is a
-    /// discipline violation (checker rule 8).
+    /// discipline violation (checker rule 7).
     RingCommit { epoch: u64 },
     /// Checkpoint finished; `epoch` is the epoch it closed.
     CheckpointEnd { epoch: u64 },
@@ -108,11 +99,11 @@ pub enum TraceMarker {
     /// A thread passed the restart point `id` (diagnostic context only).
     RestartPoint { slot: u64, id: u64 },
     /// A thread hit the on-demand push-out guard: the cell at `addr` still
-    /// carries the draining epoch's tag, so the thread must flush the line
-    /// and wait for the drain commit before overwriting the backup slot.
-    /// The race detector requires the thread's next store to that line to
-    /// be HB-after the drain's commit release.
-    DrainPushOut { addr: u64 },
+    /// carries the tag of `epoch`, whose drain has not committed, so the
+    /// thread must flush the line and wait for that commit before
+    /// overwriting the backup slot. The race detector requires the thread's
+    /// next store to that line to be HB-after `epoch`'s commit release.
+    DrainPushOut { addr: u64, epoch: u64 },
 }
 
 /// Identity of a synchronization object for happens-before edges. A
@@ -133,14 +124,15 @@ pub enum SyncToken {
     /// un-quiesces the threads, acquired by each thread that observes the
     /// timer cleared and resumes.
     Timer,
-    /// The asynchronous-drain handshake word (`drain_active`): released by
-    /// the drain commit, acquired by a thread leaving the push-out wait.
+    /// The drain-commit handshake (`drain_oldest`): released by every ring
+    /// commit, acquired by whoever waited one out — a thread leaving the
+    /// push-out wait, `checkpoint_here`, a checkpoint re-claiming the slot.
     Drain,
     /// A mutex guarding pool stores (checkpoint serialization lock, data
     /// structure bucket locks), identified by the lock's address.
     Lock { id: u64 },
-    /// A channel hand-off (flusher job acknowledgements), identified by the
-    /// shared job's address: released by the sender after its fences,
+    /// A channel hand-off (flusher job acknowledgements, drain tickets),
+    /// identified by the shared object's address: released by the sender,
     /// acquired by the receiver.
     Chan { id: u64 },
 }

@@ -14,13 +14,25 @@
 //! cross-shard coordination.
 //!
 //! At checkpoint time the stop-the-world section merely *moves* the
-//! per-slot shard lists into per-shard gather vectors (O(slots × shards)
-//! pointer swaps, no sorting). Flusher threads then claim whole shards
-//! from a shared counter; each claimer sorts + dedups its shard locally,
-//! writes the lines back, and issues **one** fence after its last shard.
-//! The serial O(n log n) sort and the old chunk-scatter/ack channel
-//! round-trip per chunk are both gone: the checkpointer sends one job
-//! message per flusher and waits for one ack per flusher.
+//! per-slot shard lists out (O(slots × shards) pointer swaps, no sorting);
+//! whoever drains the epoch merges them per shard. Flusher threads then
+//! claim whole shards from a shared counter; each claimer sorts + dedups
+//! its shard locally, writes the lines back, and issues **one** fence
+//! after its last shard. The serial O(n log n) sort and the old
+//! chunk-scatter/ack channel round-trip per chunk are both gone: the
+//! drainer sends one job message per flusher and waits for one ack per
+//! flusher.
+//!
+//! # Two tails
+//!
+//! [`Pool::checkpoint_now`] has one head (quiesce, sync cursors, gather)
+//! and two tails. The synchronous tail is Fig. 4 verbatim: flush, commit
+//! the epoch counter, release. The background tail (`async_checkpoint`,
+//! ring depth K = 1..=4) claims the closing epoch's ring slot, hands the
+//! gathered lists to the [`DrainExec`] worker as a ticket and releases at
+//! once; the worker runs the same [`Flusher::flush_phase`] and commits
+//! ring slots strictly in epoch order. K = 1 is the two-phase commit of a
+//! single draining record — ring slot 0 *is* that record's state word.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,9 +42,9 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use parking_lot::Mutex;
 use respct_pmem::{PAddr, Region, SyncToken, TraceMarker};
 
-use crate::layout::{epoch_ring_slot, MAX_THREADS, OFF_EPOCH, OFF_EPOCH_STATE};
+use crate::layout::{epoch_ring_slot, MAX_THREADS, OFF_EPOCH};
 use crate::metrics::RuntimeMetrics;
-use crate::pool::{CheckpointMode, Pool, SYSTEM_SLOT};
+use crate::pool::{spin_until, CheckpointMode, Pool, SYSTEM_SLOT};
 
 /// The flush shard a cache line belongs to. `nshards` must be a power of
 /// two (guaranteed by [`PoolConfig::resolved_shards`]).
@@ -80,20 +92,18 @@ pub struct CkptReport {
     /// Nanoseconds in the flush phase, wall-clock across all flushers
     /// (sort + dedup + write-backs + fences).
     pub flush_ns: u64,
-    /// Nanoseconds application threads were held parked (the stop-the-world
-    /// window, from raising `timer` to releasing it). Synchronous
-    /// checkpoints hold threads through the flush, so this covers wait +
-    /// partition + flush; asynchronous checkpoints release at the epoch
-    /// swap, so it covers only wait + partition + the draining-record
-    /// persist. Pipelined checkpoints (`epoch_pipeline(K)`, K > 1) measure
-    /// from the instant quiescence completes to the release — the window
-    /// the ring design actually shrinks: list snapshot + ring-slot claim,
-    /// with no flush and no commit wait in it. This — not `wait_ns`, which
-    /// is pure quiescence — is what the threads actually experience as
-    /// stall.
+    /// Nanoseconds application threads were held parked: the stop-the-world
+    /// window from raising `timer` to releasing it, in every mode (so it
+    /// always contains `wait_ns`, which is reported separately because it
+    /// is pure quiescence). Synchronous checkpoints hold threads through
+    /// the flush and the epoch commit; `async_checkpoint` pools release
+    /// after the gather and the ring-slot claim, at every ring depth.
     pub stw_ns: u64,
     /// Nanoseconds of background drain after the threads were released
-    /// (flush + two-phase commit). Zero for synchronous checkpoints.
+    /// (flush + ring commit), measured by the drain executor. Zero for
+    /// synchronous checkpoints, and zero — like `flush_ns` — in the report
+    /// an `async_checkpoint` pool *returns*: the executor records the final
+    /// figures into the metrics when the drain commits.
     pub drain_ns: u64,
     /// Nanoseconds for the whole checkpoint.
     pub total_ns: u64,
@@ -101,13 +111,22 @@ pub struct CkptReport {
     pub shards: Vec<ShardReport>,
 }
 
+/// One closed epoch's tracked lines as the stop-the-world window snapshots
+/// them: `(shard, list)` for every non-empty per-slot shard list, moved out
+/// by pointer — no merging, no per-line work. Whoever drains the epoch (the
+/// checkpointer in the synchronous tail, the drain executor otherwise)
+/// merges per shard inside [`Flusher::flush_phase`].
+type EpochLists = Vec<(usize, Vec<u64>)>;
+
 impl Pool {
-    /// Runs one checkpoint to completion.
+    /// Runs one checkpoint: to completion on a synchronous pool, to the
+    /// release of the quiesced threads on an `async_checkpoint` pool (the
+    /// flush and the commit then finish on the drain executor).
     ///
     /// Must be called from a thread that is **not** blocked on its own
     /// per-thread flag — i.e. the periodic checkpointer, the main thread in
     /// tests, or via [`ThreadHandle::checkpoint_here`]
-    /// (which parks the calling handle first).
+    /// (which parks the calling handle first and also waits for the commit).
     ///
     /// [`ThreadHandle::checkpoint_here`]: crate::thread::ThreadHandle::checkpoint_here
     pub fn checkpoint_now(&self) -> CkptReport {
@@ -116,43 +135,23 @@ impl Pool {
             // Backpressure: epoch N's ring slot is `N mod K`, free only
             // once the drain of epoch `N − K` has committed. Wait that
             // out *before* raising `timer` — application threads keep
-            // running while a full ring holds the checkpoint back.
+            // running while a full ring holds the checkpoint back — and
+            // join the executor's release so the claim below is HB-after
+            // the commit that freed the slot.
             let closing = self.epoch_mirror.load(Ordering::Relaxed);
-            let k = self.cfg.epoch_pipeline as u64;
-            let mut spins = 0u32;
-            while closing - self.drain_oldest.load(Ordering::Acquire) >= k {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            if closing > k {
-                // Slot `closing mod K` was last claimed by epoch
-                // `closing − K`, whose commit we just waited out: join the
-                // executor's release so the claim below is HB-after it.
-                self.region.sync_acquire(SyncToken::Drain);
+            if let Some(reused) = closing.checked_sub(self.cfg.epoch_pipeline as u64) {
+                self.await_commit(reused);
             }
         }
         let t0 = Instant::now();
         self.timer.store(true, Ordering::SeqCst);
         // Wait until every active thread is parked at a restart point
-        // (Fig. 4 lines 49–54). Spin briefly, then yield: this container
-        // has one core, so pure spinning would starve the parked threads.
+        // (Fig. 4 lines 49–54).
         for slot in 0..MAX_THREADS {
             if slot == SYSTEM_SLOT || !self.active[slot].load(Ordering::SeqCst) {
                 continue;
             }
-            let mut spins = 0u32;
-            while !self.flags[slot].load(Ordering::SeqCst) {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+            spin_until(|| self.flags[slot].load(Ordering::SeqCst));
             // We observed the slot's raised flag: everything its owner did
             // before parking (stores, tracking-list pushes) happens-before
             // the checkpoint work below.
@@ -160,7 +159,6 @@ impl Pool {
                 .sync_acquire(SyncToken::Flag { slot: slot as u64 });
         }
         let waited = t0.elapsed();
-        let t_parked = Instant::now();
         let closing = self.epoch_mirror.load(Ordering::Relaxed);
         self.region.trace_marker(TraceMarker::CheckpointBegin {
             epoch: closing,
@@ -173,78 +171,53 @@ impl Pool {
         // SAFETY: quiescence established above; `ckpt_lock` held.
         unsafe { self.sync_deferred_cells() };
 
-        if self.pipeline.is_some() {
-            // Pipelined gather: snapshot the raw per-slot lists by pointer
-            // move, no merging — the drain executor flattens and dedups the
-            // whole epoch off-thread anyway, so per-shard merge here would
-            // be O(lines) of copying inside the parked window for nothing.
-            let tp = Instant::now();
-            let mut lists: Vec<Vec<u64>> = Vec::new();
-            for slot in 0..MAX_THREADS {
-                // SAFETY: `timer` is set and every active owner's flag was
-                // observed true with SeqCst, so owners are parked; inactive
-                // slots have no owner. The checkpointer has exclusive
-                // access.
-                let st = unsafe { self.slot_state(slot) };
-                for list in &mut st.to_flush {
-                    if !list.is_empty() {
-                        lists.push(std::mem::take(list));
-                    }
-                }
-            }
-            let partitioned = tp.elapsed();
-            let report = self.drain_pipelined(t0, t_parked, waited, partitioned, closing, lists);
-            self.region
-                .trace_marker(TraceMarker::CheckpointEnd { epoch: closing });
-            return report;
-        }
-
-        // Gather: move each slot's per-shard lists into per-shard vectors.
-        // No sorting and no per-line work here — dedup happens per shard,
-        // in parallel, inside the flush phase.
+        // Gather: move every non-empty per-slot shard list out, tagged with
+        // its shard. O(slots × shards) pointer moves, no per-line work —
+        // merging and dedup happen per shard inside the flush phase.
         let tp = Instant::now();
-        let mut shards: Vec<Vec<u64>> = vec![Vec::new(); self.nshards];
+        let mut lists: EpochLists = Vec::new();
         for slot in 0..MAX_THREADS {
             // SAFETY: `timer` is set and every active owner's flag was
             // observed true with SeqCst, so owners are parked; inactive
             // slots have no owner. The checkpointer has exclusive access.
             let st = unsafe { self.slot_state(slot) };
             for (s, list) in st.to_flush.iter_mut().enumerate() {
-                if list.is_empty() {
-                    continue;
-                }
-                if shards[s].is_empty() {
-                    shards[s] = std::mem::take(list);
-                } else {
-                    shards[s].append(list);
+                if !list.is_empty() {
+                    lists.push((s, std::mem::take(list)));
                 }
             }
         }
-        let partitioned = tp.elapsed();
+        // The head's share of the report; each tail fills in its own.
+        let report = CkptReport {
+            closed_epoch: closing,
+            // Pre-dedup; whoever flushes replaces it with the exact count.
+            lines: lists.iter().map(|(_, l)| l.len() as u64).sum(),
+            wait_ns: waited.as_nanos() as u64,
+            partition_ns: tp.elapsed().as_nanos() as u64,
+            flush_ns: 0,
+            stw_ns: 0,
+            drain_ns: 0,
+            total_ns: 0,
+            shards: Vec::new(),
+        };
 
-        let report = if self.cfg.async_checkpoint {
-            self.drain_async(t0, waited, partitioned, closing, shards)
-        } else {
-            self.drain_sync(t0, waited, partitioned, closing, shards)
+        let report = match &self.pipeline {
+            None => self.commit_sync(t0, report, lists),
+            Some(exec) => self.claim_and_submit(exec, t0, report, lists),
         };
         self.region
             .trace_marker(TraceMarker::CheckpointEnd { epoch: closing });
         report
     }
 
-    /// Synchronous tail of a checkpoint: flush, commit the epoch counter,
-    /// recycle frees, then release the parked threads.
-    fn drain_sync(
-        &self,
-        t0: Instant,
-        waited: Duration,
-        partitioned: Duration,
-        closing: u64,
-        shards: Vec<Vec<u64>>,
-    ) -> CkptReport {
+    /// Synchronous tail of a checkpoint — Fig. 4 lines 55–59 verbatim:
+    /// flush, commit the epoch counter, recycle frees, then release the
+    /// parked threads.
+    fn commit_sync(&self, t0: Instant, mut report: CkptReport, lists: EpochLists) -> CkptReport {
+        let closing = report.closed_epoch;
         let tf = Instant::now();
-        let (nlines, shard_reports) = self.flush_phase(shards);
-        let flushed = tf.elapsed();
+        (report.lines, report.shards) = self.flusher.flush_phase(lists);
+        report.flush_ns = tf.elapsed().as_nanos() as u64;
 
         // Advance and persist the epoch counter (Fig. 4 lines 56–58). The
         // barrier marker asserts the ordering dependency this store has on
@@ -263,187 +236,64 @@ impl Pool {
         // (timer is still true) and we hold `ckpt_lock`.
         unsafe { self.drain_frees(SYSTEM_SLOT) };
 
-        let stw = t0.elapsed();
+        report.stw_ns = t0.elapsed().as_nanos() as u64;
         // Release before the timer store: parked threads resume only after
         // observing `timer == false`, so their acquire follows this edge.
         self.region.sync_release(SyncToken::Timer);
         self.timer.store(false, Ordering::SeqCst);
-        let report = CkptReport {
-            closed_epoch: closing,
-            lines: nlines,
-            wait_ns: waited.as_nanos() as u64,
-            partition_ns: partitioned.as_nanos() as u64,
-            flush_ns: flushed.as_nanos() as u64,
-            stw_ns: stw.as_nanos() as u64,
-            drain_ns: 0,
-            total_ns: t0.elapsed().as_nanos() as u64,
-            shards: shard_reports,
-        };
+        report.total_ns = t0.elapsed().as_nanos() as u64;
         self.metrics.on_checkpoint(&report);
         report
     }
 
-    /// Asynchronous tail of a checkpoint (two-phase commit). While the
-    /// threads are still parked, only the *draining* epoch record is made
-    /// durable — `state ← N` then `epoch ← N + 1`, one write-back and fence
-    /// for both (they share a cache line, so PCSO guarantees any torn
-    /// durable state is a program-order prefix of the two stores; every
-    /// prefix is handled by recovery). The threads are then released and
-    /// run epoch `N + 1` while this thread drains the snapshotted shards;
-    /// only after every shard's write-backs are fenced is the state word
-    /// committed back to zero. A crash anywhere in the window recovers by
-    /// rolling back epochs `N` *and* `N + 1` to the start of `N` — which is
-    /// why the fast path's on-demand push-out must not let an epoch-`N`
-    /// backup be overwritten until the commit lands.
-    fn drain_async(
+    /// Background tail of a checkpoint (`async_checkpoint`, ring depth
+    /// K = 1..=4): claim the closing epoch's ring slot — `ring[N mod K] ← N`,
+    /// `epoch ← N+1`, one write-back and one fence for both (they share the
+    /// epoch header line, so PCSO makes any torn durable state a
+    /// program-order prefix, and every prefix is handled by recovery's ring
+    /// decode) — hand the snapshotted lists to the drain executor, and
+    /// release the threads. Up to K−1 earlier drains may still be in
+    /// flight; the executor commits strictly in ring order, so
+    /// `ring[e] = 0` always implies every predecessor of `e` is durable
+    /// too. A crash anywhere before epoch N's commit rolls N and everything
+    /// after it back to the start of N — which is why the fast path's
+    /// on-demand push-out must not let an epoch-N backup be overwritten
+    /// until that commit lands.
+    fn claim_and_submit(
         &self,
+        exec: &DrainExec,
         t0: Instant,
-        waited: Duration,
-        partitioned: Duration,
-        closing: u64,
-        shards: Vec<Vec<u64>>,
+        mut report: CkptReport,
+        lists: EpochLists,
     ) -> CkptReport {
-        // Deferred frees must be collected while their owners are parked
-        // (the lists are owner-mutable again the instant threads resume)
-        // but pushed only after the commit: the link-word store overwrites
-        // block content that a pre-commit crash still rolls back to live.
-        // SAFETY: quiescence established by the caller; `ckpt_lock` held.
-        let taken_frees = unsafe { self.take_frees() };
-
-        self.region.store(OFF_EPOCH_STATE, closing);
-        self.region.store(OFF_EPOCH, closing + 1);
-        self.region.pwb(OFF_EPOCH);
-        self.region.psync();
-
-        // Publish the drain before releasing: the `SeqCst` timer store
-        // orders these after-the-fact for every thread whose park loop
-        // observes `timer == false`. `drain_oldest` stays at `closing`
-        // (nothing below it is uncommitted) until the commit advances it.
-        self.drain_active.store(true, Ordering::Relaxed);
-        self.epoch_mirror.store(closing + 1, Ordering::SeqCst);
-        self.region
-            .trace_marker(TraceMarker::DrainBegin { epoch: closing });
-        let stw = t0.elapsed();
-        self.region.sync_release(SyncToken::Timer);
-        self.timer.store(false, Ordering::SeqCst);
-
-        // Background drain: application threads are running epoch N + 1
-        // now. The flushers (or this thread, inline) never take data-
-        // structure locks, so a thread blocked in the push-out wait cannot
-        // deadlock the drain.
-        let td = Instant::now();
-        #[cfg(feature = "fault-inject")]
-        let skip_commit_order = self.take_fault(crate::pool::Fault::SkipDrainCommitOrder);
-        #[cfg(not(feature = "fault-inject"))]
-        let skip_commit_order = false;
-        let tf = Instant::now();
-        let (nlines, shard_reports) = if skip_commit_order {
-            // Injected bug: commit without writing anything back.
-            Self::count_shards(shards)
-        } else {
-            self.flush_phase(shards)
-        };
-        let flushed = tf.elapsed();
-
-        // Phase two of the commit: every snapshotted shard is fenced, so
-        // the drained epoch's durability obligation is met — clear the
-        // state word. Until this fence lands, recovery discards epoch N.
-        self.region.trace_marker(TraceMarker::OrderBarrier);
-        self.region.store(OFF_EPOCH_STATE, 0u64);
-        self.region.pwb(OFF_EPOCH_STATE);
-        self.region.psync();
-        self.region
-            .trace_marker(TraceMarker::DrainCommit { epoch: closing });
-        // Release before clearing `drain_active`: a thread leaving the
-        // push-out wait acquires this edge, ordering its backup overwrite
-        // after the two-phase commit. Advancing `drain_oldest` past
-        // `closing` is what actually ends the push-out wait.
-        self.region.sync_release(SyncToken::Drain);
-        self.drain_oldest.store(closing + 1, Ordering::Release);
-        self.drain_active.store(false, Ordering::Release);
-
-        // SAFETY: this thread is the checkpointer, holds `ckpt_lock`, and
-        // SYSTEM_SLOT has no other owner; the tracked link-word lines land
-        // in epoch N + 1's fresh lists.
-        unsafe { self.push_frees(SYSTEM_SLOT, taken_frees) };
-
-        let report = CkptReport {
-            closed_epoch: closing,
-            lines: nlines,
-            wait_ns: waited.as_nanos() as u64,
-            partition_ns: partitioned.as_nanos() as u64,
-            flush_ns: flushed.as_nanos() as u64,
-            stw_ns: stw.as_nanos() as u64,
-            drain_ns: td.elapsed().as_nanos() as u64,
-            total_ns: t0.elapsed().as_nanos() as u64,
-            shards: shard_reports,
-        };
-        self.metrics.on_checkpoint(&report);
-        report
-    }
-
-    /// Pipelined tail of a checkpoint (`epoch_pipeline(K)`, K > 1): claim
-    /// the closing epoch's ring slot — `ring[N mod K] ← N`, `epoch ← N+1`,
-    /// one write-back and one fence for both (they share the epoch header
-    /// line, so PCSO makes any torn durable state a program-order prefix,
-    /// and every prefix is handled by recovery's ring decode) — hand the
-    /// snapshotted lists to the drain executor, and release the threads.
-    /// Up to K−1 earlier drains may still be in flight; the executor
-    /// commits strictly in ring order, so `ring[e] = 0` always implies
-    /// every predecessor of `e` is durable too.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_pipelined(
-        &self,
-        t0: Instant,
-        t_parked: Instant,
-        waited: Duration,
-        partitioned: Duration,
-        closing: u64,
-        lists: Vec<Vec<u64>>,
-    ) -> CkptReport {
-        let exec = self
-            .pipeline
-            .as_ref()
-            .expect("pipelined mode has an executor");
+        let closing = report.closed_epoch;
         // Frees from the closing epoch park inside the ticket until its
         // commit lands; the *next* checkpoint pushes them onto the free
-        // lists (see `checkpoint_now`). Pushing them any earlier would let
-        // a pre-commit crash roll blocks back to live while their link
-        // words are already clobbered.
+        // lists (below). Pushing them any earlier would let a pre-commit
+        // crash roll blocks back to live while their link words are
+        // already clobbered.
         // SAFETY: quiescence established by the caller; `ckpt_lock` held.
         let frees = unsafe { self.take_frees() };
 
-        let k = self.cfg.epoch_pipeline as u64;
-        self.region
-            .store(epoch_ring_slot((closing % k) as usize), closing);
+        let slot = closing % self.cfg.epoch_pipeline as u64;
+        let slot_addr = epoch_ring_slot(slot as usize);
+        self.region.store(slot_addr, closing);
         self.region.store(OFF_EPOCH, closing + 1);
         self.region.pwb(OFF_EPOCH);
         self.region.psync();
-
-        // `drain_active` is sticky in pipelined mode: with up to K−1
-        // drains overlapping there is no idle window worth detecting, and
-        // the push-out guard's `drain_oldest` lower bound already filters
-        // committed epochs out of the wait path.
-        self.drain_active.store(true, Ordering::Relaxed);
         self.epoch_mirror.store(closing + 1, Ordering::SeqCst);
-        self.region
-            .trace_marker(TraceMarker::PipelineBegin { epoch: closing });
-
-        let report = CkptReport {
-            closed_epoch: closing,
-            // Pre-dedup estimate; the executor records the exact deduped
-            // count into the metrics when the drain commits.
-            lines: lists.iter().map(|l| l.len() as u64).sum(),
-            wait_ns: waited.as_nanos() as u64,
-            partition_ns: partitioned.as_nanos() as u64,
-            flush_ns: 0,
-            stw_ns: t_parked.elapsed().as_nanos() as u64,
-            drain_ns: 0,
-            total_ns: t0.elapsed().as_nanos() as u64,
-            shards: Vec::new(),
-        };
-        exec.submit(DrainTicket {
+        self.region.trace_marker(TraceMarker::PipelineBegin {
             epoch: closing,
+            slot,
+        });
+
+        // The returned report ends here; the flush and drain figures are
+        // the executor's to measure, and it records the completed report
+        // into the metrics when the drain commits.
+        report.stw_ns = t0.elapsed().as_nanos() as u64;
+        report.total_ns = report.stw_ns;
+        exec.submit(DrainTicket {
+            slot: slot_addr,
             lists,
             frees,
             report: report.clone(),
@@ -453,16 +303,101 @@ impl Pool {
 
         // Recycle frees parked by now-committed drains, *after* releasing
         // the threads: `push_frees` publishes each link-word store through
-        // the class lock (exactly the asynchronous path's ordering), so
-        // running it concurrently with the new epoch is safe and keeps its
-        // per-block cost out of the parked window. The link-word lines land
-        // in the new epoch's tracking lists.
+        // the class lock, so running it concurrently with the new epoch is
+        // safe and keeps its per-block cost out of the parked window. The
+        // link-word lines land in the new epoch's tracking lists.
         let ready = exec.take_committed_frees();
         if !ready.is_empty() {
             // SAFETY: `ckpt_lock` held; SYSTEM_SLOT has no other owner.
             unsafe { self.push_frees(SYSTEM_SLOT, ready) };
         }
         report
+    }
+
+    /// Spawns a background thread that checkpoints every `period`.
+    ///
+    /// Dropping the returned guard stops and joins the thread.
+    pub fn start_checkpointer(self: &Arc<Self>, period: Duration) -> CheckpointerGuard {
+        let pool = Arc::clone(self);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name("respct-ckpt".into())
+            .spawn(move || {
+                while !stop2.load(Ordering::Relaxed) {
+                    std::thread::sleep(period);
+                    if stop2.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    pool.checkpoint_now();
+                }
+            })
+            .expect("spawn checkpointer");
+        CheckpointerGuard {
+            stop,
+            handle: Some(handle),
+        }
+    }
+}
+
+/// Stops the periodic checkpointer when dropped.
+pub struct CheckpointerGuard {
+    stop: Arc<std::sync::atomic::AtomicBool>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for CheckpointerGuard {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+// ---- Flush phase -----------------------------------------------------------
+
+/// Everything the flush phase needs. Shared (`Arc`) between the pool, whose
+/// synchronous tail flushes inside the parked window, and the drain
+/// executor's worker — which must not hold the `Pool` itself (see
+/// [`DrainCtx`]) yet flushes through the same shards, the same flusher
+/// threads and the same injected faults.
+pub(crate) struct Flusher {
+    region: Arc<Region>,
+    nshards: usize,
+    /// Whether to actually write lines back (false under `NoFlush`).
+    full: bool,
+    workers: Option<FlusherPool>,
+    /// One-shot injected fault (test-only), pool-wide. See [`Fault`].
+    ///
+    /// [`Fault`]: crate::pool::Fault
+    #[cfg(feature = "fault-inject")]
+    pub(crate) fault: Mutex<Option<crate::pool::Fault>>,
+}
+
+impl Flusher {
+    pub(crate) fn new(region: Arc<Region>, cfg: &crate::pool::PoolConfig) -> Flusher {
+        Flusher {
+            nshards: cfg.resolved_shards(),
+            full: cfg.mode == CheckpointMode::Full,
+            workers: (cfg.flusher_threads > 0)
+                .then(|| FlusherPool::new(cfg.flusher_threads, Arc::clone(&region))),
+            region,
+            #[cfg(feature = "fault-inject")]
+            fault: Mutex::new(None),
+        }
+    }
+
+    /// Consumes the armed fault if it matches `want`.
+    #[cfg(feature = "fault-inject")]
+    pub(crate) fn take_fault(&self, want: crate::pool::Fault) -> bool {
+        let mut f = self.fault.lock();
+        if *f == Some(want) {
+            *f = None;
+            true
+        } else {
+            false
+        }
     }
 
     /// Sort + dedup + count without writing anything back (the `NoFlush`
@@ -488,11 +423,25 @@ impl Pool {
         (total, reports)
     }
 
-    /// The flush phase of a checkpoint: per-shard sort, dedup, write-back
-    /// and fence — parallel when a flusher pool exists, inline otherwise.
-    /// Returns the unique line count and the per-shard breakdown.
-    fn flush_phase(&self, shards: Vec<Vec<u64>>) -> (u64, Vec<ShardReport>) {
-        if self.cfg.mode != CheckpointMode::Full {
+    /// The flush phase of a checkpoint: per-shard merge, sort, dedup,
+    /// write-back and fence — parallel when a flusher pool exists, inline
+    /// otherwise. Returns the unique line count and the per-shard breakdown.
+    fn flush_phase(&self, lists: EpochLists) -> (u64, Vec<ShardReport>) {
+        // Merge: the first list of a shard is moved, later ones appended —
+        // no sorting here; dedup happens per shard, in parallel, below.
+        let mut shards: Vec<Vec<u64>> = vec![Vec::new(); self.nshards];
+        for (s, mut list) in lists {
+            if shards[s].is_empty() {
+                shards[s] = list;
+            } else {
+                shards[s].append(&mut list);
+            }
+        }
+        #[cfg(feature = "fault-inject")]
+        let full = self.full && !self.take_fault(crate::pool::Fault::SkipDrainCommitOrder);
+        #[cfg(not(feature = "fault-inject"))]
+        let full = self.full;
+        if !full {
             // NoFlush: still sort + dedup per shard so the reported line
             // count matches what a full checkpoint would have written back.
             return Self::count_shards(shards);
@@ -519,7 +468,7 @@ impl Pool {
         #[cfg(not(feature = "fault-inject"))]
         let drop_ack_edge = false;
 
-        match &self.flushers {
+        match &self.workers {
             Some(pool) if !skip_one && !skip_fence => {
                 pool.flush_shards(shards, skip_fence_shard, drop_ack_edge)
             }
@@ -527,8 +476,8 @@ impl Pool {
         }
     }
 
-    /// Inline flush on the checkpointing thread: every shard sorted,
-    /// deduped, written back; one fence at the end covers them all.
+    /// Inline flush on the draining thread: every shard sorted, deduped,
+    /// written back; one fence at the end covers them all.
     fn flush_inline(
         &self,
         shards: Vec<Vec<u64>>,
@@ -574,19 +523,9 @@ impl Pool {
             });
             let skip_line = (skip_one_shard == Some(s)).then(|| lines[lines.len() / 2]);
             let tw = Instant::now();
-            // During a background drain the application threads are already
-            // running again and this loop competes with them for cores;
-            // yield periodically so the drain cannot monopolize a CPU the
-            // released threads need. (`drain_active` is false for the whole
-            // synchronous path, so stop-the-world flushes are unaffected.)
-            let cooperative = self.drain_active.load(Ordering::Relaxed);
-            for (i, &line) in lines.iter().enumerate() {
-                if Some(line) == skip_line {
-                    continue;
-                }
-                self.region.pwb_line(line);
-                if cooperative && i % 128 == 127 {
-                    std::thread::yield_now();
+            for &line in &lines {
+                if Some(line) != skip_line {
+                    self.region.pwb_line(line);
                 }
             }
             total += lines.len() as u64;
@@ -617,46 +556,6 @@ impl Pool {
             }
         }
         (total, reports)
-    }
-
-    /// Spawns a background thread that checkpoints every `period`.
-    ///
-    /// Dropping the returned guard stops and joins the thread.
-    pub fn start_checkpointer(self: &Arc<Self>, period: Duration) -> CheckpointerGuard {
-        let pool = Arc::clone(self);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("respct-ckpt".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(period);
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    pool.checkpoint_now();
-                }
-            })
-            .expect("spawn checkpointer");
-        CheckpointerGuard {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-/// Stops the periodic checkpointer when dropped.
-pub struct CheckpointerGuard {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for CheckpointerGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -862,15 +761,15 @@ impl Drop for FlusherPool {
     }
 }
 
-// ---- Pipelined drain executor ----------------------------------------------
+// ---- Drain executor --------------------------------------------------------
 
 /// One closed epoch's drain obligation, snapshotted during the
 /// stop-the-world window and handed to the [`DrainExec`] worker.
 pub(crate) struct DrainTicket {
-    /// The epoch this ticket closes (its generation tag).
-    epoch: u64,
-    /// The epoch's tracked-line lists, pre-sort and pre-dedup.
-    lists: Vec<Vec<u64>>,
+    /// The ring slot the epoch (`report.closed_epoch`) claimed.
+    slot: PAddr,
+    /// The epoch's tracked-line lists, pre-merge and pre-dedup.
+    lists: EpochLists,
     /// Blocks freed during `epoch`, recyclable only after its commit.
     frees: Vec<(PAddr, usize)>,
     /// The stop-the-world report; the worker fills in the flush figures
@@ -882,32 +781,39 @@ pub(crate) struct DrainTicket {
 /// worker deliberately holds this — not the `Pool` — so dropping the pool
 /// drops the executor (joining the worker) without an `Arc` cycle.
 struct DrainCtx {
-    region: Arc<Region>,
+    flusher: Arc<Flusher>,
     /// Oldest epoch whose drain has not yet committed; equals the running
     /// epoch when the ring is empty. Commits advance it in strict order.
     drain_oldest: Arc<AtomicU64>,
     metrics: Arc<RuntimeMetrics>,
-    /// Ring capacity K.
-    k: u64,
-    /// Whether to actually write lines back (false under `NoFlush`).
-    flush: bool,
     /// Tickets submitted but not yet committed (the in-flight gauge).
     inflight: Arc<AtomicU64>,
     ring_commits: Arc<respct_obs::Counter>,
     /// Frees whose epochs have committed, parked until the next
-    /// checkpoint's stop-the-world window recycles them.
+    /// checkpoint recycles them.
     committed_frees: Mutex<Vec<(PAddr, usize)>>,
     /// Test hook (`Pool::hold_drains`): park the worker without letting it
     /// consume tickets, pinning multiple epochs in flight.
     hold: AtomicBool,
-    /// `Fault::SkipRingOrder`: commit the next two tickets newest-first.
-    reorder: AtomicBool,
 }
 
-/// The background drain executor for pipelined checkpoints: a single FIFO
-/// worker that flushes each ticket's lines and publishes `ring[e] ← 0`.
-/// One worker draining a FIFO queue is the whole ordered-commit argument —
-/// epoch `e`'s commit cannot be issued before `e − 1`'s has retired.
+impl DrainCtx {
+    /// The happens-before token of the ticket queue: released by the
+    /// checkpointer before each submit, acquired by the worker after each
+    /// receive — the worker's flush and commit are ordered after the
+    /// quiescence (and the ring-slot claim) of the epoch they drain.
+    fn ticket_token(&self) -> SyncToken {
+        SyncToken::Chan {
+            id: std::ptr::from_ref(self) as u64,
+        }
+    }
+}
+
+/// The background drain executor of an `async_checkpoint` pool: a single
+/// FIFO worker that flushes each ticket's lines and publishes
+/// `ring[e mod K] ← 0`. One worker draining a FIFO queue is the whole
+/// ordered-commit argument — epoch `e`'s commit cannot be issued before
+/// `e − 1`'s has retired.
 pub(crate) struct DrainExec {
     ctx: Arc<DrainCtx>,
     tx: Sender<DrainTicket>,
@@ -916,25 +822,20 @@ pub(crate) struct DrainExec {
 
 impl DrainExec {
     pub(crate) fn new(
-        region: Arc<Region>,
+        flusher: Arc<Flusher>,
         drain_oldest: Arc<AtomicU64>,
-        k: usize,
-        flush: bool,
         metrics: Arc<RuntimeMetrics>,
     ) -> DrainExec {
         let inflight = Arc::new(AtomicU64::new(0));
         let ring_commits = metrics.register_pipeline(&inflight);
         let ctx = Arc::new(DrainCtx {
-            region,
+            flusher,
             drain_oldest,
             metrics,
-            k: k as u64,
-            flush,
             inflight,
             ring_commits,
             committed_frees: Mutex::new(Vec::new()),
             hold: AtomicBool::new(false),
-            reorder: AtomicBool::new(false),
         });
         let (tx, rx) = unbounded::<DrainTicket>();
         let worker = {
@@ -955,19 +856,16 @@ impl DrainExec {
     /// during the stop-the-world window, after the ring-slot claim.
     pub(crate) fn submit(&self, ticket: DrainTicket) {
         self.ctx.inflight.fetch_add(1, Ordering::Relaxed);
+        self.ctx
+            .flusher
+            .region
+            .sync_release(self.ctx.ticket_token());
         self.tx.send(ticket).expect("drain executor alive");
     }
 
     /// Takes the frees parked by committed drains (checkpointer only).
     pub(crate) fn take_committed_frees(&self) -> Vec<(PAddr, usize)> {
         std::mem::take(&mut *self.ctx.committed_frees.lock())
-    }
-
-    /// Arms `Fault::SkipRingOrder`: the worker commits the next two
-    /// tickets newest-first, violating the ring-order invariant.
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fn arm_reorder(&self) {
-        self.ctx.reorder.store(true, Ordering::Release);
     }
 
     /// Parks (`true`) or releases (`false`) the worker without consuming
@@ -991,87 +889,68 @@ impl DrainExec {
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => break,
             };
-            if ctx.reorder.swap(false, Ordering::AcqRel) {
-                // Injected bug (`Fault::SkipRingOrder`): hold this ticket,
-                // fully drain and commit its *successor* first, then commit
-                // this one — `RingCommit` markers appear out of epoch
-                // order, and a crash between the two commits leaves a hole
-                // in the ring.
-                match rx.recv() {
-                    Ok(next) => {
-                        Self::drain_one(ctx, next);
-                        Self::drain_one(ctx, ticket);
-                    }
-                    // Shutdown before a successor arrived: the fault needs
-                    // two outstanding drains, so fall back to a clean
-                    // commit.
-                    Err(_) => {
-                        Self::drain_one(ctx, ticket);
-                        break;
-                    }
+            // Injected bug (`Fault::SkipRingOrder`): hold this ticket,
+            // fully drain and commit its *successor* first, then commit
+            // this one — `RingCommit` markers appear out of epoch order,
+            // and a crash between the two commits leaves a hole in the
+            // ring. (Shutdown before a successor arrives falls back to a
+            // clean commit: the fault needs two outstanding drains.)
+            #[cfg(feature = "fault-inject")]
+            if ctx.flusher.take_fault(crate::pool::Fault::SkipRingOrder) {
+                if let Ok(next) = rx.recv() {
+                    Self::drain_one(ctx, next);
                 }
-            } else {
-                Self::drain_one(ctx, ticket);
             }
+            Self::drain_one(ctx, ticket);
         }
     }
 
     /// Flushes one ticket's lines and publishes its ring commit.
     fn drain_one(ctx: &DrainCtx, ticket: DrainTicket) {
         let DrainTicket {
-            epoch,
+            slot,
             lists,
             frees,
             mut report,
         } = ticket;
+        let epoch = report.closed_epoch;
+        let region = &ctx.flusher.region;
+        region.sync_acquire(ctx.ticket_token());
         let td = Instant::now();
-        // Merge + sort + dedup the whole epoch: a single worker drains one
-        // epoch at a time, so the per-shard split from the gather phase is
-        // not load-bearing here.
-        let mut lines: Vec<u64> = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-        for l in lists {
-            lines.extend(l);
-        }
-        lines.sort_unstable();
-        lines.dedup();
-        let tf = Instant::now();
-        if ctx.flush {
-            // Application threads are running concurrently; yield
-            // periodically so the drain cannot monopolize a core.
-            for (i, &line) in lines.iter().enumerate() {
-                ctx.region.pwb_line(line);
-                if i % 128 == 127 {
-                    std::thread::yield_now();
-                }
-            }
-            ctx.region.psync();
-        }
-        report.lines = lines.len() as u64;
-        report.flush_ns = tf.elapsed().as_nanos() as u64;
+        // Application threads are running the next epoch(s) now. The
+        // flushers (or this thread, inline) never take data-structure
+        // locks, so a thread blocked in the push-out wait cannot deadlock
+        // the drain.
+        (report.lines, report.shards) = ctx.flusher.flush_phase(lists);
+        report.flush_ns = td.elapsed().as_nanos() as u64;
 
         // The ordered commit: `ring[epoch mod K] ← 0` claims "this epoch
         // and every predecessor are durable", which a FIFO worker makes
         // true by construction (the injected reorder fault above is the
         // deliberate exception — the checker and crash sweep catch it).
-        let slot = epoch_ring_slot((epoch % ctx.k) as usize);
-        ctx.region.store(slot, 0u64);
-        ctx.region.pwb(slot);
-        ctx.region.psync();
-        ctx.region.trace_marker(TraceMarker::RingCommit { epoch });
-        // Release before advancing `drain_oldest`: a thread leaving the
-        // push-out wait acquires this edge, ordering its backup overwrite
-        // after the commit fence. `fetch_max` keeps the counter monotone
-        // even under the reorder fault.
-        ctx.region.sync_release(SyncToken::Drain);
-        ctx.drain_oldest.fetch_max(epoch + 1, Ordering::AcqRel);
+        // Until this fence lands, recovery discards `epoch`. The barrier
+        // marker asserts that every write-back above is fenced by now.
+        region.trace_marker(TraceMarker::OrderBarrier);
+        region.store(slot, 0u64);
+        region.pwb(slot);
+        region.psync();
+        region.trace_marker(TraceMarker::RingCommit { epoch });
+        report.drain_ns = td.elapsed().as_nanos() as u64;
+        report.total_ns += report.drain_ns;
+        ctx.metrics.on_checkpoint(&report);
         ctx.inflight.fetch_sub(1, Ordering::Relaxed);
         ctx.ring_commits.inc();
         if !frees.is_empty() {
             ctx.committed_frees.lock().extend(frees);
         }
-        report.drain_ns = td.elapsed().as_nanos() as u64;
-        report.total_ns += report.drain_ns;
-        ctx.metrics.on_checkpoint(&report);
+        // Advancing `drain_oldest` is what publishes the commit — last, so
+        // whoever waited it out (a push-out, `checkpoint_here`, the next
+        // claim of this slot) also finds the metrics and the frees in
+        // place. Release first: the waiter acquires this edge, ordering
+        // its backup overwrite after the commit fence. `fetch_max` keeps
+        // the counter monotone even under the reorder fault.
+        region.sync_release(SyncToken::Drain);
+        ctx.drain_oldest.fetch_max(epoch + 1, Ordering::AcqRel);
     }
 }
 
@@ -1227,7 +1106,7 @@ mod tests {
         let guard = pool.start_checkpointer(Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(60));
         drop(guard);
-        let done = pool.ckpt_stats().snapshot().count;
+        let done = pool.runtime_metrics().ckpt_snapshot().count;
         assert!(done >= 2, "expected several checkpoints, got {done}");
         let epoch = pool.epoch();
         std::thread::sleep(Duration::from_millis(20));
@@ -1242,6 +1121,6 @@ mod tests {
         // SAFETY: single-threaded test.
         unsafe { pool.add_modified_raw(SYSTEM_SLOT, addr, 128) };
         pool.checkpoint_now();
-        assert_eq!(pool.ckpt_stats().snapshot().lines_flushed, 2);
+        assert_eq!(pool.runtime_metrics().ckpt_snapshot().lines_flushed, 2);
     }
 }

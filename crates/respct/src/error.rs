@@ -30,6 +30,18 @@ pub enum PoolError {
         /// Size of the region being recovered.
         region: u64,
     },
+    /// The header's epoch-record ring is not a state any crash of a correct
+    /// run can leave behind: the uncommitted epochs must form a contiguous
+    /// ascending run ending at the recorded epoch or the one before it
+    /// (drains commit strictly in ring order). A hole or a stray claim
+    /// means corrupt media or a broken commit order; recovery refuses
+    /// rather than guess which epochs are durable.
+    CorruptRing {
+        /// The raw ring words (0 = committed, `e` = epoch `e` uncommitted).
+        slots: [u64; crate::layout::MAX_EPOCH_PIPELINE],
+        /// The epoch counter recorded next to the ring.
+        recorded_epoch: u64,
+    },
     /// A [`PoolConfig`](crate::PoolConfig) validation failure (bad flusher
     /// or shard count, contradictory mode combination). Produced by
     /// [`PoolConfig::builder`](crate::PoolConfig::builder).
@@ -58,6 +70,14 @@ impl std::fmt::Display for PoolError {
             PoolError::SizeMismatch { header, region } => write!(
                 f,
                 "size mismatch: header says {header} bytes, region is {region}"
+            ),
+            PoolError::CorruptRing {
+                slots,
+                recorded_epoch,
+            } => write!(
+                f,
+                "corrupt epoch ring {slots:?} for epoch {recorded_epoch}: \
+                 a hole or a stray claim means drains did not commit in ring order"
             ),
             PoolError::InvalidConfig(why) => write!(f, "invalid pool config: {why}"),
             PoolError::Backend(e) => write!(f, "backend error: {e}"),
@@ -89,6 +109,12 @@ mod tests {
         }
         .to_string()
         .contains("size mismatch"));
+        assert!(PoolError::CorruptRing {
+            slots: [3, 0, 0, 0],
+            recorded_epoch: 9
+        }
+        .to_string()
+        .contains("corrupt epoch ring"));
         assert!(PoolError::InvalidConfig("shards")
             .to_string()
             .contains("shards"));

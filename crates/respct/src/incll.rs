@@ -15,25 +15,27 @@
 //! checkpoint makes this trivially safe — by the time any thread runs in
 //! epoch `N + 1`, epoch `N` is fully durable and its backups are dead.
 //! With [`PoolConfig::async_checkpoint`](crate::PoolConfig) the drain of
-//! epoch `N` overlaps execution of `N + 1`, which adds one rule: a
-//! first-touch in `N + 1` on a cell still tagged with the draining epoch
-//! must *push the line out* (write back + fence) and then wait for the
-//! drain commit before overwriting `backup`. Until the commit, a crash
-//! rolls epochs `N` and `N + 1` back to the start of `N`, and the
-//! start-of-`N` value lives only in that backup slot.
+//! epoch `N` runs on the drain executor and overlaps execution of `N + 1`
+//! (and, with `epoch_pipeline(K)`, of up to `K − 1` further epochs), which
+//! adds one rule: a first-touch on a cell whose tag names an epoch still
+//! draining must *push the line out* (write back + fence) and then wait
+//! for that epoch's ring commit before overwriting `backup`. Until the
+//! commit, a crash rolls the draining epoch and everything after it back
+//! to its start, and the start-of-epoch value lives only in that backup
+//! slot.
 //!
-//! With `epoch_pipeline(K)` up to `K − 1` drains overlap, and the rule
-//! becomes *generation-aware*: the tag is compared against
-//! `drain_oldest`, the oldest epoch whose ring commit has not yet
+//! The rule is *generation-aware* at every ring depth: the tag is compared
+//! against `drain_oldest`, the oldest epoch whose ring commit has not yet
 //! landed. A first-touch waits only when
 //! `drain_oldest ≤ tag < current epoch` — its backup is still a
 //! rollback target of some in-flight drain — and the wait ends when
 //! `drain_oldest` passes the tag, i.e. when the *tag's own epoch*
 //! commits (commits land in ring order, so every older epoch is durable
 //! too). Tags below `drain_oldest` are fully durable history and log a
-//! plain backup with no wait. The check is two relaxed loads on the
-//! fast path and the push-out itself is `#[cold]` — see
-//! `Pool::cell_update_raw` and DESIGN.md §3.7 / §3.10.
+//! plain backup with no wait. On an `async_checkpoint` pool the check is
+//! two relaxed loads on the fast path (a synchronous pool skips it on an
+//! immutable field) and the push-out itself is `#[cold]` — see
+//! `Pool::cell_update_raw` and DESIGN.md §3.7.
 
 use std::marker::PhantomData;
 

@@ -91,7 +91,7 @@ pub use pool::{
 #[cfg(feature = "fault-inject")]
 pub use pool::{Fault, SyncEdgeSite};
 pub use recovery::{RecoveryOptions, RecoveryReport};
-pub use stats::{CkptSnapshot, CkptStats};
+pub use stats::CkptSnapshot;
 pub use sync::{TracedGuard, TracedMutex};
 pub use thread::{AllowGuard, RpId, ThreadHandle};
 pub use verify::{VerifyReport, Violation, ViolationKind};

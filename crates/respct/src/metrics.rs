@@ -21,7 +21,7 @@
 //! Hot-path instrumentation (per InCLL update / tracked byte) is gated on
 //! the pool's `metrics` config flag — one relaxed bool load when disabled.
 //! Checkpoint-path recording always runs: it is per *checkpoint*, not per
-//! operation, and the legacy [`CkptStats`](crate::CkptStats) view is
+//! operation, and the [`CkptSnapshot`](crate::CkptSnapshot) aggregate is
 //! derived from it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,8 +66,8 @@ pub struct RuntimeMetrics {
     // Quiescence (recorded while parking — off the failure-free hot path).
     rp_stall_ns: Arc<Histogram>,
     rp_stall_by_slot: Arc<Vec<CachePadded<AtomicU64>>>,
-    /// On-demand push-outs: first touches in epoch N+1 that had to flush a
-    /// line still pending in the draining checkpoint of epoch N.
+    /// On-demand push-outs: first touches that had to flush a line still
+    /// owed to an epoch whose drain had not committed.
     drain_pushouts: Arc<Counter>,
 }
 
@@ -153,7 +153,7 @@ impl RuntimeMetrics {
         );
         let ckpt_drain_ns = r.histogram(
             "respct_checkpoint_drain_ns",
-            "Background drain after thread release (async mode)",
+            "Background drain after thread release (async_checkpoint pools)",
             Unit::Nanos,
         );
         let ckpt_total_ns = r.histogram(
@@ -272,7 +272,7 @@ impl RuntimeMetrics {
         }
     }
 
-    /// Registers the pipelined-checkpoint metrics: a gauge over the number
+    /// Registers the background-drain metrics: a gauge over the number
     /// of epochs in flight (closed, ring slot claimed, commit not yet
     /// published) and a counter of ring commits. Returns the counter for
     /// the drain executor to bump; called once per pool, from
@@ -287,7 +287,7 @@ impl RuntimeMetrics {
         );
         self.registry.counter(
             "respct_ring_commits_total",
-            "Pipelined drain commits published in ring order",
+            "Background drain commits published in ring order",
             Unit::None,
         )
     }
@@ -350,11 +350,10 @@ impl RuntimeMetrics {
         self.drain_pushouts.get()
     }
 
-    /// Records one finished checkpoint. Always on (per-checkpoint cost);
-    /// this is also the source of truth for the legacy [`CkptSnapshot`]
-    /// view.
-    ///
-    /// [`CkptSnapshot`]: crate::CkptSnapshot
+    /// Records one finished checkpoint — called by the checkpointer on a
+    /// synchronous pool, by the drain executor at commit otherwise. Always
+    /// on (per-checkpoint cost); this is also the source of truth for
+    /// [`ckpt_snapshot`](Self::ckpt_snapshot).
     pub(crate) fn on_checkpoint(&self, report: &CkptReport) {
         self.ckpt_wait_ns.record(report.wait_ns);
         self.ckpt_partition_ns.record(report.partition_ns);
@@ -379,7 +378,7 @@ impl RuntimeMetrics {
     /// The aggregate checkpoint counters, reconstructed from the phase
     /// histograms (exact: histogram counts and sums are exact; only the
     /// bucket boundaries are approximate).
-    pub(crate) fn ckpt_snapshot(&self) -> CkptSnapshot {
+    pub fn ckpt_snapshot(&self) -> CkptSnapshot {
         CkptSnapshot {
             count: self.ckpt_total_ns.count(),
             lines_flushed: self.ckpt_lines.sum(),

@@ -21,7 +21,6 @@ use crate::layout::{
     self, CellLayout, FIRST_EPOCH, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_BUMP, OFF_EPOCH,
     OFF_FREELISTS, OFF_MAGIC, OFF_ROOT, OFF_SIZE, U64_CELL_SLOT,
 };
-use crate::stats::CkptStats;
 
 /// What the checkpoint procedure actually does — the knobs behind the
 /// paper's Fig. 10 overhead decomposition.
@@ -55,12 +54,12 @@ pub enum Fault {
     /// advance while every other shard is properly fenced — the parallel
     /// pipeline's characteristic failure mode.
     SkipShardFence,
-    /// The next asynchronous checkpoint commits the drain-state word back
-    /// to zero *without* writing back and fencing the snapshotted shards:
-    /// the two-phase commit's characteristic bug (committing a drain whose
-    /// write-backs are not durable).
+    /// The next flush phase writes nothing back and fences nothing, yet
+    /// its commit follows: on an `async_checkpoint` pool the drain executor
+    /// zeroes a ring slot whose snapshotted shards are not durable — the
+    /// two-phase commit's characteristic bug.
     SkipDrainCommitOrder,
-    /// The pipelined drain executor commits the next two queued epochs in
+    /// The drain executor commits the next two queued epochs in
     /// the *wrong* order: it holds the older epoch's ticket, flushes and
     /// commits the newer epoch first, then commits the older one — the
     /// ordered-commit invariant's characteristic bug. A crash between the
@@ -88,7 +87,7 @@ pub enum SyncEdgeSite {
     FlusherAck,
     /// The acquire edge a thread takes when its push-out wait observes the
     /// drain commit: the thread's backup overwrite appears unordered with
-    /// the two-phase commit (rule b, push-out leg).
+    /// the ring commit (rule b, push-out leg).
     DrainHandshake,
 }
 
@@ -113,16 +112,16 @@ pub struct PoolConfig {
     /// per checkpoint, not per operation.
     pub(crate) metrics: bool,
     /// Asynchronous checkpoint drain: release the quiesced threads as soon
-    /// as the flush-shard lists are snapshotted and the draining epoch
-    /// record is durable, then write the snapshot back in the background
-    /// and commit the record afterwards (two-phase commit). Default off.
+    /// as the flush-shard lists are snapshotted and the closing epoch's
+    /// ring-slot claim is durable, then write the snapshot back on the
+    /// drain executor and commit the slot afterwards (two-phase commit).
+    /// Default off.
     pub(crate) async_checkpoint: bool,
     /// Epoch pipeline depth `K`: how many epochs may be in flight (claimed
     /// in the header's epoch-record ring but not yet drain-committed) at
-    /// once. 1 (the default) is exactly the single-record asynchronous
-    /// drain; `K > 1` routes drains through a background executor so a new
-    /// epoch begins with one atomic ring-slot claim while up to `K - 1`
-    /// older drains are still committing. Requires `async_checkpoint`.
+    /// once. 1 (the default) keeps one drain in flight; with `K > 1` a new
+    /// epoch begins while up to `K - 1` older drains are still committing.
+    /// `K > 1` requires `async_checkpoint`.
     pub(crate) epoch_pipeline: usize,
     /// Which persistence backend [`Pool::open`] builds the region on
     /// (default: fast mode with DRAM latency). `Pool::open(path, ..)`
@@ -272,8 +271,8 @@ impl PoolConfigBuilder {
 
     /// Enables the asynchronous checkpoint drain (default: off). Threads
     /// are released as soon as the stop-the-world phase snapshots the
-    /// flush-shard lists and persists the draining epoch record; the flush
-    /// and the final commit happen in the background.
+    /// flush-shard lists and persists the closing epoch's ring-slot claim;
+    /// the flush and the final commit happen on the drain executor.
     pub fn async_checkpoint(mut self, on: bool) -> Self {
         self.cfg.async_checkpoint = on;
         self
@@ -283,9 +282,9 @@ impl PoolConfigBuilder {
     /// be claimed-but-uncommitted at once. `K > 1` requires
     /// [`async_checkpoint`](Self::async_checkpoint) and is capped by
     /// [`layout::MAX_EPOCH_PIPELINE`](crate::layout::MAX_EPOCH_PIPELINE)
-    /// (the header ring's capacity). With `K > 1` the stop-the-world phase
-    /// shrinks to the ring-slot claim: drains queue to a background
-    /// executor and commit strictly in epoch order.
+    /// (the header ring's capacity). Drains queue to the drain executor and
+    /// commit strictly in epoch order; a checkpoint that finds the ring
+    /// full waits for the oldest commit before it quiesces the threads.
     pub fn epoch_pipeline(mut self, k: usize) -> Self {
         self.cfg.epoch_pipeline = k;
         self
@@ -437,28 +436,23 @@ pub struct Pool {
     pub(crate) class_heads: Box<[Mutex<u64>]>,
     /// Serializes checkpoints and registration/deregistration.
     pub(crate) ckpt_lock: Mutex<()>,
-    /// Whether an asynchronous drain may be in flight: set before the
-    /// quiesced threads are released, cleared with `Release` once the
-    /// drain's two-phase commit completes (with `epoch_pipeline > 1` it is
-    /// set at the first pipelined checkpoint and stays set — `drain_oldest`
-    /// alone decides whether a given epoch is still owed). The hot path
-    /// reads it relaxed — one branch, no fence — and only escalates to an
-    /// `Acquire` wait when it must overwrite a backup still owed to an
-    /// uncommitted epoch.
-    pub(crate) drain_active: AtomicBool,
     /// The oldest epoch whose drain has not yet committed; equal to the
     /// current epoch when no drain is in flight. Commits advance it in
     /// strict epoch order (the ring's ordered-commit invariant), so an
     /// epoch `e` is fully durable iff `e < drain_oldest`. Shared (`Arc`)
-    /// with the pipelined drain executor's worker thread.
+    /// with the drain executor's worker thread; never advanced on a
+    /// synchronous pool, where nothing reads it.
     pub(crate) drain_oldest: Arc<AtomicU64>,
-    /// Background drain executor (`epoch_pipeline > 1` only): owns the
+    /// Background drain executor (`async_checkpoint` pools only): owns the
     /// worker thread that flushes queued epoch tickets and commits their
-    /// ring slots in order.
+    /// ring slots in order. Immutable after construction, so the hot path's
+    /// `is_some()` test costs no shared cache line.
     pub(crate) pipeline: Option<crate::checkpoint::DrainExec>,
     pub(crate) metrics: Arc<crate::metrics::RuntimeMetrics>,
-    pub(crate) ckpt_stats: CkptStats,
-    pub(crate) flushers: Option<crate::checkpoint::FlusherPool>,
+    /// The flush phase (flusher threads, injected faults), shared with the
+    /// drain executor. Declared after `pipeline`: the executor's `Drop`
+    /// joins its worker, which may still be flushing through this.
+    pub(crate) flusher: Arc<crate::checkpoint::Flusher>,
     /// Whether bump-fresh allocations must be zeroed before hand-out. Set
     /// on recovered pools: memory the crashed epoch allocated and wrote
     /// sits above the restored cursors with live-looking InCLL epoch tags,
@@ -471,9 +465,6 @@ pub struct Pool {
     /// recovery itself cannot bound a scrub). Fresh pools skip the cost:
     /// their bump memory is virgin-zero by construction.
     pub(crate) scrub_fresh: bool,
-    /// One-shot injected fault (test-only). See [`Fault`].
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fault: Mutex<Option<Fault>>,
 }
 
 /// The reserved slot used by the checkpointer and recovery.
@@ -661,25 +652,16 @@ impl Pool {
             .map(|c| Mutex::new(u64_cell(PAddr(OFF_FREELISTS.0 + c as u64 * U64_CELL_SLOT))))
             .collect::<Vec<_>>();
         let bump_vol = Mutex::new(u64_cell(OFF_BUMP));
-        let flushers = if cfg.flusher_threads > 0 {
-            Some(crate::checkpoint::FlusherPool::new(
-                cfg.flusher_threads,
-                Arc::clone(&region),
-            ))
-        } else {
-            None
-        };
+        let flusher = Arc::new(crate::checkpoint::Flusher::new(Arc::clone(&region), &cfg));
         // Slots 1.. are free; 0 is the system slot.
         let free: Vec<usize> = (1..MAX_THREADS).rev().collect();
         let metrics = Arc::new(crate::metrics::RuntimeMetrics::new(cfg.metrics));
         metrics.register_pmem(region.stats());
         let drain_oldest = Arc::new(AtomicU64::new(epoch));
-        let pipeline = (cfg.epoch_pipeline > 1).then(|| {
+        let pipeline = cfg.async_checkpoint.then(|| {
             crate::checkpoint::DrainExec::new(
-                Arc::clone(&region),
+                Arc::clone(&flusher),
                 Arc::clone(&drain_oldest),
-                cfg.epoch_pipeline,
-                cfg.mode == CheckpointMode::Full,
                 Arc::clone(&metrics),
             )
         });
@@ -696,15 +678,11 @@ impl Pool {
             bump_vol,
             class_heads: class_heads.into_boxed_slice(),
             ckpt_lock: Mutex::new(()),
-            drain_active: AtomicBool::new(false),
             drain_oldest,
             pipeline,
-            ckpt_stats: CkptStats::over(Arc::clone(&metrics)),
             metrics,
-            flushers,
+            flusher,
             scrub_fresh,
-            #[cfg(feature = "fault-inject")]
-            fault: Mutex::new(None),
         });
         // Publish the constructing thread's work (header format, recovery
         // phase-1 rollbacks) on the checkpoint-lock token: the first
@@ -719,24 +697,14 @@ impl Pool {
     /// crate prove its checker catches real protocol violations.
     #[cfg(feature = "fault-inject")]
     pub fn inject_fault(&self, fault: Fault) {
-        if fault == Fault::SkipRingOrder {
-            // This fault fires on the drain executor's worker thread, which
-            // has no access to the pool's fault slot — arm it directly.
-            let exec = self
-                .pipeline
-                .as_ref()
-                .expect("SkipRingOrder needs epoch_pipeline > 1");
-            exec.arm_reorder();
-            return;
-        }
-        *self.fault.lock() = Some(fault);
+        *self.flusher.fault.lock() = Some(fault);
     }
 
-    /// Pauses (`true`) or resumes (`false`) the pipelined drain executor
-    /// *before* it dequeues its next ticket. Test-only: lets tests park
-    /// several claimed epochs in the ring deterministically (e.g. to record
-    /// a trace window with two drains genuinely outstanding). No-op without
-    /// `epoch_pipeline > 1`.
+    /// Pauses (`true`) or resumes (`false`) the drain executor *before* it
+    /// dequeues its next ticket. Test-only: lets tests park several claimed
+    /// epochs in the ring deterministically (e.g. to record a trace window
+    /// with two drains genuinely outstanding). No-op without
+    /// `async_checkpoint`.
     #[cfg(feature = "fault-inject")]
     pub fn hold_drains(&self, on: bool) {
         if let Some(exec) = &self.pipeline {
@@ -747,13 +715,7 @@ impl Pool {
     /// Consumes the armed fault if it matches `want`.
     #[cfg(feature = "fault-inject")]
     pub(crate) fn take_fault(&self, want: Fault) -> bool {
-        let mut f = self.fault.lock();
-        if *f == Some(want) {
-            *f = None;
-            true
-        } else {
-            false
-        }
+        self.flusher.take_fault(want)
     }
 
     /// The underlying region.
@@ -784,12 +746,8 @@ impl Pool {
         self.epoch_mirror.load(Ordering::Relaxed)
     }
 
-    /// Checkpoint statistics (durations, flushed lines, effective period).
-    pub fn ckpt_stats(&self) -> &CkptStats {
-        &self.ckpt_stats
-    }
-
-    /// The pool's runtime metrics (registry access, enabled flag).
+    /// The pool's runtime metrics (registry access, enabled flag, checkpoint
+    /// counters via [`ckpt_snapshot`](crate::RuntimeMetrics::ckpt_snapshot)).
     pub fn runtime_metrics(&self) -> &Arc<crate::metrics::RuntimeMetrics> {
         &self.metrics
     }
@@ -890,15 +848,15 @@ impl Pool {
         };
         let first_touch = eid != epoch;
         if first_touch {
-            // On-demand push-out (asynchronous drain only — one relaxed
-            // load + branch otherwise): the cell's single backup slot may
-            // still be owed to an epoch whose drain has not committed. The
-            // guard is generation-aware: any valid tag in
-            // `[drain_oldest, current)` names an uncommitted epoch (commits
-            // advance `drain_oldest` in strict order). The upper bound
-            // keeps garbage tags (which decode to huge epochs) off the
-            // wait path.
-            if self.drain_active.load(Ordering::Relaxed) {
+            // On-demand push-out (`async_checkpoint` pools only — one
+            // branch on an immutable field otherwise): the cell's single
+            // backup slot may still be owed to an epoch whose drain has
+            // not committed. The guard is generation-aware: any valid tag
+            // in `[drain_oldest, current)` names an uncommitted epoch
+            // (commits advance `drain_oldest` in strict order). The upper
+            // bound keeps garbage tags (which decode to huge epochs) off
+            // the wait path.
+            if self.pipeline.is_some() {
                 let t = crate::incll::tag_epoch(cell.addr(), eid);
                 if t < plain_epoch && t >= self.drain_oldest.load(Ordering::Relaxed) {
                     self.push_out_pending_line(cell.addr(), t);
@@ -931,33 +889,39 @@ impl Pool {
     /// write the line back and fence it (the line's epoch-`t` state —
     /// record, backup, tag — becomes durable ahead of the background drain
     /// reaching it), then wait for `t`'s commit (`drain_oldest > t`; with a
-    /// pipeline this may wait out several ordered commits) before the
+    /// ring deeper than 1 this may wait out several ordered commits) before the
     /// caller overwrites the backup: until the commit lands, recovery may
     /// roll epoch `t` back and must still find the start-of-`t` value in
     /// the single backup slot. The wait is bounded by the drain itself,
     /// whose progress never depends on application locks.
     #[cold]
     fn push_out_pending_line(&self, addr: PAddr, t: u64) {
-        self.region
-            .trace_marker(TraceMarker::DrainPushOut { addr: addr.0 });
+        self.region.trace_marker(TraceMarker::DrainPushOut {
+            addr: addr.0,
+            epoch: t,
+        });
         self.region.pwb_line(addr.line());
         self.region.psync();
         self.metrics.on_drain_pushout();
-        let mut spins = 0u32;
-        while self.drain_oldest.load(Ordering::Acquire) <= t {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // The loop exit observed the drain commit's release store: the
-        // backup overwrite that follows is HB-after the two-phase commit.
+        spin_until(|| self.drain_oldest.load(Ordering::Acquire) > t);
+        // The wait observed the drain commit's release store: the backup
+        // overwrite that follows is HB-after the ring commit.
         #[cfg(feature = "fault-inject")]
         if self.take_fault(Fault::DropSyncEdge(SyncEdgeSite::DrainHandshake)) {
             return;
         }
+        self.region.sync_acquire(SyncToken::Drain);
+    }
+
+    /// Waits until the drain of `epoch` has committed (`drain_oldest >
+    /// epoch`), then joins the executor's release edge: what follows is
+    /// HB-after `epoch`'s ring commit. Bounded by the drain itself, which
+    /// never takes application locks and never waits for a restart point.
+    /// `async_checkpoint` pools only (nothing advances `drain_oldest`
+    /// otherwise).
+    pub(crate) fn await_commit(&self, epoch: u64) {
+        debug_assert!(self.pipeline.is_some());
+        spin_until(|| self.drain_oldest.load(Ordering::Acquire) > epoch);
         self.region.sync_acquire(SyncToken::Drain);
     }
 
@@ -1093,6 +1057,21 @@ impl Pool {
     /// Per-slot header cell handles.
     pub(crate) fn slot_cell(&self, slot: usize, field: u64) -> ICell<u64> {
         ICell::from_addr(PAddr(layout::slot_base(slot).0 + field))
+    }
+}
+
+/// Waits for `done()`: spins briefly, then yields — the hosts this runs on
+/// have as few as one core, so pure spinning would starve the very thread
+/// being waited for.
+pub(crate) fn spin_until(mut done: impl FnMut() -> bool) {
+    let mut spins = 0u32;
+    while !done() {
+        spins += 1;
+        if spins < 64 {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
     }
 }
 

@@ -47,10 +47,9 @@ enum RecoverySource {
     Image(Vec<u8>),
 }
 
-/// Builder-style options for [`Pool::recover_with`] — the one entry point
-/// behind the thin [`Pool::recover`] / [`Pool::recover_from_image`] /
-/// [`Pool::recover_with_threads`] wrappers. Construct from a source, then
-/// chain the knobs:
+/// Builder-style options for [`Pool::recover_with`], the recovery entry
+/// point ([`Pool::recover`] is its paper-named short form: live region,
+/// one scan thread). Construct from a source, then chain the knobs:
 ///
 /// ```
 /// use respct::{Pool, PoolConfig, RecoveryOptions};
@@ -185,14 +184,15 @@ fn roll_back_cell(
 }
 
 impl Pool {
-    /// The unified recovery entry point: every other `recover*` function is
-    /// a thin wrapper over this. See [`RecoveryOptions`] for the knobs.
+    /// The recovery entry point. See [`RecoveryOptions`] for the knobs.
     ///
     /// # Errors
     ///
     /// [`PoolError::NotAPool`](crate::PoolError::NotAPool) if the region was
     /// never formatted, [`PoolError::SizeMismatch`](crate::PoolError::SizeMismatch)
-    /// if the header size disagrees with the region.
+    /// if the header size disagrees with the region,
+    /// [`PoolError::CorruptRing`](crate::PoolError::CorruptRing) if the
+    /// epoch-record ring shows a hole or a stray claim.
     ///
     /// # Panics
     ///
@@ -232,41 +232,6 @@ impl Pool {
         Self::recover_with(RecoveryOptions::from_region(region).config(cfg))
     }
 
-    /// Recovers a pool from a raw crash image (the crash-point sweep entry
-    /// point).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pool::recover_with`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`Pool::recover_with`].
-    pub fn recover_from_image(
-        image: &[u8],
-        cfg: PoolConfig,
-    ) -> Result<(Arc<Pool>, RecoveryReport), crate::error::PoolError> {
-        Self::recover_with(RecoveryOptions::from_image(image).config(cfg))
-    }
-
-    /// Recovery with a parallel registry scan (paper Fig. 12 uses 32
-    /// recovery threads).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pool::recover_with`].
-    pub fn recover_with_threads(
-        region: Arc<Region>,
-        cfg: PoolConfig,
-        threads: usize,
-    ) -> Result<(Arc<Pool>, RecoveryReport), crate::error::PoolError> {
-        Self::recover_with(
-            RecoveryOptions::from_region(region)
-                .config(cfg)
-                .threads(threads),
-        )
-    }
-
     fn recover_impl(
         region: Arc<Region>,
         cfg: PoolConfig,
@@ -295,14 +260,19 @@ impl Pool {
         // so legitimate images always show a *contiguous* ascending run of
         // uncommitted epochs ending at the running epoch or (when the
         // ring-slot claim itself tore mid-line) at the recorded epoch
-        // itself; anything else is corruption.
+        // itself; anything else is corruption, and recovery refuses it
+        // rather than guess which epochs are durable.
         let recorded_epoch: u64 = region.load(OFF_EPOCH);
         // `(slot index, claimed epoch)` for every in-flight drain, oldest
         // epoch first. The slot index is remembered rather than recomputed:
         // the crashed pool's ring width K (which determined `epoch mod K`)
         // is not knowable from the image, and does not need to be.
-        let mut uncommitted: Vec<(usize, u64)> = (0..layout::MAX_EPOCH_PIPELINE)
-            .map(|i| (i, region.load::<u64>(layout::epoch_ring_slot(i))))
+        let slots: [u64; layout::MAX_EPOCH_PIPELINE] =
+            std::array::from_fn(|i| region.load(layout::epoch_ring_slot(i)));
+        let mut uncommitted: Vec<(usize, u64)> = slots
+            .iter()
+            .copied()
+            .enumerate()
             .filter(|&(_, e)| e != 0)
             .collect();
         uncommitted.sort_unstable_by_key(|&(_, e)| e);
@@ -311,11 +281,12 @@ impl Pool {
             Some(&(_, oldest)) => {
                 let newest = uncommitted.last().expect("non-empty").1;
                 let contiguous = uncommitted.windows(2).all(|w| w[1].1 == w[0].1 + 1);
-                assert!(
-                    contiguous && (newest == recorded_epoch || newest + 1 == recorded_epoch),
-                    "corrupt epoch ring {uncommitted:?} for epoch {recorded_epoch}: \
-                     a hole or a stray commit means drains did not commit in ring order",
-                );
+                if !(contiguous && (newest == recorded_epoch || newest + 1 == recorded_epoch)) {
+                    return Err(crate::error::PoolError::CorruptRing {
+                        slots,
+                        recorded_epoch,
+                    });
+                }
                 oldest
             }
         };
@@ -733,7 +704,8 @@ mod tests {
         let img = region.crash(CrashMode::PowerFailure);
         region.restore(&img);
         let (pool2, report) =
-            Pool::recover_with_threads(Arc::clone(&region), PoolConfig::default(), 4).unwrap();
+            Pool::recover_with(RecoveryOptions::from_region(Arc::clone(&region)).threads(4))
+                .unwrap();
         assert_eq!(report.threads, 4);
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(pool2.cell_get(*c), i as u64);
@@ -755,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_from_image_matches_in_place_recovery() {
+    fn recovery_from_image_matches_in_place_recovery() {
         let region = sim_region(9);
         let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
         let h = pool.register();
@@ -767,14 +739,14 @@ mod tests {
         let img = region.crash(CrashMode::PowerFailure);
         // Recover on a synthetic region built from the raw bytes, without
         // touching the original region.
-        let (pool2, report) = Pool::recover_from_image(img.bytes(), PoolConfig::default()).unwrap();
+        let (pool2, report) = Pool::recover_with(RecoveryOptions::from_image(img.bytes())).unwrap();
         assert_eq!(report.failed_epoch, 2);
         assert_eq!(pool2.cell_get(c), 10);
     }
 
     #[test]
-    fn recover_from_image_rejects_garbage() {
-        let err = Pool::recover_from_image(&[0u8; 1 << 20], PoolConfig::default()).unwrap_err();
+    fn recovery_from_image_rejects_garbage() {
+        let err = Pool::recover_with(RecoveryOptions::from_image(&[0u8; 1 << 20])).unwrap_err();
         assert_eq!(err, crate::error::PoolError::NotAPool);
     }
 
@@ -797,6 +769,70 @@ mod tests {
         .unwrap();
         assert_eq!(report.threads, 2);
         assert_eq!(pool2.cell_get(c), 10);
+    }
+
+    /// A checkpointed image (`c = 20`, epoch counter 3) whose epoch header
+    /// is then overwritten by hand: `ring` words first, epoch counter last.
+    fn image_with_ring(ring: &[(usize, u64)], epoch: u64) -> (Vec<u8>, crate::ICell<u64>) {
+        let region = sim_region(12);
+        let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
+        let h = pool.register();
+        let c = h.alloc_cell(10u64);
+        h.checkpoint_here(); // closes epoch 1
+        h.update(c, 20); // tagged epoch 2, backup = 10
+        h.checkpoint_here(); // closes epoch 2: c = 20 durable, counter = 3
+        drop(h);
+        drop(pool);
+        let mut bytes = region.crash(CrashMode::PowerFailure).bytes().to_vec();
+        let mut put = |at: PAddr, v: u64| {
+            bytes[at.0 as usize..][..8].copy_from_slice(&v.to_ne_bytes());
+        };
+        for &(slot, e) in ring {
+            put(layout::epoch_ring_slot(slot), e);
+        }
+        put(OFF_EPOCH, epoch);
+        (bytes, c)
+    }
+
+    /// The on-media format of a single in-flight drain is pinned: the
+    /// record an `async_checkpoint` pool of any earlier build left behind
+    /// mid-drain — state word (ring slot 0) `= N`, epoch counter `= N + 1`
+    /// — and its torn prefix (state word durable, counter not yet) both
+    /// recover by rolling epoch `N` back, exactly as before the drain moved
+    /// onto the executor.
+    #[test]
+    fn mid_drain_record_of_depth_one_rolls_back_the_draining_epoch() {
+        for (ring, epoch, failed, value) in [
+            (&[][..], 3, 3, 20),       // control: drain committed
+            (&[(0, 2)][..], 3, 2, 10), // mid-drain: ring[0] = N, epoch = N + 1
+            (&[(0, 2)][..], 2, 2, 10), // torn prefix: ring[0] = N, epoch = N
+        ] {
+            let (bytes, c) = image_with_ring(ring, epoch);
+            let (pool, report) = Pool::recover_with(RecoveryOptions::from_image(&bytes)).unwrap();
+            assert_eq!(report.failed_epoch, failed, "ring {ring:?} epoch {epoch}");
+            assert_eq!(pool.cell_get(c), value, "ring {ring:?} epoch {epoch}");
+        }
+    }
+
+    #[test]
+    fn ring_hole_or_stray_claim_is_a_typed_error() {
+        for ring in [
+            &[(1, 1)][..],         // stray: claim two epochs behind the counter
+            &[(0, 2), (2, 4)][..], // hole: 2 and 4 claimed, 3 committed
+        ] {
+            let (bytes, _) = image_with_ring(ring, 3);
+            let err = Pool::recover_with(RecoveryOptions::from_image(&bytes)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    crate::error::PoolError::CorruptRing {
+                        recorded_epoch: 3,
+                        ..
+                    }
+                ),
+                "ring {ring:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,35 +1,14 @@
 //! Checkpoint statistics (feeds Fig. 10/11 and the effective-period study).
 //!
-//! Since the observability layer landed, the per-checkpoint counters live in
+//! The per-checkpoint counters live in
 //! [`RuntimeMetrics`](crate::metrics::RuntimeMetrics) as phase histograms;
-//! [`CkptStats`] is a thin compatibility view that reconstructs the old
-//! aggregate counters (exactly — histogram counts and sums are exact) so
-//! existing callers of `pool.ckpt_stats().snapshot()` keep working.
+//! [`CkptSnapshot`] is the aggregate view
+//! [`RuntimeMetrics::ckpt_snapshot`](crate::metrics::RuntimeMetrics::ckpt_snapshot)
+//! reconstructs from them (exactly — histogram counts and sums are exact).
 
-use std::sync::Arc;
 use std::time::Duration;
 
-#[cfg(test)]
-use crate::checkpoint::CkptReport;
-use crate::metrics::RuntimeMetrics;
-
-/// Aggregate counters over all checkpoints of a pool, backed by the pool's
-/// [`RuntimeMetrics`].
-#[derive(Debug)]
-pub struct CkptStats {
-    metrics: Arc<RuntimeMetrics>,
-}
-
-impl Default for CkptStats {
-    /// A standalone stats instance over a private metric set (tests).
-    fn default() -> Self {
-        CkptStats {
-            metrics: Arc::new(RuntimeMetrics::new(true)),
-        }
-    }
-}
-
-/// Point-in-time copy of [`CkptStats`].
+/// Aggregate counters over all checkpoints of a pool, as of one instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CkptSnapshot {
     pub count: u64,
@@ -37,31 +16,14 @@ pub struct CkptSnapshot {
     pub wait_ns: u64,
     pub partition_ns: u64,
     pub flush_ns: u64,
-    /// Cumulative stop-the-world time (threads held parked). In sync mode
-    /// this covers the flush too; in async mode it ends at the epoch swap.
+    /// Cumulative stop-the-world time: `timer` raised → `timer` released,
+    /// in every mode. Covers the flush on a synchronous pool; ends at the
+    /// ring-slot claim on an `async_checkpoint` pool.
     pub stw_ns: u64,
-    /// Cumulative background-drain time (async mode; 0 in sync mode).
+    /// Cumulative background-drain time (`async_checkpoint` pools; 0
+    /// otherwise).
     pub drain_ns: u64,
     pub total_ns: u64,
-}
-
-impl CkptStats {
-    /// A view over `metrics` (the pool's instance).
-    pub(crate) fn over(metrics: Arc<RuntimeMetrics>) -> CkptStats {
-        CkptStats { metrics }
-    }
-
-    /// Feeds one checkpoint report (the live path goes through the pool's
-    /// `RuntimeMetrics` directly; this exists for tests of the view).
-    #[cfg(test)]
-    fn record(&self, report: &CkptReport) {
-        self.metrics.on_checkpoint(report);
-    }
-
-    /// Snapshot of the counters.
-    pub fn snapshot(&self) -> CkptSnapshot {
-        self.metrics.ckpt_snapshot()
-    }
 }
 
 impl CkptSnapshot {
@@ -100,28 +62,16 @@ impl CkptSnapshot {
 mod tests {
     use super::*;
 
-    fn report(lines: u64, total_us: u64) -> CkptReport {
-        CkptReport {
-            closed_epoch: 1,
-            lines,
-            wait_ns: 10_000,
-            partition_ns: 5_000,
-            flush_ns: 20_000,
-            stw_ns: 35_000,
-            drain_ns: 0,
-            total_ns: total_us * 1_000,
-            shards: Vec::new(),
-        }
-    }
-
     #[test]
-    fn record_and_means() {
-        let s = CkptStats::default();
-        s.record(&report(100, 40));
-        s.record(&report(300, 60));
-        let snap = s.snapshot();
-        assert_eq!(snap.count, 2);
-        assert_eq!(snap.lines_flushed, 400);
+    fn means_divide_by_count() {
+        let snap = CkptSnapshot {
+            count: 2,
+            lines_flushed: 400,
+            partition_ns: 10_000,
+            flush_ns: 40_000,
+            total_ns: 100_000,
+            ..CkptSnapshot::default()
+        };
         assert_eq!(snap.mean_lines(), 200.0);
         assert_eq!(snap.mean_duration(), Duration::from_micros(50));
         assert_eq!(snap.mean_flush(), Duration::from_micros(20));
@@ -130,7 +80,7 @@ mod tests {
 
     #[test]
     fn empty_means_are_zero() {
-        let snap = CkptStats::default().snapshot();
+        let snap = CkptSnapshot::default();
         assert_eq!(snap.mean_lines(), 0.0);
         assert_eq!(snap.mean_duration(), Duration::ZERO);
     }

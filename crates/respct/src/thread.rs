@@ -16,7 +16,7 @@ use respct_pmem::{PAddr, Pod, SyncToken};
 
 use crate::incll::ICell;
 use crate::layout::{self, MAX_THREADS};
-use crate::pool::{Pool, SYSTEM_SLOT};
+use crate::pool::{spin_until, Pool, SYSTEM_SLOT};
 
 /// A restart-point identifier (paper §3.3: RP ids name the static program
 /// locations recovery can resume from). A dedicated type keeps RP ids from
@@ -53,7 +53,7 @@ pub struct ThreadHandle {
     /// again is a semantic no-op *across epochs too* — the cell already
     /// holds the id, and rolling back an untouched cell keeps it — so
     /// `rp()` skips the cell update (hot loops sit on one RP site). The
-    /// skip also matters for the asynchronous drain: re-logging the RP cell
+    /// skip also matters for the background drain: re-logging the RP cell
     /// on the first `rp()` of each epoch would hit the push-out guard and
     /// stall every thread once per drain for no semantic gain.
     last_rp: std::cell::Cell<u64>,
@@ -263,15 +263,7 @@ impl ThreadHandle {
         loop {
             self.pool.region.sync_release(self.flag_token());
             self.pool.flags[self.slot].store(true, Ordering::SeqCst);
-            let mut spins = 0u32;
-            while self.pool.timer.load(Ordering::SeqCst) {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+            spin_until(|| !self.pool.timer.load(Ordering::SeqCst));
             self.pool.flags[self.slot].store(false, Ordering::SeqCst);
             if !self.pool.timer.load(Ordering::SeqCst) {
                 break;
@@ -339,25 +331,27 @@ impl ThreadHandle {
             self.pool.region.sync_release(self.flag_token());
             self.pool.flags[self.slot].store(true, Ordering::SeqCst);
             drop(guard);
-            let mut spins = 0u32;
-            while self.pool.timer.load(Ordering::SeqCst) {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+            spin_until(|| !self.pool.timer.load(Ordering::SeqCst));
             guard = mutex.lock();
         }
     }
 
-    /// Runs a checkpoint from this thread (tests / single-threaded apps):
-    /// parks the calling handle as if at an RP, then drives the checkpoint.
+    /// Runs a checkpoint from this thread and returns once it is durable:
+    /// parks the calling handle as if at an RP, drives the checkpoint, and
+    /// — on an `async_checkpoint` pool, at every ring depth — waits for the
+    /// closed epoch's drain to commit. Everything this thread wrote before
+    /// the call survives a crash at any instant after it returns, which is
+    /// what lets `KvService` use it as the `Durability::Sync` point.
+    /// ([`Pool::checkpoint_now`] returns at the release instead.)
     pub fn checkpoint_here(&self) -> crate::checkpoint::CkptReport {
         self.pool.region.sync_release(self.flag_token());
         self.pool.flags[self.slot].store(true, Ordering::SeqCst);
         let report = self.pool.checkpoint_now();
+        if self.pool.pipeline.is_some() {
+            // Wait with the flag still raised: this thread gates no
+            // checkpoint while the executor finishes the drain.
+            self.pool.await_commit(report.closed_epoch);
+        }
         // Lower the flag with the full prevent protocol: another thread's
         // checkpoint may have started while our flag was still up (it saw
         // us as parked), so an unconditional lower here would let this
@@ -606,6 +600,6 @@ mod tests {
         // In release on one core the workload may outrun the 2 ms timer;
         // ensure the machinery completes at least one checkpoint either way.
         p.checkpoint_now();
-        assert!(p.ckpt_stats().snapshot().count > 0);
+        assert!(p.runtime_metrics().ckpt_snapshot().count > 0);
     }
 }

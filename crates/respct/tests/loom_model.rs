@@ -1,8 +1,10 @@
 //! Loom models of the two ResPCT protocol points whose correctness depends
 //! on fine-grained interleavings: the **AllowGuard quiescence handshake**
-//! (checkpoint timer / per-thread flag, checkpoint.rs) and the **two-phase
-//! epoch commit with the on-demand push-out wait** (drain_async +
-//! `push_out_pending_line`, pool.rs).
+//! (checkpoint timer / per-thread flag, checkpoint.rs) and the **ring-slot
+//! claim / ordered commit of the background drain with the on-demand
+//! push-out wait** (`claim_and_submit` + `DrainExec::drain_one`,
+//! checkpoint.rs; `push_out_pending_line`, pool.rs) — at ring depth 1 (the
+//! two-phase commit of a single draining record) and depth 2.
 //!
 //! The models are abstract — a handful of loom atomics standing in for the
 //! real fields — because the runtime itself uses std atomics. Each model
@@ -74,32 +76,33 @@ fn allowguard_quiescence_excludes_tracking_mutation() {
     });
 }
 
-/// Two-phase epoch commit + push-out: a worker that hits a draining cell
-/// pushes the line out and must not overwrite its backup slot until the
-/// drain's phase-two commit (`state ← 0`) has landed — until then a crash
-/// rolls the drained epoch back and still needs the old backup.
+/// Two-phase epoch commit + push-out — the K = 1 instance of the ring
+/// model below: a worker that hits a draining cell pushes the line out and
+/// must not overwrite its backup slot until the drain's phase-two commit
+/// (`ring[0] ← 0`, then `drain_oldest ← N + 1`) has landed — until then a
+/// crash rolls the drained epoch back and still needs the old backup.
 ///
 /// Model: `backup_owed` is true while recovery would still read the
-/// backup. The committer clears `state` only after the (modeled) shard
+/// backup. The committer clears the slot only after the (modeled) shard
 /// flush; the worker overwrites the backup only after its push-out wait.
 #[test]
 fn pushout_wait_orders_backup_overwrite_after_commit() {
+    const N: u64 = 7; // the draining epoch
     loom::model(|| {
-        let state = Arc::new(AtomicU64::new(0)); // 0 = committed, N = draining
-        let drain_active = Arc::new(AtomicBool::new(false));
+        let slot = Arc::new(AtomicU64::new(0)); // 0 = committed, N = draining
+        let drain_oldest = Arc::new(AtomicU64::new(N));
         let flushed = Arc::new(AtomicBool::new(false));
         let backup_owed = Arc::new(AtomicBool::new(false));
 
-        // Phase one (threads parked in the runtime): publish the draining
-        // record, then release the worker.
-        state.store(7, Ordering::SeqCst);
+        // Phase one (threads parked in the runtime): publish the claim,
+        // then release the worker into epoch N + 1.
+        slot.store(N, Ordering::SeqCst);
         backup_owed.store(true, Ordering::SeqCst);
-        drain_active.store(true, Ordering::SeqCst);
 
         let committer = {
-            let (state, drain_active, flushed, backup_owed) = (
-                state.clone(),
-                drain_active.clone(),
+            let (slot, drain_oldest, flushed, backup_owed) = (
+                slot.clone(),
+                drain_oldest.clone(),
                 flushed.clone(),
                 backup_owed.clone(),
             );
@@ -107,32 +110,30 @@ fn pushout_wait_orders_backup_overwrite_after_commit() {
                 // Background drain: write the snapshot back, then commit.
                 flushed.store(true, Ordering::SeqCst);
                 backup_owed.store(false, Ordering::SeqCst);
-                state.store(0, Ordering::SeqCst);
-                // Release edge: `drain_active` clears strictly after the
-                // commit store (pool.rs drains in exactly this order).
-                drain_active.store(false, Ordering::SeqCst);
+                slot.store(0, Ordering::SeqCst);
+                // Release edge: `drain_oldest` advances strictly after the
+                // commit store (`drain_one` commits in exactly this order).
+                drain_oldest.store(N + 1, Ordering::SeqCst);
             })
         };
 
-        // Worker: first touch of a draining cell → push-out, wait, then
-        // overwrite the backup slot for the new epoch.
-        if drain_active.load(Ordering::SeqCst) {
-            while drain_active.load(Ordering::SeqCst) {
-                loom::hint::spin_loop();
-            }
+        // Worker: first touch of a cell tagged N in epoch N + 1 → push-out,
+        // wait for N's commit, then overwrite the backup slot.
+        while drain_oldest.load(Ordering::SeqCst) <= N {
+            loom::hint::spin_loop();
         }
         assert!(
             !backup_owed.load(Ordering::SeqCst),
             "backup overwritten while recovery could still roll back to it"
         );
-        assert_eq!(state.load(Ordering::SeqCst), 0, "commit not durable yet");
+        assert_eq!(slot.load(Ordering::SeqCst), 0, "commit not durable yet");
         assert!(flushed.load(Ordering::SeqCst), "commit preceded the flush");
         committer.join().expect("committer");
     });
 }
 
-/// Epoch-ring pipelined checkpoints: the ring-slot claim / ordered-commit
-/// handshake (checkpoint.rs `drain_pipelined` + `DrainExec::drain_one`).
+/// Epoch ring at depth 2: the ring-slot claim / ordered-commit handshake
+/// (checkpoint.rs `claim_and_submit` + `DrainExec::drain_one`).
 ///
 /// Model: a ring of K = 2 slots, a claimer (the checkpointer) that spins
 /// on backpressure (`closing − drain_oldest < K`) before writing epoch
@@ -249,14 +250,14 @@ fn skipping_the_pushout_wait_is_observably_wrong() {
     let saw_violation = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let saw = saw_violation.clone();
     loom::model(move || {
-        let drain_active = Arc::new(AtomicBool::new(true));
+        let drain_oldest = Arc::new(AtomicU64::new(7));
         let backup_owed = Arc::new(AtomicBool::new(true));
 
         let committer = {
-            let (drain_active, backup_owed) = (drain_active.clone(), backup_owed.clone());
+            let (drain_oldest, backup_owed) = (drain_oldest.clone(), backup_owed.clone());
             loom::thread::spawn(move || {
                 backup_owed.store(false, Ordering::SeqCst);
-                drain_active.store(false, Ordering::SeqCst);
+                drain_oldest.store(8, Ordering::SeqCst);
             })
         };
         // Buggy worker: overwrites without waiting for the commit.

@@ -73,7 +73,7 @@ fn main() {
     let total = consumer.join().expect("consumer");
     println!("pipeline moved {ITEMS} items; persistent sum = {total}");
     assert_eq!(total, ITEMS * (ITEMS + 1) / 2);
-    let ckpts = pool.ckpt_stats().snapshot().count;
+    let ckpts = pool.runtime_metrics().ckpt_snapshot().count;
     println!("{ckpts} checkpoints completed while the pipeline ran ✓");
     assert!(
         ckpts > 0,

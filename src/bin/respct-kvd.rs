@@ -3,7 +3,7 @@
 //! A thin shell over `respct_apps::kv`: parses flags, opens (or recovers)
 //! the [`KvService`], starts the TCP front end and the metrics endpoint,
 //! then parks until killed. All serving behavior lives in the library; see
-//! `DESIGN.md` §3.11 for the protocol and the batch/backpressure policy.
+//! `DESIGN.md` §3.10 for the protocol and the batch/backpressure policy.
 //!
 //! The persistence substrate comes from `RESPCT_BACKEND`; with
 //! `RESPCT_BACKEND=mmap:/path/to/kv.pool` the server survives SIGKILL —

@@ -365,9 +365,11 @@ fn checker_catches_skipped_incll_log() {
     );
 }
 
-/// Async pool with dirty cells — the drain-fault tests' shared setup. The
-/// control asserts the identical fault-free sequence is clean, so a passing
-/// fault test cannot be vacuous.
+/// Async pool (ring depth 1) with dirty cells — the drain-fault tests'
+/// shared setup. `checkpoint_here` returns only once the executor has
+/// committed, so the checker has seen the whole drain when this returns.
+/// The control asserts the identical fault-free sequence is clean, so a
+/// passing fault test cannot be vacuous.
 fn dirty_async_pool(seed: u64, fault: Option<Fault>) -> (Arc<Checker>, Arc<Pool>) {
     let (checker, pool) = checked_pool_cfg(
         16 << 20,
@@ -440,9 +442,10 @@ fn pipelined_hashmap_workload_is_clean() {
 /// Pipelined pool (K = 2) driven through a deterministic schedule that
 /// pins two drains in flight, with an optional fault armed before the
 /// worker is released. The schedule is deadlock-free under `hold_drains`:
-/// after the first update synchronizes with epoch 1's commit, later
-/// epochs only touch cells whose tags are already committed, so no
-/// push-out ever waits on a held drain.
+/// the held epochs are closed with `Pool::checkpoint_now` (which returns at
+/// the release — `checkpoint_here` would wait for the held commit), and
+/// they only touch cells whose tags are already committed, so no push-out
+/// ever waits on a held drain either.
 fn two_inflight_pipelined_run(seed: u64, fault: Option<Fault>) -> Arc<Checker> {
     let (checker, pool) = checked_pool_cfg(
         16 << 20,
@@ -455,10 +458,7 @@ fn two_inflight_pipelined_run(seed: u64, fault: Option<Fault>) -> Arc<Checker> {
     );
     let h = pool.register();
     let cells: Vec<_> = (0..32u64).map(|i| h.alloc_cell(i)).collect();
-    h.checkpoint_here(); // epoch 1 closed, ticket 1 in flight
-                         // First touch of an epoch-1 cell push-out-waits for ticket 1's ring
-                         // commit — after this update, the worker is provably idle.
-    h.update(cells[0], 100);
+    h.checkpoint_here(); // epoch 1 closed and committed: the worker is idle
     pool.hold_drains(true);
     // The worker re-checks the hold flag between 1 ms receive polls; wait
     // out one full poll so the tickets below queue behind a parked worker.
@@ -466,16 +466,20 @@ fn two_inflight_pipelined_run(seed: u64, fault: Option<Fault>) -> Arc<Checker> {
     if let Some(f) = fault {
         pool.inject_fault(f);
     }
-    for (i, c) in cells.iter().enumerate().take(16).skip(1) {
+    let close_epoch = || {
+        let _allow = h.allow_checkpoints();
+        pool.checkpoint_now();
+    };
+    // Tags are epoch 1 (< drain_oldest) throughout: plain backup logging,
+    // no push-out, so the held worker cannot deadlock us.
+    for (i, c) in cells.iter().enumerate().take(16) {
         h.update(*c, 100 + i as u64);
     }
-    h.checkpoint_here(); // epoch 2 closed; its ticket is parked
+    close_epoch(); // epoch 2 closed; its ticket is parked
     for (i, c) in cells.iter().enumerate().skip(16) {
-        // Tags here are epoch 1 (< drain_oldest): plain backup logging,
-        // no push-out, so the held worker cannot deadlock us.
         h.update(*c, 100 + i as u64);
     }
-    h.checkpoint_here(); // epoch 3 closed: two tickets now outstanding
+    close_epoch(); // epoch 3 closed: two tickets now outstanding
     pool.hold_drains(false);
     drop(h);
     drop(pool); // joins the executor: both tickets commit before this returns
@@ -492,7 +496,7 @@ fn pipelined_two_inflight_control_run_is_clean() {
 fn checker_catches_skipped_ring_order() {
     // `SkipRingOrder` makes the executor commit the two outstanding
     // tickets newest-first: `RingCommit { 3 }` lands while epoch 2 is
-    // still draining — exactly the checker's rule-8 violation.
+    // still draining — exactly the checker's rule-7 violation.
     let checker = two_inflight_pipelined_run(15, Some(Fault::SkipRingOrder));
     let report = checker.report();
     let ring = report.of_kind(DiagnosticKind::RingCommitOrder);
@@ -515,9 +519,11 @@ fn async_drain_control_run_is_clean() {
 
 #[test]
 fn checker_catches_skipped_drain_commit_order() {
+    // The fault fires on the drain executor: it commits ring slot 0
+    // without having written the snapshot back.
     let (checker, _pool) = dirty_async_pool(12, Some(Fault::SkipDrainCommitOrder));
     let report = checker.report();
-    let drain = report.of_kind(DiagnosticKind::DrainCommitOrder);
+    let drain = report.of_kind(DiagnosticKind::RingCommitOrder);
     assert!(
         !drain.is_empty(),
         "commit-before-durable drain not detected:\n{report}"

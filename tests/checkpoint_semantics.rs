@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use respct_analysis::Checker;
 use respct_repro::pmem::{sim::CrashMode, Region, RegionConfig, SimConfig};
 use respct_repro::respct::{
-    CheckpointMode, Pool, PoolConfig, PoolError, MAX_FLUSHERS, MAX_FLUSH_SHARDS,
+    CheckpointMode, Pool, PoolConfig, PoolError, RecoveryOptions, MAX_FLUSHERS, MAX_FLUSH_SHARDS,
 };
 
 #[test]
@@ -141,22 +141,28 @@ fn stall_split_is_honest_in_both_modes() {
             r.total_ns
         );
         if async_on {
-            assert!(r.drain_ns > 0, "async drain did no work");
+            // The returned report ends at the release; the drain's figures
+            // are the executor's to measure, recorded into the metrics at
+            // the commit `checkpoint_here` waited for.
+            assert_eq!((r.flush_ns, r.drain_ns), (0, 0));
+            let m = pool.runtime_metrics().ckpt_snapshot();
+            assert_eq!(m.count, 1, "the one checkpoint must be recorded");
+            assert!(m.drain_ns > 0, "async drain did no work");
             assert!(
-                r.drain_ns >= r.flush_ns,
+                m.drain_ns >= m.flush_ns,
                 "drain {} must cover the flush {}",
-                r.drain_ns,
-                r.flush_ns
+                m.drain_ns,
+                m.flush_ns
             );
             // The STW window ends before the drain starts; if the flush
             // were (wrongly) inside it again, stw + drain would overlap
             // and exceed the total.
             assert!(
-                r.stw_ns + r.drain_ns <= r.total_ns,
+                m.stw_ns + m.drain_ns <= m.total_ns,
                 "stw {} + drain {} > total {} (flush counted twice?)",
-                r.stw_ns,
-                r.drain_ns,
-                r.total_ns
+                m.stw_ns,
+                m.drain_ns,
+                m.total_ns
             );
         } else {
             assert_eq!(r.drain_ns, 0, "sync checkpoint reported a drain");
@@ -247,6 +253,52 @@ fn pipelined_stall_split_is_honest() {
         r.drain_ns, 0,
         "the drain happens after release, on the executor"
     );
+}
+
+/// Regression test for the acked-write loss on pipelined pools:
+/// `checkpoint_here` is the durability point `KvService::end_batch` acks
+/// `Durability::Sync` writes on, but with `epoch_pipeline(K >= 2)` it used
+/// to return at the ring claim — before the drain's commit — so a crash at
+/// that instant rolled the acked epoch back. It must return only once the
+/// closed epoch has committed, at every ring depth: with the executor held,
+/// the call blocks until a helper thread releases it, and the crash image
+/// of the instant it returns recovers the new value.
+#[test]
+fn checkpoint_here_returns_only_after_the_commit() {
+    for k in [1usize, 2, 4] {
+        let region = Region::new(RegionConfig::sim(4 << 20, SimConfig::no_eviction(9)));
+        let pool = Pool::create(
+            Arc::clone(&region),
+            PoolConfig::builder()
+                .async_checkpoint(true)
+                .epoch_pipeline(k)
+                .build()
+                .expect("config"),
+        )
+        .expect("pool");
+        let h = pool.register();
+        let c = h.alloc_cell(1u64);
+        h.checkpoint_here(); // epoch 1: the cell exists durably
+        pool.hold_drains(true);
+        // The worker re-checks the hold flag between 1 ms receive polls.
+        std::thread::sleep(Duration::from_millis(10));
+        h.update(c, 99);
+        let img = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(30));
+                pool.hold_drains(false);
+            });
+            h.checkpoint_here();
+            region.crash(CrashMode::PowerFailure)
+        });
+        let (recovered, report) =
+            Pool::recover_with(RecoveryOptions::from_image(img.bytes())).expect("recover");
+        assert_eq!(
+            (report.failed_epoch, recovered.cell_get(c)),
+            (3, 99),
+            "K={k}: a write checkpointed by checkpoint_here() was rolled back"
+        );
+    }
 }
 
 /// The epoch-ring pipeline must persist exactly what the synchronous and

@@ -97,7 +97,7 @@ fn concurrent_mutation_of_all_containers_with_checkpoints() {
     )
     .expect("pool");
     let w = Arc::new(create_world(&pool));
-    let _ckpt = pool.start_checkpointer(Duration::from_millis(2));
+    let ckpt = pool.start_checkpointer(Duration::from_millis(2));
     std::thread::scope(|s| {
         for t in 0..4u64 {
             let (pool, w) = (Arc::clone(&pool), Arc::clone(&w));
@@ -124,7 +124,14 @@ fn concurrent_mutation_of_all_containers_with_checkpoints() {
             });
         }
     });
-    assert!(pool.verify().is_clean());
+    // `verify` audits the *persistent* state against the runtime's: stop
+    // the checkpointer and close the open epoch first, or it sees the
+    // epoch counter mid-commit, or a free-list head cell that lags the
+    // blocks popped (and overwritten) since the last checkpoint.
+    drop(ckpt);
+    pool.checkpoint_now();
+    let report = pool.verify();
+    assert!(report.is_clean(), "{report:?}");
     assert!(!w.map.is_empty());
     assert!(!w.ordered.is_empty());
 }

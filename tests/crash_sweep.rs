@@ -33,7 +33,8 @@ const SIZE: usize = 1 << 20;
 /// the cells' first checkpoint).
 type Snaps = Vec<Option<Vec<u64>>>;
 
-/// An async pool configuration for sweeps (inline drain, two-phase commit).
+/// An async pool configuration for sweeps (ring depth 1: one drain in
+/// flight, two-phase commit of ring slot 0).
 fn async_pool_cfg() -> PoolConfig {
     PoolConfig::builder()
         .async_checkpoint(true)
@@ -50,38 +51,19 @@ fn pipelined_pool_cfg(k: usize) -> PoolConfig {
         .unwrap()
 }
 
-/// Crash points that fall inside an asynchronous drain window — between a
-/// `DrainBegin` and its `DrainCommit`. An async sweep that visits none of
-/// these would not be testing the two-phase commit at all.
-fn drain_window_crash_points(events: &[TraceEvent]) -> u64 {
-    let mut in_drain = false;
-    let mut n = 0;
-    for ev in events {
-        if let TraceEvent::Marker { marker, .. } = ev {
-            match marker {
-                TraceMarker::DrainBegin { .. } => in_drain = true,
-                TraceMarker::DrainCommit { .. } => in_drain = false,
-                _ => {}
-            }
-        }
-        if in_drain && is_crash_point(ev) {
-            n += 1;
-        }
-    }
-    n
-}
-
-/// Crash points that fall while at least `min_open` pipelined epochs are
+/// Crash points that fall while at least `min_open` background drains are
 /// simultaneously in flight — between their `PipelineBegin` markers and
-/// the matching `RingCommit`s. A pipelined sweep that never crashes with
-/// two drains outstanding would not be testing the ring at all.
+/// the matching `RingCommit`s. A background-drain sweep that visits none of
+/// these would not be testing the two-phase commit at all, and a pipelined
+/// one that never crashes with two drains outstanding would not be testing
+/// the ring.
 fn pipeline_overlap_crash_points(events: &[TraceEvent], min_open: usize) -> u64 {
     let mut open: Vec<u64> = Vec::new();
     let mut n = 0;
     for ev in events {
         if let TraceEvent::Marker { marker, .. } = ev {
             match marker {
-                TraceMarker::PipelineBegin { epoch } => open.push(*epoch),
+                TraceMarker::PipelineBegin { epoch, .. } => open.push(*epoch),
                 TraceMarker::RingCommit { epoch } => open.retain(|&e| e != *epoch),
                 _ => {}
             }
@@ -137,7 +119,7 @@ fn async_hashmap_sweep_recovers_at_every_point() {
         report.points
     );
     assert!(
-        drain_window_crash_points(&events) > 0,
+        pipeline_overlap_crash_points(&events, 1) > 0,
         "no crash points inside any drain window — async leg is vacuous"
     );
 }
@@ -156,7 +138,7 @@ fn async_queue_sweep_recovers_at_every_point() {
         report.points
     );
     assert!(
-        drain_window_crash_points(&events) > 0,
+        pipeline_overlap_crash_points(&events, 1) > 0,
         "no crash points inside any drain window — async leg is vacuous"
     );
 }
@@ -165,9 +147,8 @@ fn async_queue_sweep_recovers_at_every_point() {
 fn pipelined_hashmap_sweep_recovers_at_every_point() {
     let mut cfg = SweepConfig::new(workloads::SWEEP_REGION);
     cfg.eviction_budget = 2;
-    // Stride 3, not 4: the pipelined drain dedups its flush off the
-    // recorded thread, so the trace has somewhat fewer crash points than
-    // the async recording of the same workload.
+    // Stride 3, not 4: denser sampling keeps the distinct-point floor
+    // below comfortable on this trace.
     cfg.stride = 3;
     cfg.pool = pipelined_pool_cfg(2);
     let (report, events) = workloads::sweep_hashmap(48, 7, &cfg);
@@ -208,9 +189,10 @@ fn pipelined_queue_sweep_recovers_at_every_point() {
 /// armed the executor commits those two epochs newest-first.
 ///
 /// Snapshots: `snaps[e]` is the expected cell state when recovery lands in
-/// epoch `e`. The schedule keeps held epochs away from push-outs (cells
-/// touched in epochs 3 and 4 were last tagged before `drain_oldest`), so
-/// holding the worker cannot deadlock the recording.
+/// epoch `e`. The held epochs are closed with `Pool::checkpoint_now`
+/// (`checkpoint_here` would wait for the held commit) and keep away from
+/// push-outs (cells touched in epochs 2 and 3 were last tagged before
+/// `drain_oldest`), so holding the worker cannot deadlock the recording.
 fn recorded_pipelined_cells(fault: Option<Fault>) -> (Vec<TraceEvent>, Vec<ICell<u64>>, Snaps) {
     const N: u64 = 48;
     let region = Region::new(RegionConfig::sim(SIZE, SimConfig::no_eviction(5)));
@@ -221,12 +203,8 @@ fn recorded_pipelined_cells(fault: Option<Fault>) -> (Vec<TraceEvent>, Vec<ICell
     let cells: Vec<ICell<u64>> = (0..N).map(|i| h.alloc_cell(i)).collect();
     let mut snaps: Snaps = vec![None, None]; // epochs 0, 1
     let mut model: Vec<u64> = (0..N).collect();
-    h.checkpoint_here(); // closes epoch 1; ticket 1 in flight
+    h.checkpoint_here(); // closes and commits epoch 1: the worker is idle
     snaps.push(Some(model.clone()));
-    // Push-out-wait on an epoch-1 cell: returns only after ticket 1's
-    // ring commit, so the worker is idle when we park it below.
-    h.update(cells[0], 100);
-    model[0] = 100;
     pool.hold_drains(true);
     // The worker re-checks the hold flag between 1 ms receive polls; wait
     // out one full poll so the tickets below are guaranteed to queue up
@@ -235,19 +213,23 @@ fn recorded_pipelined_cells(fault: Option<Fault>) -> (Vec<TraceEvent>, Vec<ICell
     if let Some(f) = fault {
         pool.inject_fault(f);
     }
-    for i in 1..24 {
+    let close_epoch = || {
+        let _allow = h.allow_checkpoints();
+        pool.checkpoint_now();
+    };
+    // Tags are epoch 1 (< drain_oldest) throughout: plain backup logging,
+    // never a push-out wait on the held worker.
+    for i in 0..24 {
         h.update(cells[i as usize], 100 + i);
         model[i as usize] = 100 + i;
     }
-    h.checkpoint_here(); // closes epoch 2; its ticket is parked
+    close_epoch(); // closes epoch 2; its ticket is parked
     snaps.push(Some(model.clone()));
     for i in 24..N {
-        // Tags are epoch 1 here (< drain_oldest): plain backup logging,
-        // never a push-out wait on the held worker.
         h.update(cells[i as usize], 100 + i);
         model[i as usize] = 100 + i;
     }
-    h.checkpoint_here(); // closes epoch 3: two tickets now outstanding
+    close_epoch(); // closes epoch 3: two tickets now outstanding
     snaps.push(Some(model.clone()));
     pool.hold_drains(false);
     drop(h);
@@ -272,8 +254,8 @@ fn skip_ring_order_is_caught_by_the_sweep() {
     // Control above proves the identical schedule sweeps clean; with the
     // fault, the executor zeroes epoch 3's slot while epoch 2 is still
     // claimed. Every crash image between the two commits decodes to a
-    // ring with a hole, which recovery rejects (a panic the sweep maps to
-    // a divergence).
+    // ring with a hole, which recovery rejects with a typed error (the
+    // sweep maps it to a divergence).
     let (events, cells, snaps) = recorded_pipelined_cells(Some(Fault::SkipRingOrder));
     let faulty = sweep_cells(&events, &cells, &snaps);
     assert!(
@@ -283,7 +265,7 @@ fn skip_ring_order_is_caught_by_the_sweep() {
     let d = faulty.report.of_kind(DiagnosticKind::RecoveryDivergence);
     assert!(!d.is_empty());
     assert!(
-        d.iter().any(|d| d.detail.contains("corrupt epoch ring")),
+        d.iter().any(|d| d.detail.contains("CorruptRing")),
         "divergence must come from the ring decode: {d:?}"
     );
 }
@@ -409,11 +391,11 @@ fn skip_drain_commit_order_is_caught_by_the_sweep() {
     let clean = sweep_cells(&events, &cells, &snaps);
     assert!(clean.is_clean(), "{:?}", clean.report);
     assert!(
-        drain_window_crash_points(&events) > 0,
+        pipeline_overlap_crash_points(&events, 1) > 0,
         "async control trace has no in-drain crash points"
     );
 
-    // Fault: the drain commits the state word back to zero without writing
+    // Fault: the executor commits ring slot 0 back to zero without writing
     // back or fencing the snapshotted shards. Every post-commit crash image
     // then recovers as if epoch 2 committed, but its data never reached
     // NVMM — the two-phase commit's characteristic ordering bug.

@@ -60,7 +60,7 @@ fn map_and_queue_under_fast_checkpoints() {
     // fire; require at least one periodic checkpoint and force one more.
     pool.checkpoint_now();
     assert!(
-        pool.ckpt_stats().snapshot().count >= 2,
+        pool.runtime_metrics().ckpt_snapshot().count >= 2,
         "checkpoints must keep completing"
     );
 }

@@ -10,7 +10,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use respct_repro::obs::Histogram;
-use respct_repro::pmem::{PAddr, Region, RegionConfig};
+use respct_repro::pmem::{
+    PAddr, Region, RegionConfig, SimConfig, TraceEvent, TraceMarker, VecSink,
+};
 use respct_repro::respct::{Pool, PoolConfig};
 
 fn pool(mb: usize, cfg: PoolConfig) -> Arc<Pool> {
@@ -162,7 +164,7 @@ fn counters_match_hand_counted_workload() {
 }
 
 /// With metrics disabled in the pool config the hot-path counters stay at
-/// zero, but checkpoint accounting (which backs `ckpt_stats`) still runs.
+/// zero, but checkpoint accounting (which backs `ckpt_snapshot`) still runs.
 #[test]
 fn metrics_toggle_gates_hot_path_only() {
     let cfg = PoolConfig::builder()
@@ -181,7 +183,7 @@ fn metrics_toggle_gates_hot_path_only() {
     assert_eq!(json_u64(&json, "respct_bytes_stored_total"), 0);
     assert_eq!(json_u64(&json, "respct_incll_updates_total"), 0);
     assert_eq!(
-        pool.ckpt_stats().snapshot().count,
+        pool.runtime_metrics().ckpt_snapshot().count,
         1,
         "ckpt stats still live"
     );
@@ -189,7 +191,7 @@ fn metrics_toggle_gates_hot_path_only() {
 
 // ---- Snapshots under concurrent checkpoints -------------------------------
 
-/// Rendering both sinks and taking `CkptStats` snapshots while workers and
+/// Rendering both sinks and taking `CkptSnapshot`s while workers and
 /// the periodic checkpointer run never tears: counts are monotone and every
 /// exposition stays well-formed.
 #[test]
@@ -218,7 +220,7 @@ fn snapshots_are_sane_under_concurrent_checkpoints() {
         }
         let mut last_count = 0u64;
         for _ in 0..200 {
-            let snap = pool.ckpt_stats().snapshot();
+            let snap = pool.runtime_metrics().ckpt_snapshot();
             if snap.count < last_count {
                 violation = Some(format!(
                     "count went backwards: {} -> {}",
@@ -279,6 +281,7 @@ fn multithreaded_run_populates_stall_and_shard_histograms() {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     h.update(c, i);
+                    ready.fetch_add(1, Ordering::Release);
                     h.rp(20 + t);
                     i += 1;
                 }
@@ -290,10 +293,15 @@ fn multithreaded_run_populates_stall_and_shard_histograms() {
             std::thread::yield_now();
         }
         // Forced checkpoints quiesce the workers, so every one of them
-        // parks at an RP at least once per checkpoint.
+        // parks at an RP at least once per checkpoint. Wait for an update
+        // in the new epoch before the next one, so no checkpoint closes an
+        // epoch the scheduler gave no worker a turn in.
         for _ in 0..5 {
             reports.push(pool.checkpoint_now());
-            std::thread::sleep(Duration::from_millis(2));
+            let seen = ready.load(Ordering::Acquire);
+            while ready.load(Ordering::Acquire) == seen {
+                std::thread::sleep(Duration::from_millis(2));
+            }
         }
         stop.store(true, Ordering::Relaxed);
     });
@@ -347,6 +355,66 @@ fn multithreaded_run_populates_stall_and_shard_histograms() {
 
 /// Every non-comment line of the exposition is `name[{label="v"}] number`
 /// and every `# TYPE` names one of the four Prometheus types.
+/// `flusher_threads(2)` + `async_checkpoint(true)`: the drain executor
+/// flushes through the flusher pool like the synchronous tail does, not
+/// through a private write-back loop. The returned report ends at the
+/// release (no shards); the report the executor records at commit carries
+/// several, and the trace shows them opened by threads other than the
+/// committing one.
+#[test]
+fn background_drain_flushes_through_the_flusher_pool() {
+    let region = Region::new(RegionConfig::sim(8 << 20, SimConfig::no_eviction(4)));
+    let sink = Arc::new(VecSink::new());
+    region.set_trace_sink(sink.clone());
+    let cfg = PoolConfig::builder()
+        .flusher_threads(2)
+        .async_checkpoint(true)
+        .build()
+        .expect("config");
+    let pool = Pool::create(region, cfg).expect("pool");
+    let h = pool.register();
+    let cells: Vec<_> = (0..256u64).map(|i| h.alloc_cell(i)).collect();
+    h.checkpoint_here();
+    for c in &cells {
+        h.update(*c, 7);
+    }
+    let shards_before = json_hist_field(
+        &pool.metrics().to_json(),
+        "respct_shard_flush_lines",
+        "count",
+    );
+    sink.drain();
+    let r = h.checkpoint_here(); // returns once the executor has committed
+    assert!(r.shards.is_empty() && r.flush_ns == 0, "{r:?}");
+    let shards = json_hist_field(
+        &pool.metrics().to_json(),
+        "respct_shard_flush_lines",
+        "count",
+    ) - shards_before;
+    assert!(shards > 1, "executor recorded {shards} shard(s)");
+    let m = pool.runtime_metrics().ckpt_snapshot();
+    assert!(m.lines_flushed >= 256 && m.flush_ns > 0, "{m:?}");
+
+    let events = sink.drain();
+    let marker_tids = |want: fn(&TraceMarker) -> bool| -> Vec<u64> {
+        events
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Marker { tid, marker } if want(marker) => Some(*tid),
+                _ => None,
+            })
+            .collect()
+    };
+    let committer = marker_tids(|m| matches!(m, TraceMarker::RingCommit { .. }));
+    let flushers = marker_tids(|m| matches!(m, TraceMarker::ShardFlushBegin { .. }));
+    assert_eq!(committer.len(), 1);
+    assert_eq!(flushers.len() as u64, shards);
+    assert!(
+        flushers.iter().all(|t| *t != committer[0]),
+        "shards flushed inline on the executor: {flushers:?} vs {committer:?}"
+    );
+}
+
 #[test]
 fn prometheus_exposition_is_well_formed() {
     let pool = pool(64, PoolConfig::default());

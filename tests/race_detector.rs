@@ -4,10 +4,12 @@
 //!
 //! * **Clean runs** — the standard concurrent workloads (hash map, queue,
 //!   KV shape, and all six evaluation apps) replay through the
-//!   [`RaceDetector`] with zero diagnostics, in both checkpoint modes.
-//!   Every synchronization edge the runtime emits is load-bearing here:
+//!   [`RaceDetector`] with zero diagnostics, with synchronous checkpoints
+//!   and with the background drain at ring depths 1 and 4. Every
+//!   synchronization edge the runtime emits is load-bearing here:
 //!   quiescence flags, the checkpoint timer, traced bucket locks, flusher
-//!   acknowledgements, the drain handshake, and the free-list class locks.
+//!   acknowledgements, the drain-ticket hand-off, the drain-commit
+//!   handshake, and the free-list class locks.
 //! * **Non-vacuity** — each [`Fault::DropSyncEdge`] site suppresses exactly
 //!   one of those edges (the execution still synchronizes; only the trace
 //!   loses the edge) and the corresponding detector rule must fire.
@@ -24,18 +26,33 @@ use respct_pmem::{
 
 const CKPT_PERIOD: Duration = Duration::from_millis(4);
 
+/// The checkpoint modes every clean run and non-vacuity test covers:
+/// synchronous, and the background drain at ring depths 1 and 4.
+const MODES: [Option<usize>; 3] = [None, Some(1), Some(4)];
+
+/// Pool config for a mode of [`MODES`] (`None` = synchronous checkpoints,
+/// `Some(k)` = background drain on a ring of depth `k`).
+fn mode_cfg(pipeline: Option<usize>, flushers: usize) -> PoolConfig {
+    PoolConfig::builder()
+        .async_checkpoint(pipeline.is_some())
+        .epoch_pipeline(pipeline.unwrap_or(1))
+        .flusher_threads(flushers)
+        .build()
+        .expect("config")
+}
+
 /// A sim region with the race detector attached and a pool on top.
-fn raced_pool(seed: u64, async_on: bool, flushers: usize) -> (Arc<RaceDetector>, Arc<Pool>) {
+fn raced_pool(
+    seed: u64,
+    pipeline: Option<usize>,
+    flushers: usize,
+) -> (Arc<RaceDetector>, Arc<Pool>) {
     let region = Region::new(RegionConfig::sim(
         48 << 20,
         SimConfig::with_eviction(4, seed),
     ));
     let detector = RaceDetector::attach(&region);
-    let cfg = PoolConfig::builder()
-        .async_checkpoint(async_on)
-        .flusher_threads(flushers)
-        .build()
-        .expect("config");
+    let cfg = mode_cfg(pipeline, flushers);
     let pool = Pool::create(region, cfg).expect("pool");
     (detector, pool)
 }
@@ -69,19 +86,19 @@ fn hashmap_run(pool: &Arc<Pool>, buckets: u64) {
 }
 
 #[test]
-fn hashmap_clean_both_modes() {
-    for async_on in [false, true] {
-        let (detector, pool) = raced_pool(101, async_on, 2);
+fn hashmap_clean_all_modes() {
+    for mode in MODES {
+        let (detector, pool) = raced_pool(101, mode, 2);
         hashmap_run(&pool, 256);
         let r = detector.report();
-        assert!(r.is_clean(), "async={async_on}:\n{r}");
+        assert!(r.is_clean(), "pipeline={mode:?}:\n{r}");
     }
 }
 
 #[test]
-fn queue_clean_both_modes() {
-    for async_on in [false, true] {
-        let (detector, pool) = raced_pool(202, async_on, 0);
+fn queue_clean_all_modes() {
+    for mode in MODES {
+        let (detector, pool) = raced_pool(202, mode, 0);
         let queue = {
             let h = pool.register();
             let q = PQueue::create(&h);
@@ -108,7 +125,7 @@ fn queue_clean_both_modes() {
         });
         pool.register().checkpoint_here();
         let r = detector.report();
-        assert!(r.is_clean(), "async={async_on}:\n{r}");
+        assert!(r.is_clean(), "pipeline={mode:?}:\n{r}");
     }
 }
 
@@ -222,7 +239,7 @@ fn apps_are_race_clean() {
 fn dropped_lock_release_edge_is_a_persist_race() {
     // One key: both threads go through the same bucket lock, so the
     // cross-thread cell hand-off deterministically uses the faulted edge.
-    let (detector, pool) = raced_pool(303, false, 0);
+    let (detector, pool) = raced_pool(303, None, 0);
     let map = {
         let h = pool.register();
         let map = PHashMap::create(&h, 8);
@@ -251,7 +268,7 @@ fn dropped_lock_release_edge_is_a_persist_race() {
 /// workload shape, is what the detector reacts to).
 #[test]
 fn locked_handoff_without_fault_is_clean() {
-    let (detector, pool) = raced_pool(303, false, 0);
+    let (detector, pool) = raced_pool(303, None, 0);
     let map = {
         let h = pool.register();
         let map = PHashMap::create(&h, 8);
@@ -270,27 +287,34 @@ fn locked_handoff_without_fault_is_clean() {
     detector.assert_clean();
 }
 
-/// Dropping a flusher's acknowledgement edge leaves the epoch commit
+/// Dropping a flusher's acknowledgement edge leaves the commit — the epoch
+/// counter's on a synchronous pool, the ring slot's on the drain executor —
 /// unordered after that worker's fences (rule b non-vacuity).
 #[test]
 fn dropped_flusher_ack_edge_is_an_unordered_commit() {
-    let (detector, pool) = raced_pool(404, false, 1);
-    let h = pool.register();
-    let cells: Vec<_> = (0..64u64).map(|i| h.alloc_cell(i)).collect();
-    h.checkpoint_here();
-    for (i, c) in cells.iter().enumerate() {
-        h.update(*c, 1_000 + i as u64);
+    for mode in MODES {
+        let (detector, pool) = raced_pool(404, mode, 1);
+        let h = pool.register();
+        let cells: Vec<_> = (0..64u64).map(|i| h.alloc_cell(i)).collect();
+        h.checkpoint_here();
+        assert!(detector.report().is_clean(), "pipeline={mode:?}: setup");
+        for (i, c) in cells.iter().enumerate() {
+            h.update(*c, 1_000 + i as u64);
+        }
+        pool.inject_fault(Fault::DropSyncEdge(SyncEdgeSite::FlusherAck));
+        h.checkpoint_here();
+        let r = detector.report();
+        let bad = r.of_kind(DiagnosticKind::UnorderedCommit);
+        assert!(
+            !bad.is_empty(),
+            "pipeline={mode:?}: dropped flusher ack not detected:\n{r}"
+        );
     }
-    pool.inject_fault(Fault::DropSyncEdge(SyncEdgeSite::FlusherAck));
-    h.checkpoint_here();
-    let r = detector.report();
-    let bad = r.of_kind(DiagnosticKind::UnorderedCommit);
-    assert!(!bad.is_empty(), "dropped flusher ack not detected:\n{r}");
 }
 
 /// Stretches the background drain: sleeps on the flusher threads at each
 /// shard-flush marker so the resumed worker reliably gets to run (and
-/// first-touch a draining cell) while `drain_active` still holds. Purely a
+/// first-touch a draining cell) before the drain commits. Purely a
 /// test aid — it makes the push-out window wide instead of scheduler-luck.
 struct DrainStretch;
 
@@ -308,11 +332,11 @@ impl TraceSink for DrainStretch {
     }
 }
 
-/// Runs an async-drain round engineered to hit the on-demand push-out:
-/// a parked worker resumes at the drain hand-off and immediately
-/// re-touches cells still tagged with the draining epoch. Returns the
-/// detector and the full recorded trace.
-fn pushout_round(seed: u64, fault: bool) -> (Arc<RaceDetector>, Vec<TraceEvent>) {
+/// Runs a background-drain round (ring depth `k`) engineered to hit the
+/// on-demand push-out: a parked worker resumes at the drain hand-off and
+/// immediately re-touches cells still tagged with the draining epoch.
+/// Returns the detector and the full recorded trace.
+fn pushout_round(seed: u64, k: usize, fault: bool) -> (Arc<RaceDetector>, Vec<TraceEvent>) {
     let region = Region::new(RegionConfig::sim(48 << 20, SimConfig::no_eviction(seed)));
     let detector = Arc::new(RaceDetector::new());
     let events = Arc::new(VecSink::new());
@@ -323,12 +347,7 @@ fn pushout_round(seed: u64, fault: bool) -> (Arc<RaceDetector>, Vec<TraceEvent>)
     ])));
     // Flusher threads carry the stretched shard flushes, so the drain
     // stays active while the committer waits for their acknowledgements.
-    let cfg = PoolConfig::builder()
-        .async_checkpoint(true)
-        .flusher_threads(2)
-        .build()
-        .expect("config");
-    let pool = Pool::create(region, cfg).expect("pool");
+    let pool = Pool::create(region, mode_cfg(Some(k), 2)).expect("pool");
     {
         // A wide tracked set makes the background drain long enough for
         // the resumed worker to touch a draining cell. The allocating
@@ -384,57 +403,61 @@ fn has_pushout(evs: &[TraceEvent]) -> bool {
 fn pushout_handshake_edge_is_emitted_and_clean() {
     // The push-out window is scheduler-dependent; retry fresh seeds until
     // one opens (sub-second normally, deadline-bounded under heavy load).
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let mut seed = 500;
-    while Instant::now() < deadline {
-        seed += 1;
-        let (detector, evs) = pushout_round(seed, false);
-        detector.assert_clean();
-        if has_pushout(&evs) {
-            assert!(
-                evs.iter().any(|ev| matches!(
-                    ev,
-                    TraceEvent::SyncAcq {
-                        token: SyncToken::Drain,
-                        ..
-                    }
-                )),
-                "push-out occurred but no Drain acquire edge was traced"
-            );
-            return; // exercised the regression path; done
+    'depth: for k in [1, 4] {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let mut seed = 500;
+        while Instant::now() < deadline {
+            seed += 1;
+            let (detector, evs) = pushout_round(seed, k, false);
+            detector.assert_clean();
+            if has_pushout(&evs) {
+                assert!(
+                    evs.iter().any(|ev| matches!(
+                        ev,
+                        TraceEvent::SyncAcq {
+                            token: SyncToken::Drain,
+                            ..
+                        }
+                    )),
+                    "K={k}: push-out occurred but no Drain acquire edge was traced"
+                );
+                continue 'depth; // exercised the regression path at this depth
+            }
         }
+        panic!("K={k}: no seed produced a push-out; test needs retuning");
     }
-    panic!("no seed produced a push-out; test needs retuning");
 }
 
 /// Dropping the push-out handshake acquire makes the next overwrite of the
 /// pushed-out line an unordered commit (rule b, push-out leg).
 #[test]
 fn dropped_drain_handshake_edge_is_an_unordered_commit() {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let mut seed = 600;
-    while Instant::now() < deadline {
-        seed += 1;
-        let (detector, evs) = pushout_round(seed, true);
-        if !has_pushout(&evs) {
-            continue;
+    'depth: for k in [1, 4] {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let mut seed = 600;
+        while Instant::now() < deadline {
+            seed += 1;
+            let (detector, evs) = pushout_round(seed, k, true);
+            if !has_pushout(&evs) {
+                continue;
+            }
+            let r = detector.report();
+            let bad = r.of_kind(DiagnosticKind::UnorderedCommit);
+            assert!(
+                !bad.is_empty(),
+                "K={k}: dropped drain handshake not detected:\n{r}"
+            );
+            continue 'depth;
         }
-        let r = detector.report();
-        let bad = r.of_kind(DiagnosticKind::UnorderedCommit);
-        assert!(
-            !bad.is_empty(),
-            "dropped drain handshake not detected:\n{r}"
-        );
-        return;
+        panic!("K={k}: no seed produced a push-out; test needs retuning");
     }
-    panic!("no seed produced a push-out; test needs retuning");
 }
 
 /// A `TracedMutex` hand-off between plain threads (no data structure in
 /// between) is edge-complete: protected cell updates never race.
 #[test]
 fn traced_mutex_direct_handoff_is_clean() {
-    let (detector, pool) = raced_pool(700, false, 0);
+    let (detector, pool) = raced_pool(700, None, 0);
     let cell = {
         let h0 = pool.register();
         h0.alloc_cell(0u64)
