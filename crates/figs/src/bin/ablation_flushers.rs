@@ -9,16 +9,13 @@
 //! flushers cannot help (they time-slice) — the interesting output is that
 //! the machinery works and how the phases split; on a multicore host the
 //! sweep shows the paper's scaling of the flush phase.
-//!
-//! Also writes the sweep as machine-readable `BENCH_flush.json` (path
-//! overridable via `$BENCH_FLUSH_JSON`) for CI and plotting.
 
 use std::time::Duration;
 
 use respct::PoolConfig;
-use respct_bench::args::BenchArgs;
-use respct_bench::systems::{measure_respct_map, MapBenchSpec};
-use respct_bench::table::{f3, write_flush_json, FlushRecord, Table};
+use respct_figs::args::BenchArgs;
+use respct_figs::systems::{measure_respct_map, MapBenchSpec};
+use respct_figs::table::{f3, Table};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -37,7 +34,6 @@ fn main() {
         "flush_us",
         "mean_ckpt_ms",
     ]);
-    let mut records = Vec::new();
     for flushers in [0usize, 1, 2, 4] {
         let shards = PoolConfig::builder()
             .flusher_threads(flushers)
@@ -61,7 +57,6 @@ fn main() {
                 seed: 0xab1a,
             },
             flushers,
-            0,
         );
         table.row(vec![
             flushers.to_string(),
@@ -73,17 +68,6 @@ fn main() {
             f3(snap.mean_flush().as_secs_f64() * 1e6),
             f3(snap.mean_duration().as_secs_f64() * 1e3),
         ]);
-        records.push(FlushRecord {
-            threads,
-            flushers,
-            shards,
-            mops: t.mops(),
-            snap,
-        });
     }
     table.print();
-    match write_flush_json("ablation_flushers", &records) {
-        Ok(path) => println!("(flush sweep written to {path})"),
-        Err(e) => eprintln!("failed to write BENCH_flush.json: {e}"),
-    }
 }

@@ -15,11 +15,11 @@
 
 use std::time::Duration;
 
-use respct_bench::args::BenchArgs;
-use respct_bench::systems::{
+use respct_figs::args::BenchArgs;
+use respct_figs::systems::{
     measure_map_system, measure_queue_system, MapBenchSpec, QueueBenchSpec,
 };
-use respct_bench::table::{f3, json_line, Table};
+use respct_figs::table::{f3, json_line, Table};
 
 const CONFIGS: &[&str] = &[
     "transient-dram",
@@ -51,7 +51,7 @@ fn main() {
                     keyspace,
                     nbuckets,
                     update_pct,
-                    period: Duration::from_millis(respct_bench::DEFAULT_PERIOD_MS),
+                    period: Duration::from_millis(respct_figs::DEFAULT_PERIOD_MS),
                     region_bytes,
                     seed: 0xf10,
                 },
@@ -83,7 +83,7 @@ fn main() {
                     threads,
                     secs: args.secs,
                     prefill: 1000,
-                    period: Duration::from_millis(respct_bench::DEFAULT_PERIOD_MS),
+                    period: Duration::from_millis(respct_figs::DEFAULT_PERIOD_MS),
                     region_bytes,
                     seed: 0xf10,
                 },

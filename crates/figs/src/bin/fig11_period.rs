@@ -9,11 +9,11 @@
 use std::time::Duration;
 
 use respct::{Pool, PoolConfig};
-use respct_bench::args::BenchArgs;
-use respct_bench::driver::{prefill_map, run_map_mix};
-use respct_bench::systems::{measure_map_system, MapBenchSpec};
-use respct_bench::table::{f3, json_line, Table};
 use respct_ds::PHashMap;
+use respct_figs::args::BenchArgs;
+use respct_figs::driver::{prefill_map, run_map_mix};
+use respct_figs::systems::{measure_map_system, MapBenchSpec};
+use respct_figs::table::{f3, json_line, Table};
 use respct_pmem::{Region, RegionConfig};
 
 fn main() {

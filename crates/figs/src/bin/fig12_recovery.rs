@@ -9,10 +9,10 @@
 //! 10×; `--full` uses the paper's 0.5M–4M.
 
 use respct::{Pool, PoolConfig, RecoveryOptions};
-use respct_bench::args::BenchArgs;
-use respct_bench::driver::FastRng;
-use respct_bench::table::{f3, json_line, Table};
 use respct_ds::PHashMap;
+use respct_figs::args::BenchArgs;
+use respct_figs::driver::FastRng;
+use respct_figs::table::{f3, json_line, Table};
 use respct_pmem::{Region, RegionConfig};
 
 fn main() {

@@ -5,13 +5,13 @@
 use std::time::Duration;
 
 use respct_apps::{dedup, linreg, matmul, swaptions, wordcount, Mode};
-use respct_bench::args::BenchArgs;
-use respct_bench::table::{f3, json_line, Table};
+use respct_figs::args::BenchArgs;
+use respct_figs::table::{f3, json_line, Table};
 
 fn main() {
     let args = BenchArgs::parse();
     let threads = *args.threads.iter().max().unwrap_or(&4);
-    let period = Duration::from_millis(respct_bench::DEFAULT_PERIOD_MS);
+    let period = Duration::from_millis(respct_figs::DEFAULT_PERIOD_MS);
     println!("# Fig. 13 — compute applications, {threads} threads, normalized exec time");
     let mut table = Table::new(&["app", "mode", "time_ms", "normalized"]);
 

@@ -11,8 +11,8 @@ use std::time::Duration;
 use respct_apps::kvstore::{run, KvConfig};
 use respct_apps::ycsb::Workload;
 use respct_apps::Mode;
-use respct_bench::args::BenchArgs;
-use respct_bench::table::{f3, json_line, Table};
+use respct_figs::args::BenchArgs;
+use respct_figs::table::{f3, json_line, Table};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -45,7 +45,7 @@ fn main() {
                 ops_per_client,
                 workload: wl.clone(),
                 mode,
-                ckpt_period: Duration::from_millis(respct_bench::DEFAULT_PERIOD_MS),
+                ckpt_period: Duration::from_millis(respct_figs::DEFAULT_PERIOD_MS),
             };
             let out = run(&cfg);
             if mode == Mode::TransientDram {

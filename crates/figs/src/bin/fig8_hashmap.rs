@@ -8,15 +8,12 @@
 
 use std::time::Duration;
 
-use respct::PoolConfig;
-use respct_bench::args::BenchArgs;
-use respct_bench::driver::Throughput;
-use respct_bench::systems::{measure_map_system, measure_respct_map, MapBenchSpec, MAP_SYSTEMS};
-use respct_bench::table::{f3, json_line, write_flush_json, FlushRecord, Table};
+use respct_figs::args::BenchArgs;
+use respct_figs::systems::{measure_map_system, MapBenchSpec, MAP_SYSTEMS};
+use respct_figs::table::{f3, json_line, Table};
 
 fn main() {
     let args = BenchArgs::parse();
-    let mut flush_records: Vec<FlushRecord> = Vec::new();
     let keyspace = args.scaled(100_000, 2_000_000);
     let nbuckets = args.scaled(50_000, 1_000_000);
     let region_bytes = if args.full { 1536 << 20 } else { 256 << 20 };
@@ -42,26 +39,11 @@ fn main() {
                     keyspace,
                     nbuckets,
                     update_pct,
-                    period: Duration::from_millis(respct_bench::DEFAULT_PERIOD_MS),
+                    period: Duration::from_millis(respct_figs::DEFAULT_PERIOD_MS),
                     region_bytes,
                     seed: 0xf18,
                 };
-                // The ResPCT point also records its flush-pipeline phase
-                // split for BENCH_flush.json.
-                let t: Throughput = if *name == "respct" {
-                    let (t, snap) = measure_respct_map(name, spec, 0, 0);
-                    let shards = PoolConfig::default().resolved_shards();
-                    flush_records.push(FlushRecord {
-                        threads,
-                        flushers: 0,
-                        shards,
-                        mops: t.mops(),
-                        snap,
-                    });
-                    t
-                } else {
-                    measure_map_system(name, spec)
-                };
+                let t = measure_map_system(name, spec);
                 row.push(f3(t.mops()));
                 if args.json {
                     json_line(
@@ -78,9 +60,5 @@ fn main() {
             table.row(row);
         }
         table.print();
-    }
-    match write_flush_json("fig8_hashmap", &flush_records) {
-        Ok(path) => println!("(flush sweep written to {path})"),
-        Err(e) => eprintln!("failed to write BENCH_flush.json: {e}"),
     }
 }

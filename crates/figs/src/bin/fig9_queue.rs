@@ -4,9 +4,9 @@
 
 use std::time::Duration;
 
-use respct_bench::args::BenchArgs;
-use respct_bench::systems::{measure_queue_system, QueueBenchSpec, QUEUE_SYSTEMS};
-use respct_bench::table::{f3, json_line, Table};
+use respct_figs::args::BenchArgs;
+use respct_figs::systems::{measure_queue_system, QueueBenchSpec, QUEUE_SYSTEMS};
+use respct_figs::table::{f3, json_line, Table};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -27,7 +27,7 @@ fn main() {
                     threads,
                     secs: args.secs,
                     prefill: 1000,
-                    period: Duration::from_millis(respct_bench::DEFAULT_PERIOD_MS),
+                    period: Duration::from_millis(respct_figs::DEFAULT_PERIOD_MS),
                     region_bytes,
                     seed: 0xf19,
                 },

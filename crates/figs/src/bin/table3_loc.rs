@@ -7,7 +7,7 @@
 //! `init_cell_at`, `checkpoint_*`, `register`, cell bookkeeping) plus the
 //! persistent-state declarations, against each module's total.
 
-use respct_bench::table::Table;
+use respct_figs::table::Table;
 
 const API_MARKERS: &[&str] = &[
     ".rp(",

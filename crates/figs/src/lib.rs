@@ -1,4 +1,5 @@
-//! Benchmark harness for the ResPCT reproduction.
+//! Figure harness for the ResPCT reproduction (the repository's benchmark
+//! is the standalone `respct-bench/` package, not this crate).
 //!
 //! One binary per paper exhibit (see `src/bin/`): each prints the same rows
 //! or series the paper's table/figure reports, plus the parameters used.

@@ -85,7 +85,7 @@ pub fn measure_map_system(name: &str, s: MapBenchSpec) -> Throughput {
             prefill_map(&m, s.keyspace);
             run_map_mix(&m, s.threads, s.secs, s.keyspace, s.update_pct, s.seed)
         }
-        "respct" | "respct-incll" | "respct-noflush" => measure_respct_map(name, s, 0, 0).0,
+        "respct" | "respct-incll" | "respct-noflush" => measure_respct_map(name, s, 0).0,
         "pmthreads" => {
             let p = Arc::new(PmThreadsPolicy::new(
                 Region::new(RegionConfig::fast(s.region_bytes)),
@@ -150,18 +150,17 @@ pub fn measure_map_system(name: &str, s: MapBenchSpec) -> Throughput {
 }
 
 /// Builds + pre-fills + measures a ResPCT map variant, returning the pool's
-/// checkpoint statistics alongside the throughput (feeds the flush-pipeline
-/// study and `BENCH_flush.json`). `flushers` sizes the dedicated flusher
-/// pool; `shards == 0` sizes the flush shard count automatically.
+/// checkpoint statistics alongside the throughput (feeds the flusher-pool
+/// ablation). `flushers` sizes the dedicated flusher pool; the flush shard
+/// count follows from it.
 ///
 /// # Panics
 ///
-/// Panics on an unknown variant name or an invalid flusher/shard combination.
+/// Panics on an unknown variant name or an invalid flusher count.
 pub fn measure_respct_map(
     name: &str,
     s: MapBenchSpec,
     flushers: usize,
-    shards: usize,
 ) -> (Throughput, CkptSnapshot) {
     let mode = match name {
         "respct-noflush" => CheckpointMode::NoFlush,
@@ -172,7 +171,6 @@ pub fn measure_respct_map(
     let cfg = PoolConfig::builder()
         .mode(mode)
         .flusher_threads(flushers)
-        .flush_shards(shards)
         .build()
         .expect("pool config");
     let pool = Pool::create(region, cfg).expect("pool");

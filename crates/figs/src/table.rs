@@ -82,62 +82,6 @@ pub fn json_line(figure: &str, fields: &[(&str, String)]) {
     println!("{s}");
 }
 
-/// One data point of the flush-pipeline study, serialized into
-/// `BENCH_flush.json` by [`write_flush_json`].
-#[derive(Debug, Clone, Copy)]
-pub struct FlushRecord {
-    /// Worker threads driving the workload.
-    pub threads: usize,
-    /// Dedicated flusher threads (0 = the checkpointer flushes inline).
-    pub flushers: usize,
-    /// Flush shards the pipeline partitioned tracked lines into.
-    pub shards: usize,
-    /// Workload throughput in Mops/s.
-    pub mops: f64,
-    /// Checkpoint counters accumulated over the measurement.
-    pub snap: respct::CkptSnapshot,
-}
-
-impl FlushRecord {
-    fn to_json(self) -> String {
-        let s = self.snap;
-        format!(
-            "{{\"threads\":{},\"flushers\":{},\"shards\":{},\"mops\":{:.3},\
-             \"ckpts\":{},\"lines\":{},\"mean_lines\":{:.1},\"wait_ns\":{},\
-             \"partition_ns\":{},\"flush_ns\":{},\"total_ns\":{}}}",
-            self.threads,
-            self.flushers,
-            self.shards,
-            self.mops,
-            s.count,
-            s.lines_flushed,
-            s.mean_lines(),
-            s.wait_ns,
-            s.partition_ns,
-            s.flush_ns,
-            s.total_ns,
-        )
-    }
-}
-
-/// Writes the flush-pipeline records to `BENCH_flush.json` in the working
-/// directory (override the path with `$BENCH_FLUSH_JSON`); returns the path
-/// written. One top-level object, so tooling can `jq '.records[]'` it.
-///
-/// # Errors
-///
-/// Propagates the underlying filesystem write error.
-pub fn write_flush_json(bench: &str, records: &[FlushRecord]) -> std::io::Result<String> {
-    let path = std::env::var("BENCH_FLUSH_JSON").unwrap_or_else(|_| "BENCH_flush.json".to_string());
-    let body: Vec<String> = records.iter().map(|r| r.to_json()).collect();
-    let s = format!(
-        "{{\"bench\":\"{bench}\",\"records\":[{}]}}\n",
-        body.join(",")
-    );
-    std::fs::write(&path, s)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,35 +108,5 @@ mod tests {
     #[test]
     fn f3_formats() {
         assert_eq!(f3(1.23456), "1.235");
-    }
-
-    #[test]
-    fn flush_record_json_shape() {
-        let r = FlushRecord {
-            threads: 4,
-            flushers: 2,
-            shards: 8,
-            mops: 1.5,
-            snap: respct::CkptSnapshot {
-                count: 3,
-                lines_flushed: 300,
-                wait_ns: 10,
-                partition_ns: 20,
-                flush_ns: 30,
-                stw_ns: 55,
-                drain_ns: 0,
-                total_ns: 60,
-            },
-        };
-        let j = r.to_json();
-        for needle in [
-            "\"flushers\":2",
-            "\"shards\":8",
-            "\"mean_lines\":100.0",
-            "\"partition_ns\":20",
-            "\"flush_ns\":30",
-        ] {
-            assert!(j.contains(needle), "{j}");
-        }
     }
 }

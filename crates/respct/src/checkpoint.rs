@@ -15,13 +15,14 @@
 //!
 //! At checkpoint time the stop-the-world section merely *moves* the
 //! per-slot shard lists out (O(slots × shards) pointer swaps, no sorting);
-//! whoever drains the epoch merges them per shard. Flusher threads then
-//! claim whole shards from a shared counter; each claimer sorts + dedups
+//! whoever drains the epoch merges them per shard. Claimers — the flusher
+//! threads, or the draining thread itself when the pool has none — then
+//! take whole shards from a shared counter; each claimer sorts + dedups
 //! its shard locally, writes the lines back, and issues **one** fence
-//! after its last shard. The serial O(n log n) sort and the old
-//! chunk-scatter/ack channel round-trip per chunk are both gone: the
-//! drainer sends one job message per flusher and waits for one ack per
-//! flusher.
+//! after its last shard ([`ShardJob::work`], the only shard loop). The
+//! serial O(n log n) sort and the old chunk-scatter/ack channel round-trip
+//! per chunk are both gone: the drainer sends one job message per flusher
+//! and waits for one ack per flusher.
 //!
 //! # Two tails
 //!
@@ -38,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use respct_pmem::{PAddr, Region, SyncToken, TraceMarker};
 
@@ -61,7 +62,7 @@ pub fn shard_of_line(line: u64, nshards: usize) -> usize {
     ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (nshards - 1)
 }
 
-/// What one flusher (or the checkpointer, inline) did for one shard.
+/// What one shard's claimer (a flusher, or the draining thread) did for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardReport {
     /// Shard index.
@@ -423,12 +424,14 @@ impl Flusher {
         (total, reports)
     }
 
-    /// The flush phase of a checkpoint: per-shard merge, sort, dedup,
-    /// write-back and fence — parallel when a flusher pool exists, inline
-    /// otherwise. Returns the unique line count and the per-shard breakdown.
+    /// The flush phase of a checkpoint: per-shard merge, then one
+    /// [`ShardJob`] whose shards are sorted, deduped, written back and
+    /// fenced by [`ShardJob::work`] — on the flusher threads when a pool
+    /// exists, on the draining thread (the sole claimer) otherwise. Returns
+    /// the unique line count and the per-shard breakdown.
     fn flush_phase(&self, lists: EpochLists) -> (u64, Vec<ShardReport>) {
         // Merge: the first list of a shard is moved, later ones appended —
-        // no sorting here; dedup happens per shard, in parallel, below.
+        // no sorting here; dedup happens per shard, by its claimer.
         let mut shards: Vec<Vec<u64>> = vec![Vec::new(); self.nshards];
         for (s, mut list) in lists {
             if shards[s].is_empty() {
@@ -446,113 +449,58 @@ impl Flusher {
             // count matches what a full checkpoint would have written back.
             return Self::count_shards(shards);
         }
-        if shards.iter().all(std::vec::Vec::is_empty) {
+        let tasks: Vec<ShardTask> = shards
+            .into_iter()
+            .enumerate()
+            .filter(|(_, l)| !l.is_empty())
+            .map(|(s, l)| ShardTask {
+                shard: s,
+                state: Mutex::new(ShardTaskState {
+                    lines: l,
+                    report: None,
+                }),
+            })
+            .collect();
+        if tasks.is_empty() {
             return (0, Vec::new());
         }
-        // Test-only injected faults: drop one write-back, the global fence,
-        // or one shard's fence (the parallel pipeline's failure mode).
+        // Test-only injected faults: drop one write-back (the middle line
+        // of the largest shard), every fence, one shard's fence (the last
+        // non-empty shard, so no claim follows it), or one ack's HB edge.
         #[cfg(feature = "fault-inject")]
-        let skip_one = self.take_fault(crate::pool::Fault::SkipOneFlush);
-        #[cfg(feature = "fault-inject")]
-        let skip_fence = self.take_fault(crate::pool::Fault::SkipFence);
-        #[cfg(feature = "fault-inject")]
-        let skip_fence_shard: Option<usize> = self
-            .take_fault(crate::pool::Fault::SkipShardFence)
-            .then(|| shards.iter().rposition(|s| !s.is_empty()).unwrap());
+        let (skip_one_shard, skip_fence, skip_fence_shard, drop_ack_edge) = {
+            use crate::pool::{Fault, SyncEdgeSite};
+            let largest = || tasks.iter().max_by_key(|t| t.state.lock().lines.len());
+            (
+                self.take_fault(Fault::SkipOneFlush)
+                    .then(|| largest().expect("non-empty").shard),
+                self.take_fault(Fault::SkipFence),
+                self.take_fault(Fault::SkipShardFence)
+                    .then(|| tasks.last().expect("non-empty").shard),
+                self.take_fault(Fault::DropSyncEdge(SyncEdgeSite::FlusherAck)),
+            )
+        };
         #[cfg(not(feature = "fault-inject"))]
-        let (skip_one, skip_fence, skip_fence_shard) = (false, false, None::<usize>);
-        #[cfg(feature = "fault-inject")]
-        let drop_ack_edge = self.take_fault(crate::pool::Fault::DropSyncEdge(
-            crate::pool::SyncEdgeSite::FlusherAck,
-        ));
-        #[cfg(not(feature = "fault-inject"))]
-        let drop_ack_edge = false;
-
-        match &self.workers {
-            Some(pool) if !skip_one && !skip_fence => {
-                pool.flush_shards(shards, skip_fence_shard, drop_ack_edge)
-            }
-            _ => self.flush_inline(shards, skip_one, skip_fence, skip_fence_shard),
-        }
-    }
-
-    /// Inline flush on the draining thread: every shard sorted, deduped,
-    /// written back; one fence at the end covers them all.
-    fn flush_inline(
-        &self,
-        shards: Vec<Vec<u64>>,
-        skip_one: bool,
-        skip_fence: bool,
-        skip_fence_shard: Option<usize>,
-    ) -> (u64, Vec<ShardReport>) {
-        // SkipOneFlush target: the middle line of the largest shard.
-        let skip_one_shard = skip_one.then(|| {
-            shards
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, l)| l.len())
-                .map(|(i, _)| i)
-                .unwrap()
+        let (skip_one_shard, skip_fence, skip_fence_shard, drop_ack_edge) =
+            (None, false, None, false);
+        let job = Arc::new(ShardJob {
+            tasks,
+            next: AtomicUsize::new(0),
+            skip_one_shard,
+            skip_fence,
+            skip_fence_shard,
+            drop_ack_edge: AtomicBool::new(drop_ack_edge),
         });
+        match &self.workers {
+            Some(pool) => pool.run(&job),
+            None => job.work(&self.region),
+        }
         let mut total = 0u64;
-        let mut reports: Vec<ShardReport> = Vec::new();
-        // Shards written back but not yet covered by a fence.
-        let mut unfenced: Vec<usize> = Vec::new();
-        for (s, mut lines) in shards.into_iter().enumerate() {
-            if lines.is_empty() {
-                continue;
-            }
-            if skip_fence_shard == Some(s) {
-                // Fence everything written so far, so exactly this shard's
-                // write-backs race the epoch advance. (The marked shard is
-                // the last non-empty one, so the loop ends right after.)
-                self.region.psync();
-                for &sh in &unfenced {
-                    self.region
-                        .trace_marker(TraceMarker::ShardFlushEnd { shard: sh as u64 });
-                }
-                unfenced.clear();
-            }
-            let ts = Instant::now();
-            lines.sort_unstable();
-            lines.dedup();
-            let sort_ns = ts.elapsed().as_nanos() as u64;
-            self.region.trace_marker(TraceMarker::ShardFlushBegin {
-                shard: s as u64,
-                lines: lines.len() as u64,
-            });
-            let skip_line = (skip_one_shard == Some(s)).then(|| lines[lines.len() / 2]);
-            let tw = Instant::now();
-            for &line in &lines {
-                if Some(line) != skip_line {
-                    self.region.pwb_line(line);
-                }
-            }
-            total += lines.len() as u64;
-            reports.push(ShardReport {
-                shard: s,
-                lines: lines.len() as u64,
-                sort_ns,
-                flush_ns: tw.elapsed().as_nanos() as u64,
-            });
-            if skip_fence_shard != Some(s) {
-                unfenced.push(s);
-            }
-        }
-        // The marked shard is the last non-empty one, so skipping the final
-        // fence here leaves exactly its write-backs unfenced (earlier shards
-        // were covered by the psync issued when the marked shard was
-        // reached).
-        if !skip_fence && skip_fence_shard.is_none() {
-            self.region.psync();
-        }
-        if skip_fence_shard.is_none() {
-            // SkipFence still emits the End markers: the buggy runtime
-            // *claims* the shards are done, and the checker catches the
-            // unfenced write-backs at the order barrier.
-            for &sh in &unfenced {
-                self.region
-                    .trace_marker(TraceMarker::ShardFlushEnd { shard: sh as u64 });
+        let mut reports = Vec::with_capacity(job.tasks.len());
+        for t in &job.tasks {
+            if let Some(r) = t.state.lock().report.take() {
+                total += r.lines;
+                reports.push(r);
             }
         }
         (total, reports)
@@ -572,17 +520,25 @@ struct ShardTaskState {
     report: Option<ShardReport>,
 }
 
-/// One checkpoint's flush job, shared by every flusher. Workers claim
-/// whole shards by bumping `next`; a shard is sorted, deduped, and written
-/// back entirely by its claimer, which fences once after its last shard.
+/// One checkpoint's flush job, shared by every claimer. Claimers take whole
+/// shards by bumping `next`; a shard is sorted, deduped, and written back
+/// entirely by its claimer, which fences once after its last shard.
 struct ShardJob {
+    /// The non-empty shards, in ascending shard order.
     tasks: Vec<ShardTask>,
     next: AtomicUsize,
-    /// Fault injection: the worker that claims this shard skips its fence.
+    /// Fault injection: this shard's claimer drops its middle write-back.
+    skip_one_shard: Option<usize>,
+    /// Fault injection: no claimer fences (each still end-marks its shards —
+    /// the buggy runtime *claims* they are done, and the checker catches the
+    /// unfenced write-backs at the order barrier).
+    skip_fence: bool,
+    /// Fault injection: this shard's write-backs are neither fenced nor
+    /// end-marked.
     skip_fence_shard: Option<usize>,
     /// Fault injection: the first worker to finish this job does not report
     /// the release edge its acknowledgement carries (one-shot).
-    drop_ack_edge: std::sync::atomic::AtomicBool,
+    drop_ack_edge: AtomicBool,
 }
 
 impl ShardJob {
@@ -591,6 +547,71 @@ impl ShardJob {
         SyncToken::Chan {
             id: Arc::as_ptr(self) as u64,
         }
+    }
+
+    /// One claimer's share of a job — the only shard loop: claim shards
+    /// until none remain, then fence once and close the claimed shards.
+    fn work(&self, region: &Region) {
+        // Shards written back by this claimer and not yet fenced.
+        let mut unfenced: Vec<usize> = Vec::new();
+        let fence = |unfenced: &mut Vec<usize>| {
+            // A claimer with nothing unfenced issues no fence. (This matters
+            // beyond perf: one fast worker can consume several of the job's
+            // messages, and a no-op psync on the later receives would fence
+            // write-backs the earlier invocation deliberately left unfenced.)
+            if unfenced.is_empty() {
+                return;
+            }
+            if !self.skip_fence {
+                region.psync();
+            }
+            for shard in unfenced.drain(..) {
+                region.trace_marker(TraceMarker::ShardFlushEnd {
+                    shard: shard as u64,
+                });
+            }
+        };
+        loop {
+            let idx = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = self.tasks.get(idx) else {
+                break;
+            };
+            let racing = self.skip_fence_shard == Some(task.shard);
+            if racing {
+                // Fence what this claimer already wrote, so exactly the
+                // marked shard's write-backs race the commit. (It is the
+                // last task, so no claim follows it.)
+                fence(&mut unfenced);
+            }
+            let mut st = task.state.lock();
+            let ts = Instant::now();
+            let mut lines = std::mem::take(&mut st.lines);
+            lines.sort_unstable();
+            lines.dedup();
+            let sort_ns = ts.elapsed().as_nanos() as u64;
+            region.trace_marker(TraceMarker::ShardFlushBegin {
+                shard: task.shard as u64,
+                lines: lines.len() as u64,
+            });
+            let skip_line =
+                (self.skip_one_shard == Some(task.shard)).then(|| lines[lines.len() / 2]);
+            let tw = Instant::now();
+            for &line in &lines {
+                if Some(line) != skip_line {
+                    region.pwb_line(line);
+                }
+            }
+            st.report = Some(ShardReport {
+                shard: task.shard,
+                lines: lines.len() as u64,
+                sort_ns,
+                flush_ns: tw.elapsed().as_nanos() as u64,
+            });
+            if !racing {
+                unfenced.push(task.shard);
+            }
+        }
+        fence(&mut unfenced);
     }
 }
 
@@ -617,7 +638,7 @@ impl FlusherPool {
                     .name(format!("respct-flusher-{i}"))
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
-                            Self::work(&region, &job);
+                            job.work(&region);
                             // The ack publishes this worker's fences to the
                             // checkpointer: release before sending (unless a
                             // DropSyncEdge(FlusherAck) fault ate the edge).
@@ -641,94 +662,16 @@ impl FlusherPool {
         }
     }
 
-    /// One worker's share of a job: claim shards until none remain, then
-    /// fence once and close the claimed shards.
-    fn work(region: &Region, job: &ShardJob) {
-        let mut claimed: Vec<usize> = Vec::new();
-        let mut skip_fence = false;
-        loop {
-            let idx = job.next.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = job.tasks.get(idx) else {
-                break;
-            };
-            let mut st = task.state.lock();
-            let ts = Instant::now();
-            let mut lines = std::mem::take(&mut st.lines);
-            lines.sort_unstable();
-            lines.dedup();
-            let sort_ns = ts.elapsed().as_nanos() as u64;
-            region.trace_marker(TraceMarker::ShardFlushBegin {
-                shard: task.shard as u64,
-                lines: lines.len() as u64,
-            });
-            let tw = Instant::now();
-            for &line in &lines {
-                region.pwb_line(line);
-            }
-            st.report = Some(ShardReport {
-                shard: task.shard,
-                lines: lines.len() as u64,
-                sort_ns,
-                flush_ns: tw.elapsed().as_nanos() as u64,
-            });
-            drop(st);
-            if job.skip_fence_shard == Some(task.shard) {
-                skip_fence = true;
-            }
-            claimed.push(idx);
-        }
-        // A worker that claimed nothing issued no write-backs, so it has
-        // nothing to fence. (This matters beyond perf: one fast worker can
-        // consume several of the job's messages, and a no-op psync on the
-        // later receives would fence write-backs the earlier invocation
-        // deliberately left unfenced under `skip_fence_shard`.)
-        if !skip_fence && !claimed.is_empty() {
-            region.psync();
-            for &idx in &claimed {
-                region.trace_marker(TraceMarker::ShardFlushEnd {
-                    shard: job.tasks[idx].shard as u64,
-                });
-            }
-        }
-    }
-
-    /// Flushes the non-empty shards across the pool; returns when every
-    /// claimed shard is written back and fenced (one ack per worker, sent
-    /// after that worker's fence).
-    pub(crate) fn flush_shards(
-        &self,
-        shards: Vec<Vec<u64>>,
-        skip_fence_shard: Option<usize>,
-        drop_ack_edge: bool,
-    ) -> (u64, Vec<ShardReport>) {
-        let tasks: Vec<ShardTask> = shards
-            .into_iter()
-            .enumerate()
-            .filter(|(_, l)| !l.is_empty())
-            .map(|(s, l)| ShardTask {
-                shard: s,
-                state: Mutex::new(ShardTaskState {
-                    lines: l,
-                    report: None,
-                }),
-            })
-            .collect();
-        if tasks.is_empty() {
-            return (0, Vec::new());
-        }
-        let job = Arc::new(ShardJob {
-            tasks,
-            next: AtomicUsize::new(0),
-            skip_fence_shard,
-            drop_ack_edge: std::sync::atomic::AtomicBool::new(drop_ack_edge),
-        });
+    /// Runs `job` across the pool; returns when every shard is written back
+    /// and fenced (one ack per worker, sent after that worker's fence).
+    fn run(&self, job: &Arc<ShardJob>) {
         // One message per worker. A fast worker may consume several
         // messages; the extra receives claim nothing and ack immediately,
         // so n acks still imply every claimed shard was fenced by its
         // claimer before that claimer's ack.
         for _ in 0..self.n {
             self.job_tx
-                .send(Arc::clone(&job))
+                .send(Arc::clone(job))
                 .expect("flusher pool alive");
         }
         for _ in 0..self.n {
@@ -738,15 +681,6 @@ impl FlusherPool {
             // provably HB-after every shard write-back.
             self.region.sync_acquire(job.chan_token());
         }
-        let mut total = 0u64;
-        let mut reports = Vec::with_capacity(job.tasks.len());
-        for t in &job.tasks {
-            if let Some(r) = t.state.lock().report.take() {
-                total += r.lines;
-                reports.push(r);
-            }
-        }
-        (total, reports)
     }
 }
 
@@ -792,8 +726,8 @@ struct DrainCtx {
     /// Frees whose epochs have committed, parked until the next
     /// checkpoint recycles them.
     committed_frees: Mutex<Vec<(PAddr, usize)>>,
-    /// Test hook (`Pool::hold_drains`): park the worker without letting it
-    /// consume tickets, pinning multiple epochs in flight.
+    /// Test hook (`Pool::hold_drains`): park the worker before it drains
+    /// another ticket, pinning multiple epochs in flight.
     hold: AtomicBool,
 }
 
@@ -868,27 +802,20 @@ impl DrainExec {
         std::mem::take(&mut *self.ctx.committed_frees.lock())
     }
 
-    /// Parks (`true`) or releases (`false`) the worker without consuming
-    /// tickets — the deterministic way to pin several epochs in flight.
+    /// Parks (`true`) or releases (`false`) the worker before its next
+    /// drain — the deterministic way to pin several epochs in flight.
     #[cfg(feature = "fault-inject")]
     pub(crate) fn hold(&self, on: bool) {
         self.ctx.hold.store(on, Ordering::Release);
     }
 
     fn run(ctx: &DrainCtx, rx: &Receiver<DrainTicket>) {
-        loop {
-            if ctx.hold.load(Ordering::Acquire) {
+        while let Ok(ticket) = rx.recv() {
+            // `hold_drains` parks the worker here, the ticket in hand: its
+            // epoch stays uncommitted in the ring until the hold is released.
+            while ctx.hold.load(Ordering::Acquire) {
                 std::thread::yield_now();
-                continue;
             }
-            // A short timeout instead of a blocking `recv`, so a `hold`
-            // raised while the queue is empty parks the worker before the
-            // next ticket arrives.
-            let ticket = match rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(t) => t,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
             // Injected bug (`Fault::SkipRingOrder`): hold this ticket,
             // fully drain and commit its *successor* first, then commit
             // this one — `RingCommit` markers appear out of epoch order,
@@ -918,7 +845,7 @@ impl DrainExec {
         region.sync_acquire(ctx.ticket_token());
         let td = Instant::now();
         // Application threads are running the next epoch(s) now. The
-        // flushers (or this thread, inline) never take data-structure
+        // flushers (or this thread, as sole claimer) never take data-structure
         // locks, so a thread blocked in the push-out wait cannot deadlock
         // the drain.
         (report.lines, report.shards) = ctx.flusher.flush_phase(lists);
@@ -1053,19 +980,22 @@ mod tests {
     fn flusher_pool_flushes_everything() {
         let region = Region::new(RegionConfig::sim(1 << 20, SimConfig::no_eviction(9)));
         let heap = crate::layout::heap_start().0;
-        let nshards = 8;
-        let mut shards: Vec<Vec<u64>> = vec![Vec::new(); nshards];
+        let cfg = PoolConfig::builder()
+            .flusher_threads(4)
+            .flush_shards(8)
+            .build()
+            .unwrap();
+        let mut lists: EpochLists = Vec::new();
         for i in 0..100u64 {
             let a = PAddr(heap + i * 64);
             region.store(a, i + 1);
             let line = a.line();
-            shards[shard_of_line(line, nshards)].push(line);
             // Duplicates must be deduped per shard.
-            shards[shard_of_line(line, nshards)].push(line);
+            lists.push((shard_of_line(line, 8), vec![line, line]));
         }
-        let pool = FlusherPool::new(4, Arc::clone(&region));
-        let (total, reports) = pool.flush_shards(shards, None, false);
-        drop(pool);
+        let flusher = Flusher::new(Arc::clone(&region), &cfg);
+        let (total, reports) = flusher.flush_phase(lists);
+        drop(flusher);
         assert_eq!(total, 100);
         assert_eq!(reports.iter().map(|r| r.lines).sum::<u64>(), 100);
         let img = region.crash(respct_pmem::sim::CrashMode::PowerFailure);

@@ -40,8 +40,8 @@ pub enum CheckpointMode {
 #[cfg(feature = "fault-inject")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// The next full checkpoint skips the `pwb` of one tracked line
-    /// (inline-flush path): a missed-flush bug.
+    /// The next full checkpoint skips the `pwb` of one tracked line (the
+    /// middle line of its largest shard): a missed-flush bug.
     SkipOneFlush,
     /// The next first-update-in-epoch of an InCLL cell skips writing the
     /// in-line backup + epoch tag: a logging-rule bug.
@@ -701,7 +701,7 @@ impl Pool {
     }
 
     /// Pauses (`true`) or resumes (`false`) the drain executor *before* it
-    /// dequeues its next ticket. Test-only: lets tests park several claimed
+    /// drains its next ticket. Test-only: lets tests park several claimed
     /// epochs in the ring deterministically (e.g. to record a trace window
     /// with two drains genuinely outstanding). No-op without
     /// `async_checkpoint`.

@@ -380,11 +380,14 @@ impl Pool {
         // is only needed for its registry-walk helpers; build it now (no
         // application thread exists yet).
         let pool = Pool::attach(Arc::clone(&region), cfg, failed_epoch, true);
-        let mut scanned = 0u64;
-        let mut scan_span_ns = 0u64;
-        if threads == 1 {
+        // One worker's share of the scan: slots `w, w + threads, …`.
+        // Returns `(scanned, rolled, cpu_ns, lines)`.
+        let scan = |w: usize| {
             let cpu0 = thread_cpu_ns();
-            for slot in 0..MAX_THREADS {
+            let mut scanned = 0u64;
+            let mut rolled = 0u64;
+            let mut lines = Vec::new();
+            for slot in (w..MAX_THREADS).step_by(threads) {
                 let len = pool.reg_len_persistent(slot);
                 pool.for_each_registered(slot, len, |addr, l| {
                     scanned += 1;
@@ -393,40 +396,22 @@ impl Pool {
                     }
                 });
             }
-            scan_span_ns = thread_cpu_ns().saturating_sub(cpu0);
+            (scanned, rolled, thread_cpu_ns().saturating_sub(cpu0), lines)
+        };
+        let results: Vec<(u64, u64, u64, Vec<u64>)> = if threads == 1 {
+            vec![scan(0)]
         } else {
-            let results: Vec<(u64, u64, u64, Vec<u64>)> = std::thread::scope(|s| {
-                let mut joins = Vec::new();
-                for w in 0..threads {
-                    let pool = &pool;
-                    let region = &region;
-                    joins.push(s.spawn(move || {
-                        let cpu0 = thread_cpu_ns();
-                        let mut scanned = 0u64;
-                        let mut rolled = 0u64;
-                        let mut lines = Vec::new();
-                        let mut slot = w;
-                        while slot < MAX_THREADS {
-                            let len = pool.reg_len_persistent(slot);
-                            pool.for_each_registered(slot, len, |addr, l| {
-                                scanned += 1;
-                                if roll_back_cell(
-                                    region,
-                                    addr,
-                                    l,
-                                    failed_epoch,
-                                    recorded_epoch,
-                                    &mut lines,
-                                ) {
-                                    rolled += 1;
-                                }
-                            });
-                            slot += threads;
-                        }
-                        region.sync_release(recovery_join_token(region));
-                        (scanned, rolled, thread_cpu_ns().saturating_sub(cpu0), lines)
-                    }));
-                }
+            let results = std::thread::scope(|s| {
+                let joins: Vec<_> = (0..threads)
+                    .map(|w| {
+                        let (scan, region) = (&scan, &region);
+                        s.spawn(move || {
+                            let r = scan(w);
+                            region.sync_release(recovery_join_token(region));
+                            r
+                        })
+                    })
+                    .collect();
                 joins
                     .into_iter()
                     .map(|j| j.join().expect("recovery worker"))
@@ -436,12 +421,15 @@ impl Pool {
             // worker to this thread; report it so the workers' rollback
             // stores are visibly ordered before post-recovery execution.
             region.sync_acquire(recovery_join_token(&region));
-            for (s, r, cpu, mut l) in results {
-                scanned += s;
-                rolled += r;
-                scan_span_ns = scan_span_ns.max(cpu);
-                lines.append(&mut l);
-            }
+            results
+        };
+        let mut scanned = 0u64;
+        let mut scan_span_ns = 0u64;
+        for (s, r, cpu, mut l) in results {
+            scanned += s;
+            rolled += r;
+            scan_span_ns = scan_span_ns.max(cpu);
+            lines.append(&mut l);
         }
 
         // Phase 3: everything recovery rewrote — and every cell already

@@ -14,7 +14,7 @@ mkdir -p results
 run() {
     local name="$1"; shift
     echo "=== $name $*"
-    cargo run --release -q -p respct-bench --bin "$name" -- "$@" | tee "results/$name.txt"
+    cargo run --release -q -p respct-figs --bin "$name" -- "$@" | tee "results/$name.txt"
 }
 
 run fig8_hashmap  --threads 1,2,4 --secs 1 "${SCALE_ARGS[@]}"
@@ -25,5 +25,6 @@ run fig12_recovery --threads 4 "${SCALE_ARGS[@]}"
 run fig13_apps    --threads 4 "${SCALE_ARGS[@]}"
 run fig14_memcached "${SCALE_ARGS[@]}"
 run ablation_rp_placement --threads 4 "${SCALE_ARGS[@]}"
+run ablation_flushers --threads 4 "${SCALE_ARGS[@]}"
 run table3_loc
 echo "All results in results/"

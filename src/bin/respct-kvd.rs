@@ -16,8 +16,8 @@
 //! ```
 //!
 //! Readiness is announced on stdout (`kv listening <addr>` /
-//! `metrics listening <addr>`), which is how the crash test and the CI
-//! smoke job find ephemeral ports.
+//! `metrics listening <addr>`), which is how `tests/kv_crash.rs` and the
+//! benchmark find ephemeral ports.
 
 use std::time::Duration;
 

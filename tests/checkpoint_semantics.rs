@@ -11,6 +11,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use respct_analysis::Checker;
 use respct_repro::pmem::{sim::CrashMode, Region, RegionConfig, SimConfig};
+use respct_repro::respct::layout::FIRST_EPOCH;
 use respct_repro::respct::{
     CheckpointMode, Pool, PoolConfig, PoolError, RecoveryOptions, MAX_FLUSHERS, MAX_FLUSH_SHARDS,
 };
@@ -527,7 +528,14 @@ fn consistent_cut_across_causally_ordered_cells() {
         let stop = Arc::new(AtomicBool::new(false));
         let (a, b) = {
             let h = pool.register();
-            (h.alloc_cell(0u64), h.alloc_cell(0u64))
+            let cells = (h.alloc_cell(0u64), h.alloc_cell(0u64));
+            // Commit the allocations. If the periodic checkpointer never
+            // got to run in the window below, the crash would land in the
+            // epoch that allocated `a` and `b`: their registry entries
+            // would roll back with it and the stale handles would read
+            // un-rolled memory — whatever random eviction persisted.
+            h.checkpoint_here();
+            cells
         };
         let _ckpt = pool.start_checkpointer(Duration::from_millis(1));
         std::thread::scope(|s| {
@@ -551,7 +559,12 @@ fn consistent_cut_across_causally_ordered_cells() {
         drop(_ckpt);
         let img = region.crash(CrashMode::PowerFailure);
         region.restore(&img);
-        let (pool, _) = Pool::recover(Arc::clone(&region), PoolConfig::default()).expect("recover");
+        let (pool, report) =
+            Pool::recover(Arc::clone(&region), PoolConfig::default()).expect("recover");
+        assert!(
+            report.failed_epoch > FIRST_EPOCH,
+            "seed {seed}: the cells must outlive the crashed epoch"
+        );
         let (va, vb) = (pool.cell_get(a), pool.cell_get(b));
         // Both were updated in lock-step inside one critical section with
         // the RP outside it: any recovered cut has va == vb.

@@ -170,6 +170,26 @@ fn checker_classifies_dropped_shard_fence_parallel() {
     );
 }
 
+/// `SkipOneFlush` and `SkipFence` ride the same shard job as every other
+/// flush, so with a flusher pool they are injected on the flusher threads —
+/// and must still be caught.
+#[test]
+fn checker_catches_dropped_write_back_and_fence_on_the_parallel_path() {
+    for (fault, kind) in [
+        (Fault::SkipOneFlush, DiagnosticKind::MissedFlush),
+        (Fault::SkipFence, DiagnosticKind::CrossLineOrdering),
+    ] {
+        let (checker, _region, pool) = dirty_checked_pool(2, 23);
+        pool.inject_fault(fault);
+        pool.register().checkpoint_here();
+        let report = checker.report();
+        assert!(
+            !report.of_kind(kind).is_empty(),
+            "{fault:?} not detected on the parallel path:\n{report}"
+        );
+    }
+}
+
 /// Like [`dirty_checked_pool`] but with the queue container dirtying the
 /// lines: head/tail cursor cells plus freshly linked nodes, a different
 /// line-shape from the flat cell array (cursor lines are re-dirtied every

@@ -10,10 +10,14 @@
 //! contract (`end_batch` checkpoints before any response is released).
 //! Unacknowledged writes may or may not survive; BUSY rejections must not
 //! be counted as acknowledgements.
+//!
+//! A second test drives the binary's serving + live-metrics path the way an
+//! operator does: ephemeral ports from the readiness lines, a few requests,
+//! then a scrape of both HTTP routes.
 #![cfg(unix)]
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -29,22 +33,18 @@ const VALUE_LEN: usize = 64;
 const ACK_TARGET: usize = 300;
 const SETUP_TIMEOUT: Duration = Duration::from_secs(60);
 
-fn spawn_kvd(pool_path: &std::path::Path) -> (Child, std::net::SocketAddr) {
+/// Spawns `respct-kvd` on ephemeral ports with a 64 MiB pool plus `extra`
+/// flags; returns the child and the addresses its readiness lines announce
+/// (the metrics line, printed first, only under `--metrics-addr`).
+fn spawn_kvd(
+    backend: &str,
+    extra: &[&str],
+) -> (Child, std::net::SocketAddr, Option<std::net::SocketAddr>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_respct-kvd"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--batch",
-            "8",
-            "--sync",
-            "--period-ms",
-            "0",
-            "--pool-bytes",
-            &(64 << 20).to_string(),
-        ])
-        .env("RESPCT_BACKEND", format!("mmap:{}", pool_path.display()))
+        .args(["--addr", "127.0.0.1:0", "--workers", "2"])
+        .args(["--pool-bytes", &(64 << 20).to_string()])
+        .args(extra)
+        .env("RESPCT_BACKEND", backend)
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn respct-kvd");
@@ -58,22 +58,29 @@ fn spawn_kvd(pool_path: &std::path::Path) -> (Child, std::net::SocketAddr) {
             }
         }
     });
+    let mut metrics = None;
     let addr = loop {
         let line = rx
             .recv_timeout(SETUP_TIMEOUT)
             .expect("kvd readiness line before timeout");
+        if let Some(addr) = line.strip_prefix("metrics listening ") {
+            metrics = Some(addr.parse().expect("kvd printed a metrics address"));
+        }
         if let Some(addr) = line.strip_prefix("kv listening ") {
             break addr.parse().expect("kvd printed a socket address");
         }
     };
-    (child, addr)
+    (child, addr, metrics)
 }
 
 #[test]
 fn sigkill_under_load_keeps_every_acked_sync_write() {
     let path = std::env::temp_dir().join(format!("respct_kv_crash_{}.pool", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let (mut child, addr) = spawn_kvd(&path);
+    let (mut child, addr, _) = spawn_kvd(
+        &format!("mmap:{}", path.display()),
+        &["--batch", "8", "--sync", "--period-ms", "0"],
+    );
 
     // Acked keys, collected by the reader threads. The put for key k
     // carried the deterministic fill for (k, seed 1).
@@ -187,4 +194,101 @@ fn sigkill_under_load_keeps_every_acked_sync_write() {
 
     drop(pool);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Consumes one JSON value from the front of `s`; `None` if malformed.
+fn json_value(s: &str) -> Option<&str> {
+    let s = s.trim_start();
+    let close = match s.chars().next()? {
+        '{' => '}',
+        '[' => ']',
+        '"' => {
+            let mut escaped = false;
+            for (i, c) in s.char_indices().skip(1) {
+                match c {
+                    _ if escaped => escaped = false,
+                    '\\' => escaped = true,
+                    '"' => return Some(&s[i + 1..]),
+                    _ => {}
+                }
+            }
+            return None;
+        }
+        _ => {
+            let end = s.find([',', '}', ']']).unwrap_or(s.len());
+            let atom = s[..end].trim_end();
+            let ok = matches!(atom, "true" | "false" | "null") || atom.parse::<f64>().is_ok();
+            return ok.then(|| &s[end..]);
+        }
+    };
+    let mut rest = s[1..].trim_start();
+    if let Some(r) = rest.strip_prefix(close) {
+        return Some(r);
+    }
+    loop {
+        if close == '}' {
+            rest = json_value(rest)?.trim_start().strip_prefix(':')?;
+        }
+        rest = json_value(rest)?.trim_start();
+        if let Some(r) = rest.strip_prefix(close) {
+            return Some(r);
+        }
+        rest = rest.strip_prefix(',')?;
+    }
+}
+
+/// The serving + live-metrics path of the binary: both readiness lines, a
+/// few requests over the wire, then `/metrics` and `/json` on the endpoint
+/// `--metrics-addr` opened — runtime and KV families present, JSON valid.
+#[test]
+fn kvd_serves_requests_and_live_metrics() {
+    let (mut child, addr, metrics) = spawn_kvd("optane", &["--metrics-addr", "127.0.0.1:0"]);
+    let metrics = metrics.expect("--metrics-addr announces `metrics listening <addr>`");
+
+    let mut client = KvClient::connect(addr).expect("connect to kvd");
+    let mut value = vec![0u8; VALUE_LEN];
+    for key in 0..8u64 {
+        fill_value(&mut value, key, 1);
+        let put = KvRequest::Put {
+            key,
+            value: value.clone(),
+        };
+        let (_, resp) = client.call(key as u32, &put).expect("put");
+        assert_eq!(resp, KvResponse::Ok, "put {key}");
+        let (_, resp) = client
+            .call(key as u32, &KvRequest::Get { key })
+            .expect("get");
+        assert_eq!(resp, KvResponse::Value(value.clone()), "get {key}");
+    }
+
+    let get = |path: &str| {
+        let mut conn = std::net::TcpStream::connect(metrics).expect("connect to metrics");
+        let req = format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+        conn.write_all(req.as_bytes()).expect("send request");
+        let mut buf = String::new();
+        conn.read_to_string(&mut buf).expect("read response");
+        assert!(buf.starts_with("HTTP/1.1 200"), "GET {path}: {buf}");
+        buf
+    };
+    let prom = get("/metrics");
+    for family in [
+        "respct_kv_requests_total",
+        "respct_kv_queue_depth",
+        "respct_checkpoint_total_ns",
+    ] {
+        assert!(prom.contains(family), "{family} missing from /metrics");
+    }
+    let json = get("/json");
+    assert_eq!(json_value(r#"{"a":[1,"x\"y",{}],"b":null}"#), Some(""));
+    assert!(json_value(r#"{"a":}"#).is_none() && json_value(r#"{"a":1"#).is_none());
+    let body = json.split("\r\n\r\n").nth(1).expect("body");
+    assert!(body.contains("respct_kv_requests_total"));
+    assert_eq!(
+        json_value(body).map(str::trim),
+        Some(""),
+        "/json is not one JSON value: {body}"
+    );
+
+    child.kill().expect("stop kvd");
+    child.wait().expect("reap kvd");
 }
