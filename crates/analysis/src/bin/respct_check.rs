@@ -35,7 +35,7 @@
 //! deterministic single-threaded run of the workload is recorded, then
 //! every persistency-relevant instant of the trace is crashed — with the
 //! reachable eviction/write-back subsets enumerated up to `--budget`
-//! images per instant — recovered via [`Pool::recover_with`], and
+//! images per instant — recovered via [`Pool::recover`], and
 //! compared against the model snapshot of the last committed checkpoint.
 //! Any divergence fails the run; with `--trace-out PATH` the offending
 //! trace (one event per line) is written there for offline replay.

@@ -40,7 +40,7 @@
 //! KV store, plus crash/recovery cycles) under the checker and prints each
 //! report — a smoke test for the runtime's persistency discipline.
 //!
-//! The [`sweep`] module goes further than the online rules: it replays a
+//! The [`mod@sweep`] module goes further than the online rules: it replays a
 //! recorded trace, materializes the crash images reachable under PCSO at
 //! every persistency-relevant instant, runs real recovery on each, and
 //! compares the result against a model oracle (`respct-check --sweep`).

@@ -2,11 +2,11 @@
 //! over a recorded trace.
 //!
 //! The sweep replays a [`TraceEvent`] stream through a
-//! [`Replayer`](respct_pmem::Replayer) and, at every persistency-relevant
+//! [`Replayer`] and, at every persistency-relevant
 //! instant (each store, write-back, fence, eviction — and *always* at
 //! checkpoint-protocol boundaries like shard fences and the epoch commit),
 //! materializes the crash images reachable under PCSO at that instant. Each
-//! image is handed to [`Pool::recover_with`] on a synthetic region,
+//! image is handed to [`Pool::recover`] on a synthetic region,
 //! and the recovered pool is checked against a caller-supplied oracle —
 //! typically "the recovered structures equal the model snapshot of the last
 //! checkpoint that committed before this instant".
@@ -24,8 +24,8 @@
 use std::sync::Arc;
 
 use respct::layout::{MAGIC, OFF_MAGIC};
-use respct::{Pool, PoolConfig, RecoveryOptions, RecoveryReport};
-use respct_pmem::{is_crash_point, is_protocol_point, Replayer, TraceEvent};
+use respct::{Pool, PoolConfig, RecoveryReport};
+use respct_pmem::{is_crash_point, is_protocol_point, Region, Replayer, TraceEvent};
 
 use crate::report::{Diagnostic, DiagnosticKind, Report};
 
@@ -167,8 +167,7 @@ where
             // report it as a divergence, not die — it is exactly the
             // broken-protocol evidence the sweep exists to surface.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let opts = RecoveryOptions::from_image(&image).config(cfg.pool.clone());
-                match Pool::recover_with(opts) {
+                match Pool::recover(Region::from_image(&image), cfg.pool.clone()) {
                     Ok((pool, rec)) => (Some(rec.failed_epoch), oracle(&pool, &rec)),
                     Err(e) => (None, Err(format!("recovery failed: {e:?}"))),
                 }

@@ -1,8 +1,9 @@
 //! Backend selection shared by all applications.
 //!
 //! Every app's `Mode::Respct` path builds its region through
-//! [`nvmm_config`], so one environment variable swaps the persistence
-//! substrate for the whole suite without touching app code:
+//! [`nvmm_config`] (the KV service, which can also reopen a pool file, asks
+//! [`env_backend`] directly), so one environment variable swaps the
+//! persistence substrate for the whole suite without touching app code:
 //!
 //! * `RESPCT_BACKEND=optane` (default) — fast mode, calibrated Optane
 //!   latency model (the paper's emulation setup);
@@ -40,24 +41,26 @@ pub fn parse_backend(spec: &str) -> Option<RegionMode> {
     }
 }
 
+/// The backend named by `RESPCT_BACKEND` (default: emulated Optane) — the
+/// one place the variable is read.
+///
+/// # Errors
+///
+/// A message naming the value when it does not parse — a misspelled backend
+/// silently falling back to emulation would invalidate a benchmark run.
+pub fn env_backend() -> Result<RegionMode, String> {
+    let spec = std::env::var(BACKEND_ENV).unwrap_or_else(|_| "optane".into());
+    parse_backend(&spec).ok_or_else(|| format!("unrecognized {BACKEND_ENV} value: {spec:?}"))
+}
+
 /// The NVMM region config every app's ResPCT mode runs on: `size` bytes on
-/// the backend named by `RESPCT_BACKEND` (default: emulated Optane).
+/// the backend [`env_backend`] names.
 ///
 /// # Panics
 ///
-/// Panics on an unparseable `RESPCT_BACKEND` value — a misspelled backend
-/// silently falling back to emulation would invalidate a benchmark run.
+/// Panics on an unparseable `RESPCT_BACKEND` value.
 pub fn nvmm_config(size: usize) -> RegionConfig {
-    let mode = match std::env::var(BACKEND_ENV) {
-        Ok(spec) => parse_backend(&spec)
-            .unwrap_or_else(|| panic!("unrecognized {BACKEND_ENV} value: {spec:?}")),
-        Err(_) => RegionMode::Fast(LatencyModel::optane()),
-    };
-    RegionConfig::builder()
-        .size(size)
-        .mode(mode)
-        .build()
-        .expect("valid region config")
+    RegionConfig::new(size, env_backend().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// The pool config every app's ResPCT mode runs with: `RESPCT_PIPELINE=K`
@@ -134,10 +137,11 @@ mod tests {
     fn default_config_is_optane_fast() {
         // Uses the default arm only if the variable is unset; the test
         // environment does not set it.
-        if std::env::var(BACKEND_ENV).is_err() {
+        if std::env::var_os(BACKEND_ENV).is_none() {
+            assert!(matches!(env_backend(), Ok(RegionMode::Fast(m)) if !m.is_free()));
             let cfg = nvmm_config(1 << 20);
             assert_eq!(cfg.size(), 1 << 20);
-            assert!(matches!(cfg.mode(), RegionMode::Fast(_)));
+            assert!(matches!(cfg.mode(), RegionMode::Fast(m) if !m.is_free()));
         }
     }
 }

@@ -220,7 +220,7 @@ enum Store {
     },
 }
 
-/// Minimal NVMM-resident map for the Transient<NVMM> store so this crate
+/// Minimal NVMM-resident map for the `Transient<NVMM>` store so this crate
 /// does not depend on `respct-baselines` (which depends on `respct-ds`).
 mod respct_baselines_stub {
     use parking_lot::Mutex;

@@ -204,7 +204,6 @@ pub struct KvServerConfig {
     durability: Durability,
     ckpt_period: Option<Duration>,
     metrics: bool,
-    pool: Option<respct::PoolConfig>,
 }
 
 impl KvServerConfig {
@@ -265,13 +264,6 @@ impl KvServerConfig {
     pub fn metrics(&self) -> bool {
         self.metrics
     }
-
-    /// Explicit pool configuration (drain mode, pipeline depth). `None`
-    /// defers to the `RESPCT_PIPELINE` environment via
-    /// [`crate::backend::pool_config`].
-    pub fn pool_config(&self) -> Option<&respct::PoolConfig> {
-        self.pool.as_ref()
-    }
 }
 
 impl Default for KvServerConfig {
@@ -300,7 +292,6 @@ impl Default for KvServerConfigBuilder {
                 durability: Durability::Async,
                 ckpt_period: Some(Duration::from_millis(8)),
                 metrics: true,
-                pool: None,
             },
         }
     }
@@ -364,13 +355,6 @@ impl KvServerConfigBuilder {
     /// Record `respct_kv_*` metrics (default on).
     pub fn metrics(mut self, on: bool) -> Self {
         self.cfg.metrics = on;
-        self
-    }
-
-    /// Explicit [`respct::PoolConfig`] for the ResPCT engine, overriding
-    /// the `RESPCT_PIPELINE` environment (benchmark arms use this).
-    pub fn pool_config(mut self, pool: respct::PoolConfig) -> Self {
-        self.cfg.pool = Some(pool);
         self
     }
 

@@ -30,7 +30,6 @@ use respct_obs::{Counter, Histogram, MetricsRegistry, Unit};
 use respct_pmem::{align_up, PAddr, Region};
 
 use super::{Durability, KvError, KvRequest, KvResponse, KvServerConfig, RP_BATCH};
-use crate::backend::{parse_backend, BACKEND_ENV};
 use crate::Mode;
 
 /// Per-worker state: the registered [`ThreadHandle`] in ResPCT mode.
@@ -230,29 +229,14 @@ impl KvService {
                 )
             }
             Mode::Respct => {
-                let pool_cfg = cfg
-                    .pool_config()
-                    .cloned()
-                    .unwrap_or_else(|| crate::backend::pool_config_sized(cfg.pool_bytes()));
-                let mmap_path = match std::env::var(BACKEND_ENV) {
-                    Ok(spec) => match parse_backend(&spec) {
-                        Some(respct::RegionMode::Mmap(p)) => Some(p),
-                        Some(_) => None,
-                        None => {
-                            return Err(KvError::Config(format!(
-                                "unrecognized {BACKEND_ENV} value: {spec:?}"
-                            )));
-                        }
-                    },
-                    Err(_) => None,
-                };
-                let (pool, report) = match mmap_path {
+                let pool_cfg = crate::backend::pool_config_sized(cfg.pool_bytes());
+                let (pool, report) = match crate::backend::env_backend().map_err(KvError::Config)? {
                     // Create-or-recover: a pool file left by a previous
                     // (possibly SIGKILLed) server resumes from its last
                     // checkpoint.
-                    Some(path) => Pool::open(path, pool_cfg)?,
-                    None => {
-                        let region = Region::new(crate::backend::nvmm_config(cfg.pool_bytes()));
+                    respct::RegionMode::Mmap(path) => Pool::open(path, pool_cfg)?,
+                    mode => {
+                        let region = Region::new(respct::RegionConfig::new(cfg.pool_bytes(), mode));
                         if let Some(sink) = sink {
                             region.set_trace_sink(sink);
                         }

@@ -14,7 +14,7 @@
 //! transport-agnostic service the real TCP server (`respct-kvd`,
 //! [`crate::kv::server`]) runs on; this file owns only threads and
 //! channels. Workers follow the service's batch discipline: up to
-//! [`BATCH`] queued requests per [`KvService::apply`] run, one restart
+//! `BATCH` queued requests per [`KvService::apply`] run, one restart
 //! point per batch via [`KvService::end_batch`], and the §3.3.3
 //! blocking-call protocol around the queue receive.
 

@@ -1,5 +1,5 @@
 //! Paper Fig. 10: decomposition of ResPCT's overhead at the largest thread
-//! count. Configurations, each normalized to Transient<DRAM>:
+//! count. Configurations, each normalized to `Transient<DRAM>`:
 //!
 //! * `transient-nvmm`  — just running on the slower medium;
 //! * `respct-incll`    — + InCLL logging and modification tracking, but no

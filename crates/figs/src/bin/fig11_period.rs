@@ -1,6 +1,6 @@
 //! Paper Fig. 11: ResPCT throughput as a function of the checkpoint period
 //! (1 ms … 64 ms), write-intensive hash-map workload at the largest thread
-//! count, normalized to Transient<DRAM>.
+//! count, normalized to `Transient<DRAM>`.
 //!
 //! Also reports the *effective* epoch duration (wall time between completed
 //! checkpoints) versus the configured one — the paper measures 5 ms for a

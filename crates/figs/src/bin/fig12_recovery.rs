@@ -4,11 +4,11 @@
 //!
 //! Methodology: build the map, run a write burst so the final epoch is full
 //! of modifications, "crash" without a final checkpoint, and time
-//! `Pool::recover_with` — the registry scan plus rollback of every
+//! `Pool::recover` — the registry scan plus rollback of every
 //! cell stamped with the failed epoch. Quick mode scales bucket counts down
 //! 10×; `--full` uses the paper's 0.5M–4M.
 
-use respct::{Pool, PoolConfig, RecoveryOptions};
+use respct::{Pool, PoolConfig};
 use respct_ds::PHashMap;
 use respct_figs::args::BenchArgs;
 use respct_figs::driver::FastRng;
@@ -57,9 +57,11 @@ fn main() {
         drop(pool);
         // "Reboot": recover on the same region (the volatile image stands in
         // for the persisted one — identical scan + rollback work).
-        let (pool2, report) =
-            Pool::recover_with(RecoveryOptions::from_region(Arc::clone(&region)).threads(threads))
-                .expect("recover");
+        let cfg = PoolConfig::builder()
+            .recovery_threads(threads)
+            .build()
+            .expect("--threads");
+        let (pool2, report) = Pool::recover(Arc::clone(&region), cfg).expect("recover");
         let ms = report.duration.as_secs_f64() * 1e3;
         table.row(vec![
             nbuckets.to_string(),

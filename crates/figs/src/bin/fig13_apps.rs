@@ -1,5 +1,5 @@
 //! Paper Fig. 13: execution time of the compute-intensive applications
-//! (Dedup, Swaptions, MatMul, LR) normalized to Transient<DRAM>, with
+//! (Dedup, Swaptions, MatMul, LR) normalized to `Transient<DRAM>`, with
 //! 64 ms checkpoints. The paper reports ResPCT between 1.17× and 1.21×.
 
 use std::time::Duration;

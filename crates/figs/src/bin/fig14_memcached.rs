@@ -1,6 +1,6 @@
 //! Paper Fig. 14: memcached-like KV store throughput (kops/s) under
 //! YCSB-style read-intensive / balanced / write-intensive mixes, for
-//! Transient<DRAM>, Transient<NVMM>, and ResPCT (asynchronous writes —
+//! `Transient<DRAM>`, `Transient<NVMM>`, and ResPCT (asynchronous writes —
 //! responses do not wait for durability).
 //!
 //! The paper uses 10^6 keys, 100-byte values, 32 clients, 4 workers; quick

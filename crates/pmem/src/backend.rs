@@ -1,296 +1,82 @@
-//! Pluggable persistence backends behind [`Region`](crate::Region).
+//! The backends a [`Region`](crate::Region) runs on, and the heap arena two
+//! of them share.
 //!
-//! A [`PmemBackend`] owns the bytes a region addresses and decides what
-//! `pwb`/`psync` mean for them. Three implementations ship with the crate:
-//!
-//! * [`FastBackend`] — a zeroed heap arena; `pwb` only *accounts* for the
+//! * **Fast** — a zeroed heap arena; `pwb` only *accounts* for the
 //!   write-back (issue cost now, bandwidth-bound drain at `psync`) because
 //!   flushing emulated-NVMM DRAM buys no durability and the real `clwb`
 //!   costs ~150 ns of host overhead per line. The calibrated
-//!   [`LatencyModel`] charges NVMM costs instead.
-//! * [`SimBackend`] — the same heap arena plus the PCSO [`CacheSim`]:
-//!   every store is interposed, crash injection and recovery are available.
-//! * [`MmapBackend`](crate::mmap::MmapBackend) — a file-backed mapping;
-//!   `pwb` issues the real `clwb` on the mapped line and the pool survives
-//!   the process (see the `mmap` module docs for exactly what is and is not
-//!   guaranteed).
+//!   [`LatencyModel`](crate::latency::LatencyModel) charges NVMM costs
+//!   instead.
+//! * **Sim** — the same heap arena plus the PCSO
+//!   [`CacheSim`](crate::sim::CacheSim): every store is interposed, crash
+//!   injection and recovery are available.
+//! * **Mmap** — a file-backed mapping; `pwb` issues the real `clwb` on the
+//!   mapped line and the pool survives the process (see the `mmap` module
+//!   docs for exactly what is and is not guaranteed).
 //!
-//! [`Region`](crate::Region) caches the backend's base pointer, latency
-//! model, and simulator handle at construction, so the store/load hot paths
-//! cost exactly what they did before this trait existed; dynamic dispatch
-//! happens only on `pwb`, `psync`, and `sync_data`.
+//! All three live in this crate, so `Region` dispatches over them with one
+//! `match` in `try_new` and one in each of `pwb`, `psync` and `sync_data`.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
-use std::path::Path;
-use std::sync::Arc;
 
 use crate::error::RegionError;
-use crate::latency::{drain_psync, note_pwb, LatencyModel};
-use crate::sim::{CacheSim, SimConfig};
-use crate::stats::PmemStats;
-use crate::{arch, CACHE_LINE};
+use crate::CACHE_LINE;
 
 /// Which backend a region runs on (for reporting and test gating).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Heap arena, accounting-only write-backs ([`FastBackend`]).
+    /// Heap arena, accounting-only write-backs.
     Fast,
-    /// Heap arena with the PCSO simulator ([`SimBackend`]).
+    /// Heap arena with the PCSO simulator.
     Sim,
-    /// File-backed mapping with real flushes
-    /// ([`MmapBackend`](crate::mmap::MmapBackend)).
+    /// File-backed mapping with real flushes.
     Mmap,
 }
 
-/// The persistence substrate a [`Region`](crate::Region) runs on.
-///
-/// # Safety contract (for implementors)
-///
-/// `base()` must return a pointer to at least `size()` bytes, valid and
-/// writable for the whole lifetime of the backend, aligned to 4096 bytes,
-/// with `size()` a whole number of cache lines. The region performs relaxed
-/// atomic accesses through this pointer from many threads concurrently.
-pub trait PmemBackend: Send + Sync {
-    /// Which kind of backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Base pointer of the arena (see the trait-level safety contract).
-    fn base(&self) -> *mut u8;
-
-    /// Arena size in bytes (whole number of cache lines).
-    fn size(&self) -> usize;
-
-    /// The latency model charged on loads/stores/write-backs.
-    fn latency(&self) -> LatencyModel {
-        LatencyModel::dram()
-    }
-
-    /// The PCSO simulator, if this backend interposes stores.
-    fn sim(&self) -> Option<&Arc<CacheSim>> {
-        None
-    }
-
-    /// Instruction/event counters shared with the region.
-    fn stats(&self) -> &Arc<PmemStats>;
-
-    /// Initiates a write-back of cache line `line` (paper's `pwb`).
-    /// Only called on backends without a simulator; sim-mode write-backs
-    /// route through [`CacheSim::pwb`] directly.
-    fn pwb(&self, line: u64);
-
-    /// Drains this thread's outstanding write-backs (paper's `psync`).
-    /// Only called on backends without a simulator.
-    fn psync(&self);
-
-    /// Flushes the arena to its backing store, if it has one (`msync` for
-    /// file mappings). No-op for volatile arenas.
-    fn sync_data(&self) -> Result<(), RegionError> {
-        Ok(())
-    }
-
-    /// Path of the backing file, if any.
-    fn path(&self) -> Option<&Path> {
-        None
-    }
-
-    /// Whether this backend created its arena from scratch (`true`) or
-    /// mapped existing content that may need recovery (`false`).
-    fn was_created(&self) -> bool {
-        true
-    }
-}
-
 /// A zeroed, page-aligned heap allocation sized in whole cache lines.
-struct OwnedArena {
-    ptr: *mut u8,
+pub(crate) struct HeapArena {
+    pub(crate) ptr: *mut u8,
     layout: Layout,
 }
 
 // SAFETY: the allocation is owned for the arena's whole lifetime and only
 // accessed through atomic operations by the region.
-unsafe impl Send for OwnedArena {}
+unsafe impl Send for HeapArena {}
 // SAFETY: as above.
-unsafe impl Sync for OwnedArena {}
+unsafe impl Sync for HeapArena {}
 
-impl OwnedArena {
-    /// Allocates `size` zeroed bytes (already line-rounded by the caller).
+impl HeapArena {
+    /// Allocates `size` zeroed bytes, rounded up to whole cache lines.
+    ///
+    /// # Errors
+    ///
+    /// [`RegionError::InvalidConfig`] for a zero size.
     ///
     /// # Panics
     ///
-    /// Panics if the allocation fails (consistent with `Region::new`'s
-    /// historical contract; allocation failure is not a recoverable
-    /// configuration error).
-    fn new(size: usize) -> OwnedArena {
-        debug_assert!(size > 0 && size.is_multiple_of(CACHE_LINE));
+    /// Panics if the allocation fails (allocation failure is not a
+    /// recoverable configuration error).
+    pub(crate) fn new(size: usize) -> Result<HeapArena, RegionError> {
+        if size == 0 {
+            return Err(RegionError::InvalidConfig("region size must be positive"));
+        }
+        let size = crate::align_up(size as u64, CACHE_LINE as u64) as usize;
         let layout = Layout::from_size_align(size, 4096).expect("valid region layout");
         // SAFETY: `layout` has non-zero size.
         let ptr = unsafe { alloc_zeroed(layout) };
         assert!(!ptr.is_null(), "region allocation of {size} bytes failed");
-        OwnedArena { ptr, layout }
+        Ok(HeapArena { ptr, layout })
+    }
+
+    /// Arena size in bytes (whole number of cache lines).
+    pub(crate) fn size(&self) -> usize {
+        self.layout.size()
     }
 }
 
-impl Drop for OwnedArena {
+impl Drop for HeapArena {
     fn drop(&mut self) {
         // SAFETY: `ptr` was allocated with exactly `layout` in `new`.
         unsafe { dealloc(self.ptr, self.layout) };
-    }
-}
-
-/// Benchmark backend: heap arena, modeled NVMM latency, accounting-only
-/// write-backs. See the module docs for why `pwb` does not issue `clwb`.
-pub struct FastBackend {
-    arena: OwnedArena,
-    size: usize,
-    latency: LatencyModel,
-    latency_free: bool,
-    stats: Arc<PmemStats>,
-}
-
-impl FastBackend {
-    /// Allocates a zeroed fast-mode arena of `size` bytes (line-rounded).
-    pub fn new(size: usize, latency: LatencyModel) -> FastBackend {
-        let size = crate::align_up(size as u64, CACHE_LINE as u64) as usize;
-        FastBackend {
-            arena: OwnedArena::new(size),
-            size,
-            latency,
-            latency_free: latency.is_free(),
-            stats: Arc::new(PmemStats::default()),
-        }
-    }
-}
-
-impl PmemBackend for FastBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Fast
-    }
-
-    fn base(&self) -> *mut u8 {
-        self.arena.ptr
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn latency(&self) -> LatencyModel {
-        self.latency
-    }
-
-    fn stats(&self) -> &Arc<PmemStats> {
-        &self.stats
-    }
-
-    fn pwb(&self, _line: u64) {
-        self.stats.count_pwb();
-        if !self.latency_free {
-            note_pwb(&self.latency);
-        }
-    }
-
-    fn psync(&self) {
-        self.stats.count_psync();
-        // An `sfence` still orders our (relaxed atomic) stores cheaply and
-        // mirrors the paper's instruction sequence.
-        arch::psync();
-        if !self.latency_free {
-            drain_psync(&self.latency);
-        }
-    }
-}
-
-/// Test backend: heap arena + the PCSO persistence simulator.
-pub struct SimBackend {
-    arena: OwnedArena,
-    size: usize,
-    sim: Arc<CacheSim>,
-    stats: Arc<PmemStats>,
-}
-
-impl SimBackend {
-    /// Allocates a zeroed sim-mode arena of `size` bytes (line-rounded).
-    pub fn new(size: usize, cfg: SimConfig) -> SimBackend {
-        let size = crate::align_up(size as u64, CACHE_LINE as u64) as usize;
-        let arena = OwnedArena::new(size);
-        let stats = Arc::new(PmemStats::default());
-        let sim = Arc::new(CacheSim::new(cfg, size, Arc::clone(&stats)));
-        sim.attach(arena.ptr);
-        SimBackend {
-            arena,
-            size,
-            sim,
-            stats,
-        }
-    }
-}
-
-impl PmemBackend for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
-    fn base(&self) -> *mut u8 {
-        self.arena.ptr
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn sim(&self) -> Option<&Arc<CacheSim>> {
-        Some(&self.sim)
-    }
-
-    fn stats(&self) -> &Arc<PmemStats> {
-        &self.stats
-    }
-
-    fn pwb(&self, line: u64) {
-        self.sim.pwb(line);
-    }
-
-    fn psync(&self) {
-        self.sim.psync();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fast_backend_rounds_and_zeroes() {
-        let b = FastBackend::new(100, LatencyModel::dram());
-        assert_eq!(b.size(), 128);
-        assert_eq!(b.kind(), BackendKind::Fast);
-        assert!(b.sim().is_none());
-        assert!(b.was_created());
-        assert!(b.path().is_none());
-        // SAFETY: reading the zeroed arena we just allocated.
-        let first = unsafe { *b.base() };
-        assert_eq!(first, 0);
-        b.sync_data().unwrap();
-    }
-
-    #[test]
-    fn fast_backend_counts_flushes() {
-        let b = FastBackend::new(4096, LatencyModel::dram());
-        b.pwb(0);
-        b.pwb(1);
-        b.psync();
-        let snap = b.stats().snapshot();
-        assert_eq!(snap.pwb, 2);
-        assert_eq!(snap.psync, 1);
-    }
-
-    #[test]
-    fn sim_backend_exposes_sim() {
-        let b = SimBackend::new(4096, SimConfig::no_eviction(7));
-        assert_eq!(b.kind(), BackendKind::Sim);
-        assert!(b.sim().is_some());
-        b.pwb(0);
-        b.psync();
-        assert_eq!(b.stats().snapshot().pwb, 1);
     }
 }

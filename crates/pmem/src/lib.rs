@@ -22,18 +22,18 @@
 //!   benchmarks can charge NVMM's extra write-back/read cost without a real
 //!   Optane DIMM.
 //!
-//! A [`Region`] runs on one of three pluggable [`backend`]s:
+//! A [`Region`] runs on one of three [`backend`]s, named by its
+//! [`RegionMode`]:
 //!
-//! * **Fast** ([`FastBackend`]) — stores compile to plain volatile writes;
-//!   write-backs are accounted against the modeled latency. Used by the
-//!   benchmark harness.
-//! * **Sim** ([`SimBackend`]) — every store additionally updates the
-//!   [`sim::CacheSim`] bookkeeping so tests can crash the "machine" at any
-//!   instant and recover from exactly the state a real PCSO machine would
-//!   have persisted.
-//! * **Mmap** ([`MmapBackend`]) — a `MAP_SHARED` pool-file mapping: `pwb`
-//!   issues the real `clwb` on the mapped line and the pool survives the
-//!   process, so a fresh process can reopen and recover it.
+//! * **Fast** — stores compile to plain volatile writes; write-backs are
+//!   accounted against the modeled latency. Used by the benchmark harness.
+//! * **Sim** — every store additionally updates the [`sim::CacheSim`]
+//!   bookkeeping so tests can crash the "machine" at any instant and
+//!   recover from exactly the state a real PCSO machine would have
+//!   persisted.
+//! * **Mmap** — a `MAP_SHARED` pool-file mapping ([`mmap`]): `pwb` issues
+//!   the real `clwb` on the mapped line and the pool survives the process,
+//!   so a fresh process can reopen and recover it.
 
 pub mod arch;
 pub mod backend;
@@ -46,10 +46,9 @@ pub mod sim;
 pub mod stats;
 pub mod trace;
 
-pub use backend::{BackendKind, FastBackend, PmemBackend, SimBackend};
+pub use backend::BackendKind;
 pub use error::RegionError;
-pub use mmap::MmapBackend;
-pub use region::{Region, RegionConfig, RegionConfigBuilder, RegionMode};
+pub use region::{Region, RegionConfig, RegionMode};
 pub use replay::{is_crash_point, is_protocol_point, Replayer};
 pub use sim::{CacheSim, CrashImage, SimConfig};
 pub use stats::PmemStats;

@@ -1,11 +1,12 @@
 //! File-backed persistence: the mmap backend.
 //!
-//! [`MmapBackend`] maps a pool file `MAP_SHARED` into the address space, so
-//! the region's bytes *are* the file's pages and a pool reopened by a fresh
-//! process recovers from whatever the OS persisted. This is the deployment
-//! shape of real App-Direct NVMM (a DAX-mapped file on a pmem-aware
-//! filesystem); on a regular filesystem it still gives the property the
-//! crash-recovery protocol needs for process-level fault tolerance:
+//! A [`RegionMode::Mmap`](crate::RegionMode::Mmap) region maps a pool file
+//! `MAP_SHARED` into the address space, so the region's bytes *are* the
+//! file's pages and a pool reopened by a fresh process recovers from
+//! whatever the OS persisted. This is the deployment shape of real
+//! App-Direct NVMM (a DAX-mapped file on a pmem-aware filesystem); on a
+//! regular filesystem it still gives the property the crash-recovery
+//! protocol needs for process-level fault tolerance:
 //!
 //! * `pwb` issues the real `clwb` on the mapped line (on DAX that is the
 //!   durability instruction; on a page-cache mapping it writes the line back
@@ -15,22 +16,19 @@
 //!   process therefore sees a state at least as fresh as every completed
 //!   checkpoint, and rolls the open epoch back.
 //! * Surviving a *machine* crash on a non-DAX filesystem additionally
-//!   requires [`sync_data`](crate::backend::PmemBackend::sync_data)
-//!   (`msync`), which callers invoke at durability points they care about.
+//!   requires [`Region::sync_data`](crate::Region::sync_data) (`msync`),
+//!   which callers invoke at durability points they care about.
 //!
 //! Open semantics are create-or-recover: a missing or empty file is created
 //! at the configured size ([`was_created`] returns `true`, the pool layer
 //! formats it); an existing file is mapped as-is at its own size
 //! ([`was_created`] returns `false`, the pool layer runs recovery).
 //!
-//! [`was_created`]: crate::backend::PmemBackend::was_created
+//! [`was_created`]: crate::Region::was_created
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use crate::backend::{BackendKind, PmemBackend};
 use crate::error::RegionError;
-use crate::stats::PmemStats;
 use crate::CACHE_LINE;
 
 #[cfg(unix)]
@@ -63,24 +61,23 @@ mod sys {
 
 /// A `MAP_SHARED` file mapping serving as a region's arena. See the module
 /// docs for the durability contract.
-pub struct MmapBackend {
-    map: *mut u8,
-    size: usize,
+pub(crate) struct MmapFile {
+    pub(crate) map: *mut u8,
+    pub(crate) size: usize,
     /// Keeps the backing fd open for the mapping's lifetime (not strictly
     /// required by POSIX, but it keeps the pool file pinned and debuggable).
     _file: std::fs::File,
-    path: PathBuf,
-    created: bool,
-    stats: Arc<PmemStats>,
+    pub(crate) path: PathBuf,
+    pub(crate) created: bool,
 }
 
-// SAFETY: the mapping is owned by the backend for its whole lifetime and
+// SAFETY: the mapping is owned by this value for its whole lifetime and
 // only accessed through atomic operations by the region.
-unsafe impl Send for MmapBackend {}
+unsafe impl Send for MmapFile {}
 // SAFETY: as above.
-unsafe impl Sync for MmapBackend {}
+unsafe impl Sync for MmapFile {}
 
-impl MmapBackend {
+impl MmapFile {
     /// Opens (create-or-recover) a pool file at `path`.
     ///
     /// A missing or empty file is created and sized to `default_size`
@@ -88,9 +85,14 @@ impl MmapBackend {
     /// mapped at its own length, which must be a positive cache-line
     /// multiple.
     #[cfg(unix)]
-    pub fn open(path: &Path, default_size: usize) -> Result<MmapBackend, RegionError> {
+    pub(crate) fn open(path: &Path, default_size: usize) -> Result<MmapFile, RegionError> {
         use std::os::fd::AsRawFd;
 
+        if path.as_os_str().is_empty() {
+            return Err(RegionError::InvalidConfig(
+                "mmap backend needs a non-empty pool path",
+            ));
+        }
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -141,73 +143,25 @@ impl MmapBackend {
                 &std::io::Error::last_os_error(),
             ));
         }
-        Ok(MmapBackend {
+        Ok(MmapFile {
             map: map as *mut u8,
             size,
             _file: file,
             path: path.to_path_buf(),
             created,
-            stats: Arc::new(PmemStats::default()),
         })
     }
 
     /// Stub for non-unix platforms: the mmap backend needs `mmap(2)`.
     #[cfg(not(unix))]
-    pub fn open(_path: &Path, _default_size: usize) -> Result<MmapBackend, RegionError> {
+    pub(crate) fn open(_path: &Path, _default_size: usize) -> Result<MmapFile, RegionError> {
         Err(RegionError::Unsupported(
             "the mmap backend requires a unix platform",
         ))
     }
-}
 
-impl Drop for MmapBackend {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        {
-            // Best-effort flush on clean shutdown, then unmap. Errors are
-            // unreportable from Drop; recovery handles a torn image anyway.
-            // SAFETY: `map` is the live mapping of exactly `size` bytes
-            // created in `open`; nothing accesses it after this.
-            unsafe {
-                let _ = sys::msync(self.map as *mut _, self.size, sys::MS_SYNC);
-                let _ = sys::munmap(self.map as *mut _, self.size);
-            }
-        }
-    }
-}
-
-impl PmemBackend for MmapBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Mmap
-    }
-
-    fn base(&self) -> *mut u8 {
-        self.map
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn stats(&self) -> &Arc<PmemStats> {
-        &self.stats
-    }
-
-    fn pwb(&self, line: u64) {
-        self.stats.count_pwb();
-        let off = line as usize * CACHE_LINE;
-        debug_assert!(off < self.size);
-        // SAFETY: `line` is in bounds (the region checked the address), so
-        // the flushed address lies inside the live mapping.
-        unsafe { crate::arch::pwb(self.map.add(off)) };
-    }
-
-    fn psync(&self) {
-        self.stats.count_psync();
-        crate::arch::psync();
-    }
-
-    fn sync_data(&self) -> Result<(), RegionError> {
+    /// `msync`s the whole mapping to the pool file.
+    pub(crate) fn sync(&self) -> Result<(), RegionError> {
         #[cfg(unix)]
         {
             // SAFETY: `map` is the live mapping of exactly `size` bytes.
@@ -222,89 +176,18 @@ impl PmemBackend for MmapBackend {
         }
         Ok(())
     }
-
-    fn path(&self) -> Option<&Path> {
-        Some(&self.path)
-    }
-
-    fn was_created(&self) -> bool {
-        self.created
-    }
 }
 
-#[cfg(all(test, unix, not(miri)))]
-mod tests {
-    use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("respct_mmap_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        let _ = std::fs::remove_file(&path);
-        path
-    }
-
-    #[test]
-    fn create_then_reopen_sees_bytes() {
-        let path = tmp("roundtrip.pool");
-        {
-            let b = MmapBackend::open(&path, 8192).unwrap();
-            assert!(b.was_created());
-            assert_eq!(b.size(), 8192);
-            // SAFETY: in-bounds write to the fresh mapping.
-            unsafe { b.base().add(100).write(0xab) };
-            b.pwb(1);
-            b.psync();
-            b.sync_data().unwrap();
+impl Drop for MmapFile {
+    fn drop(&mut self) {
+        // Best-effort flush on clean shutdown, then unmap. Errors are
+        // unreportable from Drop; recovery handles a torn image anyway.
+        let _ = self.sync();
+        #[cfg(unix)]
+        // SAFETY: `map` is the live mapping of exactly `size` bytes created
+        // in `open`; nothing accesses it after this.
+        unsafe {
+            let _ = sys::munmap(self.map as *mut _, self.size);
         }
-        let b = MmapBackend::open(&path, 0).unwrap();
-        assert!(!b.was_created());
-        assert_eq!(b.size(), 8192);
-        // SAFETY: in-bounds read of the mapped file.
-        let v = unsafe { b.base().add(100).read() };
-        assert_eq!(v, 0xab);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn existing_size_wins_over_config() {
-        let path = tmp("sized.pool");
-        drop(MmapBackend::open(&path, 4096).unwrap());
-        let b = MmapBackend::open(&path, 1 << 20).unwrap();
-        assert_eq!(b.size(), 4096, "existing pool keeps its own size");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn rejects_unaligned_file() {
-        let path = tmp("ragged.pool");
-        std::fs::write(&path, vec![0u8; 100]).unwrap();
-        match MmapBackend::open(&path, 0) {
-            Err(RegionError::BadImage { len, .. }) => assert_eq!(len, 100),
-            Err(other) => panic!("expected BadImage, got {other:?}"),
-            Ok(_) => panic!("expected BadImage, got Ok"),
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn zero_size_create_is_config_error() {
-        let path = tmp("zero.pool");
-        match MmapBackend::open(&path, 0) {
-            Err(RegionError::InvalidConfig(_)) => {}
-            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
-            Ok(_) => panic!("expected InvalidConfig, got Ok"),
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn size_is_line_rounded_on_create() {
-        let path = tmp("round.pool");
-        let b = MmapBackend::open(&path, 100).unwrap();
-        assert_eq!(b.size(), 128);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 128);
-        drop(b);
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -5,14 +5,12 @@
 //! [`PAddr`] offsets (stable across crash + recovery), and every access goes
 //! through its typed accessors so the persistence substrate can interpose.
 //!
-//! The bytes themselves are owned by a pluggable [`PmemBackend`]
-//! (see [`crate::backend`]): a heap arena with modeled latency
-//! ([`FastBackend`]), the same arena under the PCSO simulator
-//! ([`SimBackend`]), or a file mapping that outlives the process
-//! ([`MmapBackend`](crate::mmap::MmapBackend)). The region caches the
-//! backend's base pointer, latency model, and simulator handle, so the
-//! store/load hot paths are identical for every backend; only `pwb`,
-//! `psync`, and `sync_data` dispatch dynamically.
+//! The bytes themselves are owned by one of three backends (see
+//! [`crate::backend`]): a heap arena with modeled latency, the same arena
+//! under the PCSO simulator, or a file mapping that outlives the process
+//! ([`crate::mmap`]). The region caches the arena's base pointer, latency
+//! model, and simulator handle, so the store/load hot paths are identical
+//! for every backend; only `pwb`, `psync`, and `sync_data` branch on it.
 //!
 //! All accesses are implemented as **relaxed atomic operations** of the
 //! access width. On x86-64 these compile to plain `mov`s, so fast mode pays
@@ -24,16 +22,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::backend::{BackendKind, FastBackend, PmemBackend, SimBackend};
+use crate::backend::{BackendKind, HeapArena};
 use crate::error::RegionError;
-use crate::latency::{charge_ns, LatencyModel};
-use crate::mmap::MmapBackend;
+use crate::latency::{charge_ns, drain_psync, note_pwb, LatencyModel};
+use crate::mmap::MmapFile;
 use crate::sim::{CacheSim, CrashImage, CrashMode, SimConfig};
 use crate::stats::PmemStats;
 use crate::trace::{trace_tid, SyncToken, TraceEvent, TraceMarker, TraceSink};
 use crate::{PAddr, Pod, CACHE_LINE};
 
-/// Operating mode of a [`Region`] — which [`PmemBackend`] it runs on.
+/// Operating mode of a [`Region`] — which backend it runs on.
 #[derive(Debug, Clone)]
 pub enum RegionMode {
     /// Benchmark mode: direct accesses, accounting-only write-backs,
@@ -51,8 +49,8 @@ pub enum RegionMode {
 ///
 /// Build one with the named constructors ([`fast`](RegionConfig::fast),
 /// [`optane`](RegionConfig::optane), [`sim`](RegionConfig::sim),
-/// [`mmap`](RegionConfig::mmap)) or the validated
-/// [`builder`](RegionConfig::builder).
+/// [`mmap`](RegionConfig::mmap)) or, for a mode chosen at run time,
+/// [`new`](RegionConfig::new). [`Region::try_new`] validates it.
 #[derive(Debug, Clone)]
 pub struct RegionConfig {
     /// Arena size in bytes (rounded up to a whole number of cache lines).
@@ -63,45 +61,30 @@ pub struct RegionConfig {
 }
 
 impl RegionConfig {
+    /// A region of `size` bytes in the given mode.
+    pub fn new(size: usize, mode: RegionMode) -> Self {
+        RegionConfig { size, mode }
+    }
+
     /// A fast-mode region with no modeled latency (DRAM-like).
     pub fn fast(size: usize) -> Self {
-        RegionConfig {
-            size,
-            mode: RegionMode::Fast(LatencyModel::dram()),
-        }
+        RegionConfig::new(size, RegionMode::Fast(LatencyModel::dram()))
     }
 
     /// A fast-mode region charging Optane-like latency.
     pub fn optane(size: usize) -> Self {
-        RegionConfig {
-            size,
-            mode: RegionMode::Fast(LatencyModel::optane()),
-        }
+        RegionConfig::new(size, RegionMode::Fast(LatencyModel::optane()))
     }
 
     /// A sim-mode region with the given simulator configuration.
     pub fn sim(size: usize, cfg: SimConfig) -> Self {
-        RegionConfig {
-            size,
-            mode: RegionMode::Sim(cfg),
-        }
+        RegionConfig::new(size, RegionMode::Sim(cfg))
     }
 
     /// A file-backed region at `path` (create-or-recover; `size` applies
     /// only when the file does not exist yet).
     pub fn mmap(size: usize, path: impl Into<PathBuf>) -> Self {
-        RegionConfig {
-            size,
-            mode: RegionMode::Mmap(path.into()),
-        }
-    }
-
-    /// Starts a validated builder.
-    pub fn builder() -> RegionConfigBuilder {
-        RegionConfigBuilder {
-            size: None,
-            mode: RegionMode::Fast(LatencyModel::dram()),
-        }
+        RegionConfig::new(size, RegionMode::Mmap(path.into()))
     }
 
     /// Configured arena size in bytes (before line rounding).
@@ -115,69 +98,27 @@ impl RegionConfig {
     }
 }
 
-/// Validated builder for [`RegionConfig`], mirroring `PoolConfig::builder`.
-#[derive(Debug, Clone)]
-pub struct RegionConfigBuilder {
-    size: Option<usize>,
-    mode: RegionMode,
+/// What owns a region's bytes (the arenas are held only to be dropped with
+/// the region), and with them what `pwb`/`psync` mean.
+enum Backend {
+    Fast { _arena: HeapArena },
+    Sim { _arena: HeapArena },
+    Mmap(MmapFile),
 }
 
-impl RegionConfigBuilder {
-    /// Arena size in bytes. Required for heap-backed modes; optional for
-    /// [`RegionMode::Mmap`] when the pool file already exists.
-    pub fn size(mut self, size: usize) -> Self {
-        self.size = Some(size);
-        self
-    }
-
-    /// Operating mode (default: [`RegionMode::Fast`] with DRAM latency).
-    pub fn mode(mut self, mode: RegionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Validates and produces the config.
-    ///
-    /// # Errors
-    ///
-    /// [`RegionError::InvalidConfig`] when the size is missing or zero for
-    /// a heap-backed mode, or when an mmap path is empty.
-    pub fn build(self) -> Result<RegionConfig, RegionError> {
-        let size = self.size.unwrap_or(0);
-        match &self.mode {
-            RegionMode::Fast(_) | RegionMode::Sim(_) => {
-                if size == 0 {
-                    return Err(RegionError::InvalidConfig("region size must be positive"));
-                }
-            }
-            RegionMode::Mmap(path) => {
-                // Size 0 is allowed: it means "the pool file must already
-                // exist"; MmapBackend rejects creating an empty pool.
-                if path.as_os_str().is_empty() {
-                    return Err(RegionError::InvalidConfig(
-                        "mmap backend needs a non-empty pool path",
-                    ));
-                }
-            }
-        }
-        Ok(RegionConfig {
-            size,
-            mode: self.mode,
-        })
-    }
-}
-
-/// An NVMM arena over a pluggable backend. See the module docs.
+/// An NVMM arena over one of three backends. See the module docs.
 pub struct Region {
-    /// The persistence substrate owning the bytes. Held for `pwb`/`psync`/
-    /// `sync_data` dispatch and to keep the arena alive; everything on the
-    /// store/load hot paths is cached in the fields below.
-    backend: Arc<dyn PmemBackend>,
+    /// The persistence substrate owning the bytes. Held for the `pwb`/
+    /// `psync`/`sync_data` match and to keep the arena alive; everything on
+    /// the store/load hot paths is cached in the fields below.
+    backend: Backend,
     buf: *mut u8,
     size: usize,
     latency: LatencyModel,
     latency_free: bool,
-    sim: Option<Arc<CacheSim>>,
+    /// `Some` exactly when `backend` is [`Backend::Sim`]. Boxed so the
+    /// simulator's tables do not spread the hot fields around it.
+    sim: Option<Box<CacheSim>>,
     stats: Arc<PmemStats>,
     /// Optional persistency-event observer (set once, read on every access;
     /// a single relaxed-ish atomic load when unset).
@@ -191,7 +132,7 @@ pub struct Region {
 
 // SAFETY: the raw buffer is only accessed through atomic operations (or
 // under the simulator's shard locks), and the backing allocation is owned
-// by the backend, which the `Region` keeps alive for its whole lifetime.
+// by `backend`, which the `Region` keeps alive for its whole lifetime.
 unsafe impl Send for Region {}
 // SAFETY: as above.
 unsafe impl Sync for Region {}
@@ -209,22 +150,37 @@ impl Region {
     /// [`RegionError::InvalidConfig`] for a zero-sized heap region, plus
     /// the I/O and image errors of the mmap backend.
     pub fn try_new(cfg: RegionConfig) -> Result<Arc<Region>, RegionError> {
-        let backend: Arc<dyn PmemBackend> = match cfg.mode {
-            RegionMode::Fast(lat) => {
-                if cfg.size == 0 {
-                    return Err(RegionError::InvalidConfig("region size must be positive"));
-                }
-                Arc::new(FastBackend::new(cfg.size, lat))
+        let stats = Arc::new(PmemStats::default());
+        let dram = LatencyModel::dram();
+        let (buf, size, latency, sim, backend) = match cfg.mode {
+            RegionMode::Fast(latency) => {
+                let _arena = HeapArena::new(cfg.size)?;
+                let (buf, size) = (_arena.ptr, _arena.size());
+                (buf, size, latency, None, Backend::Fast { _arena })
             }
             RegionMode::Sim(sim_cfg) => {
-                if cfg.size == 0 {
-                    return Err(RegionError::InvalidConfig("region size must be positive"));
-                }
-                Arc::new(SimBackend::new(cfg.size, sim_cfg))
+                let _arena = HeapArena::new(cfg.size)?;
+                let (buf, size) = (_arena.ptr, _arena.size());
+                let sim = Box::new(CacheSim::new(sim_cfg, size, Arc::clone(&stats)));
+                sim.attach(buf);
+                (buf, size, dram, Some(sim), Backend::Sim { _arena })
             }
-            RegionMode::Mmap(ref path) => Arc::new(MmapBackend::open(path, cfg.size)?),
+            RegionMode::Mmap(path) => {
+                let file = MmapFile::open(&path, cfg.size)?;
+                (file.map, file.size, dram, None, Backend::Mmap(file))
+            }
         };
-        Ok(Region::from_backend(backend))
+        Ok(Arc::new(Region {
+            backend,
+            buf,
+            size,
+            latency,
+            latency_free: latency.is_free(),
+            sim,
+            stats,
+            trace: std::sync::OnceLock::new(),
+            trace_loads: std::sync::atomic::AtomicBool::new(false),
+        }))
     }
 
     /// Opens a region, panicking on failure.
@@ -238,21 +194,18 @@ impl Region {
         Region::try_new(cfg).expect("region open failed")
     }
 
-    /// Wraps an already-open backend in a region. This is how external
-    /// backend implementations (outside this crate's three) plug in.
-    pub fn from_backend(backend: Arc<dyn PmemBackend>) -> Arc<Region> {
-        let latency = backend.latency();
-        Arc::new(Region {
-            buf: backend.base(),
-            size: backend.size(),
-            latency,
-            latency_free: latency.is_free(),
-            sim: backend.sim().cloned(),
-            stats: Arc::clone(backend.stats()),
-            backend,
-            trace: std::sync::OnceLock::new(),
-            trace_loads: std::sync::atomic::AtomicBool::new(false),
-        })
+    /// A deterministic (no-eviction) sim region holding `image`, every byte
+    /// of it already persisted — so what recovery makes of it is a pure
+    /// function of the image.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the image is a positive cache-line multiple in size
+    /// (all region images are).
+    pub fn from_image(image: &[u8]) -> Arc<Region> {
+        let region = Region::new(RegionConfig::sim(image.len(), SimConfig::no_eviction(0)));
+        region.restore(&CrashImage::from_bytes(image.to_vec()));
+        region
     }
 
     /// Region size in bytes.
@@ -264,19 +217,29 @@ impl Region {
     /// Which backend this region runs on.
     #[inline]
     pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
+        match self.backend {
+            Backend::Fast { .. } => BackendKind::Fast,
+            Backend::Sim { .. } => BackendKind::Sim,
+            Backend::Mmap(_) => BackendKind::Mmap,
+        }
     }
 
     /// Path of the backing pool file, if the backend has one.
     pub fn path(&self) -> Option<&Path> {
-        self.backend.path()
+        match &self.backend {
+            Backend::Mmap(file) => Some(&file.path),
+            _ => None,
+        }
     }
 
     /// Whether the backend created its arena from scratch (`true`) or
     /// mapped existing content that may need recovery (`false`). Heap
     /// backends always report `true`.
     pub fn was_created(&self) -> bool {
-        self.backend.was_created()
+        match &self.backend {
+            Backend::Mmap(file) => file.created,
+            _ => true,
+        }
     }
 
     /// Flushes the arena to its backing store (`msync` for an mmap region;
@@ -284,7 +247,10 @@ impl Region {
     /// for pool files on non-DAX filesystems — `pwb`/`psync` alone only
     /// reach the kernel's copy of the pages there.
     pub fn sync_data(&self) -> Result<(), RegionError> {
-        self.backend.sync_data()
+        match &self.backend {
+            Backend::Mmap(file) => file.sync(),
+            Backend::Fast { .. } | Backend::Sim { .. } => Ok(()),
+        }
     }
 
     /// Whether the persistence simulator is active.
@@ -550,14 +516,24 @@ impl Region {
             tid: trace_tid(),
             line: addr.line(),
         });
-        if let Some(sim) = &self.sim {
-            sim.pwb(addr.line());
-        } else {
-            // What a write-back *is* depends on the backend: the fast
-            // backend only accounts for it (flushing emulated-NVMM DRAM
-            // buys nothing and costs ~150 ns/line of host overhead), the
-            // mmap backend issues the real `clwb` on the mapped line.
-            self.backend.pwb(addr.line());
+        // What a write-back *is* depends on the backend: the fast backend
+        // only accounts for it (flushing emulated-NVMM DRAM buys nothing
+        // and costs ~150 ns/line of host overhead), the mmap backend issues
+        // the real `clwb` on the mapped line.
+        match &self.backend {
+            Backend::Sim { .. } => self.sim().pwb(addr.line()),
+            Backend::Fast { .. } => {
+                self.stats.count_pwb();
+                if !self.latency_free {
+                    note_pwb(&self.latency);
+                }
+            }
+            Backend::Mmap(_) => {
+                self.stats.count_pwb();
+                // SAFETY: `addr` is in bounds (checked above), so the
+                // flushed address lies inside the live mapping.
+                unsafe { crate::arch::pwb(self.ptr(addr)) };
+            }
         }
     }
 
@@ -573,10 +549,21 @@ impl Region {
     #[inline]
     pub fn psync(&self) {
         self.emit(|| TraceEvent::Psync { tid: trace_tid() });
-        if let Some(sim) = &self.sim {
-            sim.psync();
-        } else {
-            self.backend.psync();
+        match &self.backend {
+            Backend::Sim { .. } => self.sim().psync(),
+            Backend::Fast { .. } => {
+                self.stats.count_psync();
+                // An `sfence` still orders our (relaxed atomic) stores
+                // cheaply and mirrors the paper's instruction sequence.
+                crate::arch::psync();
+                if !self.latency_free {
+                    drain_psync(&self.latency);
+                }
+            }
+            Backend::Mmap(_) => {
+                self.stats.count_psync();
+                crate::arch::psync();
+            }
         }
     }
 
@@ -672,16 +659,18 @@ impl Region {
         }
     }
 
+    /// The simulator of a sim-mode region.
+    fn sim(&self) -> &CacheSim {
+        self.sim.as_deref().expect("requires a sim-mode region")
+    }
+
     /// Simulates a crash, returning the persisted image.
     ///
     /// # Panics
     ///
     /// Panics in fast mode (no simulator).
     pub fn crash(&self, mode: CrashMode) -> CrashImage {
-        let sim = self
-            .sim
-            .as_ref()
-            .expect("crash() requires a sim-mode region");
+        let sim = self.sim();
         self.emit(|| TraceEvent::Crash {
             all_persisted: mode == CrashMode::EvictAll,
         });
@@ -692,10 +681,7 @@ impl Region {
     /// the same region) and resets the simulator so persisted == volatile.
     pub fn restore(&self, image: &CrashImage) {
         assert_eq!(image.bytes.len(), self.size, "crash image size mismatch");
-        let sim = self
-            .sim
-            .as_ref()
-            .expect("restore() requires a sim-mode region");
+        let sim = self.sim();
         // SAFETY: copying the full image into the owned buffer; callers only
         // restore while no application threads are running (reboot).
         unsafe { atomic_store_raw(self.buf, &image.bytes) };
@@ -710,57 +696,6 @@ impl Region {
             sim.persist_all();
             self.emit(|| TraceEvent::PersistAll);
         }
-    }
-
-    /// Writes the region's current content to `path` (atomic via a
-    /// temporary file + rename). Pair with [`Region::load_file`] to carry
-    /// an emulated pool across process runs by copy — an [`RegionMode::Mmap`]
-    /// region makes the pool file the arena itself and needs neither.
-    /// Callers should checkpoint first so the saved image is a consistent
-    /// cut.
-    pub fn save_file(&self, path: &std::path::Path) -> Result<(), RegionError> {
-        let bytes = self.dump_volatile();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes).map_err(|e| RegionError::io(&tmp, "write", &e))?;
-        std::fs::rename(&tmp, path).map_err(|e| RegionError::io(path, "rename", &e))
-    }
-
-    /// Creates a region initialized from a file previously written by
-    /// [`Region::save_file`].
-    ///
-    /// # Errors
-    ///
-    /// [`RegionError::Io`] for read failures; [`RegionError::BadImage`] if
-    /// the file length is not a positive whole number of cache lines (it
-    /// always is for saved regions).
-    pub fn load_file(path: &std::path::Path, mode: RegionMode) -> Result<Arc<Region>, RegionError> {
-        let bytes = std::fs::read(path).map_err(|e| RegionError::io(path, "read", &e))?;
-        if bytes.is_empty() || bytes.len() % CACHE_LINE != 0 {
-            return Err(RegionError::BadImage {
-                path: path.to_path_buf(),
-                len: bytes.len() as u64,
-            });
-        }
-        let region = Region::try_new(RegionConfig {
-            size: bytes.len(),
-            mode,
-        })?;
-        // SAFETY: writing the full owned buffer before any other handle to
-        // the region exists.
-        unsafe { atomic_store_raw(region.buf, &bytes) };
-        if let Some(sim) = &region.sim {
-            // The loaded content is the persisted baseline.
-            sim.reset_to(&CrashImage { bytes });
-        }
-        Ok(region)
-    }
-
-    /// Reads the whole region into a plain byte vector (diagnostics).
-    pub fn dump_volatile(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.size];
-        // SAFETY: reading the full owned buffer.
-        unsafe { atomic_load_raw(self.buf, &mut out) };
-        out
     }
 }
 
@@ -994,118 +929,125 @@ mod cas_tests {
     }
 }
 
+/// What `Region::try_new` makes of a config: every backend, every
+/// validation rule, one table. (The file-backed rows live in
+/// `mmap_tests::mmap_try_new_table`, gated on a platform with `mmap`.)
 #[cfg(test)]
-mod file_tests {
+mod try_new_tests {
     use super::*;
 
-    #[test]
-    fn save_and_load_roundtrip() {
-        let dir = std::env::temp_dir().join("respct_region_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pool.img");
-        let r = Region::new(RegionConfig::fast(8192));
-        r.store(PAddr(128), 0xfeed_u64);
-        r.save_file(&path).unwrap();
-        let r2 = Region::load_file(
-            &path,
-            RegionMode::Fast(crate::latency::LatencyModel::dram()),
-        )
-        .unwrap();
-        assert_eq!(r2.size(), 8192);
-        assert_eq!(r2.load::<u64>(PAddr(128)), 0xfeed);
-        std::fs::remove_file(&path).unwrap();
+    /// The outcome a row expects.
+    #[derive(Debug)]
+    pub(super) enum Want {
+        Open {
+            kind: BackendKind,
+            created: bool,
+            size: usize,
+        },
+        InvalidConfig,
+        BadImage(u64),
+    }
+
+    pub(super) fn check(name: &str, cfg: RegionConfig, want: Want) -> Option<Arc<Region>> {
+        let path = match cfg.mode() {
+            RegionMode::Mmap(p) => Some(p.clone()),
+            _ => None,
+        };
+        match (Region::try_new(cfg), want) {
+            (
+                Ok(r),
+                Want::Open {
+                    kind,
+                    created,
+                    size,
+                },
+            ) => {
+                assert_eq!(r.backend_kind(), kind, "{name}");
+                assert_eq!(r.is_sim(), kind == BackendKind::Sim, "{name}");
+                assert_eq!(r.was_created(), created, "{name}");
+                assert_eq!(r.size(), size, "{name}");
+                assert_eq!(r.path(), path.as_deref(), "{name}");
+                r.sync_data().unwrap();
+                Some(r)
+            }
+            (Err(RegionError::InvalidConfig(_)), Want::InvalidConfig) => None,
+            (Err(RegionError::BadImage { len, .. }), Want::BadImage(want)) => {
+                assert_eq!(len, want, "{name}");
+                None
+            }
+            (got, want) => panic!("{name}: wanted {want:?}, got {:?}", got.map(|r| r.size())),
+        }
     }
 
     #[test]
-    fn load_into_sim_mode_sets_baseline() {
-        let dir = std::env::temp_dir().join("respct_region_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pool_sim.img");
+    fn try_new_table() {
+        use BackendKind::{Fast, Sim};
+        let open = |kind, size| Want::Open {
+            kind,
+            created: true,
+            size,
+        };
+        let sim = || SimConfig::no_eviction(7);
+        for (name, cfg, want) in [
+            ("fast", RegionConfig::fast(4096), open(Fast, 4096)),
+            ("fast rounds up", RegionConfig::fast(100), open(Fast, 128)),
+            ("optane", RegionConfig::optane(128), open(Fast, 128)),
+            ("sim", RegionConfig::sim(4096, sim()), open(Sim, 4096)),
+            (
+                "run-time mode",
+                RegionConfig::new(100, RegionMode::Sim(sim())),
+                open(Sim, 128),
+            ),
+            ("fast, no size", RegionConfig::fast(0), Want::InvalidConfig),
+            (
+                "sim, no size",
+                RegionConfig::sim(0, sim()),
+                Want::InvalidConfig,
+            ),
+        ] {
+            if let Some(r) = check(name, cfg, want) {
+                // A heap arena starts zeroed.
+                assert_eq!(r.load::<u64>(PAddr(0)), 0, "{name}");
+                assert_eq!(r.load::<u8>(PAddr(r.size() as u64 - 1)), 0, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn write_backs_are_counted_on_heap_backends() {
+        for cfg in [
+            RegionConfig::fast(4096),
+            RegionConfig::sim(4096, SimConfig::no_eviction(7)),
+        ] {
+            let r = Region::new(cfg);
+            r.pwb_line(0);
+            r.pwb_line(1);
+            r.psync();
+            let snap = r.stats().snapshot();
+            assert_eq!((snap.pwb, snap.psync), (2, 1), "{:?}", r.backend_kind());
+        }
+    }
+
+    #[test]
+    fn from_image_counts_the_image_as_persisted() {
         let r = Region::new(RegionConfig::fast(4096));
         r.store(PAddr(64), 7u64);
-        r.save_file(&path).unwrap();
-        let r2 = Region::load_file(&path, RegionMode::Sim(SimConfig::no_eviction(1))).unwrap();
-        // The loaded content counts as already persistent.
-        let img = r2.crash(crate::sim::CrashMode::PowerFailure);
-        let v = u64::from_ne_bytes(img.bytes()[64..72].try_into().unwrap());
-        assert_eq!(v, 7);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn load_rejects_bad_length() {
-        let dir = std::env::temp_dir().join("respct_region_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.img");
-        std::fs::write(&path, [0u8; 100]).unwrap();
-        assert!(matches!(
-            Region::load_file(&path, RegionMode::Fast(Default::default())),
-            Err(RegionError::BadImage { len: 100, .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod builder_tests {
-    use super::*;
-
-    #[test]
-    fn builder_roundtrip() {
-        let cfg = RegionConfig::builder()
-            .size(4096)
-            .mode(RegionMode::Sim(SimConfig::no_eviction(9)))
-            .build()
-            .unwrap();
-        assert_eq!(cfg.size(), 4096);
-        assert!(matches!(cfg.mode(), RegionMode::Sim(_)));
-        let r = Region::new(cfg);
-        assert!(r.is_sim());
-        assert_eq!(r.backend_kind(), BackendKind::Sim);
-    }
-
-    #[test]
-    fn builder_defaults_to_fast() {
-        let cfg = RegionConfig::builder().size(128).build().unwrap();
-        let r = Region::new(cfg);
-        assert!(!r.is_sim());
-        assert_eq!(r.backend_kind(), BackendKind::Fast);
-        assert!(r.was_created());
-        assert!(r.path().is_none());
-        r.sync_data().unwrap();
-    }
-
-    #[test]
-    fn builder_rejects_missing_size() {
-        assert!(matches!(
-            RegionConfig::builder().build(),
-            Err(RegionError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            RegionConfig::builder().size(0).build(),
-            Err(RegionError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn builder_rejects_empty_mmap_path() {
-        assert!(matches!(
-            RegionConfig::builder()
-                .size(4096)
-                .mode(RegionMode::Mmap(PathBuf::new()))
-                .build(),
-            Err(RegionError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn try_new_rejects_zero_size() {
-        assert!(Region::try_new(RegionConfig::fast(0)).is_err());
+        let mut bytes = vec![0u8; 4096];
+        r.load_bytes(PAddr(0), &mut bytes);
+        let r2 = Region::from_image(&bytes);
+        assert_eq!(r2.backend_kind(), BackendKind::Sim);
+        assert_eq!(r2.load::<u64>(PAddr(64)), 7);
+        // Nothing was flushed since: what survives a crash is the image.
+        r2.store(PAddr(128), 9u64);
+        let img = r2.crash(CrashMode::PowerFailure);
+        assert_eq!(img.bytes()[..128], bytes[..128]);
+        assert_eq!(img.bytes()[128..136], [0u8; 8]);
     }
 }
 
 #[cfg(all(test, unix, not(miri)))]
 mod mmap_tests {
+    use super::try_new_tests::{check, Want};
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -1116,30 +1058,53 @@ mod mmap_tests {
         path
     }
 
+    /// Each row: the file's length before the open (`None` = no file), the
+    /// size the config asks for, what `try_new` makes of it.
+    #[test]
+    fn mmap_try_new_table() {
+        let open = |created, size| Want::Open {
+            kind: BackendKind::Mmap,
+            created,
+            size,
+        };
+        for (name, before, ask, want) in [
+            ("create", None, 8192, open(true, 8192)),
+            ("create rounds up", None, 100, open(true, 128)),
+            ("empty file is created", Some(0), 4096, open(true, 4096)),
+            ("existing size wins", Some(4096), 1 << 20, open(false, 4096)),
+            ("reopen needs no size", Some(8192), 0, open(false, 8192)),
+            ("missing, no size", None, 0, Want::InvalidConfig),
+            ("ragged file", Some(100), 0, Want::BadImage(100)),
+        ] {
+            let path = tmp("table.pool");
+            if let Some(len) = before {
+                std::fs::write(&path, vec![0u8; len]).unwrap();
+            }
+            if let Some(r) = check(name, RegionConfig::mmap(ask, &path), want) {
+                let on_disk = std::fs::metadata(&path).unwrap().len();
+                assert_eq!(on_disk, r.size() as u64, "{name}");
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+        let nowhere = RegionConfig::mmap(4096, PathBuf::new());
+        check("empty path", nowhere, Want::InvalidConfig);
+    }
+
     #[test]
     fn mmap_region_survives_reopen() {
         let path = tmp("reopen.pool");
         {
             let r = Region::new(RegionConfig::mmap(8192, &path));
-            assert_eq!(r.backend_kind(), BackendKind::Mmap);
-            assert!(r.was_created());
-            assert_eq!(r.path().unwrap(), path.as_path());
             r.store(PAddr(256), 0xcafe_f00d_u64);
             r.flush_range(PAddr(256), 8);
+            let snap = r.stats().snapshot();
+            assert_eq!((snap.pwb, snap.psync), (1, 1));
             r.sync_data().unwrap();
         }
         let r = Region::new(RegionConfig::mmap(0, &path));
         assert!(!r.was_created());
-        assert_eq!(r.size(), 8192);
         assert_eq!(r.load::<u64>(PAddr(256)), 0xcafe_f00d);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn mmap_open_missing_without_size_fails() {
-        let path = tmp("missing.pool");
-        assert!(Region::try_new(RegionConfig::mmap(0, &path)).is_err());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

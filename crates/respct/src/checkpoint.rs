@@ -980,18 +980,15 @@ mod tests {
     fn flusher_pool_flushes_everything() {
         let region = Region::new(RegionConfig::sim(1 << 20, SimConfig::no_eviction(9)));
         let heap = crate::layout::heap_start().0;
-        let cfg = PoolConfig::builder()
-            .flusher_threads(4)
-            .flush_shards(8)
-            .build()
-            .unwrap();
+        let cfg = PoolConfig::builder().flusher_threads(4).build().unwrap();
+        let nshards = cfg.resolved_shards();
         let mut lists: EpochLists = Vec::new();
         for i in 0..100u64 {
             let a = PAddr(heap + i * 64);
             region.store(a, i + 1);
             let line = a.line();
             // Duplicates must be deduped per shard.
-            lists.push((shard_of_line(line, 8), vec![line, line]));
+            lists.push((shard_of_line(line, nshards), vec![line, line]));
         }
         let flusher = Flusher::new(Arc::clone(&region), &cfg);
         let (total, reports) = flusher.flush_phase(lists);

@@ -42,8 +42,8 @@ pub enum PoolError {
         /// The epoch counter recorded next to the ring.
         recorded_epoch: u64,
     },
-    /// A [`PoolConfig`](crate::PoolConfig) validation failure (bad flusher
-    /// or shard count, contradictory mode combination). Produced by
+    /// A [`PoolConfig`](crate::PoolConfig) validation failure (a count out
+    /// of range, a contradictory mode combination). Produced by
     /// [`PoolConfig::builder`](crate::PoolConfig::builder).
     InvalidConfig(&'static str),
     /// The persistence backend failed: region construction, pool-file I/O,

@@ -44,24 +44,31 @@
 //! h.checkpoint_here();
 //! ```
 //!
-//! Non-default knobs go through the validated config builder — e.g. a pool
-//! with two dedicated flusher threads and 16 flush shards:
+//! Non-default knobs go through the validated config builder, and a pool
+//! comes from exactly one of three constructors: [`Pool::create`] formats a
+//! region, [`Pool::recover`] rolls a crashed one back to its last
+//! checkpoint, and [`Pool::open`] does whichever of the two a pool file
+//! needs — e.g. a crash and a recovery on two scan threads:
 //!
 //! ```
 //! use respct::{Pool, PoolConfig};
-//! use respct_pmem::{Region, RegionConfig};
+//! use respct_pmem::{sim::CrashMode, Region, RegionConfig, SimConfig};
 //!
 //! let cfg = PoolConfig::builder()
 //!     .flusher_threads(2)
-//!     .flush_shards(16)
+//!     .recovery_threads(2)
 //!     .build()
 //!     .expect("valid config");
-//! let pool = Pool::create(Region::new(RegionConfig::fast(8 << 20)), cfg).expect("pool");
-//! # drop(pool);
+//! let region = Region::new(RegionConfig::sim(8 << 20, SimConfig::no_eviction(1)));
+//! let pool = Pool::create(region.clone(), cfg.clone()).expect("pool");
+//! drop(pool);
+//! let image = region.crash(CrashMode::PowerFailure);
+//! let (pool, report) = Pool::recover(Region::from_image(image.bytes()), cfg).expect("recover");
+//! assert_eq!((pool.epoch(), report.threads), (report.failed_epoch, 2));
 //! ```
 //!
-//! Crash testing uses a sim-mode region; see `Pool::recover` and the
-//! integration tests for the full crash → restore → recover cycle.
+//! See the integration tests for the full crash → restore → recover cycle,
+//! and `examples/durable_restart.rs` for [`Pool::open`] across processes.
 
 mod alloc;
 mod checkpoint;
@@ -85,21 +92,18 @@ pub use error::PoolError;
 pub use incll::{cell_layout, epoch_tag, tag_epoch, ICell};
 pub use metrics::RuntimeMetrics;
 pub use pool::{
-    Backend, CheckpointMode, Pool, PoolConfig, PoolConfigBuilder, DEFAULT_POOL_SIZE, MAX_FLUSHERS,
-    MAX_FLUSH_SHARDS,
+    CheckpointMode, Pool, PoolConfig, PoolConfigBuilder, DEFAULT_POOL_SIZE, MAX_FLUSHERS,
 };
 #[cfg(feature = "fault-inject")]
 pub use pool::{Fault, SyncEdgeSite};
-pub use recovery::{RecoveryOptions, RecoveryReport};
+pub use recovery::RecoveryReport;
 pub use stats::CkptSnapshot;
 pub use sync::{TracedGuard, TracedMutex};
 pub use thread::{AllowGuard, RpId, ThreadHandle};
 pub use verify::{VerifyReport, Violation, ViolationKind};
 
 // Re-export the substrate types users need alongside the pool API.
-pub use respct_pmem::{
-    BackendKind, PAddr, Pod, Region, RegionConfig, RegionConfigBuilder, RegionError, RegionMode,
-};
+pub use respct_pmem::{BackendKind, PAddr, Pod, Region, RegionConfig, RegionError, RegionMode};
 
 // Re-export the observability types surfaced through `Pool::metrics`,
 // `Pool::serve_metrics`, and `Pool::start_metrics_reporter`.

@@ -21,7 +21,7 @@
 //! Hot-path instrumentation (per InCLL update / tracked byte) is gated on
 //! the pool's `metrics` config flag — one relaxed bool load when disabled.
 //! Checkpoint-path recording always runs: it is per *checkpoint*, not per
-//! operation, and the [`CkptSnapshot`](crate::CkptSnapshot) aggregate is
+//! operation, and the [`CkptSnapshot`] aggregate is
 //! derived from it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

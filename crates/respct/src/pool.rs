@@ -103,10 +103,6 @@ pub struct PoolConfig {
     /// pinned one-to-one with program threads (§5).
     pub(crate) flusher_threads: usize,
     pub(crate) mode: CheckpointMode,
-    /// Number of flush shards each thread's tracking list is partitioned
-    /// into at append time; 0 = auto-size from `flusher_threads`. Always a
-    /// power of two once resolved.
-    pub(crate) flush_shards: usize,
     /// Hot-path metrics instrumentation (per-update counters, RP-stall
     /// timing). Checkpoint-phase metrics are recorded regardless — they are
     /// per checkpoint, not per operation.
@@ -123,23 +119,13 @@ pub struct PoolConfig {
     /// epoch begins while up to `K - 1` older drains are still committing.
     /// `K > 1` requires `async_checkpoint`.
     pub(crate) epoch_pipeline: usize,
-    /// Which persistence backend [`Pool::open`] builds the region on
-    /// (default: fast mode with DRAM latency). `Pool::open(path, ..)`
-    /// overrides an mmap backend's path with its `path` argument.
-    pub(crate) backend: Backend,
     /// Region size [`Pool::open`] uses when it must create a fresh pool
     /// (an existing pool file keeps its own size). Default 64 MiB.
     pub(crate) pool_size: usize,
-    /// Worker threads for the recovery registry scan when [`Pool::open`]
-    /// finds an existing pool (default 1; paper Fig. 12 uses 32).
+    /// Worker threads for the registry scan of [`Pool::recover`] (and so of
+    /// [`Pool::open`] on an existing pool). Default 1; paper Fig. 12 uses 32.
     pub(crate) recovery_threads: usize,
 }
-
-/// Which persistence substrate a pool's region runs on — an alias for
-/// [`respct_pmem::RegionMode`], re-exported so pool users can write
-/// `PoolConfig::builder().backend(Backend::Mmap(path))` without importing
-/// the pmem crate.
-pub type Backend = respct_pmem::RegionMode;
 
 /// Default region size for pools created by [`Pool::open`] (64 MiB).
 pub const DEFAULT_POOL_SIZE: usize = 64 << 20;
@@ -149,11 +135,9 @@ impl Default for PoolConfig {
         PoolConfig {
             flusher_threads: 0,
             mode: CheckpointMode::Full,
-            flush_shards: 0,
             metrics: true,
             async_checkpoint: false,
             epoch_pipeline: 1,
-            backend: Backend::Fast(respct_pmem::latency::LatencyModel::dram()),
             pool_size: DEFAULT_POOL_SIZE,
             recovery_threads: 1,
         }
@@ -178,12 +162,6 @@ impl PoolConfig {
         self.mode
     }
 
-    /// The configured shard count (0 = auto). See
-    /// [`PoolConfig::resolved_shards`] for the effective value.
-    pub fn flush_shards(&self) -> usize {
-        self.flush_shards
-    }
-
     /// Whether hot-path metrics instrumentation is on.
     pub fn metrics(&self) -> bool {
         self.metrics
@@ -200,38 +178,27 @@ impl PoolConfig {
         self.epoch_pipeline
     }
 
-    /// The persistence backend [`Pool::open`] builds the region on.
-    pub fn backend(&self) -> &Backend {
-        &self.backend
-    }
-
     /// Region size [`Pool::open`] uses when creating a fresh pool.
     pub fn pool_size(&self) -> usize {
         self.pool_size
     }
 
-    /// Worker threads for the recovery registry scan in [`Pool::open`].
+    /// Worker threads for the recovery registry scan.
     pub fn recovery_threads(&self) -> usize {
         self.recovery_threads
     }
 
-    /// The effective shard count: the configured power of two, or — when
-    /// auto-sized — enough shards that each flusher claims several (4×,
-    /// rounded up to a power of two), which keeps the claim race
-    /// load-balanced when shard sizes are skewed.
+    /// The number of flush shards each thread's tracking list is
+    /// partitioned into at append time: enough that each flusher claims
+    /// several (4×, rounded up to a power of two), which keeps the claim
+    /// race load-balanced when shard sizes are skewed.
     pub fn resolved_shards(&self) -> usize {
-        if self.flush_shards != 0 {
-            self.flush_shards
-        } else {
-            (4 * self.flusher_threads.max(1)).next_power_of_two()
-        }
+        (4 * self.flusher_threads.max(1)).next_power_of_two()
     }
 }
 
 /// Maximum dedicated flusher threads.
 pub const MAX_FLUSHERS: usize = 64;
-/// Maximum flush shards.
-pub const MAX_FLUSH_SHARDS: usize = 4096;
 
 /// Builder for [`PoolConfig`]. Terminate with [`build`](Self::build), which
 /// validates the combination of knobs.
@@ -252,13 +219,6 @@ impl PoolConfigBuilder {
     /// Sets the checkpoint mode.
     pub fn mode(mut self, mode: CheckpointMode) -> Self {
         self.cfg.mode = mode;
-        self
-    }
-
-    /// Sets the flush shard count: 0 for auto-sizing, otherwise a power of
-    /// two no smaller than the flusher count.
-    pub fn flush_shards(mut self, n: usize) -> Self {
-        self.cfg.flush_shards = n;
         self
     }
 
@@ -290,15 +250,6 @@ impl PoolConfigBuilder {
         self
     }
 
-    /// Sets the persistence backend [`Pool::open`] builds the region on
-    /// (default: [`Backend::Fast`] with DRAM latency). For
-    /// [`Backend::Mmap`], `Pool::open`'s `path` argument wins over the path
-    /// embedded here.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.cfg.backend = backend;
-        self
-    }
-
     /// Sets the region size [`Pool::open`] uses when it creates a fresh
     /// pool (default 64 MiB). An existing pool file keeps its own size.
     pub fn size(mut self, bytes: usize) -> Self {
@@ -306,8 +257,9 @@ impl PoolConfigBuilder {
         self
     }
 
-    /// Sets the worker-thread count for the recovery registry scan when
-    /// [`Pool::open`] finds an existing pool (default 1).
+    /// Sets the worker-thread count for the registry scan of
+    /// [`Pool::recover`] and of [`Pool::open`] on an existing pool
+    /// (default 1).
     pub fn recovery_threads(mut self, n: usize) -> Self {
         self.cfg.recovery_threads = n;
         self
@@ -319,21 +271,6 @@ impl PoolConfigBuilder {
         let c = &self.cfg;
         if c.flusher_threads > MAX_FLUSHERS {
             return Err(InvalidConfig("flusher_threads exceeds MAX_FLUSHERS (64)"));
-        }
-        if c.flush_shards != 0 && !c.flush_shards.is_power_of_two() {
-            return Err(InvalidConfig(
-                "flush_shards must be 0 (auto) or a power of two",
-            ));
-        }
-        if c.flush_shards > MAX_FLUSH_SHARDS {
-            return Err(InvalidConfig(
-                "flush_shards exceeds MAX_FLUSH_SHARDS (4096)",
-            ));
-        }
-        if c.flush_shards != 0 && c.flush_shards < c.flusher_threads {
-            return Err(InvalidConfig(
-                "flush_shards must be at least flusher_threads so every flusher can claim a shard",
-            ));
         }
         if c.mode == CheckpointMode::NoFlush && c.flusher_threads > 0 {
             return Err(InvalidConfig(
@@ -530,61 +467,52 @@ impl Pool {
     /// Opens the pool file at `path` on the mmap backend, resolving to
     /// create-or-recover:
     ///
-    /// * no file (or an empty one) → create a fresh pool of
-    ///   [`PoolConfig::pool_size`] bytes and format it; the returned report
-    ///   is `None`;
+    /// * no file, an empty one, or one whose magic word is still 0 (a
+    ///   format that never completed: [`Pool::create`] writes and fences
+    ///   the magic last, so this is what a kill during the first start
+    ///   leaves) → format a fresh pool — of [`PoolConfig::pool_size`] bytes
+    ///   when this call creates the file; the returned report is `None`;
     /// * an existing formatted pool → map it at its own size and run
-    ///   recovery with [`PoolConfig::recovery_threads`] scan workers; the
-    ///   returned report is `Some` (its `failed_epoch` is the epoch
-    ///   execution resumes in — recovery after a clean shutdown simply
-    ///   rolls back the empty open epoch);
-    /// * an existing file that is not a pool →
+    ///   [`Pool::recover`]; the returned report is `Some` (its
+    ///   `failed_epoch` is the epoch execution resumes in — recovery after
+    ///   a clean shutdown simply rolls back the empty open epoch);
+    /// * an existing file with any other magic →
     ///   [`PoolError::NotAPool`](crate::PoolError::NotAPool) — never a
     ///   silent reformat.
     ///
-    /// `cfg.backend()` is ignored here: `open` always maps `path`. Use
-    /// [`Pool::open_with`] to honor a heap backend from the config.
+    /// A zero magic word is taken as permission to format *any* file the
+    /// mmap backend can map (a cache-line multiple, large enough), pool or
+    /// not: a sparse file or a zero-filled image at `path` is formatted
+    /// over. Point `path` only at files meant to hold a pool.
     ///
     /// # Errors
     ///
     /// [`PoolError::Backend`](crate::PoolError::Backend) for pool-file I/O
-    /// failures, plus every error [`Pool::create`] and recovery can return.
+    /// failures, plus every error [`Pool::create`] and [`Pool::recover`]
+    /// can return. When formatting fails, a file this call created — or
+    /// found empty, which the backend treats as absent — is removed again;
+    /// a file that already held bytes is left as it was.
     pub fn open(
         path: impl AsRef<std::path::Path>,
         cfg: PoolConfig,
     ) -> Result<(Arc<Pool>, Option<crate::recovery::RecoveryReport>), crate::error::PoolError> {
-        let mut cfg = cfg;
-        cfg.backend = Backend::Mmap(path.as_ref().to_path_buf());
-        Self::open_with(cfg)
-    }
-
-    /// Opens a pool on whatever backend the config names. Heap backends
-    /// ([`Backend::Fast`], [`Backend::Sim`]) always create a fresh pool;
-    /// [`Backend::Mmap`] resolves to create-or-recover as in [`Pool::open`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pool::open`].
-    pub fn open_with(
-        cfg: PoolConfig,
-    ) -> Result<(Arc<Pool>, Option<crate::recovery::RecoveryReport>), crate::error::PoolError> {
-        let region_cfg = respct_pmem::RegionConfig::builder()
-            .size(cfg.pool_size)
-            .mode(cfg.backend.clone())
-            .build()?;
-        let region = Region::try_new(region_cfg)?;
-        if region.was_created() {
-            return Ok((Self::create(region, cfg)?, None));
+        let path = path.as_ref();
+        let region = Region::try_new(respct_pmem::RegionConfig::mmap(cfg.pool_size, path))?;
+        let created = region.was_created();
+        if !created && region.load::<u64>(OFF_MAGIC) != 0 {
+            let (pool, report) = Self::recover(region, cfg)?;
+            return Ok((pool, Some(report)));
         }
-        // Existing content: recover, never reformat. A wrong file (magic
-        // mismatch) surfaces as NotAPool.
-        let threads = cfg.recovery_threads;
-        let (pool, report) = Self::recover_with(
-            crate::recovery::RecoveryOptions::from_region(region)
-                .config(cfg)
-                .threads(threads),
-        )?;
-        Ok((pool, Some(report)))
+        match Self::create(region, cfg) {
+            Ok(pool) => Ok((pool, None)),
+            Err(e) => {
+                if created {
+                    // Best effort: the error worth reporting is `e`.
+                    let _ = std::fs::remove_file(path);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Flushes the region to its backing store (`msync` on the mmap
@@ -1176,30 +1104,15 @@ mod tests {
     #[test]
     fn builder_validates() {
         use crate::error::PoolError;
-        let ok = PoolConfig::builder()
-            .flusher_threads(4)
-            .flush_shards(16)
-            .build()
-            .unwrap();
+        let ok = PoolConfig::builder().flusher_threads(4).build().unwrap();
         assert_eq!(ok.flusher_threads(), 4);
         assert_eq!(ok.resolved_shards(), 16);
-        // Auto-sizing: 4× flushers, power of two.
+        // Shards: 4× flushers, rounded up to a power of two.
         let auto = PoolConfig::builder().flusher_threads(3).build().unwrap();
         assert_eq!(auto.resolved_shards(), 16);
         assert_eq!(PoolConfig::default().resolved_shards(), 4);
         assert!(matches!(
-            PoolConfig::builder().flush_shards(12).build(),
-            Err(PoolError::InvalidConfig(_))
-        ));
-        assert!(matches!(
             PoolConfig::builder().flusher_threads(65).build(),
-            Err(PoolError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            PoolConfig::builder()
-                .flusher_threads(8)
-                .flush_shards(4)
-                .build(),
             Err(PoolError::InvalidConfig(_))
         ));
         assert!(matches!(

@@ -36,91 +36,6 @@ use crate::layout::{
 };
 use crate::pool::{Pool, PoolConfig, SYSTEM_SLOT};
 
-/// Where a recovery reads the crashed state from.
-#[derive(Clone)]
-enum RecoverySource {
-    /// A live region whose volatile image was already restored from a
-    /// crash image.
-    Region(Arc<Region>),
-    /// Raw crash-image bytes; recovery builds a deterministic
-    /// (no-eviction) sim region around them.
-    Image(Vec<u8>),
-}
-
-/// Builder-style options for [`Pool::recover_with`], the recovery entry
-/// point ([`Pool::recover`] is its paper-named short form: live region,
-/// one scan thread). Construct from a source, then chain the knobs:
-///
-/// ```
-/// use respct::{Pool, PoolConfig, RecoveryOptions};
-/// # use std::sync::Arc;
-/// # use respct_pmem::{Region, RegionConfig, SimConfig};
-/// # let region = Region::new(RegionConfig::sim(1 << 20, SimConfig::no_eviction(1)));
-/// # let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
-/// # let img = region.crash(respct_pmem::sim::CrashMode::PowerFailure);
-/// # region.restore(&img);
-/// let (pool, report) = Pool::recover_with(
-///     RecoveryOptions::from_region(region)
-///         .config(PoolConfig::default())
-///         .threads(4),
-/// )
-/// .expect("recover");
-/// # assert_eq!(report.threads, 4);
-/// ```
-#[derive(Clone)]
-#[must_use = "pass the options to Pool::recover_with"]
-pub struct RecoveryOptions {
-    source: RecoverySource,
-    cfg: PoolConfig,
-    threads: usize,
-}
-
-impl std::fmt::Debug for RecoveryOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let source = match &self.source {
-            RecoverySource::Region(r) => format!("region({} bytes)", r.size()),
-            RecoverySource::Image(b) => format!("image({} bytes)", b.len()),
-        };
-        f.debug_struct("RecoveryOptions")
-            .field("source", &source)
-            .field("threads", &self.threads)
-            .finish()
-    }
-}
-
-impl RecoveryOptions {
-    /// Recovery over a live region (restored in place).
-    pub fn from_region(region: Arc<Region>) -> RecoveryOptions {
-        RecoveryOptions {
-            source: RecoverySource::Region(region),
-            cfg: PoolConfig::default(),
-            threads: 1,
-        }
-    }
-
-    /// Recovery over a raw crash image (the crash-point sweep entry point).
-    pub fn from_image(image: &[u8]) -> RecoveryOptions {
-        RecoveryOptions {
-            source: RecoverySource::Image(image.to_vec()),
-            cfg: PoolConfig::default(),
-            threads: 1,
-        }
-    }
-
-    /// Config of the recovered pool (default: [`PoolConfig::default`]).
-    pub fn config(mut self, cfg: PoolConfig) -> RecoveryOptions {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Worker threads for the registry scan (default 1; clamped to ≥ 1;
-    /// paper Fig. 12 uses 32).
-    pub fn threads(mut self, threads: usize) -> RecoveryOptions {
-        self.threads = threads;
-        self
-    }
-}
-
 /// Summary of a recovery run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -161,6 +76,10 @@ fn recovery_join_token(region: &Region) -> SyncToken {
 /// be flushed at the next checkpoint; see module docs). Garbage tags in
 /// never-initialized cells decode to astronomically large epochs and fall
 /// outside the range.
+///
+/// `#[inline]`: the registry scan calls this once per registered cell and
+/// nearly always leaves at the tag test.
+#[inline]
 fn roll_back_cell(
     region: &Region,
     addr: PAddr,
@@ -184,7 +103,23 @@ fn roll_back_cell(
 }
 
 impl Pool {
-    /// The recovery entry point. See [`RecoveryOptions`] for the knobs.
+    /// Recovers a pool from a region holding a crashed pool's persisted
+    /// bytes — a live region restored from a crash image, a freshly mapped
+    /// pool file, or [`Region::from_image`] around raw image bytes. The
+    /// registry scan runs on [`PoolConfig::recovery_threads`] workers.
+    ///
+    /// ```
+    /// use respct::{Pool, PoolConfig};
+    /// # use std::sync::Arc;
+    /// # use respct_pmem::{Region, RegionConfig, SimConfig};
+    /// # let region = Region::new(RegionConfig::sim(1 << 20, SimConfig::no_eviction(1)));
+    /// # let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
+    /// # let img = region.crash(respct_pmem::sim::CrashMode::PowerFailure);
+    /// # region.restore(&img);
+    /// let cfg = PoolConfig::builder().recovery_threads(4).build().unwrap();
+    /// let (pool, report) = Pool::recover(region, cfg).expect("recover");
+    /// # assert_eq!(report.threads, 4);
+    /// ```
     ///
     /// # Errors
     ///
@@ -193,51 +128,11 @@ impl Pool {
     /// if the header size disagrees with the region,
     /// [`PoolError::CorruptRing`](crate::PoolError::CorruptRing) if the
     /// epoch-record ring shows a hole or a stray claim.
-    ///
-    /// # Panics
-    ///
-    /// With an image source, panics unless the image is a positive
-    /// cache-line multiple in size (all region images are).
-    pub fn recover_with(
-        opts: RecoveryOptions,
-    ) -> Result<(Arc<Pool>, RecoveryReport), crate::error::PoolError> {
-        let region = match opts.source {
-            RecoverySource::Region(region) => region,
-            RecoverySource::Image(image) => {
-                // A deterministic (no-eviction) sim region around the raw
-                // bytes, so the recovered state is a pure function of the
-                // image.
-                let region = Region::new(respct_pmem::RegionConfig::sim(
-                    image.len(),
-                    respct_pmem::SimConfig::no_eviction(0),
-                ));
-                let img = respct_pmem::CrashImage::from_bytes(image);
-                region.restore(&img);
-                region
-            }
-        };
-        Self::recover_impl(region, opts.cfg, opts.threads)
-    }
-
-    /// Recovers a pool from a region whose volatile image was restored from
-    /// a crash image (single-threaded registry scan).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pool::recover_with`].
     pub fn recover(
         region: Arc<Region>,
         cfg: PoolConfig,
     ) -> Result<(Arc<Pool>, RecoveryReport), crate::error::PoolError> {
-        Self::recover_with(RecoveryOptions::from_region(region).config(cfg))
-    }
-
-    fn recover_impl(
-        region: Arc<Region>,
-        cfg: PoolConfig,
-        threads: usize,
-    ) -> Result<(Arc<Pool>, RecoveryReport), crate::error::PoolError> {
-        let threads = threads.max(1);
+        let threads = cfg.recovery_threads();
         let t0 = Instant::now();
         if region.load::<u64>(OFF_MAGIC) != MAGIC {
             return Err(crate::error::PoolError::NotAPool);
@@ -674,30 +569,48 @@ mod tests {
         assert_eq!(h2.last_rp(), 41);
     }
 
+    /// One crash image, recovered from a restored live region and from
+    /// `Region::from_image`, on 1 and on 4 scan threads: every combination
+    /// reports the thread count it was given and recovers the same state.
     #[test]
-    fn parallel_recovery_matches_serial() {
+    fn recovery_agrees_across_sources_and_thread_counts() {
         let region = sim_region(7);
         let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
         let h = pool.register();
-        let mut cells = Vec::new();
-        for i in 0..500u64 {
-            cells.push(h.alloc_cell(i));
-        }
+        let cells: Vec<_> = (0..500u64).map(|i| h.alloc_cell(i)).collect();
         h.checkpoint_here();
         for (i, c) in cells.iter().enumerate() {
-            h.update(*c, 10_000 + i as u64);
+            h.update(*c, 10_000 + i as u64); // crashed epoch
         }
         drop(h);
         drop(pool);
         let img = region.crash(CrashMode::PowerFailure);
-        region.restore(&img);
-        let (pool2, report) =
-            Pool::recover_with(RecoveryOptions::from_region(Arc::clone(&region)).threads(4))
-                .unwrap();
-        assert_eq!(report.threads, 4);
-        for (i, c) in cells.iter().enumerate() {
-            assert_eq!(pool2.cell_get(*c), i as u64);
+        let mut counts = Vec::new();
+        for threads in [1, 4] {
+            for from_image in [false, true] {
+                let source = if from_image {
+                    // A synthetic region around the raw bytes; the original
+                    // is not touched.
+                    Region::from_image(img.bytes())
+                } else {
+                    region.restore(&img);
+                    Arc::clone(&region)
+                };
+                let cfg = PoolConfig::builder()
+                    .recovery_threads(threads)
+                    .build()
+                    .unwrap();
+                let (pool2, report) = Pool::recover(source, cfg).unwrap();
+                let case = format!("threads {threads}, image {from_image}");
+                assert_eq!(report.threads, threads, "{case}");
+                assert_eq!(report.failed_epoch, 2, "{case}");
+                for (i, c) in cells.iter().enumerate() {
+                    assert_eq!(pool2.cell_get(*c), i as u64, "{case}");
+                }
+                counts.push((report.cells_scanned, report.cells_rolled_back));
+            }
         }
+        assert!(counts.iter().all(|c| *c == counts[0]), "{counts:?}");
     }
 
     #[test]
@@ -715,48 +628,10 @@ mod tests {
     }
 
     #[test]
-    fn recovery_from_image_matches_in_place_recovery() {
-        let region = sim_region(9);
-        let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
-        let h = pool.register();
-        let c = h.alloc_cell(10u64);
-        h.checkpoint_here();
-        h.update(c, 99); // crashed epoch
-        drop(h);
-        drop(pool);
-        let img = region.crash(CrashMode::PowerFailure);
-        // Recover on a synthetic region built from the raw bytes, without
-        // touching the original region.
-        let (pool2, report) = Pool::recover_with(RecoveryOptions::from_image(img.bytes())).unwrap();
-        assert_eq!(report.failed_epoch, 2);
-        assert_eq!(pool2.cell_get(c), 10);
-    }
-
-    #[test]
     fn recovery_from_image_rejects_garbage() {
-        let err = Pool::recover_with(RecoveryOptions::from_image(&[0u8; 1 << 20])).unwrap_err();
+        let err =
+            Pool::recover(Region::from_image(&[0u8; 1 << 20]), PoolConfig::default()).unwrap_err();
         assert_eq!(err, crate::error::PoolError::NotAPool);
-    }
-
-    #[test]
-    fn recover_with_options_from_image_and_threads() {
-        let region = sim_region(10);
-        let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
-        let h = pool.register();
-        let c = h.alloc_cell(10u64);
-        h.checkpoint_here();
-        h.update(c, 99); // crashed epoch
-        drop(h);
-        drop(pool);
-        let img = region.crash(CrashMode::PowerFailure);
-        let (pool2, report) = Pool::recover_with(
-            RecoveryOptions::from_image(img.bytes())
-                .config(PoolConfig::default())
-                .threads(2),
-        )
-        .unwrap();
-        assert_eq!(report.threads, 2);
-        assert_eq!(pool2.cell_get(c), 10);
     }
 
     /// A checkpointed image (`c = 20`, epoch counter 3) whose epoch header
@@ -796,7 +671,8 @@ mod tests {
             (&[(0, 2)][..], 2, 2, 10), // torn prefix: ring[0] = N, epoch = N
         ] {
             let (bytes, c) = image_with_ring(ring, epoch);
-            let (pool, report) = Pool::recover_with(RecoveryOptions::from_image(&bytes)).unwrap();
+            let (pool, report) =
+                Pool::recover(Region::from_image(&bytes), PoolConfig::default()).unwrap();
             assert_eq!(report.failed_epoch, failed, "ring {ring:?} epoch {epoch}");
             assert_eq!(pool.cell_get(c), value, "ring {ring:?} epoch {epoch}");
         }
@@ -809,7 +685,7 @@ mod tests {
             &[(0, 2), (2, 4)][..], // hole: 2 and 4 claimed, 3 committed
         ] {
             let (bytes, _) = image_with_ring(ring, 3);
-            let err = Pool::recover_with(RecoveryOptions::from_image(&bytes)).unwrap_err();
+            let err = Pool::recover(Region::from_image(&bytes), PoolConfig::default()).unwrap_err();
             assert!(
                 matches!(
                     err,

@@ -12,9 +12,7 @@ use parking_lot::Mutex;
 use respct_analysis::Checker;
 use respct_repro::pmem::{sim::CrashMode, Region, RegionConfig, SimConfig};
 use respct_repro::respct::layout::FIRST_EPOCH;
-use respct_repro::respct::{
-    CheckpointMode, Pool, PoolConfig, PoolError, RecoveryOptions, MAX_FLUSHERS, MAX_FLUSH_SHARDS,
-};
+use respct_repro::respct::{CheckpointMode, Pool, PoolConfig, PoolError, MAX_FLUSHERS};
 
 #[test]
 fn epochs_are_monotonic_and_persisted_in_order() {
@@ -293,7 +291,7 @@ fn checkpoint_here_returns_only_after_the_commit() {
             region.crash(CrashMode::PowerFailure)
         });
         let (recovered, report) =
-            Pool::recover_with(RecoveryOptions::from_image(img.bytes())).expect("recover");
+            Pool::recover(Region::from_image(img.bytes()), PoolConfig::default()).expect("recover");
         assert_eq!(
             (report.failed_epoch, recovered.cell_get(c)),
             (3, 99),
@@ -445,16 +443,14 @@ fn back_to_back_checkpoints_from_two_threads_stay_clean() {
 /// must reject every inconsistent knob combination with a telling message.
 #[test]
 fn pool_config_builder_validation() {
-    // Valid combinations, including the inline (zero-flusher) path and
-    // auto-sized shards.
-    for (flushers, shards) in [(0, 0), (0, 8), (3, 0), (3, 4), (64, 4096)] {
+    // Valid flusher counts, including the inline (zero-flusher) path; the
+    // shard count is derived from them.
+    for flushers in [0, 3, 64] {
         let cfg = PoolConfig::builder()
             .flusher_threads(flushers)
-            .flush_shards(shards)
             .build()
-            .unwrap_or_else(|e| panic!("({flushers}, {shards}) must validate: {e}"));
+            .unwrap_or_else(|e| panic!("{flushers} flushers must validate: {e}"));
         assert_eq!(cfg.flusher_threads(), flushers);
-        assert_eq!(cfg.flush_shards(), shards);
         assert!(cfg.resolved_shards().is_power_of_two());
         assert!(cfg.resolved_shards() >= flushers.max(1));
     }
@@ -470,17 +466,6 @@ fn pool_config_builder_validation() {
     expect_invalid(
         PoolConfig::builder().flusher_threads(MAX_FLUSHERS + 1),
         "MAX_FLUSHERS",
-    );
-    expect_invalid(PoolConfig::builder().flush_shards(3), "power of two");
-    expect_invalid(
-        PoolConfig::builder().flush_shards(2 * MAX_FLUSH_SHARDS),
-        "MAX_FLUSH_SHARDS",
-    );
-    // A non-zero shard count smaller than the flusher pool would leave
-    // idle flushers by construction.
-    expect_invalid(
-        PoolConfig::builder().flusher_threads(4).flush_shards(2),
-        "at least flusher_threads",
     );
     // NoFlush mode never flushes, so a flusher pool is a contradiction.
     expect_invalid(

@@ -19,7 +19,7 @@ use respct_repro::ds::{PHashMap, PQueue};
 use respct_repro::pmem::{
     sim::CrashMode, PAddr, Region, RegionConfig, Replayer, SimConfig, TeeSink, VecSink,
 };
-use respct_repro::respct::{Pool, PoolConfig, PoolError, RecoveryOptions};
+use respct_repro::respct::{Pool, PoolConfig, PoolError};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -174,7 +174,7 @@ proptest! {
             replayer.apply(ev);
         }
         for (img_idx, img) in replayer.crash_images(3, seed).iter().enumerate() {
-            let (pool, rec) = match Pool::recover_with(RecoveryOptions::from_image(img)) {
+            let (pool, rec) = match Pool::recover(Region::from_image(img), PoolConfig::default()) {
                 Ok(ok) => ok,
                 Err(PoolError::NotAPool) => break, // cut precedes the format
                 Err(e) => return Err(TestCaseError::fail(

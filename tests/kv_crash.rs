@@ -9,7 +9,9 @@
 //! write must be present with intact bytes** — that is the sync-mode
 //! contract (`end_batch` checkpoints before any response is released).
 //! Unacknowledged writes may or may not survive; BUSY rejections must not
-//! be counted as acknowledgements.
+//! be counted as acknowledgements. The same run is repeated with
+//! `RESPCT_PIPELINE=2`, where the contract additionally needs the sync
+//! acknowledgement to wait for the background drain's ring commit.
 //!
 //! A second test drives the binary's serving + live-metrics path the way an
 //! operator does: ephemeral ports from the readiness lines, a few requests,
@@ -34,13 +36,20 @@ const ACK_TARGET: usize = 300;
 const SETUP_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Spawns `respct-kvd` on ephemeral ports with a 64 MiB pool plus `extra`
-/// flags; returns the child and the addresses its readiness lines announce
-/// (the metrics line, printed first, only under `--metrics-addr`).
+/// flags, `RESPCT_PIPELINE` set to `pipeline` (`None` = unset); returns the
+/// child and the addresses its readiness lines announce (the metrics line,
+/// printed first, only under `--metrics-addr`).
 fn spawn_kvd(
     backend: &str,
+    pipeline: Option<&str>,
     extra: &[&str],
 ) -> (Child, std::net::SocketAddr, Option<std::net::SocketAddr>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_respct-kvd"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_respct-kvd"));
+    match pipeline {
+        Some(k) => cmd.env("RESPCT_PIPELINE", k),
+        None => cmd.env_remove("RESPCT_PIPELINE"),
+    };
+    let mut child = cmd
         .args(["--addr", "127.0.0.1:0", "--workers", "2"])
         .args(["--pool-bytes", &(64 << 20).to_string()])
         .args(extra)
@@ -75,10 +84,17 @@ fn spawn_kvd(
 
 #[test]
 fn sigkill_under_load_keeps_every_acked_sync_write() {
+    for pipeline in [None, Some("2")] {
+        sigkill_under_load(pipeline);
+    }
+}
+
+fn sigkill_under_load(pipeline: Option<&str>) {
     let path = std::env::temp_dir().join(format!("respct_kv_crash_{}.pool", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let (mut child, addr, _) = spawn_kvd(
         &format!("mmap:{}", path.display()),
+        pipeline,
         &["--batch", "8", "--sync", "--period-ms", "0"],
     );
 
@@ -147,7 +163,7 @@ fn sigkill_under_load_keeps_every_acked_sync_write() {
         }
         assert!(
             t0.elapsed() < SETUP_TIMEOUT,
-            "only {n} acks after {:?}",
+            "pipeline {pipeline:?}: only {n} acks after {:?}",
             t0.elapsed()
         );
         std::thread::sleep(Duration::from_millis(10));
@@ -183,7 +199,7 @@ fn sigkill_under_load_keeps_every_acked_sync_write() {
     for &key in &acked {
         let blob = map
             .get(&h, key)
-            .unwrap_or_else(|| panic!("acked key {key:#x} lost across SIGKILL"));
+            .unwrap_or_else(|| panic!("pipeline {pipeline:?}: acked key {key:#x} lost"));
         let len: u64 = pool.region().load(PAddr(blob));
         assert_eq!(len as usize, VALUE_LEN, "length header of key {key:#x}");
         pool.region().load_bytes(PAddr(blob + 8), &mut got);
@@ -242,7 +258,7 @@ fn json_value(s: &str) -> Option<&str> {
 /// `--metrics-addr` opened — runtime and KV families present, JSON valid.
 #[test]
 fn kvd_serves_requests_and_live_metrics() {
-    let (mut child, addr, metrics) = spawn_kvd("optane", &["--metrics-addr", "127.0.0.1:0"]);
+    let (mut child, addr, metrics) = spawn_kvd("optane", None, &["--metrics-addr", "127.0.0.1:0"]);
     let metrics = metrics.expect("--metrics-addr announces `metrics listening <addr>`");
 
     let mut client = KvClient::connect(addr).expect("connect to kvd");

@@ -13,7 +13,8 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use respct_repro::ds::POrderedMap;
-use respct_repro::respct::{Pool, PoolConfig};
+use respct_repro::respct::layout::{slot_base, OFF_BUMP, SLOT_ALLOC_CUR, U64_CELL_SLOT};
+use respct_repro::respct::{Pool, PoolConfig, PoolError};
 
 /// Must match `BATCH` in `src/bin/restart_worker.rs`.
 const BATCH: u64 = 64;
@@ -128,4 +129,100 @@ fn sigkill_mid_epoch_recovers_in_fresh_process() {
 
     drop(pool);
     let _ = std::fs::remove_file(&path);
+}
+
+/// `Pool::open` on a file no pool was ever committed to: `Pool::create`
+/// writes and fences the magic last, so a zero magic word means the format
+/// never completed — a create that failed, or a SIGKILL during the first
+/// start — and the file must not be stranded as `NotAPool` forever.
+#[test]
+fn open_formats_a_file_whose_format_never_completed() {
+    let dir = std::env::temp_dir().join(format!("respct_open_unformatted_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let cfg = |size| PoolConfig::builder().size(size).build().expect("config");
+    let too_small = |got: Result<_, PoolError>| match got {
+        Err(PoolError::RegionTooSmall { got: 4096, .. }) => {}
+        other => panic!("expected RegionTooSmall, got {:?}", other.map(|_| ())),
+    };
+
+    // A file this call created is removed when formatting it fails, so a
+    // retry at a usable size creates the pool…
+    let path = dir.join("retry.pool");
+    too_small(Pool::open(&path, cfg(4096)));
+    assert!(!path.exists(), "the failed create left its file behind");
+    let (pool, report) = Pool::open(&path, cfg(1 << 20)).expect("retry at a usable size");
+    assert!(report.is_none(), "a fresh file took the recovery path");
+    drop(pool);
+    // …which a third open recovers.
+    let (_, report) = Pool::open(&path, cfg(1 << 20)).expect("reopen");
+    assert!(report.is_some(), "a formatted pool took the create path");
+
+    // An all-zero file — what a kill during the first start leaves — is
+    // formatted at its own size and is a working pool from then on.
+    let path = dir.join("zero.pool");
+    std::fs::write(&path, vec![0u8; 1 << 20]).expect("zero file");
+    let (pool, report) = Pool::open(&path, cfg(64 << 20)).expect("format the all-zero file");
+    assert!(report.is_none());
+    assert_eq!(pool.region().size(), 1 << 20, "existing size wins");
+    let h = pool.register();
+    let cell = h.alloc_cell(41u64);
+    h.checkpoint_here();
+    h.update(cell, 99); // open epoch: rolls back
+    drop(h);
+    drop(pool);
+    let (pool, report) = Pool::open(&path, cfg(64 << 20)).expect("reopen the formatted file");
+    assert!(report.is_some());
+    assert_eq!(pool.cell_get(cell), 41);
+    drop(pool);
+
+    // A kill in the middle of `Pool::create` leaves header words stored
+    // under a zero magic; whatever they hold, the format starts over.
+    let path = dir.join("partial.pool");
+    drop(Pool::open(&path, cfg(1 << 20)).expect("format"));
+    let mut bytes = std::fs::read(&path).expect("read pool file");
+    bytes[..8].fill(0);
+    for cell in [OFF_BUMP.0, slot_base(1).0 + SLOT_ALLOC_CUR] {
+        bytes[cell as usize..][..U64_CELL_SLOT as usize].fill(0xA5);
+    }
+    std::fs::write(&path, &bytes).expect("write partial header");
+    let (pool, report) = Pool::open(&path, cfg(1 << 20)).expect("format over the partial header");
+    assert!(report.is_none(), "a zero magic took the recovery path");
+    let h = pool.register();
+    let cell = h.alloc_cell(7u64);
+    h.checkpoint_here();
+    drop(h);
+    drop(pool);
+    let (pool, report) = Pool::open(&path, cfg(1 << 20)).expect("reopen");
+    assert!(report.is_some());
+    assert_eq!(pool.cell_get(cell), 7);
+    drop(pool);
+
+    // An empty file holds nothing to lose: it counts as created by this
+    // call, failed format included.
+    let path = dir.join("empty.pool");
+    std::fs::write(&path, []).expect("empty file");
+    too_small(Pool::open(&path, cfg(4096)));
+    assert!(
+        !path.exists(),
+        "the failed create left the empty file sized"
+    );
+
+    // A too-small one still fails, typed — and is not ours to delete.
+    let path = dir.join("zero_small.pool");
+    std::fs::write(&path, vec![0u8; 4096]).expect("small zero file");
+    too_small(Pool::open(&path, cfg(1 << 20)));
+    assert!(path.exists(), "a pre-existing file was deleted");
+
+    // Any other magic is somebody else's file: never a silent reformat.
+    let path = dir.join("foreign.pool");
+    let mut foreign = vec![0u8; 1 << 20];
+    foreign[..8].copy_from_slice(b"NOTAPOOL");
+    std::fs::write(&path, &foreign).expect("foreign file");
+    assert_eq!(
+        Pool::open(&path, cfg(1 << 20)).map(|_| ()),
+        Err(PoolError::NotAPool)
+    );
+    assert_eq!(std::fs::read(&path).expect("read back"), foreign);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
