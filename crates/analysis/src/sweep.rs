@@ -159,25 +159,28 @@ where
             .enumerate()
         {
             images += 1;
-            // Recovery refuses images no correct execution can produce with
-            // a typed error (e.g. `CorruptRing` for the hole an out-of-order
-            // commit leaves). The registry walk and the oracle, though, follow
-            // persistent pointers through bounds-checked region accesses and
-            // *panic* on a diverged image; a sweep must survive that and
+            // Recovery answers every image — including ones no correct
+            // execution can produce — with `Ok` or a typed error (e.g.
+            // `CorruptRing` for the hole an out-of-order commit leaves); it
+            // runs unguarded, so every image of every sweep also proves it
+            // panic-free. The oracle, though, follows *application* pointers
+            // through bounds-checked region accesses and may legitimately
+            // panic on a diverged image; a sweep must survive that and
             // report it as a divergence, not die — it is exactly the
             // broken-protocol evidence the sweep exists to surface.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                match Pool::recover(Region::from_image(&image), cfg.pool.clone()) {
-                    Ok((pool, rec)) => (Some(rec.failed_epoch), oracle(&pool, &rec)),
-                    Err(e) => (None, Err(format!("recovery failed: {e:?}"))),
+            let at = || format!("event #{idx} ({ev:?}), image #{img_idx}");
+            let (pool, rec) = match Pool::recover(Region::from_image(&image), cfg.pool.clone()) {
+                Ok(recovered) => recovered,
+                Err(e) => {
+                    diverge(None, format!("{}: recovery failed: {e:?}", at()));
+                    continue;
                 }
-            }));
-            match outcome {
-                Ok((_, Ok(()))) => {}
-                Ok((epoch, Err(detail))) => diverge(
-                    epoch,
-                    format!("event #{idx} ({ev:?}), image #{img_idx}: {detail}"),
-                ),
+            };
+            let verdict =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| oracle(&pool, &rec)));
+            match verdict {
+                Ok(Ok(())) => {}
+                Ok(Err(detail)) => diverge(Some(rec.failed_epoch), format!("{}: {detail}", at())),
                 Err(payload) => {
                     let msg = payload
                         .downcast_ref::<String>()
@@ -185,10 +188,8 @@ where
                         .or_else(|| payload.downcast_ref::<&str>().copied())
                         .unwrap_or("non-string panic payload");
                     diverge(
-                        None,
-                        format!(
-                            "event #{idx} ({ev:?}), image #{img_idx}: recovery or oracle panicked: {msg}"
-                        ),
+                        Some(rec.failed_epoch),
+                        format!("{}: oracle panicked: {msg}", at()),
                     );
                 }
             }

@@ -43,7 +43,8 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use respct_pmem::{PAddr, Region, SyncToken, TraceMarker};
 
-use crate::layout::{epoch_ring_slot, MAX_THREADS, OFF_EPOCH};
+use crate::epoch_record;
+use crate::layout::MAX_THREADS;
 use crate::metrics::RuntimeMetrics;
 use crate::pool::{spin_until, CheckpointMode, Pool, SYSTEM_SLOT};
 
@@ -224,9 +225,7 @@ impl Pool {
         // barrier marker asserts the ordering dependency this store has on
         // every data flush above: all of them must be fenced by now.
         self.region.trace_marker(TraceMarker::OrderBarrier);
-        self.region.store(OFF_EPOCH, closing + 1);
-        self.region.pwb(OFF_EPOCH);
-        self.region.psync();
+        epoch_record::advance(&self.region, closing + 1);
         self.epoch_mirror.store(closing + 1, Ordering::SeqCst);
         self.region
             .trace_marker(TraceMarker::EpochAdvance { epoch: closing + 1 });
@@ -248,13 +247,10 @@ impl Pool {
     }
 
     /// Background tail of a checkpoint (`async_checkpoint`, ring depth
-    /// K = 1..=4): claim the closing epoch's ring slot — `ring[N mod K] ← N`,
-    /// `epoch ← N+1`, one write-back and one fence for both (they share the
-    /// epoch header line, so PCSO makes any torn durable state a
-    /// program-order prefix, and every prefix is handled by recovery's ring
-    /// decode) — hand the snapshotted lists to the drain executor, and
-    /// release the threads. Up to K−1 earlier drains may still be in
-    /// flight; the executor commits strictly in ring order, so
+    /// K = 1..=4): claim the closing epoch's ring slot
+    /// ([`epoch_record::claim`]), hand the snapshotted lists to the drain
+    /// executor, and release the threads. Up to K−1 earlier drains may still
+    /// be in flight; the executor commits strictly in ring order, so
     /// `ring[e] = 0` always implies every predecessor of `e` is durable
     /// too. A crash anywhere before epoch N's commit rolls N and everything
     /// after it back to the start of N — which is why the fast path's
@@ -276,16 +272,11 @@ impl Pool {
         // SAFETY: quiescence established by the caller; `ckpt_lock` held.
         let frees = unsafe { self.take_frees() };
 
-        let slot = closing % self.cfg.epoch_pipeline as u64;
-        let slot_addr = epoch_ring_slot(slot as usize);
-        self.region.store(slot_addr, closing);
-        self.region.store(OFF_EPOCH, closing + 1);
-        self.region.pwb(OFF_EPOCH);
-        self.region.psync();
+        let slot = epoch_record::claim(&self.region, closing, self.cfg.epoch_pipeline);
         self.epoch_mirror.store(closing + 1, Ordering::SeqCst);
         self.region.trace_marker(TraceMarker::PipelineBegin {
             epoch: closing,
-            slot,
+            slot: slot as u64,
         });
 
         // The returned report ends here; the flush and drain figures are
@@ -294,7 +285,7 @@ impl Pool {
         report.stw_ns = t0.elapsed().as_nanos() as u64;
         report.total_ns = report.stw_ns;
         exec.submit(DrainTicket {
-            slot: slot_addr,
+            slot,
             lists,
             frees,
             report: report.clone(),
@@ -701,7 +692,7 @@ impl Drop for FlusherPool {
 /// stop-the-world window and handed to the [`DrainExec`] worker.
 pub(crate) struct DrainTicket {
     /// The ring slot the epoch (`report.closed_epoch`) claimed.
-    slot: PAddr,
+    slot: usize,
     /// The epoch's tracked-line lists, pre-merge and pre-dedup.
     lists: EpochLists,
     /// Blocks freed during `epoch`, recyclable only after its commit.
@@ -858,9 +849,7 @@ impl DrainExec {
         // Until this fence lands, recovery discards `epoch`. The barrier
         // marker asserts that every write-back above is fenced by now.
         region.trace_marker(TraceMarker::OrderBarrier);
-        region.store(slot, 0u64);
-        region.pwb(slot);
-        region.psync();
+        epoch_record::commit(region, slot);
         region.trace_marker(TraceMarker::RingCommit { epoch });
         report.drain_ns = td.elapsed().as_nanos() as u64;
         report.total_ns += report.drain_ns;
@@ -911,7 +900,8 @@ mod tests {
         assert_eq!(r.closed_epoch, 1);
         assert_eq!(pool.epoch(), 2);
         let img = region.crash(respct_pmem::sim::CrashMode::PowerFailure);
-        let e = u64::from_ne_bytes(img.bytes()[OFF_EPOCH.0 as usize..][..8].try_into().unwrap());
+        let off = crate::layout::OFF_EPOCH.0 as usize;
+        let e = u64::from_ne_bytes(img.bytes()[off..][..8].try_into().unwrap());
         assert_eq!(e, 2, "epoch counter must be persistent");
     }
 

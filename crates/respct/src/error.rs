@@ -2,9 +2,13 @@
 //!
 //! [`Pool::create`](crate::Pool::create) and
 //! [`Pool::recover`](crate::Pool::recover) return `Result<_, PoolError>`
-//! instead of panicking: a region that is too small, not formatted, or a
-//! config that makes no sense are all conditions an embedding application
-//! can hit with user-supplied inputs and must be able to handle.
+//! instead of panicking: a region that is too small, a config that makes
+//! no sense, and media that is not (or no longer) a sound pool —
+//! [`NotAPool`](PoolError::NotAPool), [`SizeMismatch`](PoolError::SizeMismatch),
+//! [`CorruptRing`](PoolError::CorruptRing),
+//! [`CorruptRegistry`](PoolError::CorruptRegistry) — are all conditions an
+//! embedding application can hit with user-supplied inputs and must be able
+//! to handle.
 
 use respct_pmem::RegionError;
 
@@ -41,6 +45,22 @@ pub enum PoolError {
         slots: [u64; crate::layout::MAX_EPOCH_PIPELINE],
         /// The epoch counter recorded next to the ring.
         recorded_epoch: u64,
+    },
+    /// A slot's cell registry — the chain recovery walks to find every InCLL
+    /// cell — holds a word no run of this program writes: a chunk pointer
+    /// that is null, misaligned or out of bounds, a length the region could
+    /// not hold, an undecodable layout word, or a cell address out of bounds
+    /// or straddling a cache line. Recovery refuses rather than roll back
+    /// through it.
+    CorruptRegistry {
+        /// The thread slot whose chain is damaged.
+        slot: usize,
+        /// Index of the registry entry at (or before) which the walk stopped.
+        entry: u64,
+        /// The offending word as read from the region.
+        word: u64,
+        /// Which check it failed.
+        why: &'static str,
     },
     /// A [`PoolConfig`](crate::PoolConfig) validation failure (a count out
     /// of range, a contradictory mode combination). Produced by
@@ -79,6 +99,15 @@ impl std::fmt::Display for PoolError {
                 "corrupt epoch ring {slots:?} for epoch {recorded_epoch}: \
                  a hole or a stray claim means drains did not commit in ring order"
             ),
+            PoolError::CorruptRegistry {
+                slot,
+                entry,
+                word,
+                why,
+            } => write!(
+                f,
+                "corrupt cell registry: slot {slot} entry {entry}: {why} ({word:#x})"
+            ),
             PoolError::InvalidConfig(why) => write!(f, "invalid pool config: {why}"),
             PoolError::Backend(e) => write!(f, "backend error: {e}"),
         }
@@ -115,6 +144,13 @@ mod tests {
         }
         .to_string()
         .contains("corrupt epoch ring"));
+        let e = PoolError::CorruptRegistry {
+            slot: 5,
+            entry: 300,
+            word: 0xbad,
+            why: "undecodable layout word",
+        };
+        assert!(e.to_string().contains("slot 5 entry 300"), "{e}");
         assert!(PoolError::InvalidConfig("shards")
             .to_string()
             .contains("shards"));

@@ -1,18 +1,24 @@
 //! Persistent region layout and InCLL cell geometry.
 //!
 //! The region begins with a fixed header holding everything recovery must be
-//! able to find without any volatile state: the magic number, the epoch
-//! counter, the root pointer, the allocator's global bump cell, the
-//! free-list heads, and one descriptor per thread slot (restart-point id,
-//! per-thread allocation cache, registry chain). Everything after the header
-//! is heap, carved out by the bump allocator.
+//! able to find without any volatile state; everything after it is heap,
+//! carved out by the bump allocator. This module names the offsets; each
+//! structure's bytes are read and written in exactly one module (the
+//! "On-media format" table of DESIGN.md §3.2 has every field's owner and
+//! when it is durable; `cargo run -p xtask -- lint` enforces it).
 //!
 //! ```text
-//! +---------------------------------------------------------------+
-//! | magic | size | epoch | root cell | bump cell | freelists ...  |
-//! | thread slot 0 | thread slot 1 | ... | thread slot N-1 | heap  |
-//! +---------------------------------------------------------------+
+//! line 0    | magic | size |
+//! line 1    | epoch | ring[0] ring[1] ring[2] ring[3] |    epoch_record.rs
+//! line 2..  | root cell | bump cell | free-list cells x NUM_CLASSES |
+//! slot i    | rp_id | alloc_cur | alloc_end | reg_len | reg_head |
+//!  (x MAX_THREADS; four InCLL cells, then the plain chain head)
+//! heap      | ... registry chunk: next | (cell addr, layout word) x 255 ...
 //! ```
+//!
+//! Every cell above is in [`header_cells`], the list `Pool::create`
+//! formats, recovery rolls back and `Pool::verify` audits; `reg_head` and
+//! the chunks belong to `registry.rs`.
 
 use respct_pmem::{align_up, PAddr, CACHE_LINE};
 
@@ -88,7 +94,9 @@ impl CellLayout {
     /// is aligned for its value type.
     pub const fn fits_at(&self, addr: PAddr) -> bool {
         let off = addr.0 % CACHE_LINE as u64;
-        addr.0.is_multiple_of(self.valign as u64)
+        // `valign` is a power of two: mask, don't divide — the registry
+        // walk asks this once per registered cell.
+        addr.0 & (self.valign as u64 - 1) == 0
             && (addr.0 + self.epoch_off as u64).is_multiple_of(8)
             && off + self.total as u64 <= CACHE_LINE as u64
     }
@@ -98,9 +106,15 @@ impl CellLayout {
         (self.vsize as u64) | ((self.valign as u64) << 8)
     }
 
-    /// Reverses [`CellLayout::encode`].
-    pub const fn decode(meta: u64) -> CellLayout {
-        CellLayout::new((meta & 0xff) as usize, ((meta >> 8) & 0xff) as usize)
+    /// Reverses [`CellLayout::encode`]; `None` for a word `encode` cannot
+    /// have produced (registry entries are read from media).
+    #[inline]
+    pub const fn decode(meta: u64) -> Option<CellLayout> {
+        let (vsize, valign) = ((meta & 0xff) as usize, ((meta >> 8) & 0xff) as usize);
+        if meta >> 16 != 0 || vsize < 1 || vsize > 24 || !valign.is_power_of_two() || valign > 8 {
+            return None;
+        }
+        Some(CellLayout::new(vsize, valign))
     }
 }
 
@@ -138,22 +152,12 @@ pub const U64_CELL_SLOT: u64 = 32;
 pub const OFF_MAGIC: PAddr = PAddr(0);
 /// Formatted size (u64).
 pub const OFF_SIZE: PAddr = PAddr(8);
-/// The global epoch counter (paper Fig. 4 line 56). It shares its cache
-/// line only with the epoch-record ring ([`OFF_EPOCH_STATE`]), so PCSO's
-/// same-line prefix ordering makes every epoch-record update (`ring slot`,
-/// `epoch`) recover to a prefix of the program-order stores — any torn
-/// combination the recovery code must handle is a prefix, never a
-/// reordering.
+/// The global epoch counter (paper Fig. 4 line 56): a plain u64 that shares
+/// its cache line only with the epoch-record ring ([`OFF_EPOCH_STATE`]).
 pub const OFF_EPOCH: PAddr = PAddr(64);
 /// First slot of the epoch-record **ring**: [`MAX_EPOCH_PIPELINE`]
-/// consecutive plain u64 words, all on the same cache line as
-/// [`OFF_EPOCH`]. Slot `i` (see [`epoch_ring_slot`]) holds epoch `N` while
-/// a checkpoint of epoch `N` with `N % K == i` is still draining its
-/// modified lines in the background, and zero once that drain's two-phase
-/// commit lands. With `epoch_pipeline(1)` (the default) only slot 0 is
-/// ever used and the media format is identical to the single drain-state
-/// word it generalizes. Recovery rolls back every epoch still named by a
-/// non-zero slot.
+/// consecutive plain u64 words (see [`epoch_ring_slot`]), each the number
+/// of an epoch whose background drain has not committed, or zero.
 pub const OFF_EPOCH_STATE: PAddr = PAddr(72);
 
 /// Capacity of the epoch-record ring: the maximum number of epochs that
@@ -174,6 +178,11 @@ pub const OFF_ROOT: PAddr = PAddr(128);
 pub const OFF_BUMP: PAddr = PAddr(160);
 /// Free-list heads: `NUM_CLASSES` consecutive `ICell<u64>` slots.
 pub const OFF_FREELISTS: PAddr = PAddr(192);
+
+/// Address of the free-list head cell of size class `c`.
+pub(crate) const fn freelist_cell(c: usize) -> PAddr {
+    PAddr(OFF_FREELISTS.0 + c as u64 * U64_CELL_SLOT)
+}
 
 /// Start of the thread-slot array.
 pub const OFF_SLOTS: PAddr = PAddr(OFF_FREELISTS.0 + (NUM_CLASSES as u64) * U64_CELL_SLOT + 32);
@@ -199,6 +208,24 @@ pub const SLOT_ALLOC_END: u64 = 64;
 pub const SLOT_REG_LEN: u64 = 96;
 /// Plain u64: head chunk of the slot's registry chain (PAddr, 0 = none).
 pub const SLOT_REG_HEAD: u64 = 128;
+
+/// Address of the field at offset `field` of slot `slot`.
+pub(crate) fn slot_field(slot: usize, field: u64) -> PAddr {
+    PAddr(slot_base(slot).0 + field)
+}
+
+/// Every InCLL cell of the header (all `ICell<u64>`): root, bump, the
+/// free-list heads and the four cells of every slot. The one enumeration
+/// behind format, recovery roll-back and the `verify` tag audit — a cell
+/// added here is formatted, recovered and audited; one added anywhere else
+/// is none of the three.
+pub fn header_cells() -> impl Iterator<Item = PAddr> {
+    const SLOT_CELLS: [u64; 4] = [SLOT_RP_ID, SLOT_ALLOC_CUR, SLOT_ALLOC_END, SLOT_REG_LEN];
+    [OFF_ROOT, OFF_BUMP]
+        .into_iter()
+        .chain((0..NUM_CLASSES).map(freelist_cell))
+        .chain((0..MAX_THREADS).flat_map(|s| SLOT_CELLS.map(|f| slot_field(s, f))))
+}
 
 /// First heap byte.
 pub fn heap_start() -> PAddr {
@@ -274,8 +301,16 @@ mod tests {
     fn encode_decode_roundtrip() {
         for (s, a) in [(1, 1), (2, 2), (4, 4), (8, 8), (16, 8), (24, 8)] {
             let l = CellLayout::new(s, a);
-            assert_eq!(CellLayout::decode(l.encode()), l);
+            assert_eq!(CellLayout::decode(l.encode()), Some(l));
         }
+    }
+
+    #[test]
+    fn decode_rejects_garbage() {
+        assert!(CellLayout::decode(0).is_none()); // vsize 0
+        assert!(CellLayout::decode(0x0308).is_none()); // align 3
+        assert!(CellLayout::decode(0x1_0000_0808).is_none()); // high bits
+        assert!(CellLayout::decode(0x0808).is_some());
     }
 
     #[test]
@@ -309,16 +344,17 @@ mod tests {
         let l = CellLayout::new(8, 8);
         assert!(l.fits_at(OFF_ROOT));
         assert!(l.fits_at(OFF_BUMP));
-        for c in 0..NUM_CLASSES {
-            assert!(l.fits_at(PAddr(OFF_FREELISTS.0 + c as u64 * U64_CELL_SLOT)));
-        }
         for i in [0, 1, MAX_THREADS - 1] {
-            let b = slot_base(i);
-            assert_eq!(b.0 % CACHE_LINE as u64, 0);
-            for f in [SLOT_RP_ID, SLOT_ALLOC_CUR, SLOT_ALLOC_END, SLOT_REG_LEN] {
-                assert!(l.fits_at(PAddr(b.0 + f)));
-            }
+            assert_eq!(slot_base(i).0 % CACHE_LINE as u64, 0);
         }
+        let cells: Vec<PAddr> = header_cells().collect();
+        assert_eq!(cells.len(), 2 + NUM_CLASSES + 4 * MAX_THREADS);
+        for w in cells.windows(2) {
+            assert!(l.fits_at(w[0]));
+            assert!(w[0].0 + l.total as u64 <= w[1].0, "{w:?} overlap");
+        }
+        let last = *cells.last().unwrap();
+        assert!(l.fits_at(last) && last.0 + l.total as u64 <= heap_start().0);
     }
 
     #[test]

@@ -73,6 +73,7 @@
 mod alloc;
 mod checkpoint;
 mod condvar;
+mod epoch_record;
 mod error;
 mod incll;
 pub mod layout;

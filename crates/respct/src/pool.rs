@@ -18,8 +18,8 @@ use respct_pmem::{PAddr, Pod, Region, SyncToken, TraceMarker};
 
 use crate::incll::{cell_layout, ICell};
 use crate::layout::{
-    self, CellLayout, FIRST_EPOCH, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_BUMP, OFF_EPOCH,
-    OFF_FREELISTS, OFF_MAGIC, OFF_ROOT, OFF_SIZE, U64_CELL_SLOT,
+    self, CellLayout, FIRST_EPOCH, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_BUMP, OFF_MAGIC, OFF_ROOT,
+    OFF_SIZE,
 };
 
 /// What the checkpoint procedure actually does — the knobs behind the
@@ -426,31 +426,14 @@ impl Pool {
             });
         }
         region.store(OFF_SIZE, region.size() as u64);
-        region.store(OFF_EPOCH, FIRST_EPOCH);
-        // No drain in flight: every epoch-record ring slot is free.
-        for i in 0..layout::MAX_EPOCH_PIPELINE {
-            region.store(layout::epoch_ring_slot(i), 0u64);
-        }
-
+        crate::epoch_record::format(&region);
         // Header cells: record = backup = initial value, epoch_id = 0 so the
-        // first update in epoch FIRST_EPOCH logs them normally.
-        Self::format_cell_u64(&region, OFF_ROOT, 0);
-        Self::format_cell_u64(&region, OFF_BUMP, heap.0);
-        for c in 0..NUM_CLASSES {
-            Self::format_cell_u64(
-                &region,
-                PAddr(OFF_FREELISTS.0 + c as u64 * U64_CELL_SLOT),
-                0,
-            );
+        // first update in epoch FIRST_EPOCH logs them normally. Everything
+        // starts at 0 but the bump cursor, which starts at the heap.
+        for addr in layout::header_cells() {
+            Self::format_cell_u64(&region, addr, if addr == OFF_BUMP { heap.0 } else { 0 });
         }
-        for i in 0..MAX_THREADS {
-            let b = layout::slot_base(i);
-            Self::format_cell_u64(&region, PAddr(b.0 + layout::SLOT_RP_ID), 0);
-            Self::format_cell_u64(&region, PAddr(b.0 + layout::SLOT_ALLOC_CUR), 0);
-            Self::format_cell_u64(&region, PAddr(b.0 + layout::SLOT_ALLOC_END), 0);
-            Self::format_cell_u64(&region, PAddr(b.0 + layout::SLOT_REG_LEN), 0);
-            region.store(PAddr(b.0 + layout::SLOT_REG_HEAD), 0u64);
-        }
+        crate::registry::format(&region);
         // Persist the formatted header, then set the magic *last* and
         // persist it separately: the magic's durability implies the whole
         // header's (it is fenced after everything else, and shares its
@@ -564,20 +547,19 @@ impl Pool {
         let u64_cell = |addr: PAddr| -> u64 { region.load(addr) };
         let slots = (0..MAX_THREADS)
             .map(|i| {
-                let b = layout::slot_base(i).0;
                 SlotCell(UnsafeCell::new(SlotState {
                     to_flush: vec![Vec::new(); nshards],
                     reg_tail: 0,
                     reg_tail_used: 0,
                     frees: Vec::new(),
-                    alloc_cur: u64_cell(PAddr(b + layout::SLOT_ALLOC_CUR)),
-                    alloc_end: u64_cell(PAddr(b + layout::SLOT_ALLOC_END)),
-                    reg_len: u64_cell(PAddr(b + layout::SLOT_REG_LEN)),
+                    alloc_cur: u64_cell(layout::slot_field(i, layout::SLOT_ALLOC_CUR)),
+                    alloc_end: u64_cell(layout::slot_field(i, layout::SLOT_ALLOC_END)),
+                    reg_len: u64_cell(layout::slot_field(i, layout::SLOT_REG_LEN)),
                 }))
             })
             .collect::<Vec<_>>();
         let class_heads = (0..NUM_CLASSES)
-            .map(|c| Mutex::new(u64_cell(PAddr(OFF_FREELISTS.0 + c as u64 * U64_CELL_SLOT))))
+            .map(|c| Mutex::new(u64_cell(layout::freelist_cell(c))))
             .collect::<Vec<_>>();
         let bump_vol = Mutex::new(u64_cell(OFF_BUMP));
         let flusher = Arc::new(crate::checkpoint::Flusher::new(Arc::clone(&region), &cfg));
@@ -979,12 +961,12 @@ impl Pool {
     /// Header cell handle: free-list head of size class `c`.
     pub(crate) fn freelist_cell(&self, c: usize) -> ICell<u64> {
         debug_assert!(c < NUM_CLASSES);
-        ICell::from_addr(PAddr(OFF_FREELISTS.0 + c as u64 * U64_CELL_SLOT))
+        ICell::from_addr(layout::freelist_cell(c))
     }
 
     /// Per-slot header cell handles.
     pub(crate) fn slot_cell(&self, slot: usize, field: u64) -> ICell<u64> {
-        ICell::from_addr(PAddr(layout::slot_base(slot).0 + field))
+        ICell::from_addr(layout::slot_field(slot, field))
     }
 }
 

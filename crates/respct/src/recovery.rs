@@ -5,17 +5,17 @@
 //! crashed epoch's updates (lines that happened to be written back). The
 //! recovery procedure:
 //!
-//! 1. decodes the epoch-record ring on the epoch header line: the failed
+//! 1. decodes the epoch record ([`crate::epoch_record::read`]): the failed
 //!    epoch `E` is the oldest epoch whose drain never committed (or the
 //!    recorded running epoch when the ring is empty), and every epoch from
 //!    `E` through the running one rolls back with it;
-//! 2. rolls back every fixed header cell (root, bump, free lists, per-slot
-//!    descriptors) tagged inside the rolled-back range;
-//! 3. walks every slot's cell registry (lengths now rolled back to their
-//!    checkpointed values) and rolls back every registered cell tagged
-//!    inside the range — this step parallelizes across worker threads, which
-//!    is how the paper reconstructs a 4M-bucket hash map in < 240 ms
-//!    (Fig. 12);
+//! 2. rolls back every header cell ([`layout::header_cells`]) tagged inside
+//!    the rolled-back range;
+//! 3. walks every slot's cell registry ([`crate::registry::walk`]; lengths
+//!    now rolled back to their checkpointed values) and rolls back every
+//!    registered cell tagged inside the range — this step parallelizes
+//!    across worker threads, which is how the paper reconstructs a
+//!    4M-bucket hash map in < 240 ms (Fig. 12);
 //! 4. re-tracks every such cell in the system tracking list, so the next
 //!    checkpoint persists both the rollback writes and any re-executed
 //!    updates (which will skip `add_modified` because their `epoch_id`
@@ -30,11 +30,11 @@ use std::time::{Duration, Instant};
 use respct_pmem::arch::thread_cpu_ns;
 use respct_pmem::{BackendKind, PAddr, Region, SyncToken, TraceMarker};
 
-use crate::layout::{
-    self, CellLayout, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_BUMP, OFF_EPOCH, OFF_FREELISTS,
-    OFF_MAGIC, OFF_ROOT, U64_CELL_SLOT,
-};
+use crate::epoch_record::{self, EpochRecord};
+use crate::error::PoolError;
+use crate::layout::{self, CellLayout, MAGIC, MAX_THREADS, OFF_MAGIC};
 use crate::pool::{Pool, PoolConfig, SYSTEM_SLOT};
+use crate::registry;
 
 /// Summary of a recovery run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,15 +67,14 @@ fn recovery_join_token(region: &Region) -> SyncToken {
 }
 
 /// Restores `record` from `backup` if the cell was touched in any epoch of
-/// the uncommitted range `failed_epoch ..= recorded_epoch` — the oldest
+/// the uncommitted range `record.failed ..= record.recorded` — the oldest
 /// epoch whose drain never committed through the epoch that was running at
-/// the crash (see [`crate::layout::epoch_ring_slot`]; with a single drain
-/// in flight the range is one or two epochs, matching the original
-/// two-phase record). Returns whether a rollback happened. Collects the
-/// cell's line either way when it belongs to a rolled-back epoch (it must
-/// be flushed at the next checkpoint; see module docs). Garbage tags in
-/// never-initialized cells decode to astronomically large epochs and fall
-/// outside the range.
+/// the crash (see [`crate::epoch_record`]; with a single drain in flight
+/// the range is one or two epochs, matching the original two-phase record).
+/// Returns whether a rollback happened. Collects the cell's line either way
+/// when it belongs to a rolled-back epoch (it must be flushed at the next
+/// checkpoint; see module docs). Garbage tags in never-initialized cells
+/// decode to astronomically large epochs and fall outside the range.
 ///
 /// `#[inline]`: the registry scan calls this once per registered cell and
 /// nearly always leaves at the tag test.
@@ -84,13 +83,12 @@ fn roll_back_cell(
     region: &Region,
     addr: PAddr,
     l: CellLayout,
-    failed_epoch: u64,
-    recorded_epoch: u64,
+    record: &EpochRecord,
     lines: &mut Vec<u64>,
 ) -> bool {
     let stored: u64 = region.load(addr.offset(l.epoch_off as u64));
     let tag = crate::incll::tag_epoch(addr, stored);
-    if tag < failed_epoch || tag > recorded_epoch {
+    if tag < record.failed || tag > record.recorded {
         return false;
     }
     let mut buf = [0u8; 24];
@@ -123,68 +121,30 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// [`PoolError::NotAPool`](crate::PoolError::NotAPool) if the region was
-    /// never formatted, [`PoolError::SizeMismatch`](crate::PoolError::SizeMismatch)
-    /// if the header size disagrees with the region,
-    /// [`PoolError::CorruptRing`](crate::PoolError::CorruptRing) if the
-    /// epoch-record ring shows a hole or a stray claim.
+    /// [`PoolError::NotAPool`] if the region was never formatted,
+    /// [`PoolError::SizeMismatch`] if the header size disagrees with the
+    /// region, [`PoolError::CorruptRing`] if the epoch-record ring shows a
+    /// hole or a stray claim, [`PoolError::CorruptRegistry`] if a slot's
+    /// cell registry holds a pointer, length, layout word or cell address
+    /// the region cannot back. Damaged media never panics recovery.
     pub fn recover(
         region: Arc<Region>,
         cfg: PoolConfig,
-    ) -> Result<(Arc<Pool>, RecoveryReport), crate::error::PoolError> {
+    ) -> Result<(Arc<Pool>, RecoveryReport), PoolError> {
         let threads = cfg.recovery_threads();
         let t0 = Instant::now();
         if region.load::<u64>(OFF_MAGIC) != MAGIC {
-            return Err(crate::error::PoolError::NotAPool);
+            return Err(PoolError::NotAPool);
         }
         let header_size = region.load::<u64>(layout::OFF_SIZE);
         if header_size != region.size() as u64 {
-            return Err(crate::error::PoolError::SizeMismatch {
+            return Err(PoolError::SizeMismatch {
                 header: header_size,
                 region: region.size() as u64,
             });
         }
-        // Decode the epoch-record ring. Each slot holds the epoch number of
-        // an in-flight (claimed, uncommitted) drain, or 0 once committed;
-        // the decode is config-independent — a K=1 pool simply never wrote
-        // slots 1.. and they read back 0. An empty ring means the last
-        // checkpoint committed fully: only the recorded (running) epoch
-        // rolls back. Otherwise the oldest uncommitted epoch and everything
-        // after it — through the running epoch — roll back, and execution
-        // resumes in the oldest one. Drains commit strictly in ring order,
-        // so legitimate images always show a *contiguous* ascending run of
-        // uncommitted epochs ending at the running epoch or (when the
-        // ring-slot claim itself tore mid-line) at the recorded epoch
-        // itself; anything else is corruption, and recovery refuses it
-        // rather than guess which epochs are durable.
-        let recorded_epoch: u64 = region.load(OFF_EPOCH);
-        // `(slot index, claimed epoch)` for every in-flight drain, oldest
-        // epoch first. The slot index is remembered rather than recomputed:
-        // the crashed pool's ring width K (which determined `epoch mod K`)
-        // is not knowable from the image, and does not need to be.
-        let slots: [u64; layout::MAX_EPOCH_PIPELINE] =
-            std::array::from_fn(|i| region.load(layout::epoch_ring_slot(i)));
-        let mut uncommitted: Vec<(usize, u64)> = slots
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, e)| e != 0)
-            .collect();
-        uncommitted.sort_unstable_by_key(|&(_, e)| e);
-        let failed_epoch = match uncommitted.first() {
-            None => recorded_epoch,
-            Some(&(_, oldest)) => {
-                let newest = uncommitted.last().expect("non-empty").1;
-                let contiguous = uncommitted.windows(2).all(|w| w[1].1 == w[0].1 + 1);
-                if !(contiguous && (newest == recorded_epoch || newest + 1 == recorded_epoch)) {
-                    return Err(crate::error::PoolError::CorruptRing {
-                        slots,
-                        recorded_epoch,
-                    });
-                }
-                oldest
-            }
-        };
+        let record = epoch_record::read(&region)?;
+        let failed_epoch = record.failed;
         // Phase 0: prefault an mmap-backed region. A freshly mapped pool
         // file is all unpopulated PTEs, and at GB scale the demand minor
         // faults (one per 4 KiB) would otherwise dominate the registry
@@ -216,84 +176,42 @@ impl Pool {
 
         let u64_layout = CellLayout::new(8, 8);
         let mut lines: Vec<u64> = Vec::new();
-        let mut rolled = 0u64;
+        let (mut scanned, mut rolled) = (0u64, 0u64);
 
-        // Phase 1: fixed header cells.
-        let mut fixed: Vec<PAddr> = vec![OFF_ROOT, OFF_BUMP];
-        for c in 0..NUM_CLASSES {
-            fixed.push(PAddr(OFF_FREELISTS.0 + c as u64 * U64_CELL_SLOT));
-        }
-        for slot in 0..MAX_THREADS {
-            let b = layout::slot_base(slot).0;
-            for f in [
-                layout::SLOT_RP_ID,
-                layout::SLOT_ALLOC_CUR,
-                layout::SLOT_ALLOC_END,
-                layout::SLOT_REG_LEN,
-            ] {
-                fixed.push(PAddr(b + f));
-            }
-        }
-        let fixed_count = fixed.len() as u64;
-        for addr in fixed {
-            if roll_back_cell(
-                &region,
-                addr,
-                u64_layout,
-                failed_epoch,
-                recorded_epoch,
-                &mut lines,
-            ) {
+        // Phase 1: header cells.
+        for addr in layout::header_cells() {
+            scanned += 1;
+            if roll_back_cell(&region, addr, u64_layout, &record, &mut lines) {
                 rolled += 1;
             }
         }
-
-        // Phase 1.5: clear registry heads whose every entry rolled back.
-        // Such a head chunk was allocated in the failed epoch, so the
-        // allocator rollback reclaims its memory — the pointer dangles
-        // into re-allocatable space. An empty chain contributes nothing to
-        // recovery, so clearing is always safe; the next `register_cell`
-        // starts a fresh chain.
-        let mut cleared_head = false;
-        for slot in 0..MAX_THREADS {
-            let b = layout::slot_base(slot).0;
-            let len: u64 = region.load(PAddr(b + layout::SLOT_REG_LEN));
-            let head_field = PAddr(b + layout::SLOT_REG_HEAD);
-            let head: u64 = region.load(head_field);
-            if len == 0 && head != 0 {
-                region.store(head_field, 0u64);
-                region.pwb(head_field);
-                cleared_head = true;
-            }
-        }
-        if cleared_head {
-            region.psync();
-        }
+        // Phase 1.5: with the lengths restored, drop chains left empty.
+        registry::clear_emptied_heads(&region);
 
         // Phase 2: registered cells, scanned in parallel. Slot registries
-        // are disjoint, so slots partition cleanly across workers. The pool
-        // is only needed for its registry-walk helpers; build it now (no
-        // application thread exists yet).
+        // are disjoint, so slots partition cleanly across workers. Build the
+        // pool now (no application thread exists yet).
         let pool = Pool::attach(Arc::clone(&region), cfg, failed_epoch, true);
         // One worker's share of the scan: slots `w, w + threads, …`.
-        // Returns `(scanned, rolled, cpu_ns, lines)`.
+        // Returns `(scanned, rolled, cpu_ns, lines)`, or the first corrupt
+        // registry word the worker met.
         let scan = |w: usize| {
             let cpu0 = thread_cpu_ns();
             let mut scanned = 0u64;
             let mut rolled = 0u64;
             let mut lines = Vec::new();
             for slot in (w..MAX_THREADS).step_by(threads) {
-                let len = pool.reg_len_persistent(slot);
-                pool.for_each_registered(slot, len, |addr, l| {
+                registry::walk(&region, slot, |addr, l| {
                     scanned += 1;
-                    if roll_back_cell(&region, addr, l, failed_epoch, recorded_epoch, &mut lines) {
+                    if roll_back_cell(&region, addr, l, &record, &mut lines) {
                         rolled += 1;
                     }
-                });
+                })?;
             }
-            (scanned, rolled, thread_cpu_ns().saturating_sub(cpu0), lines)
+            Ok((scanned, rolled, thread_cpu_ns().saturating_sub(cpu0), lines))
         };
-        let results: Vec<(u64, u64, u64, Vec<u64>)> = if threads == 1 {
+        type Scan = Result<(u64, u64, u64, Vec<u64>), PoolError>;
+        let results: Vec<Scan> = if threads == 1 {
             vec![scan(0)]
         } else {
             let results = std::thread::scope(|s| {
@@ -318,9 +236,9 @@ impl Pool {
             region.sync_acquire(recovery_join_token(&region));
             results
         };
-        let mut scanned = 0u64;
         let mut scan_span_ns = 0u64;
-        for (s, r, cpu, mut l) in results {
+        for result in results {
+            let (s, r, cpu, mut l) = result.inspect_err(|_| region.set_trace_loads(false))?;
             scanned += s;
             rolled += r;
             scan_span_ns = scan_span_ns.max(cpu);
@@ -338,30 +256,7 @@ impl Pool {
             unsafe { pool.track_line_raw(SYSTEM_SLOT, line) };
         }
 
-        // Repair the epoch ring if any drain was interrupted. The rollback
-        // writes must be durable *before* the ring mutates: zeroing slot
-        // `e mod K` claims "epoch `e` committed", which a re-crash trusts
-        // by not re-rolling `e`'s cells — so their restored values have to
-        // already sit in NVMM (a rolled cell's record equals its backup, so
-        // later epochs re-using a stale tag still roll back to the same
-        // committed value). The ring words and the epoch counter share one
-        // cache line and the stores run oldest-epoch-first with the epoch
-        // counter last, so by PCSO's same-line prefix order every torn
-        // state a re-crash can observe is a contiguous ring suffix this
-        // decode handles idempotently — the committed horizon only ever
-        // moves forward.
-        if !uncommitted.is_empty() {
-            for &line in &lines {
-                region.pwb_line(line);
-            }
-            region.psync();
-            for &(slot, _) in &uncommitted {
-                region.store(layout::epoch_ring_slot(slot), 0u64);
-            }
-            region.store(OFF_EPOCH, failed_epoch);
-            region.pwb(OFF_EPOCH);
-            region.psync();
-        }
+        epoch_record::repair(&region, &record, &lines);
         region.set_trace_loads(false);
         region.trace_marker(TraceMarker::RecoveryEnd {
             epoch: failed_epoch,
@@ -373,7 +268,7 @@ impl Pool {
 
         let report = RecoveryReport {
             failed_epoch,
-            cells_scanned: scanned + fixed_count,
+            cells_scanned: scanned,
             cells_rolled_back: rolled,
             duration: t0.elapsed(),
             scan_span: Duration::from_nanos(scan_span_ns),
@@ -631,7 +526,7 @@ mod tests {
     fn recovery_from_image_rejects_garbage() {
         let err =
             Pool::recover(Region::from_image(&[0u8; 1 << 20]), PoolConfig::default()).unwrap_err();
-        assert_eq!(err, crate::error::PoolError::NotAPool);
+        assert_eq!(err, PoolError::NotAPool);
     }
 
     /// A checkpointed image (`c = 20`, epoch counter 3) whose epoch header
@@ -653,7 +548,7 @@ mod tests {
         for &(slot, e) in ring {
             put(layout::epoch_ring_slot(slot), e);
         }
-        put(OFF_EPOCH, epoch);
+        put(layout::OFF_EPOCH, epoch);
         (bytes, c)
     }
 
@@ -689,7 +584,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    crate::error::PoolError::CorruptRing {
+                    PoolError::CorruptRing {
                         recorded_epoch: 3,
                         ..
                     }
@@ -703,6 +598,6 @@ mod tests {
     fn recover_unformatted_region_fails() {
         let region = Region::new(RegionConfig::fast(1 << 20));
         let err = Pool::recover(region, PoolConfig::default()).unwrap_err();
-        assert_eq!(err, crate::error::PoolError::NotAPool);
+        assert_eq!(err, PoolError::NotAPool);
     }
 }

@@ -7,12 +7,11 @@
 
 use respct_pmem::PAddr;
 
+use crate::error::PoolError;
 use crate::incll::tag_epoch;
-use crate::layout::{
-    self, CellLayout, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_BUMP, OFF_EPOCH, OFF_FREELISTS,
-    OFF_MAGIC, OFF_ROOT, OFF_SIZE, REG_CHUNK_ENTRIES, U64_CELL_SLOT,
-};
+use crate::layout::{self, CellLayout, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_MAGIC, OFF_SIZE};
 use crate::pool::Pool;
+use crate::{epoch_record, registry};
 
 /// One integrity violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,43 +88,26 @@ impl Pool {
         // address mixing spreads garbage over the full u64 range), so only
         // the plausible window is flagged.
         let epoch = self.epoch();
-        let persistent_epoch = region.load::<u64>(OFF_EPOCH);
-        if persistent_epoch != epoch {
-            fail(
+        match epoch_record::read(region).map(|record| record.recorded) {
+            Ok(recorded) if recorded != epoch => fail(
                 ViolationKind::Epoch,
-                format!("persistent epoch {persistent_epoch} != volatile mirror {epoch}"),
-            );
+                format!("persistent epoch {recorded} != volatile mirror {epoch}"),
+            ),
+            Ok(_) => {}
+            Err(e) => fail(ViolationKind::Epoch, e.to_string()),
         }
         const EPOCH_HORIZON: u64 = 1 << 20;
         let bad_tag = |addr: PAddr, l: CellLayout| -> Option<u64> {
             let stored: u64 = region.load(addr.offset(l.epoch_off as u64));
             let e = tag_epoch(addr, stored);
-            (e > epoch && e <= epoch + EPOCH_HORIZON).then_some(e)
+            (e > epoch && e <= epoch.saturating_add(EPOCH_HORIZON)).then_some(e)
         };
         let u64_layout = CellLayout::new(8, 8);
-        let mut fixed: Vec<(PAddr, &str)> = vec![(OFF_ROOT, "root cell"), (OFF_BUMP, "bump cell")];
-        for c in 0..NUM_CLASSES {
-            fixed.push((
-                PAddr(OFF_FREELISTS.0 + c as u64 * U64_CELL_SLOT),
-                "free-list cell",
-            ));
-        }
-        for slot in 0..MAX_THREADS {
-            let b = layout::slot_base(slot).0;
-            for f in [
-                layout::SLOT_RP_ID,
-                layout::SLOT_ALLOC_CUR,
-                layout::SLOT_ALLOC_END,
-                layout::SLOT_REG_LEN,
-            ] {
-                fixed.push((PAddr(b + f), "slot cell"));
-            }
-        }
-        for (addr, what) in fixed {
+        for addr in layout::header_cells() {
             if let Some(e) = bad_tag(addr, u64_layout) {
                 fail(
                     ViolationKind::Epoch,
-                    format!("{what} at {addr:?}: tag epoch {e} > pool epoch {epoch}"),
+                    format!("header cell at {addr:?}: tag epoch {e} > pool epoch {epoch}"),
                 );
             }
         }
@@ -140,59 +122,29 @@ impl Pool {
             );
         }
 
-        // Registries + registered cells.
+        // Registries + registered cells: the walk recovery uses. It stops a
+        // slot's chain at the first word it cannot trust.
         for slot in 0..MAX_THREADS {
-            let len = self.reg_len_persistent(slot);
-            let mut chunk: u64 =
-                region.load(PAddr(layout::slot_base(slot).0 + layout::SLOT_REG_HEAD));
-            let mut seen = 0u64;
-            while seen < len {
-                if chunk == 0 || chunk >= size {
+            let walked = registry::walk(region, slot, |addr, l| {
+                report.cells_checked += 1;
+                if let Some(e) = bad_tag(addr, l) {
                     fail(
-                        ViolationKind::Registry,
-                        format!("slot {slot}: chain ends at {seen}/{len} entries"),
+                        ViolationKind::Epoch,
+                        format!("slot {slot}: cell {addr:?} tag epoch {e} > pool epoch {epoch}"),
                     );
-                    break;
                 }
-                report.registry_chunks += 1;
-                let in_chunk = (len - seen).min(REG_CHUNK_ENTRIES);
-                for i in 0..in_chunk {
-                    let entry = PAddr(chunk + layout::reg_entry_off(i));
-                    let addr: u64 = region.load(entry);
-                    let meta: u64 = region.load(entry.offset(8));
-                    let l = CellLayout::decode_checked(meta);
-                    match l {
-                        Some(l) => {
-                            report.cells_checked += 1;
-                            if addr + l.total as u64 > size {
-                                fail(
-                                    ViolationKind::CellPlacement,
-                                    format!("slot {slot} entry {i}: cell {addr} out of bounds"),
-                                );
-                            } else if !l.fits_at(PAddr(addr)) {
-                                fail(
-                                    ViolationKind::CellPlacement,
-                                    format!("slot {slot} entry {i}: cell {addr} straddles a line"),
-                                );
-                            } else if let Some(e) = bad_tag(PAddr(addr), l) {
-                                fail(
-                                    ViolationKind::Epoch,
-                                    format!(
-                                        "slot {slot} entry {i}: cell {addr} tag epoch {e} > \
-                                         pool epoch {epoch}"
-                                    ),
-                                );
-                            }
-                        }
-                        None => fail(
-                            ViolationKind::Registry,
-                            format!("slot {slot} entry {i}: invalid layout meta {meta:#x}"),
-                        ),
-                    }
-                }
-                seen += in_chunk;
-                if seen < len {
-                    chunk = region.load(PAddr(chunk + layout::REG_CHUNK_NEXT));
+            });
+            match walked {
+                Ok(chunks) => report.registry_chunks += chunks,
+                Err(e) => {
+                    let kind = match e {
+                        PoolError::CorruptRegistry {
+                            why: registry::BAD_CELL,
+                            ..
+                        } => ViolationKind::CellPlacement,
+                        _ => ViolationKind::Registry,
+                    };
+                    fail(kind, e.to_string());
                 }
             }
         }
@@ -224,20 +176,6 @@ impl Pool {
         }
         report.violations = violations;
         report
-    }
-}
-
-impl CellLayout {
-    /// [`CellLayout::decode`] that rejects invalid metadata instead of
-    /// panicking.
-    pub fn decode_checked(meta: u64) -> Option<CellLayout> {
-        let vsize = (meta & 0xff) as usize;
-        let valign = ((meta >> 8) & 0xff) as usize;
-        if meta >> 16 != 0 || !(1..=24).contains(&vsize) || !valign.is_power_of_two() || valign > 8
-        {
-            return None;
-        }
-        Some(CellLayout::new(vsize, valign))
     }
 }
 
@@ -350,7 +288,7 @@ mod tests {
             PoolConfig::default(),
         )
         .unwrap();
-        pool.region().store(OFF_EPOCH, 99u64); // persistent counter diverges
+        pool.region().store(layout::OFF_EPOCH, 99u64); // persistent counter diverges
         let r = pool.verify();
         assert!(
             r.violations.iter().any(|v| v.kind == ViolationKind::Epoch),
@@ -379,13 +317,5 @@ mod tests {
             r.violations.iter().any(|v| v.kind == ViolationKind::Epoch),
             "{r:?}"
         );
-    }
-
-    #[test]
-    fn decode_checked_rejects_garbage() {
-        assert!(CellLayout::decode_checked(0).is_none()); // vsize 0
-        assert!(CellLayout::decode_checked(0x0308).is_none()); // align 3
-        assert!(CellLayout::decode_checked(0x1_0000_0808).is_none()); // high bits
-        assert!(CellLayout::decode_checked(0x0808).is_some());
     }
 }

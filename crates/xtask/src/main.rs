@@ -5,7 +5,7 @@
 //! ```
 //!
 //! The **pmem-discipline lint** — a fast, dependency-free text pass over
-//! the workspace's Rust sources enforcing two rules the compiler cannot:
+//! the workspace's Rust sources enforcing three rules the compiler cannot:
 //!
 //! 1. **raw-store**: raw-pointer store primitives (`ptr::write*`,
 //!    `copy_nonoverlapping`, `write_bytes`, `write_volatile`, …) are
@@ -16,10 +16,18 @@
 //! 2. **missing-safety**: every `unsafe` keyword (block, fn, impl) must be
 //!    justified by a `// SAFETY:` comment (or a `# Safety` doc section)
 //!    within the preceding lines.
+//! 3. **format-owner**: each on-media structure of a pool is decoded in one
+//!    module. In `crates/respct/src`, outside `#[cfg(test)]` code, the
+//!    epoch-record offsets may be named only in `layout.rs` (which defines
+//!    them) and `epoch_record.rs`, the registry-chain offsets only in
+//!    `layout.rs` and `registry.rs` ([`FORMAT_OWNERS`]) — so a format edit
+//!    touches one file per structure, and recovery cannot grow a second,
+//!    unchecked decoder.
 //!
 //! Escape hatch, for the rare blessed exception:
-//! `// pool-lint: allow(raw-store)` or `// pool-lint: allow(missing-safety)`
-//! on the offending line or the line above it.
+//! `// pool-lint: allow(raw-store)`, `// pool-lint: allow(missing-safety)`
+//! or `// pool-lint: allow(format-owner)` on the offending line or the line
+//! above it.
 //!
 //! Comments and string literals are stripped before token matching, so
 //! documentation may talk about `ptr::write` freely.
@@ -45,6 +53,24 @@ const SCAN_DIRS: &[&str] = &["crates", "src", "tests", "examples", "benches"];
 /// Path fragments exempt from the raw-store rule: the traced memory
 /// abstraction itself, the vendored stand-ins, and this lint.
 const RAW_STORE_BLESSED: &[&str] = &["crates/pmem/", "vendor/", "crates/xtask/"];
+
+/// Where the format-owner rule applies (workspace-relative).
+const FORMAT_OWNER_DIR: &str = "crates/respct/src/";
+
+/// `(structure, the names of its on-media offsets, the files that may use
+/// them)` for the format-owner rule.
+const FORMAT_OWNERS: &[(&str, &[&str], &[&str])] = &[
+    (
+        "epoch record",
+        &["OFF_EPOCH", "OFF_EPOCH_STATE", "epoch_ring_slot"],
+        &["layout.rs", "epoch_record.rs"],
+    ),
+    (
+        "registry chain",
+        &["SLOT_REG_HEAD", "REG_CHUNK_NEXT", "reg_entry_off"],
+        &["layout.rs", "registry.rs"],
+    ),
+];
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Finding {
@@ -216,14 +242,49 @@ fn has_escape(raw_lines: &[&str], idx: usize, rule: &str) -> bool {
 /// How far above an `unsafe` keyword a `SAFETY` justification may sit.
 const SAFETY_LOOKBACK: usize = 8;
 
-/// Lints one file's source text. `raw_store_applies` is false for blessed
-/// paths (the traced-memory crate itself).
+/// Lints one file's source text. `path` is workspace-relative (it decides
+/// whether the format-owner rule applies); `raw_store_applies` is false for
+/// blessed paths (the traced-memory crate itself).
 fn lint_source(path: &Path, src: &str, raw_store_applies: bool) -> Vec<Finding> {
     let stripped = strip_comments_and_strings(src);
     let raw_lines: Vec<&str> = src.lines().collect();
     let mut findings = Vec::new();
+    let file_name = path.file_name().map(|n| n.to_string_lossy());
+    // The structures this file does *not* own, if the rule covers it at all.
+    let governed = path
+        .to_string_lossy()
+        .replace('\\', "/")
+        .starts_with(FORMAT_OWNER_DIR);
+    let foreign: Vec<_> = FORMAT_OWNERS
+        .iter()
+        .filter(|(_, _, owners)| {
+            governed && !owners.iter().any(|o| Some(*o) == file_name.as_deref())
+        })
+        .collect();
+    let mut in_test_code = false;
 
     for (idx, line) in stripped.lines().enumerate() {
+        let words = || line.split(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+        // Unit tests sit at the end of a file, behind its first `cfg(test)`;
+        // they may hand-write on-media bytes to build damaged images.
+        in_test_code |= line.contains("#[cfg(test)]");
+        for (what, names, owners) in &foreign {
+            if let Some(name) = words().find(|w| names.contains(w)) {
+                if !in_test_code && !has_escape(&raw_lines, idx, "format-owner") {
+                    findings.push(Finding {
+                        file: path.to_path_buf(),
+                        line: idx + 1,
+                        rule: "format-owner",
+                        message: format!(
+                            "`{name}` is part of the on-media {what}, which only {} may \
+                             read or write — call that module instead of decoding it here",
+                            owners.join(" and ")
+                        ),
+                    });
+                }
+            }
+        }
+
         if raw_store_applies {
             for tok in RAW_STORE_TOKENS {
                 if line.contains(tok) && !has_escape(&raw_lines, idx, "raw-store") {
@@ -241,9 +302,7 @@ fn lint_source(path: &Path, src: &str, raw_store_applies: bool) -> Vec<Finding> 
         }
 
         // `unsafe` keyword (block / fn / impl / trait) needs justification.
-        let is_unsafe_use = line
-            .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-            .any(|w| w == "unsafe");
+        let is_unsafe_use = words().any(|w| w == "unsafe");
         if is_unsafe_use {
             let lo = idx.saturating_sub(SAFETY_LOOKBACK);
             let justified = raw_lines[lo..=idx]
@@ -393,6 +452,43 @@ mod tests {
     fn raw_string_contents_are_stripped() {
         let src = "const T: &str = r#\"ptr::write unsafe\"#;\n";
         assert!(lint_str(src, true).is_empty());
+    }
+
+    #[test]
+    fn format_offsets_outside_their_owner_are_flagged() {
+        let src = "fn f(r: &Region) -> u64 {\n    r.load(layout::OFF_EPOCH)\n}\n";
+        let f = lint_source(Path::new("crates/respct/src/pool.rs"), src, true);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("format-owner", 2));
+        assert!(f[0].message.contains("epoch_record.rs"), "{}", f[0].message);
+        let src = "fn g(c: u64) -> u64 {\n    c + REG_CHUNK_NEXT + reg_entry_off(3)\n}\n";
+        let f = lint_source(Path::new("crates/respct/src/verify.rs"), src, true);
+        assert_eq!(f.len(), 1, "one finding per line and structure: {f:?}");
+        assert!(f[0].message.contains("registry.rs"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn format_owners_tests_and_other_crates_may_name_offsets() {
+        let src =
+            "fn f(r: &Region) -> u64 {\n    r.load(OFF_EPOCH) + r.load(epoch_ring_slot(0))\n}\n";
+        for owner in ["layout.rs", "epoch_record.rs"] {
+            let path = Path::new("crates/respct/src").join(owner);
+            assert!(lint_source(&path, src, true).is_empty(), "{owner}");
+        }
+        // Each structure has its own owner: the registry is not the epoch
+        // record's.
+        assert_eq!(
+            lint_source(Path::new("crates/respct/src/registry.rs"), src, true).len(),
+            1
+        );
+        // Outside the runtime crate (integration tests, the checker) and
+        // behind `cfg(test)` the names are free; so are longer identifiers.
+        assert!(lint_source(Path::new("tests/corrupt_media.rs"), src, true).is_empty());
+        let unit =
+            format!("const MY_OFF_EPOCH_COPY: u64 = 0;\n#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint_source(Path::new("crates/respct/src/pool.rs"), &unit, true).is_empty());
+        let escaped = "// pool-lint: allow(format-owner)\nconst A: PAddr = OFF_EPOCH_STATE;\n";
+        assert!(lint_source(Path::new("crates/respct/src/pool.rs"), escaped, true).is_empty());
     }
 
     /// The real workspace must be clean — this is the tree-wide gate the
