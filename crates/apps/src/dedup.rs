@@ -104,7 +104,7 @@ impl<T> Chan<T> {
 
     fn wait<'a>(
         &'a self,
-        h: Option<&ThreadHandle>,
+        h: Option<&mut ThreadHandle>,
         cv: &Condvar,
         mut guard: parking_lot::MutexGuard<'a, ChanState<T>>,
     ) -> parking_lot::MutexGuard<'a, ChanState<T>> {
@@ -123,22 +123,22 @@ impl<T> Chan<T> {
         }
     }
 
-    fn push(&self, h: Option<&ThreadHandle>, v: T) {
+    fn push(&self, mut h: Option<&mut ThreadHandle>, v: T) {
         // RP immediately before the critical-section entrance (§3.3.3).
-        if let Some(h) = h {
+        if let Some(h) = h.as_deref() {
             h.rp(self.rp_id);
         }
         let mut guard = self.state.lock();
         while guard.q.len() >= self.cap {
-            guard = self.wait(h, &self.not_full, guard);
+            guard = self.wait(h.as_deref_mut(), &self.not_full, guard);
         }
         guard.q.push_back(v);
         drop(guard);
         self.not_empty.notify_one();
     }
 
-    fn pop(&self, h: Option<&ThreadHandle>) -> Option<T> {
-        if let Some(h) = h {
+    fn pop(&self, mut h: Option<&mut ThreadHandle>) -> Option<T> {
+        if let Some(h) = h.as_deref() {
             h.rp(self.rp_id.offset(1));
         }
         let mut guard = self.state.lock();
@@ -151,7 +151,7 @@ impl<T> Chan<T> {
             if guard.closed {
                 return None;
             }
-            guard = self.wait(h, &self.not_empty, guard);
+            guard = self.wait(h.as_deref_mut(), &self.not_empty, guard);
         }
     }
 
@@ -350,9 +350,9 @@ fn run_inner(
         {
             let pool = pool.clone();
             s.spawn(move || {
-                let h = pool.as_ref().map(respct::Pool::register);
+                let mut h = pool.as_ref().map(respct::Pool::register);
                 for cid in 0..cfg.chunks {
-                    ch.push(h.as_ref(), cid);
+                    ch.push(h.as_mut(), cid);
                 }
                 ch.close();
             });
@@ -361,11 +361,11 @@ fn run_inner(
         for _ in 0..cfg.hashers {
             let pool = pool.clone();
             s.spawn(move || {
-                let h = pool.as_ref().map(respct::Pool::register);
-                while let Some(cid) = ch.pop(h.as_ref()) {
+                let mut h = pool.as_ref().map(respct::Pool::register);
+                while let Some(cid) = ch.pop(h.as_mut()) {
                     let content = cid % cfg.unique;
                     let data = chunk_bytes(content, cfg.chunk_size);
-                    cc.push(h.as_ref(), (cid, fnv1a(&data)));
+                    cc.push(h.as_mut(), (cid, fnv1a(&data)));
                 }
                 if hl.fetch_sub(1, Ordering::SeqCst) == 1 {
                     cc.close();
@@ -376,11 +376,11 @@ fn run_inner(
         for _ in 0..cfg.compressors {
             let pool = pool.clone();
             s.spawn(move || {
-                let h = pool.as_ref().map(respct::Pool::register);
-                while let Some((cid, hash)) = cc.pop(h.as_ref()) {
+                let mut h = pool.as_ref().map(respct::Pool::register);
+                while let Some((cid, hash)) = cc.pop(h.as_mut()) {
                     let content = cid % cfg.unique;
                     let data = chunk_bytes(content, cfg.chunk_size);
-                    cs.push(h.as_ref(), (hash, rle_size(&data)));
+                    cs.push(h.as_mut(), (hash, rle_size(&data)));
                 }
                 if cl.fetch_sub(1, Ordering::SeqCst) == 1 {
                     cs.close();
@@ -391,10 +391,10 @@ fn run_inner(
         {
             let pool = pool.clone();
             s.spawn(move || {
-                let h = pool.as_ref().map(respct::Pool::register);
+                let mut h = pool.as_ref().map(respct::Pool::register);
                 let mut nvctx = ();
                 let _ = &mut nvctx;
-                while let Some((hash, csize)) = cs.pop(h.as_ref()) {
+                while let Some((hash, csize)) = cs.pop(h.as_mut()) {
                     let new = match store {
                         Store::Dram(map, bytes) => {
                             let new = map.insert(hash, 1);

@@ -5,7 +5,10 @@
 //! worker threads; each worker owns a registered `ThreadHandle` and a
 //! bounded request queue. Every connection gets a reader thread (frame →
 //! decode → enqueue to its assigned worker) and a writer thread (encode →
-//! socket), so a slow peer can only stall itself.
+//! socket), so a slow peer can only stall itself. A connection costs the
+//! server nothing once it is closed: its reader joins its writer and drops
+//! the socket's entry in the open-connection registry on the way out, and
+//! the accept loop joins finished readers.
 //!
 //! Backpressure is explicit: when the assigned worker's queue is full the
 //! reader answers BUSY immediately instead of buffering — the server's
@@ -30,6 +33,7 @@
 //! stream. Only frame-level failures (oversize length prefix, mid-frame
 //! EOF) tear the connection down.
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,6 +54,11 @@ struct WorkItem {
     resp: SyncSender<(u32, KvResponse)>,
 }
 
+/// A handle to every open connection's socket, keyed by connection number:
+/// what shutdown closes. A connection's reader removes its own entry when
+/// it exits, which closes the handle.
+type OpenConns = Arc<Mutex<HashMap<usize, TcpStream>>>;
+
 /// The running TCP server. Construct with [`KvServer::start`].
 pub struct KvServer;
 
@@ -64,8 +73,7 @@ impl KvServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: OpenConns = Arc::new(Mutex::new(HashMap::new()));
 
         let nworkers = service.config().workers();
         let queue_cap = service.config().queue_capacity();
@@ -87,12 +95,9 @@ impl KvServer {
             let service = Arc::clone(&service);
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
-            let conn_threads = Arc::clone(&conn_threads);
             std::thread::Builder::new()
                 .name("kvd-accept".into())
-                .spawn(move || {
-                    accept_loop(&listener, &service, senders, &stop, &conns, &conn_threads);
-                })
+                .spawn(move || accept_loop(&listener, &service, senders, &stop, &conns))
                 .expect("spawn kvd accept")
         };
 
@@ -102,22 +107,23 @@ impl KvServer {
             accept: Some(accept),
             workers,
             conns,
-            conn_threads,
         })
     }
 }
 
+/// Accepts connections until `stop`; returns the readers still running
+/// (each joins its own writer), for shutdown to join.
 fn accept_loop(
     listener: &TcpListener,
     service: &Arc<KvService>,
     senders: Vec<SyncSender<WorkItem>>,
     stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<TcpStream>>>,
-    conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+    conns: &OpenConns,
+) -> Vec<JoinHandle<()>> {
     let queue_cap = service.config().queue_capacity();
     let max_batch = service.config().max_batch();
     let mut next = 0usize;
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
@@ -127,26 +133,29 @@ fn accept_loop(
         if stop.load(Ordering::SeqCst) {
             break;
         }
+        // Reap the connections that closed since the last accept: what the
+        // server holds for past clients is bounded by the connections that
+        // were open at once, not by how many it ever accepted.
+        let (done, live) = readers.into_iter().partition(JoinHandle::is_finished);
+        readers = live;
+        for reader in done {
+            let _ = reader.join();
+        }
         let m = service.kv_metrics();
         m.connections.inc();
         m.active_connections.fetch_add(1, Ordering::Relaxed);
         let _ = stream.set_nodelay(true);
         // Accept-sharded: the connection is pinned to one worker for its
         // lifetime (requests from one pipeline stay ordered).
-        let worker = next % senders.len();
+        let (conn, worker) = (next, next % senders.len());
         next = next.wrapping_add(1);
 
-        let Ok(write_half) = stream.try_clone() else {
+        let (Ok(write_half), Ok(shutdown_half)) = (stream.try_clone(), stream.try_clone()) else {
             m.active_connections.fetch_sub(1, Ordering::Relaxed);
             continue;
         };
-        conns.lock().push(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                m.active_connections.fetch_sub(1, Ordering::Relaxed);
-                continue;
-            }
-        });
+        // Registered before the reader exists, so its exit finds the entry.
+        conns.lock().insert(conn, shutdown_half);
 
         // The writer drains this; BUSY rejections and worker responses
         // both flow through it, each tagged with the request id. Sized so
@@ -164,10 +173,17 @@ fn accept_loop(
         let reader = {
             let service = Arc::clone(service);
             let work_tx = senders[worker].clone();
+            let conns = Arc::clone(conns);
             std::thread::Builder::new()
                 .name("kvd-conn-reader".into())
                 .spawn(move || {
                     reader_loop(stream, &service, worker, &work_tx, &resp_tx);
+                    // The connection is over: let the writer drain what the
+                    // workers still owe it, then release everything held on
+                    // the connection's behalf.
+                    drop(resp_tx);
+                    let _ = writer.join();
+                    conns.lock().remove(&conn);
                     service
                         .kv_metrics()
                         .active_connections
@@ -175,12 +191,11 @@ fn accept_loop(
                 })
                 .expect("spawn kvd reader")
         };
-        let mut threads = conn_threads.lock();
-        threads.push(reader);
-        threads.push(writer);
+        readers.push(reader);
     }
     // Dropping `senders` here lets the workers' `recv` fail once the last
     // connection reader is gone — the worker exit condition.
+    readers
 }
 
 fn reader_loop(
@@ -325,10 +340,9 @@ fn worker_loop(service: &Arc<KvService>, rx: &Receiver<WorkItem>, worker: usize)
 pub struct KvServerGuard {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: OpenConns,
 }
 
 impl KvServerGuard {
@@ -343,14 +357,13 @@ impl Drop for KvServerGuard {
         self.stop.store(true, Ordering::SeqCst);
         // Poke the accept loop out of `accept()`.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
+        let readers = self.accept.take().and_then(|t| t.join().ok());
         // Shut down open connections so their reader/writer threads exit.
-        for c in self.conns.lock().drain(..) {
+        // (Not drained: each reader removes its own entry on the way out.)
+        for c in self.conns.lock().values() {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
-        for t in self.conn_threads.lock().drain(..) {
+        for t in readers.into_iter().flatten() {
             let _ = t.join();
         }
         // With the accept loop's senders and every reader gone, worker

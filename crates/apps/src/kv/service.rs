@@ -323,7 +323,7 @@ impl KvService {
     /// the worker's checkpoint-prevention flag is dropped for the wait so
     /// a checkpoint can complete while the worker is idle.
     pub fn blocked<R>(&self, ctx: &mut WorkerCtx, block: impl FnOnce() -> R) -> R {
-        match ctx.handle.as_ref() {
+        match ctx.handle.as_mut() {
             Some(h) => {
                 let _allow = h.allow_checkpoints();
                 block()

@@ -20,8 +20,6 @@
 //! * [`MetricsServer`] — a tiny built-in TCP listener serving the
 //!   Prometheus text format (`GET /metrics`) and the JSON snapshot
 //!   (`GET /json`).
-//! * [`Reporter`] — a periodic snapshot thread with an RAII guard,
-//!   mirroring the runtime's `start_checkpointer`.
 //!
 //! Everything is dependency-free std (plus `crossbeam::CachePadded`); no
 //! allocation on any record path.
@@ -29,11 +27,9 @@
 mod counter;
 mod hist;
 mod registry;
-mod report;
 mod server;
 
 pub use counter::Counter;
 pub use hist::{HistSnapshot, Histogram};
 pub use registry::{MetricsRegistry, Unit};
-pub use report::{Reporter, ReporterGuard};
 pub use server::{MetricsServer, MetricsServerGuard};

@@ -15,42 +15,45 @@
 //! (`SlotState::alloc_cur`/`alloc_end`, `Pool::bump_vol`,
 //! `Pool::class_heads`), and the checkpoint procedure syncs the mirrors
 //! into their InCLL cells while every thread is parked
-//! ([`Pool::sync_deferred_cells`]). Mid-epoch persistent values are
+//! ([`Quiesced::sync_deferred_cells`]). Mid-epoch persistent values are
 //! irrelevant: a crash rolls the whole epoch back, so the cells only need
 //! to be correct (and logged) at epoch boundaries. This keeps allocation
 //! off the persistence hot path entirely — one emulated-NVMM load per
 //! free-list pop, zero for a chunk bump.
 //!
-//! `free()` is *deferred*: blocks freed during an epoch are parked in a
-//! volatile per-slot list and only pushed onto the free lists after the
-//! next checkpoint (the paper's quiescent point), which makes within-epoch
-//! reuse impossible and closes the classic rollback/reuse hazard. The park
-//! list is lost in a crash — those blocks leak, which is safe (documented
-//! trade-off; Montage's epoch retirement makes the same compromise).
+//! `free()` is *deferred*, with one lifecycle in every checkpoint mode:
+//! blocks freed during an epoch are parked in a volatile per-slot list,
+//! *taken* by the checkpoint that closes the epoch while the threads are
+//! quiesced ([`Quiesced::take_frees`]), and *pushed* onto the free lists
+//! after the `Timer` release, once that epoch's commit has landed
+//! ([`Slot::push_frees`]: at once on a synchronous pool, by the first
+//! checkpoint after the drain's ring commit on an `async_checkpoint` one).
+//! Within-epoch reuse is impossible, which closes the classic
+//! rollback/reuse hazard. The park list is lost in a crash — those blocks
+//! leak, which is safe (documented trade-off; Montage's epoch retirement
+//! makes the same compromise).
 
 use respct_pmem::{align_up, PAddr, SyncToken};
 
+use crate::incll::ICell;
 use crate::layout::{self, class_of, class_size};
 use crate::pool::{Pool, SYSTEM_SLOT};
+use crate::slot::{Quiesced, Slot};
 
 /// Granularity of per-thread chunk grabs from the global bump.
 pub const CHUNK_SIZE: u64 = 64 * 1024;
 
-impl Pool {
-    /// Allocates `size` bytes aligned to `align` on behalf of `slot`.
+impl Slot<'_> {
+    /// Allocates `size` bytes aligned to `align`.
     ///
     /// Small sizes (≤ 4 KiB) are rounded up to a size class and served from
     /// the class free list or the slot's chunk cache; larger sizes bump the
     /// global cursor directly at 64-byte (or stronger) alignment.
     ///
-    /// # Safety
-    ///
-    /// Caller must have exclusive use of `slot` (see [`Pool::slot_state`]).
-    ///
     /// # Panics
     ///
     /// Panics when the region is exhausted.
-    pub(crate) unsafe fn alloc_raw(&self, slot: usize, size: u64, align: u64) -> PAddr {
+    pub(crate) fn alloc(&mut self, size: u64, align: u64) -> PAddr {
         assert!(size > 0, "zero-size allocation");
         assert!(align.is_power_of_two());
         match class_of(size) {
@@ -61,18 +64,141 @@ impl Pool {
                     "alignment {align} stronger than class alignment {}",
                     block.min(64)
                 );
-                // SAFETY: forwarded caller contract.
-                unsafe { self.alloc_class(slot, c) }
+                self.alloc_class(c)
             }
             None => {
                 let align = align.max(64);
-                let addr = self.bump_global(size, align);
-                self.scrub_fresh_block(addr, size);
+                let addr = self.pool().bump_global(size, align);
+                self.pool().scrub_fresh_block(addr, size);
                 addr
             }
         }
     }
 
+    /// Serves one block of class `c`: free list first, then the slot chunk.
+    fn alloc_class(&mut self, c: usize) -> PAddr {
+        let pool = self.pool();
+        // Free-list pop: volatile head under the class lock; the persistent
+        // head cell is synced at the next checkpoint.
+        {
+            let mut head = pool.class_heads[c].lock();
+            if *head != 0 {
+                let block = *head;
+                *head = pool.region.load(PAddr(block));
+                // The checkpointer stored this block's link word under the
+                // same lock ([`Slot::push_frees`]); joining its published
+                // clock orders our upcoming payload stores after that
+                // write for the happens-before race detector.
+                pool.region.sync_acquire(pool.class_lock_token(c));
+                return PAddr(block);
+            }
+        }
+        let block = class_size(c);
+        let st = self.state();
+        let aligned = align_up(st.alloc_cur, block.min(64));
+        if st.alloc_cur != 0 && aligned + block <= st.alloc_end {
+            st.alloc_cur = aligned + block;
+            pool.scrub_fresh_block(PAddr(aligned), block);
+            return PAddr(aligned);
+        }
+        // Grab a fresh chunk. The remainder of the old chunk (< one block)
+        // is abandoned — bounded internal fragmentation.
+        let chunk = pool.bump_global(CHUNK_SIZE, 64);
+        st.alloc_cur = chunk.0 + block;
+        st.alloc_end = chunk.0 + CHUNK_SIZE;
+        pool.scrub_fresh_block(chunk, block);
+        PAddr(chunk.0)
+    }
+
+    /// Frees a block previously returned by [`Slot::alloc`] for `size`
+    /// bytes. Deferred: the block becomes reusable only once the epoch it
+    /// was freed in has committed. Blocks above the largest class are not
+    /// recycled.
+    pub(crate) fn free(&mut self, addr: PAddr, size: u64) {
+        if let Some(c) = class_of(size) {
+            self.pool()
+                .region
+                .trace_marker(respct_pmem::TraceMarker::CellRetire {
+                    addr: addr.0,
+                    len: class_size(c),
+                });
+            self.state().frees.push((addr, c));
+        }
+    }
+
+    /// Brings `cell` up to its volatile mirror `v`, logging it if it moved.
+    fn sync_cell(&mut self, cell: ICell<u64>, v: u64) {
+        if self.pool().cell_get(cell) != v {
+            self.cell_update(cell, v);
+        }
+    }
+
+    /// Pushes taken free blocks onto the volatile free-list heads (the head
+    /// cells are synced at the *next* checkpoint), tracking the link-word
+    /// stores against this slot. Runs on the checkpointer, *after* the
+    /// `Timer` release and only once the epoch the blocks were freed in has
+    /// committed: the link word overwrites the block's first 8 bytes, and
+    /// until that commit lands a crash still rolls back to a state in which
+    /// the block was live.
+    pub(crate) fn push_frees(&mut self, drained: Vec<(PAddr, usize)>) {
+        let pool = self.pool();
+        for (addr, c) in drained {
+            let mut head = pool.class_heads[c].lock();
+            // Link word lives in the block's first 8 bytes. If the epoch
+            // that persists this push crashes, the head cell rolls back and
+            // the stale link word is unreachable garbage.
+            pool.region.store(addr, *head);
+            self.add_modified(addr, 8);
+            *head = addr.0;
+            // Publish the link-word store to whichever thread pops this
+            // block: the application threads are running again, so the
+            // class lock is the only ordering between the store above and
+            // the popper's payload writes.
+            pool.region.sync_release(pool.class_lock_token(c));
+        }
+    }
+}
+
+impl Quiesced<'_> {
+    /// Syncs every volatile cursor mirror into its InCLL cell so the
+    /// imminent flush persists end-of-epoch allocator and registry state.
+    /// Runs before the tracking lists are gathered.
+    pub(crate) fn sync_deferred_cells(&mut self) {
+        let pool = self.pool();
+        for idx in 0..layout::MAX_THREADS {
+            let mut slot = self.slot(idx);
+            let st = slot.state();
+            for (field, v) in [
+                (layout::SLOT_ALLOC_CUR, st.alloc_cur),
+                (layout::SLOT_ALLOC_END, st.alloc_end),
+                (layout::SLOT_REG_LEN, st.reg_len),
+            ] {
+                slot.sync_cell(pool.slot_cell(idx, field), v);
+            }
+        }
+        let mut sys = self.slot(SYSTEM_SLOT);
+        let bump = *pool.bump_vol.lock();
+        sys.sync_cell(pool.bump_cell(), bump);
+        for c in 0..layout::NUM_CLASSES {
+            let head = *pool.class_heads[c].lock();
+            sys.sync_cell(pool.freelist_cell(c), head);
+        }
+    }
+
+    /// Collects every slot's deferred-free list. Taken while quiesced (the
+    /// lists are owned by the parked threads, who may touch them again the
+    /// instant they are released); pushed with [`Slot::push_frees`] only
+    /// after the release, once the closing epoch's commit has landed.
+    pub(crate) fn take_frees(&mut self) -> Vec<(PAddr, usize)> {
+        let mut drained: Vec<(PAddr, usize)> = Vec::new();
+        for idx in 0..layout::MAX_THREADS {
+            drained.append(&mut self.slot(idx).state().frees);
+        }
+        drained
+    }
+}
+
+impl Pool {
     /// Zeroes a bump-fresh block before hand-out on recovered pools (see
     /// [`Pool::scrub_fresh`]): the crashed epoch may have left live-looking
     /// InCLL epoch tags in un-allocated memory, which would fool
@@ -93,45 +219,6 @@ impl Pool {
         }
     }
 
-    /// Serves one block of class `c`: free list first, then the slot chunk.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Self::alloc_raw`]: the caller owns `slot`.
-    unsafe fn alloc_class(&self, slot: usize, c: usize) -> PAddr {
-        // Free-list pop: volatile head under the class lock; the persistent
-        // head cell is synced at the next checkpoint.
-        {
-            let mut head = self.class_heads[c].lock();
-            if *head != 0 {
-                let block = *head;
-                *head = self.region.load(PAddr(block));
-                // The checkpointer stored this block's link word under the
-                // same lock ([`Pool::push_frees`]); joining its published
-                // clock orders our upcoming payload stores after that
-                // write for the happens-before race detector.
-                self.region.sync_acquire(self.class_lock_token(c));
-                return PAddr(block);
-            }
-        }
-        let block = class_size(c);
-        // SAFETY: forwarded caller contract.
-        let st = unsafe { self.slot_state(slot) };
-        let aligned = align_up(st.alloc_cur, block.min(64));
-        if st.alloc_cur != 0 && aligned + block <= st.alloc_end {
-            st.alloc_cur = aligned + block;
-            self.scrub_fresh_block(PAddr(aligned), block);
-            return PAddr(aligned);
-        }
-        // Grab a fresh chunk. The remainder of the old chunk (< one block)
-        // is abandoned — bounded internal fragmentation.
-        let chunk = self.bump_global(CHUNK_SIZE, 64);
-        st.alloc_cur = chunk.0 + block;
-        st.alloc_end = chunk.0 + CHUNK_SIZE;
-        self.scrub_fresh_block(chunk, block);
-        PAddr(chunk.0)
-    }
-
     /// Takes `size` bytes straight from the global bump mirror.
     fn bump_global(&self, size: u64, align: u64) -> PAddr {
         let mut bump = self.bump_vol.lock();
@@ -145,131 +232,6 @@ impl Pool {
         );
         *bump = new;
         PAddr(start)
-    }
-
-    /// Frees a block previously returned by [`Pool::alloc_raw`] for `size`
-    /// bytes. Deferred: the block becomes reusable only after the next
-    /// checkpoint. Blocks above the largest class are not recycled.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have exclusive use of `slot` (see [`Pool::slot_state`]).
-    pub(crate) unsafe fn free_raw(&self, slot: usize, addr: PAddr, size: u64) {
-        if let Some(c) = class_of(size) {
-            self.region
-                .trace_marker(respct_pmem::TraceMarker::CellRetire {
-                    addr: addr.0,
-                    len: class_size(c),
-                });
-            // SAFETY: forwarded caller contract.
-            unsafe { self.slot_state(slot) }.frees.push((addr, c));
-        }
-    }
-
-    /// Syncs every volatile cursor mirror into its InCLL cell so the
-    /// imminent flush persists end-of-epoch allocator and registry state.
-    ///
-    /// # Safety
-    ///
-    /// Must only be called by the checkpointer, after quiescence and before
-    /// the tracking lists are drained.
-    pub(crate) unsafe fn sync_deferred_cells(&self) {
-        for slot in 0..layout::MAX_THREADS {
-            // SAFETY: checkpointer exclusivity (all owners parked).
-            let st = unsafe { self.slot_state(slot) };
-            let (cur, end, rlen) = (st.alloc_cur, st.alloc_end, st.reg_len);
-            for (field, v) in [
-                (layout::SLOT_ALLOC_CUR, cur),
-                (layout::SLOT_ALLOC_END, end),
-                (layout::SLOT_REG_LEN, rlen),
-            ] {
-                let cell = self.slot_cell(slot, field);
-                if self.cell_get(cell) != v {
-                    // SAFETY: checkpointer exclusivity.
-                    unsafe { self.cell_update_raw(slot, cell, v) };
-                }
-            }
-        }
-        {
-            let bump = *self.bump_vol.lock();
-            let cell = self.bump_cell();
-            if self.cell_get(cell) != bump {
-                // SAFETY: checkpointer exclusivity.
-                unsafe { self.cell_update_raw(SYSTEM_SLOT, cell, bump) };
-            }
-        }
-        for c in 0..layout::NUM_CLASSES {
-            let head = *self.class_heads[c].lock();
-            let cell = self.freelist_cell(c);
-            if self.cell_get(cell) != head {
-                // SAFETY: checkpointer exclusivity.
-                unsafe { self.cell_update_raw(SYSTEM_SLOT, cell, head) };
-            }
-        }
-    }
-
-    /// Pushes all blocks freed before the just-completed checkpoint onto
-    /// the free lists (volatile heads; the head cells are synced at the
-    /// *next* checkpoint). Runs on the checkpointer, in the new epoch.
-    ///
-    /// # Safety
-    ///
-    /// Must only be called by the checkpointer while holding `ckpt_lock`.
-    pub(crate) unsafe fn drain_frees(&self, slot: usize) {
-        // SAFETY: forwarded caller contract.
-        let drained = unsafe { self.take_frees() };
-        // SAFETY: forwarded caller contract.
-        unsafe { self.push_frees(slot, drained) };
-    }
-
-    /// Collects every slot's deferred-free list. The asynchronous drain
-    /// calls this during the stop-the-world phase (the lists are owned by
-    /// the parked threads, who may touch them again the instant they are
-    /// released) and pushes the result with [`Pool::push_frees`] only after
-    /// the drain commits.
-    ///
-    /// # Safety
-    ///
-    /// Checkpointer exclusivity: all owners parked.
-    pub(crate) unsafe fn take_frees(&self) -> Vec<(PAddr, usize)> {
-        let mut drained: Vec<(PAddr, usize)> = Vec::new();
-        for s in 0..crate::layout::MAX_THREADS {
-            // SAFETY: checkpointer exclusivity (all owners parked).
-            let st = unsafe { self.slot_state(s) };
-            if !st.frees.is_empty() {
-                drained.append(&mut st.frees);
-            }
-        }
-        drained
-    }
-
-    /// Pushes taken free blocks onto the volatile free-list heads, tracking
-    /// the link-word stores against `slot`. On the asynchronous path this
-    /// must run *after* the drain's two-phase commit: the link word
-    /// overwrites the block's first 8 bytes, and until the commit lands a
-    /// crash still rolls back to a state in which the block was live.
-    ///
-    /// # Safety
-    ///
-    /// Must only be called by the checkpointer while holding `ckpt_lock`
-    /// with exclusive use of `slot`.
-    pub(crate) unsafe fn push_frees(&self, slot: usize, drained: Vec<(PAddr, usize)>) {
-        for (addr, c) in drained {
-            let mut head = self.class_heads[c].lock();
-            // Link word lives in the block's first 8 bytes. If the epoch
-            // that persists this push crashes, the head cell rolls back and
-            // the stale link word is unreachable garbage.
-            self.region.store(addr, *head);
-            // SAFETY: forwarded caller contract (checkpointer exclusivity).
-            unsafe { self.add_modified_raw(slot, addr, 8) };
-            *head = addr.0;
-            // Publish the link-word store to whichever thread pops this
-            // block: on the asynchronous path this runs after the drain
-            // released the application threads, so the class lock is the
-            // only ordering between the store above and the popper's
-            // payload writes.
-            self.region.sync_release(self.class_lock_token(c));
-        }
     }
 
     /// Happens-before token of a class free-list lock, keyed on the mutex
@@ -289,7 +251,7 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{PoolConfig, SYSTEM_SLOT};
+    use crate::pool::PoolConfig;
     use respct_pmem::{Region, RegionConfig};
     use std::sync::Arc;
 
@@ -299,6 +261,15 @@ mod tests {
             PoolConfig::default(),
         )
         .unwrap()
+    }
+
+    /// Allocates on the system slot (no thread is registered).
+    fn sys_alloc(p: &Pool, size: u64, align: u64) -> PAddr {
+        p.lock_ckpt().system_slot().alloc(size, align)
+    }
+
+    fn sys_free(p: &Pool, addr: PAddr, size: u64) {
+        p.lock_ckpt().system_slot().free(addr, size);
     }
 
     #[test]
@@ -313,8 +284,7 @@ mod tests {
             (4096, 64),
             (40, 8),
         ] {
-            // SAFETY: single-threaded test.
-            let a = unsafe { p.alloc_raw(SYSTEM_SLOT, size, align) };
+            let a = sys_alloc(&p, size, align);
             assert_eq!(a.0 % align, 0, "misaligned block for ({size},{align})");
             let block = class_of(size).map_or(size, class_size);
             for &(s, e) in &seen {
@@ -328,8 +298,7 @@ mod tests {
     fn class_blocks_do_not_straddle_lines() {
         let p = pool();
         for _ in 0..100 {
-            // SAFETY: single-threaded test.
-            let a = unsafe { p.alloc_raw(SYSTEM_SLOT, 24, 8) }; // class 32
+            let a = sys_alloc(&p, 24, 8); // class 32
             let off = a.0 % 64;
             assert!(off + 32 <= 64, "class-32 block straddles a line at {a:?}");
         }
@@ -338,49 +307,38 @@ mod tests {
     #[test]
     fn large_alloc_bumps_globally() {
         let p = pool();
-        // SAFETY: single-threaded test.
-        let a = unsafe { p.alloc_raw(SYSTEM_SLOT, 100_000, 64) };
+        let a = sys_alloc(&p, 100_000, 64);
         assert_eq!(a.0 % 64, 0);
         assert!(p.heap_used() >= 100_000);
     }
 
     #[test]
-    fn free_is_deferred_until_drain() {
+    fn free_is_deferred_until_checkpoint() {
         let p = pool();
-        // SAFETY: single-threaded test.
-        let a = unsafe { p.alloc_raw(SYSTEM_SLOT, 64, 8) };
-        // SAFETY: single-threaded test.
-        unsafe { p.free_raw(SYSTEM_SLOT, a, 64) };
+        let a = sys_alloc(&p, 64, 8);
+        sys_free(&p, a, 64);
         // Not yet reusable.
-        // SAFETY: single-threaded test.
-        let b = unsafe { p.alloc_raw(SYSTEM_SLOT, 64, 8) };
+        let b = sys_alloc(&p, 64, 8);
         assert_ne!(a, b);
-        // SAFETY: test stands in for the checkpointer.
-        unsafe { p.drain_frees(SYSTEM_SLOT) };
-        // SAFETY: single-threaded test.
-        let c = unsafe { p.alloc_raw(SYSTEM_SLOT, 64, 8) };
-        assert_eq!(a, c, "drained block should be recycled first");
+        p.checkpoint_now();
+        let c = sys_alloc(&p, 64, 8);
+        assert_eq!(a, c, "block freed in a committed epoch is recycled first");
     }
 
     #[test]
     fn huge_blocks_not_recycled() {
         let p = pool();
-        // SAFETY: single-threaded test.
-        let a = unsafe { p.alloc_raw(SYSTEM_SLOT, 8192, 64) };
-        // SAFETY: single-threaded test.
-        unsafe { p.free_raw(SYSTEM_SLOT, a, 8192) };
-        // SAFETY: test stands in for the checkpointer.
-        unsafe { p.drain_frees(SYSTEM_SLOT) };
-        // SAFETY: single-threaded test.
-        let b = unsafe { p.alloc_raw(SYSTEM_SLOT, 8192, 64) };
+        let a = sys_alloc(&p, 8192, 64);
+        sys_free(&p, a, 8192);
+        p.checkpoint_now();
+        let b = sys_alloc(&p, 8192, 64);
         assert_ne!(a, b);
     }
 
     #[test]
     fn sync_persists_cursors_at_checkpoint() {
         let p = pool();
-        // SAFETY: single-threaded test.
-        unsafe { p.alloc_raw(SYSTEM_SLOT, 64, 8) };
+        sys_alloc(&p, 64, 8);
         let used = p.heap_used();
         // Before a checkpoint, the persistent bump cell is stale.
         assert_ne!(p.cell_get(p.bump_cell()), used + layout::heap_start().0);
@@ -393,8 +351,7 @@ mod tests {
     fn oom_panics() {
         let p = pool();
         loop {
-            // SAFETY: single-threaded test.
-            unsafe { p.alloc_raw(SYSTEM_SLOT, 1 << 20, 64) };
+            sys_alloc(&p, 1 << 20, 64);
         }
     }
 }

@@ -26,9 +26,10 @@
 //!
 //! # Two tails
 //!
-//! [`Pool::checkpoint_now`] has one head (quiesce, sync cursors, gather)
-//! and two tails. The synchronous tail is Fig. 4 verbatim: flush, commit
-//! the epoch counter, release. The background tail (`async_checkpoint`,
+//! [`Pool::checkpoint_now`] has one head (quiesce, sync cursors, gather,
+//! take the epoch's frees) and two tails, after either of which it pushes
+//! the frees whose epoch has committed. The synchronous tail is Fig. 4
+//! verbatim: flush, commit the epoch counter, release. The background tail (`async_checkpoint`,
 //! ring depth K = 1..=4) claims the closing epoch's ring slot, hands the
 //! gathered lists to the [`DrainExec`] worker as a ticket and releases at
 //! once; the worker runs the same [`Flusher::flush_phase`] and commits
@@ -47,6 +48,7 @@ use crate::epoch_record;
 use crate::layout::MAX_THREADS;
 use crate::metrics::RuntimeMetrics;
 use crate::pool::{spin_until, CheckpointMode, Pool, SYSTEM_SLOT};
+use crate::slot::Quiesced;
 
 /// The flush shard a cache line belongs to. `nshards` must be a power of
 /// two (guaranteed by [`PoolConfig::resolved_shards`]).
@@ -107,7 +109,9 @@ pub struct CkptReport {
     /// an `async_checkpoint` pool *returns*: the executor records the final
     /// figures into the metrics when the drain commits.
     pub drain_ns: u64,
-    /// Nanoseconds for the whole checkpoint.
+    /// Nanoseconds for the whole checkpoint, up to the release of the
+    /// threads (plus `drain_ns`); the recycling of committed frees that
+    /// follows the release is not counted in any mode.
     pub total_ns: u64,
     /// Per-shard breakdown, one entry per non-empty shard.
     pub shards: Vec<ShardReport>,
@@ -132,7 +136,7 @@ impl Pool {
     ///
     /// [`ThreadHandle::checkpoint_here`]: crate::thread::ThreadHandle::checkpoint_here
     pub fn checkpoint_now(&self) -> CkptReport {
-        let _serial = self.lock_ckpt();
+        let mut serial = self.lock_ckpt();
         if self.pipeline.is_some() {
             // Backpressure: epoch N's ring slot is `N mod K`, free only
             // once the drain of epoch `N − K` has committed. Wait that
@@ -167,28 +171,18 @@ impl Pool {
             full: self.cfg.mode == CheckpointMode::Full,
         });
 
-        // All threads are parked: first sync the deferred allocator and
-        // registry cursors into their InCLL cells (so the flush below
-        // persists end-of-epoch metadata), then gather the tracking lists.
-        // SAFETY: quiescence established above; `ckpt_lock` held.
-        unsafe { self.sync_deferred_cells() };
-
-        // Gather: move every non-empty per-slot shard list out, tagged with
-        // its shard. O(slots × shards) pointer moves, no per-line work —
-        // merging and dedup happen per shard inside the flush phase.
+        // SAFETY: `timer` is set and every active owner's flag was observed
+        // raised with SeqCst above, so owners are parked; inactive slots
+        // have no owner. `quiesced` is last used before either tail lowers
+        // `timer`.
+        let mut quiesced = unsafe { Quiesced::new(&mut serial) };
+        // First sync the deferred allocator and registry cursors into their
+        // InCLL cells (so the flush below persists end-of-epoch metadata),
+        // then take the epoch's frees and gather the tracking lists.
+        quiesced.sync_deferred_cells();
+        let frees = quiesced.take_frees();
         let tp = Instant::now();
-        let mut lists: EpochLists = Vec::new();
-        for slot in 0..MAX_THREADS {
-            // SAFETY: `timer` is set and every active owner's flag was
-            // observed true with SeqCst, so owners are parked; inactive
-            // slots have no owner. The checkpointer has exclusive access.
-            let st = unsafe { self.slot_state(slot) };
-            for (s, list) in st.to_flush.iter_mut().enumerate() {
-                if !list.is_empty() {
-                    lists.push((s, std::mem::take(list)));
-                }
-            }
-        }
+        let lists = quiesced.gather();
         // The head's share of the report; each tail fills in its own.
         let report = CkptReport {
             closed_epoch: closing,
@@ -203,18 +197,21 @@ impl Pool {
             shards: Vec::new(),
         };
 
-        let report = match &self.pipeline {
-            None => self.commit_sync(t0, report, lists),
-            Some(exec) => self.claim_and_submit(exec, t0, report, lists),
+        // Either tail releases the threads; the frees whose epoch has
+        // committed by then are recycled afterwards, still under `ckpt_lock`.
+        let (report, committed) = match &self.pipeline {
+            None => (self.commit_sync(t0, report, lists), frees),
+            Some(exec) => self.claim_and_submit(exec, t0, report, lists, frees),
         };
+        serial.system_slot().push_frees(committed);
         self.region
             .trace_marker(TraceMarker::CheckpointEnd { epoch: closing });
         report
     }
 
     /// Synchronous tail of a checkpoint — Fig. 4 lines 55–59 verbatim:
-    /// flush, commit the epoch counter, recycle frees, then release the
-    /// parked threads.
+    /// flush, commit the epoch counter, then release the parked threads.
+    /// The closed epoch is committed on return, so its frees are recyclable.
     fn commit_sync(&self, t0: Instant, mut report: CkptReport, lists: EpochLists) -> CkptReport {
         let closing = report.closed_epoch;
         let tf = Instant::now();
@@ -229,12 +226,6 @@ impl Pool {
         self.epoch_mirror.store(closing + 1, Ordering::SeqCst);
         self.region
             .trace_marker(TraceMarker::EpochAdvance { epoch: closing + 1 });
-
-        // Blocks freed during the closed epoch are now safe to recycle;
-        // push them onto the persistent free lists in the new epoch.
-        // SAFETY: checkpointer exclusivity — workers are still parked
-        // (timer is still true) and we hold `ckpt_lock`.
-        unsafe { self.drain_frees(SYSTEM_SLOT) };
 
         report.stw_ns = t0.elapsed().as_nanos() as u64;
         // Release before the timer store: parked threads resume only after
@@ -256,22 +247,21 @@ impl Pool {
     /// after it back to the start of N — which is why the fast path's
     /// on-demand push-out must not let an epoch-N backup be overwritten
     /// until that commit lands.
+    ///
+    /// Frees from the closing epoch park inside the ticket until its commit
+    /// lands (pushing them any earlier would let a pre-commit crash roll
+    /// blocks back to live while their link words are already clobbered);
+    /// returned beside the report are the frees parked by drains that have
+    /// committed by now.
     fn claim_and_submit(
         &self,
         exec: &DrainExec,
         t0: Instant,
         mut report: CkptReport,
         lists: EpochLists,
-    ) -> CkptReport {
+        frees: Vec<(PAddr, usize)>,
+    ) -> (CkptReport, Vec<(PAddr, usize)>) {
         let closing = report.closed_epoch;
-        // Frees from the closing epoch park inside the ticket until its
-        // commit lands; the *next* checkpoint pushes them onto the free
-        // lists (below). Pushing them any earlier would let a pre-commit
-        // crash roll blocks back to live while their link words are
-        // already clobbered.
-        // SAFETY: quiescence established by the caller; `ckpt_lock` held.
-        let frees = unsafe { self.take_frees() };
-
         let slot = epoch_record::claim(&self.region, closing, self.cfg.epoch_pipeline);
         self.epoch_mirror.store(closing + 1, Ordering::SeqCst);
         self.region.trace_marker(TraceMarker::PipelineBegin {
@@ -292,18 +282,7 @@ impl Pool {
         });
         self.region.sync_release(SyncToken::Timer);
         self.timer.store(false, Ordering::SeqCst);
-
-        // Recycle frees parked by now-committed drains, *after* releasing
-        // the threads: `push_frees` publishes each link-word store through
-        // the class lock, so running it concurrently with the new epoch is
-        // safe and keeps its per-block cost out of the parked window. The
-        // link-word lines land in the new epoch's tracking lists.
-        let ready = exec.take_committed_frees();
-        if !ready.is_empty() {
-            // SAFETY: `ckpt_lock` held; SYSTEM_SLOT has no other owner.
-            unsafe { self.push_frees(SYSTEM_SLOT, ready) };
-        }
-        report
+        (report, exec.take_committed_frees())
     }
 
     /// Spawns a background thread that checkpoints every `period`.
@@ -329,6 +308,23 @@ impl Pool {
             stop,
             handle: Some(handle),
         }
+    }
+}
+
+impl Quiesced<'_> {
+    /// Gather: moves every non-empty per-slot shard list out, tagged with
+    /// its shard. O(slots × shards) pointer moves, no per-line work —
+    /// merging and dedup happen per shard inside the flush phase.
+    fn gather(&mut self) -> EpochLists {
+        let mut lists: EpochLists = Vec::new();
+        for idx in 0..MAX_THREADS {
+            for (s, list) in self.slot(idx).state().to_flush.iter_mut().enumerate() {
+                if !list.is_empty() {
+                    lists.push((s, std::mem::take(list)));
+                }
+            }
+        }
+        lists
     }
 }
 
@@ -911,8 +907,7 @@ mod tests {
         let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
         let addr = PAddr(crate::layout::heap_start().0);
         region.store(addr, 0xabcdu64);
-        // SAFETY: single-threaded test.
-        unsafe { pool.add_modified_raw(SYSTEM_SLOT, addr, 8) };
+        pool.lock_ckpt().system_slot().add_modified(addr, 8);
         let r = pool.checkpoint_now();
         assert_eq!(r.lines, 1);
         assert_eq!(r.shards.len(), 1);
@@ -932,8 +927,7 @@ mod tests {
         let pool = Pool::create(Arc::clone(&region), cfg).unwrap();
         let addr = PAddr(crate::layout::heap_start().0);
         region.store(addr, 0xabcdu64);
-        // SAFETY: single-threaded test.
-        unsafe { pool.add_modified_raw(SYSTEM_SLOT, addr, 8) };
+        pool.lock_ckpt().system_slot().add_modified(addr, 8);
         let r = pool.checkpoint_now();
         assert_eq!(r.lines, 1, "NoFlush still counts tracked lines");
         assert_eq!(pool.epoch(), 2);
@@ -1002,8 +996,7 @@ mod tests {
         for i in 0..64u64 {
             let a = PAddr(heap + i * 64);
             region.store(a, i + 7);
-            // SAFETY: single-threaded test.
-            unsafe { pool.add_modified_raw(SYSTEM_SLOT, a, 8) };
+            pool.lock_ckpt().system_slot().add_modified(a, 8);
         }
         let r = pool.checkpoint_now();
         assert_eq!(r.lines, 64);
@@ -1035,8 +1028,7 @@ mod tests {
         let region = Region::new(RegionConfig::fast(1 << 20));
         let pool = Pool::create(region, PoolConfig::default()).unwrap();
         let addr = PAddr(crate::layout::heap_start().0);
-        // SAFETY: single-threaded test.
-        unsafe { pool.add_modified_raw(SYSTEM_SLOT, addr, 128) };
+        pool.lock_ckpt().system_slot().add_modified(addr, 128);
         pool.checkpoint_now();
         assert_eq!(pool.runtime_metrics().ckpt_snapshot().lines_flushed, 2);
     }

@@ -43,7 +43,7 @@ impl RCondvar {
     /// while blocked. Returns the re-acquired guard.
     pub fn wait<'a, T>(
         &self,
-        handle: &ThreadHandle,
+        handle: &mut ThreadHandle,
         mutex: &'a Mutex<T>,
         mut guard: MutexGuard<'a, T>,
     ) -> MutexGuard<'a, T> {
@@ -56,7 +56,7 @@ impl RCondvar {
     /// wait timed out.
     pub fn wait_for<'a, T>(
         &self,
-        handle: &ThreadHandle,
+        handle: &mut ThreadHandle,
         mutex: &'a Mutex<T>,
         mut guard: MutexGuard<'a, T>,
         timeout: Duration,
@@ -105,11 +105,11 @@ mod tests {
                 Arc::clone(&released),
             );
             std::thread::spawn(move || {
-                let h = pool.register();
+                let mut h = pool.register();
                 h.rp(1);
                 let mut guard = mutex.lock();
                 while !*guard {
-                    guard = cv.wait(&h, &mutex, guard);
+                    guard = cv.wait(&mut h, &mutex, guard);
                 }
                 released.store(true, Ordering::SeqCst);
             })
@@ -167,11 +167,11 @@ mod tests {
                 Arc::clone(&resumed),
             );
             std::thread::spawn(move || {
-                let h = pool.register();
+                let mut h = pool.register();
                 h.rp(2);
                 let mut guard = mutex.lock();
                 while !*guard {
-                    guard = cv.wait(&h, &mutex, guard);
+                    guard = cv.wait(&mut h, &mutex, guard);
                 }
                 drop(guard);
                 resumed.store(true, Ordering::SeqCst);
@@ -213,9 +213,9 @@ mod tests {
         .unwrap();
         let mutex = Mutex::new(());
         let cv = RCondvar::new();
-        let h = pool.register();
+        let mut h = pool.register();
         let guard = mutex.lock();
-        let (_guard, timed_out) = cv.wait_for(&h, &mutex, guard, Duration::from_millis(5));
+        let (_guard, timed_out) = cv.wait_for(&mut h, &mutex, guard, Duration::from_millis(5));
         assert!(timed_out);
     }
 }

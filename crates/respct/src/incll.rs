@@ -35,11 +35,11 @@
 //! plain backup with no wait. On an `async_checkpoint` pool the check is
 //! two relaxed loads on the fast path (a synchronous pool skips it on an
 //! immutable field) and the push-out itself is `#[cold]` — see
-//! `Pool::cell_update_raw` and DESIGN.md §3.7.
+//! `Slot::cell_update` and DESIGN.md §3.7.
 
 use std::marker::PhantomData;
 
-use respct_pmem::{PAddr, Pod};
+use respct_pmem::{PAddr, Pod, Region};
 
 use crate::layout::CellLayout;
 
@@ -76,6 +76,16 @@ pub fn epoch_tag(addr: PAddr, epoch: u64) -> u64 {
 #[inline]
 pub fn tag_epoch(addr: PAddr, stored: u64) -> u64 {
     stored ^ addr_mix(addr)
+}
+
+/// Whether `cell`'s address already carries a live cell of its layout as of
+/// `epoch`: its tag decodes to an epoch this pool has run. Such a cell is
+/// registered and its record is what the last checkpoint saw; fresh (zeroed
+/// or foreign) memory decodes to an implausible epoch with probability
+/// 1 − ~2⁻⁶⁴.
+pub(crate) fn is_live<T: Pod>(region: &Region, cell: ICell<T>, epoch: u64) -> bool {
+    let stored: u64 = region.load(cell.epoch_addr());
+    (1..=epoch).contains(&tag_epoch(cell.addr(), stored))
 }
 
 /// A typed handle to an InCLL cell in persistent memory.

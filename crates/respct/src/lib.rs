@@ -81,6 +81,7 @@ pub mod metrics;
 mod pool;
 mod recovery;
 mod registry;
+mod slot;
 mod stats;
 mod sync;
 mod thread;
@@ -106,6 +107,6 @@ pub use verify::{VerifyReport, Violation, ViolationKind};
 // Re-export the substrate types users need alongside the pool API.
 pub use respct_pmem::{BackendKind, PAddr, Pod, Region, RegionConfig, RegionError, RegionMode};
 
-// Re-export the observability types surfaced through `Pool::metrics`,
-// `Pool::serve_metrics`, and `Pool::start_metrics_reporter`.
-pub use respct_obs::{HistSnapshot, MetricsRegistry, MetricsServerGuard, ReporterGuard};
+// Re-export the observability types surfaced through `Pool::metrics` and
+// `Pool::serve_metrics`.
+pub use respct_obs::{HistSnapshot, MetricsRegistry, MetricsServerGuard};

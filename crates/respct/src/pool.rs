@@ -1,13 +1,13 @@
 //! The persistent pool: region + epoch state + checkpoint machinery.
 //!
 //! A [`Pool`] owns an emulated-NVMM [`Region`] formatted with the layout of
-//! [`crate::layout`] and implements the primitive operations of the ResPCT
-//! algorithm (paper Fig. 4): `init_InCLL`, `update_InCLL`, `add_modified`,
-//! plus the allocator and cell registry that make general-purpose recovery
-//! possible. Application threads interact with the pool through
+//! [`crate::layout`] and holds the shared state of the ResPCT algorithm
+//! (paper Fig. 3): the epoch, `timer`, the per-thread flags and slots. The
+//! primitive operations (`init_InCLL`, `update_InCLL`, `add_modified`, the
+//! allocator, the cell registry) are methods of whoever holds a thread slot
+//! ([`crate::slot`]); application threads reach them through
 //! [`ThreadHandle`](crate::thread::ThreadHandle)s.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 use respct_pmem::{PAddr, Pod, Region, SyncToken, TraceMarker};
 
-use crate::incll::{cell_layout, ICell};
+use crate::incll::ICell;
 use crate::layout::{
     self, CellLayout, FIRST_EPOCH, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_BUMP, OFF_MAGIC, OFF_ROOT,
     OFF_SIZE,
@@ -309,41 +309,6 @@ impl PoolConfigBuilder {
     }
 }
 
-/// Volatile per-slot state, owned by the registered thread.
-pub(crate) struct SlotState {
-    /// Cache lines modified this epoch (`to_be_flushed`, paper Fig. 3),
-    /// hash-partitioned by line address into `Pool::nshards` shard lists at
-    /// append time. A given line always lands in the same shard (the shard
-    /// is a pure function of the address), so checkpoint-time dedup can run
-    /// per shard with no cross-shard coordination.
-    pub to_flush: Vec<Vec<u64>>,
-    /// Tail chunk of the slot's registry chain (0 = none). Volatile cache;
-    /// reconstructed from persistent state on registration.
-    pub reg_tail: u64,
-    /// Entries already used in the tail chunk.
-    pub reg_tail_used: u64,
-    /// Blocks freed this epoch (deferred to the next checkpoint).
-    pub frees: Vec<(respct_pmem::PAddr, usize)>,
-    /// Volatile mirrors of the slot's persistent cursors. The InCLL cells
-    /// are only synced from these at checkpoint time (while every thread is
-    /// parked): mid-epoch persistent values are irrelevant because a crash
-    /// rolls the entire epoch back, so the hot paths run on plain memory.
-    pub alloc_cur: u64,
-    pub alloc_end: u64,
-    pub reg_len: u64,
-}
-
-/// `UnsafeCell` wrapper so the slot array can be shared.
-pub(crate) struct SlotCell(UnsafeCell<SlotState>);
-
-// SAFETY: access to the inner `SlotState` follows the epoch protocol
-// documented on `Pool::slot_state`: the owning thread accesses it only while
-// its per-thread flag is false (it is running), and the checkpointer
-// accesses it only while the flag is true *and* `timer` is set (the owner is
-// parked inside `rp()`/`checkpoint_prevent()` or has deregistered). The
-// flag's SeqCst store/load pair provides the happens-before edge.
-unsafe impl Sync for SlotCell {}
-
 /// The persistent pool. See the module docs.
 pub struct Pool {
     pub(crate) region: Arc<Region>,
@@ -362,7 +327,7 @@ pub struct Pool {
     pub(crate) flags: Box<[CachePadded<AtomicBool>]>,
     /// Which slots belong to live handles.
     pub(crate) active: Box<[AtomicBool]>,
-    pub(crate) slots: Box<[SlotCell]>,
+    pub(crate) slots: crate::slot::SlotTable,
     /// Free slot ids for registration (slot 0 is the system slot).
     pub(crate) free_slots: Mutex<Vec<usize>>,
     /// Volatile mirror of the global bump offset (the mutex is also the
@@ -545,19 +510,7 @@ impl Pool {
             .map(|_| AtomicBool::new(false))
             .collect::<Vec<_>>();
         let u64_cell = |addr: PAddr| -> u64 { region.load(addr) };
-        let slots = (0..MAX_THREADS)
-            .map(|i| {
-                SlotCell(UnsafeCell::new(SlotState {
-                    to_flush: vec![Vec::new(); nshards],
-                    reg_tail: 0,
-                    reg_tail_used: 0,
-                    frees: Vec::new(),
-                    alloc_cur: u64_cell(layout::slot_field(i, layout::SLOT_ALLOC_CUR)),
-                    alloc_end: u64_cell(layout::slot_field(i, layout::SLOT_ALLOC_END)),
-                    reg_len: u64_cell(layout::slot_field(i, layout::SLOT_REG_LEN)),
-                }))
-            })
-            .collect::<Vec<_>>();
+        let slots = crate::slot::SlotTable::new(&region, nshards);
         let class_heads = (0..NUM_CLASSES)
             .map(|c| Mutex::new(u64_cell(layout::freelist_cell(c))))
             .collect::<Vec<_>>();
@@ -583,7 +536,7 @@ impl Pool {
             timer: AtomicBool::new(false),
             flags,
             active: active.into_boxed_slice(),
-            slots: slots.into_boxed_slice(),
+            slots,
             free_slots: Mutex::new(free),
             bump_vol,
             class_heads: class_heads.into_boxed_slice(),
@@ -684,114 +637,9 @@ impl Pool {
         respct_obs::MetricsServer::serve(Arc::clone(self.metrics.registry()), addr)
     }
 
-    /// Emits a JSON metrics snapshot to `emit` every `period` on a
-    /// background thread (plus one final snapshot at shutdown), mirroring
-    /// [`start_checkpointer`](Pool::start_checkpointer). Dropping the guard
-    /// stops the thread.
-    pub fn start_metrics_reporter(
-        &self,
-        period: std::time::Duration,
-        emit: impl Fn(&str) + Send + 'static,
-    ) -> respct_obs::ReporterGuard {
-        respct_obs::Reporter::start(Arc::clone(self.metrics.registry()), period, emit)
-    }
-
     /// Reads the pool's root pointer (0 if unset).
     pub fn root(&self) -> PAddr {
         PAddr(self.region.load::<u64>(OFF_ROOT))
-    }
-
-    /// Mutable access to a slot's volatile state.
-    ///
-    /// # Safety
-    ///
-    /// Callers must hold the slot's exclusive-access right under the epoch
-    /// protocol: either they are the registered owner of `slot` and their
-    /// per-thread flag is false, or they are the checkpointer/recovery and
-    /// every owner is parked (flag true, observed with SeqCst after setting
-    /// `timer`).
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn slot_state(&self, slot: usize) -> &mut SlotState {
-        // SAFETY: exclusivity per the caller contract above.
-        unsafe { &mut *self.slots[slot].0.get() }
-    }
-
-    // ---- Raw InCLL operations (used by ThreadHandle and the checkpointer).
-
-    /// Appends `line` to `slot`'s tracking list, in the shard the line
-    /// hashes to. Adjacent writes to the same line are common (node payload
-    /// plus embedded cell); skipping trivial duplicates shrinks the flush,
-    /// and works per shard because a line always hashes to the same shard.
-    ///
-    /// # Safety
-    ///
-    /// Slot exclusivity as for [`Pool::slot_state`].
-    #[inline]
-    pub(crate) unsafe fn track_line_raw(&self, slot: usize, line: u64) {
-        // SAFETY: forwarded caller contract.
-        let list = &mut unsafe { self.slot_state(slot) }.to_flush
-            [crate::checkpoint::shard_of_line(line, self.nshards)];
-        if list.last() != Some(&line) {
-            list.push(line);
-        }
-        self.region.trace_marker(TraceMarker::TrackLine { line });
-    }
-
-    /// `update_InCLL` (paper Fig. 4, lines 24–29) executed on behalf of
-    /// `slot`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have exclusive use of `slot` (see [`Pool::slot_state`])
-    /// and, per the paper's model, hold the lock protecting the variable in
-    /// `cell` if it is shared.
-    #[inline]
-    pub(crate) unsafe fn cell_update_raw<T: Pod>(&self, slot: usize, cell: ICell<T>, val: T) {
-        let plain_epoch = self.epoch_mirror.load(Ordering::Relaxed);
-        let epoch = crate::incll::epoch_tag(cell.addr(), plain_epoch);
-        let eid: u64 = self.region.load(cell.epoch_addr());
-        #[cfg(feature = "fault-inject")]
-        let eid = if self.take_fault(Fault::SkipLog) {
-            epoch
-        } else {
-            eid
-        };
-        let first_touch = eid != epoch;
-        if first_touch {
-            // On-demand push-out (`async_checkpoint` pools only — one
-            // branch on an immutable field otherwise): the cell's single
-            // backup slot may still be owed to an epoch whose drain has
-            // not committed. The guard is generation-aware: any valid tag
-            // in `[drain_oldest, current)` names an uncommitted epoch
-            // (commits advance `drain_oldest` in strict order). The upper
-            // bound keeps garbage tags (which decode to huge epochs) off
-            // the wait path.
-            if self.pipeline.is_some() {
-                let t = crate::incll::tag_epoch(cell.addr(), eid);
-                if t < plain_epoch && t >= self.drain_oldest.load(Ordering::Relaxed) {
-                    self.push_out_pending_line(cell.addr(), t);
-                }
-            }
-            let old: T = self.region.load(cell.addr());
-            self.region.store(cell.backup_addr(), old);
-            // The backup must be written (in program order) before the
-            // epoch id, and both before the record: PCSO then guarantees
-            // the log reaches NVMM no later than the data. The stores are
-            // relaxed atomics; the compiler fence pins their program order
-            // (x86-TSO pins the hardware order).
-            std::sync::atomic::compiler_fence(Ordering::Release);
-            self.region.store(cell.epoch_addr(), epoch);
-            self.region.trace_marker(TraceMarker::CellLogged {
-                addr: cell.addr().0,
-                epoch: plain_epoch,
-            });
-            // SAFETY: slot exclusivity per caller contract.
-            unsafe { self.track_line_raw(slot, cell.addr().line()) };
-        }
-        std::sync::atomic::compiler_fence(Ordering::Release);
-        self.region.store(cell.addr(), val);
-        self.metrics
-            .on_update(std::mem::size_of::<T>() as u64, first_touch);
     }
 
     /// On-demand push-out: a first touch in the current epoch hit a cell
@@ -805,7 +653,7 @@ impl Pool {
     /// the single backup slot. The wait is bounded by the drain itself,
     /// whose progress never depends on application locks.
     #[cold]
-    fn push_out_pending_line(&self, addr: PAddr, t: u64) {
+    pub(crate) fn push_out_pending_line(&self, addr: PAddr, t: u64) {
         self.region.trace_marker(TraceMarker::DrainPushOut {
             addr: addr.0,
             epoch: t,
@@ -835,117 +683,12 @@ impl Pool {
         self.region.sync_acquire(SyncToken::Drain);
     }
 
-    /// `init_InCLL` (paper Fig. 4, lines 19–23): writes all three fields,
-    /// registers the cell for recovery, and tracks its line.
-    ///
-    /// # Safety
-    ///
-    /// Slot exclusivity as for [`Pool::cell_update_raw`]; `addr` must be a
-    /// fresh allocation that fits the cell (checked).
-    pub(crate) unsafe fn cell_init_raw<T: Pod>(
-        &self,
-        slot: usize,
-        addr: PAddr,
-        val: T,
-    ) -> ICell<T> {
-        let l = cell_layout::<T>();
-        assert!(
-            l.fits_at(addr),
-            "ICell at {addr:?} would straddle a cache line"
-        );
-        let cell = ICell::<T>::from_addr(addr);
-        let epoch = self.epoch_mirror.load(Ordering::Relaxed);
-        // If this address already carries a valid tag (a recycled cell of
-        // the same layout), its registry entry is still live — skip the
-        // re-registration. Fresh (zeroed or foreign) memory decodes to an
-        // implausible epoch with probability 1 - ~2⁻⁶⁴.
-        let stored: u64 = self.region.load(cell.epoch_addr());
-        let prev_epoch = crate::incll::tag_epoch(cell.addr(), stored);
-        let already_registered = prev_epoch >= 1 && prev_epoch <= epoch;
-        self.region.store(cell.addr(), val);
-        self.region.store(cell.backup_addr(), val);
-        self.region.store(
-            cell.epoch_addr(),
-            crate::incll::epoch_tag(cell.addr(), epoch),
-        );
-        self.region.trace_marker(TraceMarker::CellDeclare {
-            addr: addr.0,
-            vsize: l.vsize,
-            backup_off: l.backup_off,
-            epoch_off: l.epoch_off,
-        });
-        self.region.trace_marker(TraceMarker::CellLogged {
-            addr: addr.0,
-            epoch,
-        });
-        // SAFETY: forwarded caller contract.
-        unsafe {
-            if !already_registered {
-                self.register_cell(slot, addr, l);
-            }
-            self.track_line_raw(slot, addr.line());
-        }
-        self.metrics.on_bytes_stored(l.vsize as u64);
-        cell
-    }
-
-    /// `init_InCLL` *or* `update_InCLL`, depending on whether `addr`
-    /// already carries a live cell of this layout (detected via the
-    /// address-mixed epoch tag). Used by containers that recycle element
-    /// slots: overwriting a slot that was live at the last checkpoint must
-    /// log its old value, while a genuinely fresh slot must not.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Pool::cell_init_raw`].
-    pub(crate) unsafe fn cell_upsert_raw<T: Pod>(
-        &self,
-        slot: usize,
-        addr: PAddr,
-        val: T,
-    ) -> ICell<T> {
-        let cell = ICell::<T>::from_addr(addr);
-        let epoch = self.epoch_mirror.load(Ordering::Relaxed);
-        let stored: u64 = self.region.load(cell.epoch_addr());
-        let prev_epoch = crate::incll::tag_epoch(cell.addr(), stored);
-        if prev_epoch >= 1 && prev_epoch <= epoch {
-            // Live cell: a logged update.
-            // SAFETY: forwarded caller contract.
-            unsafe { self.cell_update_raw(slot, cell, val) };
-            cell
-        } else {
-            // Fresh memory: initialize (and register).
-            // SAFETY: forwarded caller contract.
-            unsafe { self.cell_init_raw(slot, addr, val) }
-        }
-    }
-
     /// Reads the current value of a cell. Needs no slot: reads are
     /// unrestricted (the paper's model makes readers hold the same lock as
     /// writers, which is the data structure's business, not the pool's).
     #[inline]
     pub fn cell_get<T: Pod>(&self, cell: ICell<T>) -> T {
         self.region.load(cell.addr())
-    }
-
-    /// `add_modified` (paper Fig. 4, lines 12–13) for a byte range: records
-    /// every cache line covered by `[addr, addr+len)`.
-    ///
-    /// # Safety
-    ///
-    /// Slot exclusivity as for [`Pool::cell_update_raw`].
-    #[inline]
-    pub(crate) unsafe fn add_modified_raw(&self, slot: usize, addr: PAddr, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr.line();
-        let last = PAddr(addr.0 + len as u64 - 1).line();
-        for line in first..=last {
-            // SAFETY: forwarded caller contract.
-            unsafe { self.track_line_raw(slot, line) };
-        }
-        self.metrics.on_bytes_stored(len as u64);
     }
 
     /// Header cell handle: the root pointer.
@@ -989,7 +732,7 @@ pub(crate) fn spin_until(mut done: impl FnMut() -> bool) {
 /// lock is dropped (field order: the edge is emitted in `drop`, then the
 /// inner guard unlocks).
 pub(crate) struct CkptLockGuard<'a> {
-    pool: &'a Pool,
+    pub(crate) pool: &'a Pool,
     #[allow(dead_code)]
     guard: parking_lot::MutexGuard<'a, ()>,
 }
@@ -1020,11 +763,11 @@ mod tests {
         Pool::create(region, PoolConfig::default()).unwrap()
     }
 
-    /// All tracked lines of a slot, across shards, in sorted order.
-    fn tracked_sorted(pool: &Pool, slot: usize) -> Vec<u64> {
-        // SAFETY: single-threaded test.
-        let st = unsafe { pool.slot_state(slot) };
-        let mut all: Vec<u64> = st.to_flush.iter().flatten().copied().collect();
+    /// All tracked lines of the system slot, across shards, in sorted order.
+    fn tracked_sorted(pool: &Pool) -> Vec<u64> {
+        let mut serial = pool.lock_ckpt();
+        let mut sys = serial.system_slot();
+        let mut all: Vec<u64> = sys.state().to_flush.iter().flatten().copied().collect();
         all.sort_unstable();
         all
     }
@@ -1043,10 +786,11 @@ mod tests {
         let pool = small_pool();
         let cell = pool.bump_cell();
         let before = pool.cell_get(cell);
-        // SAFETY: single-threaded test; system slot unused by a checkpointer.
-        unsafe {
-            pool.cell_update_raw(SYSTEM_SLOT, cell, before + 64);
-            pool.cell_update_raw(SYSTEM_SLOT, cell, before + 128);
+        {
+            let mut serial = pool.lock_ckpt();
+            let mut sys = serial.system_slot();
+            sys.cell_update(cell, before + 64);
+            sys.cell_update(cell, before + 128);
         }
         assert_eq!(pool.cell_get(cell), before + 128);
         // Backup holds the value from the start of the epoch, not the
@@ -1057,7 +801,7 @@ mod tests {
         assert_eq!(crate::incll::tag_epoch(cell.addr(), eid), FIRST_EPOCH);
         // Only one tracking entry despite two updates.
         assert_eq!(
-            tracked_sorted(&pool, SYSTEM_SLOT)
+            tracked_sorted(&pool)
                 .iter()
                 .filter(|&&l| l == cell.addr().line())
                 .count(),
@@ -1068,9 +812,8 @@ mod tests {
     #[test]
     fn add_modified_covers_all_lines() {
         let pool = small_pool();
-        // SAFETY: single-threaded test.
-        unsafe { pool.add_modified_raw(SYSTEM_SLOT, PAddr(100), 200) };
-        assert_eq!(tracked_sorted(&pool, SYSTEM_SLOT), vec![1, 2, 3, 4]);
+        pool.lock_ckpt().system_slot().add_modified(PAddr(100), 200);
+        assert_eq!(tracked_sorted(&pool), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -1126,16 +869,15 @@ mod tests {
         // appends of distinct lines land in shards determined only by the
         // address, so re-appending line 1 later still finds it (or not)
         // purely within its own shard.
-        // SAFETY: single-threaded test.
-        unsafe {
-            pool.track_line_raw(SYSTEM_SLOT, 1);
-            pool.track_line_raw(SYSTEM_SLOT, 1);
-            pool.track_line_raw(SYSTEM_SLOT, 2);
+        {
+            let mut serial = pool.lock_ckpt();
+            let mut sys = serial.system_slot();
+            sys.track_line(1);
+            sys.track_line(1);
+            sys.track_line(2);
+            let shard_of_1 = crate::checkpoint::shard_of_line(1, pool.nshards);
+            assert!(sys.state().to_flush[shard_of_1].contains(&1));
         }
-        assert_eq!(tracked_sorted(&pool, SYSTEM_SLOT), vec![1, 2]);
-        let shard_of_1 = crate::checkpoint::shard_of_line(1, pool.nshards);
-        // SAFETY: single-threaded test.
-        let st = unsafe { pool.slot_state(SYSTEM_SLOT) };
-        assert!(st.to_flush[shard_of_1].contains(&1));
+        assert_eq!(tracked_sorted(&pool), vec![1, 2]);
     }
 }

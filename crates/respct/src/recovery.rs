@@ -33,7 +33,7 @@ use respct_pmem::{BackendKind, PAddr, Region, SyncToken, TraceMarker};
 use crate::epoch_record::{self, EpochRecord};
 use crate::error::PoolError;
 use crate::layout::{self, CellLayout, MAGIC, MAX_THREADS, OFF_MAGIC};
-use crate::pool::{Pool, PoolConfig, SYSTEM_SLOT};
+use crate::pool::{Pool, PoolConfig};
 use crate::registry;
 
 /// Summary of a recovery run.
@@ -247,13 +247,12 @@ impl Pool {
 
         // Phase 3: everything recovery rewrote — and every cell already
         // stamped with the failed epoch — must reach NVMM at the next
-        // checkpoint. `track_line_raw` shards the lines exactly as live
+        // checkpoint. `track_line` shards the lines exactly as live
         // tracking does, so the recovered lines flow through the same
         // sharded flush pipeline.
-        // SAFETY: no application thread is registered yet; recovery has
-        // exclusive access to the system slot.
+        let mut serial = pool.lock_ckpt();
         for &line in &lines {
-            unsafe { pool.track_line_raw(SYSTEM_SLOT, line) };
+            serial.system_slot().track_line(line);
         }
 
         epoch_record::repair(&region, &record, &lines);
@@ -261,10 +260,10 @@ impl Pool {
         region.trace_marker(TraceMarker::RecoveryEnd {
             epoch: failed_epoch,
         });
-        // Re-publish on the checkpoint-lock token: everything recovery
-        // wrote (rollbacks, epoch-record repair) happens-before the first
-        // post-recovery `register()`.
-        region.sync_release(pool.ckpt_lock_token());
+        // Dropping the guard re-publishes on the checkpoint-lock token:
+        // everything recovery wrote (rollbacks, epoch-record repair)
+        // happens-before the first post-recovery `register()`.
+        drop(serial);
 
         let report = RecoveryReport {
             failed_epoch,

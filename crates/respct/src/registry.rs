@@ -29,6 +29,7 @@ use crate::layout::{
     SLOT_REG_HEAD, SLOT_REG_LEN,
 };
 use crate::pool::Pool;
+use crate::slot::Slot;
 
 /// [`PoolError::CorruptRegistry`] reason: a registered cell lies outside the
 /// region or straddles a cache line (`verify` files it under cell placement).
@@ -133,62 +134,42 @@ pub(crate) fn walk(
     Ok(chunks)
 }
 
-impl Pool {
-    /// Appends `(addr, layout)` to `slot`'s registry.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have exclusive use of `slot` (see [`Pool::slot_state`]).
-    pub(crate) unsafe fn register_cell(&self, slot: usize, addr: PAddr, l: CellLayout) {
-        // SAFETY: forwarded caller contract.
-        let (tail, used) = {
-            let st = unsafe { self.slot_state(slot) };
-            (st.reg_tail, st.reg_tail_used)
-        };
-        let (tail, used) = if tail == 0 || used == REG_CHUNK_ENTRIES {
-            // SAFETY: forwarded caller contract.
-            let chunk = unsafe { self.alloc_raw(slot, REG_CHUNK_SIZE, 64) };
-            self.region.store(PAddr(chunk.0 + REG_CHUNK_NEXT), 0u64);
-            // SAFETY: forwarded caller contract.
-            unsafe { self.add_modified_raw(slot, chunk, 8) };
-            if tail == 0 {
-                let head_field = layout::slot_field(slot, SLOT_REG_HEAD);
-                self.region.store(head_field, chunk.0);
-                // SAFETY: forwarded caller contract.
-                unsafe { self.add_modified_raw(slot, head_field, 8) };
+impl Slot<'_> {
+    /// Appends `(addr, layout)` to the slot's registry.
+    pub(crate) fn register_cell(&mut self, addr: PAddr, l: CellLayout) {
+        let region = &self.pool().region;
+        let (mut tail, mut used) = (self.state().reg_tail, self.state().reg_tail_used);
+        if tail == 0 || used == REG_CHUNK_ENTRIES {
+            let chunk = self.alloc(REG_CHUNK_SIZE, 64);
+            region.store(PAddr(chunk.0 + REG_CHUNK_NEXT), 0u64);
+            self.add_modified(chunk, 8);
+            let link = if tail == 0 {
+                layout::slot_field(self.idx(), SLOT_REG_HEAD)
             } else {
-                let next_field = PAddr(tail + REG_CHUNK_NEXT);
-                self.region.store(next_field, chunk.0);
-                // SAFETY: forwarded caller contract.
-                unsafe { self.add_modified_raw(slot, next_field, 8) };
-            }
-            (chunk.0, 0)
-        } else {
-            (tail, used)
-        };
+                PAddr(tail + REG_CHUNK_NEXT)
+            };
+            region.store(link, chunk.0);
+            self.add_modified(link, 8);
+            (tail, used) = (chunk.0, 0);
+        }
         let entry = PAddr(tail + layout::reg_entry_off(used));
-        self.region.store(entry, addr.0);
-        self.region.store(entry.offset(8), l.encode());
-        // SAFETY: forwarded caller contract. The length cursor is a
-        // volatile mirror, synced into its InCLL cell at checkpoint time.
-        unsafe { self.add_modified_raw(slot, entry, 16) };
-        // SAFETY: forwarded caller contract.
-        let st = unsafe { self.slot_state(slot) };
+        region.store(entry, addr.0);
+        region.store(entry.offset(8), l.encode());
+        self.add_modified(entry, 16);
+        // The length cursor is a volatile mirror, synced into its InCLL
+        // cell at checkpoint time.
+        let st = self.state();
         st.reg_len += 1;
         st.reg_tail = tail;
         st.reg_tail_used = used + 1;
     }
 
-    /// Recomputes a slot's volatile tail cache from persistent state
+    /// Recomputes the slot's volatile tail cache from persistent state
     /// (registration after a hand-off or recovery).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have exclusive use of `slot`.
-    pub(crate) unsafe fn rebuild_registry_cache(&self, slot: usize) {
-        // SAFETY: forwarded caller contract.
-        let len = unsafe { self.slot_state(slot) }.reg_len;
-        let head: u64 = self.region.load(layout::slot_field(slot, SLOT_REG_HEAD));
+    pub(crate) fn rebuild_registry_cache(&mut self) {
+        let region = &self.pool().region;
+        let len = self.state().reg_len;
+        let head: u64 = region.load(layout::slot_field(self.idx(), SLOT_REG_HEAD));
         let (tail, used) = if len == 0 {
             // An earlier incarnation may have linked chunks whose entries
             // all rolled back; reuse the first chunk if present.
@@ -197,17 +178,18 @@ impl Pool {
             let hops = (len - 1) / REG_CHUNK_ENTRIES;
             let mut cur = head;
             for _ in 0..hops {
-                cur = self.region.load(PAddr(cur + REG_CHUNK_NEXT));
+                cur = region.load(PAddr(cur + REG_CHUNK_NEXT));
                 debug_assert!(cur != 0, "registry chain shorter than reg_len implies");
             }
             (cur, len - hops * REG_CHUNK_ENTRIES)
         };
-        // SAFETY: forwarded caller contract.
-        let st = unsafe { self.slot_state(slot) };
+        let st = self.state();
         st.reg_tail = tail;
         st.reg_tail_used = used;
     }
+}
 
+impl Pool {
     /// Total registered cells across all slots, as of the last checkpoint
     /// (the volatile cursors are synced to their cells at each checkpoint).
     pub fn registered_cells(&self) -> u64 {
@@ -232,13 +214,15 @@ mod tests {
         .unwrap();
         let l = cell_layout::<u64>();
         let mut expect = Vec::new();
-        for _ in 0..600 {
-            // More than two chunks' worth (255 per chunk).
-            // SAFETY: single-threaded test.
-            let a = unsafe { p.alloc_raw(SYSTEM_SLOT, 32, 32) };
-            // SAFETY: single-threaded test.
-            unsafe { p.register_cell(SYSTEM_SLOT, a, l) };
-            expect.push(a);
+        {
+            let mut serial = p.lock_ckpt();
+            let mut sys = serial.system_slot();
+            for _ in 0..600 {
+                // More than two chunks' worth (255 per chunk).
+                let a = sys.alloc(32, 32);
+                sys.register_cell(a, l);
+                expect.push(a);
+            }
         }
         p.checkpoint_now(); // sync the volatile length cursor
         let mut got = Vec::new();
@@ -259,27 +243,20 @@ mod tests {
         )
         .unwrap();
         let l = cell_layout::<u32>();
-        for _ in 0..300 {
-            // SAFETY: single-threaded test.
-            let a = unsafe { p.alloc_raw(SYSTEM_SLOT, 16, 16) };
-            // SAFETY: single-threaded test.
-            unsafe { p.register_cell(SYSTEM_SLOT, a, l) };
+        {
+            let mut serial = p.lock_ckpt();
+            let mut sys = serial.system_slot();
+            for _ in 0..300 {
+                let a = sys.alloc(16, 16);
+                sys.register_cell(a, l);
+            }
+            let before = (sys.state().reg_tail, sys.state().reg_tail_used);
+            sys.rebuild_registry_cache();
+            assert_eq!((sys.state().reg_tail, sys.state().reg_tail_used), before);
+            // Appending after a rebuild still works.
+            let a = sys.alloc(16, 16);
+            sys.register_cell(a, l);
         }
-        // SAFETY: single-threaded test.
-        let (tail_before, used_before) = {
-            let st = unsafe { p.slot_state(SYSTEM_SLOT) };
-            (st.reg_tail, st.reg_tail_used)
-        };
-        // SAFETY: single-threaded test.
-        unsafe { p.rebuild_registry_cache(SYSTEM_SLOT) };
-        // SAFETY: single-threaded test.
-        let st = unsafe { p.slot_state(SYSTEM_SLOT) };
-        assert_eq!((st.reg_tail, st.reg_tail_used), (tail_before, used_before));
-        // Appending after a rebuild still works.
-        // SAFETY: single-threaded test.
-        let a = unsafe { p.alloc_raw(SYSTEM_SLOT, 16, 16) };
-        // SAFETY: single-threaded test.
-        unsafe { p.register_cell(SYSTEM_SLOT, a, l) };
         p.checkpoint_now();
         assert_eq!(p.registered_cells(), 301);
     }

@@ -6,7 +6,9 @@
 //! returning an [`AllowGuard`]), and persistent allocation. Handles are
 //! `Send` (a thread may be handed its handle) but not `Sync`: a handle
 //! belongs to exactly one thread at a time, which is what makes the
-//! unsynchronized tracking list sound.
+//! unsynchronized tracking list sound. `allow_checkpoints(&mut self)`
+//! borrows the handle mutably for the guard's lifetime, so none of the
+//! `&self` operations can run while the checkpointer may own the slot.
 
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
@@ -17,6 +19,7 @@ use respct_pmem::{PAddr, Pod, SyncToken};
 use crate::incll::ICell;
 use crate::layout::{self, MAX_THREADS};
 use crate::pool::{spin_until, Pool, SYSTEM_SLOT};
+use crate::slot::Slot;
 
 /// A restart-point identifier (paper §3.3: RP ids name the static program
 /// locations recovery can resume from). A dedicated type keeps RP ids from
@@ -77,17 +80,16 @@ impl Pool {
             .lock()
             .pop()
             .unwrap_or_else(|| panic!("all {MAX_THREADS} thread slots in use"));
-        // SAFETY: the slot was just popped from the free list and the
-        // checkpoint lock is held, so nobody else touches it.
-        unsafe { self.rebuild_registry_cache(slot) };
         self.flags[slot].store(false, Ordering::SeqCst);
         self.active[slot].store(true, Ordering::SeqCst);
-        ThreadHandle {
+        let handle = ThreadHandle {
             pool: Arc::clone(self),
             slot,
             last_rp: std::cell::Cell::new(u64::MAX),
             _not_sync: PhantomData,
-        }
+        };
+        handle.access().rebuild_registry_cache();
+        handle
     }
 }
 
@@ -97,8 +99,7 @@ impl Drop for ThreadHandle {
         // a checkpoint already in progress is waiting for this flag, and
         // we will make no further persistent writes. The SeqCst store also
         // publishes our tracking-list pushes to the checkpointer.
-        self.pool.region.sync_release(self.flag_token());
-        self.pool.flags[self.slot].store(true, Ordering::SeqCst);
+        self.allow_raw();
         let _serial = self.pool.lock_ckpt();
         self.pool.active[self.slot].store(false, Ordering::SeqCst);
         self.pool.free_slots.lock().push(self.slot);
@@ -117,6 +118,19 @@ impl ThreadHandle {
         self.slot
     }
 
+    /// This thread's slot, held for one operation.
+    #[inline]
+    fn access(&self) -> Slot<'_> {
+        // SAFETY: this handle is the registered owner of `slot` and is
+        // `!Sync`, so only the thread running this code reaches it. Its
+        // flag is down: a flag raised through `allow_checkpoints` borrows
+        // the handle mutably for as long as it is up, and `rp()` /
+        // `checkpoint_here()` raise it only while this thread is inside
+        // them, not here. Every caller uses the token as a temporary, so no
+        // two are alive at once.
+        unsafe { Slot::owned(&self.pool, self.slot) }
+    }
+
     /// The happens-before token of this slot's quiescence flag. Raising
     /// the flag is a release (the checkpointer acquires it when it observes
     /// the raise); resuming after a checkpoint acquires [`SyncToken::Timer`]
@@ -133,30 +147,23 @@ impl ThreadHandle {
     /// `init_InCLL`).
     pub fn alloc_cell<T: Pod>(&self, val: T) -> ICell<T> {
         let l = crate::incll::cell_layout::<T>();
-        // SAFETY: this thread owns `slot` (handle is `!Sync`) and is not
-        // parked (it is running this code outside `rp()`).
-        unsafe {
-            let addr = self
-                .pool
-                .alloc_raw(self.slot, l.total as u64, l.natural_align());
-            self.pool.cell_init_raw(self.slot, addr, val)
-        }
+        let mut slot = self.access();
+        let addr = slot.alloc(l.total as u64, l.natural_align());
+        slot.cell_init(addr, val)
     }
 
     /// Initializes an InCLL variable at a caller-chosen address inside a
     /// larger allocation (for cells embedded in structs). The placement
     /// must keep the whole cell within one cache line (checked).
     pub fn init_cell_at<T: Pod>(&self, addr: PAddr, val: T) -> ICell<T> {
-        // SAFETY: slot ownership as in `alloc_cell`.
-        unsafe { self.pool.cell_init_raw(self.slot, addr, val) }
+        self.access().cell_init(addr, val)
     }
 
     /// Initializes *or* updates an InCLL variable at `addr`, depending on
     /// whether the address already carries a live cell of this layout —
     /// the right primitive for containers that recycle element slots.
     pub fn upsert_cell<T: Pod>(&self, addr: PAddr, val: T) -> ICell<T> {
-        // SAFETY: slot ownership as in `alloc_cell`.
-        unsafe { self.pool.cell_upsert_raw(self.slot, addr, val) }
+        self.access().cell_upsert(addr, val)
     }
 
     /// `update_InCLL`: logs the old value on the first update of the epoch,
@@ -167,8 +174,7 @@ impl ThreadHandle {
     /// same cell yield an unspecified (but memory-safe) value.
     #[inline]
     pub fn update<T: Pod>(&self, cell: ICell<T>, val: T) {
-        // SAFETY: slot ownership (handle is `!Sync`, thread not parked).
-        unsafe { self.pool.cell_update_raw(self.slot, cell, val) };
+        self.access().cell_update(cell, val);
     }
 
     /// Reads a cell's current value.
@@ -182,8 +188,7 @@ impl ThreadHandle {
     /// after the preceding restart point, §3.3.2).
     #[inline]
     pub fn add_modified(&self, addr: PAddr, len: usize) {
-        // SAFETY: slot ownership.
-        unsafe { self.pool.add_modified_raw(self.slot, addr, len) };
+        self.access().add_modified(addr, len);
     }
 
     /// Plain persistent store + `add_modified` in one call.
@@ -201,14 +206,12 @@ impl ThreadHandle {
     ///
     /// Panics when the pool is exhausted.
     pub fn alloc(&self, size: u64, align: u64) -> PAddr {
-        // SAFETY: slot ownership.
-        unsafe { self.pool.alloc_raw(self.slot, size, align) }
+        self.access().alloc(size, align)
     }
 
     /// Frees a block (deferred to the next checkpoint; see `alloc.rs`).
     pub fn free(&self, addr: PAddr, size: u64) {
-        // SAFETY: slot ownership.
-        unsafe { self.pool.free_raw(self.slot, addr, size) };
+        self.access().free(addr, size);
     }
 
     /// Sets the pool's root pointer (how an application finds its data
@@ -225,6 +228,7 @@ impl ThreadHandle {
     ///
     /// Persists the RP id thread-locally (so recovery can report where to
     /// resume), then parks if a checkpoint is pending.
+    #[inline]
     pub fn rp(&self, id: impl Into<RpId>) {
         let RpId(id) = id.into();
         self.pool
@@ -261,8 +265,7 @@ impl ThreadHandle {
         let metrics = self.pool.runtime_metrics();
         let t0 = metrics.enabled().then(std::time::Instant::now);
         loop {
-            self.pool.region.sync_release(self.flag_token());
-            self.pool.flags[self.slot].store(true, Ordering::SeqCst);
+            self.allow_raw();
             spin_until(|| !self.pool.timer.load(Ordering::SeqCst));
             self.pool.flags[self.slot].store(false, Ordering::SeqCst);
             if !self.pool.timer.load(Ordering::SeqCst) {
@@ -270,8 +273,10 @@ impl ThreadHandle {
             }
         }
         // We observed the checkpointer clearing `timer`: everything the
-        // checkpoint did (epoch advance, deferred-cell sync, free-list
-        // drain) happens-before our next persistent write.
+        // checkpoint did while we were parked (deferred-cell sync, epoch
+        // advance or ring claim) happens-before our next persistent write.
+        // The free push that follows the release publishes each block
+        // through its class lock instead.
         self.pool.region.sync_acquire(SyncToken::Timer);
         if let Some(t0) = t0 {
             metrics.on_rp_stall(self.slot, t0.elapsed().as_nanos() as u64);
@@ -290,7 +295,23 @@ impl ThreadHandle {
     ///
     /// For the condvar pattern of §3.3.3 — re-arming while holding a mutex
     /// guard — consume the guard with [`AllowGuard::rearm_locked`].
-    pub fn allow_checkpoints(&self) -> AllowGuard<'_> {
+    ///
+    /// The guard borrows the handle mutably: while the flag is up the
+    /// checkpointer may own this thread's slot, so nothing that touches it
+    /// compiles.
+    ///
+    /// ```compile_fail,E0502
+    /// # use respct::{Pool, PoolConfig};
+    /// # use respct_pmem::{Region, RegionConfig};
+    /// # let region = Region::new(RegionConfig::fast(8 << 20));
+    /// # let pool = Pool::create(region, PoolConfig::default()).expect("pool");
+    /// let mut h = pool.register();
+    /// let c = h.alloc_cell(0u64);
+    /// let allow = h.allow_checkpoints();
+    /// h.update(c, 1); // error: `h` is mutably borrowed by `allow`
+    /// drop(allow);
+    /// ```
+    pub fn allow_checkpoints(&mut self) -> AllowGuard<'_> {
         self.allow_raw();
         AllowGuard {
             handle: self,
@@ -298,6 +319,9 @@ impl ThreadHandle {
         }
     }
 
+    /// Raises the per-thread flag: from here until it is lowered again the
+    /// checkpointer may own this thread's slot. The release publishes the
+    /// thread's stores and tracking-list pushes to whoever observes the flag.
     fn allow_raw(&self) {
         self.pool.region.sync_release(self.flag_token());
         self.pool.flags[self.slot].store(true, Ordering::SeqCst);
@@ -328,8 +352,7 @@ impl ThreadHandle {
                 return guard;
             }
             // A checkpoint started while we were blocked: let it finish.
-            self.pool.region.sync_release(self.flag_token());
-            self.pool.flags[self.slot].store(true, Ordering::SeqCst);
+            self.allow_raw();
             drop(guard);
             spin_until(|| !self.pool.timer.load(Ordering::SeqCst));
             guard = mutex.lock();
@@ -344,8 +367,7 @@ impl ThreadHandle {
     /// what lets `KvService` use it as the `Durability::Sync` point.
     /// ([`Pool::checkpoint_now`] returns at the release instead.)
     pub fn checkpoint_here(&self) -> crate::checkpoint::CkptReport {
-        self.pool.region.sync_release(self.flag_token());
-        self.pool.flags[self.slot].store(true, Ordering::SeqCst);
+        self.allow_raw();
         let report = self.pool.checkpoint_now();
         if self.pool.pipeline.is_some() {
             // Wait with the flag still raised: this thread gates no
@@ -372,7 +394,7 @@ impl ThreadHandle {
 /// second call, or returning early between the two) is unrepresentable.
 #[must_use = "dropping the guard immediately re-arms checkpoint prevention"]
 pub struct AllowGuard<'h> {
-    handle: &'h ThreadHandle,
+    handle: &'h mut ThreadHandle,
     armed: bool,
 }
 
@@ -502,7 +524,7 @@ mod tests {
     #[test]
     fn allow_guard_roundtrip() {
         let p = pool();
-        let h = p.register();
+        let mut h = p.register();
         let allow = h.allow_checkpoints();
         let r = p.checkpoint_now(); // completes because the flag is up
         assert_eq!(r.closed_epoch, 1);
@@ -520,7 +542,7 @@ mod tests {
     #[test]
     fn allow_guard_rearm_locked() {
         let p = pool();
-        let h = p.register();
+        let mut h = p.register();
         let mutex = parking_lot::Mutex::new(0u32);
         let allow = h.allow_checkpoints();
         let guard = mutex.lock();
@@ -545,7 +567,7 @@ mod tests {
     #[test]
     fn allow_guard_spans_checkpoint() {
         let p = pool();
-        let h = p.register();
+        let mut h = p.register();
         let allow = h.allow_checkpoints();
         let r = p.checkpoint_now();
         assert_eq!(r.closed_epoch, 1);

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! The **pmem-discipline lint** — a fast, dependency-free text pass over
-//! the workspace's Rust sources enforcing three rules the compiler cannot:
+//! the workspace's Rust sources enforcing four rules the compiler cannot:
 //!
 //! 1. **raw-store**: raw-pointer store primitives (`ptr::write*`,
 //!    `copy_nonoverlapping`, `write_bytes`, `write_volatile`, …) are
@@ -20,14 +20,18 @@
 //!    module. In `crates/respct/src`, outside `#[cfg(test)]` code, the
 //!    epoch-record offsets may be named only in `layout.rs` (which defines
 //!    them) and `epoch_record.rs`, the registry-chain offsets only in
-//!    `layout.rs` and `registry.rs` ([`FORMAT_OWNERS`]) — so a format edit
+//!    `layout.rs` and `registry.rs` ([`OWNERS`]) — so a format edit
 //!    touches one file per structure, and recovery cannot grow a second,
 //!    unchecked decoder.
+//! 4. **slot-owner**: one more row of the same table. A thread slot's
+//!    volatile state sits in an `UnsafeCell` that only `slot.rs` may name:
+//!    the `&mut SlotState` every hot path runs on is produced there, behind
+//!    the three access tokens, and nowhere else.
 //!
 //! Escape hatch, for the rare blessed exception:
-//! `// pool-lint: allow(raw-store)`, `// pool-lint: allow(missing-safety)`
-//! or `// pool-lint: allow(format-owner)` on the offending line or the line
-//! above it.
+//! `// pool-lint: allow(raw-store)`, `// pool-lint: allow(missing-safety)`,
+//! `// pool-lint: allow(format-owner)` or `// pool-lint: allow(slot-owner)`
+//! on the offending line or the line above it.
 //!
 //! Comments and string literals are stripped before token matching, so
 //! documentation may talk about `ptr::write` freely.
@@ -54,21 +58,29 @@ const SCAN_DIRS: &[&str] = &["crates", "src", "tests", "examples", "benches"];
 /// abstraction itself, the vendored stand-ins, and this lint.
 const RAW_STORE_BLESSED: &[&str] = &["crates/pmem/", "vendor/", "crates/xtask/"];
 
-/// Where the format-owner rule applies (workspace-relative).
-const FORMAT_OWNER_DIR: &str = "crates/respct/src/";
+/// Where the owner rules apply (workspace-relative).
+const OWNER_DIR: &str = "crates/respct/src/";
 
-/// `(structure, the names of its on-media offsets, the files that may use
-/// them)` for the format-owner rule.
-const FORMAT_OWNERS: &[(&str, &[&str], &[&str])] = &[
+/// `(rule, structure, the names that reach inside it, the files that may
+/// use them)` for the owner rules.
+const OWNERS: &[(&str, &str, &[&str], &[&str])] = &[
     (
-        "epoch record",
+        "format-owner",
+        "on-media epoch record",
         &["OFF_EPOCH", "OFF_EPOCH_STATE", "epoch_ring_slot"],
         &["layout.rs", "epoch_record.rs"],
     ),
     (
-        "registry chain",
+        "format-owner",
+        "on-media registry chain",
         &["SLOT_REG_HEAD", "REG_CHUNK_NEXT", "reg_entry_off"],
         &["layout.rs", "registry.rs"],
+    ),
+    (
+        "slot-owner",
+        "volatile thread-slot state",
+        &["UnsafeCell"],
+        &["slot.rs"],
     ),
 ];
 
@@ -243,7 +255,7 @@ fn has_escape(raw_lines: &[&str], idx: usize, rule: &str) -> bool {
 const SAFETY_LOOKBACK: usize = 8;
 
 /// Lints one file's source text. `path` is workspace-relative (it decides
-/// whether the format-owner rule applies); `raw_store_applies` is false for
+/// whether the owner rules apply); `raw_store_applies` is false for
 /// blessed paths (the traced-memory crate itself).
 fn lint_source(path: &Path, src: &str, raw_store_applies: bool) -> Vec<Finding> {
     let stripped = strip_comments_and_strings(src);
@@ -254,10 +266,10 @@ fn lint_source(path: &Path, src: &str, raw_store_applies: bool) -> Vec<Finding> 
     let governed = path
         .to_string_lossy()
         .replace('\\', "/")
-        .starts_with(FORMAT_OWNER_DIR);
-    let foreign: Vec<_> = FORMAT_OWNERS
+        .starts_with(OWNER_DIR);
+    let foreign: Vec<_> = OWNERS
         .iter()
-        .filter(|(_, _, owners)| {
+        .filter(|(_, _, _, owners)| {
             governed && !owners.iter().any(|o| Some(*o) == file_name.as_deref())
         })
         .collect();
@@ -268,16 +280,16 @@ fn lint_source(path: &Path, src: &str, raw_store_applies: bool) -> Vec<Finding> 
         // Unit tests sit at the end of a file, behind its first `cfg(test)`;
         // they may hand-write on-media bytes to build damaged images.
         in_test_code |= line.contains("#[cfg(test)]");
-        for (what, names, owners) in &foreign {
+        for (rule, what, names, owners) in &foreign {
             if let Some(name) = words().find(|w| names.contains(w)) {
-                if !in_test_code && !has_escape(&raw_lines, idx, "format-owner") {
+                if !in_test_code && !has_escape(&raw_lines, idx, rule) {
                     findings.push(Finding {
                         file: path.to_path_buf(),
                         line: idx + 1,
-                        rule: "format-owner",
+                        rule,
                         message: format!(
-                            "`{name}` is part of the on-media {what}, which only {} may \
-                             read or write — call that module instead of decoding it here",
+                            "`{name}` reaches inside the {what}, which only {} may \
+                             read or write — call that module instead of opening it here",
                             owners.join(" and ")
                         ),
                     });
@@ -488,6 +500,22 @@ mod tests {
             format!("const MY_OFF_EPOCH_COPY: u64 = 0;\n#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(lint_source(Path::new("crates/respct/src/pool.rs"), &unit, true).is_empty());
         let escaped = "// pool-lint: allow(format-owner)\nconst A: PAddr = OFF_EPOCH_STATE;\n";
+        assert!(lint_source(Path::new("crates/respct/src/pool.rs"), escaped, true).is_empty());
+    }
+
+    #[test]
+    fn slot_state_cell_is_named_only_in_slot_rs() {
+        let src = "use std::cell::UnsafeCell;\nstruct Mine(UnsafeCell<u64>);\n";
+        let f = lint_source(Path::new("crates/respct/src/pool.rs"), src, true);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("slot-owner", 1));
+        assert!(f[0].message.contains("slot.rs"), "{}", f[0].message);
+        // Its owner, unit tests, other crates and the escape are free.
+        assert!(lint_source(Path::new("crates/respct/src/slot.rs"), src, true).is_empty());
+        assert!(lint_source(Path::new("crates/obs/src/hist.rs"), src, true).is_empty());
+        let unit = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint_source(Path::new("crates/respct/src/pool.rs"), &unit, true).is_empty());
+        let escaped = "// pool-lint: allow(slot-owner)\nuse std::cell::UnsafeCell;\n";
         assert!(lint_source(Path::new("crates/respct/src/pool.rs"), escaped, true).is_empty());
     }
 

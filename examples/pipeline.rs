@@ -33,7 +33,7 @@ fn main() {
         let (pool, buffer) = (Arc::clone(&pool), Arc::clone(&buffer));
         let (not_empty, not_full) = (Arc::clone(&not_empty), Arc::clone(&not_full));
         std::thread::spawn(move || {
-            let h = pool.register();
+            let mut h = pool.register();
             let sum = h.alloc_cell(0u64);
             let mut received = 0u64;
             while received < ITEMS {
@@ -42,7 +42,7 @@ fn main() {
                 h.rp(10);
                 let mut guard = buffer.lock();
                 while guard.is_empty() {
-                    guard = not_empty.wait(&h, &buffer, guard);
+                    guard = not_empty.wait(&mut h, &buffer, guard);
                 }
                 let v = guard.pop_front().expect("non-empty");
                 drop(guard);
@@ -57,12 +57,12 @@ fn main() {
     };
 
     {
-        let h = pool.register();
+        let mut h = pool.register();
         for v in 1..=ITEMS {
             h.rp(20);
             let mut guard = buffer.lock();
             while guard.len() >= CAPACITY {
-                guard = not_full.wait(&h, &buffer, guard);
+                guard = not_full.wait(&mut h, &buffer, guard);
             }
             guard.push_back(v);
             drop(guard);

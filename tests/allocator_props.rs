@@ -141,3 +141,42 @@ fn no_within_epoch_reuse() {
         h.checkpoint_here();
     }
 }
+
+/// The one deferred-free lifecycle, in every checkpoint mode: a block freed
+/// in epoch N is never handed out before N's commit, and is the next block
+/// of its class once the checkpoint that closes N — plus, on the background
+/// tail, a checkpoint after N's ring commit — has returned.
+#[test]
+fn freed_block_is_recycled_only_after_its_epoch_commits() {
+    for (background, k) in [(false, 1), (true, 1), (true, 4)] {
+        let case = format!("async_checkpoint {background}, K = {k}");
+        let cfg = PoolConfig::builder()
+            .async_checkpoint(background)
+            .epoch_pipeline(k)
+            .build()
+            .expect("config");
+        let pool = Pool::create(Region::new(RegionConfig::fast(8 << 20)), cfg).expect("pool");
+        let mut h = pool.register();
+        let checkpoint = |h: &mut respct_repro::respct::ThreadHandle| {
+            let _allow = h.allow_checkpoints();
+            pool.checkpoint_now().closed_epoch
+        };
+        let a = h.alloc(64, 8);
+        h.free(a, 64);
+        assert_ne!(h.alloc(64, 8), a, "{case}: reused within its epoch");
+        // Close epoch N with its drain held: on the background arms the
+        // commit cannot land, so the block must stay parked.
+        pool.hold_drains(true);
+        let closed = checkpoint(&mut h);
+        if background {
+            assert_ne!(h.alloc(64, 8), a, "{case}: reused before N's commit");
+            pool.hold_drains(false);
+            // `checkpoint_here` returns once its own epoch has committed —
+            // so N has; the checkpoint after that recycles N's frees if
+            // the first one ran too early to see them.
+            assert!(h.checkpoint_here().closed_epoch > closed);
+            checkpoint(&mut h);
+        }
+        assert_eq!(h.alloc(64, 8), a, "{case}: not the next block of its class");
+    }
+}

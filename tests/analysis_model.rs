@@ -456,7 +456,7 @@ fn two_inflight_pipelined_run(seed: u64, fault: Option<Fault>) -> Arc<Checker> {
             .build()
             .unwrap(),
     );
-    let h = pool.register();
+    let mut h = pool.register();
     let cells: Vec<_> = (0..32u64).map(|i| h.alloc_cell(i)).collect();
     h.checkpoint_here(); // epoch 1 closed and committed: the worker is idle
     pool.hold_drains(true);
@@ -466,7 +466,7 @@ fn two_inflight_pipelined_run(seed: u64, fault: Option<Fault>) -> Arc<Checker> {
     if let Some(f) = fault {
         pool.inject_fault(f);
     }
-    let close_epoch = || {
+    let close_epoch = |h: &mut respct::ThreadHandle| {
         let _allow = h.allow_checkpoints();
         pool.checkpoint_now();
     };
@@ -475,11 +475,11 @@ fn two_inflight_pipelined_run(seed: u64, fault: Option<Fault>) -> Arc<Checker> {
     for (i, c) in cells.iter().enumerate().take(16) {
         h.update(*c, 100 + i as u64);
     }
-    close_epoch(); // epoch 2 closed; its ticket is parked
+    close_epoch(&mut h); // epoch 2 closed; its ticket is parked
     for (i, c) in cells.iter().enumerate().skip(16) {
         h.update(*c, 100 + i as u64);
     }
-    close_epoch(); // epoch 3 closed: two tickets now outstanding
+    close_epoch(&mut h); // epoch 3 closed: two tickets now outstanding
     pool.hold_drains(false);
     drop(h);
     drop(pool); // joins the executor: both tickets commit before this returns

@@ -76,7 +76,7 @@ proptest! {
             vec![checker.clone(), recording.clone()];
         region.set_trace_sink(Arc::new(TeeSink::new(sinks)));
         let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).expect("pool");
-        let h = pool.register();
+        let mut h = pool.register();
         let map = PHashMap::create(&h, 16);
         let queue = PQueue::create(&h);
         // Root block: map descriptor at +0, queue descriptor at +8.

@@ -199,7 +199,7 @@ fn recorded_pipelined_cells(fault: Option<Fault>) -> (Vec<TraceEvent>, Vec<ICell
     let sink = Arc::new(VecSink::new());
     region.set_trace_sink(sink.clone());
     let pool = Pool::create(region, pipelined_pool_cfg(2)).unwrap();
-    let h = pool.register();
+    let mut h = pool.register();
     let cells: Vec<ICell<u64>> = (0..N).map(|i| h.alloc_cell(i)).collect();
     let mut snaps: Snaps = vec![None, None]; // epochs 0, 1
     let mut model: Vec<u64> = (0..N).collect();
@@ -213,7 +213,7 @@ fn recorded_pipelined_cells(fault: Option<Fault>) -> (Vec<TraceEvent>, Vec<ICell
     if let Some(f) = fault {
         pool.inject_fault(f);
     }
-    let close_epoch = || {
+    let close_epoch = |h: &mut respct::ThreadHandle| {
         let _allow = h.allow_checkpoints();
         pool.checkpoint_now();
     };
@@ -223,13 +223,13 @@ fn recorded_pipelined_cells(fault: Option<Fault>) -> (Vec<TraceEvent>, Vec<ICell
         h.update(cells[i as usize], 100 + i);
         model[i as usize] = 100 + i;
     }
-    close_epoch(); // closes epoch 2; its ticket is parked
+    close_epoch(&mut h); // closes epoch 2; its ticket is parked
     snaps.push(Some(model.clone()));
     for i in 24..N {
         h.update(cells[i as usize], 100 + i);
         model[i as usize] = 100 + i;
     }
-    close_epoch(); // closes epoch 3: two tickets now outstanding
+    close_epoch(&mut h); // closes epoch 3: two tickets now outstanding
     snaps.push(Some(model.clone()));
     pool.hold_drains(false);
     drop(h);

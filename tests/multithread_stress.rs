@@ -100,11 +100,11 @@ fn checkpoint_completes_with_mixed_blocked_and_running_threads() {
         for _ in 0..2 {
             let (pool, mutex, cv) = (Arc::clone(&pool), Arc::clone(&mutex), Arc::clone(&cv));
             s.spawn(move || {
-                let h = pool.register();
+                let mut h = pool.register();
                 h.rp(1);
                 let mut guard = mutex.lock();
                 while *guard == 0 {
-                    guard = cv.wait(&h, &mutex, guard);
+                    guard = cv.wait(&mut h, &mutex, guard);
                 }
             });
         }

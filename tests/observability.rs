@@ -510,22 +510,3 @@ fn metrics_server_serves_both_formats() {
         "server must stop answering after the guard drops"
     );
 }
-
-/// The periodic reporter emits JSON snapshots while running and a final
-/// one at shutdown.
-#[test]
-fn reporter_emits_snapshots() {
-    let pool = pool(64, PoolConfig::default());
-    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    {
-        let sink = Arc::clone(&seen);
-        let _rep = pool.start_metrics_reporter(Duration::from_millis(5), move |json| {
-            sink.lock().push(json.to_string());
-        });
-        std::thread::sleep(Duration::from_millis(30));
-    }
-    let seen = seen.lock();
-    assert!(!seen.is_empty(), "reporter emitted nothing");
-    assert!(seen.iter().all(|j| j.starts_with('{') && j.ends_with('}')));
-    assert!(seen[0].contains("\"respct_checkpoint_total_ns\""));
-}
