@@ -15,7 +15,13 @@
 //! memory for queued work is bounded by `workers × queue_capacity`
 //! requests. Responses carry the client's request id, so pipelined clients
 //! match answers even when BUSY rejections interleave with executed
-//! responses.
+//! responses. Every answer a connection owes its peer — queued, executing,
+//! or waiting for the writer — holds one slot of a per-connection budget
+//! the size of its response channel: the reader takes a slot before it
+//! admits a request or answers one itself, the writer frees it as it takes
+//! the response. A reader facing a slow peer therefore stalls (and TCP
+//! flow control pushes back) instead of overfilling the channel, and a
+//! worker's non-blocking send never finds it full while the peer is alive.
 //!
 //! Restart points never appear on the socket path. Workers batch up to
 //! `max_batch` queued requests, execute them handle-in-hand, and only then
@@ -158,16 +164,19 @@ fn accept_loop(
         conns.lock().insert(conn, shutdown_half);
 
         // The writer drains this; BUSY rejections and worker responses
-        // both flow through it, each tagged with the request id. Sized so
-        // a full worker queue's worth of responses never blocks a worker.
-        let (resp_tx, resp_rx) =
-            std::sync::mpsc::sync_channel::<(u32, KvResponse)>(queue_cap + max_batch + 64);
+        // both flow through it, each tagged with the request id.
+        let cap = queue_cap + max_batch + 64;
+        let (resp_tx, resp_rx) = std::sync::mpsc::sync_channel::<(u32, KvResponse)>(cap);
+        // The connection's response budget: one token per answer owed,
+        // sent by the reader (blocking while `cap` are owed), taken back by
+        // the writer. Dropping the writer's end fails the reader's send.
+        let (owed_tx, owed_rx) = std::sync::mpsc::sync_channel::<()>(cap);
 
         let writer = {
             let service = Arc::clone(service);
             std::thread::Builder::new()
                 .name("kvd-conn-writer".into())
-                .spawn(move || writer_loop(write_half, &resp_rx, &service))
+                .spawn(move || writer_loop(write_half, &resp_rx, &owed_rx, &service))
                 .expect("spawn kvd writer")
         };
         let reader = {
@@ -177,7 +186,7 @@ fn accept_loop(
             std::thread::Builder::new()
                 .name("kvd-conn-reader".into())
                 .spawn(move || {
-                    reader_loop(stream, &service, worker, &work_tx, &resp_tx);
+                    reader_loop(stream, &service, worker, &work_tx, &resp_tx, &owed_tx);
                     // The connection is over: let the writer drain what the
                     // workers still owe it, then release everything held on
                     // the connection's behalf.
@@ -204,6 +213,7 @@ fn reader_loop(
     worker: usize,
     work_tx: &SyncSender<WorkItem>,
     resp_tx: &SyncSender<(u32, KvResponse)>,
+    owed: &SyncSender<()>,
 ) {
     let m = service.kv_metrics();
     let max_value = service.config().max_value_len();
@@ -220,6 +230,14 @@ fn reader_loop(
                 break;
             }
         };
+        // Whatever the answer turns out to be, it is owed from here on:
+        // wait for a free slot in the budget. While the writer is stuck on
+        // a slow peer this stalls admissions for this one connection and
+        // TCP flow control pushes back on the peer — the backpressure
+        // contract. Fails only once the writer has gone.
+        if owed.send(()).is_err() {
+            break;
+        }
         let (id, req) = match wire::decode_request(payload, max_value) {
             Ok(x) => x,
             Err(e) => {
@@ -250,11 +268,8 @@ fn reader_loop(
             }
             Err(TrySendError::Full(item)) => {
                 // Bounded queue full: reject now rather than buffer. The
-                // request was not executed; the client may retry. The BUSY
-                // reply is a *blocking* send: if even the writer queue is
-                // full, this reader stalls — admissions for this one
-                // connection stop and TCP flow control pushes back on the
-                // peer, which is exactly the backpressure contract.
+                // request was not executed; the client may retry. Its slot
+                // is already held, so the reply finds room.
                 m.busy.inc();
                 if resp_tx.send((item.id, KvResponse::Busy)).is_err() {
                     break;
@@ -268,6 +283,7 @@ fn reader_loop(
 fn writer_loop(
     mut stream: TcpStream,
     resp_rx: &Receiver<(u32, KvResponse)>,
+    owed: &Receiver<()>,
     service: &Arc<KvService>,
 ) {
     let mut out = Vec::new();
@@ -277,11 +293,20 @@ fn writer_loop(
         out.clear();
         wire::encode_response(&mut out, id, &resp);
         // Coalesce whatever else is already queued into one write.
+        let mut taken = 1;
         while out.len() < 64 * 1024 {
             match resp_rx.try_recv() {
-                Ok((id, resp)) => wire::encode_response(&mut out, id, &resp),
+                Ok((id, resp)) => {
+                    wire::encode_response(&mut out, id, &resp);
+                    taken += 1;
+                }
                 Err(_) => break,
             }
+        }
+        // Free the taken responses' slots: the reader reserved one before
+        // each was decided, so every one is there to take back.
+        for _ in 0..taken {
+            let _ = owed.try_recv();
         }
         if stream.write_all(&out).is_err() {
             // Peer gone: drain and count what can no longer be delivered.
@@ -329,6 +354,9 @@ fn worker_loop(service: &Arc<KvService>, rx: &Receiver<WorkItem>, worker: usize)
         // below is released — an acked write is durable.
         service.end_batch(&mut ctx, wrote, done.len());
         for (tx, id, resp) in done.drain(..) {
+            // Never full (the reader reserved this answer's slot before
+            // admitting it), so this fails only once the connection's
+            // writer has gone with its peer.
             if tx.try_send((id, resp)).is_err() {
                 m.dropped_responses.inc();
             }
@@ -667,5 +695,52 @@ mod tests {
         assert!(ok > 0, "some writes must land");
         assert_eq!(svc.kv_metrics().busy.get(), busy);
         assert!(svc.kv_metrics().sync_checkpoints.get() > 0);
+    }
+
+    /// A peer that pipelines a flood and reads only later stalls the
+    /// connection's writer; the BUSY replies the reader decides meanwhile
+    /// must not crowd executed responses out of the connection's channel.
+    /// Every request is answered exactly once and nothing is dropped.
+    #[test]
+    fn slow_reader_gets_every_answer_exactly_once() {
+        let (svc, guard) = start(Mode::TransientDram, |b| {
+            b.workers(1)
+                .queue_capacity(4)
+                .max_batch(2)
+                .max_value_len(64 << 10)
+        });
+        let mut c = KvClient::connect(guard.local_addr()).expect("connect");
+        // A lost answer must fail the test, not hang it.
+        c.stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("timeout");
+        let value = vec![7; 64 << 10];
+        let put = KvRequest::Put { key: 1, value };
+        assert_eq!(c.call(0, &put).unwrap(), (0, KvResponse::Ok));
+        let total = 2000u32;
+        for round in 0..5 {
+            for id in 1..=total {
+                c.send(id, &KvRequest::Get { key: 1 });
+            }
+            c.flush().expect("flush");
+            std::thread::sleep(std::time::Duration::from_millis(500));
+            let mut answered = vec![false; total as usize + 1];
+            for n in 0..total {
+                let (id, resp) = c
+                    .recv()
+                    .unwrap_or_else(|e| panic!("round {round}: answer {n} of {total}: {e}"))
+                    .expect("open");
+                assert!(
+                    !std::mem::replace(&mut answered[id as usize], true),
+                    "round {round}: id {id} answered twice"
+                );
+                match resp {
+                    KvResponse::Value(v) => assert_eq!(v.len(), 64 << 10),
+                    KvResponse::Busy => {}
+                    other => panic!("unexpected response {other:?}"),
+                }
+            }
+            assert_eq!(svc.kv_metrics().dropped_responses.get(), 0, "round {round}");
+        }
     }
 }

@@ -64,8 +64,9 @@ pub struct KvMetrics {
     pub wire_errors: Arc<Counter>,
     /// Connections accepted since start.
     pub connections: Arc<Counter>,
-    /// Responses dropped because a connection's writer queue was full
-    /// when the worker finished (connection torn down mid-batch).
+    /// Responses dropped because the connection's peer was gone when the
+    /// worker finished (connection torn down mid-batch). A live peer never
+    /// loses one: its reader reserves each answer's slot up front.
     pub dropped_responses: Arc<Counter>,
     /// Synchronous-durability checkpoints forced by write batches.
     pub sync_checkpoints: Arc<Counter>,
@@ -198,7 +199,7 @@ impl KvService {
     /// # Errors
     ///
     /// [`KvError::Pool`] on pool create/open failure, [`KvError::Config`]
-    /// on an unusable backend spec.
+    /// on an unusable backend spec or an arena the OS will not map.
     pub fn open(cfg: KvServerConfig) -> Result<(Arc<KvService>, Option<RecoveryReport>), KvError> {
         KvService::open_with_sink(cfg, None)
     }
@@ -218,7 +219,8 @@ impl KvService {
                 None,
             ),
             Mode::TransientNvmm => {
-                let region = Region::new(crate::backend::nvmm_config(cfg.pool_bytes()));
+                let region = Region::try_new(crate::backend::nvmm_config(cfg.pool_bytes()))
+                    .map_err(|e| KvError::Config(e.to_string()))?;
                 (
                     Engine::Nvmm {
                         region,
@@ -236,7 +238,9 @@ impl KvService {
                     // checkpoint.
                     respct::RegionMode::Mmap(path) => Pool::open(path, pool_cfg)?,
                     mode => {
-                        let region = Region::new(respct::RegionConfig::new(cfg.pool_bytes(), mode));
+                        let region =
+                            Region::try_new(respct::RegionConfig::new(cfg.pool_bytes(), mode))
+                                .map_err(|e| KvError::Config(e.to_string()))?;
                         if let Some(sink) = sink {
                             region.set_trace_sink(sink);
                         }
@@ -524,6 +528,29 @@ mod tests {
             .build()
             .expect("config");
         KvService::open(cfg).expect("open").0
+    }
+
+    #[test]
+    fn unmappable_pool_is_a_config_error() {
+        // The test environment leaves `RESPCT_BACKEND` at its default
+        // (an anonymous arena), which is what this row is about.
+        if std::env::var_os(crate::backend::BACKEND_ENV).is_some() {
+            return;
+        }
+        for mode in [Mode::TransientNvmm, Mode::Respct] {
+            let cfg = KvServerConfig::builder()
+                .mode(mode)
+                .pool_bytes(1 << 62)
+                .build()
+                .expect("config");
+            match KvService::open(cfg) {
+                Err(KvError::Config(msg)) => {
+                    assert!(msg.contains("-byte region"), "{mode:?}: {msg}");
+                }
+                Err(e) => panic!("{mode:?}: wanted KvError::Config, got {e}"),
+                Ok(_) => panic!("{mode:?}: a 4 EiB pool opened"),
+            }
+        }
     }
 
     #[test]

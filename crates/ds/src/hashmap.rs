@@ -87,15 +87,12 @@ impl PHashMap {
     }
 
     fn build(pool: Arc<Pool>, desc: PAddr, nbuckets: u64, buckets: PAddr) -> PHashMap {
-        let locks = (0..nbuckets)
-            .map(|_| TracedMutex::new(&pool, ()))
-            .collect::<Vec<_>>();
         PHashMap {
             pool,
             desc,
             nbuckets,
             buckets,
-            locks: locks.into_boxed_slice(),
+            locks: (0..nbuckets).map(|_| TracedMutex::new(())).collect(),
         }
     }
 
@@ -132,7 +129,7 @@ impl PHashMap {
     /// several threads race on the same key.
     pub fn replace(&self, h: &ThreadHandle, k: u64, v: u64) -> Option<u64> {
         let b = self.bucket_of(k);
-        let _g = self.locks[b as usize].lock();
+        let _g = self.locks[b as usize].lock(&self.pool);
         let head = self.bucket_cell(b);
         let region = self.pool.region();
         let mut cur = h.get(head);
@@ -162,7 +159,7 @@ impl PHashMap {
     /// hold (the removal twin of [`replace`](Self::replace)).
     pub fn remove_entry(&self, h: &ThreadHandle, k: u64) -> Option<u64> {
         let b = self.bucket_of(k);
-        let _g = self.locks[b as usize].lock();
+        let _g = self.locks[b as usize].lock(&self.pool);
         let head = self.bucket_cell(b);
         let region = self.pool.region();
         let mut prev: u64 = 0;
@@ -192,7 +189,7 @@ impl PHashMap {
     /// it goes through `update_InCLL`.
     pub fn fetch_add(&self, h: &ThreadHandle, k: u64, delta: u64) -> u64 {
         let b = self.bucket_of(k);
-        let _g = self.locks[b as usize].lock();
+        let _g = self.locks[b as usize].lock(&self.pool);
         let head = self.bucket_cell(b);
         let region = self.pool.region();
         let mut cur = h.get(head);
@@ -216,7 +213,7 @@ impl PHashMap {
     /// Looks up `k`.
     pub fn get(&self, h: &ThreadHandle, k: u64) -> Option<u64> {
         let b = self.bucket_of(k);
-        let _g = self.locks[b as usize].lock();
+        let _g = self.locks[b as usize].lock(&self.pool);
         let region = self.pool.region();
         let mut cur = h.get(self.bucket_cell(b));
         while cur != 0 {
@@ -235,7 +232,7 @@ impl PHashMap {
         let region = self.pool.region();
         let mut out = Vec::new();
         for b in 0..self.nbuckets {
-            let _g = self.locks[b as usize].lock();
+            let _g = self.locks[b as usize].lock(&self.pool);
             let mut cur = self.pool.cell_get(self.bucket_cell(b));
             while cur != 0 {
                 let key: u64 = region.load(PAddr(cur + NODE_KEY));

@@ -80,7 +80,7 @@ impl POrderedMap {
         h.init_cell_at::<u64>(PAddr(desc.0 + D_ROOT), 0);
         h.init_cell_at::<u64>(PAddr(desc.0 + D_LEN), 0);
         POrderedMap {
-            lock: TracedMutex::new(h.pool(), ()),
+            lock: TracedMutex::new(()),
             pool: Arc::clone(h.pool()),
             desc,
         }
@@ -89,7 +89,7 @@ impl POrderedMap {
     /// Re-opens from a descriptor (after recovery).
     pub fn open(pool: &Arc<Pool>, desc: PAddr) -> POrderedMap {
         POrderedMap {
-            lock: TracedMutex::new(pool, ()),
+            lock: TracedMutex::new(()),
             pool: Arc::clone(pool),
             desc,
         }
@@ -124,7 +124,7 @@ impl POrderedMap {
 
     /// Inserts or updates; `true` when newly inserted.
     pub fn insert(&self, h: &ThreadHandle, k: u64, v: u64) -> bool {
-        let _g = self.lock.lock();
+        let _g = self.lock.lock(&self.pool);
         let sk = shuffle(k);
         // Descend to the insertion link.
         let mut link = self.root_cell();
@@ -155,7 +155,7 @@ impl POrderedMap {
 
     /// Looks a key up.
     pub fn get(&self, h: &ThreadHandle, k: u64) -> Option<u64> {
-        let _g = self.lock.lock();
+        let _g = self.lock.lock(&self.pool);
         let sk = shuffle(k);
         let mut cur = h.get(self.root_cell());
         while cur != 0 {
@@ -175,7 +175,7 @@ impl POrderedMap {
     /// Removes `k`; `true` if present. Uses the classic BST deletion
     /// (successor splice), all link rewrites through InCLL cells.
     pub fn remove(&self, h: &ThreadHandle, k: u64) -> bool {
-        let _g = self.lock.lock();
+        let _g = self.lock.lock(&self.pool);
         let sk = shuffle(k);
         let mut link = self.root_cell();
         loop {
@@ -235,7 +235,7 @@ impl POrderedMap {
     /// after a final sort (the shuffle is only an internal balancing
     /// device).
     pub fn collect_sorted(&self) -> Vec<(u64, u64)> {
-        let _g = self.lock.lock();
+        let _g = self.lock.lock(&self.pool);
         let mut out = Vec::new();
         let mut stack = Vec::new();
         let mut cur = self.pool.cell_get(self.root_cell());
@@ -270,7 +270,7 @@ impl POrderedMap {
             1 + depth(pool, pool.cell_get(left_cell(n)))
                 .max(depth(pool, pool.cell_get(right_cell(n))))
         }
-        let _g = self.lock.lock();
+        let _g = self.lock.lock(&self.pool);
         depth(&self.pool, self.pool.cell_get(self.root_cell()))
     }
 }

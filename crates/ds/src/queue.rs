@@ -48,7 +48,7 @@ impl PQueue {
         h.init_cell_at::<u64>(PAddr(desc.0 + DESC_HEAD), 0);
         h.init_cell_at::<u64>(PAddr(desc.0 + DESC_TAIL), 0);
         PQueue {
-            lock: TracedMutex::new(h.pool(), ()),
+            lock: TracedMutex::new(()),
             pool: Arc::clone(h.pool()),
             desc,
         }
@@ -57,7 +57,7 @@ impl PQueue {
     /// Re-opens a queue from its descriptor (after recovery).
     pub fn open(pool: &Arc<Pool>, desc: PAddr) -> PQueue {
         PQueue {
-            lock: TracedMutex::new(pool, ()),
+            lock: TracedMutex::new(()),
             pool: Arc::clone(pool),
             desc,
         }
@@ -80,7 +80,7 @@ impl PQueue {
 
     /// Appends `v`.
     pub fn enqueue(&self, h: &ThreadHandle, v: u64) {
-        let _g = self.lock.lock();
+        let _g = self.lock.lock(&self.pool);
         let node = h.alloc(NODE_SIZE, 32);
         h.store_tracked(PAddr(node.0 + NODE_VAL), v);
         h.init_cell_at::<u64>(PAddr(node.0 + NODE_NEXT), 0);
@@ -95,7 +95,7 @@ impl PQueue {
 
     /// Pops the oldest value, if any.
     pub fn dequeue(&self, h: &ThreadHandle) -> Option<u64> {
-        let _g = self.lock.lock();
+        let _g = self.lock.lock(&self.pool);
         let head = h.get(self.head_cell());
         if head == 0 {
             return None;
@@ -112,7 +112,7 @@ impl PQueue {
 
     /// Collects the queue front-to-back (verification).
     pub fn collect(&self) -> Vec<u64> {
-        let _g = self.lock.lock();
+        let _g = self.lock.lock(&self.pool);
         let region = self.pool.region();
         let mut out = Vec::new();
         let mut cur = self.pool.cell_get(self.head_cell());

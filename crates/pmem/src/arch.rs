@@ -148,26 +148,13 @@ pub unsafe fn pwb(ptr: *const u8) {
 /// reflects what an unconstrained machine would observe.
 #[cfg(unix)]
 pub fn thread_cpu_ns() -> u64 {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-    // POSIX; value of CLOCK_THREAD_CPUTIME_ID on Linux and the BSDs' clock
-    // id differs, so resolve it per-OS.
-    #[cfg(target_os = "linux")]
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-    #[cfg(not(target_os = "linux"))]
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 16; // macOS
-    extern "C" {
-        fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
-    }
-    let mut ts = Timespec {
+    use crate::sys;
+    let mut ts = sys::Timespec {
         tv_sec: 0,
         tv_nsec: 0,
     };
     // SAFETY: `ts` is a valid, writable timespec; the clock id is constant.
-    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    let rc = unsafe { sys::clock_gettime(sys::CLOCK_THREAD_CPUTIME_ID, &mut ts) };
     if rc != 0 {
         return 0;
     }

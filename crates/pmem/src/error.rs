@@ -34,6 +34,17 @@ pub enum RegionError {
     BadImage { path: PathBuf, len: u64 },
     /// The requested backend is not available on this platform.
     Unsupported(&'static str),
+    /// The OS refused to map a Fast or Sim region's arena. Only a request
+    /// its overcommit check rejects fails here; the pages themselves are
+    /// committed at first touch.
+    Alloc {
+        /// Requested arena size in bytes.
+        size: usize,
+        /// Kind of the underlying OS error.
+        kind: io::ErrorKind,
+        /// Rendered message of the underlying OS error.
+        message: String,
+    },
 }
 
 impl RegionError {
@@ -42,6 +53,15 @@ impl RegionError {
         RegionError::Io {
             path: path.into(),
             op,
+            kind: err.kind(),
+            message: err.to_string(),
+        }
+    }
+
+    /// Wraps the OS error that refused a `size`-byte arena.
+    pub(crate) fn alloc(size: usize, err: &io::Error) -> RegionError {
+        RegionError::Alloc {
+            size,
             kind: err.kind(),
             message: err.to_string(),
         }
@@ -61,6 +81,9 @@ impl std::fmt::Display for RegionError {
                 path.display()
             ),
             RegionError::Unsupported(msg) => write!(f, "unsupported backend: {msg}"),
+            RegionError::Alloc { size, message, .. } => {
+                write!(f, "cannot map a {size}-byte region: {message}")
+            }
         }
     }
 }
@@ -95,5 +118,7 @@ mod tests {
         assert!(RegionError::Unsupported("mmap requires unix")
             .to_string()
             .contains("mmap"));
+        let oom = RegionError::alloc(1 << 40, &io::ErrorKind::OutOfMemory.into());
+        assert!(oom.to_string().contains("1099511627776-byte"), "{oom}");
     }
 }

@@ -44,6 +44,8 @@ pub mod region;
 pub mod replay;
 pub mod sim;
 pub mod stats;
+#[cfg(unix)]
+mod sys;
 pub mod trace;
 
 pub use backend::BackendKind;

@@ -1,11 +1,22 @@
-//! File-backed persistence: the mmap backend.
+//! The mapping that owns every region's bytes, and the file-backed
+//! persistence it gives the mmap backend.
+//!
+//! A Fast or Sim region's arena is a private anonymous mapping
+//! (`Mapping::anonymous`): zero-filled by the kernel on first touch, so a
+//! region costs the pages its program writes, not the capacity it reserved
+//! — the way a DAX-mapped NVMM file behaves. Nothing is prefaulted, and
+//! creating a region does not prove the memory is there: a request the
+//! kernel's overcommit check refuses fails here as
+//! [`RegionError::Alloc`], anything else can only fail at first touch.
+//! (Under Miri, and off unix, the arena is an `alloc_zeroed` heap block
+//! instead.)
 //!
 //! A [`RegionMode::Mmap`](crate::RegionMode::Mmap) region maps a pool file
-//! `MAP_SHARED` into the address space, so the region's bytes *are* the
-//! file's pages and a pool reopened by a fresh process recovers from
-//! whatever the OS persisted. This is the deployment shape of real
-//! App-Direct NVMM (a DAX-mapped file on a pmem-aware filesystem); on a
-//! regular filesystem it still gives the property the crash-recovery
+//! `MAP_SHARED` into the address space (`Mapping::open`), so the region's
+//! bytes *are* the file's pages and a pool reopened by a fresh process
+//! recovers from whatever the OS persisted. This is the deployment shape
+//! of real App-Direct NVMM (a DAX-mapped file on a pmem-aware filesystem);
+//! on a regular filesystem it still gives the property the crash-recovery
 //! protocol needs for process-level fault tolerance:
 //!
 //! * `pwb` issues the real `clwb` on the mapped line (on DAX that is the
@@ -29,55 +40,56 @@
 use std::path::{Path, PathBuf};
 
 use crate::error::RegionError;
+#[cfg(unix)]
+use crate::sys;
 use crate::CACHE_LINE;
 
-#[cfg(unix)]
-mod sys {
-    use std::ffi::{c_int, c_void};
-
-    pub const PROT_READ: c_int = 0x1;
-    pub const PROT_WRITE: c_int = 0x2;
-    pub const MAP_SHARED: c_int = 0x01;
-    #[cfg(target_os = "linux")]
-    pub const MS_SYNC: c_int = 4;
-    #[cfg(not(target_os = "linux"))]
-    pub const MS_SYNC: c_int = 0x0010;
-
-    // Raw libc bindings: std already links libc, and the container has no
-    // `libc`/`memmap2` crate to lean on.
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn msync(addr: *mut c_void, len: usize, flags: c_int) -> c_int;
-    }
+/// A region's arena: an anonymous mapping, or a `MAP_SHARED` mapping of a
+/// pool file. See the module docs.
+pub(crate) struct Mapping {
+    pub(crate) map: *mut u8,
+    /// Mapped length in bytes (a whole number of cache lines).
+    pub(crate) size: usize,
+    /// The pool file behind a shared mapping; `None` for an anonymous one.
+    file: Option<PoolFile>,
 }
 
-/// A `MAP_SHARED` file mapping serving as a region's arena. See the module
-/// docs for the durability contract.
-pub(crate) struct MmapFile {
-    pub(crate) map: *mut u8,
-    pub(crate) size: usize,
+struct PoolFile {
     /// Keeps the backing fd open for the mapping's lifetime (not strictly
     /// required by POSIX, but it keeps the pool file pinned and debuggable).
-    _file: std::fs::File,
-    pub(crate) path: PathBuf,
-    pub(crate) created: bool,
+    _fd: std::fs::File,
+    path: PathBuf,
+    created: bool,
 }
 
 // SAFETY: the mapping is owned by this value for its whole lifetime and
 // only accessed through atomic operations by the region.
-unsafe impl Send for MmapFile {}
+unsafe impl Send for Mapping {}
 // SAFETY: as above.
-unsafe impl Sync for MmapFile {}
+unsafe impl Sync for Mapping {}
 
-impl MmapFile {
+impl Mapping {
+    /// A zero-filled anonymous arena of `size` bytes, rounded up to whole
+    /// cache lines. Its pages are materialised on first touch.
+    ///
+    /// # Errors
+    ///
+    /// [`RegionError::InvalidConfig`] for a zero size,
+    /// [`RegionError::Alloc`] when the OS refuses the mapping.
+    pub(crate) fn anonymous(size: usize) -> Result<Mapping, RegionError> {
+        if size == 0 {
+            return Err(RegionError::InvalidConfig("region size must be positive"));
+        }
+        let rounded = size
+            .checked_next_multiple_of(CACHE_LINE)
+            .ok_or_else(|| RegionError::alloc(size, &std::io::ErrorKind::OutOfMemory.into()))?;
+        Ok(Mapping {
+            map: map_anonymous(rounded)?,
+            size: rounded,
+            file: None,
+        })
+    }
+
     /// Opens (create-or-recover) a pool file at `path`.
     ///
     /// A missing or empty file is created and sized to `default_size`
@@ -85,7 +97,7 @@ impl MmapFile {
     /// mapped at its own length, which must be a positive cache-line
     /// multiple.
     #[cfg(unix)]
-    pub(crate) fn open(path: &Path, default_size: usize) -> Result<MmapFile, RegionError> {
+    pub(crate) fn open(path: &Path, default_size: usize) -> Result<Mapping, RegionError> {
         use std::os::fd::AsRawFd;
 
         if path.as_os_str().is_empty() {
@@ -125,7 +137,7 @@ impl MmapFile {
         };
         // SAFETY: mapping `size` bytes of the file we just opened and sized;
         // a null hint lets the kernel pick the address. The fd stays open
-        // (held in `_file`) for the mapping's lifetime.
+        // (held in `_fd`) for the mapping's lifetime.
         let map = unsafe {
             sys::mmap(
                 std::ptr::null_mut(),
@@ -143,32 +155,45 @@ impl MmapFile {
                 &std::io::Error::last_os_error(),
             ));
         }
-        Ok(MmapFile {
-            map: map as *mut u8,
+        Ok(Mapping {
+            map: map.cast(),
             size,
-            _file: file,
-            path: path.to_path_buf(),
-            created,
+            file: Some(PoolFile {
+                _fd: file,
+                path: path.to_path_buf(),
+                created,
+            }),
         })
     }
 
     /// Stub for non-unix platforms: the mmap backend needs `mmap(2)`.
     #[cfg(not(unix))]
-    pub(crate) fn open(_path: &Path, _default_size: usize) -> Result<MmapFile, RegionError> {
+    pub(crate) fn open(_path: &Path, _default_size: usize) -> Result<Mapping, RegionError> {
         Err(RegionError::Unsupported(
             "the mmap backend requires a unix platform",
         ))
     }
 
-    /// `msync`s the whole mapping to the pool file.
+    /// The pool file behind the mapping, if any.
+    pub(crate) fn path(&self) -> Option<&Path> {
+        self.file.as_ref().map(|f| f.path.as_path())
+    }
+
+    /// Whether the arena started empty: always for an anonymous mapping,
+    /// for a file mapping only when this open created the file.
+    pub(crate) fn was_created(&self) -> bool {
+        self.file.as_ref().is_none_or(|f| f.created)
+    }
+
+    /// `msync`s a file mapping to its pool file; no-op when anonymous.
     pub(crate) fn sync(&self) -> Result<(), RegionError> {
         #[cfg(unix)]
-        {
+        if let Some(file) = &self.file {
             // SAFETY: `map` is the live mapping of exactly `size` bytes.
-            let rc = unsafe { sys::msync(self.map as *mut _, self.size, sys::MS_SYNC) };
+            let rc = unsafe { sys::msync(self.map.cast(), self.size, sys::MS_SYNC) };
             if rc != 0 {
                 return Err(RegionError::io(
-                    &self.path,
+                    &file.path,
                     "msync",
                     &std::io::Error::last_os_error(),
                 ));
@@ -178,16 +203,65 @@ impl MmapFile {
     }
 }
 
-impl Drop for MmapFile {
+/// Maps `size` zero-filled bytes, private and anonymous: no memset, no
+/// prefault.
+#[cfg(all(unix, not(miri)))]
+fn map_anonymous(size: usize) -> Result<*mut u8, RegionError> {
+    // SAFETY: a fresh private anonymous mapping: no fd, a null hint, and
+    // nothing else can alias the pages the kernel hands back.
+    let map = unsafe {
+        sys::mmap(
+            std::ptr::null_mut(),
+            size,
+            sys::PROT_READ | sys::PROT_WRITE,
+            sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
+            -1,
+            0,
+        )
+    };
+    if map as isize == -1 {
+        return Err(RegionError::alloc(size, &std::io::Error::last_os_error()));
+    }
+    Ok(map.cast())
+}
+
+/// The one fallback: a zeroed, page-aligned heap block (Miri runs here).
+#[cfg(any(miri, not(unix)))]
+fn map_anonymous(size: usize) -> Result<*mut u8, RegionError> {
+    let out_of_memory = || RegionError::alloc(size, &std::io::ErrorKind::OutOfMemory.into());
+    let layout = heap_layout(size).ok_or_else(out_of_memory)?;
+    // SAFETY: `layout` has non-zero size (`size` is positive).
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+    if ptr.is_null() {
+        return Err(out_of_memory());
+    }
+    Ok(ptr)
+}
+
+#[cfg(any(miri, not(unix)))]
+fn heap_layout(size: usize) -> Option<std::alloc::Layout> {
+    std::alloc::Layout::from_size_align(size, 4096).ok()
+}
+
+impl Drop for Mapping {
     fn drop(&mut self) {
-        // Best-effort flush on clean shutdown, then unmap. Errors are
-        // unreportable from Drop; recovery handles a torn image anyway.
+        // Best-effort flush of a pool file on clean shutdown, then unmap.
+        // Errors are unreportable from Drop; recovery handles a torn image
+        // anyway.
         let _ = self.sync();
+        #[cfg(any(miri, not(unix)))]
+        if self.file.is_none() {
+            let layout = heap_layout(self.size).expect("layout was valid at allocation");
+            // SAFETY: an anonymous arena on this platform is the block
+            // `map_anonymous` allocated with exactly this layout.
+            unsafe { std::alloc::dealloc(self.map, layout) };
+            return;
+        }
         #[cfg(unix)]
         // SAFETY: `map` is the live mapping of exactly `size` bytes created
-        // in `open`; nothing accesses it after this.
+        // by `open` or `map_anonymous`; nothing accesses it after this.
         unsafe {
-            let _ = sys::munmap(self.map as *mut _, self.size);
+            let _ = sys::munmap(self.map.cast(), self.size);
         }
     }
 }

@@ -5,12 +5,13 @@
 //! [`PAddr`] offsets (stable across crash + recovery), and every access goes
 //! through its typed accessors so the persistence substrate can interpose.
 //!
-//! The bytes themselves are owned by one of three backends (see
-//! [`crate::backend`]): a heap arena with modeled latency, the same arena
-//! under the PCSO simulator, or a file mapping that outlives the process
-//! ([`crate::mmap`]). The region caches the arena's base pointer, latency
-//! model, and simulator handle, so the store/load hot paths are identical
-//! for every backend; only `pwb`, `psync`, and `sync_data` branch on it.
+//! The bytes themselves are owned by one mapping ([`crate::mmap`]) under
+//! one of three backends (see [`crate::backend`]): an anonymous arena with
+//! modeled latency, the same arena under the PCSO simulator, or a file
+//! mapping that outlives the process. The region caches the arena's base
+//! pointer, latency model, and simulator handle, so the store/load hot
+//! paths are identical for every backend; only `pwb` and `psync` branch on
+//! it.
 //!
 //! All accesses are implemented as **relaxed atomic operations** of the
 //! access width. On x86-64 these compile to plain `mov`s, so fast mode pays
@@ -22,10 +23,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::backend::{BackendKind, HeapArena};
+use crate::backend::BackendKind;
 use crate::error::RegionError;
 use crate::latency::{charge_ns, drain_psync, note_pwb, LatencyModel};
-use crate::mmap::MmapFile;
+use crate::mmap::Mapping;
 use crate::sim::{CacheSim, CrashImage, CrashMode, SimConfig};
 use crate::stats::PmemStats;
 use crate::trace::{trace_tid, SyncToken, TraceEvent, TraceMarker, TraceSink};
@@ -98,25 +99,19 @@ impl RegionConfig {
     }
 }
 
-/// What owns a region's bytes (the arenas are held only to be dropped with
-/// the region), and with them what `pwb`/`psync` mean.
-enum Backend {
-    Fast { _arena: HeapArena },
-    Sim { _arena: HeapArena },
-    Mmap(MmapFile),
-}
-
 /// An NVMM arena over one of three backends. See the module docs.
 pub struct Region {
-    /// The persistence substrate owning the bytes. Held for the `pwb`/
-    /// `psync`/`sync_data` match and to keep the arena alive; everything on
-    /// the store/load hot paths is cached in the fields below.
-    backend: Backend,
+    /// What `pwb`/`psync` mean on this region.
+    kind: BackendKind,
+    /// Owns the bytes (and, for the mmap backend, the pool file); held to
+    /// be dropped with the region. Everything on the store/load hot paths
+    /// is cached in the fields below.
+    arena: Mapping,
     buf: *mut u8,
     size: usize,
     latency: LatencyModel,
     latency_free: bool,
-    /// `Some` exactly when `backend` is [`Backend::Sim`]. Boxed so the
+    /// `Some` exactly when `kind` is [`BackendKind::Sim`]. Boxed so the
     /// simulator's tables do not spread the hot fields around it.
     sim: Option<Box<CacheSim>>,
     stats: Arc<PmemStats>,
@@ -131,8 +126,8 @@ pub struct Region {
 }
 
 // SAFETY: the raw buffer is only accessed through atomic operations (or
-// under the simulator's shard locks), and the backing allocation is owned
-// by `backend`, which the `Region` keeps alive for its whole lifetime.
+// under the simulator's shard locks), and the backing mapping is owned by
+// `arena`, which the `Region` keeps alive for its whole lifetime.
 unsafe impl Send for Region {}
 // SAFETY: as above.
 unsafe impl Sync for Region {}
@@ -140,40 +135,45 @@ unsafe impl Sync for Region {}
 impl Region {
     /// Opens a region on the configured backend.
     ///
-    /// Heap-backed modes allocate a zeroed arena. [`RegionMode::Mmap`]
-    /// resolves to create-or-recover: a missing or empty pool file is
-    /// created at the configured size; an existing file is mapped as-is
-    /// (check [`Region::was_created`] to know which happened).
+    /// Fast and Sim map a zero-filled anonymous arena whose pages exist
+    /// once touched. [`RegionMode::Mmap`] resolves to create-or-recover: a
+    /// missing or empty pool file is created at the configured size; an
+    /// existing file is mapped as-is (check [`Region::was_created`] to know
+    /// which happened).
     ///
     /// # Errors
     ///
-    /// [`RegionError::InvalidConfig`] for a zero-sized heap region, plus
-    /// the I/O and image errors of the mmap backend.
+    /// [`RegionError::InvalidConfig`] for a zero-sized anonymous region,
+    /// [`RegionError::Alloc`] when the OS refuses to map one, plus the I/O
+    /// and image errors of the mmap backend.
     pub fn try_new(cfg: RegionConfig) -> Result<Arc<Region>, RegionError> {
         let stats = Arc::new(PmemStats::default());
         let dram = LatencyModel::dram();
-        let (buf, size, latency, sim, backend) = match cfg.mode {
-            RegionMode::Fast(latency) => {
-                let _arena = HeapArena::new(cfg.size)?;
-                let (buf, size) = (_arena.ptr, _arena.size());
-                (buf, size, latency, None, Backend::Fast { _arena })
-            }
+        let (kind, arena, latency, sim) = match cfg.mode {
+            RegionMode::Fast(latency) => (
+                BackendKind::Fast,
+                Mapping::anonymous(cfg.size)?,
+                latency,
+                None,
+            ),
             RegionMode::Sim(sim_cfg) => {
-                let _arena = HeapArena::new(cfg.size)?;
-                let (buf, size) = (_arena.ptr, _arena.size());
-                let sim = Box::new(CacheSim::new(sim_cfg, size, Arc::clone(&stats)));
-                sim.attach(buf);
-                (buf, size, dram, Some(sim), Backend::Sim { _arena })
+                let arena = Mapping::anonymous(cfg.size)?;
+                let sim = Box::new(CacheSim::new(sim_cfg, arena.size, Arc::clone(&stats)));
+                sim.attach(arena.map);
+                (BackendKind::Sim, arena, dram, Some(sim))
             }
-            RegionMode::Mmap(path) => {
-                let file = MmapFile::open(&path, cfg.size)?;
-                (file.map, file.size, dram, None, Backend::Mmap(file))
-            }
+            RegionMode::Mmap(path) => (
+                BackendKind::Mmap,
+                Mapping::open(&path, cfg.size)?,
+                dram,
+                None,
+            ),
         };
         Ok(Arc::new(Region {
-            backend,
-            buf,
-            size,
+            kind,
+            buf: arena.map,
+            size: arena.size,
+            arena,
             latency,
             latency_free: latency.is_free(),
             sim,
@@ -217,40 +217,27 @@ impl Region {
     /// Which backend this region runs on.
     #[inline]
     pub fn backend_kind(&self) -> BackendKind {
-        match self.backend {
-            Backend::Fast { .. } => BackendKind::Fast,
-            Backend::Sim { .. } => BackendKind::Sim,
-            Backend::Mmap(_) => BackendKind::Mmap,
-        }
+        self.kind
     }
 
     /// Path of the backing pool file, if the backend has one.
     pub fn path(&self) -> Option<&Path> {
-        match &self.backend {
-            Backend::Mmap(file) => Some(&file.path),
-            _ => None,
-        }
+        self.arena.path()
     }
 
     /// Whether the backend created its arena from scratch (`true`) or
-    /// mapped existing content that may need recovery (`false`). Heap
-    /// backends always report `true`.
+    /// mapped existing content that may need recovery (`false`). Anonymous
+    /// arenas always report `true`.
     pub fn was_created(&self) -> bool {
-        match &self.backend {
-            Backend::Mmap(file) => file.created,
-            _ => true,
-        }
+        self.arena.was_created()
     }
 
     /// Flushes the arena to its backing store (`msync` for an mmap region;
-    /// no-op for heap regions). This is the machine-crash durability point
-    /// for pool files on non-DAX filesystems — `pwb`/`psync` alone only
-    /// reach the kernel's copy of the pages there.
+    /// no-op for anonymous arenas). This is the machine-crash durability
+    /// point for pool files on non-DAX filesystems — `pwb`/`psync` alone
+    /// only reach the kernel's copy of the pages there.
     pub fn sync_data(&self) -> Result<(), RegionError> {
-        match &self.backend {
-            Backend::Mmap(file) => file.sync(),
-            Backend::Fast { .. } | Backend::Sim { .. } => Ok(()),
-        }
+        self.arena.sync()
     }
 
     /// Whether the persistence simulator is active.
@@ -520,15 +507,15 @@ impl Region {
         // only accounts for it (flushing emulated-NVMM DRAM buys nothing
         // and costs ~150 ns/line of host overhead), the mmap backend issues
         // the real `clwb` on the mapped line.
-        match &self.backend {
-            Backend::Sim { .. } => self.sim().pwb(addr.line()),
-            Backend::Fast { .. } => {
+        match self.kind {
+            BackendKind::Sim => self.sim().pwb(addr.line()),
+            BackendKind::Fast => {
                 self.stats.count_pwb();
                 if !self.latency_free {
                     note_pwb(&self.latency);
                 }
             }
-            Backend::Mmap(_) => {
+            BackendKind::Mmap => {
                 self.stats.count_pwb();
                 // SAFETY: `addr` is in bounds (checked above), so the
                 // flushed address lies inside the live mapping.
@@ -549,9 +536,9 @@ impl Region {
     #[inline]
     pub fn psync(&self) {
         self.emit(|| TraceEvent::Psync { tid: trace_tid() });
-        match &self.backend {
-            Backend::Sim { .. } => self.sim().psync(),
-            Backend::Fast { .. } => {
+        match self.kind {
+            BackendKind::Sim => self.sim().psync(),
+            BackendKind::Fast => {
                 self.stats.count_psync();
                 // An `sfence` still orders our (relaxed atomic) stores
                 // cheaply and mirrors the paper's instruction sequence.
@@ -560,7 +547,7 @@ impl Region {
                     drain_psync(&self.latency);
                 }
             }
-            Backend::Mmap(_) => {
+            BackendKind::Mmap => {
                 self.stats.count_psync();
                 crate::arch::psync();
             }
@@ -946,6 +933,7 @@ mod try_new_tests {
         },
         InvalidConfig,
         BadImage(u64),
+        Alloc(usize),
     }
 
     pub(super) fn check(name: &str, cfg: RegionConfig, want: Want) -> Option<Arc<Region>> {
@@ -973,6 +961,14 @@ mod try_new_tests {
             (Err(RegionError::InvalidConfig(_)), Want::InvalidConfig) => None,
             (Err(RegionError::BadImage { len, .. }), Want::BadImage(want)) => {
                 assert_eq!(len, want, "{name}");
+                None
+            }
+            (Err(e @ RegionError::Alloc { size, .. }), Want::Alloc(want)) => {
+                assert_eq!(size, want, "{name}");
+                assert!(
+                    e.to_string().contains(&format!("{want}-byte")),
+                    "{name}: {e}"
+                );
                 None
             }
             (got, want) => panic!("{name}: wanted {want:?}, got {:?}", got.map(|r| r.size())),
@@ -1006,11 +1002,23 @@ mod try_new_tests {
             ),
         ] {
             if let Some(r) = check(name, cfg, want) {
-                // A heap arena starts zeroed.
+                // An anonymous arena starts zeroed.
                 assert_eq!(r.load::<u64>(PAddr(0)), 0, "{name}");
                 assert_eq!(r.load::<u8>(PAddr(r.size() as u64 - 1)), 0, "{name}");
             }
         }
+    }
+
+    /// An arena the OS will not map is a typed error naming its size, not
+    /// a panic. (Not under Miri: asking its allocator for 4 EiB aborts the
+    /// interpreter.)
+    #[test]
+    #[cfg(not(miri))]
+    fn unmappable_arena_is_a_typed_error() {
+        let huge = 1 << 62;
+        check("fast", RegionConfig::fast(huge), Want::Alloc(huge));
+        let sim = RegionConfig::sim(huge, SimConfig::no_eviction(7));
+        check("sim", sim, Want::Alloc(huge));
     }
 
     #[test]

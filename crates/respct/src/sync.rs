@@ -7,8 +7,23 @@
 //! emits those edges directly — but the locks *applications and data
 //! structures* use to order their pool stores are ordinary mutexes the
 //! region never sees. [`TracedMutex`] is the bridge: a `parking_lot` mutex
-//! that reports its acquire/release pairs to the pool's trace sink, so a
-//! store protected by it is provably ordered and not a persist race.
+//! that reports its acquire/release pairs to the trace sink of the pool it
+//! is locked against, so a store protected by it is provably ordered and
+//! not a persist race.
+//!
+//! The lock holds no pool of its own — it is exactly as large as the
+//! `parking_lot` mutex it wraps, which matters for a structure with a lock
+//! per bucket. The caller names the pool at each [`TracedMutex::lock`]:
+//!
+//! ```
+//! use respct::{Pool, PoolConfig, Region, RegionConfig, TracedMutex};
+//!
+//! let pool = Pool::create(Region::new(RegionConfig::fast(1 << 20)), PoolConfig::default())?;
+//! let lock = TracedMutex::new(0u64);
+//! *lock.lock(&pool) += 1;
+//! assert_eq!(*lock.lock(&pool), 1);
+//! # Ok::<(), respct::PoolError>(())
+//! ```
 //!
 //! Emission is zero-cost when the pool's region has no sink attached.
 //!
@@ -16,7 +31,6 @@
 //! [`SyncAcq`]: respct_pmem::TraceEvent::SyncAcq
 
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -30,17 +44,15 @@ use crate::pool::Pool;
 /// guards stores to pool memory: the race detector treats unsynchronized
 /// cross-thread stores to the same InCLL-bearing cache line within one
 /// epoch as a persist race, and only traced edges count as
-/// synchronization.
+/// synchronization. Lock it against the pool whose memory it guards.
 pub struct TracedMutex<T> {
-    pool: Arc<Pool>,
     inner: Mutex<T>,
 }
 
 impl<T> TracedMutex<T> {
-    /// Wraps `value` in a traced mutex belonging to `pool`.
-    pub fn new(pool: &Arc<Pool>, value: T) -> TracedMutex<T> {
+    /// Wraps `value` in a traced mutex.
+    pub const fn new(value: T) -> TracedMutex<T> {
         TracedMutex {
-            pool: Arc::clone(pool),
             inner: Mutex::new(value),
         }
     }
@@ -55,14 +67,15 @@ impl<T> TracedMutex<T> {
         }
     }
 
-    /// Acquires the lock, reporting the acquire edge after the lock is
-    /// held. The returned guard reports the release edge just before
-    /// unlocking.
-    pub fn lock(&self) -> TracedGuard<'_, T> {
+    /// Acquires the lock, reporting the acquire edge to `pool`'s trace
+    /// after the lock is held. The returned guard reports the release edge
+    /// to the same pool just before unlocking.
+    pub fn lock<'a>(&'a self, pool: &'a Pool) -> TracedGuard<'a, T> {
         let guard = self.inner.lock();
-        self.pool.region().sync_acquire(self.token());
+        pool.region().sync_acquire(self.token());
         TracedGuard {
             lock: self,
+            pool,
             guard: Some(guard),
         }
     }
@@ -80,6 +93,8 @@ impl<T: std::fmt::Debug> std::fmt::Debug for TracedMutex<T> {
 #[must_use = "releasing the guard immediately defeats the lock"]
 pub struct TracedGuard<'a, T> {
     lock: &'a TracedMutex<T>,
+    /// Where the release edge (and the `DropSyncEdge` fault) goes.
+    pool: &'a Pool,
     /// `Some` for the guard's whole life; taken only in `drop`/`wait` so
     /// the release edge can be emitted *before* the inner unlock.
     guard: Option<MutexGuard<'a, T>>,
@@ -90,7 +105,7 @@ impl<T> TracedGuard<'_, T> {
     /// edges around the blocking wait (condition-variable hand-off is a
     /// release/acquire pair like any other unlock/lock).
     pub fn wait(&mut self, cv: &Condvar) {
-        let region = self.lock.pool.region();
+        let region = self.pool.region();
         region.sync_release(self.lock.token());
         cv.wait(self.guard.as_mut().expect("guard present outside drop"));
         region.sync_acquire(self.lock.token());
@@ -113,13 +128,13 @@ impl<T> DerefMut for TracedGuard<'_, T> {
 impl<T> Drop for TracedGuard<'_, T> {
     fn drop(&mut self) {
         #[cfg(feature = "fault-inject")]
-        let dropped = self.lock.pool.take_fault(crate::pool::Fault::DropSyncEdge(
+        let dropped = self.pool.take_fault(crate::pool::Fault::DropSyncEdge(
             crate::pool::SyncEdgeSite::LockRelease,
         ));
         #[cfg(not(feature = "fault-inject"))]
         let dropped = false;
         if !dropped {
-            self.lock.pool.region().sync_release(self.lock.token());
+            self.pool.region().sync_release(self.lock.token());
         }
         // Unlock strictly after the release edge has been reported.
         drop(self.guard.take());

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! The **pmem-discipline lint** — a fast, dependency-free text pass over
-//! the workspace's Rust sources enforcing four rules the compiler cannot:
+//! the workspace's Rust sources enforcing five rules the compiler cannot:
 //!
 //! 1. **raw-store**: raw-pointer store primitives (`ptr::write*`,
 //!    `copy_nonoverlapping`, `write_bytes`, `write_volatile`, …) are
@@ -27,11 +27,15 @@
 //!    volatile state sits in an `UnsafeCell` that only `slot.rs` may name:
 //!    the `&mut SlotState` every hot path runs on is produced there, behind
 //!    the three access tokens, and nowhere else.
+//! 5. **ffi-owner**: the one row scoped to the whole workspace. An
+//!    `extern "C"` block may appear only in `crates/pmem/src/sys.rs`, so
+//!    every raw libc call (`mmap`, `munmap`, `msync`, `clock_gettime`) and
+//!    its per-OS constants sit in one file.
 //!
 //! Escape hatch, for the rare blessed exception:
-//! `// pool-lint: allow(raw-store)`, `// pool-lint: allow(missing-safety)`,
-//! `// pool-lint: allow(format-owner)` or `// pool-lint: allow(slot-owner)`
-//! on the offending line or the line above it.
+//! `// pool-lint: allow(<rule>)` (`raw-store`, `missing-safety`,
+//! `format-owner`, `slot-owner` or `ffi-owner`) on the offending line or
+//! the line above it.
 //!
 //! Comments and string literals are stripped before token matching, so
 //! documentation may talk about `ptr::write` freely.
@@ -58,30 +62,48 @@ const SCAN_DIRS: &[&str] = &["crates", "src", "tests", "examples", "benches"];
 /// abstraction itself, the vendored stand-ins, and this lint.
 const RAW_STORE_BLESSED: &[&str] = &["crates/pmem/", "vendor/", "crates/xtask/"];
 
-/// Where the owner rules apply (workspace-relative).
-const OWNER_DIR: &str = "crates/respct/src/";
+/// The runtime crate's sources, where most owner rules apply.
+const RUNTIME_DIR: &str = "crates/respct/src/";
 
-/// `(rule, structure, the names that reach inside it, the files that may
-/// use them)` for the owner rules.
-const OWNERS: &[(&str, &str, &[&str], &[&str])] = &[
-    (
-        "format-owner",
-        "on-media epoch record",
-        &["OFF_EPOCH", "OFF_EPOCH_STATE", "epoch_ring_slot"],
-        &["layout.rs", "epoch_record.rs"],
-    ),
-    (
-        "format-owner",
-        "on-media registry chain",
-        &["SLOT_REG_HEAD", "REG_CHUNK_NEXT", "reg_entry_off"],
-        &["layout.rs", "registry.rs"],
-    ),
-    (
-        "slot-owner",
-        "volatile thread-slot state",
-        &["UnsafeCell"],
-        &["slot.rs"],
-    ),
+/// One owner rule: the names that reach inside a structure may appear,
+/// under `dir` (workspace-relative; `""` = everywhere), only in `files`.
+struct Owner {
+    rule: &'static str,
+    what: &'static str,
+    names: &'static [&'static str],
+    dir: &'static str,
+    files: &'static [&'static str],
+}
+
+const OWNERS: &[Owner] = &[
+    Owner {
+        rule: "format-owner",
+        what: "on-media epoch record",
+        names: &["OFF_EPOCH", "OFF_EPOCH_STATE", "epoch_ring_slot"],
+        dir: RUNTIME_DIR,
+        files: &["layout.rs", "epoch_record.rs"],
+    },
+    Owner {
+        rule: "format-owner",
+        what: "on-media registry chain",
+        names: &["SLOT_REG_HEAD", "REG_CHUNK_NEXT", "reg_entry_off"],
+        dir: RUNTIME_DIR,
+        files: &["layout.rs", "registry.rs"],
+    },
+    Owner {
+        rule: "slot-owner",
+        what: "volatile thread-slot state",
+        names: &["UnsafeCell"],
+        dir: RUNTIME_DIR,
+        files: &["slot.rs"],
+    },
+    Owner {
+        rule: "ffi-owner",
+        what: "raw C FFI",
+        names: &["extern"],
+        dir: "",
+        files: &["crates/pmem/src/sys.rs"],
+    },
 ];
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -261,16 +283,13 @@ fn lint_source(path: &Path, src: &str, raw_store_applies: bool) -> Vec<Finding> 
     let stripped = strip_comments_and_strings(src);
     let raw_lines: Vec<&str> = src.lines().collect();
     let mut findings = Vec::new();
-    let file_name = path.file_name().map(|n| n.to_string_lossy());
-    // The structures this file does *not* own, if the rule covers it at all.
-    let governed = path
-        .to_string_lossy()
-        .replace('\\', "/")
-        .starts_with(OWNER_DIR);
+    // The structures this file does *not* own, among the rules covering it.
+    let rel = path.to_string_lossy().replace('\\', "/");
     let foreign: Vec<_> = OWNERS
         .iter()
-        .filter(|(_, _, _, owners)| {
-            governed && !owners.iter().any(|o| Some(*o) == file_name.as_deref())
+        .filter(|o| {
+            rel.strip_prefix(o.dir)
+                .is_some_and(|file| !o.files.contains(&file))
         })
         .collect();
     let mut in_test_code = false;
@@ -280,17 +299,18 @@ fn lint_source(path: &Path, src: &str, raw_store_applies: bool) -> Vec<Finding> 
         // Unit tests sit at the end of a file, behind its first `cfg(test)`;
         // they may hand-write on-media bytes to build damaged images.
         in_test_code |= line.contains("#[cfg(test)]");
-        for (rule, what, names, owners) in &foreign {
-            if let Some(name) = words().find(|w| names.contains(w)) {
-                if !in_test_code && !has_escape(&raw_lines, idx, rule) {
+        for o in &foreign {
+            if let Some(name) = words().find(|w| o.names.contains(w)) {
+                if !in_test_code && !has_escape(&raw_lines, idx, o.rule) {
                     findings.push(Finding {
                         file: path.to_path_buf(),
                         line: idx + 1,
-                        rule,
+                        rule: o.rule,
                         message: format!(
-                            "`{name}` reaches inside the {what}, which only {} may \
+                            "`{name}` reaches inside the {}, which only {} may \
                              read or write — call that module instead of opening it here",
-                            owners.join(" and ")
+                            o.what,
+                            o.files.join(" and ")
                         ),
                     });
                 }
@@ -517,6 +537,27 @@ mod tests {
         assert!(lint_source(Path::new("crates/respct/src/pool.rs"), &unit, true).is_empty());
         let escaped = "// pool-lint: allow(slot-owner)\nuse std::cell::UnsafeCell;\n";
         assert!(lint_source(Path::new("crates/respct/src/pool.rs"), escaped, true).is_empty());
+    }
+
+    #[test]
+    fn ffi_is_declared_only_in_pmem_sys_rs() {
+        let src = "extern \"C\" {\n    fn getpid() -> i32;\n}\n";
+        for elsewhere in ["crates/pmem/src/mmap.rs", "tests/kv_crash.rs", "src/lib.rs"] {
+            let f = lint_source(Path::new(elsewhere), src, true);
+            assert_eq!(f.len(), 1, "{elsewhere}: {f:?}");
+            assert_eq!((f[0].rule, f[0].line), ("ffi-owner", 1));
+            assert!(
+                f[0].message.contains("crates/pmem/src/sys.rs"),
+                "{}",
+                f[0].message
+            );
+        }
+        // Its owner, the word in a comment or string, and the escape are free.
+        assert!(lint_source(Path::new("crates/pmem/src/sys.rs"), src, true).is_empty());
+        let prose = "// extern \"C\" lives in sys.rs\nconst S: &str = \"extern\";\n";
+        assert!(lint_source(Path::new("crates/pmem/src/arch.rs"), prose, true).is_empty());
+        let escaped = format!("// pool-lint: allow(ffi-owner)\n{src}");
+        assert!(lint_source(Path::new("crates/obs/src/lib.rs"), &escaped, true).is_empty());
     }
 
     /// The real workspace must be clean — this is the tree-wide gate the

@@ -106,6 +106,14 @@ fn parse_opts() -> Opts {
     o
 }
 
+/// Exits with status 1 and `msg` on stderr — what an operator gets for a
+/// store that cannot be configured or opened (an unmappable `--pool-bytes`,
+/// a bad `RESPCT_BACKEND`), instead of a panic.
+fn exit_with(msg: std::fmt::Arguments<'_>) -> ! {
+    eprintln!("respct-kvd: {msg}");
+    std::process::exit(1)
+}
+
 fn main() {
     let o = parse_opts();
     let cfg = KvServerConfig::builder()
@@ -123,9 +131,10 @@ fn main() {
         })
         .ckpt_period((o.period_ms > 0).then(|| Duration::from_millis(o.period_ms)))
         .build()
-        .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
+        .unwrap_or_else(|e| exit_with(format_args!("invalid configuration: {e}")));
 
-    let (service, recovered) = KvService::open(cfg).unwrap_or_else(|e| panic!("open store: {e}"));
+    let (service, recovered) =
+        KvService::open(cfg).unwrap_or_else(|e| exit_with(format_args!("open store: {e}")));
     if let Some(report) = recovered {
         println!(
             "recovered pool: epoch {} rolled back, {} cells scanned, {} restored",

@@ -308,3 +308,22 @@ fn kvd_serves_requests_and_live_metrics() {
     child.kill().expect("stop kvd");
     child.wait().expect("reap kvd");
 }
+
+/// A pool the OS will not map ends the binary with a message naming the
+/// size and a plain failure status — not a panic.
+#[test]
+fn kvd_exits_with_a_message_on_an_unmappable_pool() {
+    let huge = (1u64 << 62).to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_respct-kvd"))
+        .args(["--addr", "127.0.0.1:0", "--pool-bytes", &huge])
+        .env("RESPCT_BACKEND", "optane")
+        .output()
+        .expect("run respct-kvd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("open store") && stderr.contains(&format!("{huge}-byte")),
+        "stderr: {stderr}"
+    );
+}

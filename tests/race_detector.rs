@@ -465,14 +465,14 @@ fn traced_mutex_direct_handoff_is_clean() {
         // store before the workers register (spawn edges are invisible
         // to the trace — hand-offs go through traced synchronization).
     };
-    let lock = TracedMutex::new(&pool, ());
+    let lock = TracedMutex::new(());
     std::thread::scope(|s| {
         for t in 0..4u64 {
             let (pool, lock) = (&pool, &lock);
             s.spawn(move || {
                 let h = pool.register();
                 for i in 0..200 {
-                    let _g = lock.lock();
+                    let _g = lock.lock(pool);
                     let v = h.get(cell);
                     h.update(cell, v + t + i);
                 }
