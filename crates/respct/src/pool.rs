@@ -123,8 +123,9 @@ pub struct PoolConfig {
     /// (an existing pool file keeps its own size). Default 64 MiB.
     pub(crate) pool_size: usize,
     /// Worker threads for the registry scan of [`Pool::recover`] (and so of
-    /// [`Pool::open`] on an existing pool). Default 1; paper Fig. 12 uses 32.
-    pub(crate) recovery_threads: usize,
+    /// [`Pool::open`] on an existing pool); `None` = the available
+    /// parallelism, resolved when recovery runs. Paper Fig. 12 uses 32.
+    pub(crate) recovery_threads: Option<usize>,
 }
 
 /// Default region size for pools created by [`Pool::open`] (64 MiB).
@@ -139,7 +140,7 @@ impl Default for PoolConfig {
             async_checkpoint: false,
             epoch_pipeline: 1,
             pool_size: DEFAULT_POOL_SIZE,
-            recovery_threads: 1,
+            recovery_threads: None,
         }
     }
 }
@@ -183,9 +184,13 @@ impl PoolConfig {
         self.pool_size
     }
 
-    /// Worker threads for the recovery registry scan.
+    /// Worker threads for the recovery registry scan: the builder's value,
+    /// else [`std::thread::available_parallelism`] (1 if that is unknown),
+    /// asked at each call.
     pub fn recovery_threads(&self) -> usize {
-        self.recovery_threads
+        self.recovery_threads.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
     }
 
     /// The number of flush shards each thread's tracking list is
@@ -259,9 +264,9 @@ impl PoolConfigBuilder {
 
     /// Sets the worker-thread count for the registry scan of
     /// [`Pool::recover`] and of [`Pool::open`] on an existing pool
-    /// (default 1).
+    /// (default: the available parallelism).
     pub fn recovery_threads(mut self, n: usize) -> Self {
-        self.cfg.recovery_threads = n;
+        self.cfg.recovery_threads = Some(n);
         self
     }
 
@@ -300,7 +305,7 @@ impl PoolConfigBuilder {
         if c.pool_size == 0 {
             return Err(InvalidConfig("pool size must be positive"));
         }
-        if c.recovery_threads == 0 {
+        if c.recovery_threads == Some(0) {
             return Err(InvalidConfig(
                 "recovery_threads must be at least 1 (the scan needs a worker)",
             ));

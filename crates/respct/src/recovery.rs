@@ -11,11 +11,13 @@
 //!    `E` through the running one rolls back with it;
 //! 2. rolls back every header cell ([`layout::header_cells`]) tagged inside
 //!    the rolled-back range;
-//! 3. walks every slot's cell registry ([`crate::registry::walk`]; lengths
-//!    now rolled back to their checkpointed values) and rolls back every
-//!    registered cell tagged inside the range — this step parallelizes
-//!    across worker threads, which is how the paper reconstructs a
-//!    4M-bucket hash map in < 240 ms (Fig. 12);
+//! 3. lists every slot's registry chunks ([`crate::registry::list_chunks`];
+//!    lengths now rolled back to their checkpointed values), cuts the list
+//!    into one contiguous run per worker thread with near-equal entry counts
+//!    (cutting only between chunks, so a registry that one thread wrote
+//!    still splits), and rolls back every registered cell tagged inside the
+//!    range — the parallel scan is how the paper reconstructs a 4M-bucket
+//!    hash map in < 240 ms (Fig. 12);
 //! 4. re-tracks every such cell in the system tracking list, so the next
 //!    checkpoint persists both the rollback writes and any re-executed
 //!    updates (which will skip `add_modified` because their `epoch_id`
@@ -24,6 +26,7 @@
 //! 5. resumes with the volatile epoch mirror set to `E` (the crashed epoch
 //!    is re-executed, not skipped).
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,7 +35,7 @@ use respct_pmem::{BackendKind, PAddr, Region, SyncToken, TraceMarker};
 
 use crate::epoch_record::{self, EpochRecord};
 use crate::error::PoolError;
-use crate::layout::{self, CellLayout, MAGIC, MAX_THREADS, OFF_MAGIC};
+use crate::layout::{self, CellLayout, MAGIC, MAX_THREADS, OFF_BUMP, OFF_MAGIC};
 use crate::pool::{Pool, PoolConfig};
 use crate::registry;
 
@@ -48,13 +51,108 @@ pub struct RecoveryReport {
     /// Wall-clock duration of the recovery procedure.
     pub duration: Duration,
     /// Critical path of the registry scan: the longest per-worker thread
-    /// CPU time. Equals the scan's wall time on an unloaded multicore
-    /// machine; on a core-limited runner (where workers timeshare and
-    /// wall-clock collapses to the sum of their work) it still reflects
-    /// the parallel speedup an unconstrained machine would observe.
+    /// CPU time. The workers' runs hold near-equal entry counts, so on an
+    /// unloaded machine with a core per worker this is the scan's wall
+    /// time; with fewer cores than workers, wall time collapses towards the
+    /// sum of their work while the span still shows the per-worker share.
     pub scan_span: Duration,
-    /// Worker threads used for the registry scan.
+    /// Worker threads the registry scan was cut for: the configured
+    /// [`PoolConfig::recovery_threads`], else the available parallelism.
     pub threads: usize,
+}
+
+/// One worker's share of the registry scan: `(scanned, rolled back,
+/// thread CPU ns, lines to re-track)`.
+type RunScan = (u64, u64, u64, Vec<u64>);
+
+/// Cuts `chunks` (in walk order) into `threads` contiguous runs with
+/// near-equal entry counts, cutting only between chunks: run `k` ends at
+/// the first chunk boundary at or past `⌈(k + 1) · total / threads⌉`
+/// entries, so no run holds more than `⌈total / threads⌉ + 254`. Runs past
+/// the last chunk are empty.
+fn cut_runs(chunks: &[registry::Chunk], threads: usize) -> Vec<Range<usize>> {
+    let total: u64 = chunks.iter().map(|c| c.n).sum();
+    let (mut start, mut end, mut seen) = (0, 0, 0u64);
+    (1..=threads as u64)
+        .map(|k| {
+            let target = (k * total).div_ceil(threads as u64);
+            while end < chunks.len() && seen < target {
+                seen += chunks[end].n;
+                end += 1;
+            }
+            let run = start..end;
+            start = end;
+            run
+        })
+        .collect()
+}
+
+/// Phase 2 of recovery: rolls back every registered cell, on `threads`
+/// workers. Returns the merged [`RunScan`], `cpu` being the longest
+/// worker's.
+///
+/// # Errors
+///
+/// The first [`PoolError::CorruptRegistry`] in walk order — the one a single
+/// worker would meet — whichever worker reaches its own first.
+fn scan_registry(
+    region: &Region,
+    record: &EpochRecord,
+    threads: usize,
+) -> Result<RunScan, PoolError> {
+    let mut chunks = Vec::new();
+    // A bad length or link word ends the listing; the chunks before it
+    // still come first in walk order, so they are scanned before it counts.
+    let listed =
+        (0..MAX_THREADS).try_for_each(|slot| registry::list_chunks(region, slot, &mut chunks));
+    let scan = |run: &[registry::Chunk]| -> Result<RunScan, PoolError> {
+        let cpu0 = thread_cpu_ns();
+        let (mut rolled, mut lines) = (0u64, Vec::new());
+        for &c in run {
+            registry::walk_chunk(region, c, |addr, l| {
+                if roll_back_cell(region, addr, l, record, &mut lines) {
+                    rolled += 1;
+                }
+            })?;
+        }
+        let scanned = run.iter().map(|c| c.n).sum();
+        Ok((scanned, rolled, thread_cpu_ns().saturating_sub(cpu0), lines))
+    };
+    let runs = cut_runs(&chunks, threads);
+    // The first run is the calling thread's; every other non-empty run gets
+    // a worker. Results stay in run order.
+    let results: Vec<Result<RunScan, PoolError>> = std::thread::scope(|s| {
+        let joins: Vec<_> = runs[1..]
+            .iter()
+            .filter(|run| !run.is_empty())
+            .map(|run| {
+                let (scan, run) = (&scan, &chunks[run.clone()]);
+                s.spawn(move || {
+                    let r = scan(run);
+                    region.sync_release(recovery_join_token(region));
+                    r
+                })
+            })
+            .collect();
+        let first = scan(&chunks[runs[0].clone()]);
+        let rest = joins
+            .into_iter()
+            .map(|j| j.join().expect("recovery worker"));
+        std::iter::once(first).chain(rest).collect()
+    });
+    // The scope join is a real happens-before edge from every worker to
+    // this thread; report it so the workers' rollback stores are visibly
+    // ordered before post-recovery execution.
+    region.sync_acquire(recovery_join_token(region));
+    let (mut scanned, mut rolled, mut span, mut lines) = (0, 0, 0, Vec::new());
+    for result in results {
+        let (s, r, cpu, mut l) = result?;
+        scanned += s;
+        rolled += r;
+        span = span.max(cpu);
+        lines.append(&mut l);
+    }
+    listed.map(|()| (scanned, rolled, span, lines))
 }
 
 /// The happens-before token for the parallel registry scan's fork/join:
@@ -104,7 +202,8 @@ impl Pool {
     /// Recovers a pool from a region holding a crashed pool's persisted
     /// bytes — a live region restored from a crash image, a freshly mapped
     /// pool file, or [`Region::from_image`] around raw image bytes. The
-    /// registry scan runs on [`PoolConfig::recovery_threads`] workers.
+    /// registry scan runs on [`PoolConfig::recovery_threads`] workers
+    /// (default: the available parallelism, resolved here).
     ///
     /// ```
     /// use respct::{Pool, PoolConfig};
@@ -145,16 +244,22 @@ impl Pool {
         }
         let record = epoch_record::read(&region)?;
         let failed_epoch = record.failed;
+        let u64_layout = CellLayout::new(8, 8);
         // Phase 0: prefault an mmap-backed region. A freshly mapped pool
         // file is all unpopulated PTEs, and at GB scale the demand minor
         // faults (one per 4 KiB) would otherwise dominate the registry
-        // scan. Touch every page up front, one contiguous extent per scan
-        // worker, so the fault storm parallelizes and each worker's stream
-        // keeps the kernel's readahead sequential. Runs before load
-        // tracing is enabled: warm-up reads carry no recovery semantics.
+        // scan. Touch every page below the heap's high-water mark — the
+        // bump cell's record or backup, whichever is higher: nothing past
+        // it was ever handed out — one contiguous extent per scan worker,
+        // so the fault storm parallelizes and each worker's stream keeps
+        // the kernel's readahead sequential. Runs before load tracing is
+        // enabled: warm-up reads carry no recovery semantics.
         if region.backend_kind() == BackendKind::Mmap {
             const PAGE: u64 = 4096;
-            let pages = (region.size() as u64).div_ceil(PAGE);
+            let bump: u64 = region.load(OFF_BUMP);
+            let bump_backup: u64 = region.load(OFF_BUMP.offset(u64_layout.backup_off as u64));
+            let high_water = bump.max(bump_backup).min(region.size() as u64);
+            let pages = high_water.div_ceil(PAGE);
             let per = pages.div_ceil(threads as u64);
             std::thread::scope(|s| {
                 for w in 0..threads as u64 {
@@ -174,7 +279,6 @@ impl Pool {
         // audits: surface them as Load events for the recovery window.
         region.set_trace_loads(true);
 
-        let u64_layout = CellLayout::new(8, 8);
         let mut lines: Vec<u64> = Vec::new();
         let (mut scanned, mut rolled) = (0u64, 0u64);
 
@@ -188,62 +292,14 @@ impl Pool {
         // Phase 1.5: with the lengths restored, drop chains left empty.
         registry::clear_emptied_heads(&region);
 
-        // Phase 2: registered cells, scanned in parallel. Slot registries
-        // are disjoint, so slots partition cleanly across workers. Build the
-        // pool now (no application thread exists yet).
+        // Phase 2: registered cells, scanned in parallel. Build the pool
+        // now (no application thread exists yet).
         let pool = Pool::attach(Arc::clone(&region), cfg, failed_epoch, true);
-        // One worker's share of the scan: slots `w, w + threads, …`.
-        // Returns `(scanned, rolled, cpu_ns, lines)`, or the first corrupt
-        // registry word the worker met.
-        let scan = |w: usize| {
-            let cpu0 = thread_cpu_ns();
-            let mut scanned = 0u64;
-            let mut rolled = 0u64;
-            let mut lines = Vec::new();
-            for slot in (w..MAX_THREADS).step_by(threads) {
-                registry::walk(&region, slot, |addr, l| {
-                    scanned += 1;
-                    if roll_back_cell(&region, addr, l, &record, &mut lines) {
-                        rolled += 1;
-                    }
-                })?;
-            }
-            Ok((scanned, rolled, thread_cpu_ns().saturating_sub(cpu0), lines))
-        };
-        type Scan = Result<(u64, u64, u64, Vec<u64>), PoolError>;
-        let results: Vec<Scan> = if threads == 1 {
-            vec![scan(0)]
-        } else {
-            let results = std::thread::scope(|s| {
-                let joins: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let (scan, region) = (&scan, &region);
-                        s.spawn(move || {
-                            let r = scan(w);
-                            region.sync_release(recovery_join_token(region));
-                            r
-                        })
-                    })
-                    .collect();
-                joins
-                    .into_iter()
-                    .map(|j| j.join().expect("recovery worker"))
-                    .collect()
-            });
-            // The scope join is a real happens-before edge from every
-            // worker to this thread; report it so the workers' rollback
-            // stores are visibly ordered before post-recovery execution.
-            region.sync_acquire(recovery_join_token(&region));
-            results
-        };
-        let mut scan_span_ns = 0u64;
-        for result in results {
-            let (s, r, cpu, mut l) = result.inspect_err(|_| region.set_trace_loads(false))?;
-            scanned += s;
-            rolled += r;
-            scan_span_ns = scan_span_ns.max(cpu);
-            lines.append(&mut l);
-        }
+        let (s, r, scan_span_ns, mut l) = scan_registry(&region, &record, threads)
+            .inspect_err(|_| region.set_trace_loads(false))?;
+        scanned += s;
+        rolled += r;
+        lines.append(&mut l);
 
         // Phase 3: everything recovery rewrote — and every cell already
         // stamped with the failed epoch — must reach NVMM at the next
@@ -280,7 +336,7 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use respct_pmem::sim::CrashMode;
+    use respct_pmem::sim::{CrashImage, CrashMode};
     use respct_pmem::{RegionConfig, SimConfig};
 
     fn sim_region(seed: u64) -> Arc<Region> {
@@ -463,48 +519,110 @@ mod tests {
         assert_eq!(h2.last_rp(), 41);
     }
 
-    /// One crash image, recovered from a restored live region and from
-    /// `Region::from_image`, on 1 and on 4 scan threads: every combination
-    /// reports the thread count it was given and recovers the same state.
+    /// The scan's run cutter, over chunk lists that are empty, shorter than
+    /// the thread count, uniform and ragged: every chunk lands in exactly
+    /// one run, runs follow walk order, and none outgrows its share by a
+    /// chunk or more.
     #[test]
-    fn recovery_agrees_across_sources_and_thread_counts() {
-        let region = sim_region(7);
+    fn cut_runs_cover_every_chunk_once_in_order() {
+        let chunk = |n| registry::Chunk {
+            slot: 0,
+            chunk: 0,
+            first: 0,
+            n,
+        };
+        let ragged: Vec<_> = (0..40)
+            .map(|i| chunk(if i % 7 == 6 { 13 } else { 255 }))
+            .collect();
+        for chunks in [vec![], vec![chunk(1)], vec![chunk(255); 3], ragged] {
+            let total: u64 = chunks.iter().map(|c| c.n).sum();
+            for threads in [1, 2, 3, 8, 64] {
+                let runs = cut_runs(&chunks, threads);
+                assert_eq!(runs.len(), threads);
+                let mut next = 0;
+                for run in &runs {
+                    assert_eq!(run.start, next, "{runs:?}");
+                    next = run.end;
+                    let entries: u64 = chunks[run.clone()].iter().map(|c| c.n).sum();
+                    assert!(
+                        entries <= total.div_ceil(threads as u64) + 254,
+                        "{threads} threads, {total} entries: {runs:?}"
+                    );
+                }
+                assert_eq!(next, chunks.len(), "{runs:?}");
+            }
+        }
+    }
+
+    /// A crash image whose `per_slot[i]` cells were registered by the
+    /// `i`-th of as many live handles (so in as many slots), every third
+    /// cell dirtied in the crashed epoch 2. Cell `i` holds `i` at the
+    /// checkpoint.
+    fn registry_crash(
+        seed: u64,
+        per_slot: &[u64],
+    ) -> (Arc<Region>, CrashImage, Vec<crate::ICell<u64>>) {
+        let region = sim_region(seed);
         let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
-        let h = pool.register();
-        let cells: Vec<_> = (0..500u64).map(|i| h.alloc_cell(i)).collect();
+        let mut handles: Vec<_> = per_slot.iter().map(|_| pool.register()).collect();
+        let mut cells = Vec::new();
+        for (h, &n) in handles.iter().zip(per_slot) {
+            for _ in 0..n {
+                let i = cells.len() as u64;
+                cells.push(h.alloc_cell(i));
+            }
+        }
+        let h = handles.remove(0);
+        drop(handles); // an idle live handle would hold the checkpoint up
         h.checkpoint_here();
-        for (i, c) in cells.iter().enumerate() {
+        for (i, c) in cells.iter().enumerate().step_by(3) {
             h.update(*c, 10_000 + i as u64); // crashed epoch
         }
         drop(h);
         drop(pool);
         let img = region.crash(CrashMode::PowerFailure);
-        let mut counts = Vec::new();
-        for threads in [1, 4] {
-            for from_image in [false, true] {
-                let source = if from_image {
-                    // A synthetic region around the raw bytes; the original
-                    // is not touched.
-                    Region::from_image(img.bytes())
-                } else {
-                    region.restore(&img);
-                    Arc::clone(&region)
-                };
-                let cfg = PoolConfig::builder()
-                    .recovery_threads(threads)
-                    .build()
-                    .unwrap();
-                let (pool2, report) = Pool::recover(source, cfg).unwrap();
-                let case = format!("threads {threads}, image {from_image}");
-                assert_eq!(report.threads, threads, "{case}");
-                assert_eq!(report.failed_epoch, 2, "{case}");
-                for (i, c) in cells.iter().enumerate() {
-                    assert_eq!(pool2.cell_get(*c), i as u64, "{case}");
+        (region, img, cells)
+    }
+
+    /// Crash images recovered from a restored live region and from
+    /// `Region::from_image`, on 1, 2, 3 and 8 scan threads: every
+    /// combination reports the thread count it was given and recovers the
+    /// same cells with the same counts. One image has a single slot; in the
+    /// other one slot holds 1000 of 1080 cells — neither count a multiple
+    /// of a chunk's 255 entries.
+    #[test]
+    fn recovery_agrees_across_sources_and_thread_counts() {
+        for (seed, per_slot) in [(7, &[500][..]), (9, &[1000, 40, 40][..])] {
+            let (region, img, cells) = registry_crash(seed, per_slot);
+            let mut counts = Vec::new();
+            for threads in [1, 2, 3, 8] {
+                for from_image in [false, true] {
+                    let source = if from_image {
+                        // A synthetic region around the raw bytes; the
+                        // original is not touched.
+                        Region::from_image(img.bytes())
+                    } else {
+                        region.restore(&img);
+                        Arc::clone(&region)
+                    };
+                    let cfg = PoolConfig::builder()
+                        .recovery_threads(threads)
+                        .build()
+                        .unwrap();
+                    let (pool2, report) = Pool::recover(source, cfg).unwrap();
+                    let case = format!("{per_slot:?}: threads {threads}, image {from_image}");
+                    assert_eq!(report.threads, threads, "{case}");
+                    assert_eq!(report.failed_epoch, 2, "{case}");
+                    for (i, c) in cells.iter().enumerate() {
+                        assert_eq!(pool2.cell_get(*c), i as u64, "{case}");
+                    }
+                    counts.push((report.cells_scanned, report.cells_rolled_back));
                 }
-                counts.push((report.cells_scanned, report.cells_rolled_back));
             }
+            assert!(counts.iter().all(|c| *c == counts[0]), "{counts:?}");
+            let registered: u64 = per_slot.iter().sum();
+            assert_eq!(counts[0].0, registered + 523, "{per_slot:?}");
         }
-        assert!(counts.iter().all(|c| *c == counts[0]), "{counts:?}");
     }
 
     #[test]

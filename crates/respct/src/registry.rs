@@ -18,8 +18,9 @@
 //!
 //! The chain's bytes — head field, link words, entries — are read and
 //! written only here. Appends trust them (the running process wrote them);
-//! [`walk`], which recovery and `verify` read the chain through, does not:
-//! after a crash they are media the process does not control.
+//! the readers — [`list_chunks`] for the links, [`walk_chunk`] for the
+//! entries, [`walk`] for both — do not: after a crash they are media the
+//! process does not control.
 
 use respct_pmem::{PAddr, Region, CACHE_LINE};
 
@@ -65,46 +66,53 @@ pub(crate) fn clear_emptied_heads(region: &Region) {
     }
 }
 
-/// Walks `slot`'s registered cells — as many as its persistent `reg_len`
-/// says — calling `f(addr, layout)` for each, and returns the number of
-/// chunks visited. Nothing read from the region is trusted: every chunk
-/// pointer, the length, every layout word and every cell address is checked
-/// against the region before it is used, so `f` only sees cells it can load
-/// and store in bounds, within one cache line.
-///
-/// `#[inline]`: recovery's scan runs `f` once per registered cell; the walk
-/// has to fuse with it into one monomorphic loop.
+/// One chunk's share of a slot's registry: the `n` live entries of the
+/// chunk at `chunk`, the first of them entry number `first` of the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Chunk {
+    pub(crate) slot: usize,
+    pub(crate) chunk: u64,
+    pub(crate) first: u64,
+    pub(crate) n: u64,
+}
+
+// `#[cold]`: the failure exits otherwise make the loops look short-lived to
+// the optimizer, which then leaves every `Region::load` in them out of line
+// (measured: 31 instead of 23 ns per cell).
+#[cold]
+fn corrupt(slot: usize, entry: u64, word: u64, why: &'static str) -> PoolError {
+    PoolError::CorruptRegistry {
+        slot,
+        entry,
+        word,
+        why,
+    }
+}
+
+/// Appends `slot`'s chunks — as many as its persistent `reg_len` needs — to
+/// `out`, head first. Reads only the length and the link words, each checked
+/// against the region before it is followed; the entries are
+/// [`walk_chunk`]'s.
 ///
 /// # Errors
 ///
-/// [`PoolError::CorruptRegistry`] at the first word that fails a check.
-#[inline]
-pub(crate) fn walk(
+/// [`PoolError::CorruptRegistry`] at the first length or link word that
+/// fails a check. The chunks listed before it stay in `out`: in walk order
+/// their entries come first.
+pub(crate) fn list_chunks(
     region: &Region,
     slot: usize,
-    mut f: impl FnMut(PAddr, CellLayout),
-) -> Result<u64, PoolError> {
+    out: &mut Vec<Chunk>,
+) -> Result<(), PoolError> {
     let size = region.size() as u64;
-    // `#[cold]`: the failure exits otherwise make the loops look short-lived
-    // to the optimizer, which then leaves every `Region::load` in them out
-    // of line (measured: 31 instead of 23 ns per cell).
-    #[cold]
-    fn corrupt(slot: usize, entry: u64, word: u64, why: &'static str) -> PoolError {
-        PoolError::CorruptRegistry {
-            slot,
-            entry,
-            word,
-            why,
-        }
-    }
     let len: u64 = region.load(layout::slot_field(slot, SLOT_REG_LEN));
     // An entry is 16 bytes: no region holds more than `size / 16` of them.
     // This bound is what ends the walk of a chain that links to itself.
     if len > size / 16 {
         return Err(corrupt(slot, 0, len, "length beyond the region's capacity"));
     }
-    let (mut link, mut seen, mut chunks) = (layout::slot_field(slot, SLOT_REG_HEAD), 0u64, 0u64);
-    while seen < len {
+    let (mut link, mut first) = (layout::slot_field(slot, SLOT_REG_HEAD), 0u64);
+    while first < len {
         let chunk: u64 = region.load(link);
         // Chunks are cache-line-aligned allocations, never the null address.
         if chunk == 0
@@ -112,26 +120,79 @@ pub(crate) fn walk(
             || chunk.saturating_add(REG_CHUNK_SIZE) > size
         {
             let why = "chunk pointer null, misaligned or out of bounds";
-            return Err(corrupt(slot, seen, chunk, why));
+            return Err(corrupt(slot, first, chunk, why));
         }
-        chunks += 1;
-        let in_chunk = (len - seen).min(REG_CHUNK_ENTRIES);
-        for i in 0..in_chunk {
-            let entry = PAddr(chunk + layout::reg_entry_off(i));
-            let addr: u64 = region.load(entry);
-            let meta: u64 = region.load(entry.offset(8));
-            let Some(l) = CellLayout::decode(meta) else {
-                return Err(corrupt(slot, seen + i, meta, "undecodable layout word"));
-            };
-            if addr.saturating_add(l.total as u64) > size || !l.fits_at(PAddr(addr)) {
-                return Err(corrupt(slot, seen + i, addr, BAD_CELL));
-            }
-            f(PAddr(addr), l);
-        }
-        seen += in_chunk;
+        let n = (len - first).min(REG_CHUNK_ENTRIES);
+        out.push(Chunk {
+            slot,
+            chunk,
+            first,
+            n,
+        });
+        first += n;
         link = PAddr(chunk + REG_CHUNK_NEXT);
     }
-    Ok(chunks)
+    Ok(())
+}
+
+/// Calls `f(addr, layout)` for each entry of a chunk [`list_chunks`]
+/// listed. Every layout word and cell address is checked against the region
+/// before it is used, so `f` only sees cells it can load and store in
+/// bounds, within one cache line.
+///
+/// `#[inline]`: recovery's scan runs `f` once per registered cell; the walk
+/// has to fuse with it into one monomorphic loop.
+///
+/// # Errors
+///
+/// [`PoolError::CorruptRegistry`] at the first entry that fails a check;
+/// `f` has seen every entry before it.
+#[inline]
+pub(crate) fn walk_chunk(
+    region: &Region,
+    c: Chunk,
+    mut f: impl FnMut(PAddr, CellLayout),
+) -> Result<(), PoolError> {
+    let size = region.size() as u64;
+    for i in 0..c.n {
+        let entry = PAddr(c.chunk + layout::reg_entry_off(i));
+        let addr: u64 = region.load(entry);
+        let meta: u64 = region.load(entry.offset(8));
+        let Some(l) = CellLayout::decode(meta) else {
+            let why = "undecodable layout word";
+            return Err(corrupt(c.slot, c.first + i, meta, why));
+        };
+        if addr.saturating_add(l.total as u64) > size || !l.fits_at(PAddr(addr)) {
+            return Err(corrupt(c.slot, c.first + i, addr, BAD_CELL));
+        }
+        f(PAddr(addr), l);
+    }
+    Ok(())
+}
+
+/// Walks `slot`'s registered cells in order — [`list_chunks`], then
+/// [`walk_chunk`] over each — and returns the number of chunks visited.
+///
+/// `#[inline]`, like [`walk_chunk`]: `verify` runs `f` once per registered
+/// cell (measured: 31 ms out of line, 24 ms inline over 2.6 M cells).
+///
+/// # Errors
+///
+/// [`PoolError::CorruptRegistry`] at the first word that fails a check, in
+/// walk order: an entry of a listed chunk before a link word that ended the
+/// listing.
+#[inline]
+pub(crate) fn walk(
+    region: &Region,
+    slot: usize,
+    mut f: impl FnMut(PAddr, CellLayout),
+) -> Result<u64, PoolError> {
+    let mut chunks = Vec::new();
+    let listed = list_chunks(region, slot, &mut chunks);
+    for &c in &chunks {
+        walk_chunk(region, c, &mut f)?;
+    }
+    listed.map(|()| chunks.len() as u64)
 }
 
 impl Slot<'_> {

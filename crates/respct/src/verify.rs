@@ -122,8 +122,9 @@ impl Pool {
             );
         }
 
-        // Registries + registered cells: the walk recovery uses. It stops a
-        // slot's chain at the first word it cannot trust.
+        // Registries + registered cells: the checks recovery's scan runs, in
+        // walk order. It stops a slot's chain at the first word it cannot
+        // trust.
         for slot in 0..MAX_THREADS {
             let walked = registry::walk(region, slot, |addr, l| {
                 report.cells_checked += 1;

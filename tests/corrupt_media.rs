@@ -4,7 +4,8 @@
 //! list, the epoch record and the per-slot registry chain — from bytes a
 //! disk, a torn copy or a stray write may have damaged. Whatever it finds,
 //! it must answer with `Ok` or a typed `PoolError`: never a panic, never an
-//! endless scan. The last two tests pin the format itself: the header-cell
+//! endless scan — and the same answer whatever number of threads scans the
+//! registry. The last two tests pin the format itself: the header-cell
 //! list is complete, and the header bytes only move when `MAGIC` does.
 
 use std::sync::mpsc;
@@ -73,26 +74,40 @@ enum Outcome {
     Hung,
 }
 
-/// Recovers `bytes` (and verifies the pool when that succeeds) on a
-/// watched thread: a panic or a scan still running after `limit` comes
+/// What the scan's thread count must not change: the error, or the
+/// recovered `(failed epoch, scanned, rolled back, violations)`.
+fn answer(outcome: &Outcome) -> Result<(u64, u64, u64, usize), PoolError> {
+    match outcome {
+        Outcome::Recovered(r, v) => Ok((r.failed_epoch, r.cells_scanned, r.cells_rolled_back, *v)),
+        Outcome::Refused(e) => Err(e.clone()),
+        bad => panic!("{bad:?}"),
+    }
+}
+
+/// A config whose recovery scan runs on `n` threads.
+fn threads(n: usize) -> PoolConfig {
+    PoolConfig::builder().recovery_threads(n).build().unwrap()
+}
+
+/// Recovers `bytes` under `cfg` (and verifies the pool when that succeeds)
+/// on a watched thread: a panic or a scan still running after `limit` comes
 /// back as an [`Outcome`] instead of taking the test down with it.
-fn recover_watched(bytes: Vec<u8>, limit: Duration) -> Outcome {
+fn recover_watched(bytes: Vec<u8>, cfg: PoolConfig, limit: Duration) -> Outcome {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let outcome = std::panic::catch_unwind(|| {
-            match Pool::recover(Region::from_image(&bytes), PoolConfig::default()) {
+        let outcome =
+            std::panic::catch_unwind(|| match Pool::recover(Region::from_image(&bytes), cfg) {
                 Ok((pool, report)) => Outcome::Recovered(report, pool.verify().violations.len()),
                 Err(e) => Outcome::Refused(e),
-            }
-        })
-        .unwrap_or_else(|p| {
-            Outcome::Panicked(
-                p.downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(ToString::to_string))
-                    .unwrap_or_default(),
-            )
-        });
+            })
+            .unwrap_or_else(|p| {
+                Outcome::Panicked(
+                    p.downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| p.downcast_ref::<&str>().map(ToString::to_string))
+                        .unwrap_or_default(),
+                )
+            });
         let _ = tx.send(outcome);
     });
     rx.recv_timeout(limit).unwrap_or(Outcome::Hung)
@@ -101,7 +116,8 @@ fn recover_watched(bytes: Vec<u8>, limit: Duration) -> Outcome {
 #[test]
 fn untouched_image_recovers_as_before() {
     let img = crashed_image();
-    let Outcome::Recovered(report, violations) = recover_watched(img.bytes, Duration::from_secs(2))
+    let Outcome::Recovered(report, violations) =
+        recover_watched(img.bytes, PoolConfig::default(), Duration::from_secs(2))
     else {
         panic!("clean image must recover");
     };
@@ -116,23 +132,29 @@ fn untouched_image_recovers_as_before() {
 fn corrupt_registry_is_a_typed_error() {
     let img = crashed_image();
     let slot_at = slot_base(img.slot).0;
-    let head = img.chunks[0];
+    let (head, second, last) = (img.chunks[0], img.chunks[1], img.chunks[2]);
+    let garbage_layout = 0xdead_beef_0000_2a03;
     type Damage = Box<dyn Fn(&mut [u8])>;
-    let cases: [(&str, Damage); 4] = [
+    // Each image with the entry number the error must name.
+    let cases: [(&str, u64, Damage); 6] = [
         (
             "registry head zeroed",
+            0,
             Box::new(move |b| put(b, slot_at + SLOT_REG_HEAD, 0)),
         ),
         (
             "garbage layout word",
-            Box::new(move |b| put(b, head + reg_entry_off(7) + 8, 0xdead_beef_0000_2a03)),
+            7,
+            Box::new(move |b| put(b, head + reg_entry_off(7) + 8, garbage_layout)),
         ),
         (
             "cell address outside the region",
+            7,
             Box::new(move |b| put(b, head + reg_entry_off(7), POOL_SIZE as u64 + 64)),
         ),
         (
             "chunk linked to itself under a garbage reg_len",
+            0,
             Box::new(move |b| {
                 put(b, head + REG_CHUNK_NEXT, head);
                 // Record and backup: the length survives a roll-back too.
@@ -140,26 +162,50 @@ fn corrupt_registry_is_a_typed_error() {
                 put(b, slot_at + SLOT_REG_LEN + 8, 1 << 60);
             }),
         ),
+        // Two bad words: the one earlier in walk order is reported, even
+        // when another worker's run meets the later one first.
+        (
+            "garbage layout words in the first and the last chunk",
+            7,
+            Box::new(move |b| {
+                put(b, head + reg_entry_off(7) + 8, garbage_layout);
+                put(b, last + reg_entry_off(3) + 8, garbage_layout);
+            }),
+        ),
+        (
+            "garbage layout word before a misaligned link",
+            7,
+            Box::new(move |b| {
+                put(b, head + reg_entry_off(7) + 8, garbage_layout);
+                put(b, second + REG_CHUNK_NEXT, last + 8);
+            }),
+        ),
     ];
-    for (name, damage) in cases {
+    for (name, want_entry, damage) in cases {
         let mut bytes = img.bytes.clone();
         damage(&mut bytes);
-        let t0 = Instant::now();
-        let outcome = recover_watched(bytes, Duration::from_secs(10));
+        // The scan's thread count changes who meets the damage, never
+        // which word is reported.
+        let errors = [1, 2, 8].map(|n| {
+            let t0 = Instant::now();
+            let outcome = recover_watched(bytes.clone(), threads(n), Duration::from_secs(10));
+            assert!(t0.elapsed() < Duration::from_secs(1), "{name}: too slow");
+            match outcome {
+                Outcome::Refused(e @ PoolError::CorruptRegistry { slot, entry, .. })
+                    if slot == img.slot && entry == want_entry =>
+                {
+                    e
+                }
+                other => panic!("{name}, {n} threads: {other:?}"),
+            }
+        });
+        assert!(errors.iter().all(|e| *e == errors[0]), "{name}: {errors:?}");
         assert!(
-            matches!(
-                outcome,
-                Outcome::Refused(PoolError::CorruptRegistry { slot, .. }) if slot == img.slot
-            ),
-            "{name}: {outcome:?}"
-        );
-        assert!(t0.elapsed() < Duration::from_secs(1), "{name}: too slow");
-        let Outcome::Refused(e) = outcome else {
-            unreachable!()
-        };
-        assert!(
-            e.to_string().contains(&format!("slot {}", img.slot)),
-            "{name}: {e}"
+            errors[0]
+                .to_string()
+                .contains(&format!("slot {}", img.slot)),
+            "{name}: {}",
+            errors[0]
         );
     }
 }
@@ -239,7 +285,7 @@ fn damaged_images_never_panic_and_never_hang() {
             vec![Damage::Word(at, v)]
         });
     }
-    let (mut recovered, mut refused) = (0, 0);
+    let (mut recovered, mut refused, mut compared) = (0, 0, 0);
     for (i, damage) in plan.iter().enumerate() {
         let mut bytes = img.bytes.clone();
         for d in damage {
@@ -248,12 +294,35 @@ fn damaged_images_never_panic_and_never_hang() {
                 Damage::Word(at, v) => put(&mut bytes, at, v),
             }
         }
-        match recover_watched(bytes, Duration::from_secs(2)) {
+        let limit = Duration::from_secs(2);
+        // A seeded eighth of the images must also come out the same on
+        // 1, 2 and 8 scan threads.
+        if next(&mut rng).is_multiple_of(8) {
+            let answers =
+                [1, 2, 8].map(
+                    |n| match recover_watched(bytes.clone(), threads(n), limit) {
+                        bad @ (Outcome::Panicked(_) | Outcome::Hung) => {
+                            panic!("image {i}, damage {damage:x?}, {n} threads: {bad:?}")
+                        }
+                        outcome => answer(&outcome),
+                    },
+                );
+            assert!(
+                answers.iter().all(|a| *a == answers[0]),
+                "image {i}, damage {damage:x?}: {answers:?}"
+            );
+            compared += 1;
+        }
+        match recover_watched(bytes, PoolConfig::default(), limit) {
             Outcome::Recovered(..) => recovered += 1,
             Outcome::Refused(_) => refused += 1,
             bad => panic!("image {i}, damage {damage:x?}: {bad:?}"),
         }
     }
+    assert!(
+        compared > IMAGES / 16,
+        "{compared} images compared across thread counts"
+    );
     // Both answers occur: the fuzz reaches past the magic check and does
     // find fatal damage.
     assert!(
