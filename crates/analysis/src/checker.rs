@@ -57,10 +57,6 @@ use respct_pmem::{Region, TraceEvent, TraceMarker, TraceSink};
 
 use crate::report::{Diagnostic, DiagnosticKind, Report};
 
-/// Per-kind cap on recorded diagnostics; a systematically broken run would
-/// otherwise allocate one diagnostic per store.
-const MAX_PER_KIND: usize = 64;
-
 #[derive(Default, Clone, Copy)]
 struct LineState {
     /// Volatile content version (bumped per store).
@@ -115,33 +111,12 @@ struct CheckerState {
     ckpt_full: bool,
     in_checkpoint: bool,
     in_recovery: bool,
-    events: u64,
-    diagnostics: Vec<Diagnostic>,
-    per_kind: HashMap<&'static str, usize>,
-    suppressed: u64,
+    report: Report,
 }
 
 impl CheckerState {
     fn diag(&mut self, kind: DiagnosticKind, line: Option<u64>, addr: Option<u64>, detail: String) {
-        let key = match kind {
-            DiagnosticKind::MissedFlush => "missed",
-            DiagnosticKind::LoggingViolation => "logging",
-            DiagnosticKind::CrossLineOrdering => "ordering",
-            DiagnosticKind::RedundantFlush => "redundant",
-            DiagnosticKind::EpochDiscipline => "epoch",
-            DiagnosticKind::ShardFence => "shard",
-            DiagnosticKind::RingCommitOrder => "ring",
-            DiagnosticKind::RecoveryDivergence => "divergence",
-            DiagnosticKind::PersistRace => "race",
-            DiagnosticKind::UnorderedCommit => "unordered",
-        };
-        let n = self.per_kind.entry(key).or_insert(0);
-        if *n >= MAX_PER_KIND {
-            self.suppressed += 1;
-            return;
-        }
-        *n += 1;
-        self.diagnostics.push(Diagnostic {
+        self.report.push(Diagnostic {
             kind,
             line,
             addr,
@@ -155,7 +130,7 @@ impl CheckerState {
     }
 
     fn apply(&mut self, ev: &TraceEvent) {
-        self.events += 1;
+        self.report.events += 1;
         match *ev {
             TraceEvent::Store { addr, len, .. } => self.on_store(addr, len),
             TraceEvent::Pwb { tid, line } => self.on_pwb(tid, line),
@@ -606,14 +581,6 @@ impl CheckerState {
             }
         }
     }
-
-    fn report(&self) -> Report {
-        Report {
-            diagnostics: self.diagnostics.clone(),
-            events: self.events,
-            suppressed: self.suppressed,
-        }
-    }
 }
 
 /// The online persistency checker. Attach to a region before running a
@@ -643,7 +610,7 @@ impl Checker {
 
     /// Snapshot of everything found so far.
     pub fn report(&self) -> Report {
-        self.state.lock().report()
+        self.state.lock().report.clone()
     }
 
     /// Panics with the full report if any error-severity diagnostic was
@@ -670,7 +637,7 @@ impl TraceSink for Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::DiagnosticKind;
+    use crate::report::{DiagnosticKind, MAX_PER_KIND};
 
     fn marker(m: TraceMarker) -> TraceEvent {
         TraceEvent::Marker { tid: 1, marker: m }

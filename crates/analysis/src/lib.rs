@@ -36,21 +36,23 @@
 //! checker.assert_clean();                        // no discipline violations
 //! ```
 //!
-//! The `respct-check` binary runs the standard workloads (hash map, queue,
-//! KV store, plus crash/recovery cycles) under the checker and prints each
-//! report — a smoke test for the runtime's persistency discipline.
-//!
 //! The [`mod@sweep`] module goes further than the online rules: it replays a
 //! recorded trace, materializes the crash images reachable under PCSO at
 //! every persistency-relevant instant, runs real recovery on each, and
-//! compares the result against a model oracle (`respct-check --sweep`).
-
+//! compares the result against a model oracle.
 //!
 //! The [`race`] module adds a second, orthogonal analysis: a FastTrack-style
 //! vector-clock happens-before engine over the runtime's synchronization
 //! edges (`SyncRel`/`SyncAcq` events), flagging persist races on InCLL
 //! cells, commit points not ordered after their charged fences, and racy
-//! recovery reads (`respct-check --races`).
+//! recovery reads.
+//!
+//! The root package's integration tests run all three:
+//! `tests/analysis_model.rs` and `tests/race_detector.rs` drive the standard
+//! workloads (hash map, queue, KV store, crash/recovery cycles) in every
+//! checkpoint mode with the checker and the race detector teed onto one
+//! trace, and
+//! `tests/crash_sweep.rs` sweeps the recorded hash-map and queue runs.
 
 pub mod checker;
 pub mod race;

@@ -58,9 +58,6 @@ use respct_pmem::{Region, SyncToken, TraceEvent, TraceMarker, TraceSink};
 
 use crate::report::{Diagnostic, DiagnosticKind, Report};
 
-/// Per-kind cap on recorded diagnostics (same rationale as the checker's).
-const MAX_PER_KIND: usize = 64;
-
 /// Per-line cap on retained write records; a pathological single-epoch
 /// write storm drops oldest-first rather than growing without bound
 /// (same-thread covered rewrites are compacted first, so the cap is only
@@ -146,26 +143,12 @@ struct RaceState {
     ckpt_full: bool,
     in_recovery: bool,
     epoch: Option<u64>,
-    events: u64,
-    diagnostics: Vec<Diagnostic>,
-    per_kind: HashMap<&'static str, usize>,
-    suppressed: u64,
+    report: Report,
 }
 
 impl RaceState {
     fn diag(&mut self, kind: DiagnosticKind, line: Option<u64>, addr: Option<u64>, detail: String) {
-        let key = match kind {
-            DiagnosticKind::PersistRace => "race",
-            DiagnosticKind::UnorderedCommit => "unordered",
-            _ => "other",
-        };
-        let n = self.per_kind.entry(key).or_insert(0);
-        if *n >= MAX_PER_KIND {
-            self.suppressed += 1;
-            return;
-        }
-        *n += 1;
-        self.diagnostics.push(Diagnostic {
+        self.report.push(Diagnostic {
             kind,
             line,
             addr,
@@ -190,7 +173,7 @@ impl RaceState {
     }
 
     fn apply(&mut self, ev: &TraceEvent) {
-        self.events += 1;
+        self.report.events += 1;
         match *ev {
             TraceEvent::SyncRel { tid, token } => {
                 let vc = self.clock(tid).clone();
@@ -506,14 +489,6 @@ impl RaceState {
             | TraceMarker::RestartPoint { .. } => {}
         }
     }
-
-    fn report(&self) -> Report {
-        Report {
-            diagnostics: self.diagnostics.clone(),
-            events: self.events,
-            suppressed: self.suppressed,
-        }
-    }
 }
 
 /// The online happens-before race detector. Attach to a region (alone or
@@ -544,7 +519,7 @@ impl RaceDetector {
 
     /// Snapshot of everything found so far.
     pub fn report(&self) -> Report {
-        self.state.lock().report()
+        self.state.lock().report.clone()
     }
 
     /// Panics with the full report if any race diagnostic was recorded.
@@ -570,6 +545,7 @@ impl TraceSink for RaceDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::MAX_PER_KIND;
 
     fn marker(tid: u64, m: TraceMarker) -> TraceEvent {
         TraceEvent::Marker { tid, marker: m }

@@ -8,7 +8,12 @@
 //! dominant checkpoint cost, so spotting double flushes matters even though
 //! they can never lose data).
 
+use std::collections::HashMap;
 use std::fmt;
+
+/// Per-kind cap on recorded diagnostics: a systematically broken run would
+/// otherwise record one per store (or, in a sweep, one per crash image).
+pub(crate) const MAX_PER_KIND: usize = 64;
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +26,7 @@ pub enum Severity {
 }
 
 /// Category of a trace-checker diagnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagnosticKind {
     /// A cache line tracked for the closing epoch was not durable when the
     /// epoch counter committed: a crash right after the epoch advance would
@@ -87,48 +92,6 @@ impl DiagnosticKind {
             _ => Severity::Error,
         }
     }
-
-    /// Stable machine-readable name (the JSON `kind` field).
-    pub fn name(self) -> &'static str {
-        match self {
-            DiagnosticKind::MissedFlush => "missed_flush",
-            DiagnosticKind::LoggingViolation => "logging_violation",
-            DiagnosticKind::CrossLineOrdering => "cross_line_ordering",
-            DiagnosticKind::RedundantFlush => "redundant_flush",
-            DiagnosticKind::EpochDiscipline => "epoch_discipline",
-            DiagnosticKind::ShardFence => "shard_fence",
-            DiagnosticKind::RingCommitOrder => "ring_commit_order",
-            DiagnosticKind::RecoveryDivergence => "recovery_divergence",
-            DiagnosticKind::PersistRace => "persist_race",
-            DiagnosticKind::UnorderedCommit => "unordered_commit",
-        }
-    }
-}
-
-/// Appends `s` as a JSON string literal (quotes included).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_opt_u64(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(v) => out.push_str(&v.to_string()),
-        None => out.push_str("null"),
-    }
 }
 
 /// One finding from a checked run.
@@ -182,6 +145,8 @@ pub struct Report {
     /// Findings dropped after the per-kind reporting cap was hit (a broken
     /// run can otherwise produce one diagnostic per store).
     pub suppressed: u64,
+    /// Recorded findings per kind, for the cap in [`Report::push`].
+    per_kind: HashMap<DiagnosticKind, usize>,
 }
 
 impl Report {
@@ -213,51 +178,16 @@ impl Report {
         self.errors().is_empty()
     }
 
-    /// The report as a JSON object (hand-rolled — the workspace carries no
-    /// serde). Shape:
-    ///
-    /// ```json
-    /// {"events":N,"suppressed":N,"errors":N,"perf":N,"clean":bool,
-    ///  "diagnostics":[{"kind":"persist_race","severity":"error",
-    ///                  "line":12,"addr":null,"epoch":3,"detail":"..."}]}
-    /// ```
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.diagnostics.len() * 96);
-        out.push_str(&format!(
-            "{{\"events\":{},\"suppressed\":{},\"errors\":{},\"perf\":{},\"clean\":{},\
-             \"diagnostics\":[",
-            self.events,
-            self.suppressed,
-            self.errors().len(),
-            self.perf().len(),
-            self.is_clean(),
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"kind\":");
-            push_json_str(&mut out, d.kind.name());
-            out.push_str(",\"severity\":");
-            push_json_str(
-                &mut out,
-                match d.severity() {
-                    Severity::Error => "error",
-                    Severity::Perf => "perf",
-                },
-            );
-            out.push_str(",\"line\":");
-            push_opt_u64(&mut out, d.line);
-            out.push_str(",\"addr\":");
-            push_opt_u64(&mut out, d.addr);
-            out.push_str(",\"epoch\":");
-            push_opt_u64(&mut out, d.epoch);
-            out.push_str(",\"detail\":");
-            push_json_str(&mut out, &d.detail);
-            out.push('}');
+    /// Records `d` unless [`MAX_PER_KIND`] findings of its kind are already
+    /// recorded, in which case it only counts toward `suppressed`.
+    pub(crate) fn push(&mut self, d: Diagnostic) {
+        let n = self.per_kind.entry(d.kind).or_insert(0);
+        if *n >= MAX_PER_KIND {
+            self.suppressed += 1;
+            return;
         }
-        out.push_str("]}");
-        out
+        *n += 1;
+        self.diagnostics.push(d);
     }
 }
 
@@ -299,22 +229,14 @@ mod tests {
 
     #[test]
     fn severity_split() {
-        let r = Report {
-            diagnostics: vec![
-                diag(DiagnosticKind::MissedFlush),
-                diag(DiagnosticKind::RedundantFlush),
-            ],
-            events: 10,
-            suppressed: 0,
-        };
+        let mut r = Report::default();
+        r.push(diag(DiagnosticKind::MissedFlush));
+        r.push(diag(DiagnosticKind::RedundantFlush));
         assert_eq!(r.errors().len(), 1);
         assert_eq!(r.perf().len(), 1);
         assert!(!r.is_clean());
-        let clean = Report {
-            diagnostics: vec![diag(DiagnosticKind::RedundantFlush)],
-            events: 5,
-            suppressed: 0,
-        };
+        let mut clean = Report::default();
+        clean.push(diag(DiagnosticKind::RedundantFlush));
         assert!(clean.is_clean(), "perf advisories do not dirty a run");
     }
 
@@ -328,48 +250,5 @@ mod tests {
     fn race_kinds_are_errors() {
         assert_eq!(DiagnosticKind::PersistRace.severity(), Severity::Error);
         assert_eq!(DiagnosticKind::UnorderedCommit.severity(), Severity::Error);
-    }
-
-    #[test]
-    fn json_shape_and_escaping() {
-        let mut d = diag(DiagnosticKind::PersistRace);
-        d.detail = "a \"quoted\"\nline\t\\".into();
-        let r = Report {
-            diagnostics: vec![d, diag(DiagnosticKind::RedundantFlush)],
-            events: 7,
-            suppressed: 1,
-        };
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
-        assert!(
-            j.contains("\"events\":7")
-                && j.contains("\"suppressed\":1")
-                && j.contains("\"errors\":1")
-                && j.contains("\"perf\":1")
-                && j.contains("\"clean\":false"),
-            "{j}"
-        );
-        assert!(j.contains("\"kind\":\"persist_race\""), "{j}");
-        assert!(j.contains("\"severity\":\"perf\""), "{j}");
-        assert!(j.contains("\\\"quoted\\\"\\nline\\t\\\\"), "{j}");
-        assert!(
-            j.contains("\"line\":3") && j.contains("\"addr\":null"),
-            "{j}"
-        );
-        // Balanced braces/brackets — the cheap well-formedness check.
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced: {j}"
-        );
-    }
-
-    #[test]
-    fn clean_empty_report_json() {
-        let j = Report::default().to_json();
-        assert!(
-            j.contains("\"clean\":true") && j.contains("\"diagnostics\":[]"),
-            "{j}"
-        );
     }
 }

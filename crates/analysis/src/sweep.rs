@@ -29,10 +29,6 @@ use respct_pmem::{is_crash_point, is_protocol_point, Region, Replayer, TraceEven
 
 use crate::report::{Diagnostic, DiagnosticKind, Report};
 
-/// Cap on recorded divergence diagnostics; a broken run would otherwise
-/// produce one per crash image.
-const MAX_DIVERGENCES: usize = 32;
-
 /// Parameters of a crash-point sweep.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
@@ -118,15 +114,10 @@ where
     let mut unformatted = 0u64;
     let mut images = 0u64;
     let mut eligible = 0u64;
-    let mut diagnostics = Vec::new();
-    let mut suppressed = 0u64;
-
+    let mut report = Report::default();
+    report.events = events.len() as u64;
     let mut diverge = |epoch: Option<u64>, detail: String| {
-        if diagnostics.len() >= MAX_DIVERGENCES {
-            suppressed += 1;
-            return;
-        }
-        diagnostics.push(Diagnostic {
+        report.push(Diagnostic {
             kind: DiagnosticKind::RecoveryDivergence,
             line: None,
             addr: None,
@@ -201,17 +192,14 @@ where
         points,
         unformatted_points: unformatted,
         images,
-        report: Report {
-            diagnostics,
-            events: events.len() as u64,
-            suppressed,
-        },
+        report,
     }
 }
 
-/// Ready-made recorded workloads for `respct-check --sweep` and the crash
-/// sweep test suite: deterministic single-threaded runs of the persistent
-/// hash map and queue, with a model snapshot taken at every checkpoint.
+/// Ready-made recorded workloads for the crash sweep test suite
+/// (`tests/crash_sweep.rs`): deterministic single-threaded runs of the
+/// persistent hash map and queue, with a model snapshot taken at every
+/// checkpoint.
 pub mod workloads {
     use std::collections::{BTreeMap, VecDeque};
     use std::sync::Arc;

@@ -416,9 +416,8 @@ impl std::fmt::Debug for KvServerGuard {
 /// flushes them in one write, reads responses in arrival order. The load
 /// generator and the crash test drive it; it is not a production client.
 pub struct KvClient {
-    stream: TcpStream,
-    wbuf: Vec<u8>,
-    rbuf: Vec<u8>,
+    writer: KvClientWriter,
+    reader: KvClientReader,
 }
 
 impl KvClient {
@@ -426,21 +425,27 @@ impl KvClient {
     ///
     /// # Errors
     ///
-    /// [`KvError::Io`] on connect failure.
+    /// [`KvError::Io`] on connect failure, or if the socket cannot be
+    /// cloned into its read half.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<KvClient, KvError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         Ok(KvClient {
-            stream,
-            wbuf: Vec::new(),
-            rbuf: Vec::new(),
+            reader: KvClientReader {
+                stream: stream.try_clone()?,
+                rbuf: Vec::new(),
+            },
+            writer: KvClientWriter {
+                stream,
+                wbuf: Vec::new(),
+            },
         })
     }
 
     /// Queues one request frame locally (nothing is sent until
     /// [`KvClient::flush`]).
     pub fn send(&mut self, id: u32, req: &KvRequest) {
-        wire::encode_request(&mut self.wbuf, id, req);
+        self.writer.send(id, req);
     }
 
     /// Writes all queued frames to the socket.
@@ -449,11 +454,7 @@ impl KvClient {
     ///
     /// Propagates socket errors.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        if !self.wbuf.is_empty() {
-            self.stream.write_all(&self.wbuf)?;
-            self.wbuf.clear();
-        }
-        Ok(())
+        self.writer.flush()
     }
 
     /// Reads the next response; `Ok(None)` on clean server close.
@@ -463,14 +464,7 @@ impl KvClient {
     /// [`KvError::Io`] on socket failure, [`KvError::Wire`] on a payload
     /// that does not decode.
     pub fn recv(&mut self) -> Result<Option<(u32, KvResponse)>, KvError> {
-        match wire::read_frame(&mut self.stream, wire::MAX_FRAME, &mut self.rbuf) {
-            Ok(Some(payload)) => Ok(Some(wire::decode_response(payload)?)),
-            Ok(None) => Ok(None),
-            Err(FrameError::Io(e)) => Err(KvError::Io(e)),
-            Err(FrameError::Oversize { len, max }) => {
-                Err(KvError::Wire(wire::WireError::Oversize { len, max }))
-            }
-        }
+        self.reader.recv()
     }
 
     /// One synchronous round trip.
@@ -493,26 +487,12 @@ impl KvClient {
 
     /// Splits into independently-owned write and read halves (separate
     /// threads for pipelined load generation).
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::Io`] if the socket cannot be cloned.
-    pub fn split(self) -> Result<(KvClientWriter, KvClientReader), KvError> {
-        let read_half = self.stream.try_clone()?;
-        Ok((
-            KvClientWriter {
-                stream: self.stream,
-                wbuf: self.wbuf,
-            },
-            KvClientReader {
-                stream: read_half,
-                rbuf: self.rbuf,
-            },
-        ))
+    pub fn split(self) -> (KvClientWriter, KvClientReader) {
+        (self.writer, self.reader)
     }
 }
 
-/// Write half of a split [`KvClient`].
+/// Write half of a [`KvClient`].
 pub struct KvClientWriter {
     stream: TcpStream,
     wbuf: Vec<u8>,
@@ -538,7 +518,7 @@ impl KvClientWriter {
     }
 }
 
-/// Read half of a split [`KvClient`].
+/// Read half of a [`KvClient`].
 pub struct KvClientReader {
     stream: TcpStream,
     rbuf: Vec<u8>,
@@ -644,7 +624,7 @@ mod tests {
         let mut raw = Vec::new();
         wire::encode_request(&mut raw, 77, &KvRequest::Ping);
         raw[wire::LEN_PREFIX] = 9; // clobber the version byte
-        c.stream.write_all(&raw).expect("write");
+        c.writer.stream.write_all(&raw).expect("write");
         let (id, resp) = c.recv().expect("recv").expect("open");
         assert_eq!(id, 77);
         assert_eq!(
@@ -711,7 +691,8 @@ mod tests {
         });
         let mut c = KvClient::connect(guard.local_addr()).expect("connect");
         // A lost answer must fail the test, not hang it.
-        c.stream
+        c.reader
+            .stream
             .set_read_timeout(Some(std::time::Duration::from_secs(10)))
             .expect("timeout");
         let value = vec![7; 64 << 10];

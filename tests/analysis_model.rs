@@ -1,26 +1,35 @@
-//! Integration tests for the trace-based persistency checker
-//! (`respct-analysis`) against the real runtime.
+//! Integration tests for the trace-based persistency checker and the
+//! happens-before race detector (`respct-analysis`) against the real runtime.
 //!
-//! Two directions, both required for the checker to be trustworthy:
+//! Two directions, both required for the analyses to be trustworthy:
 //!
-//! * **Soundness on clean runs** — the standard workloads (hash map, queue,
-//!   CoW kv-store, crash/recovery cycles) produce *zero* diagnostics, not
-//!   even perf advisories, on a deterministic no-eviction simulator.
+//! * **Soundness on clean runs** — the rows of the shared clean-run table
+//!   (`tests/workload_table`): the standard workloads × the checkpoint modes
+//!   (synchronous, background drain at ring depths 1 and 4) × the two ways
+//!   epochs close (the timer checkpointer, workers' `checkpoint_here()`),
+//!   each on an evicting simulator with the [`Checker`] and the
+//!   [`RaceDetector`] teed onto one trace. The timer-driven hash-map and
+//!   queue rows run in `tests/race_detector.rs`.
 //! * **Sensitivity to injected faults** — each `respct::Fault` (one dropped
-//!   write-back, one skipped fence, one skipped InCLL log) yields a
-//!   non-empty diagnostic list of exactly the matching kind.
+//!   write-back, one skipped fence, one skipped InCLL log, drain and ring
+//!   ordering bugs) yields a non-empty diagnostic list of exactly the
+//!   matching kind.
 //!
 //! The root crate's dev-dependencies enable the `fault-inject` feature, so
 //! `Pool::inject_fault` is available here without cfg gates.
+//!
+//! [`RaceDetector`]: respct_analysis::RaceDetector
+
+mod workload_table;
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use respct::{Fault, PAddr, Pool, PoolConfig};
+use respct::{Fault, Pool, PoolConfig};
 use respct_analysis::{Checker, DiagnosticKind};
-use respct_ds::{rp_ids, PHashMap, PQueue};
-use respct_pmem::sim::CrashMode;
 use respct_pmem::{Region, RegionConfig, SimConfig};
+use workload_table::{
+    check_rows, Driver, DRIVERS, HASHMAP, HOT_KEYS, KVSTORE, MODES, QUEUE, RECOVERY,
+};
 
 /// Deterministic sim region (no evictions) with the checker attached.
 fn checked_pool(bytes: usize, seed: u64) -> (Arc<Checker>, Arc<Pool>) {
@@ -36,251 +45,47 @@ fn checked_pool_cfg(bytes: usize, seed: u64, cfg: PoolConfig) -> (Arc<Checker>, 
 }
 
 // ---------------------------------------------------------------------------
-// Clean workloads: zero diagnostics end to end.
+// Clean workloads: this file's slice of the clean-run table.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn hashmap_workload_is_clean() {
-    let (checker, pool) = checked_pool(32 << 20, 1);
-    let map = {
-        let h = pool.register();
-        let map = PHashMap::create(&h, 64);
-        h.set_root(map.desc());
-        map
-    };
-    std::thread::scope(|s| {
-        for t in 0..3u64 {
-            let (pool, map) = (&pool, &map);
-            s.spawn(move || {
-                let h = pool.register();
-                for i in 0..400 {
-                    let k = t * 1_000 + i;
-                    map.insert(&h, k, k + 7);
-                    h.rp(rp_ids::MAP_INSERT);
-                    if i % 4 == 0 {
-                        map.remove(&h, k);
-                        h.rp(rp_ids::MAP_REMOVE);
-                    }
-                    if i % 100 == 0 {
-                        h.checkpoint_here();
-                    }
-                }
-            });
-        }
-    });
-    pool.register().checkpoint_here();
-    let report = checker.report();
-    assert!(
-        report.diagnostics.is_empty() && report.suppressed == 0,
-        "clean hashmap run produced diagnostics:\n{report}"
-    );
-}
-
-#[test]
-fn queue_workload_is_clean() {
-    let (checker, pool) = checked_pool(32 << 20, 2);
-    let queue = {
-        let h = pool.register();
-        let q = PQueue::create(&h);
-        h.set_root(q.desc());
-        q
-    };
-    std::thread::scope(|s| {
-        for t in 0..3u64 {
-            let (pool, queue) = (&pool, &queue);
-            s.spawn(move || {
-                let h = pool.register();
-                for i in 0..400 {
-                    queue.enqueue(&h, t * 1_000 + i);
-                    h.rp(rp_ids::QUEUE_ENQ);
-                    if i % 2 == 0 {
-                        queue.dequeue(&h);
-                        h.rp(rp_ids::QUEUE_DEQ);
-                    }
-                    if i % 100 == 0 {
-                        h.checkpoint_here();
-                    }
-                }
-            });
-        }
-    });
-    pool.register().checkpoint_here();
-    let report = checker.report();
-    assert!(
-        report.diagnostics.is_empty() && report.suppressed == 0,
-        "clean queue run produced diagnostics:\n{report}"
-    );
-}
-
-#[test]
-fn kvstore_workload_is_clean() {
-    const VALUE: u64 = 96;
-    let (checker, pool) = checked_pool(64 << 20, 3);
-    let map = {
-        let h = pool.register();
-        let map = PHashMap::create(&h, 64);
-        h.set_root(map.desc());
-        map
-    };
-    {
-        let h = pool.register();
-        let mut buf = vec![0u8; VALUE as usize];
-        for i in 0..600u64 {
-            let k = i % 100;
-            buf.fill((i % 251) as u8);
-            let blob = h.alloc(VALUE, 64);
-            pool.region().store_bytes(blob, &buf);
-            h.add_modified(blob, VALUE as usize);
-            let old = map.get(&h, k);
-            map.insert(&h, k, blob.0);
-            if let Some(old) = old {
-                h.free(PAddr(old), VALUE);
-            }
-            h.rp(600);
-            if i % 150 == 0 {
-                h.checkpoint_here();
-            }
-        }
-        h.checkpoint_here();
-    }
-    let report = checker.report();
-    assert!(
-        report.diagnostics.is_empty() && report.suppressed == 0,
-        "clean kvstore run produced diagnostics:\n{report}"
-    );
-}
-
-#[test]
-fn timer_checkpointer_run_is_clean() {
-    let (checker, pool) = checked_pool(32 << 20, 4);
-    let map = {
-        let h = pool.register();
-        let map = PHashMap::create(&h, 64);
-        h.set_root(map.desc());
-        map
-    };
-    {
-        let _ckpt = pool.start_checkpointer(Duration::from_millis(2));
-        let h = pool.register();
-        for i in 0..2_000u64 {
-            map.insert(&h, i % 300, i);
-            h.rp(rp_ids::MAP_INSERT);
-        }
-    }
-    pool.register().checkpoint_here();
-    checker.assert_clean();
-    assert!(
-        checker.report().perf().is_empty(),
-        "timer run had perf advisories"
-    );
-}
-
-#[test]
-fn crash_recovery_cycles_are_clean() {
-    let region = Region::new(RegionConfig::sim(16 << 20, SimConfig::no_eviction(5)));
-    let checker = Checker::attach(&region);
-    let mut cells = Vec::new();
-    {
-        let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).expect("pool");
-        let h = pool.register();
-        for i in 0..100u64 {
-            cells.push(h.alloc_cell(i));
-        }
-        h.checkpoint_here();
-        for (i, c) in cells.iter().enumerate() {
-            h.update(*c, 500 + i as u64); // dirty the epoch, then crash
-        }
-    }
-    for round in 0..2u64 {
-        let img = region.crash(CrashMode::PowerFailure);
-        region.restore(&img);
-        let (pool, _report) =
-            Pool::recover(Arc::clone(&region), PoolConfig::default()).expect("recover");
-        let h = pool.register();
-        for (i, c) in cells.iter().enumerate() {
-            h.update(*c, (round + 1) * 1_000 + i as u64); // re-execution
-        }
-        h.checkpoint_here();
-        for c in &cells {
-            h.update(*c, 9);
-        }
-    }
-    let report = checker.report();
-    assert!(
-        report.diagnostics.is_empty() && report.suppressed == 0,
-        "clean crash/recovery run produced diagnostics:\n{report}"
-    );
+    check_rows(&HASHMAP, &[None], &[Driver::Worker]);
 }
 
 #[test]
 fn async_hashmap_workload_is_clean() {
-    // Asynchronous drains may double-flush a line the fast path pushed out
-    // on demand — a RedundantFlush perf advisory, not an error — so this
-    // asserts is_clean(), unlike the sync runs which demand zero output.
-    let (checker, pool) = checked_pool_cfg(
-        32 << 20,
-        10,
-        PoolConfig::builder()
-            .async_checkpoint(true)
-            .build()
-            .unwrap(),
-    );
-    let map = {
-        let h = pool.register();
-        let map = PHashMap::create(&h, 64);
-        h.set_root(map.desc());
-        map
-    };
-    std::thread::scope(|s| {
-        for t in 0..3u64 {
-            let (pool, map) = (&pool, &map);
-            s.spawn(move || {
-                let h = pool.register();
-                for i in 0..400 {
-                    let k = t * 1_000 + i;
-                    map.insert(&h, k, k + 7);
-                    h.rp(rp_ids::MAP_INSERT);
-                    if i % 4 == 0 {
-                        map.remove(&h, k);
-                        h.rp(rp_ids::MAP_REMOVE);
-                    }
-                    if i % 100 == 0 {
-                        h.checkpoint_here();
-                    }
-                }
-            });
-        }
-    });
-    pool.register().checkpoint_here();
-    checker.assert_clean();
+    check_rows(&HASHMAP, &[Some(1)], &[Driver::Worker]);
+}
+
+#[test]
+fn pipelined_hashmap_workload_is_clean() {
+    check_rows(&HASHMAP, &[Some(4)], &[Driver::Worker]);
+}
+
+#[test]
+fn timer_checkpointer_run_is_clean() {
+    check_rows(&HOT_KEYS, &[None], &[Driver::Timer]);
 }
 
 #[test]
 fn async_timer_checkpointer_run_is_clean() {
-    let (checker, pool) = checked_pool_cfg(
-        32 << 20,
-        11,
-        PoolConfig::builder()
-            .async_checkpoint(true)
-            .build()
-            .unwrap(),
-    );
-    let map = {
-        let h = pool.register();
-        let map = PHashMap::create(&h, 64);
-        h.set_root(map.desc());
-        map
-    };
-    {
-        let _ckpt = pool.start_checkpointer(Duration::from_millis(2));
-        let h = pool.register();
-        for i in 0..2_000u64 {
-            map.insert(&h, i % 300, i);
-            h.rp(rp_ids::MAP_INSERT);
-        }
-    }
-    pool.register().checkpoint_here();
-    checker.assert_clean();
+    check_rows(&HOT_KEYS, &[Some(1), Some(4)], &[Driver::Timer]);
+}
+
+#[test]
+fn queue_workload_is_clean() {
+    check_rows(&QUEUE, &MODES, &[Driver::Worker]);
+}
+
+#[test]
+fn kvstore_workload_is_clean() {
+    check_rows(&KVSTORE, &MODES, &DRIVERS);
+}
+
+#[test]
+fn crash_recovery_cycles_are_clean() {
+    check_rows(&RECOVERY, &MODES, &DRIVERS);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,51 +199,6 @@ fn dirty_async_pool(seed: u64, fault: Option<Fault>) -> (Arc<Checker>, Arc<Pool>
     (checker, pool)
 }
 
-#[test]
-fn pipelined_hashmap_workload_is_clean() {
-    // Epoch-ring pipelined drains (K = 4): overlapping drains may
-    // double-flush pushed-out lines (perf advisories), but no
-    // error-severity diagnostic — in particular no RingCommitOrder.
-    let (checker, pool) = checked_pool_cfg(
-        32 << 20,
-        14,
-        PoolConfig::builder()
-            .async_checkpoint(true)
-            .epoch_pipeline(4)
-            .build()
-            .unwrap(),
-    );
-    let map = {
-        let h = pool.register();
-        let map = PHashMap::create(&h, 64);
-        h.set_root(map.desc());
-        map
-    };
-    std::thread::scope(|s| {
-        for t in 0..3u64 {
-            let (pool, map) = (&pool, &map);
-            s.spawn(move || {
-                let h = pool.register();
-                for i in 0..400 {
-                    let k = t * 1_000 + i;
-                    map.insert(&h, k, k + 7);
-                    h.rp(rp_ids::MAP_INSERT);
-                    if i % 4 == 0 {
-                        map.remove(&h, k);
-                        h.rp(rp_ids::MAP_REMOVE);
-                    }
-                    if i % 100 == 0 {
-                        h.checkpoint_here();
-                    }
-                }
-            });
-        }
-    });
-    pool.register().checkpoint_here();
-    drop(pool); // joins the drain executor: every submitted epoch commits
-    checker.assert_clean();
-}
-
 /// Pipelined pool (K = 2) driven through a deterministic schedule that
 /// pins two drains in flight, with an optional fault armed before the
 /// worker is released. The schedule is deadlock-free under `hold_drains`:
@@ -460,9 +220,6 @@ fn two_inflight_pipelined_run(seed: u64, fault: Option<Fault>) -> Arc<Checker> {
     let cells: Vec<_> = (0..32u64).map(|i| h.alloc_cell(i)).collect();
     h.checkpoint_here(); // epoch 1 closed and committed: the worker is idle
     pool.hold_drains(true);
-    // The worker re-checks the hold flag between 1 ms receive polls; wait
-    // out one full poll so the tickets below queue behind a parked worker.
-    std::thread::sleep(Duration::from_millis(10));
     if let Some(f) = fault {
         pool.inject_fault(f);
     }

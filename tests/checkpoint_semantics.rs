@@ -279,8 +279,6 @@ fn checkpoint_here_returns_only_after_the_commit() {
         let c = h.alloc_cell(1u64);
         h.checkpoint_here(); // epoch 1: the cell exists durably
         pool.hold_drains(true);
-        // The worker re-checks the hold flag between 1 ms receive polls.
-        std::thread::sleep(Duration::from_millis(10));
         h.update(c, 99);
         let img = std::thread::scope(|s| {
             s.spawn(|| {

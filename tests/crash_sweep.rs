@@ -33,15 +33,6 @@ const SIZE: usize = 1 << 20;
 /// the cells' first checkpoint).
 type Snaps = Vec<Option<Vec<u64>>>;
 
-/// An async pool configuration for sweeps (ring depth 1: one drain in
-/// flight, two-phase commit of ring slot 0).
-fn async_pool_cfg() -> PoolConfig {
-    PoolConfig::builder()
-        .async_checkpoint(true)
-        .build()
-        .unwrap()
-}
-
 /// A pipelined pool configuration (epoch ring of depth `k`).
 fn pipelined_pool_cfg(k: usize) -> PoolConfig {
     PoolConfig::builder()
@@ -75,112 +66,94 @@ fn pipeline_overlap_crash_points(events: &[TraceEvent], min_open: usize) -> u64 
     n
 }
 
+/// One clean sweep: (workload, ops, seed, eviction budget, stride, ring
+/// depth K — `None` for synchronous checkpoints).
+type SweepRow = (&'static str, u64, u64, usize, usize, Option<usize>);
+
+/// Every clean sweep. Rows at K ≥ 2 sample at stride 3, not 4: denser
+/// sampling keeps the distinct-point floor comfortable on their traces.
+const SWEEPS: [SweepRow; 9] = [
+    ("hashmap", 48, 7, 3, 4, None),
+    ("queue", 48, 7, 3, 4, None),
+    // A second seed: shorter runs, denser sampling.
+    ("hashmap", 32, 23, 2, 2, None),
+    ("queue", 32, 23, 2, 2, None),
+    ("hashmap", 48, 7, 2, 4, Some(1)),
+    ("queue", 48, 7, 2, 4, Some(1)),
+    ("hashmap", 48, 7, 2, 3, Some(2)),
+    ("queue", 48, 7, 2, 3, Some(2)),
+    ("queue", 64, 7, 2, 3, Some(4)),
+];
+
+/// Sweeps the rows of [`SWEEPS`] for `workload` whose ring depth is one of
+/// `depths`. Each must find no divergence over at least 200 distinct crash
+/// points; a background-drain row must also crash inside some drain window,
+/// or it would not be testing the ring's commit at all.
+fn sweep_rows(workload: &str, depths: &[Option<usize>]) {
+    let rows: Vec<_> = SWEEPS
+        .iter()
+        .filter(|r| r.0 == workload && depths.contains(&r.5))
+        .collect();
+    assert!(!rows.is_empty(), "no {workload} rows at depths {depths:?}");
+    for &(name, ops, seed, budget, stride, k) in rows {
+        let at = format!("{name} ops={ops} seed={seed} budget={budget} stride={stride} k={k:?}");
+        let mut cfg = SweepConfig::new(workloads::SWEEP_REGION);
+        cfg.eviction_budget = budget;
+        cfg.stride = stride;
+        if let Some(k) = k {
+            cfg.pool = pipelined_pool_cfg(k);
+        }
+        let (report, events) = if name == "hashmap" {
+            workloads::sweep_hashmap(ops, seed, &cfg)
+        } else {
+            workloads::sweep_queue(ops, seed, &cfg)
+        };
+        assert!(report.is_clean(), "{at}: {:?}", report.report);
+        assert!(
+            report.points >= 200,
+            "{at}: only {} distinct crash points visited",
+            report.points
+        );
+        assert!(report.images >= report.points, "{at}");
+        assert!(
+            report.unformatted_points > 0,
+            "{at}: pre-format prefix skipped"
+        );
+        assert!(
+            k.is_none() || pipeline_overlap_crash_points(&events, 1) > 0,
+            "{at}: no crash points inside any drain window"
+        );
+    }
+}
+
 #[test]
 fn hashmap_sweep_recovers_at_every_point() {
-    let mut cfg = SweepConfig::new(workloads::SWEEP_REGION);
-    cfg.eviction_budget = 2;
-    cfg.stride = 4;
-    let (report, _) = workloads::sweep_hashmap(48, 7, &cfg);
-    assert!(report.is_clean(), "{:?}", report.report);
-    assert!(
-        report.points >= 200,
-        "only {} distinct crash points visited",
-        report.points
-    );
-    assert!(report.images >= report.points);
-    assert!(report.unformatted_points > 0, "pre-format prefix skipped");
+    sweep_rows("hashmap", &[None]);
 }
 
 #[test]
 fn queue_sweep_recovers_at_every_point() {
-    let mut cfg = SweepConfig::new(workloads::SWEEP_REGION);
-    cfg.eviction_budget = 2;
-    cfg.stride = 4;
-    let (report, _) = workloads::sweep_queue(48, 7, &cfg);
-    assert!(report.is_clean(), "{:?}", report.report);
-    assert!(
-        report.points >= 200,
-        "only {} distinct crash points visited",
-        report.points
-    );
+    sweep_rows("queue", &[None]);
 }
 
 #[test]
 fn async_hashmap_sweep_recovers_at_every_point() {
-    let mut cfg = SweepConfig::new(workloads::SWEEP_REGION);
-    cfg.eviction_budget = 2;
-    cfg.stride = 4;
-    cfg.pool = async_pool_cfg();
-    let (report, events) = workloads::sweep_hashmap(48, 7, &cfg);
-    assert!(report.is_clean(), "{:?}", report.report);
-    assert!(
-        report.points >= 200,
-        "only {} distinct crash points visited",
-        report.points
-    );
-    assert!(
-        pipeline_overlap_crash_points(&events, 1) > 0,
-        "no crash points inside any drain window — async leg is vacuous"
-    );
+    sweep_rows("hashmap", &[Some(1)]);
 }
 
 #[test]
 fn async_queue_sweep_recovers_at_every_point() {
-    let mut cfg = SweepConfig::new(workloads::SWEEP_REGION);
-    cfg.eviction_budget = 2;
-    cfg.stride = 4;
-    cfg.pool = async_pool_cfg();
-    let (report, events) = workloads::sweep_queue(48, 7, &cfg);
-    assert!(report.is_clean(), "{:?}", report.report);
-    assert!(
-        report.points >= 200,
-        "only {} distinct crash points visited",
-        report.points
-    );
-    assert!(
-        pipeline_overlap_crash_points(&events, 1) > 0,
-        "no crash points inside any drain window — async leg is vacuous"
-    );
+    sweep_rows("queue", &[Some(1)]);
 }
 
 #[test]
 fn pipelined_hashmap_sweep_recovers_at_every_point() {
-    let mut cfg = SweepConfig::new(workloads::SWEEP_REGION);
-    cfg.eviction_budget = 2;
-    // Stride 3, not 4: denser sampling keeps the distinct-point floor
-    // below comfortable on this trace.
-    cfg.stride = 3;
-    cfg.pool = pipelined_pool_cfg(2);
-    let (report, events) = workloads::sweep_hashmap(48, 7, &cfg);
-    assert!(report.is_clean(), "{:?}", report.report);
-    assert!(
-        report.points >= 200,
-        "only {} distinct crash points visited",
-        report.points
-    );
-    assert!(
-        pipeline_overlap_crash_points(&events, 1) > 0,
-        "no crash points inside any ring-drain window — pipelined leg is vacuous"
-    );
+    sweep_rows("hashmap", &[Some(2)]);
 }
 
 #[test]
 fn pipelined_queue_sweep_recovers_at_every_point() {
-    let mut cfg = SweepConfig::new(workloads::SWEEP_REGION);
-    cfg.eviction_budget = 2;
-    cfg.stride = 3;
-    cfg.pool = pipelined_pool_cfg(4);
-    let (report, events) = workloads::sweep_queue(64, 7, &cfg);
-    assert!(report.is_clean(), "{:?}", report.report);
-    assert!(
-        report.points >= 200,
-        "only {} distinct crash points visited",
-        report.points
-    );
-    assert!(
-        pipeline_overlap_crash_points(&events, 1) > 0,
-        "no crash points inside any ring-drain window — pipelined leg is vacuous"
-    );
+    sweep_rows("queue", &[Some(2), Some(4)]);
 }
 
 /// A pipelined (K = 2) cell workload recorded with `hold_drains` pinning
@@ -206,10 +179,6 @@ fn recorded_pipelined_cells(fault: Option<Fault>) -> (Vec<TraceEvent>, Vec<ICell
     h.checkpoint_here(); // closes and commits epoch 1: the worker is idle
     snaps.push(Some(model.clone()));
     pool.hold_drains(true);
-    // The worker re-checks the hold flag between 1 ms receive polls; wait
-    // out one full poll so the tickets below are guaranteed to queue up
-    // behind a parked worker instead of racing it.
-    std::thread::sleep(std::time::Duration::from_millis(10));
     if let Some(f) = fault {
         pool.inject_fault(f);
     }

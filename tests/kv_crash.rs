@@ -105,7 +105,7 @@ fn sigkill_under_load(pipeline: Option<&str>) {
     let mut threads = Vec::new();
     for conn in 0..2u64 {
         let client = KvClient::connect(addr).expect("connect to kvd");
-        let (mut wh, mut rh) = client.split().expect("split client");
+        let (mut wh, mut rh) = client.split();
         let acked = Arc::clone(&acked);
         let stop = Arc::clone(&stop);
         let stop_w = Arc::clone(&stop);

@@ -2,11 +2,12 @@
 //!
 //! Two families:
 //!
-//! * **Clean runs** — the standard concurrent workloads (hash map, queue,
-//!   KV shape, and all six evaluation apps) replay through the
-//!   [`RaceDetector`] with zero diagnostics, with synchronous checkpoints
-//!   and with the background drain at ring depths 1 and 4. Every
-//!   synchronization edge the runtime emits is load-bearing here:
+//! * **Clean runs** — the timer-driven hash-map and queue rows of the shared
+//!   clean-run table (`tests/workload_table`, the rest of which runs in
+//!   `tests/analysis_model.rs`) in every checkpoint mode, all six evaluation
+//!   apps, lock hand-offs, the drain push-out handshake and a parallel
+//!   recovery replay through the [`RaceDetector`] with zero diagnostics.
+//!   Every synchronization edge the runtime emits is load-bearing here:
 //!   quiescence flags, the checkpoint timer, traced bucket locks, flusher
 //!   acknowledgements, the drain-ticket hand-off, the drain-commit
 //!   handshake, and the free-list class locks.
@@ -14,34 +15,20 @@
 //!   one of those edges (the execution still synchronizes; only the trace
 //!   loses the edge) and the corresponding detector rule must fire.
 
+mod workload_table;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use respct::{Fault, Pool, PoolConfig, SyncEdgeSite, TracedMutex};
 use respct_analysis::{DiagnosticKind, RaceDetector};
-use respct_ds::{rp_ids, PHashMap, PQueue};
+use respct_ds::PHashMap;
 use respct_pmem::sim::CrashMode;
 use respct_pmem::{
     PAddr, Region, RegionConfig, SimConfig, SyncToken, TeeSink, TraceEvent, TraceMarker, TraceSink,
     VecSink,
 };
-
-const CKPT_PERIOD: Duration = Duration::from_millis(4);
-
-/// The checkpoint modes every clean run and non-vacuity test covers:
-/// synchronous, and the background drain at ring depths 1 and 4.
-const MODES: [Option<usize>; 3] = [None, Some(1), Some(4)];
-
-/// Pool config for a mode of [`MODES`] (`None` = synchronous checkpoints,
-/// `Some(k)` = background drain on a ring of depth `k`).
-fn mode_cfg(pipeline: Option<usize>, flushers: usize) -> PoolConfig {
-    PoolConfig::builder()
-        .async_checkpoint(pipeline.is_some())
-        .epoch_pipeline(pipeline.unwrap_or(1))
-        .flusher_threads(flushers)
-        .build()
-        .expect("config")
-}
+use workload_table::{check_rows, mode_cfg, Driver, HASHMAP, MODES, QUEUE};
 
 /// A sim region with the race detector attached and a pool on top.
 fn raced_pool(
@@ -59,76 +46,14 @@ fn raced_pool(
     (detector, pool)
 }
 
-fn hashmap_run(pool: &Arc<Pool>, buckets: u64) {
-    let map = {
-        let h = pool.register();
-        let map = PHashMap::create(&h, buckets);
-        h.set_root(map.desc());
-        map
-    };
-    let _ckpt = pool.start_checkpointer(CKPT_PERIOD);
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            let map = &map;
-            s.spawn(move || {
-                let h = pool.register();
-                for i in 0..1_500 {
-                    let k = t * 10_000 + i;
-                    map.insert(&h, k, k);
-                    h.rp(rp_ids::MAP_INSERT);
-                    if i % 4 == 0 {
-                        map.remove(&h, k);
-                        h.rp(rp_ids::MAP_REMOVE);
-                    }
-                }
-            });
-        }
-    });
-    pool.register().checkpoint_here();
-}
-
 #[test]
 fn hashmap_clean_all_modes() {
-    for mode in MODES {
-        let (detector, pool) = raced_pool(101, mode, 2);
-        hashmap_run(&pool, 256);
-        let r = detector.report();
-        assert!(r.is_clean(), "pipeline={mode:?}:\n{r}");
-    }
+    check_rows(&HASHMAP, &MODES, &[Driver::Timer]);
 }
 
 #[test]
 fn queue_clean_all_modes() {
-    for mode in MODES {
-        let (detector, pool) = raced_pool(202, mode, 0);
-        let queue = {
-            let h = pool.register();
-            let q = PQueue::create(&h);
-            h.set_root(q.desc());
-            q
-        };
-        let _ckpt = pool.start_checkpointer(CKPT_PERIOD);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let queue = &queue;
-                let pool = &pool;
-                s.spawn(move || {
-                    let h = pool.register();
-                    for i in 0..1_500 {
-                        queue.enqueue(&h, t * 10_000 + i);
-                        h.rp(rp_ids::QUEUE_ENQ);
-                        if i % 2 == 0 {
-                            queue.dequeue(&h);
-                            h.rp(rp_ids::QUEUE_DEQ);
-                        }
-                    }
-                });
-            }
-        });
-        pool.register().checkpoint_here();
-        let r = detector.report();
-        assert!(r.is_clean(), "pipeline={mode:?}:\n{r}");
-    }
+    check_rows(&QUEUE, &MODES, &[Driver::Timer]);
 }
 
 /// All six evaluation apps run race-clean in ResPCT mode (small configs).
