@@ -48,11 +48,14 @@ impl Unit {
     }
 }
 
+type CounterFn = Box<dyn Fn() -> u64 + Send + Sync>;
 type GaugeFn = Box<dyn Fn() -> f64 + Send + Sync>;
 type GaugeVecFn = Box<dyn Fn() -> Vec<(String, f64)> + Send + Sync>;
 
 enum Kind {
-    Counter(Arc<Counter>),
+    /// A monotonic total, read on demand (an owned [`Counter`], or a sum
+    /// its owner keeps elsewhere).
+    Counter(CounterFn),
     Histogram(Arc<Histogram>),
     /// Read-on-demand scalar (used to surface externally-owned counters,
     /// e.g. the pmem substrate's pwb/psync totals, and derived ratios).
@@ -91,13 +94,28 @@ impl MetricsRegistry {
     /// Registers and returns a monotonic counter.
     pub fn counter(&self, name: &'static str, help: &'static str, unit: Unit) -> Arc<Counter> {
         let c = Arc::new(Counter::new());
+        let read = Arc::clone(&c);
+        self.counter_fn(name, help, unit, move || read.get());
+        c
+    }
+
+    /// Registers a read-on-demand monotonic counter: `f` must never
+    /// decrease. For totals whose owner keeps them in its own layout (say,
+    /// one single-writer tally per thread slot) and sums them at scrape
+    /// time.
+    pub fn counter_fn(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        unit: Unit,
+        f: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
         self.metrics.lock().push(Metric {
             name,
             help,
             unit,
-            kind: Kind::Counter(Arc::clone(&c)),
+            kind: Kind::Counter(Box::new(f)),
         });
-        c
     }
 
     /// Registers and returns a histogram.
@@ -160,8 +178,8 @@ impl MetricsRegistry {
             let name = m.name;
             out.push_str(&format!("# HELP {name} {}{}\n", m.help, m.unit.suffix()));
             match &m.kind {
-                Kind::Counter(c) => {
-                    out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
+                Kind::Counter(f) => {
+                    out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", f()));
                 }
                 Kind::Gauge(f) => {
                     out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", fmt_f64(f())));
@@ -197,7 +215,7 @@ impl MetricsRegistry {
         for m in self.metrics.lock().iter() {
             let name = m.name;
             match &m.kind {
-                Kind::Counter(c) => parts.push(format!("\"{name}\":{}", c.get())),
+                Kind::Counter(f) => parts.push(format!("\"{name}\":{}", f())),
                 Kind::Gauge(f) => parts.push(format!("\"{name}\":{}", fmt_f64(f()))),
                 Kind::GaugeVec { f, .. } => {
                     let inner: Vec<String> = f()
@@ -259,6 +277,7 @@ mod tests {
         let c = r.counter("test_ops_total", "ops", Unit::None);
         let h = r.histogram("test_latency_ns", "latency", Unit::Nanos);
         r.gauge_fn("test_ratio", "ratio", Unit::None, || 1.5);
+        r.counter_fn("test_summed_total", "summed", Unit::Bytes, || 9);
         r.gauge_vec_fn("test_per_slot", "per slot", Unit::Nanos, "slot", || {
             vec![("0".into(), 10.0), ("3".into(), 20.0)]
         });
@@ -273,6 +292,7 @@ mod tests {
         assert!(text.contains("test_latency_ns_sum 300"));
         assert!(text.contains("_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("test_ratio 1.5"));
+        assert!(text.contains("# TYPE test_summed_total counter\ntest_summed_total 9\n"));
         assert!(text.contains("test_per_slot{slot=\"3\"} 20"));
     }
 

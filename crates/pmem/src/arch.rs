@@ -105,6 +105,21 @@ mod imp {
         // SAFETY: `sfence` has no operands and is always available on x86-64.
         unsafe { core::arch::x86_64::_mm_sfence() }
     }
+
+    /// Asks for the line containing `ptr` to be pulled into L1
+    /// (`prefetcht0`). Miri does not model prefetches: a no-op there.
+    #[inline]
+    pub fn prefetch(ptr: *const u8) {
+        #[cfg(not(miri))]
+        // SAFETY: a prefetch is a hint that never faults, whatever the
+        // address, and SSE is part of the x86-64 baseline.
+        unsafe {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(ptr.cast());
+        };
+        #[cfg(miri)]
+        let _ = ptr;
+    }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -125,8 +140,13 @@ mod imp {
     pub fn psync() {
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
     }
+
+    /// Portable fallback: no prefetch hint.
+    #[inline]
+    pub fn prefetch(_ptr: *const u8) {}
 }
 
+pub(crate) use imp::prefetch;
 pub use imp::psync;
 
 /// Issues a cache-line write-back for the line containing `ptr`.

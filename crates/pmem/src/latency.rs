@@ -65,11 +65,12 @@ thread_local! {
     static OUTSTANDING_PWB: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Records an issued (asynchronous) write-back and charges its issue cost.
+/// Records `n` issued (asynchronous) write-backs and charges their issue
+/// cost — one thread-local update for the whole batch.
 #[inline]
-pub fn note_pwb(model: &LatencyModel) {
-    OUTSTANDING_PWB.with(|c| c.set(c.get() + 1));
-    charge_ns(model.pwb_ns);
+pub fn note_pwbs(model: &LatencyModel, n: u64) {
+    OUTSTANDING_PWB.with(|c| c.set(c.get() + n));
+    charge_ns(n * model.pwb_ns);
 }
 
 /// Charges a `psync`: the fence base cost plus the bandwidth-bound drain of

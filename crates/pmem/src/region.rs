@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use crate::backend::BackendKind;
 use crate::error::RegionError;
-use crate::latency::{charge_ns, drain_psync, note_pwb, LatencyModel};
+use crate::latency::{charge_ns, drain_psync, note_pwbs, LatencyModel};
 use crate::mmap::Mapping;
 use crate::sim::{CacheSim, CrashImage, CrashMode, SimConfig};
 use crate::stats::PmemStats;
@@ -510,13 +510,13 @@ impl Region {
         match self.kind {
             BackendKind::Sim => self.sim().pwb(addr.line()),
             BackendKind::Fast => {
-                self.stats.count_pwb();
+                self.stats.count_pwbs(1);
                 if !self.latency_free {
-                    note_pwb(&self.latency);
+                    note_pwbs(&self.latency, 1);
                 }
             }
             BackendKind::Mmap => {
-                self.stats.count_pwb();
+                self.stats.count_pwbs(1);
                 // SAFETY: `addr` is in bounds (checked above), so the
                 // flushed address lies inside the live mapping.
                 unsafe { crate::arch::pwb(self.ptr(addr)) };
@@ -529,6 +529,51 @@ impl Region {
     #[inline]
     pub fn pwb_line(&self, line: u64) {
         self.pwb(PAddr(line * CACHE_LINE as u64));
+    }
+
+    /// Write-back of every line in `lines` (any order): what a
+    /// [`pwb_line`](Region::pwb_line) loop does, with the per-line host
+    /// work batched. On the fast and mmap backends one bounds check covers
+    /// the highest line, and the `pwb` counter and the modeled issue
+    /// latency are charged once for the batch; the mmap backend still
+    /// issues one real `clwb` per line. A sim-mode or traced region runs
+    /// the per-line loop itself, so the simulator and the trace see exactly
+    /// the events the loop produces.
+    pub fn pwb_lines(&self, lines: &[u64]) {
+        if self.sim.is_some() || self.is_traced() {
+            for &line in lines {
+                self.pwb_line(line);
+            }
+            return;
+        }
+        let Some(&max) = lines.iter().max() else {
+            return;
+        };
+        self.check(PAddr(max.saturating_mul(CACHE_LINE as u64)), 1, 1);
+        let n = lines.len() as u64;
+        self.stats.count_pwbs(n);
+        if !self.latency_free {
+            note_pwbs(&self.latency, n);
+        }
+        if self.kind == BackendKind::Mmap {
+            for &line in lines {
+                // SAFETY: `line <= max`, whose first byte is in bounds
+                // (checked above), so the flushed address lies inside the
+                // live mapping.
+                unsafe { crate::arch::pwb(self.ptr(PAddr(line * CACHE_LINE as u64))) };
+            }
+        }
+    }
+
+    /// Hints that the line holding `addr` is about to be accessed. Only a
+    /// hint: no trace event, no latency charge, nothing counted, and an
+    /// address outside the region (a garbage link word, say) is ignored
+    /// rather than checked. A no-op off x86-64 and under Miri.
+    #[inline]
+    pub fn prefetch(&self, addr: PAddr) {
+        if addr.0 < self.size as u64 {
+            crate::arch::prefetch(self.ptr(addr));
+        }
     }
 
     /// Drains this thread's outstanding write-backs (paper's `psync`,
@@ -1036,6 +1081,50 @@ mod try_new_tests {
         }
     }
 
+    /// `pwb_lines` is a `pwb_line` loop with the host work batched: the
+    /// same counters on the fast backend, with and without modeled
+    /// latency, and the same events in the same order on a traced sim
+    /// region.
+    #[test]
+    fn pwb_lines_matches_a_pwb_line_loop() {
+        let lines = [3u64, 0, 63, 3, 17];
+        let looped = |r: &Region| lines.iter().for_each(|&l| r.pwb_line(l));
+        for cfg in [RegionConfig::fast(4096), RegionConfig::optane(4096)] {
+            let (a, b) = (Region::new(cfg.clone()), Region::new(cfg));
+            a.pwb_lines(&lines);
+            a.pwb_lines(&[]);
+            looped(&b);
+            a.psync();
+            b.psync();
+            assert_eq!(a.stats().snapshot(), b.stats().snapshot());
+        }
+        let traced = |write_back: &dyn Fn(&Region)| {
+            let r = Region::new(RegionConfig::sim(4096, SimConfig::no_eviction(7)));
+            let sink = Arc::new(crate::trace::VecSink::new());
+            r.set_trace_sink(sink.clone());
+            write_back(&r);
+            (sink.drain(), r.stats().snapshot())
+        };
+        let (events, stats) = traced(&|r| r.pwb_lines(&lines));
+        assert_eq!(events.len(), lines.len());
+        assert_eq!((events, stats), traced(&looped));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn pwb_lines_checks_the_highest_line() {
+        Region::new(RegionConfig::fast(4096)).pwb_lines(&[1, u64::MAX, 2]);
+    }
+
+    #[test]
+    fn prefetch_ignores_any_address() {
+        let r = Region::new(RegionConfig::fast(4096));
+        for addr in [0, 4095, 4096, u64::MAX] {
+            r.prefetch(PAddr(addr));
+        }
+        assert_eq!(r.stats().snapshot(), crate::stats::StatsSnapshot::default());
+    }
+
     #[test]
     fn from_image_counts_the_image_as_persisted() {
         let r = Region::new(RegionConfig::fast(4096));
@@ -1112,6 +1201,20 @@ mod mmap_tests {
         let r = Region::new(RegionConfig::mmap(0, &path));
         assert!(!r.was_created());
         assert_eq!(r.load::<u64>(PAddr(256)), 0xcafe_f00d);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn mmap_pwb_lines_counts_like_a_loop() {
+        let path = tmp("pwb_lines.pool");
+        let r = Region::new(RegionConfig::mmap(8192, &path));
+        let lines = [5u64, 1, 5, 127];
+        r.pwb_lines(&lines);
+        let batched = r.stats().snapshot();
+        lines.iter().for_each(|&l| r.pwb_line(l));
+        let looped = r.stats().snapshot().since(&batched);
+        assert_eq!(batched, looped);
+        assert_eq!(batched.pwb, 4);
         std::fs::remove_file(&path).unwrap();
     }
 

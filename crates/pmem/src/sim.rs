@@ -232,7 +232,7 @@ impl CacheSim {
 
     /// Simulates `pwb`: snapshot the line now; it persists at `psync`.
     pub(crate) fn pwb(&self, line: u64) {
-        self.stats.count_pwb();
+        self.stats.count_pwbs(1);
         let bytes = {
             let _guard = self.lock_line(line);
             self.read_line(line)

@@ -40,8 +40,8 @@ impl PmemStats {
     }
 
     #[inline]
-    pub(crate) fn count_pwb(&self) {
-        self.pwb.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn count_pwbs(&self, n: u64) {
+        self.pwb.fetch_add(n, Ordering::Relaxed);
     }
 
     #[inline]
@@ -88,8 +88,8 @@ mod tests {
     #[test]
     fn counts_and_resets() {
         let s = PmemStats::default();
-        s.count_pwb();
-        s.count_pwb();
+        s.count_pwbs(1);
+        s.count_pwbs(1);
         s.count_psync();
         s.count_store();
         s.count_eviction();

@@ -15,11 +15,19 @@
 //! (`SlotState::alloc_cur`/`alloc_end`, `Pool::bump_vol`,
 //! `Pool::class_heads`), and the checkpoint procedure syncs the mirrors
 //! into their InCLL cells while every thread is parked
-//! ([`Quiesced::sync_deferred_cells`]). Mid-epoch persistent values are
-//! irrelevant: a crash rolls the whole epoch back, so the cells only need
-//! to be correct (and logged) at epoch boundaries. This keeps allocation
-//! off the persistence hot path entirely — one emulated-NVMM load per
-//! free-list pop, zero for a chunk bump.
+//! ([`Quiesced::sync_deferred_cells`]) — together with the slot's registry
+//! length and restart-point id, which follow the same discipline. Mid-epoch
+//! persistent values are irrelevant: a crash rolls the whole epoch back, so
+//! the cells only need to be correct (and logged) at epoch boundaries. This
+//! keeps allocation off the persistence hot path entirely — one
+//! emulated-NVMM load per free-list pop, zero for a chunk bump.
+//!
+//! A free-list pop reads the popped block's link word, and the block that
+//! link names is the one the next pop of the class hands out: the pop
+//! prefetches it ([`Region::prefetch`](respct_pmem::Region::prefetch)), so
+//! the insert that receives it finds its line in cache, as it would a
+//! recently freed block of a volatile allocator. [`Slot::push_frees`]
+//! prefetches one block ahead for the link word it is about to store.
 //!
 //! `free()` is *deferred*, with one lifecycle in every checkpoint mode:
 //! blocks freed during an epoch are parked in a volatile per-slot list,
@@ -85,6 +93,7 @@ impl Slot<'_> {
             if *head != 0 {
                 let block = *head;
                 *head = pool.region.load(PAddr(block));
+                pool.region.prefetch(PAddr(*head));
                 // The checkpointer stored this block's link word under the
                 // same lock ([`Slot::push_frees`]); joining its published
                 // clock orders our upcoming payload stores after that
@@ -142,7 +151,10 @@ impl Slot<'_> {
     /// the block was live.
     pub(crate) fn push_frees(&mut self, drained: Vec<(PAddr, usize)>) {
         let pool = self.pool();
-        for (addr, c) in drained {
+        for (i, &(addr, c)) in drained.iter().enumerate() {
+            if let Some(&(next, _)) = drained.get(i + 1) {
+                pool.region.prefetch(next);
+            }
             let mut head = pool.class_heads[c].lock();
             // Link word lives in the block's first 8 bytes. If the epoch
             // that persists this push crashes, the head cell rolls back and
@@ -160,9 +172,11 @@ impl Slot<'_> {
 }
 
 impl Quiesced<'_> {
-    /// Syncs every volatile cursor mirror into its InCLL cell so the
-    /// imminent flush persists end-of-epoch allocator and registry state.
-    /// Runs before the tracking lists are gathered.
+    /// Syncs every volatile mirror into its InCLL cell so the imminent
+    /// flush persists end-of-epoch allocator and registry state and each
+    /// slot's restart-point id — the id its thread last passed before it
+    /// parked or raised its flag. Runs before the tracking lists are
+    /// gathered.
     pub(crate) fn sync_deferred_cells(&mut self) {
         let pool = self.pool();
         for idx in 0..layout::MAX_THREADS {
@@ -172,6 +186,7 @@ impl Quiesced<'_> {
                 (layout::SLOT_ALLOC_CUR, st.alloc_cur),
                 (layout::SLOT_ALLOC_END, st.alloc_end),
                 (layout::SLOT_REG_LEN, st.reg_len),
+                (layout::SLOT_RP_ID, st.rp_id),
             ] {
                 slot.sync_cell(pool.slot_cell(idx, field), v);
             }

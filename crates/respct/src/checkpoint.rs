@@ -18,8 +18,10 @@
 //! whoever drains the epoch merges them per shard. Claimers — the flusher
 //! threads, or the draining thread itself when the pool has none — then
 //! take whole shards from a shared counter; each claimer sorts + dedups
-//! its shard locally, writes the lines back, and issues **one** fence
-//! after its last shard ([`ShardJob::work`], the only shard loop). The
+//! its shard locally ([`sort_dedup`]: an LSD radix sort once the shard is
+//! a few hundred lines long), writes the lines back in one batch
+//! ([`Region::pwb_lines`]), and issues **one** fence after its last shard
+//! ([`ShardJob::work`], the only shard loop). The
 //! serial O(n log n) sort and the old chunk-scatter/ack channel round-trip
 //! per chunk are both gone: the drainer sends one job message per flusher
 //! and waits for one ack per flusher.
@@ -115,6 +117,48 @@ pub struct CkptReport {
     pub total_ns: u64,
     /// Per-shard breakdown, one entry per non-empty shard.
     pub shards: Vec<ShardReport>,
+}
+
+/// Shards below this many tracked lines are deduplicated by a comparison
+/// sort: the radix sort's two passes over a 256-entry count table only pay
+/// off above it.
+const RADIX_MIN_LINES: usize = 512;
+
+/// Sorts a shard's tracked lines ascending and drops duplicates — the
+/// result of `sort_unstable()` + `dedup()`, computed by an LSD radix sort
+/// (8-bit digits, only as many as the highest set bit of the largest line
+/// needs) once the shard is large enough for that to win.
+pub(crate) fn sort_dedup(lines: &mut Vec<u64>) {
+    if lines.len() < RADIX_MIN_LINES {
+        lines.sort_unstable();
+        lines.dedup();
+        return;
+    }
+    let max = lines.iter().copied().max().unwrap_or(0);
+    let digits = (u64::BITS - max.leading_zeros()).div_ceil(8) as usize;
+    let mut counts = vec![[0usize; 256]; digits];
+    for &line in lines.iter() {
+        for (d, count) in counts.iter_mut().enumerate() {
+            count[(line >> (8 * d)) as usize & 0xff] += 1;
+        }
+    }
+    let mut scratch = vec![0u64; lines.len()];
+    for (d, count) in counts.iter_mut().enumerate() {
+        if count.contains(&lines.len()) {
+            continue; // every line has the same digit: the pass is a copy
+        }
+        let mut next = 0;
+        for c in count.iter_mut() {
+            (*c, next) = (next, next + *c);
+        }
+        for &line in lines.iter() {
+            let slot = &mut count[(line >> (8 * d)) as usize & 0xff];
+            scratch[*slot] = line;
+            *slot += 1;
+        }
+        std::mem::swap(lines, &mut scratch);
+    }
+    lines.dedup();
 }
 
 /// One closed epoch's tracked lines as the stop-the-world window snapshots
@@ -398,8 +442,7 @@ impl Flusher {
             if lines.is_empty() {
                 continue;
             }
-            lines.sort_unstable();
-            lines.dedup();
+            sort_dedup(&mut lines);
             total += lines.len() as u64;
             reports.push(ShardReport {
                 shard: s,
@@ -573,20 +616,20 @@ impl ShardJob {
             let mut st = task.state.lock();
             let ts = Instant::now();
             let mut lines = std::mem::take(&mut st.lines);
-            lines.sort_unstable();
-            lines.dedup();
+            sort_dedup(&mut lines);
             let sort_ns = ts.elapsed().as_nanos() as u64;
             region.trace_marker(TraceMarker::ShardFlushBegin {
                 shard: task.shard as u64,
                 lines: lines.len() as u64,
             });
-            let skip_line =
-                (self.skip_one_shard == Some(task.shard)).then(|| lines[lines.len() / 2]);
             let tw = Instant::now();
-            for &line in &lines {
-                if Some(line) != skip_line {
+            if self.skip_one_shard == Some(task.shard) {
+                let skip_line = lines[lines.len() / 2];
+                for &line in lines.iter().filter(|&&l| l != skip_line) {
                     region.pwb_line(line);
                 }
+            } else {
+                region.pwb_lines(&lines);
             }
             st.report = Some(ShardReport {
                 shard: task.shard,
@@ -1021,6 +1064,43 @@ mod tests {
         let epoch = pool.epoch();
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(pool.epoch(), epoch, "checkpointer must stop after drop");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The radix dedup is a drop-in for `sort_unstable` + `dedup`:
+        /// empty, single-line and all-equal shards, shards on both sides of
+        /// the radix cutoff, dense duplicates, and lines up to the largest a
+        /// region offset can name (`u64::MAX >> 6`).
+        #[test]
+        fn sort_dedup_matches_sort_then_dedup(
+            lines in {
+                use proptest::prelude::*;
+                use proptest::collection::vec;
+                let top = u64::MAX >> 6;
+                let size = 0..4 * RADIX_MIN_LINES;
+                prop_oneof![
+                    Just(Vec::new()),
+                    Just(vec![top]),
+                    (any::<u64>(), 1..4 * RADIX_MIN_LINES).prop_map(|(l, n)| vec![l >> 6; n]),
+                    vec(0u64..64, size.clone()),
+                    vec(0u64..1 << 22, size.clone()),
+                    vec(any::<u64>().prop_map(|l| l >> 6), size.clone()),
+                    vec(top - 300..=top, size),
+                ]
+            },
+        ) {
+            let mut want = lines.clone();
+            want.sort_unstable();
+            want.dedup();
+            let mut got = lines;
+            sort_dedup(&mut got);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!
 //! Hot-path instrumentation (per InCLL update / tracked byte) is gated on
 //! the pool's `metrics` config flag — one relaxed bool load when disabled.
-//! Checkpoint-path recording always runs: it is per *checkpoint*, not per
-//! operation, and the [`CkptSnapshot`] aggregate is
-//! derived from it.
+//! When enabled it adds into the calling slot's own tally: the slot token
+//! guarantees a single writer, so an add is a relaxed load and store, not a
+//! locked read-modify-write, and a scrape sums the slots. Checkpoint-path
+//! recording always runs: it is per *checkpoint*, not per operation, and
+//! the [`CkptSnapshot`] aggregate is derived from it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,6 +38,36 @@ use crate::checkpoint::CkptReport;
 use crate::layout::MAX_THREADS;
 use crate::stats::CkptSnapshot;
 
+/// One thread slot's hot-path totals. Only whoever holds the slot's token
+/// writes them, so [`SlotTally::add`] needs no atomic read-modify-write;
+/// the registry reads each total as the sum over the slots, live.
+#[derive(Default)]
+struct SlotTally {
+    updates: AtomicU64,
+    first_touch: AtomicU64,
+    bytes_stored: AtomicU64,
+}
+
+impl SlotTally {
+    /// `total += n` by the slot's single writer: a relaxed load and store.
+    /// Ownership of a slot changes hands only across the quiescence
+    /// protocol's happens-before edges (flag raise → checkpointer, timer
+    /// release → owner), so the load always sees the previous writer's last
+    /// store and no add is lost.
+    #[inline]
+    fn add(total: &AtomicU64, n: u64) {
+        total.store(total.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+}
+
+/// A tally total, summed over every slot.
+fn sum_tallies(tallies: &[CachePadded<SlotTally>], total: fn(&SlotTally) -> &AtomicU64) -> u64 {
+    tallies
+        .iter()
+        .map(|t| total(t).load(Ordering::Relaxed))
+        .sum()
+}
+
 /// All metric handles for one pool, pre-registered against a shared
 /// [`MetricsRegistry`]. Recording never touches the registry.
 pub struct RuntimeMetrics {
@@ -43,10 +75,8 @@ pub struct RuntimeMetrics {
     /// Hot-path gate (pool config `metrics`); checked with one relaxed load.
     enabled: AtomicBool,
 
-    // Hot path (per update / tracked range).
-    incll_updates: Arc<Counter>,
-    incll_first_touch: Arc<Counter>,
-    bytes_stored: Arc<Counter>,
+    // Hot path (per update / tracked range), one tally per thread slot.
+    tallies: Arc<[CachePadded<SlotTally>]>,
 
     // Checkpoint path (per checkpoint / per shard).
     bytes_flushed: Arc<Counter>,
@@ -76,52 +106,65 @@ impl RuntimeMetrics {
     pub(crate) fn new(enabled: bool) -> RuntimeMetrics {
         let r = Arc::new(MetricsRegistry::new());
 
-        let incll_updates = r.counter(
-            "respct_incll_updates_total",
-            "InCLL cell updates",
-            Unit::None,
-        );
-        let incll_first_touch = r.counter(
-            "respct_incll_first_touch_total",
-            "InCLL updates that logged a backup (first touch in epoch)",
-            Unit::None,
-        );
+        let tallies: Arc<[CachePadded<SlotTally>]> =
+            (0..MAX_THREADS).map(|_| CachePadded::default()).collect();
+        type Total = fn(&SlotTally) -> &AtomicU64;
+        let updates: Total = |t| &t.updates;
+        let first_touch: Total = |t| &t.first_touch;
+        let bytes_stored: Total = |t| &t.bytes_stored;
+        for (name, help, unit, total) in [
+            (
+                "respct_incll_updates_total",
+                "InCLL cell updates",
+                Unit::None,
+                updates,
+            ),
+            (
+                "respct_incll_first_touch_total",
+                "InCLL updates that logged a backup (first touch in epoch)",
+                Unit::None,
+                first_touch,
+            ),
+            (
+                "respct_bytes_stored_total",
+                "Bytes logically stored through the pool API",
+                Unit::Bytes,
+                bytes_stored,
+            ),
+        ] {
+            let tallies = Arc::clone(&tallies);
+            r.counter_fn(name, help, unit, move || sum_tallies(&tallies, total));
+        }
         {
-            let u = Arc::clone(&incll_updates);
-            let f = Arc::clone(&incll_first_touch);
+            let tallies = Arc::clone(&tallies);
             r.gauge_fn(
                 "respct_incll_first_touch_rate",
                 "Fraction of InCLL updates that were first touches",
                 Unit::None,
                 move || {
-                    let u = u.get();
+                    let u = sum_tallies(&tallies, updates);
                     if u == 0 {
                         0.0
                     } else {
-                        f.get() as f64 / u as f64
+                        sum_tallies(&tallies, first_touch) as f64 / u as f64
                     }
                 },
             );
         }
-        let bytes_stored = r.counter(
-            "respct_bytes_stored_total",
-            "Bytes logically stored through the pool API",
-            Unit::Bytes,
-        );
         let bytes_flushed = r.counter(
             "respct_bytes_flushed_total",
             "Bytes written back by checkpoints (unique lines x 64)",
             Unit::Bytes,
         );
         {
-            let stored = Arc::clone(&bytes_stored);
+            let tallies = Arc::clone(&tallies);
             let flushed = Arc::clone(&bytes_flushed);
             r.gauge_fn(
                 "respct_write_amplification",
                 "Bytes flushed per byte logically stored",
                 Unit::None,
                 move || {
-                    let s = stored.get();
+                    let s = sum_tallies(&tallies, bytes_stored);
                     if s == 0 {
                         0.0
                     } else {
@@ -221,9 +264,7 @@ impl RuntimeMetrics {
         RuntimeMetrics {
             registry: r,
             enabled: AtomicBool::new(enabled),
-            incll_updates,
-            incll_first_touch,
-            bytes_stored,
+            tallies,
             bytes_flushed,
             ckpt_wait_ns,
             ckpt_partition_ns,
@@ -303,25 +344,28 @@ impl RuntimeMetrics {
         &self.registry
     }
 
-    /// One InCLL update of `bytes` payload; `first_touch` when it logged a
-    /// backup. Gated on [`enabled`](Self::enabled).
+    /// One InCLL update of `bytes` payload by the holder of `slot`;
+    /// `first_touch` when it logged a backup. Gated on
+    /// [`enabled`](Self::enabled).
     #[inline]
-    pub(crate) fn on_update(&self, bytes: u64, first_touch: bool) {
+    pub(crate) fn on_update(&self, slot: usize, bytes: u64, first_touch: bool) {
         if !self.enabled() {
             return;
         }
-        self.incll_updates.inc();
+        let t = &self.tallies[slot];
+        SlotTally::add(&t.updates, 1);
         if first_touch {
-            self.incll_first_touch.inc();
+            SlotTally::add(&t.first_touch, 1);
         }
-        self.bytes_stored.add(bytes);
+        SlotTally::add(&t.bytes_stored, bytes);
     }
 
-    /// `add_modified` over `bytes` of plain persistent data. Gated.
+    /// `add_modified` over `bytes` of plain persistent data by the holder
+    /// of `slot`. Gated.
     #[inline]
-    pub(crate) fn on_bytes_stored(&self, bytes: u64) {
+    pub(crate) fn on_bytes_stored(&self, slot: usize, bytes: u64) {
         if self.enabled() {
-            self.bytes_stored.add(bytes);
+            SlotTally::add(&self.tallies[slot].bytes_stored, bytes);
         }
     }
 
@@ -440,8 +484,8 @@ mod tests {
     #[test]
     fn disabled_gate_skips_hot_path_counters() {
         let m = RuntimeMetrics::new(false);
-        m.on_update(8, true);
-        m.on_bytes_stored(64);
+        m.on_update(1, 8, true);
+        m.on_bytes_stored(1, 64);
         assert!(!m
             .registry()
             .to_json()
@@ -453,9 +497,26 @@ mod tests {
     }
 
     #[test]
+    fn hot_path_counters_sum_the_slots() {
+        let m = RuntimeMetrics::new(true);
+        m.on_update(1, 8, true);
+        m.on_update(5, 16, false);
+        m.on_bytes_stored(5, 64);
+        let text = m.registry().to_prometheus();
+        for want in [
+            "# TYPE respct_incll_updates_total counter\nrespct_incll_updates_total 2\n",
+            "# TYPE respct_incll_first_touch_total counter\nrespct_incll_first_touch_total 1\n",
+            "# TYPE respct_bytes_stored_total counter\nrespct_bytes_stored_total 88\n",
+            "respct_incll_first_touch_rate 0.5\n",
+        ] {
+            assert!(text.contains(want), "{want:?} missing from:\n{text}");
+        }
+    }
+
+    #[test]
     fn write_amplification_gauge() {
         let m = RuntimeMetrics::new(true);
-        m.on_bytes_stored(64);
+        m.on_bytes_stored(2, 64);
         m.on_checkpoint(&report(2)); // 128 bytes flushed
         let json = m.registry().to_json();
         assert!(

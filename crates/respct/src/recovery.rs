@@ -500,23 +500,41 @@ mod tests {
         );
     }
 
+    /// The RP id a checkpoint persists is the one the thread last passed
+    /// before it parked (`checkpoint_here`) or raised its flag
+    /// (`allow_checkpoints`); an `rp()` in the crashed epoch is lost with
+    /// it. On synchronous pools and on ring depths 1 and 4.
     #[test]
     fn rp_id_recovered() {
-        let region = sim_region(6);
-        let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
-        let h = pool.register();
-        let slot = {
-            h.rp(41);
-            h.checkpoint_here();
-            h.rp(42); // crashed epoch: rolls back to 41
-            41
-        };
-        let _ = slot;
-        drop(h);
-        drop(pool);
-        let (pool2, _) = crash_and_recover(&region);
-        let h2 = pool2.register();
-        assert_eq!(h2.last_rp(), 41);
+        let modes = [(false, 1), (true, 1), (true, 4)];
+        for (seed, (async_checkpoint, k)) in (6..).zip(modes) {
+            for inside_allow in [false, true] {
+                let case = format!("async {async_checkpoint}, K={k}, allow {inside_allow}");
+                let cfg = PoolConfig::builder()
+                    .async_checkpoint(async_checkpoint)
+                    .epoch_pipeline(k)
+                    .build()
+                    .unwrap();
+                let region = sim_region(seed);
+                let pool = Pool::create(Arc::clone(&region), cfg).unwrap();
+                let mut h = pool.register();
+                h.rp(41);
+                if inside_allow {
+                    let allow = h.allow_checkpoints();
+                    pool.checkpoint_now();
+                    drop(allow);
+                } else {
+                    h.checkpoint_here();
+                }
+                h.rp(42); // crashed epoch: rolls back to 41
+                assert_eq!(h.last_rp(), 42, "{case}");
+                drop(h);
+                drop(pool); // commits every drain in flight
+                let (pool2, _) = crash_and_recover(&region);
+                let h2 = pool2.register();
+                assert_eq!(h2.last_rp(), 41, "{case}");
+            }
+        }
     }
 
     /// The scan's run cutter, over chunk lists that are empty, shorter than

@@ -25,6 +25,7 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::Ordering;
 
+use crossbeam::utils::CachePadded;
 use respct_pmem::{PAddr, Pod, Region, TraceMarker};
 
 use crate::incll::{cell_layout, epoch_tag, is_live, tag_epoch, ICell};
@@ -46,17 +47,21 @@ pub(crate) struct SlotState {
     pub reg_tail_used: u64,
     /// Blocks freed this epoch (deferred to the next checkpoint).
     pub frees: Vec<(PAddr, usize)>,
-    /// Volatile mirrors of the slot's persistent cursors. The InCLL cells
-    /// are only synced from these at checkpoint time (while every thread is
-    /// parked): mid-epoch persistent values are irrelevant because a crash
-    /// rolls the entire epoch back, so the hot paths run on plain memory.
+    /// Volatile mirrors of the slot's persistent cursors and restart-point
+    /// id. The InCLL cells are only synced from these at checkpoint time
+    /// (while every thread is parked): mid-epoch persistent values are
+    /// irrelevant because a crash rolls the entire epoch back, so the hot
+    /// paths run on plain memory.
     pub alloc_cur: u64,
     pub alloc_end: u64,
     pub reg_len: u64,
+    pub rp_id: u64,
 }
 
 /// The pool's slot array, shared between the owners and the checkpointer.
-pub(crate) struct SlotTable(Box<[UnsafeCell<SlotState>]>);
+/// Cache-padded: every `rp()` writes its slot's `rp_id`, so neighbouring
+/// slots must not share a line.
+pub(crate) struct SlotTable(Box<[CachePadded<UnsafeCell<SlotState>>]>);
 
 // SAFETY: the inner `SlotState`s are reached only through `Slot::state`,
 // and a `Slot` exists only while one of the three exclusivity proofs of the
@@ -74,7 +79,7 @@ impl SlotTable {
         SlotTable(
             (0..MAX_THREADS)
                 .map(|i| {
-                    UnsafeCell::new(SlotState {
+                    CachePadded::new(UnsafeCell::new(SlotState {
                         to_flush: vec![Vec::new(); nshards],
                         reg_tail: 0,
                         reg_tail_used: 0,
@@ -82,7 +87,8 @@ impl SlotTable {
                         alloc_cur: cursor(i, layout::SLOT_ALLOC_CUR),
                         alloc_end: cursor(i, layout::SLOT_ALLOC_END),
                         reg_len: cursor(i, layout::SLOT_REG_LEN),
-                    })
+                        rp_id: cursor(i, layout::SLOT_RP_ID),
+                    }))
                 })
                 .collect(),
         )
@@ -194,7 +200,7 @@ impl<'a> Slot<'a> {
         std::sync::atomic::compiler_fence(Ordering::Release);
         pool.region.store(cell.addr(), val);
         pool.metrics
-            .on_update(std::mem::size_of::<T>() as u64, first_touch);
+            .on_update(self.idx, std::mem::size_of::<T>() as u64, first_touch);
     }
 
     /// `init_InCLL` (paper Fig. 4, lines 19–23): writes all three fields,
@@ -230,7 +236,7 @@ impl<'a> Slot<'a> {
             self.register_cell(addr, l);
         }
         self.track_line(addr.line());
-        pool.metrics.on_bytes_stored(l.vsize as u64);
+        pool.metrics.on_bytes_stored(self.idx, l.vsize as u64);
         cell
     }
 
@@ -261,7 +267,7 @@ impl<'a> Slot<'a> {
         for line in first..=last {
             self.track_line(line);
         }
-        self.pool.metrics.on_bytes_stored(len as u64);
+        self.pool.metrics.on_bytes_stored(self.idx, len as u64);
     }
 }
 

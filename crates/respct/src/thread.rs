@@ -17,7 +17,7 @@ use std::sync::Arc;
 use respct_pmem::{PAddr, Pod, SyncToken};
 
 use crate::incll::ICell;
-use crate::layout::{self, MAX_THREADS};
+use crate::layout::MAX_THREADS;
 use crate::pool::{spin_until, Pool, SYSTEM_SLOT};
 use crate::slot::Slot;
 
@@ -52,14 +52,6 @@ impl std::fmt::Display for RpId {
 pub struct ThreadHandle {
     pool: Arc<Pool>,
     slot: usize,
-    /// Last `rp_id` written to the persistent RP cell: writing the same id
-    /// again is a semantic no-op *across epochs too* — the cell already
-    /// holds the id, and rolling back an untouched cell keeps it — so
-    /// `rp()` skips the cell update (hot loops sit on one RP site). The
-    /// skip also matters for the background drain: re-logging the RP cell
-    /// on the first `rp()` of each epoch would hit the push-out guard and
-    /// stall every thread once per drain for no semantic gain.
-    last_rp: std::cell::Cell<u64>,
     /// `!Sync` marker: the tracking-list protocol requires single ownership.
     _not_sync: PhantomData<std::cell::Cell<()>>,
 }
@@ -85,7 +77,6 @@ impl Pool {
         let handle = ThreadHandle {
             pool: Arc::clone(self),
             slot,
-            last_rp: std::cell::Cell::new(u64::MAX),
             _not_sync: PhantomData,
         };
         handle.access().rebuild_registry_cache();
@@ -226,8 +217,12 @@ impl ThreadHandle {
     /// Declares a restart point with identifier `id` (a [`RpId`] or a bare
     /// `u64` via `From`).
     ///
-    /// Persists the RP id thread-locally (so recovery can report where to
-    /// resume), then parks if a checkpoint is pending.
+    /// Records the RP id in the slot's volatile mirror, then parks if a
+    /// checkpoint is pending. The checkpoint persists the mirror while the
+    /// thread is parked (so recovery can report where to resume): the id
+    /// that becomes durable is the one the thread last passed before it
+    /// parked or raised its flag, and a crash rolls the RP cell back to it
+    /// — without an InCLL update per RP.
     #[inline]
     pub fn rp(&self, id: impl Into<RpId>) {
         let RpId(id) = id.into();
@@ -237,20 +232,17 @@ impl ThreadHandle {
                 slot: self.slot as u64,
                 id,
             });
-        if self.last_rp.get() != id {
-            let rp_cell = self.pool.slot_cell(self.slot, layout::SLOT_RP_ID);
-            self.update(rp_cell, id);
-            self.last_rp.set(id);
-        }
+        self.access().state().rp_id = id;
         if self.pool.timer.load(Ordering::Acquire) {
             self.park_for_checkpoint();
         }
     }
 
-    /// The last restart-point id persisted by this thread slot.
+    /// The last restart-point id this thread slot passed. It becomes
+    /// durable at the next checkpoint; until then a crash recovers the id
+    /// the previous checkpoint persisted.
     pub fn last_rp(&self) -> u64 {
-        self.pool
-            .cell_get(self.pool.slot_cell(self.slot, layout::SLOT_RP_ID))
+        self.access().state().rp_id
     }
 
     /// Parks until no checkpoint is pending, with the flag raised while
@@ -485,14 +477,53 @@ mod tests {
         assert_eq!(h.get(c), 42);
     }
 
+    /// `last_rp()` is the volatile id: it follows every `rp()` at once,
+    /// while the slot's persistent RP cell only moves at a checkpoint.
     #[test]
     fn rp_updates_persistent_rp_id() {
         let p = pool();
         let h = p.register();
+        let cell = p.slot_cell(h.slot(), crate::layout::SLOT_RP_ID);
         h.rp(7);
         assert_eq!(h.last_rp(), 7);
         h.rp(9);
         assert_eq!(h.last_rp(), 9);
+        assert_eq!(p.cell_get(cell), 0, "no checkpoint yet");
+        h.checkpoint_here();
+        assert_eq!(p.cell_get(cell), 9);
+    }
+
+    /// Restart points cost no persistent write: a thousand `rp()` calls
+    /// cycling through three ids within one epoch neither store to the
+    /// slot's RP cell nor log it; the next checkpoint persists the last id.
+    #[test]
+    fn rp_writes_nothing_between_checkpoints() {
+        use respct_pmem::{TraceEvent, TraceMarker, VecSink};
+        let region = Region::new(RegionConfig::fast(8 << 20));
+        let sink = Arc::new(VecSink::new());
+        region.set_trace_sink(sink.clone());
+        let p = Pool::create(region, PoolConfig::default()).unwrap();
+        let h = p.register();
+        let cell = p.slot_cell(h.slot(), crate::layout::SLOT_RP_ID);
+        h.checkpoint_here();
+        sink.drain();
+        for i in 0..1000u64 {
+            h.rp(i % 3);
+        }
+        let cell_bytes = cell.addr().0..cell.epoch_addr().0 + 8;
+        let touches_cell = |ev: &TraceEvent| match *ev {
+            TraceEvent::Store { addr, .. } => cell_bytes.contains(&addr),
+            TraceEvent::Marker {
+                marker: TraceMarker::CellLogged { addr, .. },
+                ..
+            } => addr == cell.addr().0,
+            _ => false,
+        };
+        let events = sink.drain();
+        assert_eq!(events.iter().filter(|ev| touches_cell(ev)).count(), 0);
+        assert_eq!(events.len(), 1000, "one RestartPoint marker per rp()");
+        h.checkpoint_here();
+        assert_eq!(p.cell_get(cell), 999 % 3);
     }
 
     #[test]

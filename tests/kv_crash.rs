@@ -189,7 +189,11 @@ fn sigkill_under_load(pipeline: Option<&str>) {
         .expect("config");
     let (pool, recovered) = Pool::open(&path, cfg).expect("reopen pool");
     recovered.expect("existing pool file must take the recovery path");
-    assert!(pool.verify().is_clean(), "pool integrity after SIGKILL");
+    let report = pool.verify();
+    assert!(
+        report.is_clean(),
+        "pipeline {pipeline:?}: pool integrity after SIGKILL: {report:#?}"
+    );
 
     // Every acknowledged sync write survived with intact bytes.
     let map = PHashMap::open(&pool, pool.root());

@@ -218,7 +218,7 @@ fn snapshots_are_sane_under_concurrent_checkpoints() {
                 }
             });
         }
-        let mut last_count = 0u64;
+        let (mut last_count, mut last_updates) = (0u64, 0u64);
         for _ in 0..200 {
             let snap = pool.runtime_metrics().ckpt_snapshot();
             if snap.count < last_count {
@@ -241,6 +241,15 @@ fn snapshots_are_sane_under_concurrent_checkpoints() {
                 violation = Some(format!("unbalanced JSON: {json}"));
                 break;
             }
+            // The per-slot tallies are summed live while their writers run.
+            let updates = json_u64(&json, "respct_incll_updates_total");
+            if updates < last_updates {
+                violation = Some(format!(
+                    "updates went backwards: {last_updates} -> {updates}"
+                ));
+                break;
+            }
+            last_updates = updates;
             let text = pool.metrics().to_prometheus();
             if !text.ends_with('\n') || !text.contains("# TYPE") {
                 violation = Some("malformed exposition".to_string());
