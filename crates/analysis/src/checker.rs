@@ -15,39 +15,35 @@
 //! each was last logged), which lines the epoch's tracking lists promise to
 //! flush, and where the checkpoint/recovery phase boundaries lie. The rules:
 //!
-//! 1. **Missed flush** — at `EpochAdvance` closing a *full* checkpoint,
-//!    every tracked line must satisfy `persisted_gen == gen`.
+//! 1. **Ring commit** — every checkpoint claims ring slot `epoch mod K` at
+//!    `PipelineBegin` (slot 0 on a synchronous pool), which snapshots the
+//!    tracked lines with their content generations as the drain's debt,
+//!    and commits at `RingCommit` (the slot goes durable-zero). At each
+//!    commit of a *full* checkpoint, every line the epoch owes must be
+//!    durable *at least at its snapshot generation* — else `MissedFlush`;
+//!    later stores to the same line belong to the next checkpoint. Up to K
+//!    drains may be open at once, but a claim of a slot whose previous
+//!    epoch is still open, a commit without a claim, and a commit while an
+//!    older epoch is still open are `RingCommitOrder` violations: zeroing
+//!    slot `e` durably claims every predecessor committed (and releases
+//!    epoch-`e` frees for reclamation).
 //! 2. **Logging rule** — a store overlapping a live cell's record span is
 //!    only legal when the cell has been logged (`CellLogged`) for the
 //!    current epoch, except while recovery rewrites records wholesale.
-//! 3. **Cross-line ordering** — at `OrderBarrier` (just before the
-//!    epoch-counter store) no thread may hold an unfenced `pwb` of a
-//!    tracked line: the commit's durability must not race its data.
+//! 3. **Cross-line ordering** — at `OrderBarrier` (just before the ring
+//!    commit) no thread may hold an unfenced `pwb` of a line an open drain
+//!    owes: the commit's durability must not race its data.
 //! 4. **Redundant flush** — a `pwb` of a line that is already durable (and
 //!    not merely because the simulator happened to evict it) wastes
 //!    write-back bandwidth. Perf severity.
-//! 5. **Epoch discipline** — epochs advance by exactly 1; checkpoint, log,
-//!    and recovery markers must carry the epoch the checker believes is
-//!    current.
+//! 5. **Epoch discipline** — each claim advances the epoch by exactly 1;
+//!    checkpoint, claim, log, and recovery markers must carry the epoch the
+//!    checker believes is current.
 //! 6. **Shard fence protocol** — the sharded flush pipeline brackets each
 //!    shard's write-backs with `ShardFlushBegin`/`ShardFlushEnd`, and `End`
 //!    asserts the shard's pwbs are covered by a fence. Every opened shard
 //!    must be closed before the `OrderBarrier`; double-opens and closes
 //!    without a begin are protocol violations too.
-//! 7. **Ring commit order** — an `async_checkpoint` pool (ring depth
-//!    K = 1..=4) releases threads at `PipelineBegin`, which claims ring
-//!    slot `epoch mod K` and snapshots the tracked lines with their
-//!    content generations, and commits at `RingCommit` (the slot goes
-//!    durable-zero). Up to K drains may be open at once, but a claim of a
-//!    slot whose previous epoch is still open is a violation (at K = 1:
-//!    a second drain began before the first committed), and commits must
-//!    appear in strict epoch order — `RingCommit { e }` while an epoch
-//!    older than `e` is still open is a violation, because zeroing slot
-//!    `e` durably claims every predecessor committed (and releases
-//!    epoch-`e` frees for reclamation). At each commit, every line of the
-//!    epoch's own snapshot must be durable *at least at its snapshot
-//!    generation*; later stores to the same line are fine — they belong to
-//!    the next checkpoint.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -76,7 +72,7 @@ struct CellState {
     logged_epoch: Option<u64>,
 }
 
-/// One background drain between its `PipelineBegin` and its `RingCommit`.
+/// One drain between its `PipelineBegin` and its `RingCommit`.
 struct OpenDrain {
     /// The ring slot the epoch claimed.
     slot: u64,
@@ -94,8 +90,8 @@ struct CheckerState {
     cells: BTreeMap<u64, CellState>,
     /// Lines the current epoch's tracking lists promise to flush.
     tracked: HashSet<u64>,
-    /// Open background drains, keyed by epoch so rule 7 can both check
-    /// commits in order and settle each epoch's own debt.
+    /// Open drains, keyed by epoch so rule 1 can both check commits in
+    /// order and settle each epoch's own debt.
     ring_open: BTreeMap<u64, OpenDrain>,
     /// `(tid, line)` of on-demand push-outs (`DrainPushOut`) whose fence has
     /// not been seen yet. A push-out is an application thread's own,
@@ -344,7 +340,7 @@ impl CheckerState {
                 // Rule 6: every shard the flush pipeline opened must have
                 // been fenced and closed before the commit barrier; an open
                 // shard means its write-backs may still be in flight when
-                // the epoch counter becomes durable.
+                // the ring commit becomes durable.
                 let mut open: Vec<u64> = self.open_shards.drain().collect();
                 open.sort_unstable();
                 for shard in open {
@@ -353,20 +349,19 @@ impl CheckerState {
                         None,
                         None,
                         format!(
-                            "flush shard {shard} still open at the epoch commit barrier \
+                            "flush shard {shard} still open at the ring commit barrier \
                              (missing shard fence)"
                         ),
                     );
                 }
-                // Rule 3: the epoch-counter store that follows assumes every
-                // data write-back is durable. An unfenced pwb of a tracked
-                // line at this point can reach NVMM *after* the commit.
+                // Rule 3: the ring commit that follows assumes every data
+                // write-back is durable. An unfenced pwb of an owed line at
+                // this point can reach NVMM *after* the commit.
                 let mut unfenced: Vec<u64> = Vec::new();
                 for (&pwb_tid, pends) in &self.pending {
                     for &(line, _) in pends {
                         if !self.pushing_out.contains(&(pwb_tid, line))
-                            && (self.tracked.contains(&line)
-                                || self.ring_open.values().any(|d| d.owed.contains_key(&line)))
+                            && self.ring_open.values().any(|d| d.owed.contains_key(&line))
                         {
                             unfenced.push(line);
                         }
@@ -380,46 +375,11 @@ impl CheckerState {
                         Some(line),
                         None,
                         format!(
-                            "tracked line {line} has an unfenced pwb at the epoch commit \
+                            "owed line {line} has an unfenced pwb at the ring commit \
                              barrier (missing psync)"
                         ),
                     );
                 }
-            }
-            TraceMarker::EpochAdvance { epoch } => {
-                // Rule 1: the epoch counter is durable; everything the closed
-                // epoch tracked must have been durable first.
-                if self.in_checkpoint && self.ckpt_full {
-                    let mut missed: Vec<u64> = self
-                        .tracked
-                        .iter()
-                        .copied()
-                        .filter(|l| self.lines.get(l).is_some_and(|s| s.persisted_gen < s.gen))
-                        .collect();
-                    missed.sort_unstable();
-                    for line in missed {
-                        self.diag(
-                            DiagnosticKind::MissedFlush,
-                            Some(line),
-                            None,
-                            format!(
-                                "line {line} was tracked for the closed epoch but not durable \
-                                 when the epoch counter committed"
-                            ),
-                        );
-                    }
-                }
-                self.tracked.clear();
-                match self.epoch {
-                    Some(e) if epoch != e + 1 => self.diag(
-                        DiagnosticKind::EpochDiscipline,
-                        None,
-                        None,
-                        format!("epoch advanced {e} -> {epoch} (must be +1)"),
-                    ),
-                    _ => {}
-                }
-                self.epoch = Some(epoch);
             }
             TraceMarker::CheckpointEnd { epoch } => {
                 if let Some(e) = self.epoch {
@@ -467,8 +427,7 @@ impl CheckerState {
                 self.in_recovery = false;
             }
             TraceMarker::PipelineBegin { epoch, slot } => {
-                // The ring-slot claim: threads are released here, so this
-                // marker doubles as the (volatile) epoch advance. Snapshot
+                // The ring-slot claim, which advances the epoch. Snapshot
                 // what the drain owes — the tracked lines at their current
                 // content generation. Later stores to the same lines belong
                 // to epoch `epoch + 1` and are NOT this drain's problem.
@@ -516,16 +475,11 @@ impl CheckerState {
                 self.epoch = Some(epoch + 1);
             }
             TraceMarker::RingCommit { epoch } => {
-                // Rule 7: ring slot `epoch % K` is durably zero. Commits
+                // Rule 1: ring slot `epoch % K` is durably zero. Commits
                 // must retire oldest-first — zeroing this slot claims every
                 // predecessor already committed, so an older epoch still
                 // open here means a crash now would leave a ring hole.
-                let stale: Vec<u64> = self
-                    .ring_open
-                    .keys()
-                    .copied()
-                    .filter(|&open| open < epoch)
-                    .collect();
+                let stale: Vec<u64> = self.ring_open.range(..epoch).map(|(&e, _)| e).collect();
                 if !stale.is_empty() {
                     self.diag(
                         DiagnosticKind::RingCommitOrder,
@@ -537,39 +491,40 @@ impl CheckerState {
                         ),
                     );
                 }
-                match self.ring_open.remove(&epoch) {
-                    None => self.diag(
+                let Some(drain) = self.ring_open.remove(&epoch) else {
+                    self.diag(
                         DiagnosticKind::RingCommitOrder,
                         None,
                         None,
                         format!("ring commit for epoch {epoch} without a matching PipelineBegin"),
-                    ),
-                    // Every line the drain snapshotted must be durable at
-                    // (or past) its snapshot generation, or a crash right
-                    // now recovers past `epoch` with its data missing.
-                    Some(drain) if self.ckpt_full => {
-                        let mut missed: Vec<(u64, u64, u64)> = drain
-                            .owed
-                            .iter()
-                            .filter_map(|(&line, &snap_gen)| {
-                                let durable = self.lines.get(&line).map_or(0, |s| s.persisted_gen);
-                                (durable < snap_gen).then_some((line, snap_gen, durable))
-                            })
-                            .collect();
-                        missed.sort_unstable();
-                        for (line, snap_gen, durable) in missed {
-                            self.diag(
-                                DiagnosticKind::RingCommitOrder,
-                                Some(line),
-                                None,
-                                format!(
-                                    "ring commit for epoch {epoch} but line {line} is durable \
-                                     only at gen {durable} < snapshot gen {snap_gen}"
-                                ),
-                            );
-                        }
-                    }
-                    Some(_) => {}
+                    );
+                    return;
+                };
+                if !self.ckpt_full {
+                    return; // NoFlush: the data is deliberately not written back
+                }
+                // Every line the drain snapshotted must be durable at (or
+                // past) its snapshot generation, or a crash right now
+                // recovers past `epoch` with its data missing.
+                let mut missed: Vec<(u64, u64, u64)> = drain
+                    .owed
+                    .iter()
+                    .filter_map(|(&line, &snap_gen)| {
+                        let durable = self.lines.get(&line).map_or(0, |s| s.persisted_gen);
+                        (durable < snap_gen).then_some((line, snap_gen, durable))
+                    })
+                    .collect();
+                missed.sort_unstable();
+                for (line, snap_gen, durable) in missed {
+                    self.diag(
+                        DiagnosticKind::MissedFlush,
+                        Some(line),
+                        None,
+                        format!(
+                            "ring commit for epoch {epoch} but line {line} is durable only \
+                             at gen {durable} < snapshot gen {snap_gen}"
+                        ),
+                    );
                 }
             }
             TraceMarker::RestartPoint { .. } => {}
@@ -655,17 +610,17 @@ mod tests {
     #[test]
     fn clean_epoch_cycle() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: true,
             }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             TraceEvent::Pwb { tid: 1, line: 10 },
             TraceEvent::Psync { tid: 1 },
             marker(TraceMarker::OrderBarrier),
-            marker(TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
             marker(TraceMarker::CheckpointEnd { epoch: 1 }),
         ]);
         assert!(r.is_clean(), "{r}");
@@ -675,16 +630,16 @@ mod tests {
     #[test]
     fn missed_flush_detected() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: true,
             }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             // no pwb/psync of line 10
             marker(TraceMarker::OrderBarrier),
-            marker(TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
         ]);
         assert_eq!(r.of_kind(DiagnosticKind::MissedFlush).len(), 1, "{r}");
     }
@@ -692,15 +647,15 @@ mod tests {
     #[test]
     fn noflush_checkpoint_suspends_missed_flush() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: false,
             }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             marker(TraceMarker::OrderBarrier),
-            marker(TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
         ]);
         assert!(r.is_clean(), "{r}");
     }
@@ -708,7 +663,6 @@ mod tests {
     #[test]
     fn eviction_satisfies_flush_promise() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             TraceEvent::Eviction { line: 10 },
@@ -716,8 +670,9 @@ mod tests {
                 epoch: 1,
                 full: true,
             }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             marker(TraceMarker::OrderBarrier),
-            marker(TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
         ]);
         assert!(r.is_clean(), "{r}");
     }
@@ -725,13 +680,13 @@ mod tests {
     #[test]
     fn unfenced_pwb_at_barrier_is_ordering_violation() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: true,
             }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             TraceEvent::Pwb { tid: 1, line: 10 },
             // missing Psync
             marker(TraceMarker::OrderBarrier),
@@ -746,7 +701,6 @@ mod tests {
         // The commit relies on the executor's own (fenced) flush of the
         // line, not on the push-out.
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
@@ -776,7 +730,6 @@ mod tests {
     fn logging_rule_enforced() {
         let cell = 1024u64;
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             marker(TraceMarker::CellDeclare {
                 addr: cell,
                 vsize: 8,
@@ -788,7 +741,11 @@ mod tests {
                 epoch: 1,
             }),
             TraceEvent::store_meta(1, cell, 8), // logged: fine
-            marker(TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(TraceMarker::CheckpointBegin {
+                epoch: 1,
+                full: true,
+            }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             TraceEvent::store_meta(1, cell, 8), // new epoch, no log
         ]);
         let v = r.of_kind(DiagnosticKind::LoggingViolation);
@@ -800,7 +757,6 @@ mod tests {
     fn retired_cell_may_be_overwritten() {
         let cell = 1024u64;
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             marker(TraceMarker::CellDeclare {
                 addr: cell,
                 vsize: 8,
@@ -811,7 +767,11 @@ mod tests {
                 addr: cell,
                 epoch: 1,
             }),
-            marker(TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(TraceMarker::CheckpointBegin {
+                epoch: 1,
+                full: true,
+            }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             marker(TraceMarker::CellRetire {
                 addr: cell,
                 len: 32,
@@ -825,7 +785,6 @@ mod tests {
     fn recovery_stores_are_exempt_and_reapply_marks_logged() {
         let cell = 1024u64;
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             marker(TraceMarker::CellDeclare {
                 addr: cell,
                 vsize: 8,
@@ -853,7 +812,6 @@ mod tests {
     #[test]
     fn redundant_flush_is_perf_advisory() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             TraceEvent::Pwb { tid: 1, line: 10 },
             TraceEvent::Psync { tid: 1 },
@@ -865,9 +823,21 @@ mod tests {
 
     #[test]
     fn skipping_epoch_advance_flagged() {
+        // Epoch 1's claim advances to epoch 2; a checkpoint of epoch 3 skips
+        // one.
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
-            marker(TraceMarker::EpochAdvance { epoch: 3 }),
+            marker(TraceMarker::CheckpointBegin {
+                epoch: 1,
+                full: true,
+            }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
+            marker(TraceMarker::OrderBarrier),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
+            marker(TraceMarker::CheckpointEnd { epoch: 1 }),
+            marker(TraceMarker::CheckpointBegin {
+                epoch: 3,
+                full: true,
+            }),
         ]);
         assert_eq!(r.of_kind(DiagnosticKind::EpochDiscipline).len(), 1, "{r}");
     }
@@ -875,19 +845,19 @@ mod tests {
     #[test]
     fn sharded_flush_cycle_is_clean() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: true,
             }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             marker(TraceMarker::ShardFlushBegin { shard: 3, lines: 1 }),
             TraceEvent::Pwb { tid: 1, line: 10 },
             TraceEvent::Psync { tid: 1 },
             marker(TraceMarker::ShardFlushEnd { shard: 3 }),
             marker(TraceMarker::OrderBarrier),
-            marker(TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
             marker(TraceMarker::CheckpointEnd { epoch: 1 }),
         ]);
         assert!(r.is_clean(), "{r}");
@@ -897,13 +867,13 @@ mod tests {
     #[test]
     fn open_shard_at_barrier_flagged() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: true,
             }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             marker(TraceMarker::ShardFlushBegin { shard: 3, lines: 1 }),
             TraceEvent::Pwb { tid: 1, line: 10 },
             // no psync, no ShardFlushEnd: the shard's fence was skipped
@@ -919,17 +889,17 @@ mod tests {
     #[test]
     fn unbalanced_shard_markers_flagged() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: true,
             }),
+            marker(TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             marker(TraceMarker::ShardFlushBegin { shard: 1, lines: 2 }),
             marker(TraceMarker::ShardFlushBegin { shard: 1, lines: 2 }), // double open
             marker(TraceMarker::ShardFlushEnd { shard: 1 }),
             marker(TraceMarker::ShardFlushEnd { shard: 2 }), // end without begin
             marker(TraceMarker::OrderBarrier),
-            marker(TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(TraceMarker::RingCommit { epoch: 1 }),
             marker(TraceMarker::CheckpointEnd { epoch: 1 }),
         ]);
         assert_eq!(r.of_kind(DiagnosticKind::ShardFence).len(), 2, "{r}");
@@ -938,10 +908,9 @@ mod tests {
     #[test]
     fn ring_cycle_is_clean() {
         // K = 2: epoch 2 opens while epoch 1's drain is still flushing
-        // (legal under rule 7), and the commits retire in order, each
+        // (legal under rule 1), and the commits retire in order, each
         // behind its own order barrier.
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
@@ -981,7 +950,6 @@ mod tests {
         // pwb+psync below covers — the newer store is the *next*
         // checkpoint's debt.
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
@@ -999,13 +967,12 @@ mod tests {
             marker(TraceMarker::RingCommit { epoch: 1 }),
         ]);
         assert!(r.is_clean(), "{r}");
-        assert!(r.of_kind(DiagnosticKind::RingCommitOrder).is_empty(), "{r}");
+        assert!(r.diagnostics.is_empty(), "{r}");
     }
 
     #[test]
     fn drain_epoch_mismatch_flagged() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: true,
@@ -1022,7 +989,6 @@ mod tests {
         // epoch 1 must roll back. (At K = 2 the same two claims land on
         // different slots and are legal: `ring_cycle_is_clean`.)
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             marker(TraceMarker::CheckpointBegin {
                 epoch: 1,
                 full: true,
@@ -1049,7 +1015,6 @@ mod tests {
         // Epoch 2's slot is zeroed while epoch 1 is still draining — a
         // crash here leaves a ring hole recovery rejects.
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
@@ -1078,10 +1043,12 @@ mod tests {
         assert!(!r.is_clean(), "{r}");
     }
 
+    /// A commit before the epoch's lines are durable is a missed flush,
+    /// whichever thread drains — the same finding on a ring slot of any
+    /// depth as at a synchronous pool's slot 0.
     #[test]
     fn ring_commit_before_durable_flagged() {
         let r = replay(&[
-            marker(TraceMarker::EpochAdvance { epoch: 1 }),
             TraceEvent::store_meta(1, 640, 8),
             marker(TraceMarker::TrackLine { line: 10 }),
             marker(TraceMarker::CheckpointBegin {
@@ -1093,16 +1060,15 @@ mod tests {
             marker(TraceMarker::RingCommit { epoch: 1 }),
             marker(TraceMarker::CheckpointEnd { epoch: 1 }),
         ]);
-        let v = r.of_kind(DiagnosticKind::RingCommitOrder);
+        let v = r.of_kind(DiagnosticKind::MissedFlush);
         assert_eq!(v.len(), 1, "{r}");
         assert_eq!(v[0].line, Some(10));
-        assert!(!r.is_clean(), "{r}");
+        assert!(r.of_kind(DiagnosticKind::RingCommitOrder).is_empty(), "{r}");
     }
 
     #[test]
     fn diagnostics_are_capped_per_kind() {
         let c = Checker::new();
-        c.event(&marker(TraceMarker::EpochAdvance { epoch: 1 }));
         for i in 0..(MAX_PER_KIND as u64 + 40) {
             c.event(&marker(TraceMarker::CellDeclare {
                 addr: i * 64,
@@ -1110,7 +1076,18 @@ mod tests {
                 backup_off: 8,
                 epoch_off: 16,
             }));
-            c.event(&marker(TraceMarker::EpochAdvance { epoch: 2 + i }));
+            // A whole checkpoint of epoch `i + 1`: its claim advances the
+            // epoch past the one the cell was declared in.
+            let epoch = i + 1;
+            for m in [
+                TraceMarker::CheckpointBegin { epoch, full: true },
+                TraceMarker::PipelineBegin { epoch, slot: 0 },
+                TraceMarker::OrderBarrier,
+                TraceMarker::RingCommit { epoch },
+                TraceMarker::CheckpointEnd { epoch },
+            ] {
+                c.event(&marker(m));
+            }
             c.event(&TraceEvent::store_meta(1, i * 64, 8));
         }
         let r = c.report();

@@ -34,8 +34,8 @@
 //!   cells on one line are allowed — each cell's backup is self-contained
 //!   (that is the InCLL design), and data-parallel apps legitimately share
 //!   boundary lines.
-//! * **(b) Un-ordered protocol point** — the epoch-counter commit
-//!   (`EpochAdvance`) and each ring commit (`RingCommit`, any ring depth)
+//! * **(b) Un-ordered protocol point** — each ring commit (`RingCommit`,
+//!   inline on a synchronous pool or on the drain executor, any ring depth)
 //!   must be happens-before-after a fence of every line *its own* epoch
 //!   charges; likewise a thread that pushed out a line owed to epoch `e`
 //!   ([`TraceMarker::DrainPushOut`]) must acquire the release of `e`'s own
@@ -45,7 +45,7 @@
 //!   thread has an in-flight (unfenced) write-back.
 //!
 //! Per-line write histories reset at every epoch boundary
-//! (`EpochAdvance`, `PipelineBegin`, crash/restore, `RecoveryEnd`): ResPCT's
+//! (`PipelineBegin`, crash/restore, `RecoveryBegin`/`End`): ResPCT's
 //! epoch rollback makes cross-epoch write pairs harmless by construction.
 //!
 //! [`TracedMutex`]: https://docs.rs/respct
@@ -129,7 +129,7 @@ struct RaceState {
     pending_pwbs: HashMap<u64, Vec<u64>>,
     /// Lines the current epoch's tracking lists charge to the next commit.
     tracked: HashSet<u64>,
-    /// Open background drains: epoch → (cycle generation at its
+    /// Open drains: epoch → (cycle generation at its
     /// `PipelineBegin`, the `tracked` snapshot its `RingCommit` is charged
     /// with). Several may be open at once on a ring deeper than 1.
     ring_open: HashMap<u64, (u64, Vec<u64>)>,
@@ -139,9 +139,7 @@ struct RaceState {
     /// Push-out obligations: `(tid, line)` → the epoch whose commit the
     /// thread's next store to `line` must be ordered after.
     pushouts: HashMap<(u64, u64), u64>,
-    in_checkpoint: bool,
     ckpt_full: bool,
-    in_recovery: bool,
     epoch: Option<u64>,
     report: Report,
 }
@@ -209,8 +207,6 @@ impl RaceState {
                 self.ring_open.clear();
                 self.ring_commits.clear();
                 self.pushouts.clear();
-                self.in_checkpoint = false;
-                self.in_recovery = false;
             }
             TraceEvent::Marker { tid, marker } => self.on_marker(tid, marker),
         }
@@ -432,21 +428,11 @@ impl RaceState {
                 self.tracked.insert(line);
             }
             TraceMarker::CheckpointBegin { epoch, full } => {
-                self.in_checkpoint = true;
                 self.ckpt_full = full;
                 self.gen += 1;
                 if self.epoch.is_none() {
                     self.epoch = Some(epoch);
                 }
-            }
-            TraceMarker::EpochAdvance { epoch } => {
-                if self.in_checkpoint && self.ckpt_full {
-                    let lines: Vec<u64> = self.tracked.iter().copied().collect();
-                    self.check_commit("epoch commit", tid, &lines, self.gen);
-                }
-                self.tracked.clear();
-                self.reset_epoch_writes();
-                self.epoch = Some(epoch);
             }
             TraceMarker::PipelineBegin { epoch, .. } => {
                 let lines = self.tracked.drain().collect();
@@ -470,19 +456,13 @@ impl RaceState {
                 // against that epoch's commit whenever the store arrives.
                 self.pushouts.insert((tid, addr / 64), epoch);
             }
-            TraceMarker::CheckpointEnd { .. } => {
-                self.in_checkpoint = false;
-            }
             TraceMarker::RecoveryBegin { failed_epoch } => {
-                self.in_recovery = true;
                 self.epoch = Some(failed_epoch);
                 self.reset_epoch_writes();
             }
-            TraceMarker::RecoveryEnd { .. } => {
-                self.in_recovery = false;
-                self.reset_epoch_writes();
-            }
-            TraceMarker::OrderBarrier
+            TraceMarker::RecoveryEnd { .. } => self.reset_epoch_writes(),
+            TraceMarker::CheckpointEnd { .. }
+            | TraceMarker::OrderBarrier
             | TraceMarker::ShardFlushBegin { .. }
             | TraceMarker::ShardFlushEnd { .. }
             | TraceMarker::RecoveryApply { .. }
@@ -664,7 +644,7 @@ mod tests {
         let r = replay(&[
             cell_at(cell),
             TraceEvent::store_meta(1, cell, 8),
-            marker(9, TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(9, TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             // Same cell, other thread, next epoch: rollback discipline
             // makes the pair harmless.
             TraceEvent::store_meta(2, cell, 8),
@@ -686,9 +666,10 @@ mod tests {
                     full: true,
                 },
             ),
+            marker(9, TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             TraceEvent::Pwb { tid: 2, line: 10 },
             TraceEvent::Psync { tid: 2 },
-            marker(9, TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(9, TraceMarker::RingCommit { epoch: 1 }),
         ]);
         let v = r.of_kind(DiagnosticKind::UnorderedCommit);
         assert_eq!(v.len(), 1, "{r}");
@@ -708,11 +689,12 @@ mod tests {
                     full: true,
                 },
             ),
+            marker(9, TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             TraceEvent::Pwb { tid: 2, line: 10 },
             TraceEvent::Psync { tid: 2 },
             rel(2, ack),
             acq(9, ack),
-            marker(9, TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(9, TraceMarker::RingCommit { epoch: 1 }),
         ]);
         assert!(r.is_clean(), "{r}");
     }
@@ -732,11 +714,12 @@ mod tests {
                     full: true,
                 },
             ),
+            marker(9, TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             TraceEvent::Pwb { tid: 5, line: 10 }, // push-out by app thread 5
             TraceEvent::Psync { tid: 5 },
             TraceEvent::Pwb { tid: 9, line: 10 }, // committer's own flush
             TraceEvent::Psync { tid: 9 },
-            marker(9, TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(9, TraceMarker::RingCommit { epoch: 1 }),
         ]);
         assert!(r.is_clean(), "{r}");
     }
@@ -757,11 +740,12 @@ mod tests {
                     full: true,
                 },
             ),
+            marker(9, TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
             TraceEvent::Pwb { tid: 2, line: 10 },
             TraceEvent::Psync { tid: 2 },
             rel(2, ack),
             acq(9, ack),
-            marker(9, TraceMarker::EpochAdvance { epoch: 2 }),
+            marker(9, TraceMarker::RingCommit { epoch: 1 }),
             marker(2, TraceMarker::TrackLine { line: 10 }),
             marker(
                 9,
@@ -770,7 +754,8 @@ mod tests {
                     full: true,
                 },
             ),
-            marker(9, TraceMarker::EpochAdvance { epoch: 3 }),
+            marker(9, TraceMarker::PipelineBegin { epoch: 2, slot: 0 }),
+            marker(9, TraceMarker::RingCommit { epoch: 2 }),
         ]);
         assert!(r.is_clean(), "{r}");
     }
@@ -992,7 +977,13 @@ mod tests {
         for i in 0..(MAX_PER_KIND as u64 + 20) {
             d.event(&TraceEvent::store_meta(1, i * 64, 8));
             d.event(&TraceEvent::store_meta(2, i * 64 + 4, 8));
-            d.event(&marker(9, TraceMarker::EpochAdvance { epoch: i + 2 }));
+            d.event(&marker(
+                9,
+                TraceMarker::PipelineBegin {
+                    epoch: i + 1,
+                    slot: 0,
+                },
+            ));
         }
         let r = d.report();
         assert_eq!(r.of_kind(DiagnosticKind::PersistRace).len(), MAX_PER_KIND);

@@ -28,41 +28,38 @@ pub enum Severity {
 /// Category of a trace-checker diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagnosticKind {
-    /// A cache line tracked for the closing epoch was not durable when the
-    /// epoch counter committed: a crash right after the epoch advance would
-    /// recover state missing that line's updates.
+    /// A cache line the closed epoch owes was not durable at its snapshot
+    /// generation when the epoch's ring slot committed: a crash right after
+    /// the commit would recover state missing that line's updates.
     MissedFlush,
     /// An InCLL cell's record was overwritten in an epoch that had not yet
     /// written the in-line backup + epoch tag (paper Fig. 4 lines 24–29):
     /// rollback of a crashed epoch would restore a stale or torn value.
     LoggingViolation,
-    /// The epoch-counter store relies on earlier cross-line writes being
-    /// durable, but a write-back of a tracked line was still unfenced at the
-    /// ordering barrier (missing `psync` between data flush and commit).
+    /// The ring commit relies on earlier cross-line writes being durable,
+    /// but a write-back of an owed line was still unfenced at the ordering
+    /// barrier (missing `psync` between data flush and commit).
     CrossLineOrdering,
     /// A `pwb` of a line whose content was already durable (nothing dirty
     /// to write back). Wasted write-back bandwidth.
     RedundantFlush,
-    /// Epoch bookkeeping broke its own rules: a non-monotonic or skipping
-    /// epoch advance, a checkpoint or log record stamped with the wrong
-    /// epoch, or recovery resuming in the wrong epoch.
+    /// Epoch bookkeeping broke its own rules: a checkpoint, ring claim, log
+    /// record or recovery stamped with an epoch other than the current one
+    /// (so a skipping epoch advance), or a claim outside a checkpoint.
     EpochDiscipline,
     /// The sharded flush pipeline broke its fence protocol: a shard was
     /// opened twice, closed without a begin, or was still open (write-backs
-    /// issued but not yet covered by a fence) when the epoch commit barrier
+    /// issued but not yet covered by a fence) when the ring commit barrier
     /// ran. A crash between the barrier and the missing fence would commit
     /// an epoch whose shard data may not be durable.
     ShardFence,
-    /// The background drain's epoch-record ring (depth K = 1..=4) broke its
-    /// ordered-commit invariant: a slot was claimed while its previous
-    /// epoch was still uncommitted, a `RingCommit` was published while an
-    /// *older* epoch's drain was still uncommitted, or an epoch committed
-    /// while a line it snapshotted at `PipelineBegin` was not yet durable at
-    /// its snapshot generation (a crash after the commit would recover past
-    /// that epoch with its data missing). A crash between an out-of-order
-    /// pair leaves a hole in the ring, which recovery rejects as corruption
-    /// — and the frees the early commit released may already have clobbered
-    /// rollback state.
+    /// The epoch-record ring (depth K = 1..=4; 1 on a synchronous pool)
+    /// broke its ordered-commit invariant: a slot was claimed while its
+    /// previous epoch was still uncommitted, a `RingCommit` had no matching
+    /// claim, or it was published while an *older* epoch's drain was still
+    /// uncommitted. A crash between an out-of-order pair leaves a hole in
+    /// the ring, which recovery rejects as corruption — and the frees the
+    /// early commit released may already have clobbered rollback state.
     RingCommitOrder,
     /// A crash-point sweep found a reachable crash image whose recovered
     /// state differs from the model snapshot of the last committed
@@ -76,8 +73,8 @@ pub enum DiagnosticKind {
     /// Also raised for a recovery-time load racing another thread's
     /// in-flight write-back.
     PersistRace,
-    /// A protocol commit point (the epoch-counter store or a ring commit)
-    /// is not happens-before-ordered after a fence it charges —
+    /// A protocol commit point (a ring commit) is not
+    /// happens-before-ordered after a fence it charges —
     /// or a pushed-out line was overwritten without acquiring the drain's
     /// commit release. The commit's durability can race the data it
     /// promises is durable.

@@ -58,8 +58,8 @@ pub fn is_crash_point(ev: &TraceEvent) -> bool {
 }
 
 /// Whether `ev` is a checkpoint-protocol boundary (shard fences, the order
-/// barrier, the epoch commit). Sweeps visit these regardless of any stride
-/// sampling — commit-ordering bugs are only observable here.
+/// barrier, the ring claim and commit). Sweeps visit these regardless of any
+/// stride sampling — commit-ordering bugs are only observable here.
 pub fn is_protocol_point(ev: &TraceEvent) -> bool {
     matches!(
         ev,
@@ -68,7 +68,6 @@ pub fn is_protocol_point(ev: &TraceEvent) -> bool {
                 | TraceMarker::ShardFlushBegin { .. }
                 | TraceMarker::ShardFlushEnd { .. }
                 | TraceMarker::OrderBarrier
-                | TraceMarker::EpochAdvance { .. }
                 | TraceMarker::PipelineBegin { .. }
                 | TraceMarker::RingCommit { .. }
                 | TraceMarker::CheckpointEnd { .. },
@@ -473,7 +472,7 @@ mod tests {
         assert!(!is_crash_point(&TraceEvent::Restore));
         let commit = TraceEvent::Marker {
             tid: 1,
-            marker: TraceMarker::EpochAdvance { epoch: 3 },
+            marker: TraceMarker::RingCommit { epoch: 3 },
         };
         assert!(is_crash_point(&commit) && is_protocol_point(&commit));
         let rp = TraceEvent::Marker {

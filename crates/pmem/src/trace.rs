@@ -4,7 +4,7 @@
 //! persistence-relevant action as a typed [`TraceEvent`]: raw stores, write
 //! backs (`pwb`), fences (`psync`), simulator evictions, crash/restore
 //! lifecycle, and semantic [`TraceMarker`]s emitted by the ResPCT runtime
-//! (epoch advances, checkpoint phases, InCLL logging, recovery). The event
+//! (ring claims and commits, checkpoint phases, InCLL logging, recovery). The event
 //! stream is what the `respct-analysis` crate replays against a cache-line
 //! state machine to check the algorithm's persistency discipline — the same
 //! division of labor as pmemcheck/PMTest, but with ResPCT-specific rules.
@@ -55,14 +55,10 @@ pub enum TraceMarker {
     /// is false in `NoFlush` mode (tracked lines intentionally not written
     /// back, so the missed-flush rule is suspended).
     CheckpointBegin { epoch: u64, full: bool },
-    /// All checkpoint data flushes are claimed complete; the epoch-counter
-    /// store that commits the checkpoint follows. At this point no thread
-    /// may have an unfenced `pwb` of a tracked line in flight (the
-    /// cross-line ordering rule).
+    /// All of a drain's data flushes are claimed complete; the ring commit
+    /// follows. At this point no thread may have an unfenced `pwb` of a
+    /// line an open drain owes (the cross-line ordering rule).
     OrderBarrier,
-    /// The durable epoch counter advanced to `epoch` (must be the previous
-    /// epoch + 1).
-    EpochAdvance { epoch: u64 },
     /// A flusher (or the checkpointer, inline) started writing back flush
     /// shard `shard` of the current checkpoint: `lines` unique cache lines,
     /// already sorted + deduplicated. Hash partitioning guarantees a line
@@ -70,21 +66,22 @@ pub enum TraceMarker {
     ShardFlushBegin { shard: u64, lines: u64 },
     /// Every write-back of flush shard `shard` is covered by a fence. All
     /// shards opened since `CheckpointBegin` must be closed before the
-    /// `OrderBarrier` that precedes the epoch commit.
+    /// `OrderBarrier` that precedes the ring commit.
     ShardFlushEnd { shard: u64 },
-    /// An `async_checkpoint` pool claimed ring slot `slot` (`epoch % K`,
-    /// K = 1..=4) for `epoch` and released the quiesced threads: the claim
-    /// (`ring[slot] = epoch`, `epoch = epoch + 1`) is durable, the epoch's
-    /// tracking lists are snapshotted under the epoch's generation, and the
-    /// drain of `epoch` proceeds on the drain executor while up to `K - 1`
+    /// A checkpoint claimed ring slot `slot` (`epoch % K`, K = 1..=4; slot 0
+    /// on a synchronous pool) for `epoch`: the claim (`ring[slot] = epoch`,
+    /// `epoch = epoch + 1`) is durable and the epoch's tracking lists are
+    /// snapshotted under the epoch's generation. The drain of `epoch`
+    /// follows — inline before the threads are released on a synchronous
+    /// pool, on the drain executor after it otherwise, while up to `K - 1`
     /// older drains may still be committing. Claiming a slot whose previous
-    /// epoch has not committed is a discipline violation (checker rule 7).
+    /// epoch has not committed is a discipline violation (checker rule 1).
     PipelineBegin { epoch: u64, slot: u64 },
-    /// The background drain of `epoch` is complete: every snapshotted line
-    /// is written back and fenced, and ring slot `epoch % K` is committed
-    /// back to zero. Commits must appear in epoch order — a `RingCommit`
-    /// for `epoch` while an older claimed epoch is still uncommitted is a
-    /// discipline violation (checker rule 7).
+    /// The drain of `epoch` is complete: every snapshotted line is written
+    /// back and fenced, and ring slot `epoch % K` is committed back to zero.
+    /// Commits must appear in epoch order — a `RingCommit` for `epoch`
+    /// while an older claimed epoch is still uncommitted is a discipline
+    /// violation (checker rule 1).
     RingCommit { epoch: u64 },
     /// Checkpoint finished; `epoch` is the epoch it closed.
     CheckpointEnd { epoch: u64 },

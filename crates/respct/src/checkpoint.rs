@@ -26,17 +26,20 @@
 //! per chunk are both gone: the drainer sends one job message per flusher
 //! and waits for one ack per flusher.
 //!
-//! # Two tails
+//! # One commit protocol
 //!
-//! [`Pool::checkpoint_now`] has one head (quiesce, sync cursors, gather,
-//! take the epoch's frees) and two tails, after either of which it pushes
-//! the frees whose epoch has committed. The synchronous tail is Fig. 4
-//! verbatim: flush, commit the epoch counter, release. The background tail (`async_checkpoint`,
-//! ring depth K = 1..=4) claims the closing epoch's ring slot, hands the
-//! gathered lists to the [`DrainExec`] worker as a ticket and releases at
-//! once; the worker runs the same [`Flusher::flush_phase`] and commits
-//! ring slots strictly in epoch order. K = 1 is the two-phase commit of a
-//! single draining record — ring slot 0 *is* that record's state word.
+//! [`Pool::checkpoint_now`] quiesces the threads, syncs the deferred
+//! cursors, takes the epoch's frees, gathers the tracking lists and claims
+//! the closing epoch's ring slot ([`epoch_record::claim`]; slot 0 on a
+//! synchronous pool, whose ring depth is 1). One drain routine,
+//! [`DrainCtx::drain`], then flushes the epoch, commits the slot, records
+//! the final report, parks the epoch's frees as committed and advances
+//! `drain_oldest`. It has two callers. Without `async_checkpoint` the
+//! checkpointer runs it inline, before it releases the threads: Fig. 4's
+//! flush-then-commit, with the claim as the commit's durable first half.
+//! With `async_checkpoint` (ring depth K = 1..=4) the [`DrainExec`] worker
+//! runs it after the release, strictly in epoch order. Either way the
+//! checkpointer then recycles the frees whose epoch has committed.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -102,8 +105,8 @@ pub struct CkptReport {
     /// window from raising `timer` to releasing it, in every mode (so it
     /// always contains `wait_ns`, which is reported separately because it
     /// is pure quiescence). Synchronous checkpoints hold threads through
-    /// the flush and the epoch commit; `async_checkpoint` pools release
-    /// after the gather and the ring-slot claim, at every ring depth.
+    /// the inline drain (flush and ring commit); `async_checkpoint` pools
+    /// release after the gather and the ring-slot claim, at every depth.
     pub stw_ns: u64,
     /// Nanoseconds of background drain after the threads were released
     /// (flush + ring commit), measured by the drain executor. Zero for
@@ -163,9 +166,8 @@ pub(crate) fn sort_dedup(lines: &mut Vec<u64>) {
 
 /// One closed epoch's tracked lines as the stop-the-world window snapshots
 /// them: `(shard, list)` for every non-empty per-slot shard list, moved out
-/// by pointer — no merging, no per-line work. Whoever drains the epoch (the
-/// checkpointer in the synchronous tail, the drain executor otherwise)
-/// merges per shard inside [`Flusher::flush_phase`].
+/// by pointer — no merging, no per-line work. The drain routine merges per
+/// shard inside [`Flusher::flush_phase`].
 type EpochLists = Vec<(usize, Vec<u64>)>;
 
 impl Pool {
@@ -181,17 +183,15 @@ impl Pool {
     /// [`ThreadHandle::checkpoint_here`]: crate::thread::ThreadHandle::checkpoint_here
     pub fn checkpoint_now(&self) -> CkptReport {
         let mut serial = self.lock_ckpt();
-        if self.pipeline.is_some() {
-            // Backpressure: epoch N's ring slot is `N mod K`, free only
-            // once the drain of epoch `N − K` has committed. Wait that
-            // out *before* raising `timer` — application threads keep
-            // running while a full ring holds the checkpoint back — and
-            // join the executor's release so the claim below is HB-after
-            // the commit that freed the slot.
-            let closing = self.epoch_mirror.load(Ordering::Relaxed);
-            if let Some(reused) = closing.checked_sub(self.cfg.epoch_pipeline as u64) {
-                self.await_commit(reused);
-            }
+        // Backpressure: epoch N's ring slot is `N mod K`, free only once the
+        // drain of epoch `N − K` has committed (always so on a synchronous
+        // pool, which drains before it releases). Wait that out *before*
+        // raising `timer` — application threads keep running while a full
+        // ring holds the checkpoint back — and join the drain's release so
+        // the claim below is HB-after the commit that freed the slot.
+        let closing = self.epoch_mirror.load(Ordering::Relaxed);
+        if let Some(reused) = closing.checked_sub(self.cfg.epoch_pipeline as u64) {
+            self.await_commit(reused);
         }
         let t0 = Instant::now();
         self.timer.store(true, Ordering::SeqCst);
@@ -209,7 +209,6 @@ impl Pool {
                 .sync_acquire(SyncToken::Flag { slot: slot as u64 });
         }
         let waited = t0.elapsed();
-        let closing = self.epoch_mirror.load(Ordering::Relaxed);
         self.region.trace_marker(TraceMarker::CheckpointBegin {
             epoch: closing,
             full: self.cfg.mode == CheckpointMode::Full,
@@ -217,20 +216,18 @@ impl Pool {
 
         // SAFETY: `timer` is set and every active owner's flag was observed
         // raised with SeqCst above, so owners are parked; inactive slots
-        // have no owner. `quiesced` is last used before either tail lowers
-        // `timer`.
+        // have no owner. `quiesced` is last used before `timer` is lowered.
         let mut quiesced = unsafe { Quiesced::new(&mut serial) };
         // First sync the deferred allocator and registry cursors into their
-        // InCLL cells (so the flush below persists end-of-epoch metadata),
-        // then take the epoch's frees and gather the tracking lists.
+        // InCLL cells (so the flush persists end-of-epoch metadata), then
+        // take the epoch's frees and gather the tracking lists.
         quiesced.sync_deferred_cells();
         let frees = quiesced.take_frees();
         let tp = Instant::now();
         let lists = quiesced.gather();
-        // The head's share of the report; each tail fills in its own.
         let report = CkptReport {
             closed_epoch: closing,
-            // Pre-dedup; whoever flushes replaces it with the exact count.
+            // Pre-dedup; the drain replaces it with the exact count.
             lines: lists.iter().map(|(_, l)| l.len() as u64).sum(),
             wait_ns: waited.as_nanos() as u64,
             partition_ns: tp.elapsed().as_nanos() as u64,
@@ -241,92 +238,52 @@ impl Pool {
             shards: Vec::new(),
         };
 
-        // Either tail releases the threads; the frees whose epoch has
-        // committed by then are recycled afterwards, still under `ckpt_lock`.
-        let (report, committed) = match &self.pipeline {
-            None => (self.commit_sync(t0, report, lists), frees),
-            Some(exec) => self.claim_and_submit(exec, t0, report, lists, frees),
-        };
-        serial.system_slot().push_frees(committed);
-        self.region
-            .trace_marker(TraceMarker::CheckpointEnd { epoch: closing });
-        report
-    }
-
-    /// Synchronous tail of a checkpoint — Fig. 4 lines 55–59 verbatim:
-    /// flush, commit the epoch counter, then release the parked threads.
-    /// The closed epoch is committed on return, so its frees are recyclable.
-    fn commit_sync(&self, t0: Instant, mut report: CkptReport, lists: EpochLists) -> CkptReport {
-        let closing = report.closed_epoch;
-        let tf = Instant::now();
-        (report.lines, report.shards) = self.flusher.flush_phase(lists);
-        report.flush_ns = tf.elapsed().as_nanos() as u64;
-
-        // Advance and persist the epoch counter (Fig. 4 lines 56–58). The
-        // barrier marker asserts the ordering dependency this store has on
-        // every data flush above: all of them must be fenced by now.
-        self.region.trace_marker(TraceMarker::OrderBarrier);
-        epoch_record::advance(&self.region, closing + 1);
-        self.epoch_mirror.store(closing + 1, Ordering::SeqCst);
-        self.region
-            .trace_marker(TraceMarker::EpochAdvance { epoch: closing + 1 });
-
-        report.stw_ns = t0.elapsed().as_nanos() as u64;
-        // Release before the timer store: parked threads resume only after
-        // observing `timer == false`, so their acquire follows this edge.
-        self.region.sync_release(SyncToken::Timer);
-        self.timer.store(false, Ordering::SeqCst);
-        report.total_ns = t0.elapsed().as_nanos() as u64;
-        self.metrics.on_checkpoint(&report);
-        report
-    }
-
-    /// Background tail of a checkpoint (`async_checkpoint`, ring depth
-    /// K = 1..=4): claim the closing epoch's ring slot
-    /// ([`epoch_record::claim`]), hand the snapshotted lists to the drain
-    /// executor, and release the threads. Up to K−1 earlier drains may still
-    /// be in flight; the executor commits strictly in ring order, so
-    /// `ring[e] = 0` always implies every predecessor of `e` is durable
-    /// too. A crash anywhere before epoch N's commit rolls N and everything
-    /// after it back to the start of N — which is why the fast path's
-    /// on-demand push-out must not let an epoch-N backup be overwritten
-    /// until that commit lands.
-    ///
-    /// Frees from the closing epoch park inside the ticket until its commit
-    /// lands (pushing them any earlier would let a pre-commit crash roll
-    /// blocks back to live while their link words are already clobbered);
-    /// returned beside the report are the frees parked by drains that have
-    /// committed by now.
-    fn claim_and_submit(
-        &self,
-        exec: &DrainExec,
-        t0: Instant,
-        mut report: CkptReport,
-        lists: EpochLists,
-        frees: Vec<(PAddr, usize)>,
-    ) -> (CkptReport, Vec<(PAddr, usize)>) {
-        let closing = report.closed_epoch;
+        // The claim: `ring[closing mod K] ← closing; epoch ← closing + 1`,
+        // durable. Until the drain commits the slot, a crash rolls `closing`
+        // (and every later epoch) back — which is why the fast path's
+        // on-demand push-out must not let an epoch-`closing` backup be
+        // overwritten before that commit lands. The epoch's frees park in
+        // the ticket until then too: pushing them earlier would let a
+        // pre-commit crash roll blocks back to live under clobbered links.
         let slot = epoch_record::claim(&self.region, closing, self.cfg.epoch_pipeline);
         self.epoch_mirror.store(closing + 1, Ordering::SeqCst);
         self.region.trace_marker(TraceMarker::PipelineBegin {
             epoch: closing,
             slot: slot as u64,
         });
-
-        // The returned report ends here; the flush and drain figures are
-        // the executor's to measure, and it records the completed report
-        // into the metrics when the drain commits.
-        report.stw_ns = t0.elapsed().as_nanos() as u64;
-        report.total_ns = report.stw_ns;
-        exec.submit(DrainTicket {
+        self.metrics.on_ring_claim();
+        let mut ticket = DrainTicket {
             slot,
             lists,
             frees,
-            report: report.clone(),
-        });
+            report,
+        };
+        let report = match &self.pipeline {
+            // Drain inline, inside the parked window: the flush and the
+            // commit are stop-the-world time.
+            None => self.drain.drain(ticket, Some(t0)),
+            // Hand the epoch to the executor: the returned report ends at
+            // the release; the executor records the completed one.
+            Some(exec) => {
+                ticket.report.stw_ns = t0.elapsed().as_nanos() as u64;
+                ticket.report.total_ns = ticket.report.stw_ns;
+                let report = ticket.report.clone();
+                exec.submit(ticket);
+                report
+            }
+        };
+        // Release before the timer store: parked threads resume only after
+        // observing `timer == false`, so their acquire follows this edge.
         self.region.sync_release(SyncToken::Timer);
         self.timer.store(false, Ordering::SeqCst);
-        (report, exec.take_committed_frees())
+        // Recycle the frees whose epoch has committed, still under
+        // `ckpt_lock`.
+        serial
+            .system_slot()
+            .push_frees(self.drain.take_committed_frees());
+        self.region
+            .trace_marker(TraceMarker::CheckpointEnd { epoch: closing });
+        report
     }
 
     /// Spawns a background thread that checkpoints every `period`.
@@ -389,11 +346,9 @@ impl Drop for CheckpointerGuard {
 
 // ---- Flush phase -----------------------------------------------------------
 
-/// Everything the flush phase needs. Shared (`Arc`) between the pool, whose
-/// synchronous tail flushes inside the parked window, and the drain
-/// executor's worker — which must not hold the `Pool` itself (see
-/// [`DrainCtx`]) yet flushes through the same shards, the same flusher
-/// threads and the same injected faults.
+/// Everything the flush phase needs: the shards, the flusher threads and
+/// the injected faults. Owned by the pool's [`DrainCtx`], so the drain
+/// routine flushes through it on either caller's thread.
 pub(crate) struct Flusher {
     region: Arc<Region>,
     nshards: usize,
@@ -433,8 +388,7 @@ impl Flusher {
     }
 
     /// Sort + dedup + count without writing anything back (the `NoFlush`
-    /// mode and the `SkipDrainCommitOrder` injected fault), so reported
-    /// line counts stay comparable with a full flush.
+    /// mode), so reported line counts stay comparable with a full flush.
     fn count_shards(shards: Vec<Vec<u64>>) -> (u64, Vec<ShardReport>) {
         let mut total = 0u64;
         let mut reports = Vec::new();
@@ -470,11 +424,7 @@ impl Flusher {
                 shards[s].append(&mut list);
             }
         }
-        #[cfg(feature = "fault-inject")]
-        let full = self.full && !self.take_fault(crate::pool::Fault::SkipDrainCommitOrder);
-        #[cfg(not(feature = "fault-inject"))]
-        let full = self.full;
-        if !full {
+        if !self.full {
             // NoFlush: still sort + dedup per shard so the reported line
             // count matches what a full checkpoint would have written back.
             return Self::count_shards(shards);
@@ -725,10 +675,10 @@ impl Drop for FlusherPool {
     }
 }
 
-// ---- Drain executor --------------------------------------------------------
+// ---- Drain -----------------------------------------------------------------
 
 /// One closed epoch's drain obligation, snapshotted during the
-/// stop-the-world window and handed to the [`DrainExec`] worker.
+/// stop-the-world window, after its ring-slot claim.
 pub(crate) struct DrainTicket {
     /// The ring slot the epoch (`report.closed_epoch`) claimed.
     slot: usize,
@@ -736,32 +686,46 @@ pub(crate) struct DrainTicket {
     lists: EpochLists,
     /// Blocks freed during `epoch`, recyclable only after its commit.
     frees: Vec<(PAddr, usize)>,
-    /// The stop-the-world report; the worker fills in the flush figures
+    /// The stop-the-world report; the drain fills in the flush figures
     /// and records it into the metrics when the commit lands.
     report: CkptReport,
 }
 
-/// State shared between the pool and the executor's worker thread. The
-/// worker deliberately holds this — not the `Pool` — so dropping the pool
-/// drops the executor (joining the worker) without an `Arc` cycle.
-struct DrainCtx {
-    flusher: Arc<Flusher>,
+/// The drain side of every pool: what the drain routine needs, shared with
+/// the executor's worker thread on an `async_checkpoint` pool. The worker
+/// deliberately holds this — not the `Pool` — so dropping the pool drops
+/// the executor (joining the worker) without an `Arc` cycle.
+pub(crate) struct DrainCtx {
+    pub(crate) flusher: Flusher,
     /// Oldest epoch whose drain has not yet committed; equals the running
-    /// epoch when the ring is empty. Commits advance it in strict order.
-    drain_oldest: Arc<AtomicU64>,
+    /// epoch when the ring is empty. Commits advance it in strict order, so
+    /// an epoch `e` is fully durable iff `e < drain_oldest`.
+    pub(crate) drain_oldest: AtomicU64,
     metrics: Arc<RuntimeMetrics>,
-    /// Tickets submitted but not yet committed (the in-flight gauge).
-    inflight: Arc<AtomicU64>,
-    ring_commits: Arc<respct_obs::Counter>,
     /// Frees whose epochs have committed, parked until the next
     /// checkpoint recycles them.
     committed_frees: Mutex<Vec<(PAddr, usize)>>,
-    /// Test hook (`Pool::hold_drains`): park the worker before it drains
-    /// another ticket, pinning multiple epochs in flight.
-    hold: AtomicBool,
+    /// Test hook (`Pool::hold_drains`): park the executor's worker before
+    /// it drains another ticket, pinning multiple epochs in flight.
+    pub(crate) hold: AtomicBool,
 }
 
 impl DrainCtx {
+    pub(crate) fn new(
+        region: Arc<Region>,
+        cfg: &crate::pool::PoolConfig,
+        epoch: u64,
+        metrics: Arc<RuntimeMetrics>,
+    ) -> DrainCtx {
+        DrainCtx {
+            flusher: Flusher::new(region, cfg),
+            drain_oldest: AtomicU64::new(epoch),
+            metrics,
+            committed_frees: Mutex::new(Vec::new()),
+            hold: AtomicBool::new(false),
+        }
+    }
+
     /// The happens-before token of the ticket queue: released by the
     /// checkpointer before each submit, acquired by the worker after each
     /// receive — the worker's flush and commit are ordered after the
@@ -771,13 +735,72 @@ impl DrainCtx {
             id: std::ptr::from_ref(self) as u64,
         }
     }
+
+    /// Takes the frees parked by committed drains (checkpointer only).
+    fn take_committed_frees(&self) -> Vec<(PAddr, usize)> {
+        std::mem::take(&mut *self.committed_frees.lock())
+    }
+
+    /// The drain routine: flushes one closed epoch, commits its ring slot,
+    /// records the final report, parks the epoch's frees as committed and
+    /// advances `drain_oldest`. The checkpointer runs it inline on a
+    /// synchronous pool, with `parked_since` the instant it raised `timer`:
+    /// the whole drain is then stop-the-world time. The executor's worker
+    /// runs it after the release (`None`): the drain is then `drain_ns`.
+    fn drain(&self, ticket: DrainTicket, parked_since: Option<Instant>) -> CkptReport {
+        let DrainTicket {
+            slot,
+            lists,
+            frees,
+            mut report,
+        } = ticket;
+        let epoch = report.closed_epoch;
+        let region = &self.flusher.region;
+        let td = Instant::now();
+        // On the executor, application threads are running the next
+        // epoch(s) now. The flushers (or this thread, as sole claimer)
+        // never take data-structure locks, so a thread blocked in the
+        // push-out wait cannot deadlock the drain.
+        (report.lines, report.shards) = self.flusher.flush_phase(lists);
+        report.flush_ns = td.elapsed().as_nanos() as u64;
+
+        // The ordered commit: `ring[epoch mod K] ← 0` claims "this epoch
+        // and every predecessor are durable", which the inline drain and
+        // the FIFO worker make true by construction (the injected reorder
+        // fault is the deliberate exception — the checker and crash sweep
+        // catch it). Until this fence lands, recovery discards `epoch`. The
+        // barrier marker asserts that every write-back above is fenced.
+        region.trace_marker(TraceMarker::OrderBarrier);
+        epoch_record::commit(region, slot);
+        region.trace_marker(TraceMarker::RingCommit { epoch });
+        if let Some(t0) = parked_since {
+            report.stw_ns = t0.elapsed().as_nanos() as u64;
+            report.total_ns = report.stw_ns;
+        } else {
+            report.drain_ns = td.elapsed().as_nanos() as u64;
+            report.total_ns += report.drain_ns;
+        }
+        self.metrics.on_checkpoint(&report);
+        self.metrics.on_ring_commit();
+        if !frees.is_empty() {
+            self.committed_frees.lock().extend(frees);
+        }
+        // Advancing `drain_oldest` is what publishes the commit — last, so
+        // whoever waited it out (a push-out, `checkpoint_here`, the next
+        // claim of this slot) also finds the metrics and the frees in
+        // place. Release first: the waiter acquires this edge, ordering
+        // its backup overwrite after the commit fence. `fetch_max` keeps
+        // the counter monotone even under the reorder fault.
+        region.sync_release(SyncToken::Drain);
+        self.drain_oldest.fetch_max(epoch + 1, Ordering::AcqRel);
+        report
+    }
 }
 
 /// The background drain executor of an `async_checkpoint` pool: a single
-/// FIFO worker that flushes each ticket's lines and publishes
-/// `ring[e mod K] ← 0`. One worker draining a FIFO queue is the whole
-/// ordered-commit argument — epoch `e`'s commit cannot be issued before
-/// `e − 1`'s has retired.
+/// FIFO worker that runs the drain routine on each ticket. One worker
+/// draining a FIFO queue is the whole ordered-commit argument — epoch
+/// `e`'s commit cannot be issued before `e − 1`'s has retired.
 pub(crate) struct DrainExec {
     ctx: Arc<DrainCtx>,
     tx: Sender<DrainTicket>,
@@ -785,22 +808,7 @@ pub(crate) struct DrainExec {
 }
 
 impl DrainExec {
-    pub(crate) fn new(
-        flusher: Arc<Flusher>,
-        drain_oldest: Arc<AtomicU64>,
-        metrics: Arc<RuntimeMetrics>,
-    ) -> DrainExec {
-        let inflight = Arc::new(AtomicU64::new(0));
-        let ring_commits = metrics.register_pipeline(&inflight);
-        let ctx = Arc::new(DrainCtx {
-            flusher,
-            drain_oldest,
-            metrics,
-            inflight,
-            ring_commits,
-            committed_frees: Mutex::new(Vec::new()),
-            hold: AtomicBool::new(false),
-        });
+    pub(crate) fn new(ctx: Arc<DrainCtx>) -> DrainExec {
         let (tx, rx) = unbounded::<DrainTicket>();
         let worker = {
             let ctx = Arc::clone(&ctx);
@@ -818,8 +826,7 @@ impl DrainExec {
 
     /// Hands one closed epoch to the worker. Called from the checkpointer
     /// during the stop-the-world window, after the ring-slot claim.
-    pub(crate) fn submit(&self, ticket: DrainTicket) {
-        self.ctx.inflight.fetch_add(1, Ordering::Relaxed);
+    fn submit(&self, ticket: DrainTicket) {
         self.ctx
             .flusher
             .region
@@ -827,20 +834,13 @@ impl DrainExec {
         self.tx.send(ticket).expect("drain executor alive");
     }
 
-    /// Takes the frees parked by committed drains (checkpointer only).
-    pub(crate) fn take_committed_frees(&self) -> Vec<(PAddr, usize)> {
-        std::mem::take(&mut *self.ctx.committed_frees.lock())
-    }
-
-    /// Parks (`true`) or releases (`false`) the worker before its next
-    /// drain — the deterministic way to pin several epochs in flight.
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fn hold(&self, on: bool) {
-        self.ctx.hold.store(on, Ordering::Release);
-    }
-
     fn run(ctx: &DrainCtx, rx: &Receiver<DrainTicket>) {
-        while let Ok(ticket) = rx.recv() {
+        let next = || {
+            let ticket = rx.recv().ok()?;
+            ctx.flusher.region.sync_acquire(ctx.ticket_token());
+            Some(ticket)
+        };
+        while let Some(ticket) = next() {
             // `hold_drains` parks the worker here, the ticket in hand: its
             // epoch stays uncommitted in the ring until the hold is released.
             while ctx.hold.load(Ordering::Acquire) {
@@ -854,58 +854,12 @@ impl DrainExec {
             // clean commit: the fault needs two outstanding drains.)
             #[cfg(feature = "fault-inject")]
             if ctx.flusher.take_fault(crate::pool::Fault::SkipRingOrder) {
-                if let Ok(next) = rx.recv() {
-                    Self::drain_one(ctx, next);
+                if let Some(successor) = next() {
+                    ctx.drain(successor, None);
                 }
             }
-            Self::drain_one(ctx, ticket);
+            ctx.drain(ticket, None);
         }
-    }
-
-    /// Flushes one ticket's lines and publishes its ring commit.
-    fn drain_one(ctx: &DrainCtx, ticket: DrainTicket) {
-        let DrainTicket {
-            slot,
-            lists,
-            frees,
-            mut report,
-        } = ticket;
-        let epoch = report.closed_epoch;
-        let region = &ctx.flusher.region;
-        region.sync_acquire(ctx.ticket_token());
-        let td = Instant::now();
-        // Application threads are running the next epoch(s) now. The
-        // flushers (or this thread, as sole claimer) never take data-structure
-        // locks, so a thread blocked in the push-out wait cannot deadlock
-        // the drain.
-        (report.lines, report.shards) = ctx.flusher.flush_phase(lists);
-        report.flush_ns = td.elapsed().as_nanos() as u64;
-
-        // The ordered commit: `ring[epoch mod K] ← 0` claims "this epoch
-        // and every predecessor are durable", which a FIFO worker makes
-        // true by construction (the injected reorder fault above is the
-        // deliberate exception — the checker and crash sweep catch it).
-        // Until this fence lands, recovery discards `epoch`. The barrier
-        // marker asserts that every write-back above is fenced by now.
-        region.trace_marker(TraceMarker::OrderBarrier);
-        epoch_record::commit(region, slot);
-        region.trace_marker(TraceMarker::RingCommit { epoch });
-        report.drain_ns = td.elapsed().as_nanos() as u64;
-        report.total_ns += report.drain_ns;
-        ctx.metrics.on_checkpoint(&report);
-        ctx.inflight.fetch_sub(1, Ordering::Relaxed);
-        ctx.ring_commits.inc();
-        if !frees.is_empty() {
-            ctx.committed_frees.lock().extend(frees);
-        }
-        // Advancing `drain_oldest` is what publishes the commit — last, so
-        // whoever waited it out (a push-out, `checkpoint_here`, the next
-        // claim of this slot) also finds the metrics and the frees in
-        // place. Release first: the waiter acquires this edge, ordering
-        // its backup overwrite after the commit fence. `fetch_max` keeps
-        // the counter monotone even under the reorder fault.
-        region.sync_release(SyncToken::Drain);
-        ctx.drain_oldest.fetch_max(epoch + 1, Ordering::AcqRel);
     }
 }
 
@@ -942,6 +896,78 @@ mod tests {
         let off = crate::layout::OFF_EPOCH.0 as usize;
         let e = u64::from_ne_bytes(img.bytes()[off..][..8].try_into().unwrap());
         assert_eq!(e, 2, "epoch counter must be persistent");
+    }
+
+    /// A synchronous checkpoint is the ring protocol drained inline: it
+    /// claims slot 0, flushes, commits the slot, and only then ends — with
+    /// the slot durably zero again and one ring commit per checkpoint.
+    #[test]
+    fn sync_checkpoint_claims_and_commits_ring_slot_zero() {
+        use respct_pmem::{is_protocol_point, TraceEvent, VecSink};
+        let region = Region::new(RegionConfig::sim(1 << 20, SimConfig::no_eviction(3)));
+        let sink = Arc::new(VecSink::new());
+        region.set_trace_sink(sink.clone());
+        let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).unwrap();
+        let addr = PAddr(crate::layout::heap_start().0);
+        region.store(addr, 0xabcdu64);
+        pool.lock_ckpt().system_slot().add_modified(addr, 8);
+        sink.drain();
+        pool.checkpoint_now();
+        let protocol: Vec<TraceMarker> = sink
+            .drain()
+            .into_iter()
+            .filter(is_protocol_point)
+            .filter_map(|ev| match ev {
+                TraceEvent::Marker { marker, .. } => Some(marker),
+                _ => None,
+            })
+            .collect();
+        let n = protocol.len();
+        assert_eq!(
+            protocol[..2],
+            [
+                TraceMarker::CheckpointBegin {
+                    epoch: 1,
+                    full: true
+                },
+                TraceMarker::PipelineBegin { epoch: 1, slot: 0 },
+            ],
+            "{protocol:?}"
+        );
+        assert_eq!(
+            protocol[n - 3..],
+            [
+                TraceMarker::OrderBarrier,
+                TraceMarker::RingCommit { epoch: 1 },
+                TraceMarker::CheckpointEnd { epoch: 1 },
+            ],
+            "{protocol:?}"
+        );
+        assert!(
+            n > 5
+                && protocol[2..n - 3].iter().all(|m| matches!(
+                    m,
+                    TraceMarker::ShardFlushBegin { .. } | TraceMarker::ShardFlushEnd { .. }
+                )),
+            "the flush runs between the claim and the commit: {protocol:?}"
+        );
+        let img = region.crash(respct_pmem::sim::CrashMode::PowerFailure);
+        let word =
+            |at: PAddr| u64::from_ne_bytes(img.bytes()[at.0 as usize..][..8].try_into().unwrap());
+        assert_eq!(
+            word(crate::layout::epoch_ring_slot(0)),
+            0,
+            "slot 0 committed"
+        );
+        assert_eq!(word(crate::layout::OFF_EPOCH), 2);
+        let commits: u64 = pool
+            .metrics()
+            .to_prometheus()
+            .lines()
+            .find_map(|l| l.strip_prefix("respct_ring_commits_total ")?.parse().ok())
+            .expect("ring commit counter");
+        assert_eq!(commits, pool.runtime_metrics().ckpt_snapshot().count);
+        assert_eq!(commits, 1);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The epoch record: the header line holding the epoch counter and the
 //! epoch-record ring. Every load and store of that line is in this module,
-//! each with the write-back and fence it needs; `create`, the two checkpoint
-//! tails, the drain executor, recovery and `verify` are callers.
+//! each with the write-back and fence it needs; `create`, the checkpointer
+//! (the claim), the drain routine (the commit), recovery and `verify` are
+//! callers.
 //!
-//! `epoch` is the running epoch. `ring[i]` holds `N` while the background
-//! drain of epoch `N` (claimed into slot `N mod K` by a pool of pipeline
-//! depth `K`) has not committed, and 0 otherwise; a synchronous pool never
-//! writes the ring, and at `K = 1` slot 0 is the single draining-state word
-//! the ring generalizes. The decode ([`read`]) is independent of `K`: a
+//! `epoch` is the running epoch. `ring[i]` holds `N` while the drain of
+//! epoch `N` (claimed into slot `N mod K` by a pool of pipeline depth `K`)
+//! has not committed, and 0 otherwise. Every checkpoint claims and commits
+//! a slot — slot 0 on a synchronous pool, whose depth is 1, so at rest its
+//! ring reads all zero. The decode ([`read`]) is independent of `K`: a
 //! narrower pool simply never wrote the upper slots.
 //!
 //! # Why one line
@@ -18,7 +19,7 @@
 //! PCSO's same-line prefix order a crash leaves a *prefix* of such a run,
 //! never a reordering, and [`read`] accepts every prefix:
 //!
-//! * [`advance`], [`commit`]: one store — old value or new.
+//! * [`commit`]: one store — old value or new.
 //! * [`claim`] (`ring[s] ← N; epoch ← N+1`): nothing (epoch `N` is simply
 //!   the running epoch), the claim alone (newest claim = counter), or both
 //!   (newest claim = counter − 1). Each rolls back from `N`.
@@ -90,17 +91,17 @@ pub(crate) fn read(region: &Region) -> Result<EpochRecord, PoolError> {
     })
 }
 
-/// The synchronous commit (Fig. 4 lines 56–58): `epoch ← next`, durable on
-/// return. The caller has fenced every data flush of the closing epoch.
-pub(crate) fn advance(region: &Region, next: u64) {
+/// `epoch ← next`, durable on return, with every store made before it to
+/// the line: the last step of [`claim`] and [`repair`].
+fn advance(region: &Region, next: u64) {
     region.store(OFF_EPOCH, next);
     region.pwb(OFF_EPOCH);
     region.psync();
 }
 
-/// The ring claim that opens a background drain: `ring[closing mod depth] ←
-/// closing; epoch ← closing + 1`, one write-back and one fence for both.
-/// Returns the slot claimed, for [`commit`].
+/// The ring claim that opens every checkpoint's drain: `ring[closing mod
+/// depth] ← closing; epoch ← closing + 1`, one write-back and one fence for
+/// both. Returns the slot claimed, for [`commit`].
 pub(crate) fn claim(region: &Region, closing: u64, depth: usize) -> usize {
     let slot = (closing % depth as u64) as usize;
     region.store(epoch_ring_slot(slot), closing);
@@ -108,8 +109,8 @@ pub(crate) fn claim(region: &Region, closing: u64, depth: usize) -> usize {
     slot
 }
 
-/// The ring commit that ends a background drain: `ring[slot] ← 0`, durable
-/// on return. It claims "this epoch and every predecessor are durable", so
+/// The ring commit that ends a drain (Fig. 4 lines 56–58): `ring[slot] ←
+/// 0`, durable on return. It claims "this epoch and every predecessor are durable", so
 /// the caller has fenced the epoch's write-backs and commits in epoch order.
 pub(crate) fn commit(region: &Region, slot: usize) {
     let at = epoch_ring_slot(slot);

@@ -157,7 +157,7 @@ pub const OFF_SIZE: PAddr = PAddr(8);
 pub const OFF_EPOCH: PAddr = PAddr(64);
 /// First slot of the epoch-record **ring**: [`MAX_EPOCH_PIPELINE`]
 /// consecutive plain u64 words (see [`epoch_ring_slot`]), each the number
-/// of an epoch whose background drain has not committed, or zero.
+/// of an epoch whose drain has not committed, or zero.
 pub const OFF_EPOCH_STATE: PAddr = PAddr(72);
 
 /// Capacity of the epoch-record ring: the maximum number of epochs that

@@ -99,6 +99,11 @@ pub struct RuntimeMetrics {
     /// On-demand push-outs: first touches that had to flush a line still
     /// owed to an epoch whose drain had not committed.
     drain_pushouts: Arc<Counter>,
+
+    // The epoch-record ring (per checkpoint).
+    /// Closed epochs whose ring slot is claimed but not yet committed.
+    epochs_in_flight: Arc<AtomicU64>,
+    ring_commits: Arc<Counter>,
 }
 
 impl RuntimeMetrics {
@@ -230,6 +235,21 @@ impl RuntimeMetrics {
             "On-demand line push-outs during asynchronous drains",
             Unit::None,
         );
+        let epochs_in_flight = Arc::new(AtomicU64::new(0));
+        {
+            let in_flight = Arc::clone(&epochs_in_flight);
+            r.gauge_fn(
+                "respct_epochs_in_flight",
+                "Closed epochs whose drains have not yet ring-committed",
+                Unit::None,
+                move || in_flight.load(Ordering::Relaxed) as f64,
+            );
+        }
+        let ring_commits = r.counter(
+            "respct_ring_commits_total",
+            "Drain commits published in ring order",
+            Unit::None,
+        );
 
         let rp_stall_ns = r.histogram(
             "respct_rp_stall_ns",
@@ -280,6 +300,8 @@ impl RuntimeMetrics {
             rp_stall_ns,
             rp_stall_by_slot,
             drain_pushouts,
+            epochs_in_flight,
+            ring_commits,
         }
     }
 
@@ -311,26 +333,6 @@ impl RuntimeMetrics {
             self.registry
                 .gauge_fn(name, help, Unit::None, move || read(&stats) as f64);
         }
-    }
-
-    /// Registers the background-drain metrics: a gauge over the number
-    /// of epochs in flight (closed, ring slot claimed, commit not yet
-    /// published) and a counter of ring commits. Returns the counter for
-    /// the drain executor to bump; called once per pool, from
-    /// [`DrainExec::new`](crate::checkpoint::DrainExec).
-    pub(crate) fn register_pipeline(&self, inflight: &Arc<AtomicU64>) -> Arc<Counter> {
-        let gauge_src = Arc::clone(inflight);
-        self.registry.gauge_fn(
-            "respct_epochs_in_flight",
-            "Closed epochs whose drains have not yet ring-committed",
-            Unit::None,
-            move || gauge_src.load(Ordering::Relaxed) as f64,
-        );
-        self.registry.counter(
-            "respct_ring_commits_total",
-            "Background drain commits published in ring order",
-            Unit::None,
-        )
     }
 
     /// Whether hot-path instrumentation is on.
@@ -394,10 +396,21 @@ impl RuntimeMetrics {
         self.drain_pushouts.get()
     }
 
-    /// Records one finished checkpoint — called by the checkpointer on a
-    /// synchronous pool, by the drain executor at commit otherwise. Always
-    /// on (per-checkpoint cost); this is also the source of truth for
-    /// [`ckpt_snapshot`](Self::ckpt_snapshot).
+    /// A checkpoint claimed its ring slot: one more epoch in flight.
+    pub(crate) fn on_ring_claim(&self) {
+        self.epochs_in_flight.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A drain committed its ring slot: one epoch fewer in flight.
+    pub(crate) fn on_ring_commit(&self) {
+        self.epochs_in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.ring_commits.inc();
+    }
+
+    /// Records one finished checkpoint — called by the drain routine at
+    /// commit, inline on a synchronous pool and on the executor otherwise.
+    /// Always on (per-checkpoint cost); this is also the source of truth
+    /// for [`ckpt_snapshot`](Self::ckpt_snapshot).
     pub(crate) fn on_checkpoint(&self, report: &CkptReport) {
         self.ckpt_wait_ns.record(report.wait_ns);
         self.ckpt_partition_ns.record(report.partition_ns);

@@ -47,18 +47,13 @@ pub enum Fault {
     /// in-line backup + epoch tag: a logging-rule bug.
     SkipLog,
     /// The next full checkpoint omits the `psync` between the data flushes
-    /// and the epoch-counter store: a cross-line ordering bug.
+    /// and the ring commit: a cross-line ordering bug.
     SkipFence,
     /// The flusher claiming the last non-empty shard of the next full
-    /// checkpoint skips its fence: one shard's write-backs race the epoch
-    /// advance while every other shard is properly fenced — the parallel
+    /// checkpoint skips its fence: one shard's write-backs race the ring
+    /// commit while every other shard is properly fenced — the parallel
     /// pipeline's characteristic failure mode.
     SkipShardFence,
-    /// The next flush phase writes nothing back and fences nothing, yet
-    /// its commit follows: on an `async_checkpoint` pool the drain executor
-    /// zeroes a ring slot whose snapshotted shards are not durable — the
-    /// two-phase commit's characteristic bug.
-    SkipDrainCommitOrder,
     /// The drain executor commits the next two queued epochs in
     /// the *wrong* order: it holds the older epoch's ticket, flushes and
     /// commits the newer epoch first, then commits the older one — the
@@ -343,23 +338,15 @@ pub struct Pool {
     pub(crate) class_heads: Box<[Mutex<u64>]>,
     /// Serializes checkpoints and registration/deregistration.
     pub(crate) ckpt_lock: Mutex<()>,
-    /// The oldest epoch whose drain has not yet committed; equal to the
-    /// current epoch when no drain is in flight. Commits advance it in
-    /// strict epoch order (the ring's ordered-commit invariant), so an
-    /// epoch `e` is fully durable iff `e < drain_oldest`. Shared (`Arc`)
-    /// with the drain executor's worker thread; never advanced on a
-    /// synchronous pool, where nothing reads it.
-    pub(crate) drain_oldest: Arc<AtomicU64>,
     /// Background drain executor (`async_checkpoint` pools only): owns the
-    /// worker thread that flushes queued epoch tickets and commits their
+    /// worker thread that drains queued epoch tickets and commits their
     /// ring slots in order. Immutable after construction, so the hot path's
     /// `is_some()` test costs no shared cache line.
     pub(crate) pipeline: Option<crate::checkpoint::DrainExec>,
     pub(crate) metrics: Arc<crate::metrics::RuntimeMetrics>,
-    /// The flush phase (flusher threads, injected faults), shared with the
-    /// drain executor. Declared after `pipeline`: the executor's `Drop`
-    /// joins its worker, which may still be flushing through this.
-    pub(crate) flusher: Arc<crate::checkpoint::Flusher>,
+    /// The drain side (flush phase, `drain_oldest`, committed frees),
+    /// shared with the executor's worker.
+    pub(crate) drain: Arc<crate::checkpoint::DrainCtx>,
     /// Whether bump-fresh allocations must be zeroed before hand-out. Set
     /// on recovered pools: memory the crashed epoch allocated and wrote
     /// sits above the restored cursors with live-looking InCLL epoch tags,
@@ -520,19 +507,19 @@ impl Pool {
             .map(|c| Mutex::new(u64_cell(layout::freelist_cell(c))))
             .collect::<Vec<_>>();
         let bump_vol = Mutex::new(u64_cell(OFF_BUMP));
-        let flusher = Arc::new(crate::checkpoint::Flusher::new(Arc::clone(&region), &cfg));
         // Slots 1.. are free; 0 is the system slot.
         let free: Vec<usize> = (1..MAX_THREADS).rev().collect();
         let metrics = Arc::new(crate::metrics::RuntimeMetrics::new(cfg.metrics));
         metrics.register_pmem(region.stats());
-        let drain_oldest = Arc::new(AtomicU64::new(epoch));
-        let pipeline = cfg.async_checkpoint.then(|| {
-            crate::checkpoint::DrainExec::new(
-                Arc::clone(&flusher),
-                Arc::clone(&drain_oldest),
-                Arc::clone(&metrics),
-            )
-        });
+        let drain = Arc::new(crate::checkpoint::DrainCtx::new(
+            Arc::clone(&region),
+            &cfg,
+            epoch,
+            Arc::clone(&metrics),
+        ));
+        let pipeline = cfg
+            .async_checkpoint
+            .then(|| crate::checkpoint::DrainExec::new(Arc::clone(&drain)));
         let pool = Arc::new(Pool {
             region,
             cfg,
@@ -546,10 +533,9 @@ impl Pool {
             bump_vol,
             class_heads: class_heads.into_boxed_slice(),
             ckpt_lock: Mutex::new(()),
-            drain_oldest,
             pipeline,
             metrics,
-            flusher,
+            drain,
             scrub_fresh,
         });
         // Publish the constructing thread's work (header format, recovery
@@ -565,25 +551,23 @@ impl Pool {
     /// crate prove its checker catches real protocol violations.
     #[cfg(feature = "fault-inject")]
     pub fn inject_fault(&self, fault: Fault) {
-        *self.flusher.fault.lock() = Some(fault);
+        *self.drain.flusher.fault.lock() = Some(fault);
     }
 
     /// Pauses (`true`) or resumes (`false`) the drain executor *before* it
     /// drains its next ticket. Test-only: lets tests park several claimed
     /// epochs in the ring deterministically (e.g. to record a trace window
     /// with two drains genuinely outstanding). No-op without
-    /// `async_checkpoint`.
+    /// `async_checkpoint`: an inline drain never parks.
     #[cfg(feature = "fault-inject")]
     pub fn hold_drains(&self, on: bool) {
-        if let Some(exec) = &self.pipeline {
-            exec.hold(on);
-        }
+        self.drain.hold.store(on, Ordering::Release);
     }
 
     /// Consumes the armed fault if it matches `want`.
     #[cfg(feature = "fault-inject")]
     pub(crate) fn take_fault(&self, want: Fault) -> bool {
-        self.flusher.take_fault(want)
+        self.drain.flusher.take_fault(want)
     }
 
     /// The underlying region.
@@ -666,7 +650,7 @@ impl Pool {
         self.region.pwb_line(addr.line());
         self.region.psync();
         self.metrics.on_drain_pushout();
-        spin_until(|| self.drain_oldest.load(Ordering::Acquire) > t);
+        spin_until(|| self.drain.drain_oldest.load(Ordering::Acquire) > t);
         // The wait observed the drain commit's release store: the backup
         // overwrite that follows is HB-after the ring commit.
         #[cfg(feature = "fault-inject")]
@@ -677,14 +661,12 @@ impl Pool {
     }
 
     /// Waits until the drain of `epoch` has committed (`drain_oldest >
-    /// epoch`), then joins the executor's release edge: what follows is
+    /// epoch`), then joins the drain's release edge: what follows is
     /// HB-after `epoch`'s ring commit. Bounded by the drain itself, which
-    /// never takes application locks and never waits for a restart point.
-    /// `async_checkpoint` pools only (nothing advances `drain_oldest`
-    /// otherwise).
+    /// never takes application locks and never waits for a restart point;
+    /// on a synchronous pool every closed epoch has already committed.
     pub(crate) fn await_commit(&self, epoch: u64) {
-        debug_assert!(self.pipeline.is_some());
-        spin_until(|| self.drain_oldest.load(Ordering::Acquire) > epoch);
+        spin_until(|| self.drain.drain_oldest.load(Ordering::Acquire) > epoch);
         self.region.sync_acquire(SyncToken::Drain);
     }
 

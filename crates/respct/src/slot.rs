@@ -169,7 +169,8 @@ impl<'a> Slot<'a> {
         let first_touch = eid != epoch;
         if first_touch {
             // On-demand push-out (`async_checkpoint` pools only — one
-            // branch on an immutable field otherwise): the cell's single
+            // branch on an immutable field otherwise, where every closed
+            // epoch has committed before its threads resume): the cell's single
             // backup slot may still be owed to an epoch whose drain has
             // not committed. The guard is generation-aware: any valid tag
             // in `[drain_oldest, current)` names an uncommitted epoch
@@ -178,7 +179,7 @@ impl<'a> Slot<'a> {
             // the wait path.
             if pool.pipeline.is_some() {
                 let t = tag_epoch(cell.addr(), eid);
-                if t < plain_epoch && t >= pool.drain_oldest.load(Ordering::Relaxed) {
+                if t < plain_epoch && t >= pool.drain.drain_oldest.load(Ordering::Relaxed) {
                     pool.push_out_pending_line(cell.addr(), t);
                 }
             }

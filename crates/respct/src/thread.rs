@@ -353,19 +353,19 @@ impl ThreadHandle {
 
     /// Runs a checkpoint from this thread and returns once it is durable:
     /// parks the calling handle as if at an RP, drives the checkpoint, and
-    /// — on an `async_checkpoint` pool, at every ring depth — waits for the
-    /// closed epoch's drain to commit. Everything this thread wrote before
-    /// the call survives a crash at any instant after it returns, which is
-    /// what lets `KvService` use it as the `Durability::Sync` point.
+    /// waits for the closed epoch's drain to commit (at once on a
+    /// synchronous pool, which drains before it releases; on an
+    /// `async_checkpoint` pool, at every ring depth, once the executor
+    /// commits). Everything this thread wrote before the call survives a
+    /// crash at any instant after it returns, which is what lets
+    /// `KvService` use it as the `Durability::Sync` point.
     /// ([`Pool::checkpoint_now`] returns at the release instead.)
     pub fn checkpoint_here(&self) -> crate::checkpoint::CkptReport {
         self.allow_raw();
         let report = self.pool.checkpoint_now();
-        if self.pool.pipeline.is_some() {
-            // Wait with the flag still raised: this thread gates no
-            // checkpoint while the executor finishes the drain.
-            self.pool.await_commit(report.closed_epoch);
-        }
+        // Wait with the flag still raised: this thread gates no checkpoint
+        // while the executor finishes the drain.
+        self.pool.await_commit(report.closed_epoch);
         // Lower the flag with the full prevent protocol: another thread's
         // checkpoint may have started while our flag was still up (it saw
         // us as parked), so an unconditional lower here would let this

@@ -57,32 +57,29 @@ fn parse_opts() -> Opts {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut val = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
+        let mut val = || {
+            it.next()
+                .unwrap_or_else(|| exit_with(format_args!("{arg} needs a value")))
+        };
         match arg.as_str() {
-            "--addr" => o.addr = val("--addr"),
-            "--metrics-addr" => o.metrics_addr = Some(val("--metrics-addr")),
+            "--addr" => o.addr = val(),
+            "--metrics-addr" => o.metrics_addr = Some(val()),
             "--mode" => {
-                o.mode = match val("--mode").as_str() {
+                o.mode = match val().as_str() {
                     "respct" => Mode::Respct,
                     "dram" => Mode::TransientDram,
                     "nvmm" => Mode::TransientNvmm,
-                    other => panic!("unknown --mode {other} (respct|dram|nvmm)"),
+                    other => exit_with(format_args!("unknown --mode {other} (respct|dram|nvmm)")),
                 };
             }
-            "--workers" => o.workers = val("--workers").parse().expect("--workers: integer"),
-            "--queue" => o.queue = val("--queue").parse().expect("--queue: integer"),
-            "--batch" => o.batch = val("--batch").parse().expect("--batch: integer"),
-            "--value-max" => {
-                o.value_max = val("--value-max").parse().expect("--value-max: integer");
-            }
-            "--buckets" => o.buckets = val("--buckets").parse().expect("--buckets: integer"),
-            "--pool-bytes" => {
-                o.pool_bytes = val("--pool-bytes").parse().expect("--pool-bytes: integer");
-            }
+            "--workers" => o.workers = int(&arg, &val()),
+            "--queue" => o.queue = int(&arg, &val()),
+            "--batch" => o.batch = int(&arg, &val()),
+            "--value-max" => o.value_max = int(&arg, &val()),
+            "--buckets" => o.buckets = int(&arg, &val()),
+            "--pool-bytes" => o.pool_bytes = int(&arg, &val()),
             "--sync" => o.sync = true,
-            "--period-ms" => {
-                o.period_ms = val("--period-ms").parse().expect("--period-ms: integer");
-            }
+            "--period-ms" => o.period_ms = int(&arg, &val()),
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --addr A:P          serve address (default 127.0.0.1:7878; port 0 = ephemeral)\n       \
@@ -100,15 +97,22 @@ fn parse_opts() -> Opts {
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other} (try --help)"),
+            other => exit_with(format_args!("unknown flag {other} (try --help)")),
         }
     }
     o
 }
 
-/// Exits with status 1 and `msg` on stderr — what an operator gets for a
-/// store that cannot be configured or opened (an unmappable `--pool-bytes`,
-/// a bad `RESPCT_BACKEND`), instead of a panic.
+/// The integer value `v` of `flag`, or exit.
+fn int<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| exit_with(format_args!("{flag}: expected an integer, got {v:?}")))
+}
+
+/// Exits with status 1 and `msg` on stderr — what an operator gets for bad
+/// flags and for a server that cannot be configured, opened or bound (an
+/// unmappable `--pool-bytes`, a bad `RESPCT_BACKEND`, a port in use),
+/// instead of a panic.
 fn exit_with(msg: std::fmt::Arguments<'_>) -> ! {
     eprintln!("respct-kvd: {msg}");
     std::process::exit(1)
@@ -144,13 +148,13 @@ fn main() {
 
     let _metrics = o.metrics_addr.as_deref().map(|addr| {
         let guard = MetricsServer::serve(std::sync::Arc::clone(service.registry()), addr)
-            .unwrap_or_else(|e| panic!("bind metrics endpoint {addr}: {e}"));
+            .unwrap_or_else(|e| exit_with(format_args!("bind metrics endpoint {addr}: {e}")));
         println!("metrics listening {}", guard.local_addr());
         guard
     });
 
     let server = KvServer::start(std::sync::Arc::clone(&service), o.addr.as_str())
-        .unwrap_or_else(|e| panic!("bind {}: {e}", o.addr));
+        .unwrap_or_else(|e| exit_with(format_args!("bind {}: {e}", o.addr)));
     println!("kv listening {}", server.local_addr());
     // Readiness lines must not sit in libc's pipe buffer when the parent
     // is a test harness.

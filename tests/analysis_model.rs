@@ -11,9 +11,9 @@
 //!   [`RaceDetector`] teed onto one trace. The timer-driven hash-map and
 //!   queue rows run in `tests/race_detector.rs`.
 //! * **Sensitivity to injected faults** — each `respct::Fault` (one dropped
-//!   write-back, one skipped fence, one skipped InCLL log, drain and ring
-//!   ordering bugs) yields a non-empty diagnostic list of exactly the
-//!   matching kind.
+//!   write-back — on the inline drain and on the executor's — one skipped
+//!   fence, one skipped InCLL log, a ring ordering bug) yields a non-empty
+//!   diagnostic list of exactly the matching kind.
 //!
 //! The root crate's dev-dependencies enable the `fault-inject` feature, so
 //! `Pool::inject_fault` is available here without cfg gates.
@@ -253,7 +253,7 @@ fn pipelined_two_inflight_control_run_is_clean() {
 fn checker_catches_skipped_ring_order() {
     // `SkipRingOrder` makes the executor commit the two outstanding
     // tickets newest-first: `RingCommit { 3 }` lands while epoch 2 is
-    // still draining — exactly the checker's rule-7 violation.
+    // still draining — exactly the checker's rule-1 ordering violation.
     let checker = two_inflight_pipelined_run(15, Some(Fault::SkipRingOrder));
     let report = checker.report();
     let ring = report.of_kind(DiagnosticKind::RingCommitOrder);
@@ -276,17 +276,18 @@ fn async_drain_control_run_is_clean() {
 
 #[test]
 fn checker_catches_skipped_drain_commit_order() {
-    // The fault fires on the drain executor: it commits ring slot 0
-    // without having written the snapshot back.
-    let (checker, _pool) = dirty_async_pool(12, Some(Fault::SkipDrainCommitOrder));
+    // The fault fires on the drain executor: it commits ring slot 0 with
+    // one snapshotted line never written back — the same missed flush, at
+    // the same commit, as on a synchronous pool.
+    let (checker, _pool) = dirty_async_pool(12, Some(Fault::SkipOneFlush));
     let report = checker.report();
-    let drain = report.of_kind(DiagnosticKind::RingCommitOrder);
+    let missed = report.of_kind(DiagnosticKind::MissedFlush);
     assert!(
-        !drain.is_empty(),
+        !missed.is_empty(),
         "commit-before-durable drain not detected:\n{report}"
     );
     assert!(
-        drain.iter().all(|d| d.line.is_some()),
+        missed.iter().all(|d| d.line.is_some()),
         "drain diagnostics must name the cache line:\n{report}"
     );
     assert!(!report.is_clean());

@@ -42,12 +42,11 @@ fn pipelined_pool_cfg(k: usize) -> PoolConfig {
         .unwrap()
 }
 
-/// Crash points that fall while at least `min_open` background drains are
+/// Crash points that fall while at least `min_open` drains are
 /// simultaneously in flight — between their `PipelineBegin` markers and
-/// the matching `RingCommit`s. A background-drain sweep that visits none of
-/// these would not be testing the two-phase commit at all, and a pipelined
-/// one that never crashes with two drains outstanding would not be testing
-/// the ring.
+/// the matching `RingCommit`s. A sweep that visits none of these would not
+/// be testing the claim/commit pair at all, and a pipelined one that never
+/// crashes with two drains outstanding would not be testing the ring.
 fn pipeline_overlap_crash_points(events: &[TraceEvent], min_open: usize) -> u64 {
     let mut open: Vec<u64> = Vec::new();
     let mut n = 0;
@@ -87,8 +86,9 @@ const SWEEPS: [SweepRow; 9] = [
 
 /// Sweeps the rows of [`SWEEPS`] for `workload` whose ring depth is one of
 /// `depths`. Each must find no divergence over at least 200 distinct crash
-/// points; a background-drain row must also crash inside some drain window,
-/// or it would not be testing the ring's commit at all.
+/// points, and must crash inside some drain window — between a claim and
+/// its commit, inline or on the executor — or it would not be testing the
+/// ring's commit at all.
 fn sweep_rows(workload: &str, depths: &[Option<usize>]) {
     let rows: Vec<_> = SWEEPS
         .iter()
@@ -120,7 +120,7 @@ fn sweep_rows(workload: &str, depths: &[Option<usize>]) {
             "{at}: pre-format prefix skipped"
         );
         assert!(
-            k.is_none() || pipeline_overlap_crash_points(&events, 1) > 0,
+            pipeline_overlap_crash_points(&events, 1) > 0,
             "{at}: no crash points inside any drain window"
         );
     }
@@ -310,7 +310,7 @@ fn skip_one_flush_is_caught_by_the_sweep() {
     assert!(clean.points > 0 && clean.images > 0);
 
     // Fault: the second checkpoint skips the pwb of one tracked line on
-    // the inline flush path but still advances the epoch counter durably.
+    // the inline flush path but still commits its ring slot durably.
     // Every post-commit crash image holds the stale line with the new
     // epoch, and recovery cannot roll it back (its cell is tagged with the
     // *previous* epoch) — the recovered value must diverge from the model.
@@ -338,7 +338,7 @@ fn skip_shard_fence_is_caught_by_the_sweep() {
     // Fault: the flusher claiming the last non-empty shard skips its
     // fence. Inline this would be masked by the commit's own psync on the
     // same thread; on the parallel path the flusher's write-backs stay
-    // un-drained, so the base crash image after the epoch advance misses
+    // un-drained, so the base crash image after the ring commit misses
     // that shard's lines entirely.
     let (events, cells, snaps) = recorded_cells(Some(Fault::SkipShardFence), 2, false, 48);
     let faulty = sweep_cells(&events, &cells, &snaps);
@@ -364,11 +364,11 @@ fn skip_drain_commit_order_is_caught_by_the_sweep() {
         "async control trace has no in-drain crash points"
     );
 
-    // Fault: the executor commits ring slot 0 back to zero without writing
-    // back or fencing the snapshotted shards. Every post-commit crash image
-    // then recovers as if epoch 2 committed, but its data never reached
-    // NVMM — the two-phase commit's characteristic ordering bug.
-    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipDrainCommitOrder), 0, true, 48);
+    // Fault: the executor commits ring slot 0 back to zero with one
+    // snapshotted line never written back. Every post-commit crash image
+    // then recovers as if epoch 2 committed, but that line's data never
+    // reached NVMM — commit before durability, on the executor's drain.
+    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipOneFlush), 0, true, 48);
     let faulty = sweep_cells(&events, &cells, &snaps);
     assert!(
         !faulty.is_clean(),

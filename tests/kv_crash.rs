@@ -313,21 +313,47 @@ fn kvd_serves_requests_and_live_metrics() {
     child.wait().expect("reap kvd");
 }
 
-/// A pool the OS will not map ends the binary with a message naming the
-/// size and a plain failure status — not a panic.
+/// Operator input the server cannot use ends the binary with a
+/// `respct-kvd: …` message and a plain failure status — not a panic: an
+/// unknown flag, a flag without its value, a malformed integer, a pool the
+/// OS will not map (the message names the size), and a serve or metrics
+/// address already in use.
 #[test]
 fn kvd_exits_with_a_message_on_an_unmappable_pool() {
     let huge = (1u64 << 62).to_string();
-    let out = Command::new(env!("CARGO_BIN_EXE_respct-kvd"))
-        .args(["--addr", "127.0.0.1:0", "--pool-bytes", &huge])
-        .env("RESPCT_BACKEND", "optane")
-        .output()
-        .expect("run respct-kvd");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("open store") && stderr.contains(&format!("{huge}-byte")),
-        "stderr: {stderr}"
-    );
+    let small = (16u64 << 20).to_string();
+    let held = std::net::TcpListener::bind("127.0.0.1:0").expect("hold a port");
+    let taken = held.local_addr().expect("held port").to_string();
+    let bind_taken = format!("bind {taken}");
+    let bind_metrics_taken = format!("bind metrics endpoint {taken}");
+    let huge_bytes = format!("{huge}-byte");
+    let rows: [(&[&str], &[&str]); 6] = [
+        (&["--bogus"], &["unknown flag --bogus"]),
+        (&["--period-ms"], &["--period-ms needs a value"]),
+        (&["--workers", "x"], &["--workers: expected an integer"]),
+        (
+            &["--addr", "127.0.0.1:0", "--pool-bytes", &huge],
+            &["open store", &huge_bytes],
+        ),
+        (&["--addr", &taken, "--pool-bytes", &small], &[&bind_taken]),
+        (
+            &["--metrics-addr", &taken, "--pool-bytes", &small],
+            &[&bind_metrics_taken],
+        ),
+    ];
+    for (args, wants) in rows {
+        let out = Command::new(env!("CARGO_BIN_EXE_respct-kvd"))
+            .args(args)
+            .env("RESPCT_BACKEND", "optane")
+            .output()
+            .expect("run respct-kvd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("respct-kvd: "), "{args:?}: {stderr}");
+        for want in wants {
+            assert!(stderr.contains(want), "{args:?}: want {want:?} in {stderr}");
+        }
+    }
+    drop(held);
 }

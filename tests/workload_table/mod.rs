@@ -35,10 +35,10 @@ pub const DRIVERS: [Driver; 2] = [Driver::Timer, Driver::Worker];
 
 /// Pool config for a mode of [`MODES`] (`None` = synchronous checkpoints,
 /// `Some(k)` = background drain on a ring of depth `k`).
-pub fn mode_cfg(pipeline: Option<usize>, flushers: usize) -> PoolConfig {
+pub fn mode_cfg(mode: Option<usize>, flushers: usize) -> PoolConfig {
     PoolConfig::builder()
-        .async_checkpoint(pipeline.is_some())
-        .epoch_pipeline(pipeline.unwrap_or(1))
+        .async_checkpoint(mode.is_some())
+        .epoch_pipeline(mode.unwrap_or(1))
         .flusher_threads(flushers)
         .build()
         .expect("config")
@@ -166,13 +166,15 @@ pub fn check_rows(w: &Workload, modes: &[Option<usize>], drivers: &[Driver]) {
             ])));
             (w.run)(&region, mode_cfg(mode, w.flusher_threads), driver);
 
+            let checkpoints = tally.checkpoints.load(Ordering::Relaxed);
+            let commits = tally.ring_commits.load(Ordering::Relaxed);
+            assert!(checkpoints > 0, "{row}: no checkpoint completed");
+            assert!(commits > 0, "{row}: no ring commit");
+            // A synchronous checkpoint commits its own ring slot before it
+            // ends: exactly one commit per checkpoint.
             assert!(
-                tally.checkpoints.load(Ordering::Relaxed) > 0,
-                "{row}: no checkpoint completed"
-            );
-            assert!(
-                mode.is_none() || tally.ring_commits.load(Ordering::Relaxed) > 0,
-                "{row}: no ring commit"
+                mode.is_some() || commits == checkpoints,
+                "{row}: {commits} ring commits for {checkpoints} checkpoints"
             );
             for (engine, report) in [("checker", checker.report()), ("races", races.report())] {
                 assert!(report.events > 0, "{row}: {engine} saw an empty trace");
