@@ -39,9 +39,10 @@
 //! 5. **Epoch discipline** — each claim advances the epoch by exactly 1;
 //!    checkpoint, claim, log, and recovery markers must carry the epoch the
 //!    checker believes is current.
-//! 6. **Shard fence protocol** — the sharded flush pipeline brackets each
-//!    shard's write-backs with `ShardFlushBegin`/`ShardFlushEnd`, and `End`
-//!    asserts the shard's pwbs are covered by a fence. Every opened shard
+//! 6. **Shard fence protocol** — the flush pipeline brackets each shard's
+//!    write-backs (a shard is a contiguous range of the epoch's sorted
+//!    lines) with `ShardFlushBegin`/`ShardFlushEnd`, and `End` asserts the
+//!    shard's pwbs are covered by a fence. Every opened shard
 //!    must be closed before the `OrderBarrier`; double-opens and closes
 //!    without a begin are protocol violations too.
 

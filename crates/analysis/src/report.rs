@@ -47,7 +47,7 @@ pub enum DiagnosticKind {
     /// record or recovery stamped with an epoch other than the current one
     /// (so a skipping epoch advance), or a claim outside a checkpoint.
     EpochDiscipline,
-    /// The sharded flush pipeline broke its fence protocol: a shard was
+    /// The flush pipeline broke its fence protocol: a shard was
     /// opened twice, closed without a begin, or was still open (write-backs
     /// issued but not yet covered by a fence) when the ring commit barrier
     /// ran. A crash between the barrier and the missing fence would commit

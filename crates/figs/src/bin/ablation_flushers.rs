@@ -1,18 +1,19 @@
-//! Ablation: the sharded parallel flusher pool (paper §5 "a pool of flusher
-//! threads flushes data to NVMM in parallel during checkpoints", with a
-//! one-to-one thread pinning).
+//! Ablation: the parallel flusher pool (paper §5 "a pool of flusher threads
+//! flushes data to NVMM in parallel during checkpoints", with a one-to-one
+//! thread pinning).
 //!
 //! Sweeps the number of dedicated flusher threads for the write-intensive
 //! hash-map workload and reports throughput plus the checkpoint phase
-//! decomposition: the serial gather/partition time and the (parallelized)
-//! sort+flush+fence time, per checkpoint. On this 1-CPU container extra
-//! flushers cannot help (they time-slice) — the interesting output is that
-//! the machinery works and how the phases split; on a multicore host the
-//! sweep shows the paper's scaling of the flush phase.
+//! decomposition per checkpoint: the gather time in the parked window, and
+//! the flush phase — the one sort + dedup on the draining thread, then the
+//! write-backs and fences spread over the flushers. With as many worker
+//! threads as CPUs the flushers time-slice with the workers, so extra
+//! flushers cannot help much; the output shows that the machinery works and
+//! how the phases split. On a host with spare cores the sweep shows how far
+//! the write-back half of the flush phase scales.
 
 use std::time::Duration;
 
-use respct::PoolConfig;
 use respct_figs::args::BenchArgs;
 use respct_figs::systems::{measure_respct_map, MapBenchSpec};
 use respct_figs::table::{f3, Table};
@@ -26,7 +27,6 @@ fn main() {
     println!("# Flusher-pool ablation: write-intensive map, {threads} worker threads");
     let mut table = Table::new(&[
         "flushers",
-        "shards",
         "mops",
         "ckpts",
         "mean_lines/ckpt",
@@ -35,11 +35,6 @@ fn main() {
         "mean_ckpt_ms",
     ]);
     for flushers in [0usize, 1, 2, 4] {
-        let shards = PoolConfig::builder()
-            .flusher_threads(flushers)
-            .build()
-            .expect("config")
-            .resolved_shards();
         let (t, snap) = measure_respct_map(
             "respct",
             MapBenchSpec {
@@ -60,7 +55,6 @@ fn main() {
         );
         table.row(vec![
             flushers.to_string(),
-            shards.to_string(),
             f3(t.mops()),
             snap.count.to_string(),
             f3(snap.mean_lines()),

@@ -61,8 +61,8 @@ pub enum TraceMarker {
     OrderBarrier,
     /// A flusher (or the checkpointer, inline) started writing back flush
     /// shard `shard` of the current checkpoint: `lines` unique cache lines,
-    /// already sorted + deduplicated. Hash partitioning guarantees a line
-    /// belongs to exactly one shard, so shards never overlap.
+    /// already sorted + deduplicated. A shard is a contiguous range of the
+    /// epoch's sorted unique lines, so shards never overlap.
     ShardFlushBegin { shard: u64, lines: u64 },
     /// Every write-back of flush shard `shard` is covered by a fence. All
     /// shards opened since `CheckpointBegin` must be closed before the

@@ -1,30 +1,22 @@
 //! The checkpoint procedure (paper Fig. 4, lines 46–59) and its periodic
-//! driver, plus the sharded parallel flush pipeline (§5 "a pool of flusher
-//! threads flushes data to NVMM in parallel during checkpoints").
+//! driver, plus the parallel flush pipeline (§5 "a pool of flusher threads
+//! flushes data to NVMM in parallel during checkpoints").
 //!
-//! # The sharded flush pipeline
+//! # The flush pipeline
 //!
-//! Every tracked cache line is hash-partitioned into one of
-//! `Pool::nshards` **flush shards** at append time
-//! ([`shard_of_line`]); each per-thread `to_be_flushed` list is really a
-//! vector of per-shard lists. Because the shard is a pure function of the
-//! line address, the same line tracked by any number of threads always
-//! lands in the same shard — so a *per-shard* sort + dedup is exactly as
-//! strong as the global sort + dedup the pipeline replaces, with no
-//! cross-shard coordination.
-//!
-//! At checkpoint time the stop-the-world section merely *moves* the
-//! per-slot shard lists out (O(slots × shards) pointer swaps, no sorting);
-//! whoever drains the epoch merges them per shard. Claimers — the flusher
-//! threads, or the draining thread itself when the pool has none — then
-//! take whole shards from a shared counter; each claimer sorts + dedups
-//! its shard locally ([`sort_dedup`]: an LSD radix sort once the shard is
-//! a few hundred lines long), writes the lines back in one batch
-//! ([`Region::pwb_lines`]), and issues **one** fence after its last shard
-//! ([`ShardJob::work`], the only shard loop). The
-//! serial O(n log n) sort and the old chunk-scatter/ack channel round-trip
-//! per chunk are both gone: the drainer sends one job message per flusher
-//! and waits for one ack per flusher.
+//! Tracking a cache line is a push onto the thread's own `to_be_flushed`
+//! list (adjacent duplicates skipped). The stop-the-world section merely
+//! *moves* the non-empty per-slot lists out (one pointer move per slot, no
+//! per-line work); whoever drains the epoch concatenates them and sorts +
+//! dedups the result once ([`sort_dedup`]: an LSD radix sort once the epoch
+//! has a few hundred lines). The sorted unique lines are then cut into
+//! contiguous, near-equal ranges — the flush **shards** — which claimers
+//! (the flusher threads, or the draining thread itself when the pool has
+//! none) take from a shared counter. Each claimer writes its ranges back in
+//! one batch per range ([`Region::pwb_lines`]) and issues **one** fence
+//! after its last range ([`ShardJob::work`], the only shard loop). The
+//! drainer sends one job message per flusher and waits for one ack per
+//! flusher.
 //!
 //! # One commit protocol
 //!
@@ -55,30 +47,14 @@ use crate::metrics::RuntimeMetrics;
 use crate::pool::{spin_until, CheckpointMode, Pool, SYSTEM_SLOT};
 use crate::slot::Quiesced;
 
-/// The flush shard a cache line belongs to. `nshards` must be a power of
-/// two (guaranteed by [`PoolConfig::resolved_shards`]).
-///
-/// Fibonacci (multiplicative) hashing: consecutive lines — the common
-/// pattern from `add_modified` over a byte range — spread across shards
-/// instead of clustering on one flusher, and the mixed high bits behave
-/// well for any allocation stride.
-///
-/// [`PoolConfig::resolved_shards`]: crate::PoolConfig::resolved_shards
-#[inline]
-pub fn shard_of_line(line: u64, nshards: usize) -> usize {
-    debug_assert!(nshards.is_power_of_two());
-    ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (nshards - 1)
-}
-
 /// What one shard's claimer (a flusher, or the draining thread) did for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardReport {
-    /// Shard index.
+    /// Shard index: the shard's position among the epoch's contiguous
+    /// ranges of sorted unique lines.
     pub shard: usize,
     /// Unique lines written back.
     pub lines: u64,
-    /// Nanoseconds sorting + deduplicating the shard.
-    pub sort_ns: u64,
     /// Nanoseconds issuing the shard's write-backs.
     pub flush_ns: u64,
 }
@@ -94,12 +70,12 @@ pub struct CkptReport {
     pub lines: u64,
     /// Nanoseconds waiting for every thread to park (quiescence).
     pub wait_ns: u64,
-    /// Nanoseconds moving per-slot shard lists into the gather vectors —
-    /// the only per-line work left on the serial path, and it is O(1) per
-    /// *list*, not per line.
+    /// Nanoseconds moving the per-slot tracking lists out of the slots —
+    /// the gather's whole cost in the parked window: one pointer move per
+    /// non-empty list, no per-line work.
     pub partition_ns: u64,
     /// Nanoseconds in the flush phase, wall-clock across all flushers
-    /// (sort + dedup + write-backs + fences).
+    /// (concatenation + the one sort + dedup + write-backs + fences).
     pub flush_ns: u64,
     /// Nanoseconds application threads were held parked: the stop-the-world
     /// window from raising `timer` to releasing it, in every mode (so it
@@ -118,21 +94,29 @@ pub struct CkptReport {
     /// threads (plus `drain_ns`); the recycling of committed frees that
     /// follows the release is not counted in any mode.
     pub total_ns: u64,
-    /// Per-shard breakdown, one entry per non-empty shard.
+    /// Per-shard breakdown, one entry per shard written back (none under
+    /// `NoFlush`).
     pub shards: Vec<ShardReport>,
 }
 
-/// Shards below this many tracked lines are deduplicated by a comparison
+/// Epochs below this many tracked lines are deduplicated by a comparison
 /// sort: the radix sort's two passes over a 256-entry count table only pay
 /// off above it.
 const RADIX_MIN_LINES: usize = 512;
 
-/// Sorts a shard's tracked lines ascending and drops duplicates — the
+/// Epochs above this many tracked lines (a bulk load's) are deduplicated
+/// by the in-place comparison sort too: at a few million lines the radix
+/// sort's scatter passes miss cache as often as pdqsort compares, so it no
+/// longer wins, and its line-sized scratch buffer would double the flush's
+/// peak memory.
+const RADIX_MAX_LINES: usize = 1 << 21;
+
+/// Sorts an epoch's tracked lines ascending and drops duplicates — the
 /// result of `sort_unstable()` + `dedup()`, computed by an LSD radix sort
 /// (8-bit digits, only as many as the highest set bit of the largest line
-/// needs) once the shard is large enough for that to win.
+/// needs) in the size range where that wins.
 pub(crate) fn sort_dedup(lines: &mut Vec<u64>) {
-    if lines.len() < RADIX_MIN_LINES {
+    if !(RADIX_MIN_LINES..=RADIX_MAX_LINES).contains(&lines.len()) {
         lines.sort_unstable();
         lines.dedup();
         return;
@@ -163,12 +147,6 @@ pub(crate) fn sort_dedup(lines: &mut Vec<u64>) {
     }
     lines.dedup();
 }
-
-/// One closed epoch's tracked lines as the stop-the-world window snapshots
-/// them: `(shard, list)` for every non-empty per-slot shard list, moved out
-/// by pointer — no merging, no per-line work. The drain routine merges per
-/// shard inside [`Flusher::flush_phase`].
-type EpochLists = Vec<(usize, Vec<u64>)>;
 
 impl Pool {
     /// Runs one checkpoint: to completion on a synchronous pool, to the
@@ -228,7 +206,7 @@ impl Pool {
         let report = CkptReport {
             closed_epoch: closing,
             // Pre-dedup; the drain replaces it with the exact count.
-            lines: lists.iter().map(|(_, l)| l.len() as u64).sum(),
+            lines: lists.iter().map(|l| l.len() as u64).sum(),
             wait_ns: waited.as_nanos() as u64,
             partition_ns: tp.elapsed().as_nanos() as u64,
             flush_ns: 0,
@@ -313,19 +291,14 @@ impl Pool {
 }
 
 impl Quiesced<'_> {
-    /// Gather: moves every non-empty per-slot shard list out, tagged with
-    /// its shard. O(slots × shards) pointer moves, no per-line work —
-    /// merging and dedup happen per shard inside the flush phase.
-    fn gather(&mut self) -> EpochLists {
-        let mut lists: EpochLists = Vec::new();
-        for idx in 0..MAX_THREADS {
-            for (s, list) in self.slot(idx).state().to_flush.iter_mut().enumerate() {
-                if !list.is_empty() {
-                    lists.push((s, std::mem::take(list)));
-                }
-            }
-        }
-        lists
+    /// Gather: moves every non-empty per-slot tracking list out. One
+    /// pointer move per slot, no per-line work — the concatenation and the
+    /// dedup happen inside the flush phase.
+    fn gather(&mut self) -> Vec<Vec<u64>> {
+        (0..MAX_THREADS)
+            .map(|idx| std::mem::take(&mut self.slot(idx).state().to_flush))
+            .filter(|list| !list.is_empty())
+            .collect()
     }
 }
 
@@ -346,12 +319,18 @@ impl Drop for CheckpointerGuard {
 
 // ---- Flush phase -----------------------------------------------------------
 
-/// Everything the flush phase needs: the shards, the flusher threads and
-/// the injected faults. Owned by the pool's [`DrainCtx`], so the drain
-/// routine flushes through it on either caller's thread.
+/// How many contiguous ranges (shards) an epoch's sorted unique lines are
+/// cut into: four per claimer, which keeps the claim race balanced when one
+/// claimer is descheduled, and never more than there are lines.
+fn shard_count(flusher_threads: usize, lines: usize) -> usize {
+    (4 * flusher_threads.max(1)).min(lines)
+}
+
+/// Everything the flush phase needs: the flusher threads and the injected
+/// faults. Owned by the pool's [`DrainCtx`], so the drain routine flushes
+/// through it on either caller's thread.
 pub(crate) struct Flusher {
     region: Arc<Region>,
-    nshards: usize,
     /// Whether to actually write lines back (false under `NoFlush`).
     full: bool,
     workers: Option<FlusherPool>,
@@ -365,7 +344,6 @@ pub(crate) struct Flusher {
 impl Flusher {
     pub(crate) fn new(region: Arc<Region>, cfg: &crate::pool::PoolConfig) -> Flusher {
         Flusher {
-            nshards: cfg.resolved_shards(),
             full: cfg.mode == CheckpointMode::Full,
             workers: (cfg.flusher_threads > 0)
                 .then(|| FlusherPool::new(cfg.flusher_threads, Arc::clone(&region))),
@@ -387,86 +365,51 @@ impl Flusher {
         }
     }
 
-    /// Sort + dedup + count without writing anything back (the `NoFlush`
-    /// mode), so reported line counts stay comparable with a full flush.
-    fn count_shards(shards: Vec<Vec<u64>>) -> (u64, Vec<ShardReport>) {
-        let mut total = 0u64;
-        let mut reports = Vec::new();
-        for (s, mut lines) in shards.into_iter().enumerate() {
-            if lines.is_empty() {
-                continue;
-            }
-            sort_dedup(&mut lines);
-            total += lines.len() as u64;
-            reports.push(ShardReport {
-                shard: s,
-                lines: lines.len() as u64,
-                sort_ns: 0,
-                flush_ns: 0,
-            });
-        }
-        (total, reports)
-    }
-
-    /// The flush phase of a checkpoint: per-shard merge, then one
-    /// [`ShardJob`] whose shards are sorted, deduped, written back and
-    /// fenced by [`ShardJob::work`] — on the flusher threads when a pool
-    /// exists, on the draining thread (the sole claimer) otherwise. Returns
-    /// the unique line count and the per-shard breakdown.
-    fn flush_phase(&self, lists: EpochLists) -> (u64, Vec<ShardReport>) {
-        // Merge: the first list of a shard is moved, later ones appended —
-        // no sorting here; dedup happens per shard, by its claimer.
-        let mut shards: Vec<Vec<u64>> = vec![Vec::new(); self.nshards];
-        for (s, mut list) in lists {
-            if shards[s].is_empty() {
-                shards[s] = list;
-            } else {
-                shards[s].append(&mut list);
-            }
-        }
-        if !self.full {
-            // NoFlush: still sort + dedup per shard so the reported line
-            // count matches what a full checkpoint would have written back.
-            return Self::count_shards(shards);
-        }
-        let tasks: Vec<ShardTask> = shards
-            .into_iter()
-            .enumerate()
-            .filter(|(_, l)| !l.is_empty())
-            .map(|(s, l)| ShardTask {
-                shard: s,
-                state: Mutex::new(ShardTaskState {
-                    lines: l,
-                    report: None,
-                }),
-            })
-            .collect();
-        if tasks.is_empty() {
+    /// The flush phase of a checkpoint: concatenates the epoch's lists (the
+    /// longest is moved, the rest appended to it, so the bulk of the lines
+    /// is never copied), sorts + dedups them once, and writes the unique
+    /// lines back as one [`ShardJob`] of contiguous ranges, fenced by
+    /// [`ShardJob::work`] — on the flusher threads when a pool exists, on
+    /// the draining thread (the sole claimer) otherwise. Returns the unique
+    /// line count and the per-shard breakdown.
+    fn flush_phase(&self, mut lists: Vec<Vec<u64>>) -> (u64, Vec<ShardReport>) {
+        let Some(longest) = (0..lists.len()).max_by_key(|&i| lists[i].len()) else {
             return (0, Vec::new());
+        };
+        let mut lines = lists.swap_remove(longest);
+        for mut list in lists {
+            lines.append(&mut list);
         }
+        sort_dedup(&mut lines);
+        let total = lines.len() as u64;
+        if !self.full {
+            // NoFlush: report what a full checkpoint would have written
+            // back, and write nothing.
+            return (total, Vec::new());
+        }
+        let claimers = self.workers.as_ref().map_or(1, |pool| pool.n);
+        let shards = shard_count(claimers, lines.len());
         // Test-only injected faults: drop one write-back (the middle line
-        // of the largest shard), every fence, one shard's fence (the last
-        // non-empty shard, so no claim follows it), or one ack's HB edge.
+        // of the epoch), every fence, one shard's fence (the last shard, so
+        // no claim follows it), or one ack's HB edge.
         #[cfg(feature = "fault-inject")]
-        let (skip_one_shard, skip_fence, skip_fence_shard, drop_ack_edge) = {
+        let (skip_line, skip_fence, skip_fence_shard, drop_ack_edge) = {
             use crate::pool::{Fault, SyncEdgeSite};
-            let largest = || tasks.iter().max_by_key(|t| t.state.lock().lines.len());
             (
                 self.take_fault(Fault::SkipOneFlush)
-                    .then(|| largest().expect("non-empty").shard),
+                    .then_some(lines.len() / 2),
                 self.take_fault(Fault::SkipFence),
-                self.take_fault(Fault::SkipShardFence)
-                    .then(|| tasks.last().expect("non-empty").shard),
+                self.take_fault(Fault::SkipShardFence).then_some(shards - 1),
                 self.take_fault(Fault::DropSyncEdge(SyncEdgeSite::FlusherAck)),
             )
         };
         #[cfg(not(feature = "fault-inject"))]
-        let (skip_one_shard, skip_fence, skip_fence_shard, drop_ack_edge) =
-            (None, false, None, false);
+        let (skip_line, skip_fence, skip_fence_shard, drop_ack_edge) = (None, false, None, false);
         let job = Arc::new(ShardJob {
-            tasks,
+            lines,
+            flush_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             next: AtomicUsize::new(0),
-            skip_one_shard,
+            skip_line,
             skip_fence,
             skip_fence_shard,
             drop_ack_edge: AtomicBool::new(drop_ack_edge),
@@ -475,40 +418,32 @@ impl Flusher {
             Some(pool) => pool.run(&job),
             None => job.work(&self.region),
         }
-        let mut total = 0u64;
-        let mut reports = Vec::with_capacity(job.tasks.len());
-        for t in &job.tasks {
-            if let Some(r) = t.state.lock().report.take() {
-                total += r.lines;
-                reports.push(r);
-            }
-        }
+        let reports = (0..shards)
+            .map(|shard| ShardReport {
+                shard,
+                lines: job.range(shard).len() as u64,
+                flush_ns: job.flush_ns[shard].load(Ordering::Relaxed),
+            })
+            .collect();
         (total, reports)
     }
 }
 
 // ---- Flusher pool ----------------------------------------------------------
 
-/// One shard of one checkpoint's flush work.
-struct ShardTask {
-    shard: usize,
-    state: Mutex<ShardTaskState>,
-}
-
-struct ShardTaskState {
-    lines: Vec<u64>,
-    report: Option<ShardReport>,
-}
-
-/// One checkpoint's flush job, shared by every claimer. Claimers take whole
-/// shards by bumping `next`; a shard is sorted, deduped, and written back
-/// entirely by its claimer, which fences once after its last shard.
+/// One checkpoint's flush job, shared by every claimer: the epoch's sorted
+/// unique lines, cut into contiguous, near-equal ranges (one per
+/// `flush_ns` slot). Claimers take whole ranges by bumping `next`; a range
+/// is written back entirely by its claimer, which fences once after its
+/// last range.
 struct ShardJob {
-    /// The non-empty shards, in ascending shard order.
-    tasks: Vec<ShardTask>,
+    lines: Vec<u64>,
+    /// The per-shard report slot: nanoseconds the shard's claimer spent on
+    /// its write-backs.
+    flush_ns: Box<[AtomicU64]>,
     next: AtomicUsize,
-    /// Fault injection: this shard's claimer drops its middle write-back.
-    skip_one_shard: Option<usize>,
+    /// Fault injection: the line at this index is not written back.
+    skip_line: Option<usize>,
     /// Fault injection: no claimer fences (each still end-marks its shards —
     /// the buggy runtime *claims* they are done, and the checker catches the
     /// unfenced write-backs at the order barrier).
@@ -527,6 +462,12 @@ impl ShardJob {
         SyncToken::Chan {
             id: Arc::as_ptr(self) as u64,
         }
+    }
+
+    /// Shard `shard`'s range of `lines`.
+    fn range(&self, shard: usize) -> std::ops::Range<usize> {
+        let (n, shards) = (self.lines.len(), self.flush_ns.len());
+        shard * n / shards..(shard + 1) * n / shards
     }
 
     /// One claimer's share of a job — the only shard loop: claim shards
@@ -552,43 +493,33 @@ impl ShardJob {
             }
         };
         loop {
-            let idx = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = self.tasks.get(idx) else {
+            let shard = self.next.fetch_add(1, Ordering::Relaxed);
+            if shard >= self.flush_ns.len() {
                 break;
-            };
-            let racing = self.skip_fence_shard == Some(task.shard);
+            }
+            let racing = self.skip_fence_shard == Some(shard);
             if racing {
                 // Fence what this claimer already wrote, so exactly the
                 // marked shard's write-backs race the commit. (It is the
-                // last task, so no claim follows it.)
+                // last shard, so no claim follows it.)
                 fence(&mut unfenced);
             }
-            let mut st = task.state.lock();
-            let ts = Instant::now();
-            let mut lines = std::mem::take(&mut st.lines);
-            sort_dedup(&mut lines);
-            let sort_ns = ts.elapsed().as_nanos() as u64;
+            let range = self.range(shard);
             region.trace_marker(TraceMarker::ShardFlushBegin {
-                shard: task.shard as u64,
-                lines: lines.len() as u64,
+                shard: shard as u64,
+                lines: range.len() as u64,
             });
             let tw = Instant::now();
-            if self.skip_one_shard == Some(task.shard) {
-                let skip_line = lines[lines.len() / 2];
-                for &line in lines.iter().filter(|&&l| l != skip_line) {
-                    region.pwb_line(line);
+            match self.skip_line {
+                Some(skip) if range.contains(&skip) => {
+                    region.pwb_lines(&self.lines[range.start..skip]);
+                    region.pwb_lines(&self.lines[skip + 1..range.end]);
                 }
-            } else {
-                region.pwb_lines(&lines);
+                _ => region.pwb_lines(&self.lines[range]),
             }
-            st.report = Some(ShardReport {
-                shard: task.shard,
-                lines: lines.len() as u64,
-                sort_ns,
-                flush_ns: tw.elapsed().as_nanos() as u64,
-            });
+            self.flush_ns[shard].store(tw.elapsed().as_nanos() as u64, Ordering::Relaxed);
             if !racing {
-                unfenced.push(task.shard);
+                unfenced.push(shard);
             }
         }
         fence(&mut unfenced);
@@ -682,8 +613,9 @@ impl Drop for FlusherPool {
 pub(crate) struct DrainTicket {
     /// The ring slot the epoch (`report.closed_epoch`) claimed.
     slot: usize,
-    /// The epoch's tracked-line lists, pre-merge and pre-dedup.
-    lists: EpochLists,
+    /// The epoch's non-empty per-slot tracking lists, moved out as they
+    /// were: not concatenated, not deduplicated.
+    lists: Vec<Vec<u64>>,
     /// Blocks freed during `epoch`, recyclable only after its commit.
     frees: Vec<(PAddr, usize)>,
     /// The stop-the-world report; the drain fills in the flush figures
@@ -1006,47 +938,32 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_line_is_stable_and_in_range() {
-        for nshards in [1usize, 2, 8, 64, 4096] {
-            for line in 0..1000u64 {
-                let s = shard_of_line(line, nshards);
-                assert!(s < nshards);
-                assert_eq!(s, shard_of_line(line, nshards));
-            }
-        }
-        // With 1 shard everything collapses to shard 0.
-        assert_eq!(shard_of_line(u64::MAX, 1), 0);
-    }
-
-    #[test]
-    fn shard_of_line_spreads_consecutive_lines() {
-        // 256 consecutive lines over 8 shards must not all land in one
-        // shard (the whole point of mixing the address).
-        let mut counts = [0usize; 8];
-        for line in 0..256u64 {
-            counts[shard_of_line(line, 8)] += 1;
-        }
-        assert!(counts.iter().all(|&c| c > 0), "empty shard: {counts:?}");
-    }
-
-    #[test]
     fn flusher_pool_flushes_everything() {
         let region = Region::new(RegionConfig::sim(1 << 20, SimConfig::no_eviction(9)));
         let heap = crate::layout::heap_start().0;
         let cfg = PoolConfig::builder().flusher_threads(4).build().unwrap();
-        let nshards = cfg.resolved_shards();
-        let mut lists: EpochLists = Vec::new();
-        for i in 0..100u64 {
-            let a = PAddr(heap + i * 64);
-            region.store(a, i + 1);
-            let line = a.line();
-            // Duplicates must be deduped per shard.
-            lists.push((shard_of_line(line, nshards), vec![line, line]));
-        }
+        let lines: Vec<u64> = (0..100u64)
+            .map(|i| {
+                let a = PAddr(heap + i * 64);
+                region.store(a, i + 1);
+                a.line()
+            })
+            .collect();
+        // Three per-slot lists over the same lines, in different orders and
+        // with repeats: every duplicate, within a list or across lists, must
+        // dedup away.
+        let lists = vec![
+            lines.clone(),
+            lines.iter().rev().copied().collect(),
+            lines.iter().flat_map(|&l| [l, l]).collect(),
+        ];
         let flusher = Flusher::new(Arc::clone(&region), &cfg);
         let (total, reports) = flusher.flush_phase(lists);
         drop(flusher);
         assert_eq!(total, 100);
+        // 4 shards per flusher, cut near-equal.
+        assert_eq!(reports.len(), 16);
+        assert!(reports.iter().all(|r| r.lines == 6 || r.lines == 7));
         assert_eq!(reports.iter().map(|r| r.lines).sum::<u64>(), 100);
         let img = region.crash(respct_pmem::sim::CrashMode::PowerFailure);
         for i in 0..100u64 {

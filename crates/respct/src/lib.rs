@@ -88,7 +88,7 @@ mod thread;
 mod verify;
 
 pub use alloc::CHUNK_SIZE;
-pub use checkpoint::{shard_of_line, CheckpointerGuard, CkptReport, ShardReport};
+pub use checkpoint::{CheckpointerGuard, CkptReport, ShardReport};
 pub use condvar::RCondvar;
 pub use error::PoolError;
 pub use incll::{cell_layout, epoch_tag, tag_epoch, ICell};

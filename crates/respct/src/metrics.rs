@@ -4,12 +4,13 @@
 //! the quantities the paper's evaluation reasons about into a
 //! [`MetricsRegistry`]:
 //!
-//! * checkpoint phase latencies (wait / partition / flush / total) as
-//!   histograms, not just means — the tails are where quiescence problems
-//!   show up;
+//! * checkpoint phase latencies (wait / gather, named `partition` / flush
+//!   / total) as histograms, not just means — the tails are where
+//!   quiescence problems show up;
 //! * epoch length (time between consecutive checkpoints);
-//! * lines flushed per checkpoint and per shard, plus per-shard flush time
-//!   (skew across flushers);
+//! * lines flushed per checkpoint and per flush shard (a contiguous range
+//!   of the epoch's sorted lines), plus per-shard write-back time (skew
+//!   across flushers);
 //! * RP quiescence stall time, both as a global histogram and as a
 //!   per-slot total (one slow thread stalls every checkpoint);
 //! * InCLL traffic: updates, first-touches (= backup writes), bytes
@@ -186,7 +187,7 @@ impl RuntimeMetrics {
         );
         let ckpt_partition_ns = r.histogram(
             "respct_checkpoint_partition_ns",
-            "Checkpoint gather/partition phase",
+            "Checkpoint gather: moving the per-thread tracking lists out",
             Unit::Nanos,
         );
         let ckpt_flush_ns = r.histogram(
@@ -476,7 +477,6 @@ mod tests {
             shards: vec![ShardReport {
                 shard: 0,
                 lines,
-                sort_ns: 10,
                 flush_ns: 2000,
             }],
         }

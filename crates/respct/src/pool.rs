@@ -41,7 +41,7 @@ pub enum CheckpointMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The next full checkpoint skips the `pwb` of one tracked line (the
-    /// middle line of its largest shard): a missed-flush bug.
+    /// middle line of the epoch's sorted unique lines): a missed-flush bug.
     SkipOneFlush,
     /// The next first-update-in-epoch of an InCLL cell skips writing the
     /// in-line backup + epoch tag: a logging-rule bug.
@@ -49,10 +49,10 @@ pub enum Fault {
     /// The next full checkpoint omits the `psync` between the data flushes
     /// and the ring commit: a cross-line ordering bug.
     SkipFence,
-    /// The flusher claiming the last non-empty shard of the next full
-    /// checkpoint skips its fence: one shard's write-backs race the ring
-    /// commit while every other shard is properly fenced — the parallel
-    /// pipeline's characteristic failure mode.
+    /// The flusher claiming the last shard (the highest range of sorted
+    /// lines) of the next full checkpoint skips its fence: one shard's
+    /// write-backs race the ring commit while every other shard is properly
+    /// fenced — the parallel pipeline's characteristic failure mode.
     SkipShardFence,
     /// The drain executor commits the next two queued epochs in
     /// the *wrong* order: it holds the older epoch's ticket, flushes and
@@ -103,7 +103,7 @@ pub struct PoolConfig {
     /// per checkpoint, not per operation.
     pub(crate) metrics: bool,
     /// Asynchronous checkpoint drain: release the quiesced threads as soon
-    /// as the flush-shard lists are snapshotted and the closing epoch's
+    /// as the tracking lists are snapshotted and the closing epoch's
     /// ring-slot claim is durable, then write the snapshot back on the
     /// drain executor and commit the slot afterwards (two-phase commit).
     /// Default off.
@@ -187,14 +187,6 @@ impl PoolConfig {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         })
     }
-
-    /// The number of flush shards each thread's tracking list is
-    /// partitioned into at append time: enough that each flusher claims
-    /// several (4×, rounded up to a power of two), which keeps the claim
-    /// race load-balanced when shard sizes are skewed.
-    pub fn resolved_shards(&self) -> usize {
-        (4 * self.flusher_threads.max(1)).next_power_of_two()
-    }
 }
 
 /// Maximum dedicated flusher threads.
@@ -231,7 +223,7 @@ impl PoolConfigBuilder {
 
     /// Enables the asynchronous checkpoint drain (default: off). Threads
     /// are released as soon as the stop-the-world phase snapshots the
-    /// flush-shard lists and persists the closing epoch's ring-slot claim;
+    /// tracking lists and persists the closing epoch's ring-slot claim;
     /// the flush and the final commit happen on the drain executor.
     pub fn async_checkpoint(mut self, on: bool) -> Self {
         self.cfg.async_checkpoint = on;
@@ -313,10 +305,6 @@ impl PoolConfigBuilder {
 pub struct Pool {
     pub(crate) region: Arc<Region>,
     pub(crate) cfg: PoolConfig,
-    /// Resolved flush shard count (power of two; see
-    /// [`PoolConfig::resolved_shards`]). Shard index of a line is
-    /// [`crate::checkpoint::shard_of_line`]`(line, nshards)`.
-    pub(crate) nshards: usize,
     /// Volatile mirror of the NVMM epoch counter. Written only by the
     /// checkpointer while every worker is parked.
     pub(crate) epoch_mirror: AtomicU64,
@@ -493,7 +481,6 @@ impl Pool {
         epoch: u64,
         scrub_fresh: bool,
     ) -> Arc<Pool> {
-        let nshards = cfg.resolved_shards();
         let flags = (0..MAX_THREADS)
             .map(|i| CachePadded::new(AtomicBool::new(i == SYSTEM_SLOT)))
             .collect::<Vec<_>>()
@@ -502,7 +489,7 @@ impl Pool {
             .map(|_| AtomicBool::new(false))
             .collect::<Vec<_>>();
         let u64_cell = |addr: PAddr| -> u64 { region.load(addr) };
-        let slots = crate::slot::SlotTable::new(&region, nshards);
+        let slots = crate::slot::SlotTable::new(&region);
         let class_heads = (0..NUM_CLASSES)
             .map(|c| Mutex::new(u64_cell(layout::freelist_cell(c))))
             .collect::<Vec<_>>();
@@ -523,7 +510,6 @@ impl Pool {
         let pool = Arc::new(Pool {
             region,
             cfg,
-            nshards,
             epoch_mirror: AtomicU64::new(epoch),
             timer: AtomicBool::new(false),
             flags,
@@ -750,13 +736,9 @@ mod tests {
         Pool::create(region, PoolConfig::default()).unwrap()
     }
 
-    /// All tracked lines of the system slot, across shards, in sorted order.
-    fn tracked_sorted(pool: &Pool) -> Vec<u64> {
-        let mut serial = pool.lock_ckpt();
-        let mut sys = serial.system_slot();
-        let mut all: Vec<u64> = sys.state().to_flush.iter().flatten().copied().collect();
-        all.sort_unstable();
-        all
+    /// The system slot's tracking list, in append order.
+    fn tracked(pool: &Pool) -> Vec<u64> {
+        pool.lock_ckpt().system_slot().state().to_flush.clone()
     }
 
     #[test]
@@ -788,7 +770,7 @@ mod tests {
         assert_eq!(crate::incll::tag_epoch(cell.addr(), eid), FIRST_EPOCH);
         // Only one tracking entry despite two updates.
         assert_eq!(
-            tracked_sorted(&pool)
+            tracked(&pool)
                 .iter()
                 .filter(|&&l| l == cell.addr().line())
                 .count(),
@@ -800,7 +782,7 @@ mod tests {
     fn add_modified_covers_all_lines() {
         let pool = small_pool();
         pool.lock_ckpt().system_slot().add_modified(PAddr(100), 200);
-        assert_eq!(tracked_sorted(&pool), vec![1, 2, 3, 4]);
+        assert_eq!(tracked(&pool), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -818,11 +800,6 @@ mod tests {
         use crate::error::PoolError;
         let ok = PoolConfig::builder().flusher_threads(4).build().unwrap();
         assert_eq!(ok.flusher_threads(), 4);
-        assert_eq!(ok.resolved_shards(), 16);
-        // Shards: 4× flushers, rounded up to a power of two.
-        let auto = PoolConfig::builder().flusher_threads(3).build().unwrap();
-        assert_eq!(auto.resolved_shards(), 16);
-        assert_eq!(PoolConfig::default().resolved_shards(), 4);
         assert!(matches!(
             PoolConfig::builder().flusher_threads(65).build(),
             Err(PoolError::InvalidConfig(_))
@@ -850,21 +827,19 @@ mod tests {
     }
 
     #[test]
-    fn tracked_lines_partition_stably() {
+    fn track_line_skips_adjacent_duplicates() {
         let pool = small_pool();
-        // The same line appended twice back-to-back dedups; interleaved
-        // appends of distinct lines land in shards determined only by the
-        // address, so re-appending line 1 later still finds it (or not)
-        // purely within its own shard.
         {
             let mut serial = pool.lock_ckpt();
             let mut sys = serial.system_slot();
-            sys.track_line(1);
-            sys.track_line(1);
-            sys.track_line(2);
-            let shard_of_1 = crate::checkpoint::shard_of_line(1, pool.nshards);
-            assert!(sys.state().to_flush[shard_of_1].contains(&1));
+            // A same-line repeat, a fresh cell's node/registry alternation
+            // (7, 9, 7, 9, 7), then lines that end the pattern.
+            for line in [5, 5, 7, 9, 7, 9, 7, 4, 2, 7] {
+                sys.track_line(line);
+            }
         }
-        assert_eq!(tracked_sorted(&pool), vec![1, 2]);
+        // Repeats of either of the last two entries are dropped; a line
+        // from further back is appended again (the checkpoint dedups it).
+        assert_eq!(tracked(&pool), vec![5, 7, 9, 4, 2, 7]);
     }
 }

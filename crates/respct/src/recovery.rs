@@ -303,9 +303,9 @@ impl Pool {
 
         // Phase 3: everything recovery rewrote — and every cell already
         // stamped with the failed epoch — must reach NVMM at the next
-        // checkpoint. `track_line` shards the lines exactly as live
-        // tracking does, so the recovered lines flow through the same
-        // sharded flush pipeline.
+        // checkpoint. `track_line` appends them to the system slot's list
+        // exactly as live tracking does, so the recovered lines flow
+        // through the same flush pipeline.
         let mut serial = pool.lock_ckpt();
         for &line in &lines {
             serial.system_slot().track_line(line);

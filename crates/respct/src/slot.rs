@@ -34,12 +34,10 @@ use crate::pool::{CkptLockGuard, Pool, SYSTEM_SLOT};
 
 /// Volatile per-slot state, owned by whoever holds the slot's [`Slot`].
 pub(crate) struct SlotState {
-    /// Cache lines modified this epoch (`to_be_flushed`, paper Fig. 3),
-    /// hash-partitioned by line address into `Pool::nshards` shard lists at
-    /// append time. A given line always lands in the same shard (the shard
-    /// is a pure function of the address), so checkpoint-time dedup can run
-    /// per shard with no cross-shard coordination.
-    pub to_flush: Vec<Vec<u64>>,
+    /// Cache lines modified this epoch (`to_be_flushed`, paper Fig. 3), in
+    /// append order, adjacent duplicates skipped. The checkpoint moves the
+    /// list out and deduplicates every slot's lines together.
+    pub to_flush: Vec<u64>,
     /// Tail chunk of the slot's registry chain (0 = none). Volatile cache;
     /// reconstructed from persistent state on registration.
     pub reg_tail: u64,
@@ -74,13 +72,13 @@ unsafe impl Sync for SlotTable {}
 
 impl SlotTable {
     /// One slot per possible thread, cursors loaded from the (valid) header.
-    pub(crate) fn new(region: &Region, nshards: usize) -> SlotTable {
+    pub(crate) fn new(region: &Region) -> SlotTable {
         let cursor = |slot, field| region.load::<u64>(layout::slot_field(slot, field));
         SlotTable(
             (0..MAX_THREADS)
                 .map(|i| {
                     CachePadded::new(UnsafeCell::new(SlotState {
-                        to_flush: vec![Vec::new(); nshards],
+                        to_flush: Vec::new(),
                         reg_tail: 0,
                         reg_tail_used: 0,
                         frees: Vec::new(),
@@ -137,15 +135,17 @@ impl<'a> Slot<'a> {
         unsafe { &mut *self.pool.slots.0[self.idx].get() }
     }
 
-    /// Appends `line` to the slot's tracking list, in the shard the line
-    /// hashes to. Adjacent writes to the same line are common (node payload
-    /// plus embedded cell); skipping trivial duplicates shrinks the flush,
-    /// and works per shard because a line always hashes to the same shard.
+    /// Appends `line` to the slot's tracking list unless it repeats one of
+    /// the last two entries. Adjacent writes to the same line are common
+    /// (node payload plus embedded cell), and initializing a fresh cell
+    /// alternates its own line with the registry line its entry lands on
+    /// (node, registry, node, registry, node); skipping both shapes of
+    /// repeat roughly halves the list a bulk load makes the checkpoint sort.
     #[inline]
     pub(crate) fn track_line(&mut self, line: u64) {
         let pool = self.pool;
-        let list = &mut self.state().to_flush[crate::checkpoint::shard_of_line(line, pool.nshards)];
-        if list.last() != Some(&line) {
+        let list = &mut self.state().to_flush;
+        if !list[list.len().saturating_sub(2)..].contains(&line) {
             list.push(line);
         }
         pool.region.trace_marker(TraceMarker::TrackLine { line });

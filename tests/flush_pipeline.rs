@@ -1,74 +1,95 @@
-//! The sharded flush pipeline: partition-equivalence with the old
-//! global-sort path, end-to-end parity between inline and parallel
-//! flushing, and the checker's classification of a dropped shard fence.
+//! The flush pipeline: end-to-end parity between inline and parallel
+//! flushing, the shape of the shards in the trace, and the checker's
+//! classification of a dropped shard fence.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use respct_analysis::{Checker, DiagnosticKind};
 use respct_repro::ds::PQueue;
-use respct_repro::pmem::{sim::CrashMode, PAddr, Region, RegionConfig, SimConfig};
-use respct_repro::respct::{shard_of_line, Fault, Pool, PoolConfig};
+use respct_repro::pmem::{
+    sim::CrashMode, PAddr, Region, RegionConfig, SimConfig, TraceEvent, TraceMarker, VecSink,
+};
+use respct_repro::respct::{Fault, Pool, PoolConfig};
 
-/// Per-slot tracked-line append streams: few distinct lines, lots of
-/// duplication and cross-slot sharing — the shape checkpoint dedup exists
-/// for.
-fn slot_streams() -> impl Strategy<Value = Vec<Vec<u64>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(0u64..96, 0..120),
-        1..6, // slots
-    )
+/// Checks one traced checkpoint's flush: every tracked line is written back
+/// exactly once between `CheckpointBegin` and `OrderBarrier`, the shard
+/// sizes sum to `lines`, and each claimer's shards are ascending and
+/// disjoint ranges of lines.
+fn check_flush_trace(events: &[TraceEvent], lines: u64) -> Result<(), TestCaseError> {
+    let mut tracked = BTreeSet::new();
+    let mut pwbs: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut shard_lines = 0;
+    // Per claimer: the shards it opened, in order, with the lines it wrote
+    // back inside each.
+    let mut claimed: BTreeMap<u64, Vec<(u64, Vec<u64>)>> = BTreeMap::new();
+    let mut in_checkpoint = false;
+    for ev in events {
+        match ev {
+            TraceEvent::Marker { tid, marker } => match *marker {
+                TraceMarker::TrackLine { line } => {
+                    tracked.insert(line);
+                }
+                TraceMarker::CheckpointBegin { .. } => in_checkpoint = true,
+                TraceMarker::OrderBarrier => break,
+                TraceMarker::ShardFlushBegin { shard, lines } => {
+                    shard_lines += lines;
+                    claimed.entry(*tid).or_default().push((shard, Vec::new()));
+                }
+                _ => {}
+            },
+            TraceEvent::Pwb { tid, line } if in_checkpoint => {
+                *pwbs.entry(*line).or_default() += 1;
+                if let Some((_, written)) = claimed.get_mut(tid).and_then(|c| c.last_mut()) {
+                    written.push(*line);
+                }
+            }
+            _ => {}
+        }
+    }
+    for line in &tracked {
+        prop_assert_eq!(
+            pwbs.get(line).copied(),
+            Some(1),
+            "line {} write-backs",
+            line
+        );
+    }
+    prop_assert_eq!(shard_lines, lines, "shard sizes vs the report");
+    for (tid, shards) in &claimed {
+        let order: Vec<u64> = shards.iter().map(|(s, _)| *s).collect();
+        prop_assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "claimer {} took {:?}",
+            tid,
+            order
+        );
+        let written: Vec<u64> = shards.iter().flat_map(|(_, l)| l.iter().copied()).collect();
+        prop_assert!(
+            written.windows(2).all(|w| w[0] < w[1]),
+            "claimer {}: ranges not ascending and disjoint: {:?}",
+            tid,
+            written
+        );
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The sharded pipeline model flushes exactly the deduped line set the
-    /// old drain → global-sort → dedup path produced, for any shard count:
-    /// partitioning is per-line-stable, so per-shard dedup loses nothing
-    /// and shards never overlap.
-    #[test]
-    fn partition_equals_global_sort_dedup(streams in slot_streams(), shard_pow in 0u32..7) {
-        let nshards = 1usize << shard_pow;
-        // Old path: one global list, sorted and deduped.
-        let global: BTreeSet<u64> = streams.iter().flatten().copied().collect();
-        // New path: append-time partitioning (with the runtime's
-        // adjacent-duplicate filter), then per-shard sort + dedup.
-        let mut shards: Vec<Vec<u64>> = vec![Vec::new(); nshards];
-        for slot in &streams {
-            let mut per_slot: Vec<Vec<u64>> = vec![Vec::new(); nshards];
-            for &line in slot {
-                let s = shard_of_line(line, nshards);
-                if per_slot[s].last() != Some(&line) {
-                    per_slot[s].push(line);
-                }
-            }
-            for (s, mut list) in per_slot.into_iter().enumerate() {
-                shards[s].append(&mut list);
-            }
-        }
-        let mut union = BTreeSet::new();
-        for (s, mut lines) in shards.into_iter().enumerate() {
-            lines.sort_unstable();
-            lines.dedup();
-            for &line in &lines {
-                prop_assert_eq!(shard_of_line(line, nshards), s, "line in wrong shard");
-                prop_assert!(union.insert(line), "line {} in two shards", line);
-            }
-        }
-        prop_assert_eq!(union, global);
-    }
-
     /// End to end on the real runtime: the same tracked-line workload
-    /// flushed inline (0 flushers) and by the parallel pool (3 flushers)
-    /// reports the same deduped line count and persists byte-identical
-    /// heap state.
+    /// flushed inline (0 flushers) and by flusher pools of 1 and 3 reports
+    /// the same deduped line count and persists byte-identical heap state,
+    /// and every run's trace passes [`check_flush_trace`].
     #[test]
     fn inline_and_parallel_flush_agree(offsets in proptest::collection::vec(0u64..256, 1..60)) {
         let mut outcomes = Vec::new();
-        for flushers in [0usize, 3] {
+        for flushers in [0usize, 1, 3] {
             let region = Region::new(RegionConfig::sim(4 << 20, SimConfig::no_eviction(3)));
+            let sink = Arc::new(VecSink::new());
+            region.set_trace_sink(sink.clone());
             let cfg = PoolConfig::builder()
                 .flusher_threads(flushers)
                 .build()
@@ -82,13 +103,16 @@ proptest! {
             let r = h.checkpoint_here();
             drop(h);
             drop(pool);
+            check_flush_trace(&sink.drain(), r.lines)?;
             let img = region.crash(CrashMode::PowerFailure);
             let heap: Vec<u8> =
                 img.bytes()[base as usize..base as usize + 256 * 64].to_vec();
             outcomes.push((r.lines, heap));
         }
-        prop_assert_eq!(outcomes[0].0, outcomes[1].0, "deduped line counts differ");
-        prop_assert_eq!(&outcomes[0].1, &outcomes[1].1, "persisted heap images differ");
+        for other in &outcomes[1..] {
+            prop_assert_eq!(outcomes[0].0, other.0, "deduped line counts differ");
+            prop_assert_eq!(&outcomes[0].1, &other.1, "persisted heap images differ");
+        }
     }
 }
 

@@ -316,7 +316,10 @@ fn multithreaded_run_populates_stall_and_shard_histograms() {
     });
     assert_eq!(reports.len(), 5);
     for report in &reports {
-        assert!(!report.shards.is_empty(), "sharded pipeline reports shards");
+        assert!(
+            !report.shards.is_empty(),
+            "the flush pipeline reports shards"
+        );
     }
 
     let json = pool.metrics().to_json();
@@ -362,8 +365,6 @@ fn multithreaded_run_populates_stall_and_shard_histograms() {
     );
 }
 
-/// Every non-comment line of the exposition is `name[{label="v"}] number`
-/// and every `# TYPE` names one of the four Prometheus types.
 /// `flusher_threads(2)` + `async_checkpoint(true)`: the drain executor
 /// flushes through the flusher pool like the synchronous tail does, not
 /// through a private write-back loop. The returned report ends at the
@@ -424,6 +425,8 @@ fn background_drain_flushes_through_the_flusher_pool() {
     );
 }
 
+/// Every non-comment line of the exposition is `name[{label="v"}] number`
+/// and every `# TYPE` names one of the four Prometheus types.
 #[test]
 fn prometheus_exposition_is_well_formed() {
     let pool = pool(64, PoolConfig::default());
