@@ -66,13 +66,6 @@ struct LineState {
     evicted: bool,
 }
 
-#[derive(Clone, Copy)]
-struct CellState {
-    vsize: u32,
-    /// Plain (unmixed) epoch this cell was last logged for, if known.
-    logged_epoch: Option<u64>,
-}
-
 /// One drain between its `PipelineBegin` and its `RingCommit`.
 struct OpenDrain {
     /// The ring slot the epoch claimed.
@@ -87,8 +80,9 @@ struct CheckerState {
     lines: HashMap<u64, LineState>,
     /// Unfenced write-backs per thread: `(line, gen snapshot at pwb)`.
     pending: HashMap<u64, Vec<(u64, u64)>>,
-    /// Live InCLL cells by record address (BTreeMap for overlap queries).
-    cells: BTreeMap<u64, CellState>,
+    /// Live InCLL cells by record address (BTreeMap for overlap queries):
+    /// the plain (unmixed) epoch each was last logged for, if known.
+    cells: BTreeMap<u64, Option<u64>>,
     /// Lines the current epoch's tracking lists promise to flush.
     tracked: HashSet<u64>,
     /// Open drains, keyed by epoch so rule 1 can both check commits in
@@ -174,8 +168,8 @@ impl CheckerState {
                 self.tracked.clear();
                 self.ring_open.clear();
                 self.open_shards.clear();
-                for c in self.cells.values_mut() {
-                    c.logged_epoch = None;
+                for logged in self.cells.values_mut() {
+                    *logged = None;
                 }
                 self.in_checkpoint = false;
                 self.in_recovery = false;
@@ -196,19 +190,14 @@ impl CheckerState {
         if self.in_recovery {
             return; // recovery rewrites records from their backups wholesale
         }
-        // Logging rule: does this store overlap a live cell's record span
-        // that has not been logged for the current epoch? Record spans are
-        // at most 24 bytes, so only cells starting shortly before `addr`
-        // can overlap.
+        // Logging rule: does this store overlap a live cell's record that
+        // has not been logged for the current epoch? A record is the cell's
+        // first 8 bytes, so exactly the cells starting in
+        // `(addr - 8, addr + len)` overlap.
         let epoch = self.epoch;
         let mut hits: Vec<(u64, String)> = Vec::new();
-        for (&cell_addr, cell) in self.cells.range(addr.saturating_sub(63)..addr + len) {
-            let record_end = cell_addr + cell.vsize as u64;
-            let overlaps = cell_addr < addr + len && addr < record_end;
-            if !overlaps {
-                continue;
-            }
-            match (cell.logged_epoch, epoch) {
+        for (&cell_addr, &logged) in self.cells.range(addr.saturating_sub(7)..addr + len) {
+            match (logged, epoch) {
                 (Some(le), Some(e)) if le == e => {}
                 _ => hits.push((
                     cell_addr,
@@ -216,7 +205,7 @@ impl CheckerState {
                         "store [{addr:#x}, {:#x}) hits record of cell {cell_addr:#x} logged \
                          for epoch {:?}, current {epoch:?}",
                         addr + len,
-                        cell.logged_epoch,
+                        logged,
                     ),
                 )),
             }
@@ -253,14 +242,8 @@ impl CheckerState {
 
     fn on_marker(&mut self, tid: u64, marker: TraceMarker) {
         match marker {
-            TraceMarker::CellDeclare { addr, vsize, .. } => {
-                self.cells.insert(
-                    addr,
-                    CellState {
-                        vsize,
-                        logged_epoch: self.epoch,
-                    },
-                );
+            TraceMarker::CellDeclare { addr } => {
+                self.cells.insert(addr, self.epoch);
             }
             TraceMarker::CellLogged { addr, epoch } => {
                 if self.epoch.is_none() {
@@ -276,19 +259,9 @@ impl CheckerState {
                         ),
                     );
                 }
-                if let Some(cell) = self.cells.get_mut(&addr) {
-                    cell.logged_epoch = Some(epoch);
-                } else {
-                    // Cells declared before the sink attached are adopted on
-                    // their first log record.
-                    self.cells.insert(
-                        addr,
-                        CellState {
-                            vsize: 8,
-                            logged_epoch: Some(epoch),
-                        },
-                    );
-                }
+                // Cells declared before the sink attached are adopted on
+                // their first log record.
+                self.cells.insert(addr, Some(epoch));
             }
             TraceMarker::CellRetire { addr, len } => {
                 let doomed: Vec<u64> = self
@@ -403,18 +376,7 @@ impl CheckerState {
                 // The rolled-back cell keeps its failed-epoch tag: the
                 // runtime will (correctly) skip re-logging it when the
                 // resumed epoch re-executes.
-                let epoch = self.epoch;
-                if let Some(cell) = self.cells.get_mut(&addr) {
-                    cell.logged_epoch = epoch;
-                } else {
-                    self.cells.insert(
-                        addr,
-                        CellState {
-                            vsize: 8,
-                            logged_epoch: epoch,
-                        },
-                    );
-                }
+                self.cells.insert(addr, self.epoch);
             }
             TraceMarker::RecoveryEnd { epoch } => {
                 if self.epoch != Some(epoch) {
@@ -731,12 +693,7 @@ mod tests {
     fn logging_rule_enforced() {
         let cell = 1024u64;
         let r = replay(&[
-            marker(TraceMarker::CellDeclare {
-                addr: cell,
-                vsize: 8,
-                backup_off: 8,
-                epoch_off: 16,
-            }),
+            marker(TraceMarker::CellDeclare { addr: cell }),
             marker(TraceMarker::CellLogged {
                 addr: cell,
                 epoch: 1,
@@ -758,12 +715,7 @@ mod tests {
     fn retired_cell_may_be_overwritten() {
         let cell = 1024u64;
         let r = replay(&[
-            marker(TraceMarker::CellDeclare {
-                addr: cell,
-                vsize: 8,
-                backup_off: 8,
-                epoch_off: 16,
-            }),
+            marker(TraceMarker::CellDeclare { addr: cell }),
             marker(TraceMarker::CellLogged {
                 addr: cell,
                 epoch: 1,
@@ -786,12 +738,7 @@ mod tests {
     fn recovery_stores_are_exempt_and_reapply_marks_logged() {
         let cell = 1024u64;
         let r = replay(&[
-            marker(TraceMarker::CellDeclare {
-                addr: cell,
-                vsize: 8,
-                backup_off: 8,
-                epoch_off: 16,
-            }),
+            marker(TraceMarker::CellDeclare { addr: cell }),
             marker(TraceMarker::CellLogged {
                 addr: cell,
                 epoch: 1,
@@ -1071,12 +1018,7 @@ mod tests {
     fn diagnostics_are_capped_per_kind() {
         let c = Checker::new();
         for i in 0..(MAX_PER_KIND as u64 + 40) {
-            c.event(&marker(TraceMarker::CellDeclare {
-                addr: i * 64,
-                vsize: 8,
-                backup_off: 8,
-                epoch_off: 16,
-            }));
+            c.event(&marker(TraceMarker::CellDeclare { addr: i * 64 }));
             // A whole checkpoint of epoch `i + 1`: its claim advances the
             // epoch past the one the cell was declared in.
             let epoch = i + 1;

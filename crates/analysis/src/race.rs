@@ -50,10 +50,11 @@
 //!
 //! [`TracedMutex`]: https://docs.rs/respct
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use respct::layout::CELL_SIZE;
 use respct_pmem::{Region, SyncToken, TraceEvent, TraceMarker, TraceSink};
 
 use crate::report::{Diagnostic, DiagnosticKind, Report};
@@ -110,9 +111,9 @@ struct RaceState {
     tokens: HashMap<SyncToken, Vc>,
     /// Per-line writes of the current epoch.
     line_writes: HashMap<u64, Vec<WriteRec>>,
-    /// Live InCLL cell spans: record address → span end (record + backup +
-    /// epoch tag). Rule (a)'s "same cell" test.
-    cells: BTreeMap<u64, u64>,
+    /// Live InCLL cells by address; each spans [`CELL_SIZE`] bytes (record,
+    /// backup, epoch tag). Rule (a)'s "same cell" test.
+    cells: BTreeSet<u64>,
     /// Fences covering each line: per fencing thread, the `(gen, clock)` of
     /// its latest `Psync` that retired a write-back of the line. A commit
     /// point must be happens-before-after *some* current-generation fence
@@ -227,15 +228,15 @@ impl RaceState {
         }
     }
 
-    /// Does any live cell's span intersect both byte ranges? The InCLL
-    /// layout bounds a span well under a line, so only cells starting
-    /// shortly before the ranges can qualify.
+    /// Does any live cell's span intersect both byte ranges? Only cells
+    /// starting less than a span before the ranges can qualify.
     fn same_cell(&self, a1: u64, e1: u64, a2: u64, e2: u64) -> bool {
-        let lo = a1.min(a2).saturating_sub(63);
+        let lo = a1.min(a2).saturating_sub(CELL_SIZE - 1);
         let hi = e1.max(e2);
-        self.cells
-            .range(lo..hi)
-            .any(|(&ca, &ce)| ca < e1 && a1 < ce && ca < e2 && a2 < ce)
+        self.cells.range(lo..hi).any(|&ca| {
+            let ce = ca + CELL_SIZE;
+            ca < e1 && a1 < ce && ca < e2 && a2 < ce
+        })
     }
 
     fn on_store(&mut self, tid: u64, addr: u64, len: u64) {
@@ -397,29 +398,13 @@ impl RaceState {
 
     fn on_marker(&mut self, tid: u64, marker: TraceMarker) {
         match marker {
-            TraceMarker::CellDeclare {
-                addr,
-                vsize,
-                backup_off,
-                epoch_off,
-            } => {
-                let end = addr
-                    + u64::from(vsize)
-                        .max(u64::from(backup_off) + u64::from(vsize))
-                        .max(u64::from(epoch_off) + 8);
-                self.cells.insert(addr, end);
-            }
-            TraceMarker::CellLogged { addr, .. } => {
-                // Cells declared before the sink attached are adopted with
-                // the default u64 layout.
-                self.cells.entry(addr).or_insert(addr + 24);
+            // Cells declared before the sink attached are adopted on their
+            // first log record.
+            TraceMarker::CellDeclare { addr } | TraceMarker::CellLogged { addr, .. } => {
+                self.cells.insert(addr);
             }
             TraceMarker::CellRetire { addr, len } => {
-                let doomed: Vec<u64> = self
-                    .cells
-                    .range(addr..addr + len)
-                    .map(|(&a, _)| a)
-                    .collect();
+                let doomed: Vec<u64> = self.cells.range(addr..addr + len).copied().collect();
                 for a in doomed {
                     self.cells.remove(&a);
                 }
@@ -550,15 +535,7 @@ mod tests {
     const LOCK: SyncToken = SyncToken::Lock { id: 0x1000 };
 
     fn cell_at(addr: u64) -> TraceEvent {
-        marker(
-            1,
-            TraceMarker::CellDeclare {
-                addr,
-                vsize: 8,
-                backup_off: 8,
-                epoch_off: 16,
-            },
-        )
+        marker(1, TraceMarker::CellDeclare { addr })
     }
 
     #[test]

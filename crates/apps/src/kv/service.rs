@@ -179,9 +179,9 @@ enum Engine {
 /// [`KvService::open`]; share via `Arc`.
 pub struct KvService {
     cfg: KvServerConfig,
-    // Declared before `engine` so the periodic checkpointer stops before
-    // the pool it drives goes away.
-    ckpt: Option<CheckpointerGuard>,
+    // Held for its drop only; declared before `engine` so the periodic
+    // checkpointer stops before the pool it drives goes away.
+    _ckpt: Option<CheckpointerGuard>,
     engine: Engine,
     registry: Arc<MetricsRegistry>,
     metrics: KvMetrics,
@@ -277,7 +277,7 @@ impl KvService {
         Ok((
             Arc::new(KvService {
                 cfg,
-                ckpt,
+                _ckpt: ckpt,
                 engine,
                 registry,
                 metrics,
@@ -507,11 +507,6 @@ impl KvService {
     /// 64-byte-aligned size of a `[u64 len][bytes]` value blob.
     fn blob_size(len: usize) -> u64 {
         align_up(8 + len as u64, 64)
-    }
-
-    /// Whether the periodic checkpointer is running (test hook).
-    pub fn has_checkpointer(&self) -> bool {
-        self.ckpt.is_some()
     }
 }
 

@@ -127,9 +127,8 @@ unsafe impl Pod for usize {}
 unsafe impl Pod for f64 {}
 // SAFETY: f32 is valid for all bit patterns.
 unsafe impl Pod for f32 {}
-// SAFETY: [u8; 16] is plain bytes.
-unsafe impl Pod for [u8; 16] {}
-// SAFETY: a pair of u64 is plain data (used for 16-byte InCLL payloads).
+// SAFETY: a pair of u64 is plain data (a 16-byte value, which may cross a
+// cache line).
 unsafe impl Pod for (u64, u64) {}
 
 /// Rounds `v` up to the next multiple of `align` (a power of two).

@@ -33,14 +33,9 @@ pub fn trace_tid() -> u64 {
 /// closes, what recovery rolled back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMarker {
-    /// An InCLL cell now lives at `addr`: `vsize` record bytes at offset 0,
-    /// a backup at `backup_off`, an 8-byte epoch tag at `epoch_off`.
-    CellDeclare {
-        addr: u64,
-        vsize: u32,
-        backup_off: u32,
-        epoch_off: u32,
-    },
+    /// An InCLL cell now lives at `addr`: an 8-byte record, then an 8-byte
+    /// backup and an 8-byte epoch tag — 24 bytes within one cache line.
+    CellDeclare { addr: u64 },
     /// The runtime wrote the in-line backup + epoch tag of the cell at
     /// `addr` for `epoch`. Must precede the first record overwrite of that
     /// epoch (the logging rule of paper Fig. 4, lines 24–29).

@@ -49,9 +49,8 @@ pub enum PoolError {
     /// A slot's cell registry — the chain recovery walks to find every InCLL
     /// cell — holds a word no run of this program writes: a chunk pointer
     /// that is null, misaligned or out of bounds, a length the region could
-    /// not hold, an undecodable layout word, or a cell address out of bounds
-    /// or straddling a cache line. Recovery refuses rather than roll back
-    /// through it.
+    /// not hold, or a cell address out of bounds, misaligned or straddling
+    /// a cache line. Recovery refuses rather than roll back through it.
     CorruptRegistry {
         /// The thread slot whose chain is damaged.
         slot: usize,
@@ -148,7 +147,7 @@ mod tests {
             slot: 5,
             entry: 300,
             word: 0xbad,
-            why: "undecodable layout word",
+            why: "length beyond the region's capacity",
         };
         assert!(e.to_string().contains("slot 5 entry 300"), "{e}");
         assert!(PoolError::InvalidConfig("shards")

@@ -3,9 +3,14 @@
 //! An [`ICell<T>`] is the Rust counterpart of the paper's
 //! `InCLL_data<T>` template: the current value (`record`), its undo log
 //! (`backup`), and the epoch in which it was last modified (`epoch_id`),
-//! all within one cache line. Cells live in emulated NVMM and are addressed
-//! by [`PAddr`]; the handle methods in [`crate::thread`] implement
-//! `init_InCLL` / `update_InCLL`.
+//! all within one cache line. Every cell has the same shape: three 8-byte
+//! words at +0, +8 and +16 ([`crate::layout::CELL_BACKUP`],
+//! [`crate::layout::CELL_EPOCH`]), so a cell holds an 8-byte value and its
+//! registry entry needs nothing but its address. This module and
+//! `layout.rs` are the only ones that name the offsets; everything else
+//! goes through [`ICell::backup_addr`] / [`ICell::epoch_addr`]. Cells live
+//! in emulated NVMM and are addressed by [`PAddr`]; the handle methods in
+//! [`crate::thread`] implement `init_InCLL` / `update_InCLL`.
 //!
 //! # The single backup slot and draining epochs
 //!
@@ -41,12 +46,7 @@ use std::marker::PhantomData;
 
 use respct_pmem::{PAddr, Pod, Region};
 
-use crate::layout::CellLayout;
-
-/// Computes the [`CellLayout`] for a value type.
-pub fn cell_layout<T: Pod>() -> CellLayout {
-    CellLayout::new(std::mem::size_of::<T>(), std::mem::align_of::<T>().min(8))
-}
+use crate::layout::{cell_fits, CELL_BACKUP, CELL_EPOCH};
 
 #[inline]
 fn addr_mix(addr: PAddr) -> u64 {
@@ -65,7 +65,7 @@ fn addr_mix(addr: PAddr) -> u64 {
 /// can never accidentally present a tag that decodes to the failed epoch
 /// (probability ≈ 2⁻⁶⁴), so rolling back a stale entry is provably inert.
 /// It also lets `init` detect that an address already carries a valid cell
-/// of this layout and skip re-registration when the allocator recycles it.
+/// and skip re-registration when the allocator recycles it.
 #[inline]
 pub fn epoch_tag(addr: PAddr, epoch: u64) -> u64 {
     epoch ^ addr_mix(addr)
@@ -78,7 +78,7 @@ pub fn tag_epoch(addr: PAddr, stored: u64) -> u64 {
     stored ^ addr_mix(addr)
 }
 
-/// Whether `cell`'s address already carries a live cell of its layout as of
+/// Whether `cell`'s address already carries a live cell as of
 /// `epoch`: its tag decodes to an epoch this pool has run. Such a cell is
 /// registered and its record is what the last checkpoint saw; fresh (zeroed
 /// or foreign) memory decodes to an implausible epoch with probability
@@ -89,6 +89,11 @@ pub(crate) fn is_live<T: Pod>(region: &Region, cell: ICell<T>, epoch: u64) -> bo
 }
 
 /// A typed handle to an InCLL cell in persistent memory.
+///
+/// Every cell has one shape — record at +0, backup at +8, epoch tag at +16,
+/// 24 bytes within one cache line ([`crate::layout::CELL_SIZE`]) — so `T`
+/// is an 8-byte, 8-aligned [`Pod`]: `u64`, `i64`, `f64` or `usize`. Any
+/// other `T` fails to compile where the first handle is made.
 ///
 /// `ICell` is a plain offset: copying it is free, and it remains valid
 /// across a crash + recovery of the same pool (which is how data structures
@@ -119,6 +124,12 @@ impl<T: Pod> std::fmt::Debug for ICell<T> {
 }
 
 impl<T: Pod> ICell<T> {
+    /// The compile-time check that `T` fills the 8-byte record exactly.
+    const EIGHT_BYTES: () = assert!(
+        std::mem::size_of::<T>() == 8 && std::mem::align_of::<T>() == 8,
+        "an ICell value is an 8-byte, 8-aligned Pod"
+    );
+
     /// Reconstructs a cell handle from its address.
     ///
     /// This is how data structures re-materialize their cells after
@@ -126,10 +137,8 @@ impl<T: Pod> ICell<T> {
     /// address must point at a cell previously initialized with the same
     /// `T` (checked structurally: placement is validated on first use).
     pub fn from_addr(addr: PAddr) -> ICell<T> {
-        debug_assert!(
-            cell_layout::<T>().fits_at(addr),
-            "ICell at {addr:?} straddles a line"
-        );
+        let () = Self::EIGHT_BYTES;
+        debug_assert!(cell_fits(addr), "ICell at {addr:?} straddles a line");
         ICell {
             addr,
             _marker: PhantomData,
@@ -145,13 +154,13 @@ impl<T: Pod> ICell<T> {
     /// Address of the backup field.
     #[inline]
     pub fn backup_addr(&self) -> PAddr {
-        self.addr.offset(cell_layout::<T>().backup_off as u64)
+        self.addr.offset(CELL_BACKUP)
     }
 
     /// Address of the epoch-id field.
     #[inline]
     pub fn epoch_addr(&self) -> PAddr {
-        self.addr.offset(cell_layout::<T>().epoch_off as u64)
+        self.addr.offset(CELL_EPOCH)
     }
 }
 
@@ -165,16 +174,15 @@ mod tests {
         assert_eq!(c.addr(), PAddr(128));
         assert_eq!(c.backup_addr(), PAddr(136));
         assert_eq!(c.epoch_addr(), PAddr(144));
-        let c8 = ICell::<u8>::from_addr(PAddr(64));
-        assert_eq!(c8.backup_addr(), PAddr(65));
-        assert_eq!(c8.epoch_addr(), PAddr(72));
+        let f = ICell::<f64>::from_addr(PAddr(168));
+        assert_eq!((f.backup_addr(), f.epoch_addr()), (PAddr(176), PAddr(184)));
     }
 
     #[test]
     fn cell_is_copy_and_debug() {
-        let c = ICell::<u32>::from_addr(PAddr(64));
+        let c = ICell::<i64>::from_addr(PAddr(64));
         let d = c;
-        assert_eq!(format!("{d:?}"), "ICell<u32>(0x40)");
+        assert_eq!(format!("{d:?}"), "ICell<i64>(0x40)");
         assert_eq!(c.addr(), d.addr());
     }
 }

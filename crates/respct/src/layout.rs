@@ -1,4 +1,4 @@
-//! Persistent region layout and InCLL cell geometry.
+//! Persistent region layout and the InCLL cell shape.
 //!
 //! The region begins with a fixed header holding everything recovery must be
 //! able to find without any volatile state; everything after it is heap,
@@ -13,7 +13,7 @@
 //! line 2..  | root cell | bump cell | free-list cells x NUM_CLASSES |
 //! slot i    | rp_id | alloc_cur | alloc_end | reg_len | reg_head |
 //!  (x MAX_THREADS; four InCLL cells, then the plain chain head)
-//! heap      | ... registry chunk: next | (cell addr, layout word) x 255 ...
+//! heap      | ... registry chunk: next | (cell addr) x 511 ...
 //! ```
 //!
 //! Every cell above is in [`header_cells`], the list `Pool::create`
@@ -22,100 +22,30 @@
 
 use respct_pmem::{align_up, PAddr, CACHE_LINE};
 
-/// Identifies a formatted ResPCT pool ("RESPCT01").
-pub const MAGIC: u64 = 0x5245_5350_4354_3031;
+/// Identifies a formatted ResPCT pool ("RESPCT02").
+pub const MAGIC: u64 = 0x5245_5350_4354_3032;
 
 /// First epoch of a fresh pool. Starting above zero means the all-zero
 /// content of never-initialized memory can never masquerade as "modified in
 /// the current epoch".
 pub const FIRST_EPOCH: u64 = 1;
 
-/// Geometry of an `ICell<T>`: field offsets relative to the cell address.
-///
-/// The record comes first (so the cell address doubles as the value
-/// address), then the backup, then the 8-byte epoch id. The whole cell must
-/// lie within a single cache line — that containment is what makes the PCSO
-/// same-line guarantee apply to value + log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellLayout {
-    /// Size of the logged value in bytes.
-    pub vsize: u32,
-    /// Alignment of the logged value.
-    pub valign: u32,
-    /// Offset of the backup field.
-    pub backup_off: u32,
-    /// Offset of the epoch-id field.
-    pub epoch_off: u32,
-    /// Total footprint of the cell in bytes.
-    pub total: u32,
-}
+/// Offset of an InCLL cell's backup field. Every cell has one shape (paper
+/// Fig. 2): the 8-byte record at +0 — so the cell address doubles as the
+/// value address — the 8-byte backup at +8, the 8-byte epoch tag at +16.
+pub const CELL_BACKUP: u64 = 8;
+/// Offset of an InCLL cell's epoch-tag field.
+pub const CELL_EPOCH: u64 = 16;
+/// Footprint of an InCLL cell in bytes.
+pub const CELL_SIZE: u64 = 24;
 
-impl CellLayout {
-    /// Computes the layout for a value of `vsize` bytes aligned to `valign`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is larger than 24 bytes (cannot fit record +
-    /// backup + epoch id in one cache line) or `valign` is not a power of
-    /// two.
-    pub const fn new(vsize: usize, valign: usize) -> CellLayout {
-        assert!(valign.is_power_of_two());
-        assert!(
-            vsize >= 1 && vsize <= 24,
-            "InCLL values must be 1..=24 bytes"
-        );
-        assert!(valign <= 8, "InCLL values align at most to 8");
-        let backup_off = align_up(vsize as u64, valign as u64) as u32;
-        let epoch_off = align_up(backup_off as u64 + vsize as u64, 8) as u32;
-        let total = epoch_off + 8;
-        CellLayout {
-            vsize: vsize as u32,
-            valign: valign as u32,
-            backup_off,
-            epoch_off,
-            total,
-        }
-    }
-
-    /// Alignment the cell itself needs so that *any* in-bounds placement at
-    /// that alignment keeps it within one cache line.
-    pub const fn natural_align(&self) -> u64 {
-        let mut a = self.total.next_power_of_two() as u64;
-        if a > CACHE_LINE as u64 {
-            a = CACHE_LINE as u64;
-        }
-        if a < self.valign as u64 {
-            a = self.valign as u64;
-        }
-        a
-    }
-
-    /// Whether a cell placed at `addr` stays within a single cache line and
-    /// is aligned for its value type.
-    pub const fn fits_at(&self, addr: PAddr) -> bool {
-        let off = addr.0 % CACHE_LINE as u64;
-        // `valign` is a power of two: mask, don't divide — the registry
-        // walk asks this once per registered cell.
-        addr.0 & (self.valign as u64 - 1) == 0
-            && (addr.0 + self.epoch_off as u64).is_multiple_of(8)
-            && off + self.total as u64 <= CACHE_LINE as u64
-    }
-
-    /// Packs the geometry into a registry entry's metadata word.
-    pub const fn encode(&self) -> u64 {
-        (self.vsize as u64) | ((self.valign as u64) << 8)
-    }
-
-    /// Reverses [`CellLayout::encode`]; `None` for a word `encode` cannot
-    /// have produced (registry entries are read from media).
-    #[inline]
-    pub const fn decode(meta: u64) -> Option<CellLayout> {
-        let (vsize, valign) = ((meta & 0xff) as usize, ((meta >> 8) & 0xff) as usize);
-        if meta >> 16 != 0 || vsize < 1 || vsize > 24 || !valign.is_power_of_two() || valign > 8 {
-            return None;
-        }
-        Some(CellLayout::new(vsize, valign))
-    }
+/// Whether a cell at `addr` is 8-aligned and lies within one cache line —
+/// the containment that makes the PCSO same-line guarantee cover value and
+/// log. The one placement predicate: `cell_init`, `ICell::from_addr` and
+/// the registry walk all ask it.
+#[inline]
+pub const fn cell_fits(addr: PAddr) -> bool {
+    addr.0.is_multiple_of(8) && addr.0 % CACHE_LINE as u64 <= CACHE_LINE as u64 - CELL_SIZE
 }
 
 /// Maximum number of concurrently registered threads (slots are recycled
@@ -142,8 +72,8 @@ pub fn class_of(size: u64) -> Option<usize> {
     None
 }
 
-/// A 32-byte aligned slot for an `ICell<u64>` (layout: record@0 backup@8
-/// epoch@16, 24 bytes total, padded to 32 so two fit per line).
+/// A 32-byte aligned slot for an InCLL cell ([`CELL_SIZE`] bytes, padded to
+/// 32 so two fit per line): the header's stride and `alloc_cell`'s block.
 pub const U64_CELL_SLOT: u64 = 32;
 
 // ---- Header field offsets -------------------------------------------------
@@ -236,13 +166,14 @@ pub fn heap_start() -> PAddr {
 
 /// Registry chunk size in bytes (one bump allocation).
 pub const REG_CHUNK_SIZE: u64 = 4096;
-/// Entries per chunk: 8-byte next pointer, then 16-byte entries.
-pub const REG_CHUNK_ENTRIES: u64 = (REG_CHUNK_SIZE - 8) / 16;
+/// Entries per chunk: 8-byte next pointer, then 8-byte entries (a cell
+/// address each).
+pub const REG_CHUNK_ENTRIES: u64 = (REG_CHUNK_SIZE - 8) / 8;
 /// Offset of the next-chunk pointer within a chunk.
 pub const REG_CHUNK_NEXT: u64 = 0;
 /// Offset of entry `i` within a chunk.
 pub const fn reg_entry_off(i: u64) -> u64 {
-    8 + i * 16
+    8 + i * 8
 }
 
 const _HEADER_FIELDS_DISJOINT: () = {
@@ -253,8 +184,9 @@ const _HEADER_FIELDS_DISJOINT: () = {
     assert!(OFF_EPOCH_STATE.0 / 64 == OFF_EPOCH.0 / 64);
     assert!(epoch_ring_slot(MAX_EPOCH_PIPELINE - 1).0 / 64 == OFF_EPOCH.0 / 64);
     assert!(OFF_ROOT.0 >= OFF_EPOCH_STATE.0 + 8 * MAX_EPOCH_PIPELINE as u64);
-    assert!(OFF_BUMP.0 >= OFF_ROOT.0 + 24);
-    assert!(OFF_FREELISTS.0 >= OFF_BUMP.0 + 24);
+    assert!(OFF_BUMP.0 >= OFF_ROOT.0 + CELL_SIZE);
+    assert!(OFF_FREELISTS.0 >= OFF_BUMP.0 + CELL_SIZE);
+    assert!(CELL_SIZE <= U64_CELL_SLOT);
 };
 
 #[cfg(test)]
@@ -262,55 +194,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn u64_cell_layout() {
-        let l = CellLayout::new(8, 8);
-        assert_eq!(l.backup_off, 8);
-        assert_eq!(l.epoch_off, 16);
-        assert_eq!(l.total, 24);
-        assert_eq!(l.natural_align(), 32);
-    }
-
-    #[test]
-    fn u8_cell_layout() {
-        let l = CellLayout::new(1, 1);
-        assert_eq!(l.backup_off, 1);
-        assert_eq!(l.epoch_off, 8);
-        assert_eq!(l.total, 16);
-        assert_eq!(l.natural_align(), 16);
-    }
-
-    #[test]
-    fn sixteen_byte_cell_layout() {
-        let l = CellLayout::new(16, 8);
-        assert_eq!(l.backup_off, 16);
-        assert_eq!(l.epoch_off, 32);
-        assert_eq!(l.total, 40);
-        assert_eq!(l.natural_align(), 64);
-    }
-
-    #[test]
-    fn fits_at_checks_line_containment() {
-        let l = CellLayout::new(8, 8);
-        assert!(l.fits_at(PAddr(0)));
-        assert!(l.fits_at(PAddr(40))); // 40 + 24 = 64, exactly fits
-        assert!(!l.fits_at(PAddr(48))); // 48 + 24 = 72, straddles
-        assert!(!l.fits_at(PAddr(44))); // misaligned
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        for (s, a) in [(1, 1), (2, 2), (4, 4), (8, 8), (16, 8), (24, 8)] {
-            let l = CellLayout::new(s, a);
-            assert_eq!(CellLayout::decode(l.encode()), Some(l));
-        }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(CellLayout::decode(0).is_none()); // vsize 0
-        assert!(CellLayout::decode(0x0308).is_none()); // align 3
-        assert!(CellLayout::decode(0x1_0000_0808).is_none()); // high bits
-        assert!(CellLayout::decode(0x0808).is_some());
+    fn cell_fits_checks_alignment_and_line_containment() {
+        assert!(cell_fits(PAddr(0)));
+        assert!(cell_fits(PAddr(104))); // 40 into its line: 40 + 24 = 64
+        assert!(!cell_fits(PAddr(48))); // 48 + 24 = 72, straddles
+        assert!(!cell_fits(PAddr(44))); // misaligned
+        assert!(!cell_fits(PAddr(4))); // misaligned even though it fits
     }
 
     #[test]
@@ -340,26 +229,25 @@ mod tests {
         }
         assert!(OFF_SLOTS.0 >= OFF_FREELISTS.0 + NUM_CLASSES as u64 * U64_CELL_SLOT);
         assert!(heap_start().0 >= slot_base(MAX_THREADS).0);
-        // Every u64 cell slot in the header must fit its line.
-        let l = CellLayout::new(8, 8);
-        assert!(l.fits_at(OFF_ROOT));
-        assert!(l.fits_at(OFF_BUMP));
+        // Every cell slot in the header must fit its line.
+        assert!(cell_fits(OFF_ROOT));
+        assert!(cell_fits(OFF_BUMP));
         for i in [0, 1, MAX_THREADS - 1] {
             assert_eq!(slot_base(i).0 % CACHE_LINE as u64, 0);
         }
         let cells: Vec<PAddr> = header_cells().collect();
         assert_eq!(cells.len(), 2 + NUM_CLASSES + 4 * MAX_THREADS);
         for w in cells.windows(2) {
-            assert!(l.fits_at(w[0]));
-            assert!(w[0].0 + l.total as u64 <= w[1].0, "{w:?} overlap");
+            assert!(cell_fits(w[0]));
+            assert!(w[0].0 + CELL_SIZE <= w[1].0, "{w:?} overlap");
         }
         let last = *cells.last().unwrap();
-        assert!(l.fits_at(last) && last.0 + l.total as u64 <= heap_start().0);
+        assert!(cell_fits(last) && last.0 + CELL_SIZE <= heap_start().0);
     }
 
     #[test]
     fn registry_chunk_geometry() {
-        assert!(reg_entry_off(REG_CHUNK_ENTRIES - 1) + 16 <= REG_CHUNK_SIZE);
-        assert_eq!(REG_CHUNK_ENTRIES, 255);
+        assert_eq!(reg_entry_off(REG_CHUNK_ENTRIES - 1) + 8, REG_CHUNK_SIZE);
+        assert_eq!(REG_CHUNK_ENTRIES, 511);
     }
 }

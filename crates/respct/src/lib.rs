@@ -91,7 +91,7 @@ pub use alloc::CHUNK_SIZE;
 pub use checkpoint::{CheckpointerGuard, CkptReport, ShardReport};
 pub use condvar::RCondvar;
 pub use error::PoolError;
-pub use incll::{cell_layout, epoch_tag, tag_epoch, ICell};
+pub use incll::{epoch_tag, tag_epoch, ICell};
 pub use metrics::RuntimeMetrics;
 pub use pool::{
     CheckpointMode, Pool, PoolConfig, PoolConfigBuilder, DEFAULT_POOL_SIZE, MAX_FLUSHERS,

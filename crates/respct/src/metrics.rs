@@ -379,12 +379,6 @@ impl RuntimeMetrics {
         self.rp_stall_by_slot[slot].fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Snapshot of the restart-point stall histogram (what threads actually
-    /// experience as checkpoint-induced latency).
-    pub fn rp_stall_snapshot(&self) -> respct_obs::HistSnapshot {
-        self.rp_stall_ns.snapshot()
-    }
-
     /// A first touch in the new epoch pushed out a line still pending in
     /// the draining checkpoint. Ungated: cold and rare by construction.
     #[inline]

@@ -18,8 +18,7 @@ use respct_pmem::{PAddr, Pod, Region, SyncToken, TraceMarker};
 
 use crate::incll::ICell;
 use crate::layout::{
-    self, CellLayout, FIRST_EPOCH, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_BUMP, OFF_MAGIC, OFF_ROOT,
-    OFF_SIZE,
+    self, FIRST_EPOCH, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_BUMP, OFF_MAGIC, OFF_ROOT, OFF_SIZE,
 };
 
 /// What the checkpoint procedure actually does — the knobs behind the
@@ -460,17 +459,11 @@ impl Pool {
     }
 
     fn format_cell_u64(region: &Region, addr: PAddr, val: u64) {
-        let l = CellLayout::new(8, 8);
-        debug_assert!(l.fits_at(addr));
+        let cell = ICell::<u64>::from_addr(addr);
         region.store(addr, val);
-        region.store(addr.offset(l.backup_off as u64), val);
-        region.store(addr.offset(l.epoch_off as u64), 0u64);
-        region.trace_marker(TraceMarker::CellDeclare {
-            addr: addr.0,
-            vsize: l.vsize,
-            backup_off: l.backup_off,
-            epoch_off: l.epoch_off,
-        });
+        region.store(cell.backup_addr(), val);
+        region.store(cell.epoch_addr(), 0u64);
+        region.trace_marker(TraceMarker::CellDeclare { addr: addr.0 });
     }
 
     /// Builds the volatile side of a pool over an already-valid region.

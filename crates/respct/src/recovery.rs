@@ -35,7 +35,8 @@ use respct_pmem::{BackendKind, PAddr, Region, SyncToken, TraceMarker};
 
 use crate::epoch_record::{self, EpochRecord};
 use crate::error::PoolError;
-use crate::layout::{self, CellLayout, MAGIC, MAX_THREADS, OFF_BUMP, OFF_MAGIC};
+use crate::incll::ICell;
+use crate::layout::{self, MAGIC, MAX_THREADS, OFF_BUMP, OFF_MAGIC};
 use crate::pool::{Pool, PoolConfig};
 use crate::registry;
 
@@ -68,7 +69,7 @@ type RunScan = (u64, u64, u64, Vec<u64>);
 /// Cuts `chunks` (in walk order) into `threads` contiguous runs with
 /// near-equal entry counts, cutting only between chunks: run `k` ends at
 /// the first chunk boundary at or past `⌈(k + 1) · total / threads⌉`
-/// entries, so no run holds more than `⌈total / threads⌉ + 254`. Runs past
+/// entries, so no run holds more than `⌈total / threads⌉ + 510`. Runs past
 /// the last chunk are empty.
 fn cut_runs(chunks: &[registry::Chunk], threads: usize) -> Vec<Range<usize>> {
     let total: u64 = chunks.iter().map(|c| c.n).sum();
@@ -109,8 +110,8 @@ fn scan_registry(
         let cpu0 = thread_cpu_ns();
         let (mut rolled, mut lines) = (0u64, Vec::new());
         for &c in run {
-            registry::walk_chunk(region, c, |addr, l| {
-                if roll_back_cell(region, addr, l, record, &mut lines) {
+            registry::walk_chunk(region, c, |addr| {
+                if roll_back_cell(region, addr, record, &mut lines) {
                     rolled += 1;
                 }
             })?;
@@ -180,20 +181,19 @@ fn recovery_join_token(region: &Region) -> SyncToken {
 fn roll_back_cell(
     region: &Region,
     addr: PAddr,
-    l: CellLayout,
     record: &EpochRecord,
     lines: &mut Vec<u64>,
 ) -> bool {
-    let stored: u64 = region.load(addr.offset(l.epoch_off as u64));
+    // The record's type does not matter: a rollback copies 8 bytes.
+    let cell = ICell::<u64>::from_addr(addr);
+    let stored: u64 = region.load(cell.epoch_addr());
     let tag = crate::incll::tag_epoch(addr, stored);
     if tag < record.failed || tag > record.recorded {
         return false;
     }
-    let mut buf = [0u8; 24];
-    let v = &mut buf[..l.vsize as usize];
-    region.load_bytes(addr.offset(l.backup_off as u64), v);
+    let backup: u64 = region.load(cell.backup_addr());
     region.trace_marker(TraceMarker::RecoveryApply { addr: addr.0 });
-    region.store_bytes(addr, v);
+    region.store(addr, backup);
     lines.push(addr.line());
     true
 }
@@ -224,8 +224,8 @@ impl Pool {
     /// [`PoolError::SizeMismatch`] if the header size disagrees with the
     /// region, [`PoolError::CorruptRing`] if the epoch-record ring shows a
     /// hole or a stray claim, [`PoolError::CorruptRegistry`] if a slot's
-    /// cell registry holds a pointer, length, layout word or cell address
-    /// the region cannot back. Damaged media never panics recovery.
+    /// cell registry holds a pointer, length or cell address the region
+    /// cannot back. Damaged media never panics recovery.
     pub fn recover(
         region: Arc<Region>,
         cfg: PoolConfig,
@@ -244,7 +244,6 @@ impl Pool {
         }
         let record = epoch_record::read(&region)?;
         let failed_epoch = record.failed;
-        let u64_layout = CellLayout::new(8, 8);
         // Phase 0: prefault an mmap-backed region. A freshly mapped pool
         // file is all unpopulated PTEs, and at GB scale the demand minor
         // faults (one per 4 KiB) would otherwise dominate the registry
@@ -257,7 +256,7 @@ impl Pool {
         if region.backend_kind() == BackendKind::Mmap {
             const PAGE: u64 = 4096;
             let bump: u64 = region.load(OFF_BUMP);
-            let bump_backup: u64 = region.load(OFF_BUMP.offset(u64_layout.backup_off as u64));
+            let bump_backup: u64 = region.load(ICell::<u64>::from_addr(OFF_BUMP).backup_addr());
             let high_water = bump.max(bump_backup).min(region.size() as u64);
             let pages = high_water.div_ceil(PAGE);
             let per = pages.div_ceil(threads as u64);
@@ -285,7 +284,7 @@ impl Pool {
         // Phase 1: header cells.
         for addr in layout::header_cells() {
             scanned += 1;
-            if roll_back_cell(&region, addr, u64_layout, &record, &mut lines) {
+            if roll_back_cell(&region, addr, &record, &mut lines) {
                 rolled += 1;
             }
         }
@@ -543,6 +542,7 @@ mod tests {
     /// chunk or more.
     #[test]
     fn cut_runs_cover_every_chunk_once_in_order() {
+        use crate::layout::REG_CHUNK_ENTRIES;
         let chunk = |n| registry::Chunk {
             slot: 0,
             chunk: 0,
@@ -550,9 +550,14 @@ mod tests {
             n,
         };
         let ragged: Vec<_> = (0..40)
-            .map(|i| chunk(if i % 7 == 6 { 13 } else { 255 }))
+            .map(|i| chunk(if i % 7 == 6 { 13 } else { REG_CHUNK_ENTRIES }))
             .collect();
-        for chunks in [vec![], vec![chunk(1)], vec![chunk(255); 3], ragged] {
+        for chunks in [
+            vec![],
+            vec![chunk(1)],
+            vec![chunk(REG_CHUNK_ENTRIES); 3],
+            ragged,
+        ] {
             let total: u64 = chunks.iter().map(|c| c.n).sum();
             for threads in [1, 2, 3, 8, 64] {
                 let runs = cut_runs(&chunks, threads);
@@ -563,7 +568,7 @@ mod tests {
                     next = run.end;
                     let entries: u64 = chunks[run.clone()].iter().map(|c| c.n).sum();
                     assert!(
-                        entries <= total.div_ceil(threads as u64) + 254,
+                        entries < total.div_ceil(threads as u64) + REG_CHUNK_ENTRIES,
                         "{threads} threads, {total} entries: {runs:?}"
                     );
                 }
@@ -607,7 +612,7 @@ mod tests {
     /// combination reports the thread count it was given and recovers the
     /// same cells with the same counts. One image has a single slot; in the
     /// other one slot holds 1000 of 1080 cells — neither count a multiple
-    /// of a chunk's 255 entries.
+    /// of a chunk's 511 entries.
     #[test]
     fn recovery_agrees_across_sources_and_thread_counts() {
         for (seed, per_slot) in [(7, &[500][..]), (9, &[1000, 40, 40][..])] {

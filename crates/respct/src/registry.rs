@@ -5,8 +5,8 @@
 //! crash-consistent index of those variables; this module provides it as a
 //! per-thread-slot chain of append-only chunks:
 //!
-//! * Each entry is 16 bytes: the cell address and an encoded
-//!   [`CellLayout`](crate::layout::CellLayout).
+//! * Each entry is 8 bytes: the cell address. Every cell has the one shape
+//!   of [`crate::incll`], so the address is all recovery needs.
 //! * The number of valid entries per slot is an `ICell<u64>` (`reg_len`),
 //!   so a crashed epoch's appends are rolled back together with the cells
 //!   they describe (whose memory the allocator rollback reclaims anyway).
@@ -26,15 +26,17 @@ use respct_pmem::{PAddr, Region, CACHE_LINE};
 
 use crate::error::PoolError;
 use crate::layout::{
-    self, CellLayout, MAX_THREADS, REG_CHUNK_ENTRIES, REG_CHUNK_NEXT, REG_CHUNK_SIZE,
+    self, cell_fits, CELL_SIZE, MAX_THREADS, REG_CHUNK_ENTRIES, REG_CHUNK_NEXT, REG_CHUNK_SIZE,
     SLOT_REG_HEAD, SLOT_REG_LEN,
 };
 use crate::pool::Pool;
 use crate::slot::Slot;
 
 /// [`PoolError::CorruptRegistry`] reason: a registered cell lies outside the
-/// region or straddles a cache line (`verify` files it under cell placement).
-pub(crate) const BAD_CELL: &str = "cell address out of bounds or straddling a cache line";
+/// region, is misaligned or straddles a cache line (`verify` files it under
+/// cell placement).
+pub(crate) const BAD_CELL: &str =
+    "cell address out of bounds, misaligned or straddling a cache line";
 
 /// Formats every slot's chain as empty.
 pub(crate) fn format(region: &Region) {
@@ -106,9 +108,9 @@ pub(crate) fn list_chunks(
 ) -> Result<(), PoolError> {
     let size = region.size() as u64;
     let len: u64 = region.load(layout::slot_field(slot, SLOT_REG_LEN));
-    // An entry is 16 bytes: no region holds more than `size / 16` of them.
+    // An entry is 8 bytes: no region holds more than `size / 8` of them.
     // This bound is what ends the walk of a chain that links to itself.
-    if len > size / 16 {
+    if len > size / 8 {
         return Err(corrupt(slot, 0, len, "length beyond the region's capacity"));
     }
     let (mut link, mut first) = (layout::slot_field(slot, SLOT_REG_HEAD), 0u64);
@@ -135,10 +137,9 @@ pub(crate) fn list_chunks(
     Ok(())
 }
 
-/// Calls `f(addr, layout)` for each entry of a chunk [`list_chunks`]
-/// listed. Every layout word and cell address is checked against the region
-/// before it is used, so `f` only sees cells it can load and store in
-/// bounds, within one cache line.
+/// Calls `f(addr)` for each entry of a chunk [`list_chunks`] listed. Every
+/// cell address is checked against the region before it is used, so `f`
+/// only sees cells it can load and store in bounds, within one cache line.
 ///
 /// `#[inline]`: recovery's scan runs `f` once per registered cell; the walk
 /// has to fuse with it into one monomorphic loop.
@@ -151,21 +152,15 @@ pub(crate) fn list_chunks(
 pub(crate) fn walk_chunk(
     region: &Region,
     c: Chunk,
-    mut f: impl FnMut(PAddr, CellLayout),
+    mut f: impl FnMut(PAddr),
 ) -> Result<(), PoolError> {
     let size = region.size() as u64;
     for i in 0..c.n {
-        let entry = PAddr(c.chunk + layout::reg_entry_off(i));
-        let addr: u64 = region.load(entry);
-        let meta: u64 = region.load(entry.offset(8));
-        let Some(l) = CellLayout::decode(meta) else {
-            let why = "undecodable layout word";
-            return Err(corrupt(c.slot, c.first + i, meta, why));
-        };
-        if addr.saturating_add(l.total as u64) > size || !l.fits_at(PAddr(addr)) {
+        let addr: u64 = region.load(PAddr(c.chunk + layout::reg_entry_off(i)));
+        if addr.saturating_add(CELL_SIZE) > size || !cell_fits(PAddr(addr)) {
             return Err(corrupt(c.slot, c.first + i, addr, BAD_CELL));
         }
-        f(PAddr(addr), l);
+        f(PAddr(addr));
     }
     Ok(())
 }
@@ -185,7 +180,7 @@ pub(crate) fn walk_chunk(
 pub(crate) fn walk(
     region: &Region,
     slot: usize,
-    mut f: impl FnMut(PAddr, CellLayout),
+    mut f: impl FnMut(PAddr),
 ) -> Result<u64, PoolError> {
     let mut chunks = Vec::new();
     let listed = list_chunks(region, slot, &mut chunks);
@@ -196,8 +191,8 @@ pub(crate) fn walk(
 }
 
 impl Slot<'_> {
-    /// Appends `(addr, layout)` to the slot's registry.
-    pub(crate) fn register_cell(&mut self, addr: PAddr, l: CellLayout) {
+    /// Appends the cell at `addr` to the slot's registry.
+    pub(crate) fn register_cell(&mut self, addr: PAddr) {
         let region = &self.pool().region;
         let (mut tail, mut used) = (self.state().reg_tail, self.state().reg_tail_used);
         if tail == 0 || used == REG_CHUNK_ENTRIES {
@@ -215,8 +210,7 @@ impl Slot<'_> {
         }
         let entry = PAddr(tail + layout::reg_entry_off(used));
         region.store(entry, addr.0);
-        region.store(entry.offset(8), l.encode());
-        self.add_modified(entry, 16);
+        self.add_modified(entry, 8);
         // The length cursor is a volatile mirror, synced into its InCLL
         // cell at checkpoint time.
         let st = self.state();
@@ -262,7 +256,6 @@ impl Pool {
 
 #[cfg(test)]
 mod tests {
-    use crate::incll::cell_layout;
     use crate::pool::{Pool, PoolConfig, SYSTEM_SLOT};
     use respct_pmem::{PAddr, Region, RegionConfig};
 
@@ -273,27 +266,23 @@ mod tests {
             PoolConfig::default(),
         )
         .unwrap();
-        let l = cell_layout::<u64>();
         let mut expect = Vec::new();
         {
             let mut serial = p.lock_ckpt();
             let mut sys = serial.system_slot();
-            for _ in 0..600 {
-                // More than two chunks' worth (255 per chunk).
+            for _ in 0..1200 {
+                // More than two chunks' worth (511 per chunk).
                 let a = sys.alloc(32, 32);
-                sys.register_cell(a, l);
+                sys.register_cell(a);
                 expect.push(a);
             }
         }
         p.checkpoint_now(); // sync the volatile length cursor
         let mut got = Vec::new();
-        let chunks = super::walk(p.region(), SYSTEM_SLOT, |a, lay| {
-            assert_eq!(lay, l);
-            got.push(a);
-        });
+        let chunks = super::walk(p.region(), SYSTEM_SLOT, |a| got.push(a));
         assert_eq!(chunks, Ok(3));
         assert_eq!(got, expect);
-        assert_eq!(p.registered_cells(), 600);
+        assert_eq!(p.registered_cells(), 1200);
     }
 
     #[test]
@@ -303,23 +292,22 @@ mod tests {
             PoolConfig::default(),
         )
         .unwrap();
-        let l = cell_layout::<u32>();
         {
             let mut serial = p.lock_ckpt();
             let mut sys = serial.system_slot();
-            for _ in 0..300 {
-                let a = sys.alloc(16, 16);
-                sys.register_cell(a, l);
+            for _ in 0..600 {
+                let a = sys.alloc(32, 32);
+                sys.register_cell(a);
             }
             let before = (sys.state().reg_tail, sys.state().reg_tail_used);
             sys.rebuild_registry_cache();
             assert_eq!((sys.state().reg_tail, sys.state().reg_tail_used), before);
             // Appending after a rebuild still works.
-            let a = sys.alloc(16, 16);
-            sys.register_cell(a, l);
+            let a = sys.alloc(32, 32);
+            sys.register_cell(a);
         }
         p.checkpoint_now();
-        assert_eq!(p.registered_cells(), 301);
+        assert_eq!(p.registered_cells(), 601);
     }
 
     #[test]
@@ -330,7 +318,7 @@ mod tests {
         )
         .unwrap();
         let mut n = 0;
-        assert_eq!(super::walk(p.region(), 3, |_a: PAddr, _l| n += 1), Ok(0));
+        assert_eq!(super::walk(p.region(), 3, |_a: PAddr| n += 1), Ok(0));
         assert_eq!(n, 0);
     }
 }

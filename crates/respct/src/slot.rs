@@ -28,8 +28,8 @@ use std::sync::atomic::Ordering;
 use crossbeam::utils::CachePadded;
 use respct_pmem::{PAddr, Pod, Region, TraceMarker};
 
-use crate::incll::{cell_layout, epoch_tag, is_live, tag_epoch, ICell};
-use crate::layout::{self, MAX_THREADS};
+use crate::incll::{epoch_tag, is_live, tag_epoch, ICell};
+use crate::layout::{self, cell_fits, MAX_THREADS};
 use crate::pool::{CkptLockGuard, Pool, SYSTEM_SLOT};
 
 /// Volatile per-slot state, owned by whoever holds the slot's [`Slot`].
@@ -209,40 +209,36 @@ impl<'a> Slot<'a> {
     /// a fresh allocation that fits the cell (checked).
     pub(crate) fn cell_init<T: Pod>(&mut self, addr: PAddr, val: T) -> ICell<T> {
         let pool = self.pool;
-        let l = cell_layout::<T>();
         assert!(
-            l.fits_at(addr),
+            cell_fits(addr),
             "ICell at {addr:?} would straddle a cache line"
         );
         let cell = ICell::<T>::from_addr(addr);
         let epoch = pool.epoch_mirror.load(Ordering::Relaxed);
-        // A recycled cell of the same layout still has its registry entry:
-        // skip the re-registration.
+        // A recycled cell still has its registry entry: skip the
+        // re-registration.
         let already_registered = is_live(&pool.region, cell, epoch);
         pool.region.store(cell.addr(), val);
         pool.region.store(cell.backup_addr(), val);
         pool.region
             .store(cell.epoch_addr(), epoch_tag(cell.addr(), epoch));
-        pool.region.trace_marker(TraceMarker::CellDeclare {
-            addr: addr.0,
-            vsize: l.vsize,
-            backup_off: l.backup_off,
-            epoch_off: l.epoch_off,
-        });
+        pool.region
+            .trace_marker(TraceMarker::CellDeclare { addr: addr.0 });
         pool.region.trace_marker(TraceMarker::CellLogged {
             addr: addr.0,
             epoch,
         });
         if !already_registered {
-            self.register_cell(addr, l);
+            self.register_cell(addr);
         }
         self.track_line(addr.line());
-        pool.metrics.on_bytes_stored(self.idx, l.vsize as u64);
+        pool.metrics
+            .on_bytes_stored(self.idx, std::mem::size_of::<T>() as u64);
         cell
     }
 
     /// `init_InCLL` *or* `update_InCLL`, depending on whether `addr`
-    /// already carries a live cell of this layout. Used by containers that
+    /// already carries a live cell. Used by containers that
     /// recycle element slots: overwriting a slot that was live at the last
     /// checkpoint must log its old value, while a genuinely fresh slot must
     /// not.

@@ -32,7 +32,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use respct_pmem::SyncToken;
 
@@ -95,21 +95,9 @@ pub struct TracedGuard<'a, T> {
     lock: &'a TracedMutex<T>,
     /// Where the release edge (and the `DropSyncEdge` fault) goes.
     pool: &'a Pool,
-    /// `Some` for the guard's whole life; taken only in `drop`/`wait` so
-    /// the release edge can be emitted *before* the inner unlock.
+    /// `Some` for the guard's whole life; taken only in `drop` so the
+    /// release edge can be emitted *before* the inner unlock.
     guard: Option<MutexGuard<'a, T>>,
-}
-
-impl<T> TracedGuard<'_, T> {
-    /// Waits on `cv`, releasing and re-acquiring the lock's happens-before
-    /// edges around the blocking wait (condition-variable hand-off is a
-    /// release/acquire pair like any other unlock/lock).
-    pub fn wait(&mut self, cv: &Condvar) {
-        let region = self.pool.region();
-        region.sync_release(self.lock.token());
-        cv.wait(self.guard.as_mut().expect("guard present outside drop"));
-        region.sync_acquire(self.lock.token());
-    }
 }
 
 impl<T> Deref for TracedGuard<'_, T> {

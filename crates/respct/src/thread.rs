@@ -17,7 +17,7 @@ use std::sync::Arc;
 use respct_pmem::{PAddr, Pod, SyncToken};
 
 use crate::incll::ICell;
-use crate::layout::MAX_THREADS;
+use crate::layout::{CELL_SIZE, MAX_THREADS, U64_CELL_SLOT};
 use crate::pool::{spin_until, Pool, SYSTEM_SLOT};
 use crate::slot::Slot;
 
@@ -135,11 +135,18 @@ impl ThreadHandle {
     // ---- InCLL API (paper Table 1) -----------------------------------
 
     /// Allocates an InCLL variable initialized to `val` (`alloc_in_nvmm` +
-    /// `init_InCLL`).
+    /// `init_InCLL`). `T` is an 8-byte [`Pod`]: every cell has one shape,
+    /// so a narrower value does not compile.
+    ///
+    /// ```compile_fail
+    /// # use respct::{Pool, PoolConfig, Region, RegionConfig};
+    /// # let pool = Pool::create(Region::new(RegionConfig::fast(1 << 20)), PoolConfig::default()).unwrap();
+    /// let h = pool.register();
+    /// let cell = h.alloc_cell(1u32); // error: an ICell value is an 8-byte, 8-aligned Pod
+    /// ```
     pub fn alloc_cell<T: Pod>(&self, val: T) -> ICell<T> {
-        let l = crate::incll::cell_layout::<T>();
         let mut slot = self.access();
-        let addr = slot.alloc(l.total as u64, l.natural_align());
+        let addr = slot.alloc(CELL_SIZE, U64_CELL_SLOT);
         slot.cell_init(addr, val)
     }
 
@@ -151,7 +158,7 @@ impl ThreadHandle {
     }
 
     /// Initializes *or* updates an InCLL variable at `addr`, depending on
-    /// whether the address already carries a live cell of this layout —
+    /// whether the address already carries a live cell —
     /// the right primitive for containers that recycle element slots.
     pub fn upsert_cell<T: Pod>(&self, addr: PAddr, val: T) -> ICell<T> {
         self.access().cell_upsert(addr, val)

@@ -8,8 +8,8 @@
 use respct_pmem::PAddr;
 
 use crate::error::PoolError;
-use crate::incll::tag_epoch;
-use crate::layout::{self, CellLayout, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_MAGIC, OFF_SIZE};
+use crate::incll::{tag_epoch, ICell};
+use crate::layout::{self, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_MAGIC, OFF_SIZE};
 use crate::pool::Pool;
 use crate::{epoch_record, registry};
 
@@ -97,14 +97,13 @@ impl Pool {
             Err(e) => fail(ViolationKind::Epoch, e.to_string()),
         }
         const EPOCH_HORIZON: u64 = 1 << 20;
-        let bad_tag = |addr: PAddr, l: CellLayout| -> Option<u64> {
-            let stored: u64 = region.load(addr.offset(l.epoch_off as u64));
+        let bad_tag = |addr: PAddr| -> Option<u64> {
+            let stored: u64 = region.load(ICell::<u64>::from_addr(addr).epoch_addr());
             let e = tag_epoch(addr, stored);
             (e > epoch && e <= epoch.saturating_add(EPOCH_HORIZON)).then_some(e)
         };
-        let u64_layout = CellLayout::new(8, 8);
         for addr in layout::header_cells() {
-            if let Some(e) = bad_tag(addr, u64_layout) {
+            if let Some(e) = bad_tag(addr) {
                 fail(
                     ViolationKind::Epoch,
                     format!("header cell at {addr:?}: tag epoch {e} > pool epoch {epoch}"),
@@ -126,9 +125,9 @@ impl Pool {
         // walk order. It stops a slot's chain at the first word it cannot
         // trust.
         for slot in 0..MAX_THREADS {
-            let walked = registry::walk(region, slot, |addr, l| {
+            let walked = registry::walk(region, slot, |addr| {
                 report.cells_checked += 1;
-                if let Some(e) = bad_tag(addr, l) {
+                if let Some(e) = bad_tag(addr) {
                     fail(
                         ViolationKind::Epoch,
                         format!("slot {slot}: cell {addr:?} tag epoch {e} > pool epoch {epoch}"),
@@ -309,10 +308,8 @@ mod tests {
         h.checkpoint_here();
         // Stamp the cell with a tag from an epoch the pool hasn't reached:
         // update_InCLL would skip logging when that epoch arrives.
-        let l = crate::incll::cell_layout::<u64>();
         let tag = crate::incll::epoch_tag(c.addr(), pool.epoch() + 5);
-        pool.region()
-            .store(c.addr().offset(l.epoch_off as u64), tag);
+        pool.region().store(c.epoch_addr(), tag);
         let r = pool.verify();
         assert!(
             r.violations.iter().any(|v| v.kind == ViolationKind::Epoch),

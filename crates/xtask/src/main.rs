@@ -20,9 +20,11 @@
 //!    module. In `crates/respct/src`, outside `#[cfg(test)]` code, the
 //!    epoch-record offsets may be named only in `layout.rs` (which defines
 //!    them) and `epoch_record.rs`, the registry-chain offsets only in
-//!    `layout.rs` and `registry.rs` ([`OWNERS`]) — so a format edit
-//!    touches one file per structure, and recovery cannot grow a second,
-//!    unchecked decoder.
+//!    `layout.rs` and `registry.rs`, an InCLL cell's backup and epoch-tag
+//!    offsets only in `layout.rs` and `incll.rs` (everything else goes
+//!    through `ICell::{backup_addr, epoch_addr}`) ([`OWNERS`]) — so a
+//!    format edit touches one file per structure, and recovery cannot grow
+//!    a second, unchecked decoder.
 //! 4. **slot-owner**: one more row of the same table. A thread slot's
 //!    volatile state sits in an `UnsafeCell` that only `slot.rs` may name:
 //!    the `&mut SlotState` every hot path runs on is produced there, behind
@@ -89,6 +91,13 @@ const OWNERS: &[Owner] = &[
         names: &["SLOT_REG_HEAD", "REG_CHUNK_NEXT", "reg_entry_off"],
         dir: RUNTIME_DIR,
         files: &["layout.rs", "registry.rs"],
+    },
+    Owner {
+        rule: "format-owner",
+        what: "InCLL cell shape",
+        names: &["CELL_BACKUP", "CELL_EPOCH"],
+        dir: RUNTIME_DIR,
+        files: &["layout.rs", "incll.rs"],
     },
     Owner {
         rule: "slot-owner",
@@ -521,6 +530,37 @@ mod tests {
         assert!(lint_source(Path::new("crates/respct/src/pool.rs"), &unit, true).is_empty());
         let escaped = "// pool-lint: allow(format-owner)\nconst A: PAddr = OFF_EPOCH_STATE;\n";
         assert!(lint_source(Path::new("crates/respct/src/pool.rs"), escaped, true).is_empty());
+    }
+
+    #[test]
+    fn cell_field_offsets_are_named_only_in_layout_and_incll() {
+        let src = "fn f(r: &Region, a: PAddr) -> u64 {\n    r.load(a.offset(CELL_EPOCH))\n}\n";
+        for elsewhere in ["recovery.rs", "verify.rs", "pool.rs"] {
+            let f = lint_source(&Path::new("crates/respct/src").join(elsewhere), src, true);
+            assert_eq!(f.len(), 1, "{elsewhere}: {f:?}");
+            assert_eq!((f[0].rule, f[0].line), ("format-owner", 2));
+            assert!(
+                f[0].message.contains("InCLL cell shape"),
+                "{}",
+                f[0].message
+            );
+            assert!(f[0].message.contains("incll.rs"), "{}", f[0].message);
+        }
+        let backup = "const B: u64 = layout::CELL_BACKUP;\n";
+        assert_eq!(
+            lint_source(Path::new("crates/respct/src/slot.rs"), backup, true).len(),
+            1
+        );
+        // The owners, unit tests, other crates and the escape are free.
+        for owner in ["layout.rs", "incll.rs"] {
+            let path = Path::new("crates/respct/src").join(owner);
+            assert!(lint_source(&path, src, true).is_empty(), "{owner}");
+        }
+        assert!(lint_source(Path::new("crates/analysis/src/race.rs"), src, true).is_empty());
+        let unit = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint_source(Path::new("crates/respct/src/verify.rs"), &unit, true).is_empty());
+        let escaped = format!("// pool-lint: allow(format-owner)\n{backup}");
+        assert!(lint_source(Path::new("crates/respct/src/pool.rs"), &escaped, true).is_empty());
     }
 
     #[test]

@@ -23,84 +23,99 @@ use std::time::Duration;
 
 use respct_repro::apps::kv::server::KvServer;
 use respct_repro::apps::kv::service::KvService;
-use respct_repro::apps::kv::{Durability, KvServerConfig};
+use respct_repro::apps::kv::{Durability, KvServerConfig, KvServerConfigBuilder};
 use respct_repro::apps::Mode;
 use respct_repro::obs::MetricsServer;
 
-struct Opts {
-    addr: String,
-    metrics_addr: Option<String>,
-    mode: Mode,
-    workers: usize,
-    queue: usize,
-    batch: usize,
-    value_max: usize,
-    buckets: u64,
-    pool_bytes: usize,
-    sync: bool,
-    period_ms: u64,
-}
+/// `--mode` values, each with the store engine it selects.
+const MODES: [(&str, Mode); 3] = [
+    ("respct", Mode::Respct),
+    ("dram", Mode::TransientDram),
+    ("nvmm", Mode::TransientNvmm),
+];
 
-fn parse_opts() -> Opts {
-    let mut o = Opts {
-        addr: "127.0.0.1:7878".to_string(),
-        metrics_addr: None,
-        mode: Mode::Respct,
-        workers: 2,
-        queue: 1024,
-        batch: 16,
-        value_max: 4096,
-        buckets: 16_384,
-        pool_bytes: 256 << 20,
-        sync: false,
-        period_ms: 8,
-    };
+/// The flags: the serve address, the metrics endpoint if any, and the
+/// store configuration (validated by `build`, so a bad combination exits
+/// with its message).
+fn parse_flags() -> (String, Option<String>, KvServerConfigBuilder) {
+    let mut addr = "127.0.0.1:7878".to_string();
+    let mut metrics_addr = None;
+    let mut cfg = KvServerConfig::builder();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut val = || {
             it.next()
                 .unwrap_or_else(|| exit_with(format_args!("{arg} needs a value")))
         };
-        match arg.as_str() {
-            "--addr" => o.addr = val(),
-            "--metrics-addr" => o.metrics_addr = Some(val()),
-            "--mode" => {
-                o.mode = match val().as_str() {
-                    "respct" => Mode::Respct,
-                    "dram" => Mode::TransientDram,
-                    "nvmm" => Mode::TransientNvmm,
-                    other => exit_with(format_args!("unknown --mode {other} (respct|dram|nvmm)")),
-                };
+        cfg = match arg.as_str() {
+            "--addr" => {
+                addr = val();
+                cfg
             }
-            "--workers" => o.workers = int(&arg, &val()),
-            "--queue" => o.queue = int(&arg, &val()),
-            "--batch" => o.batch = int(&arg, &val()),
-            "--value-max" => o.value_max = int(&arg, &val()),
-            "--buckets" => o.buckets = int(&arg, &val()),
-            "--pool-bytes" => o.pool_bytes = int(&arg, &val()),
-            "--sync" => o.sync = true,
-            "--period-ms" => o.period_ms = int(&arg, &val()),
+            "--metrics-addr" => {
+                metrics_addr = Some(val());
+                cfg
+            }
+            "--mode" => {
+                let v = val();
+                let Some(&(_, mode)) = MODES.iter().find(|(name, _)| *name == v) else {
+                    exit_with(format_args!("unknown --mode {v} (respct|dram|nvmm)"))
+                };
+                cfg.mode(mode)
+            }
+            "--workers" => cfg.workers(int(&arg, &val())),
+            "--queue" => cfg.queue_capacity(int(&arg, &val())),
+            "--batch" => cfg.max_batch(int(&arg, &val())),
+            "--value-max" => cfg.max_value_len(int(&arg, &val())),
+            "--buckets" => cfg.nbuckets(int(&arg, &val())),
+            "--pool-bytes" => cfg.pool_bytes(int(&arg, &val())),
+            "--sync" => cfg.durability(Durability::Sync),
+            "--period-ms" => {
+                let ms: u64 = int(&arg, &val());
+                cfg.ckpt_period((ms > 0).then(|| Duration::from_millis(ms)))
+            }
             "--help" | "-h" => {
-                eprintln!(
-                    "flags: --addr A:P          serve address (default 127.0.0.1:7878; port 0 = ephemeral)\n       \
-                     --metrics-addr A:P  metrics HTTP endpoint (off unless given)\n       \
-                     --mode M            respct|dram|nvmm store engine (default respct)\n       \
-                     --workers N         worker threads (default 2)\n       \
-                     --queue N           per-worker bounded queue depth (default 1024)\n       \
-                     --batch N           max requests per RP batch (default 16)\n       \
-                     --value-max N       largest PUT value in bytes (default 4096)\n       \
-                     --buckets N         hash buckets (default 16384)\n       \
-                     --pool-bytes N      pool/arena size (default 256 MiB)\n       \
-                     --sync              acknowledge writes only after checkpoint\n       \
-                     --period-ms N       periodic checkpoint interval, 0 = off (default 8)\n\n       \
-                     env: RESPCT_BACKEND=optane|dram|sim|mmap:<path>, RESPCT_PIPELINE=K"
-                );
+                eprintln!("{}", help());
                 std::process::exit(0);
             }
             other => exit_with(format_args!("unknown flag {other} (try --help)")),
-        }
+        };
     }
-    o
+    (addr, metrics_addr, cfg)
+}
+
+/// The `--help` text, its defaults read from [`KvServerConfig::default`].
+fn help() -> String {
+    let d = KvServerConfig::default();
+    let mode = MODES
+        .iter()
+        .find(|(_, m)| *m == d.mode())
+        .map_or("?", |(name, _)| name);
+    let durability = match d.durability() {
+        Durability::Sync => "sync",
+        Durability::Async => "async",
+    };
+    let period = d.ckpt_period().map_or(0, |p| p.as_millis());
+    format!(
+        "flags: --addr A:P          serve address (default 127.0.0.1:7878; port 0 = ephemeral)\n       \
+         --metrics-addr A:P  metrics HTTP endpoint (off unless given)\n       \
+         --mode M            respct|dram|nvmm store engine (default {mode})\n       \
+         --workers N         worker threads (default {})\n       \
+         --queue N           per-worker bounded queue depth (default {})\n       \
+         --batch N           max requests per RP batch (default {})\n       \
+         --value-max N       largest PUT value in bytes (default {})\n       \
+         --buckets N         hash buckets (default {})\n       \
+         --pool-bytes N      pool/arena size (default {} MiB)\n       \
+         --sync              acknowledge writes only after checkpoint (default {durability})\n       \
+         --period-ms N       periodic checkpoint interval, 0 = off (default {period})\n\n       \
+         env: RESPCT_BACKEND=optane|dram|sim|mmap:<path>, RESPCT_PIPELINE=K",
+        d.workers(),
+        d.queue_capacity(),
+        d.max_batch(),
+        d.max_value_len(),
+        d.nbuckets(),
+        d.pool_bytes() >> 20,
+    )
 }
 
 /// The integer value `v` of `flag`, or exit.
@@ -119,21 +134,8 @@ fn exit_with(msg: std::fmt::Arguments<'_>) -> ! {
 }
 
 fn main() {
-    let o = parse_opts();
-    let cfg = KvServerConfig::builder()
-        .mode(o.mode)
-        .workers(o.workers)
-        .queue_capacity(o.queue)
-        .max_batch(o.batch)
-        .max_value_len(o.value_max)
-        .nbuckets(o.buckets)
-        .pool_bytes(o.pool_bytes)
-        .durability(if o.sync {
-            Durability::Sync
-        } else {
-            Durability::Async
-        })
-        .ckpt_period((o.period_ms > 0).then(|| Duration::from_millis(o.period_ms)))
+    let (addr, metrics_addr, cfg) = parse_flags();
+    let cfg = cfg
         .build()
         .unwrap_or_else(|e| exit_with(format_args!("invalid configuration: {e}")));
 
@@ -146,15 +148,15 @@ fn main() {
         );
     }
 
-    let _metrics = o.metrics_addr.as_deref().map(|addr| {
-        let guard = MetricsServer::serve(std::sync::Arc::clone(service.registry()), addr)
-            .unwrap_or_else(|e| exit_with(format_args!("bind metrics endpoint {addr}: {e}")));
+    let _metrics = metrics_addr.as_deref().map(|endpoint| {
+        let guard = MetricsServer::serve(std::sync::Arc::clone(service.registry()), endpoint)
+            .unwrap_or_else(|e| exit_with(format_args!("bind metrics endpoint {endpoint}: {e}")));
         println!("metrics listening {}", guard.local_addr());
         guard
     });
 
-    let server = KvServer::start(std::sync::Arc::clone(&service), o.addr.as_str())
-        .unwrap_or_else(|e| exit_with(format_args!("bind {}: {e}", o.addr)));
+    let server = KvServer::start(std::sync::Arc::clone(&service), addr.as_str())
+        .unwrap_or_else(|e| exit_with(format_args!("bind {addr}: {e}")));
     println!("kv listening {}", server.local_addr());
     // Readiness lines must not sit in libc's pipe buffer when the parent
     // is a test harness.

@@ -5,21 +5,26 @@
 //! disk, a torn copy or a stray write may have damaged. Whatever it finds,
 //! it must answer with `Ok` or a typed `PoolError`: never a panic, never an
 //! endless scan — and the same answer whatever number of threads scans the
-//! registry. The last two tests pin the format itself: the header-cell
-//! list is complete, and the header bytes only move when `MAGIC` does.
+//! registry. The last three tests pin the format itself: the header-cell
+//! list is complete, the header bytes only move when `MAGIC` does, and a
+//! pool of the previous format is refused, never misread.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use respct_repro::pmem::{sim::CrashMode, PAddr, Region, RegionConfig, SimConfig};
 use respct_repro::respct::layout::{
-    self, heap_start, reg_entry_off, slot_base, MAGIC, MAX_THREADS, NUM_CLASSES, REG_CHUNK_NEXT,
-    REG_CHUNK_SIZE, SLOT_REG_HEAD, SLOT_REG_LEN,
+    self, heap_start, reg_entry_off, slot_base, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_MAGIC,
+    REG_CHUNK_ENTRIES, REG_CHUNK_NEXT, REG_CHUNK_SIZE, SLOT_REG_HEAD, SLOT_REG_LEN,
 };
 use respct_repro::respct::{epoch_tag, Pool, PoolConfig, PoolError, RecoveryReport};
 
 const POOL_SIZE: usize = 4 << 20;
-const CELLS: u64 = 640;
+/// The reason recovery gives for a registry entry naming a cell it cannot
+/// load and store in bounds within one line.
+const BAD_CELL: &str = "cell address out of bounds, misaligned or straddling a cache line";
+/// Two full registry chunks and part of a third.
+const CELLS: u64 = 2 * REG_CHUNK_ENTRIES + 130;
 
 /// A crashed pool image: `CELLS` registered cells (three registry chunks)
 /// checkpointed in epoch 1, every one of them dirtied in the open epoch 2,
@@ -46,7 +51,7 @@ fn crashed_image() -> Crashed {
     drop(pool);
     let bytes = region.crash(CrashMode::EvictAll).bytes().to_vec();
     let mut chunks = vec![get(&bytes, slot_base(slot).0 + SLOT_REG_HEAD)];
-    while chunks.len() < CELLS.div_ceil(layout::REG_CHUNK_ENTRIES) as usize {
+    while chunks.len() < CELLS.div_ceil(REG_CHUNK_ENTRIES) as usize {
         chunks.push(get(&bytes, chunks[chunks.len() - 1] + REG_CHUNK_NEXT));
     }
     Crashed {
@@ -133,28 +138,37 @@ fn corrupt_registry_is_a_typed_error() {
     let img = crashed_image();
     let slot_at = slot_base(img.slot).0;
     let (head, second, last) = (img.chunks[0], img.chunks[1], img.chunks[2]);
-    let garbage_layout = 0xdead_beef_0000_2a03;
+    // Cell addresses a registry entry must not hold: misaligned, straddling
+    // a line (24 bytes from 48 into it), past the region's end.
+    let misaligned = get(&img.bytes, head + reg_entry_off(7)) + 4;
+    let straddling = heap_start().0 + 48;
+    let past_end = POOL_SIZE as u64 + 64;
     type Damage = Box<dyn Fn(&mut [u8])>;
-    // Each image with the entry number the error must name.
-    let cases: [(&str, u64, Damage); 6] = [
+    // Each image with the entry number the error must name, and whether
+    // the reason is the bad-cell one.
+    let cases: [(&str, u64, bool, Damage); 6] = [
         (
             "registry head zeroed",
             0,
+            false,
             Box::new(move |b| put(b, slot_at + SLOT_REG_HEAD, 0)),
         ),
         (
-            "garbage layout word",
+            "misaligned cell address",
             7,
-            Box::new(move |b| put(b, head + reg_entry_off(7) + 8, garbage_layout)),
+            true,
+            Box::new(move |b| put(b, head + reg_entry_off(7), misaligned)),
         ),
         (
             "cell address outside the region",
             7,
-            Box::new(move |b| put(b, head + reg_entry_off(7), POOL_SIZE as u64 + 64)),
+            true,
+            Box::new(move |b| put(b, head + reg_entry_off(7), past_end)),
         ),
         (
             "chunk linked to itself under a garbage reg_len",
             0,
+            false,
             Box::new(move |b| {
                 put(b, head + REG_CHUNK_NEXT, head);
                 // Record and backup: the length survives a roll-back too.
@@ -165,23 +179,25 @@ fn corrupt_registry_is_a_typed_error() {
         // Two bad words: the one earlier in walk order is reported, even
         // when another worker's run meets the later one first.
         (
-            "garbage layout words in the first and the last chunk",
+            "line-straddling cells in the first and the last chunk",
             7,
+            true,
             Box::new(move |b| {
-                put(b, head + reg_entry_off(7) + 8, garbage_layout);
-                put(b, last + reg_entry_off(3) + 8, garbage_layout);
+                put(b, head + reg_entry_off(7), straddling);
+                put(b, last + reg_entry_off(3), straddling);
             }),
         ),
         (
-            "garbage layout word before a misaligned link",
+            "cell address past the end before a misaligned link",
             7,
+            true,
             Box::new(move |b| {
-                put(b, head + reg_entry_off(7) + 8, garbage_layout);
+                put(b, head + reg_entry_off(7), past_end);
                 put(b, second + REG_CHUNK_NEXT, last + 8);
             }),
         ),
     ];
-    for (name, want_entry, damage) in cases {
+    for (name, want_entry, bad_cell, damage) in cases {
         let mut bytes = img.bytes.clone();
         damage(&mut bytes);
         // The scan's thread count changes who meets the damage, never
@@ -191,11 +207,11 @@ fn corrupt_registry_is_a_typed_error() {
             let outcome = recover_watched(bytes.clone(), threads(n), Duration::from_secs(10));
             assert!(t0.elapsed() < Duration::from_secs(1), "{name}: too slow");
             match outcome {
-                Outcome::Refused(e @ PoolError::CorruptRegistry { slot, entry, .. })
-                    if slot == img.slot && entry == want_entry =>
-                {
-                    e
-                }
+                Outcome::Refused(
+                    e @ PoolError::CorruptRegistry {
+                        slot, entry, why, ..
+                    },
+                ) if slot == img.slot && entry == want_entry && (why == BAD_CELL) == bad_cell => e,
                 other => panic!("{name}, {n} threads: {other:?}"),
             }
         });
@@ -264,7 +280,7 @@ fn damaged_images_never_panic_and_never_hang() {
         slot_at + SLOT_REG_HEAD,
         img.chunks[0] + REG_CHUNK_NEXT,
         img.chunks[0] + reg_entry_off(0),
-        img.chunks[0] + reg_entry_off(0) + 8,
+        img.chunks[0] + reg_entry_off(1),
     ];
     let mut plan: Vec<Vec<Damage>> = hot
         .iter()
@@ -393,9 +409,39 @@ fn header_bytes_are_pinned_to_the_magic() {
         });
     assert_eq!(
         (MAGIC, hash),
-        (0x5245_5350_4354_3031, PINNED_HEADER_HASH),
+        (0x5245_5350_4354_3032, PINNED_HEADER_HASH),
         "the on-media header moved: bump MAGIC and re-pin, or undo the move"
     );
 }
 
-const PINNED_HEADER_HASH: u64 = 0x86c9_11ff_ca76_43e0;
+const PINNED_HEADER_HASH: u64 = 0xf01b_3f83_a6e0_1e3b;
+
+/// A pool of the previous format — "RESPCT01", whose registry entries
+/// carried a second word after each cell address — is not a pool to this
+/// reader: recovery refuses it, and opening its file neither recovers it
+/// nor formats over it.
+#[test]
+fn previous_format_is_not_a_pool() {
+    const RESPCT01: u64 = 0x5245_5350_4354_3031;
+    let mut bytes = crashed_image().bytes;
+    put(&mut bytes, OFF_MAGIC.0, RESPCT01);
+    let recovered = Pool::recover(Region::from_image(&bytes), PoolConfig::default());
+    assert!(
+        matches!(recovered, Err(PoolError::NotAPool)),
+        "recover: {:?}",
+        recovered.map(|(_, report)| report)
+    );
+    let path = std::env::temp_dir().join(format!(
+        "respct_previous_format_{}.pool",
+        std::process::id()
+    ));
+    std::fs::write(&path, &bytes).expect("write the old pool file");
+    let opened = Pool::open(&path, PoolConfig::default()).map(|(_, report)| report);
+    let after = std::fs::read(&path).expect("read the old pool file back");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        matches!(opened, Err(PoolError::NotAPool)),
+        "open: {opened:?}"
+    );
+    assert!(after == bytes, "opening an old pool file changed its bytes");
+}

@@ -9,13 +9,15 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use respct_repro::pmem::{sim::CrashMode, Region, RegionConfig, SimConfig};
-use respct_repro::respct::{cell_layout, ICell, Pool, PoolConfig};
+use respct_repro::respct::{ICell, PAddr, Pool, PoolConfig};
 
 fn read_cell_fields(bytes: &[u8], cell: ICell<u64>) -> (u64, u64, u64) {
-    let l = cell_layout::<u64>();
-    let base = cell.addr().0 as usize;
-    let rd = |off: usize| u64::from_ne_bytes(bytes[base + off..base + off + 8].try_into().unwrap());
-    (rd(0), rd(l.backup_off as usize), rd(l.epoch_off as usize))
+    let rd = |at: PAddr| u64::from_ne_bytes(bytes[at.0 as usize..][..8].try_into().unwrap());
+    (
+        rd(cell.addr()),
+        rd(cell.backup_addr()),
+        rd(cell.epoch_addr()),
+    )
 }
 
 proptest! {

@@ -70,7 +70,7 @@ fn registration_churn_under_checkpoints() {
     let pool = pool(64);
     let _ckpt = pool.start_checkpointer(Duration::from_millis(1));
     std::thread::scope(|s| {
-        for t in 0..4 {
+        for t in 0..4u64 {
             let pool = Arc::clone(&pool);
             s.spawn(move || {
                 for round in 0..50 {

@@ -397,22 +397,22 @@ fn parallel_recovery_cut_inside_a_line_is_clean() {
     let cells = {
         let pool = Pool::create(Arc::clone(&region), PoolConfig::default()).expect("pool");
         let h = pool.register();
-        // Two full chunks of 255 entries: four scan threads cut between
-        // them, i.e. between cells 254 and 255. Cells pack two to a line,
+        // Two full chunks of 511 entries: four scan threads cut between
+        // them, i.e. between cells 510 and 511. Cells pack two to a line,
         // and each registry chunk is carved, line-aligned, right after the
         // cell whose entry opens it; one unregistered block after cell 0
-        // puts cells 254 and 255 on one line.
+        // puts cells 510 and 511 on one line.
         let mut cells = vec![h.alloc_cell(0u64)];
         let _ = h.alloc(32, 32);
-        cells.extend((1..510u64).map(|i| h.alloc_cell(i)));
+        cells.extend((1..1022u64).map(|i| h.alloc_cell(i)));
         h.checkpoint_here();
         for c in &cells {
             h.update(*c, 7); // crashed epoch
         }
         cells
     };
-    let (a, b) = (cells[254].addr(), cells[255].addr());
-    assert_eq!(a.line(), b.line(), "cells 254 and 255 must share a line");
+    let (a, b) = (cells[510].addr(), cells[511].addr());
+    assert_eq!(a.line(), b.line(), "cells 510 and 511 must share a line");
     let img = region.crash(CrashMode::EvictAll);
     region.restore(&img);
     events.drain();
