@@ -7,9 +7,10 @@
 //! * `psync` — wait until every preceding `pwb` issued by the current thread
 //!   has completed. On x86 this is `sfence`.
 //!
-//! Fast-mode [`Region`](crate::Region)s issue the real instructions so that
-//! benchmark code pays a realistic per-line cost; sim-mode regions instead
-//! route through [`CacheSim`](crate::sim::CacheSim) bookkeeping.
+//! Mmap-backed [`Region`](crate::Region)s issue both on their mapped lines;
+//! fast-mode regions issue the `sfence` and only account for write-backs
+//! (see [`crate::backend`]); sim-mode regions instead drive the PCSO state
+//! machine of [`crate::replay`].
 
 #[cfg(target_arch = "x86_64")]
 mod imp {

@@ -6,9 +6,9 @@
 //!   buys no durability and the real `clwb` costs ~150 ns of host overhead
 //!   per line. The calibrated [`LatencyModel`](crate::latency::LatencyModel)
 //!   charges NVMM costs instead.
-//! * **Sim** — the same anonymous arena plus the PCSO
-//!   [`CacheSim`](crate::sim::CacheSim): every store is interposed, crash
-//!   injection and recovery are available.
+//! * **Sim** — the same anonymous arena plus the PCSO state machine of
+//!   [`crate::replay`], driven live by [`crate::sim`] under one lock: every
+//!   store is interposed, crash injection and recovery are available.
 //! * **Mmap** — a file-backed mapping; `pwb` issues the real `clwb` on the
 //!   mapped line and the pool survives the process (see the `mmap` module
 //!   docs for exactly what is and is not guaranteed).

@@ -9,15 +9,16 @@
 //!   [`PAddr`] offsets. All persistent loads and stores go through it.
 //! * [`arch`] — the `pwb` (cache-line write-back, `clwb`/`clflushopt`) and
 //!   `psync` (`sfence`) primitives of the paper's system model (§2.1).
-//! * [`sim`] — a cache-line-granularity persistence simulator implementing
-//!   PCSO: stores land in a volatile image, lines are written back to a
-//!   persisted image on `pwb`+`psync` or at arbitrary moments (random
-//!   eviction), and a *crash* discards everything volatile. Writes to the
-//!   same cache line reach the persisted image in program order because a
-//!   write-back snapshots the whole line.
-//! * [`replay`] — deterministic reconstruction of the persistence state at
-//!   every instant of a recorded trace, and enumeration of the crash images
-//!   reachable under PCSO at each one (the `respct-crashsim` sweep engine).
+//! * [`replay`] — the one PCSO state machine, at cache-line granularity:
+//!   stores dirty lines, lines are written back to a persisted image on
+//!   `pwb`+`psync` or at arbitrary moments (eviction), and a *crash* keeps
+//!   the persisted image plus any choice of in-flight persists. Writes to
+//!   the same cache line reach the persisted image in program order
+//!   because a write-back snapshots the whole line. The [`Replayer`] drives
+//!   it from a recorded trace and enumerates the crash images reachable at
+//!   every instant (the `respct-crashsim` sweep engine).
+//! * [`sim`] — the live driver of that machine under a sim-mode region:
+//!   seeded random eviction on stores and seeded crash coin flips.
 //! * [`latency`] — a calibrated spin-wait latency model so that fast-mode
 //!   benchmarks can charge NVMM's extra write-back/read cost without a real
 //!   Optane DIMM.
@@ -27,10 +28,10 @@
 //!
 //! * **Fast** — stores compile to plain volatile writes; write-backs are
 //!   accounted against the modeled latency. Used by the benchmark harness.
-//! * **Sim** — every store additionally updates the [`sim::CacheSim`]
-//!   bookkeeping so tests can crash the "machine" at any instant and
-//!   recover from exactly the state a real PCSO machine would have
-//!   persisted.
+//! * **Sim** — every store, `pwb` and `psync` additionally drives the PCSO
+//!   state machine of [`replay`] so tests can crash the "machine" at any
+//!   instant and recover from exactly the state a real PCSO machine would
+//!   have persisted.
 //! * **Mmap** — a `MAP_SHARED` pool-file mapping ([`mmap`]): `pwb` issues
 //!   the real `clwb` on the mapped line and the pool survives the process,
 //!   so a fresh process can reopen and recover it.
@@ -52,7 +53,7 @@ pub use backend::BackendKind;
 pub use error::RegionError;
 pub use region::{Region, RegionConfig, RegionMode};
 pub use replay::{is_crash_point, is_protocol_point, Replayer};
-pub use sim::{CacheSim, CrashImage, SimConfig};
+pub use sim::{CrashImage, SimConfig};
 pub use stats::PmemStats;
 pub use trace::{
     StoreData, SyncToken, TeeSink, TraceEvent, TraceMarker, TraceSink, VecSink, MAX_STORE_DATA,

@@ -9,9 +9,11 @@
 //! one of three backends (see [`crate::backend`]): an anonymous arena with
 //! modeled latency, the same arena under the PCSO simulator, or a file
 //! mapping that outlives the process. The region caches the arena's base
-//! pointer, latency model, and simulator handle, so the store/load hot
-//! paths are identical for every backend; only `pwb` and `psync` branch on
-//! it.
+//! pointer, latency model, and simulator handle, so the load and word-store
+//! hot paths are identical for every backend; `pwb` and `psync` branch on
+//! it. A sim-mode region takes its one simulator lock around each arena
+//! write, `pwb`, `psync`, crash and restore, together with the trace event
+//! that records it, so a recorded trace replays to the live model's state.
 //!
 //! All accesses are implemented as **relaxed atomic operations** of the
 //! access width. On x86-64 these compile to plain `mov`s, so fast mode pays
@@ -23,11 +25,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
+use parking_lot::{Mutex, MutexGuard};
+
 use crate::backend::BackendKind;
 use crate::error::RegionError;
 use crate::latency::{charge_ns, drain_psync, note_pwbs, LatencyModel};
 use crate::mmap::Mapping;
-use crate::sim::{CacheSim, CrashImage, CrashMode, SimConfig};
+use crate::replay::Line;
+use crate::sim::{CrashImage, CrashMode, LiveSim, SimConfig};
 use crate::stats::PmemStats;
 use crate::trace::{trace_tid, SyncToken, TraceEvent, TraceMarker, TraceSink};
 use crate::{PAddr, Pod, CACHE_LINE};
@@ -113,7 +118,7 @@ pub struct Region {
     latency_free: bool,
     /// `Some` exactly when `kind` is [`BackendKind::Sim`]. Boxed so the
     /// simulator's tables do not spread the hot fields around it.
-    sim: Option<Box<CacheSim>>,
+    sim: Option<Box<Mutex<LiveSim>>>,
     stats: Arc<PmemStats>,
     /// Optional persistency-event observer (set once, read on every access;
     /// a single relaxed-ish atomic load when unset).
@@ -125,9 +130,9 @@ pub struct Region {
     trace_loads: std::sync::atomic::AtomicBool,
 }
 
-// SAFETY: the raw buffer is only accessed through atomic operations (or
-// under the simulator's shard locks), and the backing mapping is owned by
-// `arena`, which the `Region` keeps alive for its whole lifetime.
+// SAFETY: the raw buffer is only accessed through atomic operations, and
+// the backing mapping is owned by `arena`, which the `Region` keeps alive
+// for its whole lifetime.
 unsafe impl Send for Region {}
 // SAFETY: as above.
 unsafe impl Sync for Region {}
@@ -158,8 +163,7 @@ impl Region {
             ),
             RegionMode::Sim(sim_cfg) => {
                 let arena = Mapping::anonymous(cfg.size)?;
-                let sim = Box::new(CacheSim::new(sim_cfg, arena.size, Arc::clone(&stats)));
-                sim.attach(arena.map);
+                let sim = Box::new(Mutex::new(LiveSim::new(sim_cfg, arena.size)));
                 (BackendKind::Sim, arena, dram, Some(sim))
             }
             RegionMode::Mmap(path) => (
@@ -332,11 +336,16 @@ impl Region {
         }
     }
 
-    /// Reports an eviction the simulator performed while absorbing a store.
-    #[inline]
-    fn emit_eviction(&self, victim: Option<u64>) {
-        if let Some(line) = victim {
-            self.emit(|| TraceEvent::Eviction { line });
+    /// Reports the store of `data` at `addr`, one event per
+    /// [`MAX_STORE_DATA`](crate::trace::MAX_STORE_DATA)-byte chunk in
+    /// program order, so the payload fits the events' inline buffers.
+    fn emit_store(&self, addr: PAddr, data: &[u8]) {
+        if self.trace.get().is_some() {
+            let tid = trace_tid();
+            for (i, chunk) in data.chunks(crate::trace::MAX_STORE_DATA).enumerate() {
+                let off = (i * crate::trace::MAX_STORE_DATA) as u64;
+                self.emit(|| TraceEvent::store(tid, addr.0 + off, chunk));
+            }
         }
     }
 
@@ -397,16 +406,7 @@ impl Region {
         unsafe {
             std::ptr::copy_nonoverlapping(&val as *const T as *const u8, bytes.as_mut_ptr(), size);
         };
-        self.emit(|| TraceEvent::store(trace_tid(), addr.0, &bytes[..size]));
-        if let Some(sim) = &self.sim {
-            self.store_bytes_sim(sim, addr, &bytes[..size]);
-        } else {
-            // SAFETY: in-bounds, aligned (checked above).
-            unsafe { atomic_store_raw(self.ptr(addr), &bytes[..size]) };
-            if !self.latency_free {
-                charge_ns(self.latency.store_ns);
-            }
-        }
+        self.write(addr, &bytes[..size]);
     }
 
     /// Loads a `T` from `addr` (aligned, in bounds — checked).
@@ -445,20 +445,25 @@ impl Region {
     /// [`MAX_STORE_DATA`]: crate::trace::MAX_STORE_DATA
     pub fn store_bytes(&self, addr: PAddr, data: &[u8]) {
         self.check(addr, data.len(), 1);
-        if self.trace.get().is_some() {
-            let tid = trace_tid();
-            for (i, chunk) in data.chunks(crate::trace::MAX_STORE_DATA).enumerate() {
-                let off = (i * crate::trace::MAX_STORE_DATA) as u64;
-                self.emit(|| TraceEvent::store(tid, addr.0 + off, chunk));
-            }
-        }
-        if let Some(sim) = &self.sim {
-            self.store_bytes_sim(sim, addr, data);
-        } else {
-            // SAFETY: in-bounds (checked above).
-            unsafe { atomic_store_raw(self.ptr(addr), data) };
+        self.write(addr, data);
+    }
+
+    /// Traces and performs the store of `data` at `addr` (checked by the
+    /// caller); a sim-mode region then marks every touched line dirty.
+    fn write(&self, addr: PAddr, data: &[u8]) {
+        let sim = self.lock_sim();
+        self.emit_store(addr, data);
+        // SAFETY: in-bounds (checked by the caller).
+        unsafe { atomic_store_raw(self.ptr(addr), data) };
+        let Some(mut sim) = sim else {
             if !self.latency_free {
                 charge_ns(self.latency.store_ns);
+            }
+            return;
+        };
+        if let Some(last) = data.len().checked_sub(1) {
+            for line in addr.line()..=PAddr(addr.0 + last as u64).line() {
+                self.stored(&mut sim, line);
             }
         }
     }
@@ -474,24 +479,6 @@ impl Region {
         }
     }
 
-    /// Sim-mode store: per touched cache line, take the shard lock, write,
-    /// mark dirty (which may trigger a random eviction).
-    fn store_bytes_sim(&self, sim: &CacheSim, addr: PAddr, data: &[u8]) {
-        let mut off = 0usize;
-        while off < data.len() {
-            let cur = addr.0 as usize + off;
-            let line = (cur / CACHE_LINE) as u64;
-            let line_end = (line as usize + 1) * CACHE_LINE;
-            let chunk = (line_end - cur).min(data.len() - off);
-            let guard = sim.lock_line(line);
-            // SAFETY: in-bounds (checked by caller); the shard lock
-            // serializes against simulator line snapshots.
-            unsafe { atomic_store_raw(self.buf.wrapping_add(cur), &data[off..off + chunk]) };
-            self.emit_eviction(sim.note_store(guard, line));
-            off += chunk;
-        }
-    }
-
     /// Initiates a write-back of the cache line containing `addr` (paper's
     /// `pwb`, i.e. `clwb`). Asynchronous: complete only after [`psync`].
     ///
@@ -499,23 +486,31 @@ impl Region {
     #[inline]
     pub fn pwb(&self, addr: PAddr) {
         self.check(addr, 1, 1);
-        self.emit(|| TraceEvent::Pwb {
+        let line = addr.line();
+        let event = || TraceEvent::Pwb {
             tid: trace_tid(),
-            line: addr.line(),
-        });
+            line,
+        };
         // What a write-back *is* depends on the backend: the fast backend
         // only accounts for it (flushing emulated-NVMM DRAM buys nothing
         // and costs ~150 ns/line of host overhead), the mmap backend issues
-        // the real `clwb` on the mapped line.
+        // the real `clwb` on the mapped line, the simulator snapshots it.
         match self.kind {
-            BackendKind::Sim => self.sim().pwb(addr.line()),
+            BackendKind::Sim => {
+                let mut sim = self.sim().lock();
+                self.emit(event);
+                self.stats.count_pwbs(1);
+                sim.pcso.pwb(trace_tid(), line, self.read_line(line));
+            }
             BackendKind::Fast => {
+                self.emit(event);
                 self.stats.count_pwbs(1);
                 if !self.latency_free {
                     note_pwbs(&self.latency, 1);
                 }
             }
             BackendKind::Mmap => {
+                self.emit(event);
                 self.stats.count_pwbs(1);
                 // SAFETY: `addr` is in bounds (checked above), so the
                 // flushed address lies inside the live mapping.
@@ -580,10 +575,16 @@ impl Region {
     /// i.e. `sfence`).
     #[inline]
     pub fn psync(&self) {
-        self.emit(|| TraceEvent::Psync { tid: trace_tid() });
+        let event = || TraceEvent::Psync { tid: trace_tid() };
         match self.kind {
-            BackendKind::Sim => self.sim().psync(),
+            BackendKind::Sim => {
+                let mut sim = self.sim().lock();
+                self.emit(event);
+                self.stats.count_psync();
+                sim.pcso.psync(trace_tid(), &|line| self.read_line(line));
+            }
             BackendKind::Fast => {
+                self.emit(event);
                 self.stats.count_psync();
                 // An `sfence` still orders our (relaxed atomic) stores
                 // cheaply and mirrors the paper's instruction sequence.
@@ -593,6 +594,7 @@ impl Region {
                 }
             }
             BackendKind::Mmap => {
+                self.emit(event);
                 self.stats.count_psync();
                 crate::arch::psync();
             }
@@ -618,47 +620,24 @@ impl Region {
     /// success, `Err(actual)` on mismatch. AcqRel/Acquire ordering.
     pub fn cas_u64(&self, addr: PAddr, current: u64, new: u64) -> Result<u64, u64> {
         self.check(addr, 8, 8);
-        let ptr = self.ptr(addr) as *const AtomicU64;
-        if let Some(sim) = &self.sim {
-            let line = addr.line();
-            let guard = sim.lock_line(line);
-            // SAFETY: in-bounds, 8-aligned (checked); atomics alias plain
-            // memory we own; the shard lock serializes with simulator
-            // snapshots.
-            let res = unsafe { &*ptr }.compare_exchange(
-                current,
-                new,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-            match res {
-                Ok(v) => {
-                    self.sync_acquire(SyncToken::Atomic { addr: addr.0 });
-                    self.emit(|| TraceEvent::store(trace_tid(), addr.0, &new.to_ne_bytes()));
-                    self.sync_release(SyncToken::Atomic { addr: addr.0 });
-                    self.emit_eviction(sim.note_store(guard, line));
-                    Ok(v)
-                }
-                Err(v) => {
-                    self.sync_acquire(SyncToken::Atomic { addr: addr.0 });
-                    Err(v)
-                }
+        let sim = self.lock_sim();
+        // SAFETY: in-bounds, 8-aligned (checked); atomics alias plain
+        // memory we own.
+        let res = unsafe { &*(self.ptr(addr) as *const AtomicU64) }.compare_exchange(
+            current,
+            new,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        self.sync_acquire(SyncToken::Atomic { addr: addr.0 });
+        if res.is_ok() {
+            self.emit(|| TraceEvent::store(trace_tid(), addr.0, &new.to_ne_bytes()));
+            self.sync_release(SyncToken::Atomic { addr: addr.0 });
+            if let Some(mut sim) = sim {
+                self.stored(&mut sim, addr.line());
             }
-        } else {
-            // SAFETY: as above.
-            let res = unsafe { &*ptr }.compare_exchange(
-                current,
-                new,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-            self.sync_acquire(SyncToken::Atomic { addr: addr.0 });
-            if res.is_ok() {
-                self.emit(|| TraceEvent::store(trace_tid(), addr.0, &new.to_ne_bytes()));
-                self.sync_release(SyncToken::Atomic { addr: addr.0 });
-            }
-            res
         }
+        res
     }
 
     /// Acquire-ordered u64 load (pairs with [`Region::store_release_u64`] /
@@ -676,24 +655,47 @@ impl Region {
     #[inline]
     pub fn store_release_u64(&self, addr: PAddr, val: u64) {
         self.check(addr, 8, 8);
+        let sim = self.lock_sim();
         self.sync_release(SyncToken::Atomic { addr: addr.0 });
         self.emit(|| TraceEvent::store(trace_tid(), addr.0, &val.to_ne_bytes()));
-        if let Some(sim) = &self.sim {
-            let line = addr.line();
-            let guard = sim.lock_line(line);
-            // SAFETY: in-bounds, 8-aligned (checked); serialized with the
-            // simulator by the shard lock.
-            unsafe { &*(self.ptr(addr) as *const AtomicU64) }.store(val, Ordering::Release);
-            self.emit_eviction(sim.note_store(guard, line));
-        } else {
-            // SAFETY: as above.
-            unsafe { &*(self.ptr(addr) as *const AtomicU64) }.store(val, Ordering::Release);
+        // SAFETY: in-bounds, 8-aligned (checked).
+        unsafe { &*(self.ptr(addr) as *const AtomicU64) }.store(val, Ordering::Release);
+        if let Some(mut sim) = sim {
+            self.stored(&mut sim, addr.line());
         }
     }
 
     /// The simulator of a sim-mode region.
-    fn sim(&self) -> &CacheSim {
+    fn sim(&self) -> &Mutex<LiveSim> {
         self.sim.as_deref().expect("requires a sim-mode region")
+    }
+
+    /// Locks the simulator of a sim-mode region, if this is one. Held
+    /// across an arena write and the trace event that records it, so the
+    /// trace orders both as the simulator did.
+    #[inline]
+    fn lock_sim(&self) -> Option<MutexGuard<'_, LiveSim>> {
+        self.sim.as_deref().map(Mutex::lock)
+    }
+
+    /// The current content of `line`, read from the arena (under the
+    /// simulator lock, which every sim-mode arena write holds).
+    fn read_line(&self, line: u64) -> Line {
+        let mut out = [0u8; CACHE_LINE];
+        // SAFETY: only called with lines the region has checked or the
+        // simulator recorded, all inside the arena.
+        unsafe { atomic_load_raw(self.ptr(PAddr(line * CACHE_LINE as u64)), &mut out) };
+        out
+    }
+
+    /// A store touched `line` of a sim-mode region: counts it, and reports
+    /// the eviction the simulator's dice may have chosen.
+    fn stored(&self, sim: &mut LiveSim, line: u64) {
+        self.stats.count_store();
+        if let Some(victim) = sim.store(line, &|l| self.read_line(l)) {
+            self.stats.count_eviction();
+            self.emit(|| TraceEvent::Eviction { line: victim });
+        }
     }
 
     /// Simulates a crash, returning the persisted image.
@@ -702,30 +704,30 @@ impl Region {
     ///
     /// Panics in fast mode (no simulator).
     pub fn crash(&self, mode: CrashMode) -> CrashImage {
-        let sim = self.sim();
+        let sim = self.sim().lock();
         self.emit(|| TraceEvent::Crash {
             all_persisted: mode == CrashMode::EvictAll,
         });
-        sim.crash(mode)
+        sim.crash(mode, &|line| self.read_line(line))
     }
 
     /// Restores the volatile image from a crash image (simulated reboot of
     /// the same region) and resets the simulator so persisted == volatile.
     pub fn restore(&self, image: &CrashImage) {
         assert_eq!(image.bytes.len(), self.size, "crash image size mismatch");
-        let sim = self.sim();
+        let mut sim = self.sim().lock();
         // SAFETY: copying the full image into the owned buffer; callers only
         // restore while no application threads are running (reboot).
         unsafe { atomic_store_raw(self.buf, &image.bytes) };
-        sim.reset_to(image);
+        sim.pcso.restore(&image.bytes);
         self.emit(|| TraceEvent::Restore);
     }
 
     /// Forces every dirty line to the persisted image (clean shutdown /
     /// test setup). No-op in fast mode.
     pub fn persist_all(&self) {
-        if let Some(sim) = &self.sim {
-            sim.persist_all();
+        if let Some(mut sim) = self.lock_sim() {
+            sim.pcso.persist_all(&|line| self.read_line(line));
             self.emit(|| TraceEvent::PersistAll);
         }
     }
@@ -801,8 +803,6 @@ unsafe fn atomic_load_raw(ptr: *const u8, out: &mut [u8]) {
         }
     }
 }
-
-pub use crate::sim::CrashMode as RegionCrashMode;
 
 #[cfg(test)]
 mod tests {

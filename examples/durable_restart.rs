@@ -53,7 +53,8 @@ fn main() {
                 "restart: recovered epoch {} ({} cells rolled back, {} threads)",
                 report.failed_epoch, report.cells_rolled_back, report.threads
             );
-            assert!(pool.verify().is_clean(), "pool integrity after restart");
+            let audit = pool.verify();
+            assert!(audit.is_clean(), "pool integrity after restart: {audit:#?}");
 
             let map = POrderedMap::open(&pool, pool.root());
             let entries = map.collect_sorted();

@@ -38,7 +38,8 @@ fn every_value_width_rolls_back() {
     assert_eq!(pool.cell_get(c_u64), 0x4444_4444_4444_4444);
     assert_eq!(pool.cell_get(c_i64), -5);
     assert_eq!(pool.cell_get(c_f64), 2.5);
-    assert!(pool.verify().is_clean());
+    let audit = pool.verify();
+    assert!(audit.is_clean(), "pool integrity after crash: {audit:#?}");
 }
 
 #[test]

@@ -76,7 +76,8 @@ fn four_containers_one_pool_crash_and_recover() {
     let img = region.crash(CrashMode::PowerFailure);
     region.restore(&img);
     let (pool, _) = Pool::recover(Arc::clone(&region), PoolConfig::default()).expect("recover");
-    assert!(pool.verify().is_clean());
+    let audit = pool.verify();
+    assert!(audit.is_clean(), "pool integrity after crash: {audit:#?}");
     let w = open_world(&pool);
     let mut map_got = w.map.collect();
     map_got.sort_unstable();

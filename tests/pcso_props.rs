@@ -12,8 +12,13 @@
 //! image after a crash equals the image after some *prefix* of that line's
 //! store history.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+
 use proptest::prelude::*;
-use respct_repro::pmem::{sim::CrashMode, PAddr, Region, RegionConfig, SimConfig};
+use respct_repro::pmem::{
+    sim::CrashMode, PAddr, Region, RegionConfig, Replayer, SimConfig, TraceEvent, VecSink,
+};
 
 const LINES: u64 = 8;
 
@@ -145,5 +150,88 @@ proptest! {
         }
         let img2 = region.crash(CrashMode::PowerFailure);
         prop_assert_eq!(img1.bytes(), img2.bytes());
+    }
+}
+
+/// One lock serializes a sim region's model: four threads store to
+/// byte-disjoint words of shared lines on an evicting region, interleaving
+/// `pwb`/`psync`, while the main thread takes crash images. The trace
+/// records every transition in the order the model took it, so an offline
+/// replay of it reaches each live crash image at that crash's event; and
+/// once the writers are joined, persisting everything yields exactly the
+/// bytes they wrote.
+#[test]
+fn concurrent_writers_drive_one_model() {
+    const LINES: u64 = 4;
+    const SIZE: usize = LINES as usize * 64;
+    const STORES: u64 = 5_000;
+    let region = Region::new(RegionConfig::sim(SIZE, SimConfig::with_eviction(1, 0x5eed)));
+    let sink = Arc::new(VecSink::new());
+    region.set_trace_sink(sink.clone());
+    let start = Barrier::new(5);
+    let running = AtomicUsize::new(4);
+    let mut live = Vec::new();
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (region, start, running) = (&region, &start, &running);
+            s.spawn(move || {
+                start.wait();
+                // Thread `t` owns word `t` of every line. At most two
+                // `pwb`s per thread are ever in flight.
+                for i in 0..STORES {
+                    let line = (i * 7 + t) % LINES;
+                    region.store(PAddr(line * 64 + t * 8), t << 32 | i);
+                    if i % 3 == t % 3 {
+                        region.pwb_line(line);
+                    }
+                    if i % 5 == 0 {
+                        region.psync();
+                    }
+                }
+                region.psync();
+                running.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        start.wait();
+        while running.load(Ordering::SeqCst) > 0 && live.len() < 100 {
+            live.push(region.crash(CrashMode::PowerFailure));
+            std::thread::yield_now();
+        }
+    });
+    assert!(region.stats().snapshot().evictions > 0);
+    live.push(region.crash(CrashMode::PowerFailure));
+    region.persist_all();
+    let mut bytes = vec![0u8; SIZE];
+    region.load_bytes(PAddr(0), &mut bytes);
+    let all = region.crash(CrashMode::EvictAll);
+    assert_eq!(all.bytes(), &bytes[..]);
+    live.push(all);
+
+    // A crash does not change the model, so the replay steps over each
+    // one. With at most 8 snapshots in flight and 4 dirty lines, 2^12
+    // images enumerate every choice: the live one must be among them.
+    let mut replayer = Replayer::new(SIZE);
+    let mut live = live.iter();
+    for ev in sink.drain() {
+        if let TraceEvent::Crash { .. } = ev {
+            let want = live.next().expect("one live image per crash event").bytes();
+            let images = replayer.crash_images(1 << 12, 0);
+            assert!(
+                images.iter().any(|img| img == want),
+                "at event {}",
+                replayer.events()
+            );
+        } else {
+            replayer.apply(&ev);
+        }
+    }
+    assert!(live.next().is_none());
+    for t in 0..4u64 {
+        let last = |line: u64| (0..STORES).rev().find(|i| (i * 7 + t) % LINES == line);
+        for line in 0..LINES {
+            let word = &bytes[(line * 64 + t * 8) as usize..][..8];
+            let want = last(line).map_or(0, |i| t << 32 | i);
+            assert_eq!(word, want.to_ne_bytes(), "thread {t} line {line}");
+        }
     }
 }

@@ -106,7 +106,11 @@ fn sigkill_mid_epoch_recovers_in_fresh_process() {
     let (pool, recovered) = Pool::open(&path, cfg).expect("reopen pool");
     let report = recovered.expect("existing pool file must take the recovery path");
     assert!(report.failed_epoch >= 1);
-    assert!(pool.verify().is_clean(), "pool integrity after SIGKILL x2");
+    let audit = pool.verify();
+    assert!(
+        audit.is_clean(),
+        "pool integrity after SIGKILL x2: {audit:#?}"
+    );
 
     let map = POrderedMap::open(&pool, pool.root());
     let entries = map.collect_sorted();
