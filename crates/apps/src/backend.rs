@@ -13,10 +13,9 @@
 //! * `RESPCT_BACKEND=mmap:/path/to/file.pool` — file-backed mmap: the heap
 //!   outlives the process, as on real App-Direct NVMM.
 //!
-//! A second variable picks the checkpoint drain for the whole suite:
-//! `RESPCT_PIPELINE=K` (see [`pool_config`]) runs every app with the
-//! epoch-ring pipelined drain at depth `K` (`K = 1`, the default, keeps
-//! the plain synchronous checkpoint).
+//! A second variable sets the checkpoint depth for the whole suite:
+//! `RESPCT_PIPELINE=d` (see [`env_depth`]) runs every app at
+//! [`PoolConfig::depth`] `d` (unset = 0, the inline drain).
 
 use respct::{PoolConfig, RegionConfig, RegionMode};
 use respct_pmem::{latency::LatencyModel, SimConfig};
@@ -24,7 +23,7 @@ use respct_pmem::{latency::LatencyModel, SimConfig};
 /// Environment variable naming the persistence backend.
 pub const BACKEND_ENV: &str = "RESPCT_BACKEND";
 
-/// Environment variable naming the epoch-pipeline depth (`K`).
+/// Environment variable naming the checkpoint depth.
 pub const PIPELINE_ENV: &str = "RESPCT_PIPELINE";
 
 /// Parses a backend spec (the `RESPCT_BACKEND` syntax above) into a
@@ -63,18 +62,30 @@ pub fn nvmm_config(size: usize) -> RegionConfig {
     RegionConfig::new(size, env_backend().unwrap_or_else(|e| panic!("{e}")))
 }
 
-/// The pool config every app's ResPCT mode runs with: `RESPCT_PIPELINE=K`
-/// selects the epoch-ring pipelined drain (`K ≥ 2` implies the
-/// asynchronous drain machinery; `K = 1` or unset keeps the default
-/// synchronous checkpoint, so existing runs are unchanged).
+/// The checkpoint depth named by `RESPCT_PIPELINE` (default 0) — the one
+/// place the variable is read.
+///
+/// # Errors
+///
+/// A message naming the variable when its value is not an integer.
+pub fn env_depth() -> Result<usize, String> {
+    match std::env::var(PIPELINE_ENV) {
+        Ok(spec) => spec
+            .parse()
+            .map_err(|_| format!("unparseable {PIPELINE_ENV} value: {spec:?}")),
+        Err(_) => Ok(0),
+    }
+}
+
+/// The pool config every app's ResPCT mode runs with: the depth
+/// [`env_depth`] names.
 ///
 /// # Panics
 ///
-/// Panics on an unparseable or out-of-range `RESPCT_PIPELINE` value — a
-/// typo silently falling back to the synchronous drain would invalidate
-/// a benchmark run.
+/// Panics on an unusable `RESPCT_PIPELINE` value — a typo silently falling
+/// back to the inline drain would invalidate a benchmark run.
 pub fn pool_config() -> PoolConfig {
-    pool_config_sized(respct::DEFAULT_POOL_SIZE)
+    pool_config_sized(respct::DEFAULT_POOL_SIZE).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`pool_config`] with an explicit fresh-pool size — what [`Pool::open`]
@@ -84,23 +95,17 @@ pub fn pool_config() -> PoolConfig {
 ///
 /// [`Pool::open`]: respct::Pool::open
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unparseable or out-of-range `RESPCT_PIPELINE` value, like
-/// [`pool_config`].
-pub fn pool_config_sized(pool_bytes: usize) -> PoolConfig {
-    let k: usize = match std::env::var(PIPELINE_ENV) {
-        Ok(spec) => spec
-            .parse()
-            .unwrap_or_else(|_| panic!("unparseable {PIPELINE_ENV} value: {spec:?}")),
-        Err(_) => 1,
-    };
+/// A message naming `RESPCT_PIPELINE` when its value does not parse or the
+/// config it gives does not build (a depth above the ring capacity).
+pub fn pool_config_sized(pool_bytes: usize) -> Result<PoolConfig, String> {
+    let depth = env_depth()?;
     PoolConfig::builder()
-        .async_checkpoint(k > 1)
-        .epoch_pipeline(k)
+        .depth(depth)
         .size(pool_bytes)
         .build()
-        .unwrap_or_else(|e| panic!("invalid {PIPELINE_ENV} depth {k}: {e:?}"))
+        .map_err(|e| format!("{PIPELINE_ENV}={depth}: {e}"))
 }
 
 #[cfg(test)]
@@ -124,12 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_config_defaults_to_synchronous() {
+    fn pool_config_defaults_to_depth_0() {
         // The test environment does not set the variable.
         if std::env::var(PIPELINE_ENV).is_err() {
-            let cfg = pool_config();
-            assert_eq!(cfg.epoch_pipeline(), 1);
-            assert!(!cfg.async_checkpoint());
+            assert_eq!(pool_config().depth(), 0);
         }
     }
 

@@ -199,7 +199,8 @@ impl KvService {
     /// # Errors
     ///
     /// [`KvError::Pool`] on pool create/open failure, [`KvError::Config`]
-    /// on an unusable backend spec or an arena the OS will not map.
+    /// on an unusable `RESPCT_BACKEND` or `RESPCT_PIPELINE` value, or an
+    /// arena the OS will not map.
     pub fn open(cfg: KvServerConfig) -> Result<(Arc<KvService>, Option<RecoveryReport>), KvError> {
         KvService::open_with_sink(cfg, None)
     }
@@ -231,7 +232,8 @@ impl KvService {
                 )
             }
             Mode::Respct => {
-                let pool_cfg = crate::backend::pool_config_sized(cfg.pool_bytes());
+                let pool_cfg =
+                    crate::backend::pool_config_sized(cfg.pool_bytes()).map_err(KvError::Config)?;
                 let (pool, report) = match crate::backend::env_backend().map_err(KvError::Config)? {
                     // Create-or-recover: a pool file left by a previous
                     // (possibly SIGKILLed) server resumes from its last

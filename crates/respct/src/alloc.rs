@@ -34,8 +34,8 @@
 //! *taken* by the checkpoint that closes the epoch while the threads are
 //! quiesced ([`Quiesced::take_frees`]), and *pushed* onto the free lists
 //! after the `Timer` release, once that epoch's commit has landed
-//! ([`Slot::push_frees`]: at once on a synchronous pool, by the first
-//! checkpoint after the drain's ring commit on an `async_checkpoint` one).
+//! ([`Slot::push_frees`]: at once at depth 0, by the first checkpoint
+//! after the drain's ring commit at depth ≥ 1).
 //! Within-epoch reuse is impossible, which closes the classic
 //! rollback/reuse hazard. The park list is lost in a crash — those blocks
 //! leak, which is safe (documented trade-off; Montage's epoch retirement

@@ -22,15 +22,15 @@
 //!
 //! [`Pool::checkpoint_now`] quiesces the threads, syncs the deferred
 //! cursors, takes the epoch's frees, gathers the tracking lists and claims
-//! the closing epoch's ring slot ([`epoch_record::claim`]; slot 0 on a
-//! synchronous pool, whose ring depth is 1). One drain routine,
-//! [`DrainCtx::drain`], then flushes the epoch, commits the slot, records
-//! the final report, parks the epoch's frees as committed and advances
-//! `drain_oldest`. It has two callers. Without `async_checkpoint` the
+//! the closing epoch's ring slot ([`epoch_record::claim`]; slot 0 at depth
+//! 0, whose ring has one slot). One drain routine, [`DrainCtx::drain`],
+//! then flushes the epoch, commits the slot, records the final report,
+//! parks the epoch's frees as committed and advances `drain_oldest`. At
+//! [`depth`](crate::PoolConfigBuilder::depth) 0 the
 //! checkpointer runs it inline, before it releases the threads: Fig. 4's
-//! flush-then-commit, with the claim as the commit's durable first half.
-//! With `async_checkpoint` (ring depth K = 1..=4) the [`DrainExec`] worker
-//! runs it after the release, strictly in epoch order. Either way the
+//! flush-then-commit, with the claim as the commit's durable first half. At
+//! depth `d ≥ 1` the [`DrainExec`] worker runs it after the release,
+//! strictly in epoch order, on a ring of `d` slots. Either way the
 //! checkpointer then recycles the frees whose epoch has committed.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -81,13 +81,13 @@ pub struct CkptReport {
     /// window from raising `timer` to releasing it, in every mode (so it
     /// always contains `wait_ns`, which is reported separately because it
     /// is pure quiescence). Synchronous checkpoints hold threads through
-    /// the inline drain (flush and ring commit); `async_checkpoint` pools
-    /// release after the gather and the ring-slot claim, at every depth.
+    /// the inline drain (flush and ring commit); pools of depth ≥ 1 release
+    /// after the gather and the ring-slot claim.
     pub stw_ns: u64,
     /// Nanoseconds of background drain after the threads were released
     /// (flush + ring commit), measured by the drain executor. Zero for
     /// synchronous checkpoints, and zero — like `flush_ns` — in the report
-    /// an `async_checkpoint` pool *returns*: the executor records the final
+    /// a pool of depth ≥ 1 *returns*: the executor records the final
     /// figures into the metrics when the drain commits.
     pub drain_ns: u64,
     /// Nanoseconds for the whole checkpoint, up to the release of the
@@ -149,9 +149,9 @@ pub(crate) fn sort_dedup(lines: &mut Vec<u64>) {
 }
 
 impl Pool {
-    /// Runs one checkpoint: to completion on a synchronous pool, to the
-    /// release of the quiesced threads on an `async_checkpoint` pool (the
-    /// flush and the commit then finish on the drain executor).
+    /// Runs one checkpoint: to completion at depth 0, to the release of the
+    /// quiesced threads at depth ≥ 1 (the flush and the commit then finish
+    /// on the drain executor).
     ///
     /// Must be called from a thread that is **not** blocked on its own
     /// per-thread flag — i.e. the periodic checkpointer, the main thread in
@@ -161,14 +161,16 @@ impl Pool {
     /// [`ThreadHandle::checkpoint_here`]: crate::thread::ThreadHandle::checkpoint_here
     pub fn checkpoint_now(&self) -> CkptReport {
         let mut serial = self.lock_ckpt();
-        // Backpressure: epoch N's ring slot is `N mod K`, free only once the
-        // drain of epoch `N − K` has committed (always so on a synchronous
-        // pool, which drains before it releases). Wait that out *before*
-        // raising `timer` — application threads keep running while a full
-        // ring holds the checkpoint back — and join the drain's release so
-        // the claim below is HB-after the commit that freed the slot.
+        // Backpressure: epoch N's ring slot is `N mod K` (`K = max(depth,
+        // 1)`), free only once the drain of epoch `N − K` has committed
+        // (always so at depth 0, which drains before it releases). Wait
+        // that out *before* raising `timer` — application threads keep
+        // running while a full ring holds the checkpoint back — and join the
+        // drain's release so the claim below is HB-after the commit that
+        // freed the slot.
+        let ring = self.cfg.depth.max(1);
         let closing = self.epoch_mirror.load(Ordering::Relaxed);
-        if let Some(reused) = closing.checked_sub(self.cfg.epoch_pipeline as u64) {
+        if let Some(reused) = closing.checked_sub(ring as u64) {
             self.await_commit(reused);
         }
         let t0 = Instant::now();
@@ -223,7 +225,7 @@ impl Pool {
         // overwritten before that commit lands. The epoch's frees park in
         // the ticket until then too: pushing them earlier would let a
         // pre-commit crash roll blocks back to live under clobbered links.
-        let slot = epoch_record::claim(&self.region, closing, self.cfg.epoch_pipeline);
+        let slot = epoch_record::claim(&self.region, closing, ring);
         self.epoch_mirror.store(closing + 1, Ordering::SeqCst);
         self.region.trace_marker(TraceMarker::PipelineBegin {
             epoch: closing,
@@ -624,9 +626,9 @@ pub(crate) struct DrainTicket {
 }
 
 /// The drain side of every pool: what the drain routine needs, shared with
-/// the executor's worker thread on an `async_checkpoint` pool. The worker
-/// deliberately holds this — not the `Pool` — so dropping the pool drops
-/// the executor (joining the worker) without an `Arc` cycle.
+/// the executor's worker thread at depth ≥ 1. The worker deliberately
+/// holds this — not the `Pool` — so dropping the pool drops the executor
+/// (joining the worker) without an `Arc` cycle.
 pub(crate) struct DrainCtx {
     pub(crate) flusher: Flusher,
     /// Oldest epoch whose drain has not yet committed; equals the running
@@ -675,9 +677,9 @@ impl DrainCtx {
 
     /// The drain routine: flushes one closed epoch, commits its ring slot,
     /// records the final report, parks the epoch's frees as committed and
-    /// advances `drain_oldest`. The checkpointer runs it inline on a
-    /// synchronous pool, with `parked_since` the instant it raised `timer`:
-    /// the whole drain is then stop-the-world time. The executor's worker
+    /// advances `drain_oldest`. The checkpointer runs it inline at depth 0,
+    /// with `parked_since` the instant it raised `timer`: the whole drain
+    /// is then stop-the-world time. The executor's worker
     /// runs it after the release (`None`): the drain is then `drain_ns`.
     fn drain(&self, ticket: DrainTicket, parked_since: Option<Instant>) -> CkptReport {
         let DrainTicket {
@@ -729,7 +731,7 @@ impl DrainCtx {
     }
 }
 
-/// The background drain executor of an `async_checkpoint` pool: a single
+/// The background drain executor of a pool of depth ≥ 1: a single
 /// FIFO worker that runs the drain routine on each ticket. One worker
 /// draining a FIFO queue is the whole ordered-commit argument — epoch
 /// `e`'s commit cannot be issued before `e − 1`'s has retired.

@@ -19,10 +19,9 @@
 //! *start-of-epoch* value for the epoch named by the tag. The synchronous
 //! checkpoint makes this trivially safe — by the time any thread runs in
 //! epoch `N + 1`, epoch `N` is fully durable and its backups are dead.
-//! With [`PoolConfig::async_checkpoint`](crate::PoolConfig) the drain of
+//! At [`PoolConfig::depth`](crate::PoolConfig::depth) `d ≥ 1` the drain of
 //! epoch `N` runs on the drain executor and overlaps execution of `N + 1`
-//! (and, with `epoch_pipeline(K)`, of up to `K − 1` further epochs), which
-//! adds one rule: a first-touch on a cell whose tag names an epoch still
+//! (and of up to `d − 1` further epochs), which adds one rule: a first-touch on a cell whose tag names an epoch still
 //! draining must *push the line out* (write back + fence) and then wait
 //! for that epoch's ring commit before overwriting `backup`. Until the
 //! commit, a crash rolls the draining epoch and everything after it back
@@ -37,10 +36,10 @@
 //! `drain_oldest` passes the tag, i.e. when the *tag's own epoch*
 //! commits (commits land in ring order, so every older epoch is durable
 //! too). Tags below `drain_oldest` are fully durable history and log a
-//! plain backup with no wait. On an `async_checkpoint` pool the check is
-//! two relaxed loads on the fast path (a synchronous pool skips it on an
-//! immutable field) and the push-out itself is `#[cold]` — see
-//! `Slot::cell_update` and DESIGN.md §3.7.
+//! plain backup with no wait. At depth ≥ 1 the check is two relaxed loads
+//! on the fast path (depth 0 skips it on an immutable field) and the
+//! push-out itself is `#[cold]` — see `Slot::cell_update` and DESIGN.md
+//! §3.7.
 
 use std::marker::PhantomData;
 

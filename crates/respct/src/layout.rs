@@ -92,13 +92,13 @@ pub const OFF_EPOCH_STATE: PAddr = PAddr(72);
 
 /// Capacity of the epoch-record ring: the maximum number of epochs that
 /// may be in flight (claimed but not yet drain-committed) at once, and the
-/// upper bound of `PoolConfig::builder().epoch_pipeline(K)`. Fixed by the
-/// header format — recovery always decodes all slots, independent of the
-/// K the crashed process ran with.
+/// upper bound of `PoolConfig::builder().depth(d)`. Fixed by the header
+/// format — recovery always decodes all slots, independent of the depth
+/// the crashed process ran with.
 pub const MAX_EPOCH_PIPELINE: usize = 4;
 
 /// Address of ring slot `i` (`i < MAX_EPOCH_PIPELINE`). The slot for epoch
-/// `N` under a pipeline depth of `K` is `N % K`.
+/// `N` at depth `d` is `N % max(d, 1)`.
 pub const fn epoch_ring_slot(i: usize) -> PAddr {
     PAddr(OFF_EPOCH_STATE.0 + 8 * i as u64)
 }

@@ -202,7 +202,7 @@ impl RuntimeMetrics {
         );
         let ckpt_drain_ns = r.histogram(
             "respct_checkpoint_drain_ns",
-            "Background drain after thread release (async_checkpoint pools)",
+            "Background drain after thread release (pools of depth >= 1)",
             Unit::Nanos,
         );
         let ckpt_total_ns = r.histogram(

@@ -101,18 +101,11 @@ pub struct PoolConfig {
     /// timing). Checkpoint-phase metrics are recorded regardless — they are
     /// per checkpoint, not per operation.
     pub(crate) metrics: bool,
-    /// Asynchronous checkpoint drain: release the quiesced threads as soon
-    /// as the tracking lists are snapshotted and the closing epoch's
-    /// ring-slot claim is durable, then write the snapshot back on the
-    /// drain executor and commit the slot afterwards (two-phase commit).
-    /// Default off.
-    pub(crate) async_checkpoint: bool,
-    /// Epoch pipeline depth `K`: how many epochs may be in flight (claimed
-    /// in the header's epoch-record ring but not yet drain-committed) at
-    /// once. 1 (the default) keeps one drain in flight; with `K > 1` a new
-    /// epoch begins while up to `K - 1` older drains are still committing.
-    /// `K > 1` requires `async_checkpoint`.
-    pub(crate) epoch_pipeline: usize,
+    /// Checkpoint depth: how many closed epochs may be claimed in the
+    /// header's epoch-record ring but not yet committed. 0 (the default)
+    /// drains every epoch inline before the threads are released; `d ≥ 1`
+    /// drains on the executor, with up to `d` epochs in flight.
+    pub(crate) depth: usize,
     /// Region size [`Pool::open`] uses when it must create a fresh pool
     /// (an existing pool file keeps its own size). Default 64 MiB.
     pub(crate) pool_size: usize,
@@ -131,8 +124,7 @@ impl Default for PoolConfig {
             flusher_threads: 0,
             mode: CheckpointMode::Full,
             metrics: true,
-            async_checkpoint: false,
-            epoch_pipeline: 1,
+            depth: 0,
             pool_size: DEFAULT_POOL_SIZE,
             recovery_threads: None,
         }
@@ -162,15 +154,9 @@ impl PoolConfig {
         self.metrics
     }
 
-    /// Whether checkpoints drain asynchronously (threads released at the
-    /// epoch swap, flush + commit in the background).
-    pub fn async_checkpoint(&self) -> bool {
-        self.async_checkpoint
-    }
-
-    /// The epoch pipeline depth `K` (1 = one drain in flight at a time).
-    pub fn epoch_pipeline(&self) -> usize {
-        self.epoch_pipeline
+    /// The checkpoint depth (0 = every epoch drains before the release).
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
     /// Region size [`Pool::open`] uses when creating a fresh pool.
@@ -220,25 +206,31 @@ impl PoolConfigBuilder {
         self
     }
 
-    /// Enables the asynchronous checkpoint drain (default: off). Threads
-    /// are released as soon as the stop-the-world phase snapshots the
-    /// tracking lists and persists the closing epoch's ring-slot claim;
-    /// the flush and the final commit happen on the drain executor.
-    pub fn async_checkpoint(mut self, on: bool) -> Self {
-        self.cfg.async_checkpoint = on;
+    /// Sets the checkpoint depth `d` (default 0). At 0 a checkpoint flushes
+    /// and commits the closing epoch before it releases the quiesced
+    /// threads. At `d` in `1..=`[`MAX_EPOCH_PIPELINE`] it releases them once
+    /// the tracking lists are moved out and the epoch's ring-slot claim is
+    /// durable; the drain executor flushes and commits strictly in epoch
+    /// order, and a checkpoint that finds `d` epochs still uncommitted waits
+    /// for the oldest commit before it quiesces the threads.
+    ///
+    /// [`MAX_EPOCH_PIPELINE`]: crate::layout::MAX_EPOCH_PIPELINE
+    pub fn depth(mut self, d: usize) -> Self {
+        self.cfg.depth = d;
         self
     }
 
-    /// Sets the epoch pipeline depth `K` (default 1): how many epochs may
-    /// be claimed-but-uncommitted at once. `K > 1` requires
-    /// [`async_checkpoint`](Self::async_checkpoint) and is capped by
-    /// [`layout::MAX_EPOCH_PIPELINE`](crate::layout::MAX_EPOCH_PIPELINE)
-    /// (the header ring's capacity). Drains queue to the drain executor and
-    /// commit strictly in epoch order; a checkpoint that finds the ring
-    /// full waits for the oldest commit before it quiesces the threads.
-    pub fn epoch_pipeline(mut self, k: usize) -> Self {
-        self.cfg.epoch_pipeline = k;
-        self
+    /// `depth(max(depth, 1))` when `on`, else `depth(0)` — the spelling
+    /// the benchmark's `async` arm (depth 1) is written in.
+    pub fn async_checkpoint(self, on: bool) -> Self {
+        let d = if on { self.cfg.depth.max(1) } else { 0 };
+        self.depth(d)
+    }
+
+    /// [`depth(k)`](Self::depth) — the spelling the benchmark's
+    /// `pipelined` arm (depth 4) is written in.
+    pub fn epoch_pipeline(self, k: usize) -> Self {
+        self.depth(k)
     }
 
     /// Sets the region size [`Pool::open`] uses when it creates a fresh
@@ -268,24 +260,14 @@ impl PoolConfigBuilder {
                 "NoFlush mode never flushes; flusher_threads must be 0",
             ));
         }
-        if c.mode == CheckpointMode::NoFlush && c.async_checkpoint {
+        if c.mode == CheckpointMode::NoFlush && c.depth > 0 {
             return Err(InvalidConfig(
-                "NoFlush mode has no drain to run asynchronously; async_checkpoint must be off",
+                "NoFlush mode never writes lines back; depth must be 0 (an executor's push-out does)",
             ));
         }
-        if c.epoch_pipeline == 0 {
+        if c.depth > layout::MAX_EPOCH_PIPELINE {
             return Err(InvalidConfig(
-                "epoch_pipeline must be at least 1 (1 = single drain in flight)",
-            ));
-        }
-        if c.epoch_pipeline > layout::MAX_EPOCH_PIPELINE {
-            return Err(InvalidConfig(
-                "epoch_pipeline exceeds MAX_EPOCH_PIPELINE (the header's epoch-record ring capacity)",
-            ));
-        }
-        if c.epoch_pipeline > 1 && !c.async_checkpoint {
-            return Err(InvalidConfig(
-                "epoch_pipeline > 1 pipelines the asynchronous drain; enable async_checkpoint",
+                "depth exceeds MAX_EPOCH_PIPELINE (the header's epoch-record ring capacity)",
             ));
         }
         if c.pool_size == 0 {
@@ -325,7 +307,7 @@ pub struct Pool {
     pub(crate) class_heads: Box<[Mutex<u64>]>,
     /// Serializes checkpoints and registration/deregistration.
     pub(crate) ckpt_lock: Mutex<()>,
-    /// Background drain executor (`async_checkpoint` pools only): owns the
+    /// Background drain executor (pools of depth ≥ 1 only): owns the
     /// worker thread that drains queued epoch tickets and commits their
     /// ring slots in order. Immutable after construction, so the hot path's
     /// `is_some()` test costs no shared cache line.
@@ -497,9 +479,8 @@ impl Pool {
             epoch,
             Arc::clone(&metrics),
         ));
-        let pipeline = cfg
-            .async_checkpoint
-            .then(|| crate::checkpoint::DrainExec::new(Arc::clone(&drain)));
+        let pipeline =
+            (cfg.depth > 0).then(|| crate::checkpoint::DrainExec::new(Arc::clone(&drain)));
         let pool = Arc::new(Pool {
             region,
             cfg,
@@ -536,8 +517,8 @@ impl Pool {
     /// Pauses (`true`) or resumes (`false`) the drain executor *before* it
     /// drains its next ticket. Test-only: lets tests park several claimed
     /// epochs in the ring deterministically (e.g. to record a trace window
-    /// with two drains genuinely outstanding). No-op without
-    /// `async_checkpoint`: an inline drain never parks.
+    /// with two drains genuinely outstanding). No-op at depth 0: an inline
+    /// drain never parks.
     #[cfg(feature = "fault-inject")]
     pub fn hold_drains(&self, on: bool) {
         self.drain.hold.store(on, Ordering::Release);
@@ -807,16 +788,20 @@ mod tests {
         assert!(matches!(
             PoolConfig::builder()
                 .mode(CheckpointMode::NoFlush)
-                .async_checkpoint(true)
+                .depth(1)
                 .build(),
             Err(PoolError::InvalidConfig(_))
         ));
-        let async_on = PoolConfig::builder()
+        assert_eq!(PoolConfig::default().depth(), 0);
+        // The benchmark's spellings: its `async` arm is depth 1, its
+        // `pipelined` arm depth 4, and `async_checkpoint(false)` is depth 0.
+        let depth = |b: PoolConfigBuilder| b.build().unwrap().depth();
+        assert_eq!(depth(PoolConfig::builder().async_checkpoint(true)), 1);
+        let pipelined = PoolConfig::builder()
             .async_checkpoint(true)
-            .build()
-            .unwrap();
-        assert!(async_on.async_checkpoint());
-        assert!(!PoolConfig::default().async_checkpoint());
+            .epoch_pipeline(4);
+        assert_eq!(depth(pipelined.clone()), 4);
+        assert_eq!(depth(pipelined.async_checkpoint(false)), 0);
     }
 
     #[test]

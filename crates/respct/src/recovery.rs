@@ -502,18 +502,13 @@ mod tests {
     /// The RP id a checkpoint persists is the one the thread last passed
     /// before it parked (`checkpoint_here`) or raised its flag
     /// (`allow_checkpoints`); an `rp()` in the crashed epoch is lost with
-    /// it. On synchronous pools and on ring depths 1 and 4.
+    /// it. At depths 0, 1 and 4.
     #[test]
     fn rp_id_recovered() {
-        let modes = [(false, 1), (true, 1), (true, 4)];
-        for (seed, (async_checkpoint, k)) in (6..).zip(modes) {
+        for (seed, depth) in (6..).zip([0, 1, 4]) {
             for inside_allow in [false, true] {
-                let case = format!("async {async_checkpoint}, K={k}, allow {inside_allow}");
-                let cfg = PoolConfig::builder()
-                    .async_checkpoint(async_checkpoint)
-                    .epoch_pipeline(k)
-                    .build()
-                    .unwrap();
+                let case = format!("depth {depth}, allow {inside_allow}");
+                let cfg = PoolConfig::builder().depth(depth).build().unwrap();
                 let region = sim_region(seed);
                 let pool = Pool::create(Arc::clone(&region), cfg).unwrap();
                 let mut h = pool.register();
@@ -693,7 +688,7 @@ mod tests {
     }
 
     /// The on-media format of a single in-flight drain is pinned: the
-    /// record an `async_checkpoint` pool of any earlier build left behind
+    /// record a depth-1 pool of any earlier build left behind
     /// mid-drain — state word (ring slot 0) `= N`, epoch counter `= N + 1`
     /// — and its torn prefix (state word durable, counter not yet) both
     /// recover by rolling epoch `N` back, exactly as before the drain moved

@@ -168,9 +168,9 @@ impl<'a> Slot<'a> {
         };
         let first_touch = eid != epoch;
         if first_touch {
-            // On-demand push-out (`async_checkpoint` pools only — one
-            // branch on an immutable field otherwise, where every closed
-            // epoch has committed before its threads resume): the cell's single
+            // On-demand push-out (depth ≥ 1 only — one branch on an
+            // immutable field at depth 0, where every closed epoch has
+            // committed before its threads resume): the cell's single
             // backup slot may still be owed to an epoch whose drain has
             // not committed. The guard is generation-aware: any valid tag
             // in `[drain_oldest, current)` names an uncommitted epoch

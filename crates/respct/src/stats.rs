@@ -17,11 +17,10 @@ pub struct CkptSnapshot {
     pub partition_ns: u64,
     pub flush_ns: u64,
     /// Cumulative stop-the-world time: `timer` raised → `timer` released,
-    /// in every mode. Covers the flush on a synchronous pool; ends at the
-    /// ring-slot claim on an `async_checkpoint` pool.
+    /// at every depth. Covers the flush at depth 0; ends at the ring-slot
+    /// claim at depth ≥ 1.
     pub stw_ns: u64,
-    /// Cumulative background-drain time (`async_checkpoint` pools; 0
-    /// otherwise).
+    /// Cumulative background-drain time (depth ≥ 1; 0 at depth 0).
     pub drain_ns: u64,
     pub total_ns: u64,
 }

@@ -360,9 +360,8 @@ impl ThreadHandle {
 
     /// Runs a checkpoint from this thread and returns once it is durable:
     /// parks the calling handle as if at an RP, drives the checkpoint, and
-    /// waits for the closed epoch's drain to commit (at once on a
-    /// synchronous pool, which drains before it releases; on an
-    /// `async_checkpoint` pool, at every ring depth, once the executor
+    /// waits for the closed epoch's drain to commit (at once at depth 0,
+    /// which drains before it releases; at depth ≥ 1, once the executor
     /// commits). Everything this thread wrote before the call survives a
     /// crash at any instant after it returns, which is what lets
     /// `KvService` use it as the `Durability::Sync` point.

@@ -43,7 +43,7 @@ fn main() {
     let cells = Arc::new(cells);
 
     // Run concurrent transfers with periodic checkpoints.
-    let _ckpt = pool.start_checkpointer(std::time::Duration::from_millis(5));
+    let ckpt = pool.start_checkpointer(std::time::Duration::from_millis(5));
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let (pool, cells, locks) = (Arc::clone(&pool), Arc::clone(&cells), Arc::clone(&locks));
@@ -84,7 +84,10 @@ fn main() {
     );
     assert_eq!(live_total, (ACCOUNTS as u64) * INITIAL);
 
-    // Crash mid-flight (whatever epoch is open is lost), then recover.
+    // Crash mid-flight (whatever epoch is open is lost), then recover. The
+    // checkpointer goes first: it holds the pool, and a checkpoint still
+    // writing the region after `restore` would corrupt the recovered image.
+    drop(ckpt);
     drop(pool);
     let image = region.crash(CrashMode::PowerFailure);
     region.restore(&image);

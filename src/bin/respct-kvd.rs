@@ -7,8 +7,9 @@
 //!
 //! The persistence substrate comes from `RESPCT_BACKEND`; with
 //! `RESPCT_BACKEND=mmap:/path/to/kv.pool` the server survives SIGKILL —
-//! restarting it against the same file recovers the last checkpoint. Pair
-//! with `RESPCT_PIPELINE=K` for the epoch-ring pipelined drain.
+//! restarting it against the same file recovers the last checkpoint.
+//! `RESPCT_PIPELINE=d` sets the checkpoint depth (`PoolConfig::depth`;
+//! unset = 0, the inline drain).
 //!
 //! ```text
 //! RESPCT_BACKEND=mmap:/tmp/kv.pool respct-kvd --addr 127.0.0.1:7878 \
@@ -96,6 +97,7 @@ fn help() -> String {
         Durability::Async => "async",
     };
     let period = d.ckpt_period().map_or(0, |p| p.as_millis());
+    let max_depth = respct_repro::respct::layout::MAX_EPOCH_PIPELINE;
     format!(
         "flags: --addr A:P          serve address (default 127.0.0.1:7878; port 0 = ephemeral)\n       \
          --metrics-addr A:P  metrics HTTP endpoint (off unless given)\n       \
@@ -108,7 +110,8 @@ fn help() -> String {
          --pool-bytes N      pool/arena size (default {} MiB)\n       \
          --sync              acknowledge writes only after checkpoint (default {durability})\n       \
          --period-ms N       periodic checkpoint interval, 0 = off (default {period})\n\n       \
-         env: RESPCT_BACKEND=optane|dram|sim|mmap:<path>, RESPCT_PIPELINE=K",
+         env: RESPCT_BACKEND=optane|dram|sim|mmap:<path>\n            \
+         RESPCT_PIPELINE=D   checkpoint depth 0..={max_depth} (default 0)",
         d.workers(),
         d.queue_capacity(),
         d.max_batch(),
@@ -126,8 +129,8 @@ fn int<T: std::str::FromStr>(flag: &str, v: &str) -> T {
 
 /// Exits with status 1 and `msg` on stderr — what an operator gets for bad
 /// flags and for a server that cannot be configured, opened or bound (an
-/// unmappable `--pool-bytes`, a bad `RESPCT_BACKEND`, a port in use),
-/// instead of a panic.
+/// unmappable `--pool-bytes`, a bad `RESPCT_BACKEND` or `RESPCT_PIPELINE`,
+/// a port in use), instead of a panic.
 fn exit_with(msg: std::fmt::Arguments<'_>) -> ! {
     eprintln!("respct-kvd: {msg}");
     std::process::exit(1)

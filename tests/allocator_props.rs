@@ -142,19 +142,15 @@ fn no_within_epoch_reuse() {
     }
 }
 
-/// The one deferred-free lifecycle, in every checkpoint mode: a block freed
-/// in epoch N is never handed out before N's commit, and is the next block
-/// of its class once the checkpoint that closes N — plus, on the background
-/// tail, a checkpoint after N's ring commit — has returned.
+/// The one deferred-free lifecycle, at every depth: a block freed in epoch
+/// N is never handed out before N's commit, and is the next block of its
+/// class once the checkpoint that closes N — plus, at depth ≥ 1, a
+/// checkpoint after N's ring commit — has returned.
 #[test]
 fn freed_block_is_recycled_only_after_its_epoch_commits() {
-    for (background, k) in [(false, 1), (true, 1), (true, 4)] {
-        let case = format!("async_checkpoint {background}, K = {k}");
-        let cfg = PoolConfig::builder()
-            .async_checkpoint(background)
-            .epoch_pipeline(k)
-            .build()
-            .expect("config");
+    for depth in [0, 1, 4] {
+        let case = format!("depth {depth}");
+        let cfg = PoolConfig::builder().depth(depth).build().expect("config");
         let pool = Pool::create(Region::new(RegionConfig::fast(8 << 20)), cfg).expect("pool");
         let mut h = pool.register();
         let checkpoint = |h: &mut respct_repro::respct::ThreadHandle| {
@@ -164,11 +160,11 @@ fn freed_block_is_recycled_only_after_its_epoch_commits() {
         let a = h.alloc(64, 8);
         h.free(a, 64);
         assert_ne!(h.alloc(64, 8), a, "{case}: reused within its epoch");
-        // Close epoch N with its drain held: on the background arms the
-        // commit cannot land, so the block must stay parked.
+        // Close epoch N with its drain held: at depth ≥ 1 the commit cannot
+        // land, so the block must stay parked.
         pool.hold_drains(true);
         let closed = checkpoint(&mut h);
-        if background {
+        if depth > 0 {
             assert_ne!(h.alloc(64, 8), a, "{case}: reused before N's commit");
             pool.hold_drains(false);
             // `checkpoint_here` returns once its own epoch has committed —

@@ -28,7 +28,7 @@ use respct::{Fault, Pool, PoolConfig};
 use respct_analysis::{Checker, DiagnosticKind};
 use respct_pmem::{Region, RegionConfig, SimConfig};
 use workload_table::{
-    check_rows, Driver, DRIVERS, HASHMAP, HOT_KEYS, KVSTORE, MODES, QUEUE, RECOVERY,
+    check_rows, Driver, DEPTHS, DRIVERS, HASHMAP, HOT_KEYS, KVSTORE, QUEUE, RECOVERY,
 };
 
 /// Deterministic sim region (no evictions) with the checker attached.
@@ -50,42 +50,42 @@ fn checked_pool_cfg(bytes: usize, seed: u64, cfg: PoolConfig) -> (Arc<Checker>, 
 
 #[test]
 fn hashmap_workload_is_clean() {
-    check_rows(&HASHMAP, &[None], &[Driver::Worker]);
+    check_rows(&HASHMAP, &[0], &[Driver::Worker]);
 }
 
 #[test]
 fn async_hashmap_workload_is_clean() {
-    check_rows(&HASHMAP, &[Some(1)], &[Driver::Worker]);
+    check_rows(&HASHMAP, &[1], &[Driver::Worker]);
 }
 
 #[test]
 fn pipelined_hashmap_workload_is_clean() {
-    check_rows(&HASHMAP, &[Some(4)], &[Driver::Worker]);
+    check_rows(&HASHMAP, &[4], &[Driver::Worker]);
 }
 
 #[test]
 fn timer_checkpointer_run_is_clean() {
-    check_rows(&HOT_KEYS, &[None], &[Driver::Timer]);
+    check_rows(&HOT_KEYS, &[0], &[Driver::Timer]);
 }
 
 #[test]
 fn async_timer_checkpointer_run_is_clean() {
-    check_rows(&HOT_KEYS, &[Some(1), Some(4)], &[Driver::Timer]);
+    check_rows(&HOT_KEYS, &[1, 4], &[Driver::Timer]);
 }
 
 #[test]
 fn queue_workload_is_clean() {
-    check_rows(&QUEUE, &MODES, &[Driver::Worker]);
+    check_rows(&QUEUE, &DEPTHS, &[Driver::Worker]);
 }
 
 #[test]
 fn kvstore_workload_is_clean() {
-    check_rows(&KVSTORE, &MODES, &DRIVERS);
+    check_rows(&KVSTORE, &DEPTHS, &DRIVERS);
 }
 
 #[test]
 fn crash_recovery_cycles_are_clean() {
-    check_rows(&RECOVERY, &MODES, &DRIVERS);
+    check_rows(&RECOVERY, &DEPTHS, &DRIVERS);
 }
 
 // ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ fn checker_catches_skipped_incll_log() {
     );
 }
 
-/// Async pool (ring depth 1) with dirty cells — the drain-fault tests'
+/// Depth-1 pool with dirty cells — the drain-fault tests'
 /// shared setup. `checkpoint_here` returns only once the executor has
 /// committed, so the checker has seen the whole drain when this returns.
 /// The control asserts the identical fault-free sequence is clean, so a
@@ -179,10 +179,7 @@ fn dirty_async_pool(seed: u64, fault: Option<Fault>) -> (Arc<Checker>, Arc<Pool>
     let (checker, pool) = checked_pool_cfg(
         16 << 20,
         seed,
-        PoolConfig::builder()
-            .async_checkpoint(true)
-            .build()
-            .unwrap(),
+        PoolConfig::builder().depth(1).build().unwrap(),
     );
     let h = pool.register();
     let cells: Vec<_> = (0..32u64).map(|i| h.alloc_cell(i)).collect();
@@ -199,7 +196,7 @@ fn dirty_async_pool(seed: u64, fault: Option<Fault>) -> (Arc<Checker>, Arc<Pool>
     (checker, pool)
 }
 
-/// Pipelined pool (K = 2) driven through a deterministic schedule that
+/// Depth-2 pool driven through a deterministic schedule that
 /// pins two drains in flight, with an optional fault armed before the
 /// worker is released. The schedule is deadlock-free under `hold_drains`:
 /// the held epochs are closed with `Pool::checkpoint_now` (which returns at
@@ -210,11 +207,7 @@ fn two_inflight_pipelined_run(seed: u64, fault: Option<Fault>) -> Arc<Checker> {
     let (checker, pool) = checked_pool_cfg(
         16 << 20,
         seed,
-        PoolConfig::builder()
-            .async_checkpoint(true)
-            .epoch_pipeline(2)
-            .build()
-            .unwrap(),
+        PoolConfig::builder().depth(2).build().unwrap(),
     );
     let mut h = pool.register();
     let cells: Vec<_> = (0..32u64).map(|i| h.alloc_cell(i)).collect();

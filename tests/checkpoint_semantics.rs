@@ -11,7 +11,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use respct_analysis::Checker;
 use respct_repro::pmem::{sim::CrashMode, Region, RegionConfig, SimConfig};
-use respct_repro::respct::layout::FIRST_EPOCH;
+use respct_repro::respct::layout::{FIRST_EPOCH, MAX_EPOCH_PIPELINE};
 use respct_repro::respct::{CheckpointMode, Pool, PoolConfig, PoolError, MAX_FLUSHERS};
 
 #[test]
@@ -112,18 +112,28 @@ fn flusher_pool_config_produces_identical_persistence() {
 /// Regression test for the `wait_ns` conflation fixed in the async-drain
 /// PR: the report used to offer no way to tell how long application threads
 /// were actually held parked — `wait_ns` is pure quiescence and `total_ns`
-/// includes work threads never see. The split must be honest in both modes:
-/// a synchronous checkpoint's stop-the-world window covers the flush, an
-/// asynchronous one's must not (the flush is the drain's problem).
+/// includes work threads never see. The split must be honest at every
+/// depth: at depth 0 the stop-the-world window covers the flush; at depth
+/// ≥ 1 it must not (the flush is the executor's, recorded into the metrics
+/// when the drain commits).
 #[test]
 fn stall_split_is_honest_in_both_modes() {
-    for async_on in [false, true] {
+    check_stall_split(&[0, 1]);
+}
+
+/// At depth 4 the flush and commit leave the checkpointing thread entirely:
+/// the stop-the-world figure covers only quiescence to release (the ring
+/// slot claim), and the executor records the flush and drain.
+#[test]
+fn pipelined_stall_split_is_honest() {
+    check_stall_split(&[4]);
+}
+
+fn check_stall_split(depths: &[usize]) {
+    for &depth in depths {
         let pool = Pool::create(
             Region::new(RegionConfig::fast(32 << 20)),
-            PoolConfig::builder()
-                .async_checkpoint(async_on)
-                .build()
-                .expect("config"),
+            PoolConfig::builder().depth(depth).build().expect("config"),
         )
         .expect("pool");
         let h = pool.register();
@@ -135,144 +145,70 @@ fn stall_split_is_honest_in_both_modes() {
         assert!(r.lines > 100, "workload too small to split phases");
         assert!(
             r.stw_ns <= r.total_ns,
-            "async={async_on}: stw {} > total {}",
+            "depth {depth}: stw {} > total {}",
             r.stw_ns,
             r.total_ns
         );
-        if async_on {
-            // The returned report ends at the release; the drain's figures
-            // are the executor's to measure, recorded into the metrics at
-            // the commit `checkpoint_here` waited for.
-            assert_eq!((r.flush_ns, r.drain_ns), (0, 0));
-            let m = pool.runtime_metrics().ckpt_snapshot();
-            assert_eq!(m.count, 1, "the one checkpoint must be recorded");
-            assert!(m.drain_ns > 0, "async drain did no work");
-            assert!(
-                m.drain_ns >= m.flush_ns,
-                "drain {} must cover the flush {}",
-                m.drain_ns,
-                m.flush_ns
-            );
-            // The STW window ends before the drain starts; if the flush
-            // were (wrongly) inside it again, stw + drain would overlap
-            // and exceed the total.
-            assert!(
-                m.stw_ns + m.drain_ns <= m.total_ns,
-                "stw {} + drain {} > total {} (flush counted twice?)",
-                m.stw_ns,
-                m.drain_ns,
-                m.total_ns
-            );
-        } else {
-            assert_eq!(r.drain_ns, 0, "sync checkpoint reported a drain");
+        if depth == 0 {
+            assert_eq!(r.drain_ns, 0, "depth 0 reported a drain");
             assert!(
                 r.stw_ns >= r.wait_ns + r.partition_ns + r.flush_ns,
-                "sync stw {} must cover wait {} + partition {} + flush {}",
+                "depth 0: stw {} must cover wait {} + partition {} + flush {}",
                 r.stw_ns,
                 r.wait_ns,
                 r.partition_ns,
                 r.flush_ns
             );
+            continue;
         }
+        // The returned report ends at the release; the drain's figures are
+        // the executor's to measure, recorded into the metrics at the commit
+        // `checkpoint_here` waited for.
+        assert_eq!(
+            (r.flush_ns, r.drain_ns),
+            (0, 0),
+            "depth {depth}: the stop-the-world report must hold no flush or drain"
+        );
+        let m = pool.runtime_metrics().ckpt_snapshot();
+        assert_eq!(
+            m.count, 1,
+            "depth {depth}: the one checkpoint must be recorded"
+        );
+        assert!(m.drain_ns > 0, "depth {depth}: the drain did no work");
+        assert!(
+            m.drain_ns >= m.flush_ns,
+            "depth {depth}: drain {} must cover the flush {}",
+            m.drain_ns,
+            m.flush_ns
+        );
+        // The STW window ends before the drain starts; if the flush were
+        // (wrongly) inside it again, stw + drain would overlap and exceed
+        // the total.
+        assert!(
+            m.stw_ns + m.drain_ns <= m.total_ns,
+            "depth {depth}: stw {} + drain {} > total {} (flush counted twice?)",
+            m.stw_ns,
+            m.drain_ns,
+            m.total_ns
+        );
     }
-}
-
-/// The asynchronous drain must persist exactly what the synchronous path
-/// does — same workload, same recovered state.
-#[test]
-fn async_checkpoint_produces_identical_persistence() {
-    let mut images = Vec::new();
-    for async_on in [false, true] {
-        let region = Region::new(RegionConfig::sim(8 << 20, SimConfig::no_eviction(6)));
-        let pool = Pool::create(
-            Arc::clone(&region),
-            PoolConfig::builder()
-                .async_checkpoint(async_on)
-                .build()
-                .expect("config"),
-        )
-        .expect("pool");
-        let h = pool.register();
-        let cells: Vec<_> = (0..200u64).map(|i| h.alloc_cell(i)).collect();
-        for (i, c) in cells.iter().enumerate() {
-            h.update(*c, 1000 + i as u64);
-        }
-        h.checkpoint_here();
-        // Dirty the next epoch too: a crash now must roll it back in both
-        // modes (the drain has committed by the time checkpoint_here
-        // returns, so recovery sees a clean two-phase record).
-        for c in cells.iter().take(50) {
-            h.update(*c, 7);
-        }
-        drop(h);
-        drop(pool);
-        let img = region.crash(CrashMode::PowerFailure);
-        region.restore(&img);
-        let (pool, _) = Pool::recover(Arc::clone(&region), PoolConfig::default()).expect("recover");
-        let values: Vec<u64> = cells.iter().map(|c| pool.cell_get(*c)).collect();
-        images.push(values);
-    }
-    assert_eq!(images[0], images[1]);
-    assert_eq!(images[0], (0..200).map(|i| 1000 + i).collect::<Vec<u64>>());
-}
-
-/// Pipelined checkpoints move the flush and commit entirely off the
-/// checkpointing thread: the report's stop-the-world figure covers only
-/// the window from quiescence to release (the ring-slot claim), and the
-/// flush/drain figures are the executor's to record.
-#[test]
-fn pipelined_stall_split_is_honest() {
-    let pool = Pool::create(
-        Region::new(RegionConfig::fast(32 << 20)),
-        PoolConfig::builder()
-            .async_checkpoint(true)
-            .epoch_pipeline(4)
-            .build()
-            .expect("config"),
-    )
-    .expect("pool");
-    let h = pool.register();
-    let cells: Vec<_> = (0..4_000u64).map(|i| h.alloc_cell(i)).collect();
-    for (i, c) in cells.iter().enumerate() {
-        h.update(*c, 9_000 + i as u64);
-    }
-    let r = h.checkpoint_here();
-    assert!(r.lines > 100, "workload too small to split phases");
-    assert!(
-        r.stw_ns <= r.total_ns,
-        "stw {} > total {}",
-        r.stw_ns,
-        r.total_ns
-    );
-    assert_eq!(
-        r.flush_ns, 0,
-        "the pipelined stop-the-world window must not contain a flush"
-    );
-    assert_eq!(
-        r.drain_ns, 0,
-        "the drain happens after release, on the executor"
-    );
 }
 
 /// Regression test for the acked-write loss on pipelined pools:
 /// `checkpoint_here` is the durability point `KvService::end_batch` acks
-/// `Durability::Sync` writes on, but with `epoch_pipeline(K >= 2)` it used
+/// `Durability::Sync` writes on, but at depth ≥ 2 it used
 /// to return at the ring claim — before the drain's commit — so a crash at
 /// that instant rolled the acked epoch back. It must return only once the
-/// closed epoch has committed, at every ring depth: with the executor held,
+/// closed epoch has committed, at every depth: with the executor held,
 /// the call blocks until a helper thread releases it, and the crash image
 /// of the instant it returns recovers the new value.
 #[test]
 fn checkpoint_here_returns_only_after_the_commit() {
-    for k in [1usize, 2, 4] {
+    for depth in [1, 2, 4] {
         let region = Region::new(RegionConfig::sim(4 << 20, SimConfig::no_eviction(9)));
         let pool = Pool::create(
             Arc::clone(&region),
-            PoolConfig::builder()
-                .async_checkpoint(true)
-                .epoch_pipeline(k)
-                .build()
-                .expect("config"),
+            PoolConfig::builder().depth(depth).build().expect("config"),
         )
         .expect("pool");
         let h = pool.register();
@@ -293,17 +229,34 @@ fn checkpoint_here_returns_only_after_the_commit() {
         assert_eq!(
             (report.failed_epoch, recovered.cell_get(c)),
             (3, 99),
-            "K={k}: a write checkpointed by checkpoint_here() was rolled back"
+            "depth {depth}: a write checkpointed by checkpoint_here() was rolled back"
         );
     }
 }
 
-/// The epoch-ring pipeline must persist exactly what the synchronous and
-/// single-drain asynchronous paths do: over randomized op/checkpoint/RP
-/// schedules, all four modes (sync, async, pipelined K = 2 and K = 4)
-/// recover to identical state from a crash with a dirty trailing epoch.
+/// Every depth must persist exactly what depth 0 does. This schedule
+/// writes every cell once (`1000 + i`) and must recover exactly that.
+#[test]
+fn async_checkpoint_produces_identical_persistence() {
+    check_identical_persistence(&[(6, 200, false, 50)]);
+}
+
+/// The randomized op/checkpoint/RP schedules, each a pure function of its
+/// seed, must recover identically at every depth.
 #[test]
 fn pipelined_checkpoint_produces_identical_persistence() {
+    check_identical_persistence(&[
+        (1, 64, true, 16),
+        (2, 64, true, 16),
+        (3, 64, true, 16),
+        (4, 64, true, 16),
+    ]);
+}
+
+/// Runs each schedule at depths 0, 1, 2 and 4 and requires identical
+/// recovered state from a crash with a dirty trailing epoch. A schedule is
+/// (sim seed, cells, randomized, cells dirtied in the trailing epoch).
+fn check_identical_persistence(schedules: &[(u64, u64, bool, usize)]) {
     fn next_rand(state: &mut u64) -> u64 {
         let mut x = *state;
         x ^= x << 13;
@@ -312,45 +265,39 @@ fn pipelined_checkpoint_produces_identical_persistence() {
         *state = x;
         x
     }
-    let configs: [(&str, bool, usize); 4] = [
-        ("sync", false, 1),
-        ("async", true, 1),
-        ("pipelined-2", true, 2),
-        ("pipelined-4", true, 4),
-    ];
-    for seed in 1..=4u64 {
-        let mut images: Vec<(&str, Vec<u64>)> = Vec::new();
-        for (name, async_on, k) in configs {
+    for &(seed, ncells, randomized, dirty) in schedules {
+        let mut images: Vec<(usize, Vec<u64>)> = Vec::new();
+        for depth in [0, 1, 2, 4] {
             let region = Region::new(RegionConfig::sim(8 << 20, SimConfig::no_eviction(seed)));
             let pool = Pool::create(
                 Arc::clone(&region),
-                PoolConfig::builder()
-                    .async_checkpoint(async_on)
-                    .epoch_pipeline(k)
-                    .build()
-                    .expect("config"),
+                PoolConfig::builder().depth(depth).build().expect("config"),
             )
             .expect("pool");
             let h = pool.register();
-            let cells: Vec<_> = (0..64u64).map(|i| h.alloc_cell(i)).collect();
-            h.checkpoint_here();
-            // The schedule is a pure function of the seed, so every mode
-            // replays the identical op/RP/checkpoint sequence.
-            let mut rng = seed.wrapping_mul(0x9e37_79b9) | 1;
-            for _ in 0..300 {
-                let r = next_rand(&mut rng);
-                h.update(cells[(r % 64) as usize], r);
-                if r.is_multiple_of(7) {
-                    h.rp(1);
+            let cells: Vec<_> = (0..ncells).map(|i| h.alloc_cell(i)).collect();
+            if randomized {
+                h.checkpoint_here();
+                let mut rng = seed.wrapping_mul(0x9e37_79b9) | 1;
+                for _ in 0..300 {
+                    let r = next_rand(&mut rng);
+                    h.update(cells[(r % ncells) as usize], r);
+                    if r.is_multiple_of(7) {
+                        h.rp(1);
+                    }
+                    if r.is_multiple_of(13) {
+                        h.checkpoint_here();
+                    }
                 }
-                if r.is_multiple_of(13) {
-                    h.checkpoint_here();
+            } else {
+                for (i, c) in cells.iter().enumerate() {
+                    h.update(*c, 1000 + i as u64);
                 }
             }
             h.checkpoint_here();
             // Dirty the trailing epoch: the crash must roll it back the
-            // same way in every mode.
-            for c in cells.iter().take(16) {
+            // same way at every depth.
+            for c in cells.iter().take(dirty) {
                 h.update(*c, 7);
             }
             drop(h);
@@ -361,15 +308,79 @@ fn pipelined_checkpoint_produces_identical_persistence() {
             region.restore(&img);
             let (pool, _) =
                 Pool::recover(Arc::clone(&region), PoolConfig::default()).expect("recover");
-            images.push((name, cells.iter().map(|c| pool.cell_get(*c)).collect()));
+            images.push((depth, cells.iter().map(|c| pool.cell_get(*c)).collect()));
         }
-        let (base_name, base) = &images[0];
-        for (name, values) in &images[1..] {
+        let (_, base) = &images[0];
+        for (depth, values) in &images[1..] {
             assert_eq!(
                 base, values,
-                "seed {seed}: {name} diverged from {base_name}"
+                "seed {seed}: depth {depth} diverged from depth 0"
             );
         }
+        if !randomized {
+            assert_eq!(base, &(0..ncells).map(|i| 1000 + i).collect::<Vec<u64>>());
+        }
+    }
+}
+
+/// A worker that panics mid-epoch must not leave the checkpointer spinning
+/// on its per-thread flag: unwinding drops its handle, which raises the
+/// flag and frees the slot. At depths 0 and 4, with a periodic checkpointer
+/// running, a worker dies between updates; its join and one more
+/// `checkpoint_now` must both return (bounded here, so a hang fails instead
+/// of stalling the suite), and a crash must recover to a pool that verifies
+/// clean.
+#[test]
+fn a_worker_panicking_mid_epoch_does_not_stall_checkpoints() {
+    fn bounded<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let out = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{what} hung after the worker panicked"));
+        helper.join().expect("helper thread");
+        out
+    }
+    for depth in [0, 4] {
+        let region = Region::new(RegionConfig::sim(8 << 20, SimConfig::no_eviction(11)));
+        let pool = Pool::create(
+            Arc::clone(&region),
+            PoolConfig::builder().depth(depth).build().expect("config"),
+        )
+        .expect("pool");
+        // Not dropped on unwind: joining a checkpointer stuck on the dead
+        // worker's flag would turn the failure below back into a hang.
+        let ckpt = std::mem::ManuallyDrop::new(pool.start_checkpointer(Duration::from_millis(1)));
+        let worker = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                let h = pool.register();
+                let cells: Vec<_> = (0..64u64).map(|i| h.alloc_cell(i)).collect();
+                for round in 0..200u64 {
+                    for c in &cells {
+                        h.update(*c, round);
+                    }
+                    h.rp(1);
+                }
+                for c in &cells[..32] {
+                    h.update(*c, 999);
+                }
+                panic!("worker dies mid-epoch (expected by this test)");
+            })
+        };
+        let panicked = bounded("the worker's join", move || worker.join().is_err());
+        assert!(panicked, "depth {depth}: the worker must panic");
+        let p = Arc::clone(&pool);
+        bounded("checkpoint_now", move || p.checkpoint_now());
+        drop(std::mem::ManuallyDrop::into_inner(ckpt));
+        drop(pool);
+        let img = region.crash(CrashMode::PowerFailure);
+        let (recovered, _) =
+            Pool::recover(Region::from_image(img.bytes()), PoolConfig::default()).expect("recover");
+        let report = recovered.verify();
+        assert!(report.is_clean(), "depth {depth}: {report:#?}");
     }
 }
 
@@ -469,28 +480,25 @@ fn pool_config_builder_validation() {
             .flusher_threads(1),
         "NoFlush",
     );
-    // Epoch pipeline: depth 0 is meaningless, the ring caps the depth,
-    // and K > 1 pipelines the *asynchronous* drain specifically.
+    // Depth: 0 (the inline drain) up to the ring's capacity builds; one
+    // more does not, and NoFlush cannot run an executor, whose push-out
+    // writes lines back.
+    for depth in 0..=MAX_EPOCH_PIPELINE {
+        let cfg = PoolConfig::builder()
+            .depth(depth)
+            .build()
+            .unwrap_or_else(|e| panic!("depth {depth} must validate: {e}"));
+        assert_eq!(cfg.depth(), depth);
+    }
     expect_invalid(
-        PoolConfig::builder()
-            .async_checkpoint(true)
-            .epoch_pipeline(0),
-        "at least 1",
-    );
-    expect_invalid(
-        PoolConfig::builder()
-            .async_checkpoint(true)
-            .epoch_pipeline(respct_repro::respct::layout::MAX_EPOCH_PIPELINE + 1),
+        PoolConfig::builder().depth(MAX_EPOCH_PIPELINE + 1),
         "MAX_EPOCH_PIPELINE",
     );
-    expect_invalid(PoolConfig::builder().epoch_pipeline(2), "async_checkpoint");
-    let cfg = PoolConfig::builder()
-        .async_checkpoint(true)
-        .epoch_pipeline(2)
-        .build()
-        .expect("pipelined config must validate");
-    assert_eq!(cfg.epoch_pipeline(), 2);
-    assert_eq!(PoolConfig::default().epoch_pipeline(), 1);
+    expect_invalid(
+        PoolConfig::builder().mode(CheckpointMode::NoFlush).depth(1),
+        "NoFlush",
+    );
+    assert_eq!(PoolConfig::default().depth(), 0);
 }
 
 /// Lemma 4.5 as a runtime check: with a happens-before edge between two

@@ -33,13 +33,9 @@ const SIZE: usize = 1 << 20;
 /// the cells' first checkpoint).
 type Snaps = Vec<Option<Vec<u64>>>;
 
-/// A pipelined pool configuration (epoch ring of depth `k`).
-fn pipelined_pool_cfg(k: usize) -> PoolConfig {
-    PoolConfig::builder()
-        .async_checkpoint(true)
-        .epoch_pipeline(k)
-        .build()
-        .unwrap()
+/// A pool configuration at checkpoint depth `depth`.
+fn depth_cfg(depth: usize) -> PoolConfig {
+    PoolConfig::builder().depth(depth).build().unwrap()
 }
 
 /// Crash points that fall while at least `min_open` drains are
@@ -65,44 +61,43 @@ fn pipeline_overlap_crash_points(events: &[TraceEvent], min_open: usize) -> u64 
     n
 }
 
-/// One clean sweep: (workload, ops, seed, eviction budget, stride, ring
-/// depth K — `None` for synchronous checkpoints).
-type SweepRow = (&'static str, u64, u64, usize, usize, Option<usize>);
+/// One clean sweep: (workload, ops, seed, eviction budget, stride,
+/// checkpoint depth).
+type SweepRow = (&'static str, u64, u64, usize, usize, usize);
 
-/// Every clean sweep. Rows at K ≥ 2 sample at stride 3, not 4: denser
+/// Every clean sweep. Rows at depth ≥ 2 sample at stride 3, not 4: denser
 /// sampling keeps the distinct-point floor comfortable on their traces.
 const SWEEPS: [SweepRow; 9] = [
-    ("hashmap", 48, 7, 3, 4, None),
-    ("queue", 48, 7, 3, 4, None),
+    ("hashmap", 48, 7, 3, 4, 0),
+    ("queue", 48, 7, 3, 4, 0),
     // A second seed: shorter runs, denser sampling.
-    ("hashmap", 32, 23, 2, 2, None),
-    ("queue", 32, 23, 2, 2, None),
-    ("hashmap", 48, 7, 2, 4, Some(1)),
-    ("queue", 48, 7, 2, 4, Some(1)),
-    ("hashmap", 48, 7, 2, 3, Some(2)),
-    ("queue", 48, 7, 2, 3, Some(2)),
-    ("queue", 64, 7, 2, 3, Some(4)),
+    ("hashmap", 32, 23, 2, 2, 0),
+    ("queue", 32, 23, 2, 2, 0),
+    ("hashmap", 48, 7, 2, 4, 1),
+    ("queue", 48, 7, 2, 4, 1),
+    ("hashmap", 48, 7, 2, 3, 2),
+    ("queue", 48, 7, 2, 3, 2),
+    ("queue", 64, 7, 2, 3, 4),
 ];
 
-/// Sweeps the rows of [`SWEEPS`] for `workload` whose ring depth is one of
+/// Sweeps the rows of [`SWEEPS`] for `workload` whose depth is one of
 /// `depths`. Each must find no divergence over at least 200 distinct crash
 /// points, and must crash inside some drain window — between a claim and
 /// its commit, inline or on the executor — or it would not be testing the
 /// ring's commit at all.
-fn sweep_rows(workload: &str, depths: &[Option<usize>]) {
+fn sweep_rows(workload: &str, depths: &[usize]) {
     let rows: Vec<_> = SWEEPS
         .iter()
         .filter(|r| r.0 == workload && depths.contains(&r.5))
         .collect();
     assert!(!rows.is_empty(), "no {workload} rows at depths {depths:?}");
-    for &(name, ops, seed, budget, stride, k) in rows {
-        let at = format!("{name} ops={ops} seed={seed} budget={budget} stride={stride} k={k:?}");
+    for &(name, ops, seed, budget, stride, depth) in rows {
+        let at =
+            format!("{name} ops={ops} seed={seed} budget={budget} stride={stride} depth={depth}");
         let mut cfg = SweepConfig::new(workloads::SWEEP_REGION);
         cfg.eviction_budget = budget;
         cfg.stride = stride;
-        if let Some(k) = k {
-            cfg.pool = pipelined_pool_cfg(k);
-        }
+        cfg.pool = depth_cfg(depth);
         let (report, events) = if name == "hashmap" {
             workloads::sweep_hashmap(ops, seed, &cfg)
         } else {
@@ -128,35 +123,35 @@ fn sweep_rows(workload: &str, depths: &[Option<usize>]) {
 
 #[test]
 fn hashmap_sweep_recovers_at_every_point() {
-    sweep_rows("hashmap", &[None]);
+    sweep_rows("hashmap", &[0]);
 }
 
 #[test]
 fn queue_sweep_recovers_at_every_point() {
-    sweep_rows("queue", &[None]);
+    sweep_rows("queue", &[0]);
 }
 
 #[test]
 fn async_hashmap_sweep_recovers_at_every_point() {
-    sweep_rows("hashmap", &[Some(1)]);
+    sweep_rows("hashmap", &[1]);
 }
 
 #[test]
 fn async_queue_sweep_recovers_at_every_point() {
-    sweep_rows("queue", &[Some(1)]);
+    sweep_rows("queue", &[1]);
 }
 
 #[test]
 fn pipelined_hashmap_sweep_recovers_at_every_point() {
-    sweep_rows("hashmap", &[Some(2)]);
+    sweep_rows("hashmap", &[2]);
 }
 
 #[test]
 fn pipelined_queue_sweep_recovers_at_every_point() {
-    sweep_rows("queue", &[Some(2), Some(4)]);
+    sweep_rows("queue", &[2, 4]);
 }
 
-/// A pipelined (K = 2) cell workload recorded with `hold_drains` pinning
+/// A depth-2 cell workload recorded with `hold_drains` pinning
 /// two epochs in flight, so the trace deterministically contains crash
 /// points with two uncommitted ring slots. With `Fault::SkipRingOrder`
 /// armed the executor commits those two epochs newest-first.
@@ -171,7 +166,7 @@ fn recorded_pipelined_cells(fault: Option<Fault>) -> (Vec<TraceEvent>, Vec<ICell
     let region = Region::new(RegionConfig::sim(SIZE, SimConfig::no_eviction(5)));
     let sink = Arc::new(VecSink::new());
     region.set_trace_sink(sink.clone());
-    let pool = Pool::create(region, pipelined_pool_cfg(2)).unwrap();
+    let pool = Pool::create(region, depth_cfg(2)).unwrap();
     let mut h = pool.register();
     let cells: Vec<ICell<u64>> = (0..N).map(|i| h.alloc_cell(i)).collect();
     let mut snaps: Snaps = vec![None, None]; // epochs 0, 1
@@ -246,7 +241,7 @@ fn skip_ring_order_is_caught_by_the_sweep() {
 fn recorded_cells(
     fault: Option<Fault>,
     flushers: usize,
-    async_on: bool,
+    depth: usize,
     ncells: u64,
 ) -> (Vec<TraceEvent>, Vec<ICell<u64>>, Snaps) {
     let region = Region::new(RegionConfig::sim(SIZE, SimConfig::no_eviction(5)));
@@ -254,7 +249,7 @@ fn recorded_cells(
     region.set_trace_sink(sink.clone());
     let cfg = PoolConfig::builder()
         .flusher_threads(flushers)
-        .async_checkpoint(async_on)
+        .depth(depth)
         .build()
         .unwrap();
     let pool = Pool::create(region, cfg).unwrap();
@@ -304,7 +299,7 @@ fn sweep_cells(
 fn skip_one_flush_is_caught_by_the_sweep() {
     // Control: the same workload without the fault sweeps clean, so any
     // divergence below is attributable to the injected bug.
-    let (events, cells, snaps) = recorded_cells(None, 0, false, 48);
+    let (events, cells, snaps) = recorded_cells(None, 0, 0, 48);
     let clean = sweep_cells(&events, &cells, &snaps);
     assert!(clean.is_clean(), "{:?}", clean.report);
     assert!(clean.points > 0 && clean.images > 0);
@@ -314,7 +309,7 @@ fn skip_one_flush_is_caught_by_the_sweep() {
     // Every post-commit crash image holds the stale line with the new
     // epoch, and recovery cannot roll it back (its cell is tagged with the
     // *previous* epoch) — the recovered value must diverge from the model.
-    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipOneFlush), 0, false, 48);
+    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipOneFlush), 0, 0, 48);
     let faulty = sweep_cells(&events, &cells, &snaps);
     assert!(
         !faulty.is_clean(),
@@ -331,7 +326,7 @@ fn skip_one_flush_is_caught_by_the_sweep() {
 #[test]
 fn skip_shard_fence_is_caught_by_the_sweep() {
     // Control: parallel flushers, no fault.
-    let (events, cells, snaps) = recorded_cells(None, 2, false, 48);
+    let (events, cells, snaps) = recorded_cells(None, 2, 0, 48);
     let clean = sweep_cells(&events, &cells, &snaps);
     assert!(clean.is_clean(), "{:?}", clean.report);
 
@@ -340,7 +335,7 @@ fn skip_shard_fence_is_caught_by_the_sweep() {
     // same thread; on the parallel path the flusher's write-backs stay
     // un-drained, so the base crash image after the ring commit misses
     // that shard's lines entirely.
-    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipShardFence), 2, false, 48);
+    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipShardFence), 2, 0, 48);
     let faulty = sweep_cells(&events, &cells, &snaps);
     assert!(
         !faulty.is_clean(),
@@ -354,21 +349,21 @@ fn skip_shard_fence_is_caught_by_the_sweep() {
 
 #[test]
 fn skip_drain_commit_order_is_caught_by_the_sweep() {
-    // Control: the same async workload without the fault sweeps clean, and
+    // Control: the same depth-1 workload without the fault sweeps clean, and
     // its trace contains crash points inside the drain window.
-    let (events, cells, snaps) = recorded_cells(None, 0, true, 48);
+    let (events, cells, snaps) = recorded_cells(None, 0, 1, 48);
     let clean = sweep_cells(&events, &cells, &snaps);
     assert!(clean.is_clean(), "{:?}", clean.report);
     assert!(
         pipeline_overlap_crash_points(&events, 1) > 0,
-        "async control trace has no in-drain crash points"
+        "depth-1 control trace has no in-drain crash points"
     );
 
     // Fault: the executor commits ring slot 0 back to zero with one
     // snapshotted line never written back. Every post-commit crash image
     // then recovers as if epoch 2 committed, but that line's data never
     // reached NVMM — commit before durability, on the executor's drain.
-    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipOneFlush), 0, true, 48);
+    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipOneFlush), 0, 1, 48);
     let faulty = sweep_cells(&events, &cells, &snaps);
     assert!(
         !faulty.is_clean(),

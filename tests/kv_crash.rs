@@ -10,8 +10,9 @@
 //! contract (`end_batch` checkpoints before any response is released).
 //! Unacknowledged writes may or may not survive; BUSY rejections must not
 //! be counted as acknowledgements. The same run is repeated with
-//! `RESPCT_PIPELINE=2`, where the contract additionally needs the sync
-//! acknowledgement to wait for the background drain's ring commit.
+//! `RESPCT_PIPELINE=2` (checkpoint depth 2), where the contract
+//! additionally needs the sync acknowledgement to wait for the background
+//! drain's ring commit.
 //!
 //! A second test drives the binary's serving + live-metrics path the way an
 //! operator does: ephemeral ports from the readiness lines, a few requests,
@@ -316,8 +317,10 @@ fn kvd_serves_requests_and_live_metrics() {
 /// Operator input the server cannot use ends the binary with a
 /// `respct-kvd: …` message and a plain failure status — not a panic: an
 /// unknown flag, a flag without its value, a malformed integer, a pool the
-/// OS will not map (the message names the size), and a serve or metrics
-/// address already in use.
+/// OS will not map (the message names the size), a serve or metrics
+/// address already in use, and a `RESPCT_PIPELINE` depth that does not
+/// parse or exceeds the ring (the message names the variable). Each row
+/// sets `RESPCT_PIPELINE` to its env column (`None` = unset).
 #[test]
 fn kvd_exits_with_a_message_on_an_unmappable_pool() {
     let huge = (1u64 << 62).to_string();
@@ -327,32 +330,51 @@ fn kvd_exits_with_a_message_on_an_unmappable_pool() {
     let bind_taken = format!("bind {taken}");
     let bind_metrics_taken = format!("bind metrics endpoint {taken}");
     let huge_bytes = format!("{huge}-byte");
-    let rows: [(&[&str], &[&str]); 6] = [
-        (&["--bogus"], &["unknown flag --bogus"]),
-        (&["--period-ms"], &["--period-ms needs a value"]),
-        (&["--workers", "x"], &["--workers: expected an integer"]),
+    let ephemeral: &[&str] = &["--addr", "127.0.0.1:0", "--pool-bytes", &small];
+    let rows: [(&[&str], Option<&str>, &[&str]); 8] = [
+        (&["--bogus"], None, &["unknown flag --bogus"]),
+        (&["--period-ms"], None, &["--period-ms needs a value"]),
+        (
+            &["--workers", "x"],
+            None,
+            &["--workers: expected an integer"],
+        ),
         (
             &["--addr", "127.0.0.1:0", "--pool-bytes", &huge],
+            None,
             &["open store", &huge_bytes],
         ),
-        (&["--addr", &taken, "--pool-bytes", &small], &[&bind_taken]),
+        (
+            &["--addr", &taken, "--pool-bytes", &small],
+            None,
+            &[&bind_taken],
+        ),
         (
             &["--metrics-addr", &taken, "--pool-bytes", &small],
+            None,
             &[&bind_metrics_taken],
         ),
+        (ephemeral, Some("9"), &["open store", "RESPCT_PIPELINE=9"]),
+        (ephemeral, Some("x"), &["open store", "RESPCT_PIPELINE"]),
     ];
-    for (args, wants) in rows {
-        let out = Command::new(env!("CARGO_BIN_EXE_respct-kvd"))
+    for (args, pipeline, wants) in rows {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_respct-kvd"));
+        match pipeline {
+            Some(d) => cmd.env("RESPCT_PIPELINE", d),
+            None => cmd.env_remove("RESPCT_PIPELINE"),
+        };
+        let out = cmd
             .args(args)
             .env("RESPCT_BACKEND", "optane")
             .output()
             .expect("run respct-kvd");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("respct-kvd: "), "{args:?}: {stderr}");
+        let row = format!("{args:?} RESPCT_PIPELINE={pipeline:?}");
+        assert_eq!(out.status.code(), Some(1), "{row}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{row}: {stderr}");
+        assert!(stderr.starts_with("respct-kvd: "), "{row}: {stderr}");
         for want in wants {
-            assert!(stderr.contains(want), "{args:?}: want {want:?} in {stderr}");
+            assert!(stderr.contains(want), "{row}: want {want:?} in {stderr}");
         }
     }
     drop(held);

@@ -365,7 +365,7 @@ fn multithreaded_run_populates_stall_and_shard_histograms() {
     );
 }
 
-/// `flusher_threads(2)` + `async_checkpoint(true)`: the drain executor
+/// `flusher_threads(2)` + `depth(1)`: the drain executor
 /// flushes through the flusher pool like the synchronous tail does, not
 /// through a private write-back loop. The returned report ends at the
 /// release (no shards); the report the executor records at commit carries
@@ -378,7 +378,7 @@ fn background_drain_flushes_through_the_flusher_pool() {
     region.set_trace_sink(sink.clone());
     let cfg = PoolConfig::builder()
         .flusher_threads(2)
-        .async_checkpoint(true)
+        .depth(1)
         .build()
         .expect("config");
     let pool = Pool::create(region, cfg).expect("pool");

@@ -28,32 +28,28 @@ use respct_pmem::{
     PAddr, Region, RegionConfig, SimConfig, SyncToken, TeeSink, TraceEvent, TraceMarker, TraceSink,
     VecSink,
 };
-use workload_table::{check_rows, mode_cfg, Driver, HASHMAP, MODES, QUEUE};
+use workload_table::{check_rows, depth_cfg, Driver, DEPTHS, HASHMAP, QUEUE};
 
 /// A sim region with the race detector attached and a pool on top.
-fn raced_pool(
-    seed: u64,
-    pipeline: Option<usize>,
-    flushers: usize,
-) -> (Arc<RaceDetector>, Arc<Pool>) {
+fn raced_pool(seed: u64, depth: usize, flushers: usize) -> (Arc<RaceDetector>, Arc<Pool>) {
     let region = Region::new(RegionConfig::sim(
         48 << 20,
         SimConfig::with_eviction(4, seed),
     ));
     let detector = RaceDetector::attach(&region);
-    let cfg = mode_cfg(pipeline, flushers);
+    let cfg = depth_cfg(depth, flushers);
     let pool = Pool::create(region, cfg).expect("pool");
     (detector, pool)
 }
 
 #[test]
 fn hashmap_clean_all_modes() {
-    check_rows(&HASHMAP, &MODES, &[Driver::Timer]);
+    check_rows(&HASHMAP, &DEPTHS, &[Driver::Timer]);
 }
 
 #[test]
 fn queue_clean_all_modes() {
-    check_rows(&QUEUE, &MODES, &[Driver::Timer]);
+    check_rows(&QUEUE, &DEPTHS, &[Driver::Timer]);
 }
 
 /// All six evaluation apps run race-clean in ResPCT mode (small configs).
@@ -166,7 +162,7 @@ fn apps_are_race_clean() {
 fn dropped_lock_release_edge_is_a_persist_race() {
     // One key: both threads go through the same bucket lock, so the
     // cross-thread cell hand-off deterministically uses the faulted edge.
-    let (detector, pool) = raced_pool(303, None, 0);
+    let (detector, pool) = raced_pool(303, 0, 0);
     let map = {
         let h = pool.register();
         let map = PHashMap::create(&h, 8);
@@ -195,7 +191,7 @@ fn dropped_lock_release_edge_is_a_persist_race() {
 /// workload shape, is what the detector reacts to).
 #[test]
 fn locked_handoff_without_fault_is_clean() {
-    let (detector, pool) = raced_pool(303, None, 0);
+    let (detector, pool) = raced_pool(303, 0, 0);
     let map = {
         let h = pool.register();
         let map = PHashMap::create(&h, 8);
@@ -219,12 +215,12 @@ fn locked_handoff_without_fault_is_clean() {
 /// unordered after that worker's fences (rule b non-vacuity).
 #[test]
 fn dropped_flusher_ack_edge_is_an_unordered_commit() {
-    for mode in MODES {
-        let (detector, pool) = raced_pool(404, mode, 1);
+    for depth in DEPTHS {
+        let (detector, pool) = raced_pool(404, depth, 1);
         let h = pool.register();
         let cells: Vec<_> = (0..64u64).map(|i| h.alloc_cell(i)).collect();
         h.checkpoint_here();
-        assert!(detector.report().is_clean(), "pipeline={mode:?}: setup");
+        assert!(detector.report().is_clean(), "depth={depth}: setup");
         for (i, c) in cells.iter().enumerate() {
             h.update(*c, 1_000 + i as u64);
         }
@@ -234,7 +230,7 @@ fn dropped_flusher_ack_edge_is_an_unordered_commit() {
         let bad = r.of_kind(DiagnosticKind::UnorderedCommit);
         assert!(
             !bad.is_empty(),
-            "pipeline={mode:?}: dropped flusher ack not detected:\n{r}"
+            "depth={depth}: dropped flusher ack not detected:\n{r}"
         );
     }
 }
@@ -274,7 +270,7 @@ fn pushout_round(seed: u64, k: usize, fault: bool) -> (Arc<RaceDetector>, Vec<Tr
     ])));
     // Flusher threads carry the stretched shard flushes, so the drain
     // stays active while the committer waits for their acknowledgements.
-    let pool = Pool::create(region, mode_cfg(Some(k), 2)).expect("pool");
+    let pool = Pool::create(region, depth_cfg(k, 2)).expect("pool");
     {
         // A wide tracked set makes the background drain long enough for
         // the resumed worker to touch a draining cell. The allocating
@@ -445,7 +441,7 @@ fn parallel_recovery_cut_inside_a_line_is_clean() {
 /// between) is edge-complete: protected cell updates never race.
 #[test]
 fn traced_mutex_direct_handoff_is_clean() {
-    let (detector, pool) = raced_pool(700, None, 0);
+    let (detector, pool) = raced_pool(700, 0, 0);
     let cell = {
         let h0 = pool.register();
         h0.alloc_cell(0u64)

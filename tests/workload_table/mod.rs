@@ -1,7 +1,7 @@
 //! The clean-run table shared by `tests/analysis_model.rs` and
 //! `tests/race_detector.rs`: the standard workloads (hash map, queue, CoW
 //! kv-store, crash/recovery cycles, and a single-thread hot-key loop) × the
-//! checkpoint modes (synchronous, background drain at ring depths 1 and 4) ×
+//! checkpoint depths (0: the inline drain; 1 and 4: the executor) ×
 //! the two ways epochs close (the timer checkpointer, workers'
 //! `checkpoint_here()`). Every row runs on an evicting simulator with the
 //! [`Checker`] and the [`RaceDetector`] teed onto one trace. Each test runs
@@ -26,19 +26,16 @@ const CKPT_PERIOD: Duration = Duration::from_millis(5);
 /// Worker-driven rows: each worker closes an epoch every this many ops.
 const WORKER_CKPT_EVERY: u64 = 250;
 
-/// Checkpoint modes: synchronous (`None`), and the background drain on a
-/// ring of depth `k` (`Some(k)`).
-pub const MODES: [Option<usize>; 3] = [None, Some(1), Some(4)];
+/// Checkpoint depths: 0 drains inline, 1 and 4 on the executor.
+pub const DEPTHS: [usize; 3] = [0, 1, 4];
 
 /// Both ways epochs close.
 pub const DRIVERS: [Driver; 2] = [Driver::Timer, Driver::Worker];
 
-/// Pool config for a mode of [`MODES`] (`None` = synchronous checkpoints,
-/// `Some(k)` = background drain on a ring of depth `k`).
-pub fn mode_cfg(mode: Option<usize>, flushers: usize) -> PoolConfig {
+/// Pool config at a depth of [`DEPTHS`] with `flushers` flusher threads.
+pub fn depth_cfg(depth: usize, flushers: usize) -> PoolConfig {
     PoolConfig::builder()
-        .async_checkpoint(mode.is_some())
-        .epoch_pipeline(mode.unwrap_or(1))
+        .depth(depth)
         .flusher_threads(flushers)
         .build()
         .expect("config")
@@ -139,16 +136,16 @@ impl TraceSink for Tally {
     }
 }
 
-/// Runs the rows `modes` × `drivers` of `w`, each on a fresh evicting sim
+/// Runs the rows `depths` × `drivers` of `w`, each on a fresh evicting sim
 /// region with the checker and the race detector teed onto its trace.
-/// Synchronous rows must be spotless: no finding of any severity from either
-/// engine. Background rows may report `RedundantFlush` perf advisories (an
+/// Depth-0 rows must be spotless: no finding of any severity from either
+/// engine. Executor rows may report `RedundantFlush` perf advisories (an
 /// on-demand push-out can write back a line the drain flushes again) but no
 /// error.
-pub fn check_rows(w: &Workload, modes: &[Option<usize>], drivers: &[Driver]) {
-    for &mode in modes {
+pub fn check_rows(w: &Workload, depths: &[usize], drivers: &[Driver]) {
+    for &depth in depths {
         for &driver in drivers {
-            let row = format!("pipeline={mode:?} driver={driver:?}");
+            let row = format!("depth={depth} driver={driver:?}");
             // Eviction rate 4: roughly one line evicted per 2^4 stores —
             // enough to exercise the eviction paths without swamping the
             // trace.
@@ -164,21 +161,21 @@ pub fn check_rows(w: &Workload, modes: &[Option<usize>], drivers: &[Driver]) {
                 Arc::clone(&races) as Arc<dyn TraceSink>,
                 Arc::clone(&tally) as Arc<dyn TraceSink>,
             ])));
-            (w.run)(&region, mode_cfg(mode, w.flusher_threads), driver);
+            (w.run)(&region, depth_cfg(depth, w.flusher_threads), driver);
 
             let checkpoints = tally.checkpoints.load(Ordering::Relaxed);
             let commits = tally.ring_commits.load(Ordering::Relaxed);
             assert!(checkpoints > 0, "{row}: no checkpoint completed");
             assert!(commits > 0, "{row}: no ring commit");
-            // A synchronous checkpoint commits its own ring slot before it
+            // A depth-0 checkpoint commits its own ring slot before it
             // ends: exactly one commit per checkpoint.
             assert!(
-                mode.is_some() || commits == checkpoints,
+                depth > 0 || commits == checkpoints,
                 "{row}: {commits} ring commits for {checkpoints} checkpoints"
             );
             for (engine, report) in [("checker", checker.report()), ("races", races.report())] {
                 assert!(report.events > 0, "{row}: {engine} saw an empty trace");
-                if mode.is_none() {
+                if depth == 0 {
                     assert!(
                         report.diagnostics.is_empty() && report.suppressed == 0,
                         "{row}: {engine}:\n{report}"
