@@ -1,19 +1,22 @@
-//! The trace checker: a cache-line state machine replaying the persistency
-//! event stream.
+//! The trace checker: one reading of the ResPCT protocol, two rule sets.
 //!
-//! The checker implements the [`TraceSink`] trait and consumes events
-//! *online* as the traced run emits them (same spirit as pmemcheck's
-//! store-tracking and PMTest's ordering rules, but specialized to ResPCT's
-//! epoch discipline). Per cache line it keeps two counters:
+//! The [`Checker`] implements the [`TraceSink`] trait and consumes events
+//! *online* as the traced run emits them. Each event is read once into the
+//! protocol state the trace tells: the current epoch and checkpoint phase,
+//! the live InCLL cells with the epoch each was last logged for, the lines
+//! the tracking lists promise to flush, the open drains of the epoch ring
+//! with the lines (and content generations) each owes, every thread's
+//! unfenced `pwb`s, and each line's store generation. Two rule sets read
+//! that state as it stood *before* the event, and file into one [`Report`]:
 //!
-//! * `gen` — bumped on every store to the line (volatile content version);
-//! * `persisted_gen` — the newest version known durable, advanced by
-//!   `pwb`+`psync` pairs, simulator evictions, and crash/persist events.
+//! * the **durability rules** below (pmemcheck/PMTest-style), which add
+//!   each line's newest durable generation;
+//! * the **happens-before rules** of `race.rs` (FastTrack-style vector
+//!   clocks over the runtime's `SyncRel`/`SyncAcq` edges): persist races
+//!   on InCLL cells, commits not ordered after their fences, racy recovery
+//!   reads.
 //!
-//! On top of that it tracks the runtime's own claims, delivered as
-//! [`TraceMarker`]s: which byte spans are InCLL cells (and for which epoch
-//! each was last logged), which lines the epoch's tracking lists promise to
-//! flush, and where the checkpoint/recovery phase boundaries lie. The rules:
+//! The durability rules:
 //!
 //! 1. **Ring commit** — every checkpoint claims ring slot `epoch mod K` at
 //!    `PipelineBegin` (slot 0 on a synchronous pool), which snapshots the
@@ -45,6 +48,11 @@
 //!    shard's pwbs are covered by a fence. Every opened shard
 //!    must be closed before the `OrderBarrier`; double-opens and closes
 //!    without a begin are protocol violations too.
+//!
+//! A `Restore` is the one reset: the volatile image becomes the persisted
+//! one, so tracking lists, open drains, in-flight write-backs and logging
+//! knowledge go, and every line is durable at its current content. (A pool
+//! dropped between a crash and the restore still commits its drains.)
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -52,215 +60,99 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use respct_pmem::{Region, TraceEvent, TraceMarker, TraceSink};
 
+use crate::race::HappensBefore;
 use crate::report::{Diagnostic, DiagnosticKind, Report};
 
-#[derive(Default, Clone, Copy)]
-struct LineState {
-    /// Volatile content version (bumped per store).
-    gen: u64,
-    /// Newest version known durable.
-    persisted_gen: u64,
-    /// The last durability transition was simulator-initiated (eviction /
-    /// `persist_all`), which the runtime cannot observe — suppresses the
-    /// redundant-flush advisory for the next `pwb`.
-    evicted: bool,
-}
-
 /// One drain between its `PipelineBegin` and its `RingCommit`.
-struct OpenDrain {
+pub(crate) struct OpenDrain {
     /// The ring slot the epoch claimed.
     slot: u64,
+    /// The checkpoint cycle that claimed it.
+    pub(crate) cycle: u64,
     /// Snapshot taken at `PipelineBegin`: line -> content generation the
     /// drain promised to persist before `RingCommit`.
-    owed: HashMap<u64, u64>,
+    pub(crate) owed: HashMap<u64, u64>,
 }
 
+/// The protocol as the trace tells it, advanced once per event.
 #[derive(Default)]
-struct CheckerState {
-    lines: HashMap<u64, LineState>,
-    /// Unfenced write-backs per thread: `(line, gen snapshot at pwb)`.
-    pending: HashMap<u64, Vec<(u64, u64)>>,
-    /// Live InCLL cells by record address (BTreeMap for overlap queries):
-    /// the plain (unmixed) epoch each was last logged for, if known.
-    cells: BTreeMap<u64, Option<u64>>,
-    /// Lines the current epoch's tracking lists promise to flush.
-    tracked: HashSet<u64>,
-    /// Open drains, keyed by epoch so rule 1 can both check commits in
-    /// order and settle each epoch's own debt.
-    ring_open: BTreeMap<u64, OpenDrain>,
-    /// `(tid, line)` of on-demand push-outs (`DrainPushOut`) whose fence has
-    /// not been seen yet. A push-out is an application thread's own,
-    /// voluntary flush; no commit relies on it, so rule 3 ignores it.
-    pushing_out: HashSet<(u64, u64)>,
-    /// Flush shards opened (`ShardFlushBegin`) but not yet fenced-and-closed
-    /// (`ShardFlushEnd`) in the current checkpoint.
-    open_shards: HashSet<u64>,
+pub(crate) struct Protocol {
     /// Current plain epoch, adopted from the first marker that names one
     /// (the checker may attach to an already-running pool).
-    epoch: Option<u64>,
+    pub(crate) epoch: Option<u64>,
     /// The in-progress checkpoint flushes its tracked lines (`Full` mode).
-    ckpt_full: bool,
+    pub(crate) ckpt_full: bool,
     in_checkpoint: bool,
     in_recovery: bool,
-    report: Report,
+    /// Checkpoint cycles begun (`CheckpointBegin`s seen).
+    pub(crate) cycle: u64,
+    /// Live InCLL cells by address (BTreeMap for overlap queries): the
+    /// plain epoch each was last logged for, if known.
+    pub(crate) cells: BTreeMap<u64, Option<u64>>,
+    /// Lines the current epoch's tracking lists promise to flush.
+    tracked: HashSet<u64>,
+    /// Open drains by epoch; several may be open on a ring deeper than 1.
+    pub(crate) ring_open: BTreeMap<u64, OpenDrain>,
+    /// Unfenced write-backs per thread: `(line, gen snapshot at pwb)`.
+    pub(crate) pending: HashMap<u64, Vec<(u64, u64)>>,
+    /// Volatile content version per line (bumped per store).
+    gens: HashMap<u64, u64>,
 }
 
-impl CheckerState {
-    fn diag(&mut self, kind: DiagnosticKind, line: Option<u64>, addr: Option<u64>, detail: String) {
-        self.report.push(Diagnostic {
-            kind,
-            line,
-            addr,
-            epoch: self.epoch,
-            detail,
-        });
+impl Protocol {
+    fn gen(&self, line: u64) -> u64 {
+        self.gens.get(&line).copied().unwrap_or(0)
     }
 
-    fn line_mut(&mut self, line: u64) -> &mut LineState {
-        self.lines.entry(line).or_default()
+    /// Adopts `epoch` if no marker has named one yet.
+    fn adopt(&mut self, epoch: u64) {
+        self.epoch.get_or_insert(epoch);
     }
 
     fn apply(&mut self, ev: &TraceEvent) {
-        self.report.events += 1;
         match *ev {
-            TraceEvent::Store { addr, len, .. } => self.on_store(addr, len),
-            TraceEvent::Pwb { tid, line } => self.on_pwb(tid, line),
+            TraceEvent::Store { addr, len, .. } => {
+                for line in addr / 64..=(addr + len.max(1) - 1) / 64 {
+                    *self.gens.entry(line).or_default() += 1;
+                }
+            }
+            TraceEvent::Pwb { tid, line } => {
+                let gen = self.gen(line);
+                self.pending.entry(tid).or_default().push((line, gen));
+            }
             TraceEvent::Psync { tid } => {
-                self.pushing_out.retain(|&(t, _)| t != tid);
-                for (line, g) in self.pending.remove(&tid).unwrap_or_default() {
-                    let l = self.line_mut(line);
-                    l.persisted_gen = l.persisted_gen.max(g);
-                    l.evicted = false;
-                }
+                self.pending.remove(&tid);
             }
-            TraceEvent::Eviction { line } => {
-                let l = self.line_mut(line);
-                l.persisted_gen = l.gen;
-                l.evicted = true;
-            }
-            TraceEvent::PersistAll => {
-                for l in self.lines.values_mut() {
-                    l.persisted_gen = l.gen;
-                    l.evicted = true;
-                }
-                self.pending.clear();
-            }
-            TraceEvent::Crash { all_persisted } => {
-                // PowerFailure: in-flight write-backs are lost with the
-                // volatile domain (the conservative PCSO reading). EvictAll:
-                // every dirty line reached NVMM on the way down.
-                self.pending.clear();
-                if all_persisted {
-                    for l in self.lines.values_mut() {
-                        l.persisted_gen = l.gen;
-                    }
-                }
-            }
+            // A power failure loses in-flight write-backs with the volatile
+            // domain (the conservative PCSO reading).
+            TraceEvent::PersistAll | TraceEvent::Crash { .. } => self.pending.clear(),
             TraceEvent::Restore => {
-                // Volatile image := persisted image; all volatile context
-                // (tracking lists, logging knowledge) is gone.
-                for l in self.lines.values_mut() {
-                    l.gen = l.persisted_gen;
-                    l.evicted = false;
-                }
                 self.pending.clear();
-                self.pushing_out.clear();
                 self.tracked.clear();
                 self.ring_open.clear();
-                self.open_shards.clear();
                 for logged in self.cells.values_mut() {
                     *logged = None;
                 }
                 self.in_checkpoint = false;
                 self.in_recovery = false;
             }
-            TraceEvent::Marker { tid, marker } => self.on_marker(tid, marker),
-            // Happens-before bookkeeping belongs to the race detector; the
-            // cache-line state machine ignores it.
-            TraceEvent::SyncRel { .. } | TraceEvent::SyncAcq { .. } | TraceEvent::Load { .. } => {}
+            TraceEvent::Marker { marker, .. } => self.on_marker(marker),
+            TraceEvent::Eviction { .. }
+            | TraceEvent::SyncRel { .. }
+            | TraceEvent::SyncAcq { .. }
+            | TraceEvent::Load { .. } => {}
         }
     }
 
-    fn on_store(&mut self, addr: u64, len: u64) {
-        let first = addr / 64;
-        let last = (addr + len.max(1) - 1) / 64;
-        for line in first..=last {
-            self.line_mut(line).gen += 1;
-        }
-        if self.in_recovery {
-            return; // recovery rewrites records from their backups wholesale
-        }
-        // Logging rule: does this store overlap a live cell's record that
-        // has not been logged for the current epoch? A record is the cell's
-        // first 8 bytes, so exactly the cells starting in
-        // `(addr - 8, addr + len)` overlap.
-        let epoch = self.epoch;
-        let mut hits: Vec<(u64, String)> = Vec::new();
-        for (&cell_addr, &logged) in self.cells.range(addr.saturating_sub(7)..addr + len) {
-            match (logged, epoch) {
-                (Some(le), Some(e)) if le == e => {}
-                _ => hits.push((
-                    cell_addr,
-                    format!(
-                        "store [{addr:#x}, {:#x}) hits record of cell {cell_addr:#x} logged \
-                         for epoch {:?}, current {epoch:?}",
-                        addr + len,
-                        logged,
-                    ),
-                )),
-            }
-        }
-        for (cell_addr, detail) in hits {
-            self.diag(
-                DiagnosticKind::LoggingViolation,
-                None,
-                Some(cell_addr),
-                detail,
-            );
-        }
-    }
-
-    fn on_pwb(&mut self, tid: u64, line: u64) {
-        let (gen, durable, evicted) = {
-            let l = self.line_mut(line);
-            (l.gen, l.persisted_gen >= l.gen, l.evicted)
-        };
-        let dup_pending = self
-            .pending
-            .get(&tid)
-            .is_some_and(|v| v.iter().any(|&(pl, pg)| pl == line && pg == gen));
-        if (durable && !evicted) || dup_pending {
-            self.diag(
-                DiagnosticKind::RedundantFlush,
-                Some(line),
-                None,
-                format!("pwb of line {line} whose content is already durable"),
-            );
-        }
-        self.pending.entry(tid).or_default().push((line, gen));
-    }
-
-    fn on_marker(&mut self, tid: u64, marker: TraceMarker) {
+    fn on_marker(&mut self, marker: TraceMarker) {
         match marker {
             TraceMarker::CellDeclare { addr } => {
                 self.cells.insert(addr, self.epoch);
             }
+            // Cells declared before the sink attached are adopted on their
+            // first log record.
             TraceMarker::CellLogged { addr, epoch } => {
-                if self.epoch.is_none() {
-                    self.epoch = Some(epoch);
-                } else if self.epoch != Some(epoch) {
-                    self.diag(
-                        DiagnosticKind::EpochDiscipline,
-                        None,
-                        Some(addr),
-                        format!(
-                            "cell {addr:#x} logged for epoch {epoch}, current {:?}",
-                            self.epoch
-                        ),
-                    );
-                }
-                // Cells declared before the sink attached are adopted on
-                // their first log record.
+                self.adopt(epoch);
                 self.cells.insert(addr, Some(epoch));
             }
             TraceMarker::CellRetire { addr, len } => {
@@ -277,51 +169,267 @@ impl CheckerState {
                 self.tracked.insert(line);
             }
             TraceMarker::CheckpointBegin { epoch, full } => {
-                match self.epoch {
-                    None => self.epoch = Some(epoch),
-                    Some(e) if e != epoch => self.diag(
-                        DiagnosticKind::EpochDiscipline,
-                        None,
-                        None,
-                        format!("checkpoint begins for epoch {epoch}, current {e}"),
-                    ),
-                    _ => {}
-                }
+                self.adopt(epoch);
                 self.ckpt_full = full;
                 self.in_checkpoint = true;
+                self.cycle += 1;
             }
-            TraceMarker::ShardFlushBegin { shard, lines: _ } => {
-                if !self.open_shards.insert(shard) {
-                    self.diag(
-                        DiagnosticKind::ShardFence,
+            TraceMarker::CheckpointEnd { .. } => self.in_checkpoint = false,
+            TraceMarker::RecoveryBegin { failed_epoch } => {
+                self.epoch = Some(failed_epoch);
+                self.in_recovery = true;
+            }
+            // The rolled-back cell keeps its failed-epoch tag: the runtime
+            // will (correctly) skip re-logging it when the resumed epoch
+            // re-executes.
+            TraceMarker::RecoveryApply { addr } => {
+                self.cells.insert(addr, self.epoch);
+            }
+            TraceMarker::RecoveryEnd { .. } => self.in_recovery = false,
+            // The ring-slot claim, which advances the epoch. The drain owes
+            // the tracked lines at their current content generation; later
+            // stores to the same lines belong to epoch `epoch + 1`.
+            TraceMarker::PipelineBegin { epoch, slot } => {
+                let owed = self
+                    .tracked
+                    .drain()
+                    .map(|line| (line, self.gens.get(&line).copied().unwrap_or(0)))
+                    .collect();
+                let cycle = self.cycle;
+                self.ring_open
+                    .insert(epoch, OpenDrain { slot, cycle, owed });
+                self.epoch = Some(epoch + 1);
+            }
+            TraceMarker::RingCommit { epoch } => {
+                self.ring_open.remove(&epoch);
+            }
+            TraceMarker::ShardFlushBegin { .. }
+            | TraceMarker::ShardFlushEnd { .. }
+            | TraceMarker::OrderBarrier
+            | TraceMarker::RestartPoint { .. }
+            | TraceMarker::DrainPushOut { .. } => {}
+        }
+    }
+}
+
+/// Where a rule set files a finding: the run's report, stamped with the
+/// epoch current when the event arrived.
+pub(crate) struct Findings<'a> {
+    report: &'a mut Report,
+    epoch: Option<u64>,
+}
+
+impl Findings<'_> {
+    pub(crate) fn diag(
+        &mut self,
+        kind: DiagnosticKind,
+        line: Option<u64>,
+        addr: Option<u64>,
+        detail: String,
+    ) {
+        self.report.push(Diagnostic {
+            kind,
+            line,
+            addr,
+            epoch: self.epoch,
+            detail,
+        });
+    }
+}
+
+/// A rule set: reads each event against the [`Protocol`] as it stood before
+/// the event, keeping whatever state of its own its rules need.
+pub(crate) trait Rules {
+    fn event(&mut self, p: &Protocol, ev: &TraceEvent, out: &mut Findings<'_>);
+}
+
+impl<A: Rules, B: Rules> Rules for (A, B) {
+    fn event(&mut self, p: &Protocol, ev: &TraceEvent, out: &mut Findings<'_>) {
+        self.0.event(p, ev, out);
+        self.1.event(p, ev, out);
+    }
+}
+
+/// The protocol state, the rules reading it, and what they found.
+#[derive(Default)]
+pub(crate) struct Replay<R> {
+    protocol: Protocol,
+    rules: R,
+    pub(crate) report: Report,
+}
+
+impl<R: Rules> Replay<R> {
+    pub(crate) fn apply(&mut self, ev: &TraceEvent) {
+        self.report.events += 1;
+        let mut out = Findings {
+            report: &mut self.report,
+            epoch: self.protocol.epoch,
+        };
+        self.rules.event(&self.protocol, ev, &mut out);
+        self.protocol.apply(ev);
+    }
+}
+
+#[derive(Default, Clone, Copy)]
+struct Persisted {
+    /// Newest content version known durable.
+    gen: u64,
+    /// The last durability transition was simulator-initiated (eviction,
+    /// `persist_all`, an evict-all crash), which the runtime cannot observe
+    /// — suppresses the redundant-flush advisory for the next `pwb`.
+    evicted: bool,
+}
+
+/// Rules 1–6.
+#[derive(Default)]
+pub(crate) struct Durability {
+    persisted: HashMap<u64, Persisted>,
+    /// `(tid, line)` of on-demand push-outs (`DrainPushOut`) whose fence has
+    /// not been seen yet. A push-out is an application thread's own,
+    /// voluntary flush; no commit relies on it, so rule 3 ignores it.
+    pushing_out: HashSet<(u64, u64)>,
+    /// Flush shards opened (`ShardFlushBegin`) but not yet fenced-and-closed
+    /// (`ShardFlushEnd`) in the current checkpoint.
+    open_shards: HashSet<u64>,
+}
+
+impl Rules for Durability {
+    fn event(&mut self, p: &Protocol, ev: &TraceEvent, out: &mut Findings<'_>) {
+        match *ev {
+            TraceEvent::Store { addr, len, .. } if !p.in_recovery => {
+                logging_rule(p, addr, len, out);
+            }
+            TraceEvent::Pwb { tid, line } => {
+                let gen = p.gen(line);
+                let l = *self.persisted.entry(line).or_default();
+                let dup_pending = p
+                    .pending
+                    .get(&tid)
+                    .is_some_and(|v| v.contains(&(line, gen)));
+                if (l.gen >= gen && !l.evicted) || dup_pending {
+                    out.diag(
+                        DiagnosticKind::RedundantFlush,
+                        Some(line),
                         None,
-                        None,
+                        format!("pwb of line {line} whose content is already durable"),
+                    );
+                }
+            }
+            TraceEvent::Psync { tid } => {
+                self.pushing_out.retain(|&(t, _)| t != tid);
+                for &(line, g) in p.pending.get(&tid).into_iter().flatten() {
+                    let l = self.persisted.entry(line).or_default();
+                    *l = Persisted {
+                        gen: l.gen.max(g),
+                        evicted: false,
+                    };
+                }
+            }
+            TraceEvent::Eviction { line } => {
+                let gen = p.gen(line);
+                self.persisted
+                    .insert(line, Persisted { gen, evicted: true });
+            }
+            TraceEvent::PersistAll
+            | TraceEvent::Crash {
+                all_persisted: true,
+            } => self.settle(p, true),
+            TraceEvent::Restore => {
+                self.settle(p, false);
+                self.pushing_out.clear();
+                self.open_shards.clear();
+            }
+            TraceEvent::Marker { tid, marker } => self.on_marker(p, tid, marker, out),
+            _ => {}
+        }
+    }
+}
+
+/// Rule 2: does a store of `[addr, addr + len)` overlap a live cell's
+/// record that has not been logged for the current epoch? A record is the
+/// cell's first 8 bytes, so exactly the cells starting in
+/// `(addr - 8, addr + len)` overlap.
+fn logging_rule(p: &Protocol, addr: u64, len: u64, out: &mut Findings<'_>) {
+    for (&cell, &logged) in p.cells.range(addr.saturating_sub(7)..addr + len) {
+        if logged.is_none() || logged != p.epoch {
+            out.diag(
+                DiagnosticKind::LoggingViolation,
+                None,
+                Some(cell),
+                format!(
+                    "store [{addr:#x}, {:#x}) hits record of cell {cell:#x} logged for epoch \
+                     {logged:?}, current {:?}",
+                    addr + len,
+                    p.epoch,
+                ),
+            );
+        }
+    }
+}
+
+/// Rule 5 for a marker naming `epoch`: it must be the current one.
+fn expect_epoch(p: &Protocol, epoch: u64, addr: Option<u64>, what: &str, out: &mut Findings<'_>) {
+    if let Some(e) = p.epoch.filter(|&e| e != epoch) {
+        out.diag(
+            DiagnosticKind::EpochDiscipline,
+            None,
+            addr,
+            format!("{what} for epoch {epoch}, current {e}"),
+        );
+    }
+}
+
+impl Durability {
+    /// Every line becomes durable at its current content.
+    fn settle(&mut self, p: &Protocol, evicted: bool) {
+        for &line in p.gens.keys() {
+            self.persisted.entry(line).or_default();
+        }
+        for (line, l) in &mut self.persisted {
+            *l = Persisted {
+                gen: p.gen(*line),
+                evicted,
+            };
+        }
+    }
+
+    fn on_marker(&mut self, p: &Protocol, tid: u64, marker: TraceMarker, out: &mut Findings<'_>) {
+        let shard_fence = |out: &mut Findings<'_>, detail| {
+            out.diag(DiagnosticKind::ShardFence, None, None, detail);
+        };
+        let ring_order = |out: &mut Findings<'_>, detail| {
+            out.diag(DiagnosticKind::RingCommitOrder, None, None, detail);
+        };
+        match marker {
+            TraceMarker::CellLogged { addr, epoch } => {
+                expect_epoch(p, epoch, Some(addr), &format!("cell {addr:#x} logged"), out);
+            }
+            TraceMarker::CheckpointBegin { epoch, .. } => {
+                expect_epoch(p, epoch, None, "checkpoint begins", out);
+            }
+            TraceMarker::ShardFlushBegin { shard, .. } => {
+                let reopened = !self.open_shards.insert(shard);
+                if reopened {
+                    shard_fence(
+                        out,
                         format!("flush shard {shard} opened twice without an intervening end"),
                     );
                 }
             }
             TraceMarker::ShardFlushEnd { shard } => {
-                if !self.open_shards.remove(&shard) {
-                    self.diag(
-                        DiagnosticKind::ShardFence,
-                        None,
-                        None,
-                        format!("flush shard {shard} closed without a begin"),
-                    );
+                let unopened = !self.open_shards.remove(&shard);
+                if unopened {
+                    shard_fence(out, format!("flush shard {shard} closed without a begin"));
                 }
             }
             TraceMarker::OrderBarrier => {
-                // Rule 6: every shard the flush pipeline opened must have
-                // been fenced and closed before the commit barrier; an open
-                // shard means its write-backs may still be in flight when
-                // the ring commit becomes durable.
+                // Rule 6: an open shard's write-backs may still be in flight
+                // when the ring commit becomes durable.
                 let mut open: Vec<u64> = self.open_shards.drain().collect();
                 open.sort_unstable();
                 for shard in open {
-                    self.diag(
-                        DiagnosticKind::ShardFence,
-                        None,
-                        None,
+                    shard_fence(
+                        out,
                         format!(
                             "flush shard {shard} still open at the ring commit barrier \
                              (missing shard fence)"
@@ -331,186 +439,138 @@ impl CheckerState {
                 // Rule 3: the ring commit that follows assumes every data
                 // write-back is durable. An unfenced pwb of an owed line at
                 // this point can reach NVMM *after* the commit.
-                let mut unfenced: Vec<u64> = Vec::new();
-                for (&pwb_tid, pends) in &self.pending {
-                    for &(line, _) in pends {
-                        if !self.pushing_out.contains(&(pwb_tid, line))
-                            && self.ring_open.values().any(|d| d.owed.contains_key(&line))
-                        {
-                            unfenced.push(line);
-                        }
-                    }
-                }
+                let mut unfenced: Vec<u64> = p
+                    .pending
+                    .iter()
+                    .flat_map(|(&t, pends)| pends.iter().map(move |&(line, _)| (t, line)))
+                    .filter(|pwb| !self.pushing_out.contains(pwb))
+                    .map(|(_, line)| line)
+                    .filter(|line| p.ring_open.values().any(|d| d.owed.contains_key(line)))
+                    .collect();
                 unfenced.sort_unstable();
                 unfenced.dedup();
                 for line in unfenced {
-                    self.diag(
+                    out.diag(
                         DiagnosticKind::CrossLineOrdering,
                         Some(line),
                         None,
                         format!(
-                            "owed line {line} has an unfenced pwb at the ring commit \
-                             barrier (missing psync)"
+                            "owed line {line} has an unfenced pwb at the ring commit barrier \
+                             (missing psync)"
                         ),
                     );
                 }
             }
             TraceMarker::CheckpointEnd { epoch } => {
-                if let Some(e) = self.epoch {
-                    if epoch + 1 != e {
-                        self.diag(
-                            DiagnosticKind::EpochDiscipline,
-                            None,
-                            None,
-                            format!("checkpoint end for epoch {epoch}, current {e}"),
-                        );
-                    }
-                }
-                self.in_checkpoint = false;
-            }
-            TraceMarker::RecoveryBegin { failed_epoch } => {
-                self.epoch = Some(failed_epoch);
-                self.in_recovery = true;
-            }
-            TraceMarker::RecoveryApply { addr } => {
-                // The rolled-back cell keeps its failed-epoch tag: the
-                // runtime will (correctly) skip re-logging it when the
-                // resumed epoch re-executes.
-                self.cells.insert(addr, self.epoch);
-            }
-            TraceMarker::RecoveryEnd { epoch } => {
-                if self.epoch != Some(epoch) {
-                    self.diag(
+                if let Some(e) = p.epoch.filter(|&e| e != epoch + 1) {
+                    out.diag(
                         DiagnosticKind::EpochDiscipline,
                         None,
                         None,
-                        format!("recovery ends in epoch {epoch}, began in {:?}", self.epoch),
+                        format!("checkpoint end for epoch {epoch}, current {e}"),
                     );
                 }
-                self.in_recovery = false;
             }
+            TraceMarker::RecoveryEnd { epoch } if p.epoch != Some(epoch) => out.diag(
+                DiagnosticKind::EpochDiscipline,
+                None,
+                None,
+                format!("recovery ends in epoch {epoch}, began in {:?}", p.epoch),
+            ),
             TraceMarker::PipelineBegin { epoch, slot } => {
-                // The ring-slot claim, which advances the epoch. Snapshot
-                // what the drain owes — the tracked lines at their current
-                // content generation. Later stores to the same lines belong
-                // to epoch `epoch + 1` and are NOT this drain's problem.
                 // Several drains may legally be open at once, but never two
                 // on one slot: the claim overwrites the record recovery
                 // needs to roll the previous holder back.
-                if let Some((&held, _)) = self.ring_open.iter().find(|(_, d)| d.slot == slot) {
-                    self.diag(
-                        DiagnosticKind::RingCommitOrder,
-                        None,
-                        None,
+                if let Some((held, _)) = p.ring_open.iter().find(|(_, d)| d.slot == slot) {
+                    ring_order(
+                        out,
                         format!(
                             "ring slot {slot} claimed for epoch {epoch} while epoch {held} \
                              still holds it uncommitted"
                         ),
                     );
                 }
-                if !self.in_checkpoint {
-                    self.diag(
+                if !p.in_checkpoint {
+                    out.diag(
                         DiagnosticKind::EpochDiscipline,
                         None,
                         None,
                         format!("drain begins for epoch {epoch} outside a checkpoint"),
                     );
                 }
-                match self.epoch {
-                    None => self.epoch = Some(epoch),
-                    Some(e) if e != epoch => self.diag(
-                        DiagnosticKind::EpochDiscipline,
-                        None,
-                        None,
-                        format!("drain begins for epoch {epoch}, current {e}"),
-                    ),
-                    _ => {}
-                }
-                let owed: HashMap<u64, u64> = self
-                    .tracked
-                    .drain()
-                    .map(|line| {
-                        let gen = self.lines.get(&line).map_or(0, |s| s.gen);
-                        (line, gen)
-                    })
-                    .collect();
-                self.ring_open.insert(epoch, OpenDrain { slot, owed });
-                self.epoch = Some(epoch + 1);
+                expect_epoch(p, epoch, None, "drain begins", out);
             }
             TraceMarker::RingCommit { epoch } => {
-                // Rule 1: ring slot `epoch % K` is durably zero. Commits
-                // must retire oldest-first — zeroing this slot claims every
-                // predecessor already committed, so an older epoch still
-                // open here means a crash now would leave a ring hole.
-                let stale: Vec<u64> = self.ring_open.range(..epoch).map(|(&e, _)| e).collect();
+                // Rule 1: commits must retire oldest-first — zeroing this
+                // slot claims every predecessor already committed, so an
+                // older epoch still open here means a crash now would leave
+                // a ring hole.
+                let stale: Vec<u64> = p.ring_open.range(..epoch).map(|(&e, _)| e).collect();
                 if !stale.is_empty() {
-                    self.diag(
-                        DiagnosticKind::RingCommitOrder,
-                        None,
-                        None,
+                    ring_order(
+                        out,
                         format!(
-                            "ring commit for epoch {epoch} while older epoch(s) {stale:?} \
-                             are still draining"
+                            "ring commit for epoch {epoch} while older epoch(s) {stale:?} are \
+                             still draining"
                         ),
                     );
                 }
-                let Some(drain) = self.ring_open.remove(&epoch) else {
-                    self.diag(
-                        DiagnosticKind::RingCommitOrder,
-                        None,
-                        None,
+                let Some(drain) = p.ring_open.get(&epoch) else {
+                    ring_order(
+                        out,
                         format!("ring commit for epoch {epoch} without a matching PipelineBegin"),
                     );
                     return;
                 };
-                if !self.ckpt_full {
+                if !p.ckpt_full {
                     return; // NoFlush: the data is deliberately not written back
                 }
-                // Every line the drain snapshotted must be durable at (or
-                // past) its snapshot generation, or a crash right now
-                // recovers past `epoch` with its data missing.
+                // Every owed line must be durable at (or past) its snapshot
+                // generation, or a crash right now recovers past `epoch`
+                // with its data missing.
                 let mut missed: Vec<(u64, u64, u64)> = drain
                     .owed
                     .iter()
-                    .filter_map(|(&line, &snap_gen)| {
-                        let durable = self.lines.get(&line).map_or(0, |s| s.persisted_gen);
-                        (durable < snap_gen).then_some((line, snap_gen, durable))
+                    .filter_map(|(&line, &snap)| {
+                        let durable = self.persisted.get(&line).map_or(0, |l| l.gen);
+                        (durable < snap).then_some((line, snap, durable))
                     })
                     .collect();
                 missed.sort_unstable();
-                for (line, snap_gen, durable) in missed {
-                    self.diag(
+                for (line, snap, durable) in missed {
+                    out.diag(
                         DiagnosticKind::MissedFlush,
                         Some(line),
                         None,
                         format!(
-                            "ring commit for epoch {epoch} but line {line} is durable only \
-                             at gen {durable} < snapshot gen {snap_gen}"
+                            "ring commit for epoch {epoch} but line {line} is durable only at \
+                             gen {durable} < snapshot gen {snap}"
                         ),
                     );
                 }
             }
-            TraceMarker::RestartPoint { .. } => {}
-            // Push-out ordering is a happens-before rule (race detector);
-            // here the marker only exempts the push-out's own write-back
-            // from rule 3 until its fence lands.
+            // Only exempts the push-out's own write-back from rule 3 until
+            // its fence lands; its ordering is a happens-before rule.
             TraceMarker::DrainPushOut { addr, .. } => {
                 self.pushing_out.insert((tid, addr / 64));
             }
+            _ => {}
         }
     }
 }
 
-/// The online persistency checker. Attach to a region before running a
+/// The online persistency checker: the durability and happens-before rules
+/// over one reading of the protocol. Attach to a region before running a
 /// workload; ask for a [`Report`] afterwards.
 #[derive(Default)]
 pub struct Checker {
-    state: Mutex<CheckerState>,
+    state: Mutex<Replay<(Durability, HappensBefore)>>,
 }
 
 impl Checker {
     /// A detached checker (feed it events manually, or via
-    /// [`Region::set_trace_sink`]).
+    /// [`Region::set_trace_sink`], alone or in a
+    /// [`TeeSink`](respct_pmem::TeeSink)).
     pub fn new() -> Checker {
         Checker::default()
     }
@@ -556,18 +616,20 @@ impl TraceSink for Checker {
 mod tests {
     use super::*;
     use crate::report::{DiagnosticKind, MAX_PER_KIND};
+    use respct_pmem::SyncToken;
 
     fn marker(m: TraceMarker) -> TraceEvent {
         TraceEvent::Marker { tid: 1, marker: m }
     }
 
-    /// Feeds a synthetic event stream and returns the report.
+    /// Feeds a synthetic event stream through the protocol state and the
+    /// durability rules alone, and returns the report.
     fn replay(events: &[TraceEvent]) -> Report {
-        let c = Checker::new();
+        let mut r = Replay::<Durability>::default();
         for ev in events {
-            c.event(ev);
+            r.apply(ev);
         }
-        c.report()
+        r.report
     }
 
     #[test]
@@ -1039,5 +1101,61 @@ mod tests {
             MAX_PER_KIND
         );
         assert!(r.suppressed > 0);
+    }
+
+    /// One protocol-complete epoch through the public sink trips one rule
+    /// of each set: the drain committer (thread 9) never acquires flusher
+    /// 3's acknowledgement of line 10 (an unordered commit), and nobody
+    /// writes back line 11 (a missed flush). Both land in one report.
+    #[test]
+    fn one_report_carries_both_rule_sets() {
+        let (quiesce, timer) = (SyncToken::Flag { slot: 0 }, SyncToken::Timer);
+        let at = |tid, marker| TraceEvent::Marker { tid, marker };
+        let checker = Checker::new();
+        for ev in [
+            TraceEvent::store_meta(2, 640, 8),
+            at(2, TraceMarker::TrackLine { line: 10 }),
+            TraceEvent::store_meta(2, 704, 8),
+            at(2, TraceMarker::TrackLine { line: 11 }),
+            TraceEvent::SyncRel {
+                tid: 2,
+                token: quiesce,
+            },
+            TraceEvent::SyncAcq {
+                tid: 9,
+                token: quiesce,
+            },
+            at(
+                9,
+                TraceMarker::CheckpointBegin {
+                    epoch: 1,
+                    full: true,
+                },
+            ),
+            at(9, TraceMarker::PipelineBegin { epoch: 1, slot: 0 }),
+            at(3, TraceMarker::ShardFlushBegin { shard: 0, lines: 1 }),
+            TraceEvent::Pwb { tid: 3, line: 10 },
+            TraceEvent::Psync { tid: 3 },
+            at(3, TraceMarker::ShardFlushEnd { shard: 0 }),
+            at(9, TraceMarker::OrderBarrier),
+            at(9, TraceMarker::RingCommit { epoch: 1 }),
+            at(9, TraceMarker::CheckpointEnd { epoch: 1 }),
+            TraceEvent::SyncRel {
+                tid: 9,
+                token: timer,
+            },
+            TraceEvent::SyncAcq {
+                tid: 2,
+                token: timer,
+            },
+        ] {
+            checker.event(&ev);
+        }
+        let r = checker.report();
+        let missed = r.of_kind(DiagnosticKind::MissedFlush);
+        let unordered = r.of_kind(DiagnosticKind::UnorderedCommit);
+        assert_eq!((missed.len(), unordered.len()), (1, 1), "{r}");
+        assert_eq!((missed[0].line, unordered[0].line), (Some(11), Some(10)));
+        assert_eq!(r.diagnostics.len(), 2, "{r}");
     }
 }

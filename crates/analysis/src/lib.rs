@@ -6,8 +6,9 @@
 //! with semantic markers from the runtime (InCLL cell declarations and log
 //! records, tracking-list appends, checkpoint and recovery phases). The
 //! [`Checker`] replays that stream online against a cache-line state
-//! machine and reports violations of the paper's persistency discipline as
-//! structured [`Diagnostic`]s:
+//! machine and a happens-before (vector-clock) model of the runtime's
+//! synchronization edges, and reports violations of the paper's persistency
+//! discipline as structured [`Diagnostic`]s in one [`Report`]:
 //!
 //! * **missed flush** — a tracked line not durable when its epoch committed;
 //! * **logging violation** — an InCLL record overwritten before its
@@ -17,7 +18,11 @@
 //! * **redundant flush** — a `pwb` of already-durable content (perf
 //!   advisory, [`Severity::Perf`]);
 //! * **epoch discipline** — non-+1 epoch advances, wrong-epoch checkpoint /
-//!   log / recovery markers.
+//!   log / recovery markers;
+//! * **persist race** — unordered same-epoch stores to one InCLL cell, or a
+//!   recovery read racing an in-flight write-back;
+//! * **unordered commit** — a commit not ordered after the fences it
+//!   relies on.
 //!
 //! ## Usage
 //!
@@ -41,25 +46,17 @@
 //! every persistency-relevant instant, runs real recovery on each, and
 //! compares the result against a model oracle.
 //!
-//! The [`race`] module adds a second, orthogonal analysis: a FastTrack-style
-//! vector-clock happens-before engine over the runtime's synchronization
-//! edges (`SyncRel`/`SyncAcq` events), flagging persist races on InCLL
-//! cells, commit points not ordered after their charged fences, and racy
-//! recovery reads.
-//!
-//! The root package's integration tests run all three:
-//! `tests/analysis_model.rs` and `tests/race_detector.rs` drive the standard
-//! workloads (hash map, queue, KV store, crash/recovery cycles) in every
-//! checkpoint mode with the checker and the race detector teed onto one
-//! trace, and
-//! `tests/crash_sweep.rs` sweeps the recorded hash-map and queue runs.
+//! The root package's integration tests run both: `tests/analysis_model.rs`
+//! and `tests/race_detector.rs` drive the standard workloads (hash map,
+//! queue, KV store, crash/recovery cycles) at every checkpoint depth under
+//! the checker, and `tests/crash_sweep.rs` sweeps the recorded hash-map and
+//! queue runs.
 
 pub mod checker;
-pub mod race;
+mod race;
 pub mod report;
 pub mod sweep;
 
 pub use checker::Checker;
-pub use race::RaceDetector;
 pub use report::{Diagnostic, DiagnosticKind, Report, Severity};
 pub use sweep::{sweep, SweepConfig, SweepReport};

@@ -1,14 +1,12 @@
-//! Happens-before persistency race detection over the trace.
+//! The happens-before rules of the [`Checker`](crate::Checker).
 //!
-//! The [`RaceDetector`] is the second analysis sink next to the
-//! [`Checker`](crate::Checker): where the checker replays a cache-line
-//! *durability* state machine, this module replays a *synchronization*
-//! state machine — per-thread vector clocks driven by the
-//! [`TraceEvent::SyncRel`]/[`TraceEvent::SyncAcq`] edges the runtime emits
-//! at every protocol synchronization point (quiescence flags, the
-//! checkpoint timer, the checkpoint-serialization lock, [`TracedMutex`]
-//! locks, flusher acknowledgements, the drain-ticket hand-off, and the
-//! drain-commit handshake).
+//! Where the durability rules replay a cache-line *durability* state
+//! machine, these replay a *synchronization* state machine — per-thread
+//! vector clocks driven by the [`TraceEvent::SyncRel`]/[`TraceEvent::SyncAcq`]
+//! edges the runtime emits at every protocol synchronization point
+//! (quiescence flags, the checkpoint timer, the checkpoint-serialization
+//! lock, `TracedMutex` locks, flusher acknowledgements, the drain-ticket
+//! hand-off, and the drain-commit handshake).
 //!
 //! The vector-clock discipline is FastTrack-style, applied to the trace:
 //!
@@ -45,19 +43,16 @@
 //!   thread has an in-flight (unfenced) write-back.
 //!
 //! Per-line write histories reset at every epoch boundary
-//! (`PipelineBegin`, crash/restore, `RecoveryBegin`/`End`): ResPCT's
-//! epoch rollback makes cross-epoch write pairs harmless by construction.
-//!
-//! [`TracedMutex`]: https://docs.rs/respct
+//! (`PipelineBegin`, restore, `RecoveryBegin`/`End`): ResPCT's epoch
+//! rollback makes cross-epoch write pairs harmless by construction.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use respct::layout::CELL_SIZE;
-use respct_pmem::{Region, SyncToken, TraceEvent, TraceMarker, TraceSink};
+use respct_pmem::{SyncToken, TraceEvent, TraceMarker};
 
-use crate::report::{Diagnostic, DiagnosticKind, Report};
+use crate::checker::{Findings, OpenDrain, Protocol, Rules};
+use crate::report::DiagnosticKind;
 
 /// Per-line cap on retained write records; a pathological single-epoch
 /// write storm drops oldest-first rather than growing without bound
@@ -102,8 +97,9 @@ struct WriteRec {
     len: u64,
 }
 
+/// Rules (a)–(c).
 #[derive(Default)]
-struct RaceState {
+pub(crate) struct HappensBefore {
     /// Per-thread vector clocks. A thread's own component starts at 1 so a
     /// fresh thread's writes are never mistaken for already-synchronized.
     clocks: HashMap<u64, Vc>,
@@ -111,68 +107,24 @@ struct RaceState {
     tokens: HashMap<SyncToken, Vc>,
     /// Per-line writes of the current epoch.
     line_writes: HashMap<u64, Vec<WriteRec>>,
-    /// Live InCLL cells by address; each spans [`CELL_SIZE`] bytes (record,
-    /// backup, epoch tag). Rule (a)'s "same cell" test.
-    cells: BTreeSet<u64>,
-    /// Fences covering each line: per fencing thread, the `(gen, clock)` of
-    /// its latest `Psync` that retired a write-back of the line. A commit
-    /// point must be happens-before-after *some* current-generation fence
-    /// of each charged line — not every fence: an application thread's
-    /// voluntary push-out flush is a fence the drain committer legitimately
-    /// never synchronizes with.
+    /// Fences covering each line: per fencing thread, the `(cycle, clock)`
+    /// of its latest `Psync` that retired a write-back of the line. A commit
+    /// point must be happens-before-after *some* fence of each charged line
+    /// issued since its own checkpoint cycle began — not every fence: an
+    /// application thread's voluntary push-out flush is a fence the drain
+    /// committer legitimately never synchronizes with; and a fence from an
+    /// earlier cycle cannot vouch for a line re-dirtied and re-flushed since.
     line_fence: HashMap<u64, HashMap<u64, (u64, u64)>>,
-    /// Checkpoint-cycle generation (bumped at `CheckpointBegin`): commits
-    /// only accept fences issued since their own cycle began, so a fence
-    /// from an earlier checkpoint cannot vouch for a line that was
-    /// re-dirtied and re-flushed since.
-    gen: u64,
-    /// Unfenced write-backs per thread.
-    pending_pwbs: HashMap<u64, Vec<u64>>,
-    /// Lines the current epoch's tracking lists charge to the next commit.
-    tracked: HashSet<u64>,
-    /// Open drains: epoch → (cycle generation at its
-    /// `PipelineBegin`, the `tracked` snapshot its `RingCommit` is charged
-    /// with). Several may be open at once on a ring deeper than 1.
-    ring_open: HashMap<u64, (u64, Vec<u64>)>,
     /// `(committer, clock)` of each epoch's `RingCommit`: the committer's
     /// own clock component *before* the release it is about to emit.
     ring_commits: HashMap<u64, (u64, u64)>,
     /// Push-out obligations: `(tid, line)` → the epoch whose commit the
     /// thread's next store to `line` must be ordered after.
     pushouts: HashMap<(u64, u64), u64>,
-    ckpt_full: bool,
-    epoch: Option<u64>,
-    report: Report,
 }
 
-impl RaceState {
-    fn diag(&mut self, kind: DiagnosticKind, line: Option<u64>, addr: Option<u64>, detail: String) {
-        self.report.push(Diagnostic {
-            kind,
-            line,
-            addr,
-            epoch: self.epoch,
-            detail,
-        });
-    }
-
-    fn clock(&mut self, tid: u64) -> &mut Vc {
-        self.clocks.entry(tid).or_insert_with(|| {
-            let mut vc = Vc::default();
-            vc.0.insert(tid, 1);
-            vc
-        })
-    }
-
-    /// Forgets the per-line write history — called at every epoch
-    /// boundary, where ResPCT's rollback semantics make earlier write
-    /// pairs unobservable.
-    fn reset_epoch_writes(&mut self) {
-        self.line_writes.clear();
-    }
-
-    fn apply(&mut self, ev: &TraceEvent) {
-        self.report.events += 1;
+impl Rules for HappensBefore {
+    fn event(&mut self, p: &Protocol, ev: &TraceEvent, out: &mut Findings<'_>) {
         match *ev {
             TraceEvent::SyncRel { tid, token } => {
                 let vc = self.clock(tid).clone();
@@ -185,75 +137,113 @@ impl RaceState {
                     self.clock(tid).join(&tok);
                 }
             }
-            TraceEvent::Store { tid, addr, len, .. } => self.on_store(tid, addr, len),
-            TraceEvent::Load { tid, line } => self.on_load(tid, line),
-            TraceEvent::Pwb { tid, line } => {
-                self.pending_pwbs.entry(tid).or_default().push(line);
-            }
-            TraceEvent::Psync { tid } => self.on_psync(tid),
-            TraceEvent::Eviction { .. } => {}
+            TraceEvent::Store { tid, addr, len, .. } => self.on_store(p, tid, addr, len, out),
+            TraceEvent::Load { tid, line } => on_load(p, tid, line, out),
+            TraceEvent::Psync { tid } => self.fence(p, tid),
+            // Test-setup persist: a fence on every thread's in-flight
+            // write-backs.
             TraceEvent::PersistAll => {
-                // Test-setup persist: treat as a fence on every thread's
-                // in-flight write-backs.
-                let tids: Vec<u64> = self.pending_pwbs.keys().copied().collect();
-                for tid in tids {
-                    self.on_psync(tid);
+                for &tid in p.pending.keys() {
+                    self.fence(p, tid);
                 }
             }
-            TraceEvent::Crash { .. } | TraceEvent::Restore => {
-                self.reset_epoch_writes();
-                self.pending_pwbs.clear();
+            TraceEvent::Restore => {
+                self.line_writes.clear();
                 self.line_fence.clear();
-                self.tracked.clear();
-                self.ring_open.clear();
                 self.ring_commits.clear();
                 self.pushouts.clear();
             }
-            TraceEvent::Marker { tid, marker } => self.on_marker(tid, marker),
+            TraceEvent::Marker { tid, marker } => match marker {
+                TraceMarker::PipelineBegin { .. }
+                | TraceMarker::RecoveryBegin { .. }
+                | TraceMarker::RecoveryEnd { .. } => self.line_writes.clear(),
+                TraceMarker::RingCommit { epoch } => {
+                    if let Some(drain) = p.ring_open.get(&epoch).filter(|_| p.ckpt_full) {
+                        self.check_commit(tid, drain, out);
+                    }
+                    let c = self.clock(tid).get(tid);
+                    self.ring_commits.insert(epoch, (tid, c));
+                }
+                // Keyed by the tag's own epoch, so the benign trace-order
+                // race (the commit marker reaching the sink before this
+                // one) needs no special case: the obligation resolves
+                // against that epoch's commit whenever the store arrives.
+                TraceMarker::DrainPushOut { addr, epoch } => {
+                    self.pushouts.insert((tid, addr / 64), epoch);
+                }
+                _ => {}
+            },
+            _ => {}
         }
     }
+}
 
-    fn on_psync(&mut self, tid: u64) {
-        let fenced = self.pending_pwbs.remove(&tid).unwrap_or_default();
-        if fenced.is_empty() {
-            return;
-        }
-        let c = self.clock(tid).get(tid);
-        let gen = self.gen;
-        for line in fenced {
-            self.line_fence
-                .entry(line)
-                .or_default()
-                .insert(tid, (gen, c));
-        }
+/// Does any live cell's span intersect both byte ranges? Only cells
+/// starting less than a span before the ranges can qualify.
+fn same_cell(p: &Protocol, a1: u64, e1: u64, a2: u64, e2: u64) -> bool {
+    let lo = a1.min(a2).saturating_sub(CELL_SIZE - 1);
+    p.cells.range(lo..e1.max(e2)).any(|(&ca, _)| {
+        let ce = ca + CELL_SIZE;
+        ca < e1 && a1 < ce && ca < e2 && a2 < ce
+    })
+}
+
+/// Rule (c): loads are only traced inside the recovery window; a load of a
+/// line another thread is still writing back reads bytes whose durability
+/// is undecided.
+fn on_load(p: &Protocol, tid: u64, line: u64, out: &mut Findings<'_>) {
+    let racer = p
+        .pending
+        .iter()
+        .find(|(&u, pends)| u != tid && pends.iter().any(|&(l, _)| l == line));
+    if let Some((u, _)) = racer {
+        out.diag(
+            DiagnosticKind::PersistRace,
+            Some(line),
+            None,
+            format!(
+                "recovery-time load of line {line} by thread {tid} races thread {u}'s \
+                 in-flight write-back"
+            ),
+        );
     }
+}
 
-    /// Does any live cell's span intersect both byte ranges? Only cells
-    /// starting less than a span before the ranges can qualify.
-    fn same_cell(&self, a1: u64, e1: u64, a2: u64, e2: u64) -> bool {
-        let lo = a1.min(a2).saturating_sub(CELL_SIZE - 1);
-        let hi = e1.max(e2);
-        self.cells.range(lo..hi).any(|&ca| {
-            let ce = ca + CELL_SIZE;
-            ca < e1 && a1 < ce && ca < e2 && a2 < ce
+impl HappensBefore {
+    fn clock(&mut self, tid: u64) -> &mut Vc {
+        self.clocks.entry(tid).or_insert_with(|| {
+            let mut vc = Vc::default();
+            vc.0.insert(tid, 1);
+            vc
         })
     }
 
-    fn on_store(&mut self, tid: u64, addr: u64, len: u64) {
+    fn fence(&mut self, p: &Protocol, tid: u64) {
+        let Some(fenced) = p.pending.get(&tid) else {
+            return;
+        };
+        let c = self.clock(tid).get(tid);
+        for &(line, _) in fenced {
+            self.line_fence
+                .entry(line)
+                .or_default()
+                .insert(tid, (p.cycle, c));
+        }
+    }
+
+    fn on_store(&mut self, p: &Protocol, tid: u64, addr: u64, len: u64, out: &mut Findings<'_>) {
         let len = len.max(1);
-        let first = addr / 64;
-        let last = (addr + len - 1) / 64;
         let clock = self.clock(tid).clone();
         let my_component = clock.get(tid);
         let mut hits: Vec<(u64, WriteRec)> = Vec::new();
-        for line in first..=last {
+        for line in addr / 64..=(addr + len - 1) / 64 {
             // Push-out obligation: the first store to a pushed-out line
             // must be ordered after the commit release of the epoch the
             // line was owed to.
             if let Some(owed_to) = self.pushouts.remove(&(tid, line)) {
                 match self.ring_commits.get(&owed_to).copied() {
                     Some((d, c)) if clock.get(d) >= c => {}
-                    Some((d, c)) => self.diag(
+                    Some((d, c)) => out.diag(
                         DiagnosticKind::UnorderedCommit,
                         Some(line),
                         Some(addr),
@@ -264,7 +254,7 @@ impl RaceState {
                             clock.get(d)
                         ),
                     ),
-                    None => self.diag(
+                    None => out.diag(
                         DiagnosticKind::UnorderedCommit,
                         Some(line),
                         Some(addr),
@@ -297,12 +287,12 @@ impl RaceState {
         }
         for (line, rec) in hits {
             let overlap = rec.addr < addr + len && addr < rec.addr + rec.len;
-            if !overlap && !self.same_cell(addr, addr + len, rec.addr, rec.addr + rec.len) {
+            if !overlap && !same_cell(p, addr, addr + len, rec.addr, rec.addr + rec.len) {
                 // Unordered but disjoint and cell-disjoint: per-cell
                 // backups keep rollback sound, so this is allowed.
                 continue;
             }
-            self.diag(
+            out.diag(
                 DiagnosticKind::PersistRace,
                 Some(line),
                 Some(addr),
@@ -324,46 +314,23 @@ impl RaceState {
         }
     }
 
-    fn on_load(&mut self, tid: u64, line: u64) {
-        // Rule (c): loads are only traced inside the recovery window; a
-        // load of a line another thread is still writing back reads bytes
-        // whose durability is undecided.
-        let racer = self
-            .pending_pwbs
-            .iter()
-            .find(|(&u, pends)| u != tid && pends.contains(&line))
-            .map(|(&u, _)| u);
-        if let Some(u) = racer {
-            self.diag(
-                DiagnosticKind::PersistRace,
-                Some(line),
-                None,
-                format!(
-                    "recovery-time load of line {line} by thread {tid} races thread \
-                     {u}'s in-flight write-back"
-                ),
-            );
-        }
-    }
-
-    /// Rule (b) at a commit point: every charged line must have *some*
-    /// fence issued since cycle `since` — the cycle that closed the
-    /// committing epoch — that the committing thread is
-    /// happens-before-after (its own, or one whose `Psync` it acquired —
-    /// e.g. a flusher ack). Lines with no such fence at all are skipped:
-    /// that is the checker's missed-flush/ordering domain, not an HB
-    /// question.
-    fn check_commit(&mut self, what: &str, committer: u64, lines: &[u64], since: u64) {
+    /// Rule (b) at a commit point: every line the drain owes must have
+    /// *some* fence, issued since the cycle that closed its epoch, that the
+    /// committing thread is happens-before-after (its own, or one whose
+    /// `Psync` it acquired — e.g. a flusher ack). Lines with no such fence at all are skipped:
+    /// that is the durability rules' missed-flush/ordering domain, not an
+    /// HB question.
+    fn check_commit(&mut self, committer: u64, drain: &OpenDrain, out: &mut Findings<'_>) {
         let clock = self.clock(committer).clone();
         let mut bad: Vec<(u64, u64, u64, u64)> = Vec::new();
-        for &line in lines {
+        for &line in drain.owed.keys() {
             let Some(fences) = self.line_fence.get(&line) else {
                 continue;
             };
             let mut nearest: Option<(u64, u64, u64)> = None;
             let mut covered = false;
             for (&u, &(g, c)) in fences {
-                if g < since {
+                if g < drain.cycle {
                     continue;
                 }
                 if u == committer || clock.get(u) >= c {
@@ -383,134 +350,25 @@ impl RaceState {
         }
         bad.sort_unstable();
         for (line, u, c, have) in bad {
-            self.diag(
+            out.diag(
                 DiagnosticKind::UnorderedCommit,
                 Some(line),
                 None,
                 format!(
-                    "{what} by thread {committer} is not ordered after any fence of \
+                    "ring commit by thread {committer} is not ordered after any fence of \
                      line {line} this cycle (thread {u} fenced at clock {c}, committer \
                      knows {have})"
                 ),
             );
         }
     }
-
-    fn on_marker(&mut self, tid: u64, marker: TraceMarker) {
-        match marker {
-            // Cells declared before the sink attached are adopted on their
-            // first log record.
-            TraceMarker::CellDeclare { addr } | TraceMarker::CellLogged { addr, .. } => {
-                self.cells.insert(addr);
-            }
-            TraceMarker::CellRetire { addr, len } => {
-                let doomed: Vec<u64> = self.cells.range(addr..addr + len).copied().collect();
-                for a in doomed {
-                    self.cells.remove(&a);
-                }
-            }
-            TraceMarker::TrackLine { line } => {
-                self.tracked.insert(line);
-            }
-            TraceMarker::CheckpointBegin { epoch, full } => {
-                self.ckpt_full = full;
-                self.gen += 1;
-                if self.epoch.is_none() {
-                    self.epoch = Some(epoch);
-                }
-            }
-            TraceMarker::PipelineBegin { epoch, .. } => {
-                let lines = self.tracked.drain().collect();
-                self.ring_open.insert(epoch, (self.gen, lines));
-                self.reset_epoch_writes();
-                self.epoch = Some(epoch + 1);
-            }
-            TraceMarker::RingCommit { epoch } => {
-                if let Some((since, lines)) = self.ring_open.remove(&epoch) {
-                    if self.ckpt_full {
-                        self.check_commit("ring commit", tid, &lines, since);
-                    }
-                }
-                let c = self.clock(tid).get(tid);
-                self.ring_commits.insert(epoch, (tid, c));
-            }
-            TraceMarker::DrainPushOut { addr, epoch } => {
-                // Keyed by the tag's own epoch, so the benign trace-order
-                // race (the commit marker reaching the sink before this
-                // one) needs no special case: the obligation resolves
-                // against that epoch's commit whenever the store arrives.
-                self.pushouts.insert((tid, addr / 64), epoch);
-            }
-            TraceMarker::RecoveryBegin { failed_epoch } => {
-                self.epoch = Some(failed_epoch);
-                self.reset_epoch_writes();
-            }
-            TraceMarker::RecoveryEnd { .. } => self.reset_epoch_writes(),
-            TraceMarker::CheckpointEnd { .. }
-            | TraceMarker::OrderBarrier
-            | TraceMarker::ShardFlushBegin { .. }
-            | TraceMarker::ShardFlushEnd { .. }
-            | TraceMarker::RecoveryApply { .. }
-            | TraceMarker::RestartPoint { .. } => {}
-        }
-    }
-}
-
-/// The online happens-before race detector. Attach to a region (alone or
-/// in a [`TeeSink`](respct_pmem::TeeSink) next to the checker) before
-/// running a workload; ask for a [`Report`] afterwards.
-#[derive(Default)]
-pub struct RaceDetector {
-    state: Mutex<RaceState>,
-}
-
-impl RaceDetector {
-    /// A detached detector (feed it events manually, or via
-    /// [`Region::set_trace_sink`]).
-    pub fn new() -> RaceDetector {
-        RaceDetector::default()
-    }
-
-    /// Creates a detector and attaches it to `region` as its trace sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region already has a sink.
-    pub fn attach(region: &Region) -> Arc<RaceDetector> {
-        let detector = Arc::new(RaceDetector::new());
-        region.set_trace_sink(Arc::<RaceDetector>::clone(&detector));
-        detector
-    }
-
-    /// Snapshot of everything found so far.
-    pub fn report(&self) -> Report {
-        self.state.lock().report.clone()
-    }
-
-    /// Panics with the full report if any race diagnostic was recorded.
-    ///
-    /// # Panics
-    ///
-    /// See above — that is the point.
-    pub fn assert_clean(&self) {
-        let report = self.report();
-        assert!(
-            report.is_clean(),
-            "race detector found violations:\n{report}"
-        );
-    }
-}
-
-impl TraceSink for RaceDetector {
-    fn event(&self, ev: &TraceEvent) {
-        self.state.lock().apply(ev);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::MAX_PER_KIND;
+    use crate::checker::Replay;
+    use crate::report::{Report, MAX_PER_KIND};
 
     fn marker(tid: u64, m: TraceMarker) -> TraceEvent {
         TraceEvent::Marker { tid, marker: m }
@@ -524,12 +382,14 @@ mod tests {
         TraceEvent::SyncAcq { tid, token }
     }
 
+    /// Feeds a synthetic event stream through the protocol state and the
+    /// happens-before rules alone, and returns the report.
     fn replay(events: &[TraceEvent]) -> Report {
-        let d = RaceDetector::new();
+        let mut r = Replay::<HappensBefore>::default();
         for ev in events {
-            d.event(ev);
+            r.apply(ev);
         }
-        d.report()
+        r.report
     }
 
     const LOCK: SyncToken = SyncToken::Lock { id: 0x1000 };
@@ -950,11 +810,11 @@ mod tests {
 
     #[test]
     fn diagnostics_are_capped() {
-        let d = RaceDetector::new();
+        let mut d = Replay::<HappensBefore>::default();
         for i in 0..(MAX_PER_KIND as u64 + 20) {
-            d.event(&TraceEvent::store_meta(1, i * 64, 8));
-            d.event(&TraceEvent::store_meta(2, i * 64 + 4, 8));
-            d.event(&marker(
+            d.apply(&TraceEvent::store_meta(1, i * 64, 8));
+            d.apply(&TraceEvent::store_meta(2, i * 64 + 4, 8));
+            d.apply(&marker(
                 9,
                 TraceMarker::PipelineBegin {
                     epoch: i + 1,
@@ -962,7 +822,7 @@ mod tests {
                 },
             ));
         }
-        let r = d.report();
+        let r = d.report;
         assert_eq!(r.of_kind(DiagnosticKind::PersistRace).len(), MAX_PER_KIND);
         assert!(r.suppressed > 0);
     }

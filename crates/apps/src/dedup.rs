@@ -285,8 +285,7 @@ pub fn run(cfg: DedupConfig) -> DedupOutput {
 }
 
 /// Runs the pipeline in ResPCT mode with `sink` attached to the region
-/// before any pool traffic — the analysis hook for the trace checker and
-/// the happens-before race detector.
+/// before any pool traffic — the analysis hook for the trace checker.
 pub fn run_traced(
     cfg: DedupConfig,
     sink: std::sync::Arc<dyn respct_pmem::TraceSink>,

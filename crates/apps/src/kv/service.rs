@@ -206,8 +206,7 @@ impl KvService {
     }
 
     /// [`KvService::open`] with a trace sink attached to the region before
-    /// any pool traffic — the hook the trace checker and happens-before
-    /// race detector use.
+    /// any pool traffic — the hook the trace checker uses.
     pub fn open_with_sink(
         cfg: KvServerConfig,
         sink: Option<Arc<dyn respct_pmem::TraceSink>>,

@@ -245,8 +245,7 @@ pub fn run(cfg: &KvConfig) -> KvOutput {
 }
 
 /// Runs the ResPCT mode with `sink` attached to the region before any pool
-/// traffic — the analysis hook for the trace checker and the
-/// happens-before race detector.
+/// traffic — the analysis hook for the trace checker.
 pub fn run_traced(cfg: &KvConfig, sink: Arc<dyn respct_pmem::TraceSink>) -> KvOutput {
     let (svc, _) = KvService::open_with_sink(cfg.server(), Some(sink)).expect("kv service");
     serve(cfg, &svc)

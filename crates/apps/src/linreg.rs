@@ -157,8 +157,7 @@ fn run_transient(cfg: LinregConfig, nvmm_tax: bool) -> LinregOutput {
 }
 
 /// Runs the ResPCT mode with `sink` attached to the region before any
-/// pool traffic — the analysis hook for the trace checker and the
-/// happens-before race detector.
+/// pool traffic — the analysis hook for the trace checker.
 pub fn run_traced(cfg: LinregConfig, sink: Arc<dyn respct_pmem::TraceSink>) -> LinregOutput {
     run_respct(cfg, Some(sink))
 }

@@ -66,8 +66,7 @@ pub fn run(cfg: MatmulConfig) -> MatmulOutput {
 }
 
 /// Runs matmul in ResPCT mode with `sink` attached to the region before
-/// any pool traffic — the analysis hook for the trace checker and the
-/// happens-before race detector.
+/// any pool traffic — the analysis hook for the trace checker.
 pub fn run_traced(cfg: MatmulConfig, sink: Arc<dyn respct_pmem::TraceSink>) -> MatmulOutput {
     run_respct(cfg, Some(sink))
 }

@@ -136,8 +136,7 @@ fn run_transient(cfg: SwaptionsConfig) -> SwaptionsOutput {
 }
 
 /// Runs the ResPCT mode with `sink` attached to the region before any
-/// pool traffic — the analysis hook for the trace checker and the
-/// happens-before race detector.
+/// pool traffic — the analysis hook for the trace checker.
 pub fn run_traced(cfg: SwaptionsConfig, sink: Arc<dyn respct_pmem::TraceSink>) -> SwaptionsOutput {
     run_respct(cfg, Some(sink))
 }

@@ -108,8 +108,7 @@ fn run_transient(cfg: WordCountConfig) -> WordCountOutput {
 }
 
 /// Runs the ResPCT mode with `sink` attached to the region before any
-/// pool traffic — the analysis hook for the trace checker and the
-/// happens-before race detector.
+/// pool traffic — the analysis hook for the trace checker.
 pub fn run_traced(cfg: WordCountConfig, sink: Arc<dyn respct_pmem::TraceSink>) -> WordCountOutput {
     run_respct(cfg, Some(sink))
 }

@@ -124,8 +124,8 @@ pub struct Region {
     /// a single relaxed-ish atomic load when unset).
     trace: std::sync::OnceLock<Arc<dyn TraceSink>>,
     /// When set (and a sink is attached), loads are reported as
-    /// [`TraceEvent::Load`] events. Recovery enables this so the race
-    /// detector can see recovery-time reads; normal execution leaves it off
+    /// [`TraceEvent::Load`] events. Recovery enables this so the trace
+    /// checker can see recovery-time reads; normal execution leaves it off
     /// (one predictable relaxed load per `load` call).
     trace_loads: std::sync::atomic::AtomicBool,
 }

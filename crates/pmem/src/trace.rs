@@ -93,7 +93,7 @@ pub enum TraceMarker {
     /// A thread hit the on-demand push-out guard: the cell at `addr` still
     /// carries the tag of `epoch`, whose drain has not committed, so the
     /// thread must flush the line and wait for that commit before
-    /// overwriting the backup slot. The race detector requires the thread's
+    /// overwriting the backup slot. The trace checker requires the thread's
     /// next store to that line to be HB-after `epoch`'s commit release.
     DrainPushOut { addr: u64, epoch: u64 },
 }

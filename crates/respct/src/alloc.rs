@@ -97,7 +97,7 @@ impl Slot<'_> {
                 // The checkpointer stored this block's link word under the
                 // same lock ([`Slot::push_frees`]); joining its published
                 // clock orders our upcoming payload stores after that
-                // write for the happens-before race detector.
+                // write for the trace checker's happens-before rules.
                 pool.region.sync_acquire(pool.class_lock_token(c));
                 return PAddr(block);
             }

@@ -62,8 +62,8 @@ pub enum Fault {
     SkipRingOrder,
     /// The next happens-before edge at the given site is *not* reported to
     /// the trace sink (the runtime still synchronizes — only the edge the
-    /// race detector relies on disappears). Proves each race-detector rule
-    /// non-vacuous without actually corrupting the execution.
+    /// trace checker relies on disappears). Proves each happens-before
+    /// rule non-vacuous without actually corrupting the execution.
     DropSyncEdge(SyncEdgeSite),
 }
 

@@ -274,7 +274,7 @@ impl Pool {
             });
         }
         region.trace_marker(TraceMarker::RecoveryBegin { failed_epoch });
-        // Recovery-time reads are what rule (c) of the race detector
+        // Recovery-time reads are what happens-before rule (c) of the checker
         // audits: surface them as Load events for the recovery window.
         region.set_trace_loads(true);
 

@@ -1,6 +1,6 @@
 //! Trace-visible synchronization primitives.
 //!
-//! The happens-before race detector (`respct-analysis`) reconstructs the
+//! The trace checker's happens-before rules (`respct-analysis`) rebuild the
 //! program's synchronization order from [`SyncRel`]/[`SyncAcq`] events in
 //! the region trace. Runtime-internal synchronization (quiescence flags,
 //! the checkpoint timer, the drain handshake, flusher acknowledgements)
@@ -41,7 +41,7 @@ use crate::pool::Pool;
 /// A mutex whose acquire/release edges are visible in the region trace.
 ///
 /// Use it (instead of a plain `parking_lot::Mutex`) for any lock that
-/// guards stores to pool memory: the race detector treats unsynchronized
+/// guards stores to pool memory: the trace checker treats unsynchronized
 /// cross-thread stores to the same InCLL-bearing cache line within one
 /// epoch as a persist race, and only traced edges count as
 /// synchronization. Lock it against the pool whose memory it guards.

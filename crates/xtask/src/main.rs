@@ -10,8 +10,8 @@
 //! 1. **raw-store**: raw-pointer store primitives (`ptr::write*`,
 //!    `copy_nonoverlapping`, `write_bytes`, `write_volatile`, …) are
 //!    forbidden outside `crates/pmem` — every store to pool memory must go
-//!    through the traced [`Region`] helpers, or the trace checker and the
-//!    race detector are blind to it. An untraced store is exactly the bug
+//!    through the traced [`Region`] helpers, or the trace checker is blind
+//!    to it. An untraced store is exactly the bug
 //!    class ResPCT's flush-on-checkpoint discipline cannot survive.
 //! 2. **missing-safety**: every `unsafe` keyword (block, fn, impl) must be
 //!    justified by a `// SAFETY:` comment (or a `# Safety` doc section)

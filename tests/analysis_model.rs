@@ -1,5 +1,5 @@
-//! Integration tests for the trace-based persistency checker and the
-//! happens-before race detector (`respct-analysis`) against the real runtime.
+//! Integration tests for the trace-based persistency checker
+//! (`respct-analysis`) against the real runtime.
 //!
 //! Two directions, both required for the analyses to be trustworthy:
 //!
@@ -7,9 +7,8 @@
 //!   (`tests/workload_table`): the standard workloads × the checkpoint modes
 //!   (synchronous, background drain at ring depths 1 and 4) × the two ways
 //!   epochs close (the timer checkpointer, workers' `checkpoint_here()`),
-//!   each on an evicting simulator with the [`Checker`] and the
-//!   [`RaceDetector`] teed onto one trace. The timer-driven hash-map and
-//!   queue rows run in `tests/race_detector.rs`.
+//!   each on an evicting simulator with the [`Checker`] attached. The
+//!   timer-driven hash-map and queue rows run in `tests/race_detector.rs`.
 //! * **Sensitivity to injected faults** — each `respct::Fault` (one dropped
 //!   write-back — on the inline drain and on the executor's — one skipped
 //!   fence, one skipped InCLL log, a ring ordering bug) yields a non-empty
@@ -17,8 +16,6 @@
 //!
 //! The root crate's dev-dependencies enable the `fault-inject` feature, so
 //! `Pool::inject_fault` is available here without cfg gates.
-//!
-//! [`RaceDetector`]: respct_analysis::RaceDetector
 
 mod workload_table;
 

@@ -1,4 +1,4 @@
-//! End-to-end tests for the happens-before persistency race detector.
+//! End-to-end tests for the checker's happens-before rules.
 //!
 //! Two families:
 //!
@@ -6,14 +6,14 @@
 //!   clean-run table (`tests/workload_table`, the rest of which runs in
 //!   `tests/analysis_model.rs`) in every checkpoint mode, all six evaluation
 //!   apps, lock hand-offs, the drain push-out handshake and a parallel
-//!   recovery replay through the [`RaceDetector`] with zero diagnostics.
+//!   recovery replay through the [`Checker`] with no error.
 //!   Every synchronization edge the runtime emits is load-bearing here:
 //!   quiescence flags, the checkpoint timer, traced bucket locks, flusher
 //!   acknowledgements, the drain-ticket hand-off, the drain-commit
 //!   handshake, and the free-list class locks.
 //! * **Non-vacuity** — each [`Fault::DropSyncEdge`] site suppresses exactly
 //!   one of those edges (the execution still synchronizes; only the trace
-//!   loses the edge) and the corresponding detector rule must fire.
+//!   loses the edge) and the corresponding happens-before rule must fire.
 
 mod workload_table;
 
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use respct::{Fault, Pool, PoolConfig, SyncEdgeSite, TracedMutex};
-use respct_analysis::{DiagnosticKind, RaceDetector};
+use respct_analysis::{Checker, DiagnosticKind};
 use respct_ds::PHashMap;
 use respct_pmem::sim::CrashMode;
 use respct_pmem::{
@@ -30,16 +30,16 @@ use respct_pmem::{
 };
 use workload_table::{check_rows, depth_cfg, Driver, DEPTHS, HASHMAP, QUEUE};
 
-/// A sim region with the race detector attached and a pool on top.
-fn raced_pool(seed: u64, depth: usize, flushers: usize) -> (Arc<RaceDetector>, Arc<Pool>) {
+/// A sim region with the checker attached and a pool on top.
+fn raced_pool(seed: u64, depth: usize, flushers: usize) -> (Arc<Checker>, Arc<Pool>) {
     let region = Region::new(RegionConfig::sim(
         48 << 20,
         SimConfig::with_eviction(4, seed),
     ));
-    let detector = RaceDetector::attach(&region);
+    let checker = Checker::attach(&region);
     let cfg = depth_cfg(depth, flushers);
     let pool = Pool::create(region, cfg).expect("pool");
-    (detector, pool)
+    (checker, pool)
 }
 
 #[test]
@@ -148,9 +148,9 @@ fn apps_are_race_clean() {
         ),
     ];
     for (name, run) in checks {
-        let detector = Arc::new(RaceDetector::new());
-        run(Arc::<RaceDetector>::clone(&detector) as Arc<dyn TraceSink>);
-        let r = detector.report();
+        let checker = Arc::new(Checker::new());
+        run(Arc::<Checker>::clone(&checker) as Arc<dyn TraceSink>);
+        let r = checker.report();
         assert!(r.is_clean(), "{name}:\n{r}");
         assert!(r.events > 0, "{name}: empty trace — sink not attached?");
     }
@@ -162,7 +162,7 @@ fn apps_are_race_clean() {
 fn dropped_lock_release_edge_is_a_persist_race() {
     // One key: both threads go through the same bucket lock, so the
     // cross-thread cell hand-off deterministically uses the faulted edge.
-    let (detector, pool) = raced_pool(303, 0, 0);
+    let (checker, pool) = raced_pool(303, 0, 0);
     let map = {
         let h = pool.register();
         let map = PHashMap::create(&h, 8);
@@ -182,16 +182,16 @@ fn dropped_lock_release_edge_is_a_persist_race() {
             map.insert(&h, 7, 3); // same cell, same epoch, dropped edge
         });
     });
-    let r = detector.report();
+    let r = checker.report();
     let races = r.of_kind(DiagnosticKind::PersistRace);
     assert!(!races.is_empty(), "dropped lock edge not detected:\n{r}");
 }
 
 /// The same workload with the edge intact stays clean (the fault, not the
-/// workload shape, is what the detector reacts to).
+/// workload shape, is what the checker reacts to).
 #[test]
 fn locked_handoff_without_fault_is_clean() {
-    let (detector, pool) = raced_pool(303, 0, 0);
+    let (checker, pool) = raced_pool(303, 0, 0);
     let map = {
         let h = pool.register();
         let map = PHashMap::create(&h, 8);
@@ -207,7 +207,7 @@ fn locked_handoff_without_fault_is_clean() {
             map.insert(&h, 7, 3);
         });
     });
-    detector.assert_clean();
+    checker.assert_clean();
 }
 
 /// Dropping a flusher's acknowledgement edge leaves the commit — the epoch
@@ -216,17 +216,17 @@ fn locked_handoff_without_fault_is_clean() {
 #[test]
 fn dropped_flusher_ack_edge_is_an_unordered_commit() {
     for depth in DEPTHS {
-        let (detector, pool) = raced_pool(404, depth, 1);
+        let (checker, pool) = raced_pool(404, depth, 1);
         let h = pool.register();
         let cells: Vec<_> = (0..64u64).map(|i| h.alloc_cell(i)).collect();
         h.checkpoint_here();
-        assert!(detector.report().is_clean(), "depth={depth}: setup");
+        assert!(checker.report().is_clean(), "depth={depth}: setup");
         for (i, c) in cells.iter().enumerate() {
             h.update(*c, 1_000 + i as u64);
         }
         pool.inject_fault(Fault::DropSyncEdge(SyncEdgeSite::FlusherAck));
         h.checkpoint_here();
-        let r = detector.report();
+        let r = checker.report();
         let bad = r.of_kind(DiagnosticKind::UnorderedCommit);
         assert!(
             !bad.is_empty(),
@@ -258,13 +258,13 @@ impl TraceSink for DrainStretch {
 /// Runs a background-drain round (ring depth `k`) engineered to hit the
 /// on-demand push-out: a parked worker resumes at the drain hand-off and
 /// immediately re-touches cells still tagged with the draining epoch.
-/// Returns the detector and the full recorded trace.
-fn pushout_round(seed: u64, k: usize, fault: bool) -> (Arc<RaceDetector>, Vec<TraceEvent>) {
+/// Returns the checker and the full recorded trace.
+fn pushout_round(seed: u64, k: usize, fault: bool) -> (Arc<Checker>, Vec<TraceEvent>) {
     let region = Region::new(RegionConfig::sim(48 << 20, SimConfig::no_eviction(seed)));
-    let detector = Arc::new(RaceDetector::new());
+    let checker = Arc::new(Checker::new());
     let events = Arc::new(VecSink::new());
     region.set_trace_sink(Arc::new(TeeSink::new(vec![
-        Arc::<RaceDetector>::clone(&detector) as Arc<dyn TraceSink>,
+        Arc::<Checker>::clone(&checker) as Arc<dyn TraceSink>,
         Arc::<VecSink>::clone(&events) as Arc<dyn TraceSink>,
         Arc::new(DrainStretch) as Arc<dyn TraceSink>,
     ])));
@@ -304,7 +304,7 @@ fn pushout_round(seed: u64, k: usize, fault: bool) -> (Arc<RaceDetector>, Vec<Tr
             worker.join().expect("worker");
         });
     }
-    (detector, events.drain())
+    (checker, events.drain())
 }
 
 fn has_pushout(evs: &[TraceEvent]) -> bool {
@@ -331,8 +331,8 @@ fn pushout_handshake_edge_is_emitted_and_clean() {
         let mut seed = 500;
         while Instant::now() < deadline {
             seed += 1;
-            let (detector, evs) = pushout_round(seed, k, false);
-            detector.assert_clean();
+            let (checker, evs) = pushout_round(seed, k, false);
+            checker.assert_clean();
             if has_pushout(&evs) {
                 assert!(
                     evs.iter().any(|ev| matches!(
@@ -360,11 +360,11 @@ fn dropped_drain_handshake_edge_is_an_unordered_commit() {
         let mut seed = 600;
         while Instant::now() < deadline {
             seed += 1;
-            let (detector, evs) = pushout_round(seed, k, true);
+            let (checker, evs) = pushout_round(seed, k, true);
             if !has_pushout(&evs) {
                 continue;
             }
-            let r = detector.report();
+            let r = checker.report();
             let bad = r.of_kind(DiagnosticKind::UnorderedCommit);
             assert!(
                 !bad.is_empty(),
@@ -379,15 +379,15 @@ fn dropped_drain_handshake_edge_is_an_unordered_commit() {
 /// Recovery's parallel scan cuts the registry between chunks, and a cut can
 /// fall between two cells of one cache line: two scan threads then roll
 /// back disjoint cells of that line with no edge between them. Per-cell
-/// backups make that sound, and the detector agrees — through recovery and
+/// backups make that sound, and the checker agrees — through recovery and
 /// the checkpoint that persists the rollbacks.
 #[test]
 fn parallel_recovery_cut_inside_a_line_is_clean() {
     let region = Region::new(RegionConfig::sim(8 << 20, SimConfig::no_eviction(808)));
-    let detector = Arc::new(RaceDetector::new());
+    let checker = Arc::new(Checker::new());
     let events = Arc::new(VecSink::new());
     region.set_trace_sink(Arc::new(TeeSink::new(vec![
-        Arc::<RaceDetector>::clone(&detector) as Arc<dyn TraceSink>,
+        Arc::<Checker>::clone(&checker) as Arc<dyn TraceSink>,
         Arc::<VecSink>::clone(&events) as Arc<dyn TraceSink>,
     ])));
     let cells = {
@@ -432,7 +432,7 @@ fn parallel_recovery_cut_inside_a_line_is_clean() {
         assert_eq!(pool.cell_get(*c), i as u64);
     }
     pool.register().checkpoint_here();
-    let r = detector.report();
+    let r = checker.report();
     assert!(r.of_kind(DiagnosticKind::PersistRace).is_empty(), "{r}");
     assert!(r.of_kind(DiagnosticKind::UnorderedCommit).is_empty(), "{r}");
 }
@@ -441,7 +441,7 @@ fn parallel_recovery_cut_inside_a_line_is_clean() {
 /// between) is edge-complete: protected cell updates never race.
 #[test]
 fn traced_mutex_direct_handoff_is_clean() {
-    let (detector, pool) = raced_pool(700, 0, 0);
+    let (checker, pool) = raced_pool(700, 0, 0);
     let cell = {
         let h0 = pool.register();
         h0.alloc_cell(0u64)
@@ -463,5 +463,5 @@ fn traced_mutex_direct_handoff_is_clean() {
             });
         }
     });
-    detector.assert_clean();
+    checker.assert_clean();
 }

@@ -4,8 +4,8 @@
 //! checkpoint depths (0: the inline drain; 1 and 4: the executor) ×
 //! the two ways epochs close (the timer checkpointer, workers'
 //! `checkpoint_here()`). Every row runs on an evicting simulator with the
-//! [`Checker`] and the [`RaceDetector`] teed onto one trace. Each test runs
-//! its own slice of rows through [`check_rows`]; no row runs twice.
+//! [`Checker`] attached. Each test runs its own slice of rows through
+//! [`check_rows`]; no row runs twice.
 
 // Each test crate that includes this module uses only part of it.
 #![allow(dead_code)]
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use respct::{CheckpointerGuard, PAddr, Pool, PoolConfig, ThreadHandle};
-use respct_analysis::{Checker, RaceDetector};
+use respct_analysis::Checker;
 use respct_ds::{rp_ids, PHashMap, PQueue};
 use respct_pmem::sim::CrashMode;
 use respct_pmem::{Region, RegionConfig, SimConfig, TeeSink, TraceEvent, TraceMarker, TraceSink};
@@ -137,9 +137,8 @@ impl TraceSink for Tally {
 }
 
 /// Runs the rows `depths` × `drivers` of `w`, each on a fresh evicting sim
-/// region with the checker and the race detector teed onto its trace.
-/// Depth-0 rows must be spotless: no finding of any severity from either
-/// engine. Executor rows may report `RedundantFlush` perf advisories (an
+/// region with the checker teed onto its trace. Depth-0 rows must be
+/// spotless: no finding of any severity. Executor rows may report `RedundantFlush` perf advisories (an
 /// on-demand push-out can write back a line the drain flushes again) but no
 /// error.
 pub fn check_rows(w: &Workload, depths: &[usize], drivers: &[Driver]) {
@@ -154,11 +153,9 @@ pub fn check_rows(w: &Workload, depths: &[usize], drivers: &[Driver]) {
                 SimConfig::with_eviction(4, w.seed),
             ));
             let checker = Arc::new(Checker::new());
-            let races = Arc::new(RaceDetector::new());
             let tally = Arc::new(Tally::default());
             region.set_trace_sink(Arc::new(TeeSink::new(vec![
                 Arc::clone(&checker) as Arc<dyn TraceSink>,
-                Arc::clone(&races) as Arc<dyn TraceSink>,
                 Arc::clone(&tally) as Arc<dyn TraceSink>,
             ])));
             (w.run)(&region, depth_cfg(depth, w.flusher_threads), driver);
@@ -173,16 +170,15 @@ pub fn check_rows(w: &Workload, depths: &[usize], drivers: &[Driver]) {
                 depth > 0 || commits == checkpoints,
                 "{row}: {commits} ring commits for {checkpoints} checkpoints"
             );
-            for (engine, report) in [("checker", checker.report()), ("races", races.report())] {
-                assert!(report.events > 0, "{row}: {engine} saw an empty trace");
-                if depth == 0 {
-                    assert!(
-                        report.diagnostics.is_empty() && report.suppressed == 0,
-                        "{row}: {engine}:\n{report}"
-                    );
-                } else {
-                    assert!(report.is_clean(), "{row}: {engine}:\n{report}");
-                }
+            let report = checker.report();
+            assert!(report.events > 0, "{row}: the checker saw an empty trace");
+            if depth == 0 {
+                assert!(
+                    report.diagnostics.is_empty() && report.suppressed == 0,
+                    "{row}:\n{report}"
+                );
+            } else {
+                assert!(report.is_clean(), "{row}:\n{report}");
             }
         }
     }
