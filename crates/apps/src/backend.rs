@@ -13,6 +13,11 @@
 //! * `RESPCT_BACKEND=mmap:/path/to/file.pool` — file-backed mmap: the heap
 //!   outlives the process, as on real App-Direct NVMM.
 //!
+//! `Mode::TransientNvmm` never follows the variable: its arena always comes
+//! from [`transient_nvmm_config`], an emulated-Optane region. A transient
+//! arena on `mmap:<path>` would bump-write over the very pool file the
+//! ResPCT runs use.
+//!
 //! A second variable sets the checkpoint depth for the whole suite:
 //! `RESPCT_PIPELINE=d` (see [`env_depth`]) runs every app at
 //! [`PoolConfig::depth`] `d` (unset = 0, the inline drain).
@@ -60,6 +65,12 @@ pub fn env_backend() -> Result<RegionMode, String> {
 /// Panics on an unparseable `RESPCT_BACKEND` value.
 pub fn nvmm_config(size: usize) -> RegionConfig {
     RegionConfig::new(size, env_backend().unwrap_or_else(|e| panic!("{e}")))
+}
+
+/// The region config every app's `Mode::TransientNvmm` runs on: `size`
+/// bytes of emulated Optane, whatever `RESPCT_BACKEND` says.
+pub fn transient_nvmm_config(size: usize) -> RegionConfig {
+    RegionConfig::optane(size)
 }
 
 /// The checkpoint depth named by `RESPCT_PIPELINE` (default 0) — the one

@@ -18,6 +18,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use respct::{Pool, RpId, ThreadHandle};
+use respct_baselines::NvmmHashMap;
+use respct_ds::traits::BenchMap;
 use respct_ds::{PHashMap, TransientHashMap};
 use respct_pmem::Region;
 
@@ -211,70 +213,13 @@ fn rle_size(data: &[u8]) -> u64 {
 enum Store {
     Dram(TransientHashMap, std::sync::atomic::AtomicU64),
     Nvmm {
-        map: respct_baselines_stub::NvmmLikeMap,
+        map: NvmmHashMap,
         bytes: std::sync::atomic::AtomicU64,
     },
     Respct {
         map: PHashMap,
         bytes_cell: respct::ICell<u64>,
     },
-}
-
-/// Minimal NVMM-resident map for the `Transient<NVMM>` store so this crate
-/// does not depend on `respct-baselines` (which depends on `respct-ds`).
-mod respct_baselines_stub {
-    use parking_lot::Mutex;
-    use respct_ds::hash_u64;
-    use respct_pmem::{PAddr, Region};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    /// Chained map (key@0, next@8; 16-byte nodes) over a region bump.
-    pub struct NvmmLikeMap {
-        region: Arc<Region>,
-        buckets: u64,
-        nbuckets: u64,
-        bump: AtomicU64,
-        locks: Box<[Mutex<()>]>,
-    }
-
-    impl NvmmLikeMap {
-        pub fn new(region: Arc<Region>, nbuckets: u64) -> NvmmLikeMap {
-            let buckets = 64u64;
-            for b in 0..nbuckets {
-                region.store(PAddr(buckets + b * 8), 0u64);
-            }
-            let bump = AtomicU64::new(buckets + nbuckets * 8 + 64);
-            NvmmLikeMap {
-                region,
-                buckets,
-                nbuckets,
-                bump,
-                locks: (0..nbuckets).map(|_| Mutex::new(())).collect(),
-            }
-        }
-
-        /// Returns true if `k` was newly inserted.
-        pub fn insert_new(&self, k: u64) -> bool {
-            let b = hash_u64(k) % self.nbuckets;
-            let head = PAddr(self.buckets + b * 8);
-            let _g = self.locks[b as usize].lock();
-            let mut cur: u64 = self.region.load(head);
-            while cur != 0 {
-                if self.region.load::<u64>(PAddr(cur)) == k {
-                    return false;
-                }
-                cur = self.region.load(PAddr(cur + 8));
-            }
-            let node = self.bump.fetch_add(16, Ordering::Relaxed);
-            assert!(node + 16 <= self.region.size() as u64, "NvmmLikeMap full");
-            self.region.store(PAddr(node), k);
-            self.region
-                .store(PAddr(node + 8), self.region.load::<u64>(head));
-            self.region.store(head, node);
-            true
-        }
-    }
 }
 
 // ---- The pipeline --------------------------------------------------------------
@@ -308,11 +253,11 @@ fn run_inner(
             ),
         ),
         Mode::TransientNvmm => {
-            let region = Region::new(crate::backend::nvmm_config(64 << 20));
+            let region = Region::new(crate::backend::transient_nvmm_config(64 << 20));
             (
                 None,
                 Store::Nvmm {
-                    map: respct_baselines_stub::NvmmLikeMap::new(region, 4096),
+                    map: NvmmHashMap::new(region, 4096),
                     bytes: std::sync::atomic::AtomicU64::new(0),
                 },
             )
@@ -391,8 +336,10 @@ fn run_inner(
             let pool = pool.clone();
             s.spawn(move || {
                 let mut h = pool.as_ref().map(respct::Pool::register);
-                let mut nvctx = ();
-                let _ = &mut nvctx;
+                let mut nvctx = match store {
+                    Store::Nvmm { map, .. } => Some(map.register()),
+                    _ => None,
+                };
                 while let Some((hash, csize)) = cs.pop(h.as_mut()) {
                     let new = match store {
                         Store::Dram(map, bytes) => {
@@ -403,7 +350,8 @@ fn run_inner(
                             new
                         }
                         Store::Nvmm { map, bytes } => {
-                            let new = map.insert_new(hash);
+                            let ctx = nvctx.as_mut().expect("nvmm writer has a context");
+                            let new = map.insert(ctx, hash, 0);
                             if new {
                                 bytes.fetch_add(csize, Ordering::Relaxed);
                             }

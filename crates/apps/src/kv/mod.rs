@@ -17,14 +17,15 @@
 //! * [`wire`] — the versioned, length-prefixed binary protocol
 //!   (GET/PUT/DELETE/PING) with typed decode errors;
 //! * [`server::KvServer`] — the TCP front end (`respct-kvd`): blocking
-//!   sockets, accept-sharded worker pools each owning a `ThreadHandle`,
-//!   bounded per-worker queues with explicit BUSY backpressure.
+//!   sockets, accept-sharded connections, and the one worker pool — each
+//!   worker owns a `ThreadHandle` and a bounded queue, with explicit BUSY
+//!   backpressure.
 //!
-//! The in-process fig14/YCSB harness ([`crate::kvstore`]) and the TCP
-//! server consume the same [`service::KvService`]; nothing in the store is
-//! transport-specific. On the mmap backend (`RESPCT_BACKEND=mmap:<path>`)
-//! the service resolves to create-or-recover via `Pool::open`, so a
-//! SIGKILLed server restarts from its last checkpoint.
+//! The in-process fig14/YCSB harness ([`crate::kvstore`]) enqueues onto
+//! that same worker pool, so there is one serving loop. On the mmap
+//! backend (`RESPCT_BACKEND=mmap:<path>`) the service resolves to
+//! create-or-recover via `Pool::open`, so a SIGKILLed server restarts from
+//! its last checkpoint.
 
 pub mod server;
 pub mod service;
@@ -203,7 +204,6 @@ pub struct KvServerConfig {
     pool_bytes: usize,
     durability: Durability,
     ckpt_period: Option<Duration>,
-    metrics: bool,
 }
 
 impl KvServerConfig {
@@ -259,11 +259,6 @@ impl KvServerConfig {
     pub fn ckpt_period(&self) -> Option<Duration> {
         self.ckpt_period
     }
-
-    /// Whether `respct_kv_*` metrics are recorded.
-    pub fn metrics(&self) -> bool {
-        self.metrics
-    }
 }
 
 impl Default for KvServerConfig {
@@ -291,7 +286,6 @@ impl Default for KvServerConfigBuilder {
                 pool_bytes: 256 << 20,
                 durability: Durability::Async,
                 ckpt_period: Some(Duration::from_millis(8)),
-                metrics: true,
             },
         }
     }
@@ -349,12 +343,6 @@ impl KvServerConfigBuilder {
     /// Periodic checkpoint interval, `None` = checkpoints off (default 8 ms).
     pub fn ckpt_period(mut self, p: Option<Duration>) -> Self {
         self.cfg.ckpt_period = p;
-        self
-    }
-
-    /// Record `respct_kv_*` metrics (default on).
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.cfg.metrics = on;
         self
     }
 

@@ -3,7 +3,8 @@
 //!
 //! Topology: one accept thread round-robins connections across `workers`
 //! worker threads; each worker owns a registered `ThreadHandle` and a
-//! bounded request queue. Every connection gets a reader thread (frame →
+//! bounded request queue (the `WorkerPool`, which the in-process harness
+//! [`crate::kvstore`] feeds directly). Every connection gets a reader thread (frame →
 //! decode → enqueue to its assigned worker) and a writer thread (encode →
 //! socket), so a slow peer can only stall itself. A connection costs the
 //! server nothing once it is closed: its reader joins its writer and drops
@@ -48,16 +49,82 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
+use respct_ds::hash_u64;
 
 use super::service::KvService;
 use super::wire::{self, FrameError};
 use super::{KvError, KvRequest, KvResponse};
 
-/// One decoded request in flight from a connection's reader to a worker.
-struct WorkItem {
-    id: u32,
-    req: KvRequest,
-    resp: SyncSender<(u32, KvResponse)>,
+/// One request in flight to a worker: from a connection's reader, or from
+/// an in-process client that wants no answer (`resp: None`).
+pub(crate) struct WorkItem {
+    pub(crate) id: u32,
+    pub(crate) req: KvRequest,
+    pub(crate) resp: Option<SyncSender<(u32, KvResponse)>>,
+}
+
+/// The worker pool: `workers` threads, each running [`worker_loop`] on its
+/// own bounded queue. Whoever enqueues a request counts it into the
+/// worker's `queue_depth` first, so the gauge never runs behind the queue.
+/// The workers exit once every sender — the pool's own and any clones —
+/// is gone and their queues are empty.
+pub(crate) struct WorkerPool {
+    service: Arc<KvService>,
+    queues: Vec<SyncSender<WorkItem>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl WorkerPool {
+    /// Spawns the service's `workers` threads.
+    pub(crate) fn start(service: &Arc<KvService>) -> WorkerPool {
+        let (queues, threads) = (0..service.config().workers())
+            .map(|w| {
+                let (tx, rx) = std::sync::mpsc::sync_channel(service.config().queue_capacity());
+                let service = Arc::clone(service);
+                let worker = std::thread::Builder::new()
+                    .name(format!("kvd-worker-{w}"))
+                    .spawn(move || worker_loop(&service, &rx, w))
+                    .expect("spawn kvd worker");
+                (tx, worker)
+            })
+            .unzip();
+        WorkerPool {
+            service: Arc::clone(service),
+            queues,
+            threads,
+        }
+    }
+
+    /// Enqueues `item` on the worker its key shards to, blocking while that
+    /// queue is full.
+    pub(crate) fn send(&self, key: u64, item: WorkItem) {
+        let w = (hash_u64(key) % self.queues.len() as u64) as usize;
+        let depth = &self.service.kv_metrics().queue_depth[w];
+        depth.fetch_add(1, Ordering::Relaxed);
+        self.queues[w]
+            .send(item)
+            .expect("kv workers outlive their pool");
+    }
+
+    /// Drops the pool's senders and waits for the workers to drain their
+    /// queues and exit; re-raises a worker's panic.
+    pub(crate) fn join(mut self) {
+        if let Err(panic) = self.stop() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    fn stop(&mut self) -> std::thread::Result<()> {
+        self.queues.clear();
+        let joined = self.threads.drain(..).map(JoinHandle::join);
+        joined.fold(Ok(()), std::thread::Result::and)
+    }
+}
+
+impl Drop for WorkerPool {
+    fn drop(&mut self) {
+        let _ = self.stop();
+    }
 }
 
 /// A handle to every open connection's socket, keyed by connection number:
@@ -81,21 +148,8 @@ impl KvServer {
         let stop = Arc::new(AtomicBool::new(false));
         let conns: OpenConns = Arc::new(Mutex::new(HashMap::new()));
 
-        let nworkers = service.config().workers();
-        let queue_cap = service.config().queue_capacity();
-        let mut senders = Vec::with_capacity(nworkers);
-        let mut workers = Vec::with_capacity(nworkers);
-        for w in 0..nworkers {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<WorkItem>(queue_cap);
-            senders.push(tx);
-            let service = Arc::clone(&service);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("kvd-worker-{w}"))
-                    .spawn(move || worker_loop(&service, &rx, w))
-                    .expect("spawn kvd worker"),
-            );
-        }
+        let pool = WorkerPool::start(&service);
+        let senders = pool.queues.clone();
 
         let accept = {
             let service = Arc::clone(&service);
@@ -111,8 +165,8 @@ impl KvServer {
             local_addr,
             stop,
             accept: Some(accept),
-            workers,
             conns,
+            _pool: pool,
         })
     }
 }
@@ -203,7 +257,7 @@ fn accept_loop(
         readers.push(reader);
     }
     // Dropping `senders` here lets the workers' `recv` fail once the last
-    // connection reader is gone — the worker exit condition.
+    // connection reader and the pool are gone — the worker exit condition.
     readers
 }
 
@@ -260,16 +314,16 @@ fn reader_loop(
         let item = WorkItem {
             id,
             req,
-            resp: resp_tx.clone(),
+            resp: Some(resp_tx.clone()),
         };
+        depth.fetch_add(1, Ordering::Relaxed);
         match work_tx.try_send(item) {
-            Ok(()) => {
-                depth.fetch_add(1, Ordering::Relaxed);
-            }
+            Ok(()) => {}
             Err(TrySendError::Full(item)) => {
                 // Bounded queue full: reject now rather than buffer. The
                 // request was not executed; the client may retry. Its slot
                 // is already held, so the reply finds room.
+                depth.fetch_sub(1, Ordering::Relaxed);
                 m.busy.inc();
                 if resp_tx.send((item.id, KvResponse::Busy)).is_err() {
                     break;
@@ -322,8 +376,9 @@ fn writer_loop(
 }
 
 /// A computed response waiting for its batch's restart point: the owning
-/// connection's channel, the request id, and the payload.
-type PendingResponse = (SyncSender<(u32, KvResponse)>, u32, KvResponse);
+/// connection's channel (if it wants an answer), the request id, and the
+/// payload.
+type PendingResponse = (Option<SyncSender<(u32, KvResponse)>>, u32, KvResponse);
 
 fn worker_loop(service: &Arc<KvService>, rx: &Receiver<WorkItem>, worker: usize) {
     let mut ctx = service.worker_ctx();
@@ -357,7 +412,7 @@ fn worker_loop(service: &Arc<KvService>, rx: &Receiver<WorkItem>, worker: usize)
             // Never full (the reader reserved this answer's slot before
             // admitting it), so this fails only once the connection's
             // writer has gone with its peer.
-            if tx.try_send((id, resp)).is_err() {
+            if tx.is_some_and(|tx| tx.try_send((id, resp)).is_err()) {
                 m.dropped_responses.inc();
             }
         }
@@ -369,8 +424,10 @@ pub struct KvServerGuard {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
-    workers: Vec<JoinHandle<()>>,
     conns: OpenConns,
+    // Held for its drop, which joins the workers; fields drop after
+    // `Drop::drop` below has stopped every other sender.
+    _pool: WorkerPool,
 }
 
 impl KvServerGuard {
@@ -392,11 +449,6 @@ impl Drop for KvServerGuard {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
         for t in readers.into_iter().flatten() {
-            let _ = t.join();
-        }
-        // With the accept loop's senders and every reader gone, worker
-        // receives fail and the workers drain out.
-        for t in self.workers.drain(..) {
             let _ = t.join();
         }
     }

@@ -1,8 +1,7 @@
 //! The transport-agnostic KV service: engines, batch policy, metrics.
 //!
-//! [`KvService`] owns the store and the persistence policy; transports
-//! (the in-process harness in [`crate::kvstore`], the TCP front end in
-//! [`super::server`]) own threads and sockets. A transport worker calls
+//! [`KvService`] owns the store and the persistence policy; the worker
+//! pool in [`super::server`] owns the threads. A worker calls
 //! [`KvService::worker_ctx`] once, then loops: [`KvService::blocked`]
 //! around its queue receive (the paper's §3.3.3 blocking-call protocol),
 //! [`KvService::apply`] per request, [`KvService::end_batch`] after each
@@ -219,8 +218,9 @@ impl KvService {
                 None,
             ),
             Mode::TransientNvmm => {
-                let region = Region::try_new(crate::backend::nvmm_config(cfg.pool_bytes()))
-                    .map_err(|e| KvError::Config(e.to_string()))?;
+                let region =
+                    Region::try_new(crate::backend::transient_nvmm_config(cfg.pool_bytes()))
+                        .map_err(|e| KvError::Config(e.to_string()))?;
                 (
                     Engine::Nvmm {
                         region,
@@ -343,9 +343,7 @@ impl KvService {
         let t0 = Instant::now();
         let resp = self.apply_inner(ctx, req);
         self.metrics.requests.inc();
-        if self.cfg.metrics() {
-            self.metrics.op_ns.record(t0.elapsed().as_nanos() as u64);
-        }
+        self.metrics.op_ns.record(t0.elapsed().as_nanos() as u64);
         resp
     }
 
@@ -389,7 +387,7 @@ impl KvService {
     /// only then release the batch's responses, so an acknowledged sync
     /// write is durable.
     pub fn end_batch(&self, ctx: &mut WorkerCtx, wrote: bool, batch_len: usize) {
-        if self.cfg.metrics() && batch_len > 0 {
+        if batch_len > 0 {
             self.metrics.batch_size.record(batch_len as u64);
         }
         if let Some(h) = ctx.handle.as_ref() {

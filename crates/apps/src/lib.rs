@@ -21,8 +21,8 @@
 //! * [`kv`] — the KV subsystem behind [`kvstore`] and `respct-kvd`: typed
 //!   request/response/error API, validated server config, versioned wire
 //!   protocol, transport-agnostic service core, and the TCP front end.
-//! * [`kvstore`] — memcached-like store benchmark harness: the [`kv`]
-//!   service driven through in-process request queues (paper Fig. 14).
+//! * [`kvstore`] — memcached-like store benchmark harness: in-process
+//!   clients enqueue onto the [`kv`] server's worker pool (paper Fig. 14).
 //! * [`ycsb`] — YCSB-style workload generator (zipfian keys, configurable
 //!   read/update mix).
 //!

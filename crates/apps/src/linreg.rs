@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use respct::{Pool, RpId};
-use respct_pmem::{Region, RegionConfig};
+use respct_pmem::Region;
 
 use crate::Mode;
 
@@ -111,7 +111,7 @@ pub fn run(cfg: LinregConfig) -> LinregOutput {
 fn run_transient(cfg: LinregConfig, nvmm_tax: bool) -> LinregOutput {
     // The transient program keeps its sums in registers; the NVMM variant
     // charges the media tax by streaming the points through a region.
-    let region = nvmm_tax.then(|| Region::new(RegionConfig::optane(1 << 20)));
+    let region = nvmm_tax.then(|| Region::new(crate::backend::transient_nvmm_config(1 << 20)));
     let per = cfg.npoints.div_ceil(cfg.threads);
     let t0 = Instant::now();
     let mut total = Sums::default();

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use respct::{Pool, RpId};
-use respct_pmem::{PAddr, Region, RegionConfig};
+use respct_pmem::{PAddr, Region};
 
 use crate::Mode;
 
@@ -60,7 +60,10 @@ fn b_elem(i: usize, j: usize) -> f64 {
 pub fn run(cfg: MatmulConfig) -> MatmulOutput {
     match cfg.mode {
         Mode::TransientDram => run_dram(cfg),
-        Mode::TransientNvmm => run_region(cfg, Region::new(region_cfg(cfg, true)), None),
+        Mode::TransientNvmm => {
+            let region = Region::new(crate::backend::transient_nvmm_config(region_bytes(cfg)));
+            run_region(cfg, region, None)
+        }
         Mode::Respct => run_respct(cfg, None),
     }
 }
@@ -72,7 +75,7 @@ pub fn run_traced(cfg: MatmulConfig, sink: Arc<dyn respct_pmem::TraceSink>) -> M
 }
 
 fn run_respct(cfg: MatmulConfig, sink: Option<Arc<dyn respct_pmem::TraceSink>>) -> MatmulOutput {
-    let region = Region::new(region_cfg(cfg, false));
+    let region = Region::new(crate::backend::nvmm_config(region_bytes(cfg)));
     if let Some(sink) = sink {
         region.set_trace_sink(sink);
     }
@@ -80,15 +83,8 @@ fn run_respct(cfg: MatmulConfig, sink: Option<Arc<dyn respct_pmem::TraceSink>>) 
     run_region(cfg, region, Some(pool))
 }
 
-fn region_cfg(cfg: MatmulConfig, transient: bool) -> RegionConfig {
-    let bytes = 3 * cfg.n * cfg.n * 8 + (4 << 20);
-    if transient {
-        // Transient<NVMM> always uses the emulated-Optane latency tax.
-        RegionConfig::optane(bytes)
-    } else {
-        // ResPCT mode runs on whichever backend RESPCT_BACKEND selects.
-        crate::backend::nvmm_config(bytes)
-    }
+fn region_bytes(cfg: MatmulConfig) -> usize {
+    3 * cfg.n * cfg.n * 8 + (4 << 20)
 }
 
 fn run_dram(cfg: MatmulConfig) -> MatmulOutput {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use respct::{Pool, RpId};
-use respct_pmem::{Region, RegionConfig};
+use respct_pmem::Region;
 
 use crate::Mode;
 
@@ -97,8 +97,8 @@ fn run_transient(cfg: SwaptionsConfig) -> SwaptionsOutput {
     // Swaptions is compute-bound with a tiny working set; the paper's
     // NVMM variant differs only marginally, which we model by streaming
     // accumulator updates through a region in NVMM mode.
-    let region =
-        (cfg.mode == Mode::TransientNvmm).then(|| Region::new(RegionConfig::optane(1 << 20)));
+    let region = (cfg.mode == Mode::TransientNvmm)
+        .then(|| Region::new(crate::backend::transient_nvmm_config(1 << 20)));
     let t0 = Instant::now();
     let per = cfg.nswaptions.div_ceil(cfg.threads);
     let prices: Vec<f64> = std::thread::scope(|s| {

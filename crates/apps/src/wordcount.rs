@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use respct::{Pool, RpId};
 use respct_ds::{PHashMap, TransientHashMap};
-use respct_pmem::{Region, RegionConfig};
+use respct_pmem::Region;
 
 use crate::Mode;
 
@@ -81,7 +81,8 @@ pub fn run(cfg: WordCountConfig) -> WordCountOutput {
 
 fn run_transient(cfg: WordCountConfig) -> WordCountOutput {
     // NVMM-mode tax: stream counts through an Optane-latency region.
-    let tax = (cfg.mode == Mode::TransientNvmm).then(|| Region::new(RegionConfig::optane(1 << 20)));
+    let tax = (cfg.mode == Mode::TransientNvmm)
+        .then(|| Region::new(crate::backend::transient_nvmm_config(1 << 20)));
     let map = TransientHashMap::new((cfg.vocab / 2).max(8) as usize);
     let per = cfg.blocks.div_ceil(cfg.threads);
     let t0 = Instant::now();

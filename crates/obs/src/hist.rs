@@ -174,6 +174,27 @@ impl HistSnapshot {
         self.quantile(0.99)
     }
 
+    /// What one histogram recorded between `earlier` and this snapshot of
+    /// it: bucket counts, count and sum subtract. `min` and `max` stay the
+    /// whole history's, so they bound the interval's from outside.
+    pub fn since(&self, earlier: &HistSnapshot) -> HistSnapshot {
+        let mut old = earlier.buckets.iter().peekable();
+        let buckets = self
+            .buckets
+            .iter()
+            .filter_map(|&(bound, c)| {
+                let before = old.next_if(|b| b.0 == bound).map_or(0, |b| b.1);
+                (c > before).then_some((bound, c - before))
+            })
+            .collect();
+        HistSnapshot {
+            count: self.count - earlier.count,
+            sum: self.sum - earlier.sum,
+            buckets,
+            ..*self
+        }
+    }
+
     /// Arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -262,6 +283,23 @@ mod tests {
         assert_eq!(s.p99(), 0);
         assert_eq!(s.mean(), 0.0);
         assert!(s.buckets.is_empty());
+    }
+
+    #[test]
+    fn since_keeps_only_the_later_observations() {
+        let h = Histogram::new();
+        for v in [5u64, 1_000, 1_000_000] {
+            h.record(v);
+        }
+        let before = h.snapshot();
+        for _ in 0..3 {
+            h.record(7);
+        }
+        let d = h.snapshot().since(&before);
+        assert_eq!((d.count, d.sum), (3, 21));
+        assert_eq!(d.buckets, vec![(7, 3)]);
+        assert_eq!((d.p50(), d.p99()), (7, 7));
+        assert_eq!(h.snapshot().since(&h.snapshot()).p99(), 0);
     }
 
     #[test]

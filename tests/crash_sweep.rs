@@ -13,7 +13,7 @@
 //!   divergences: the paper's durability claim holds at *every* instant,
 //!   not just at the end-of-run crashes the other suites take.
 //! * **Non-vacuity of the sweep** — with a known bug injected
-//!   ([`Fault::SkipOneFlush`] on the inline flush path,
+//!   ([`Fault::SkipOneFlush`] on the inline and the executor's drain,
 //!   [`Fault::SkipShardFence`] on the parallel flusher path), the sweep
 //!   finds at least one crash image whose recovery diverges. A checker
 //!   that never fires on broken code would prove nothing.
@@ -295,32 +295,54 @@ fn sweep_cells(
     })
 }
 
-#[test]
-fn skip_one_flush_is_caught_by_the_sweep() {
+/// Sweeps the cell workload with and without [`Fault::SkipOneFlush`] at
+/// `depth`: the control must sweep clean and the faulty run must diverge
+/// after the faulty commit.
+fn assert_skip_one_flush_caught(depth: usize) {
     // Control: the same workload without the fault sweeps clean, so any
-    // divergence below is attributable to the injected bug.
-    let (events, cells, snaps) = recorded_cells(None, 0, 0, 48);
+    // divergence below is attributable to the injected bug. At depth 1
+    // its trace must also crash inside the executor's drain window.
+    let (events, cells, snaps) = recorded_cells(None, 0, depth, 48);
     let clean = sweep_cells(&events, &cells, &snaps);
-    assert!(clean.is_clean(), "{:?}", clean.report);
-    assert!(clean.points > 0 && clean.images > 0);
+    assert!(clean.is_clean(), "depth {depth}: {:?}", clean.report);
+    assert!(clean.points > 0 && clean.images > 0, "depth {depth}");
+    if depth == 1 {
+        assert!(
+            pipeline_overlap_crash_points(&events, 1) > 0,
+            "depth-1 control trace has no in-drain crash points"
+        );
+    }
 
-    // Fault: the second checkpoint skips the pwb of one tracked line on
-    // the inline flush path but still commits its ring slot durably.
-    // Every post-commit crash image holds the stale line with the new
-    // epoch, and recovery cannot roll it back (its cell is tagged with the
-    // *previous* epoch) — the recovered value must diverge from the model.
-    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipOneFlush), 0, 0, 48);
+    // Fault: the second checkpoint skips the pwb of one tracked line —
+    // inline at depth 0, on the executor's drain at depth 1 — but still
+    // commits its ring slot durably. Every post-commit crash image
+    // holds the stale line with the new epoch, and recovery cannot roll
+    // it back (its cell is tagged with the *previous* epoch): the
+    // recovered value must diverge from the model.
+    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipOneFlush), 0, depth, 48);
     let faulty = sweep_cells(&events, &cells, &snaps);
     assert!(
         !faulty.is_clean(),
-        "sweep failed to catch an injected missed flush"
+        "depth {depth}: sweep failed to catch an injected missed flush"
     );
     let d = faulty.report.of_kind(DiagnosticKind::RecoveryDivergence);
-    assert!(!d.is_empty());
+    assert!(!d.is_empty(), "depth {depth}");
     assert!(
         d.iter().any(|d| d.epoch == Some(3)),
-        "divergence must surface after the faulty commit: {d:?}"
+        "depth {depth}: divergence must surface after the faulty commit: {d:?}"
     );
+}
+
+#[test]
+fn skip_one_flush_is_caught_by_the_sweep() {
+    assert_skip_one_flush_caught(0);
+}
+
+#[test]
+fn skip_drain_commit_order_is_caught_by_the_sweep() {
+    // The executor commits ring slot 0 with one snapshotted line never
+    // written back: commit before durability, on the executor's drain.
+    assert_skip_one_flush_caught(1);
 }
 
 #[test]
@@ -340,34 +362,6 @@ fn skip_shard_fence_is_caught_by_the_sweep() {
     assert!(
         !faulty.is_clean(),
         "sweep failed to catch an injected dropped shard fence"
-    );
-    assert!(!faulty
-        .report
-        .of_kind(DiagnosticKind::RecoveryDivergence)
-        .is_empty());
-}
-
-#[test]
-fn skip_drain_commit_order_is_caught_by_the_sweep() {
-    // Control: the same depth-1 workload without the fault sweeps clean, and
-    // its trace contains crash points inside the drain window.
-    let (events, cells, snaps) = recorded_cells(None, 0, 1, 48);
-    let clean = sweep_cells(&events, &cells, &snaps);
-    assert!(clean.is_clean(), "{:?}", clean.report);
-    assert!(
-        pipeline_overlap_crash_points(&events, 1) > 0,
-        "depth-1 control trace has no in-drain crash points"
-    );
-
-    // Fault: the executor commits ring slot 0 back to zero with one
-    // snapshotted line never written back. Every post-commit crash image
-    // then recovers as if epoch 2 committed, but that line's data never
-    // reached NVMM — commit before durability, on the executor's drain.
-    let (events, cells, snaps) = recorded_cells(Some(Fault::SkipOneFlush), 0, 1, 48);
-    let faulty = sweep_cells(&events, &cells, &snaps);
-    assert!(
-        !faulty.is_clean(),
-        "sweep failed to catch a drain that committed before its flushes"
     );
     assert!(!faulty
         .report

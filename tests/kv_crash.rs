@@ -16,11 +16,14 @@
 //!
 //! A second test drives the binary's serving + live-metrics path the way an
 //! operator does: ephemeral ports from the readiness lines, a few requests,
-//! then a scrape of both HTTP routes.
+//! then a scrape of both HTTP routes. A third checks that a `--mode nvmm`
+//! server on the same `RESPCT_BACKEND=mmap:<path>` leaves the pool file
+//! alone.
 #![cfg(unix)]
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -183,37 +186,77 @@ fn sigkill_under_load(pipeline: Option<&str>) {
 
     // Recover in this process. The kill landed mid-epoch under load, so
     // the recovery path must run and the pool must verify clean.
+    assert_acked_writes_survive(&path, &acked, &format!("pipeline {pipeline:?}"));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Recovers the pool file at `path` in this process: the recovery path must
+/// run, `Pool::verify` must come back clean, and every key in `acked` must
+/// hold its fill for seed 1, byte for byte.
+fn assert_acked_writes_survive(path: &Path, acked: &HashSet<u64>, at: &str) {
     let cfg = PoolConfig::builder()
         .size(64 << 20)
         .recovery_threads(2)
         .build()
         .expect("config");
-    let (pool, recovered) = Pool::open(&path, cfg).expect("reopen pool");
+    let (pool, recovered) = Pool::open(path, cfg).unwrap_or_else(|e| panic!("{at}: reopen: {e:?}"));
     recovered.expect("existing pool file must take the recovery path");
     let report = pool.verify();
-    assert!(
-        report.is_clean(),
-        "pipeline {pipeline:?}: pool integrity after SIGKILL: {report:#?}"
-    );
+    assert!(report.is_clean(), "{at}: pool integrity: {report:#?}");
 
-    // Every acknowledged sync write survived with intact bytes.
     let map = PHashMap::open(&pool, pool.root());
     let h = pool.register();
     let mut expect = vec![0u8; VALUE_LEN];
     let mut got = vec![0u8; VALUE_LEN];
-    for &key in &acked {
+    for &key in acked {
         let blob = map
             .get(&h, key)
-            .unwrap_or_else(|| panic!("pipeline {pipeline:?}: acked key {key:#x} lost"));
+            .unwrap_or_else(|| panic!("{at}: acked key {key:#x} lost"));
         let len: u64 = pool.region().load(PAddr(blob));
-        assert_eq!(len as usize, VALUE_LEN, "length header of key {key:#x}");
+        assert_eq!(
+            len as usize, VALUE_LEN,
+            "{at}: length header of key {key:#x}"
+        );
         pool.region().load_bytes(PAddr(blob + 8), &mut got);
         fill_value(&mut expect, key, 1);
-        assert_eq!(got, expect, "value bytes of key {key:#x}");
+        assert_eq!(got, expect, "{at}: value bytes of key {key:#x}");
     }
-    drop(h);
+}
 
-    drop(pool);
+/// `--mode nvmm` never maps the file `RESPCT_BACKEND` names: its transient
+/// arena is emulated Optane whatever the backend. A sync-acknowledged
+/// write of a ResPCT server is still intact after a transient-NVMM server,
+/// started on the same `mmap:<path>`, has served PUTs of its own.
+#[test]
+fn transient_nvmm_server_leaves_the_pool_file_alone() {
+    let path = std::env::temp_dir().join(format!("respct_kv_nvmm_{}.pool", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let backend = format!("mmap:{}", path.display());
+    let mut value = vec![0u8; VALUE_LEN];
+    let mut put = |key: u64, seed: u64| {
+        fill_value(&mut value, key, seed);
+        KvRequest::Put {
+            key,
+            value: value.clone(),
+        }
+    };
+
+    let (mut child, addr, _) = spawn_kvd(&backend, None, &["--sync", "--period-ms", "0"]);
+    let mut client = KvClient::connect(addr).expect("connect to respct kvd");
+    assert_eq!(client.call(0, &put(7, 1)).expect("put").1, KvResponse::Ok);
+    child.kill().expect("stop respct kvd");
+    child.wait().expect("reap respct kvd");
+
+    let (mut child, addr, _) = spawn_kvd(&backend, None, &["--mode", "nvmm"]);
+    let mut client = KvClient::connect(addr).expect("connect to nvmm kvd");
+    for key in 0..64u64 {
+        let resp = client.call(key as u32, &put(key, 2)).expect("put");
+        assert_eq!(resp.1, KvResponse::Ok, "nvmm put {key}");
+    }
+    child.kill().expect("stop nvmm kvd");
+    child.wait().expect("reap nvmm kvd");
+
+    assert_acked_writes_survive(&path, &HashSet::from([7]), "after a transient-NVMM server");
     let _ = std::fs::remove_file(&path);
 }
 

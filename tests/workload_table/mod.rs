@@ -248,7 +248,7 @@ fn queue(region: &Arc<Region>, cfg: PoolConfig, driver: Driver) {
 }
 
 /// A memcached-style workload: persistent map from key to copy-on-write
-/// value blob (the shape of `respct_apps::kvstore`'s ResPCT store).
+/// value blob (the shape of `KvService`'s ResPCT store).
 fn kvstore(region: &Arc<Region>, cfg: PoolConfig, driver: Driver) {
     const VALUE: u64 = 128;
     let pool = Pool::create(Arc::clone(region), cfg).expect("pool");
