@@ -1,17 +1,25 @@
-//! Quiesce barrier shared by the epoch-based baselines (PMThreads, Montage,
-//! Dalí).
+//! Epoch machinery shared by the epoch-based baselines (PMThreads, Montage,
+//! Dalí). Their periodic epoch advance runs on `respct`'s one timer loop
+//! ([`respct::CheckpointerGuard::every`]); this module holds the rest.
 //!
-//! The checkpointing thread must observe a state where no operation is
-//! mid-flight before it copies/flushes epoch data. Operations bracket
-//! themselves with [`EpochBarrier::op_begin`]/[`EpochBarrier::op_end`]
-//! (cheap flag flips); the checkpointer calls [`EpochBarrier::quiesce`]
-//! to stop new operations and wait out in-flight ones. This mirrors
-//! PMThreads' "checkpoint at the end of any critical section" rule.
+//! * [`EpochBarrier`] — the checkpointing thread must observe a state where
+//!   no operation is mid-flight before it copies/flushes epoch data.
+//!   Operations bracket themselves with
+//!   [`EpochBarrier::op_begin`]/[`EpochBarrier::op_end`] (cheap flag
+//!   flips); the checkpointer calls [`EpochBarrier::quiesce`] to stop new
+//!   operations and wait out in-flight ones. This mirrors PMThreads'
+//!   "checkpoint at the end of any critical section" rule.
+//! * [`PersistentEpoch`] — Montage's and Dalí's epoch counter: a volatile
+//!   clock mirrored into one NVMM word, advanced by one fixed
+//!   fence/store/write-back/fence sequence. PMThreads has no counter.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
+use respct_pmem::{PAddr, Region};
+
+use crate::nvheap::{NvCtx, NvHeap};
 
 /// Maximum registered operators.
 pub const MAX_OPS: usize = 128;
@@ -95,6 +103,42 @@ impl EpochBarrier {
         let r = f();
         self.pause.store(false, Ordering::SeqCst);
         r
+    }
+}
+
+/// A persistent epoch counter: the running epoch, and the NVMM word that
+/// holds it durably. See the module docs.
+pub struct PersistentEpoch {
+    epoch: AtomicU64,
+    addr: PAddr,
+}
+
+impl PersistentEpoch {
+    /// Allocates the counter's word (a line of its own) from `heap` through
+    /// `boot` and stores epoch 1 there.
+    pub fn new(heap: &NvHeap, boot: &mut NvCtx) -> PersistentEpoch {
+        let addr = heap.alloc(boot, 64);
+        heap.region().store(addr, 1u64);
+        PersistentEpoch {
+            epoch: AtomicU64::new(1),
+            addr,
+        }
+    }
+
+    /// The running epoch.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    /// Closes the running epoch: fences the epoch's write-backs, then bumps
+    /// the counter and persists it (store, write-back, fence).
+    pub fn advance(&self, region: &Region) {
+        region.psync();
+        let e = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        region.store(self.addr, e);
+        region.pwb(self.addr);
+        region.psync();
     }
 }
 

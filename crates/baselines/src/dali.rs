@@ -9,20 +9,21 @@
 //! flush lazily.
 //!
 //! Reproduced: prepend-only version records in NVMM, per-bucket dirty
-//! tracking, epoch flush via quiesce, and per-bucket compaction once a
-//! chain exceeds a threshold — records from already-persisted epochs
-//! collapse to one record per live key.
+//! tracking, epoch flush via quiesce (advancing the [`PersistentEpoch`]
+//! shared with Montage, on `respct`'s timer loop), and per-bucket
+//! compaction once a chain exceeds a threshold — records from
+//! already-persisted epochs collapse to one record per live key.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use respct::CheckpointerGuard;
 use respct_ds::hash_u64;
 use respct_ds::traits::BenchMap;
 use respct_pmem::{PAddr, Region};
 
-use crate::barrier::EpochBarrier;
+use crate::barrier::{EpochBarrier, PersistentEpoch};
 use crate::nvheap::{NvCtx, NvHeap};
 
 /// Record: key@0, value@8, meta@16 (op in bit 0: 1 = put, 0 = delete;
@@ -40,10 +41,9 @@ pub struct DaliHashMap {
     nbuckets: u64,
     locks: Box<[Mutex<()>]>,
     barrier: EpochBarrier,
-    epoch: AtomicU64,
+    epoch: PersistentEpoch,
     /// Buckets touched this epoch, per barrier slot.
     dirty: Box<[Mutex<Vec<u64>>]>,
-    epoch_addr: PAddr,
 }
 
 /// Per-thread context.
@@ -62,19 +62,17 @@ impl DaliHashMap {
         for b in 0..nbuckets {
             heap.region().store(PAddr(heads.0 + b * 8), 0u64);
         }
-        let epoch_addr = heap.alloc(&mut boot, 64);
-        heap.region().store(epoch_addr, 1u64);
+        let epoch = PersistentEpoch::new(&heap, &mut boot);
         Arc::new(DaliHashMap {
             heap,
             heads,
             nbuckets,
             locks: (0..nbuckets).map(|_| Mutex::new(())).collect(),
             barrier: EpochBarrier::new(),
-            epoch: AtomicU64::new(1),
+            epoch,
             dirty: (0..crate::barrier::MAX_OPS)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
-            epoch_addr,
         })
     }
 
@@ -114,7 +112,7 @@ impl DaliHashMap {
             self.barrier.op_end(ctx.slot);
             return false;
         }
-        let epoch = self.epoch.load(Ordering::Relaxed);
+        let epoch = self.epoch.get();
         let rec = self.heap.alloc(&mut ctx.alloc, REC_SIZE);
         region.store(rec, k);
         region.store(PAddr(rec.0 + 8), v);
@@ -139,7 +137,7 @@ impl DaliHashMap {
     /// wins; superseded records are freed. Caller holds the bucket lock.
     fn compact(&self, ctx: &mut DaliCtx, b: u64) {
         let region = self.heap.region();
-        let cur_epoch = self.epoch.load(Ordering::Relaxed);
+        let cur_epoch = self.epoch.get();
         let mut seen = std::collections::HashSet::new();
         let mut prev: u64 = 0;
         let mut cur: u64 = region.load(self.head_addr(b));
@@ -202,7 +200,7 @@ impl DaliHashMap {
             }
             buckets.sort_unstable();
             buckets.dedup();
-            let epoch = self.epoch.load(Ordering::Relaxed);
+            let epoch = self.epoch.get();
             for b in buckets {
                 region.pwb(self.head_addr(b));
                 flushed += 1;
@@ -218,51 +216,17 @@ impl DaliHashMap {
                     cur = region.load(PAddr(cur + 24));
                 }
             }
-            region.psync();
-            let e = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            region.store(self.epoch_addr, e);
-            region.pwb(self.epoch_addr);
-            region.psync();
+            self.epoch.advance(region);
             flushed
         })
     }
 
     /// Spawns a periodic persist pass.
-    pub fn start_checkpointer(self: &Arc<Self>, period: Duration) -> DaliCheckpointer {
+    pub fn start_checkpointer(self: &Arc<Self>, period: Duration) -> CheckpointerGuard {
         let this = Arc::clone(self);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("dali-ckpt".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(period);
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    this.checkpoint();
-                }
-            })
-            .expect("spawn dali checkpointer");
-        DaliCheckpointer {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-/// Stops the periodic persist pass when dropped.
-pub struct DaliCheckpointer {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for DaliCheckpointer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        CheckpointerGuard::every("dali-ckpt", period, move || {
+            this.checkpoint();
+        })
     }
 }
 

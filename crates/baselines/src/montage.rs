@@ -10,17 +10,21 @@
 //! NVMM metadata for order-dependent structures — the queue keeps a global
 //! sequence number in NVMM, updated inside the critical section, so that
 //! recovery can rebuild FIFO order.
+//!
+//! The epoch boundary ([`MontageRuntime::checkpoint`]) advances the
+//! [`PersistentEpoch`] it shares with Dalí, on `respct`'s timer loop
+//! ([`MontageRuntime::start_checkpointer`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use respct::CheckpointerGuard;
 use respct_ds::hash_u64;
 use respct_ds::traits::{BenchMap, BenchQueue};
 use respct_pmem::{PAddr, Region};
 
-use crate::barrier::EpochBarrier;
+use crate::barrier::{EpochBarrier, PersistentEpoch};
 use crate::nvheap::{NvCtx, NvHeap};
 
 /// Payload block: key@0, value@8, epoch@16 (24 bytes, class 32).
@@ -29,14 +33,12 @@ const PAYLOAD_SIZE: u64 = 24;
 /// Shared Montage runtime: epoch clock, flush lists, retirement.
 pub struct MontageRuntime {
     heap: Arc<NvHeap>,
-    epoch: AtomicU64,
+    epoch: PersistentEpoch,
     barrier: EpochBarrier,
     /// Payloads created this epoch, per barrier slot (uncontended pushes).
     fresh: Box<[Mutex<Vec<u64>>]>,
     /// Payloads retired this epoch / last epoch.
     retired: Mutex<(Vec<u64>, Vec<u64>)>,
-    /// NVMM word holding the persistent epoch.
-    epoch_addr: PAddr,
 }
 
 /// Per-thread context.
@@ -49,18 +51,15 @@ impl MontageRuntime {
     /// Creates a runtime over `region`.
     pub fn new(region: Arc<Region>) -> Arc<MontageRuntime> {
         let heap = Arc::new(NvHeap::new(region));
-        let mut boot = heap.ctx();
-        let epoch_addr = heap.alloc(&mut boot, 64);
-        heap.region().store(epoch_addr, 1u64);
+        let epoch = PersistentEpoch::new(&heap, &mut heap.ctx());
         Arc::new(MontageRuntime {
             heap,
-            epoch: AtomicU64::new(1),
+            epoch,
             barrier: EpochBarrier::new(),
             fresh: (0..crate::barrier::MAX_OPS)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
             retired: Mutex::new((Vec::new(), Vec::new())),
-            epoch_addr,
         })
     }
 
@@ -79,7 +78,7 @@ impl MontageRuntime {
         let region = self.heap.region();
         region.store(p, k);
         region.store(PAddr(p.0 + 8), v);
-        region.store(PAddr(p.0 + 16), self.epoch.load(Ordering::Relaxed));
+        region.store(PAddr(p.0 + 16), self.epoch.get());
         self.fresh[ctx.slot].lock().push(p.0);
         p.0
     }
@@ -105,11 +104,7 @@ impl MontageRuntime {
                     flushed += 1;
                 }
             }
-            region.psync();
-            let e = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            region.store(self.epoch_addr, e);
-            region.pwb(self.epoch_addr);
-            region.psync();
+            self.epoch.advance(region);
             // Reclaim generation n-2; age generation n-1.
             let mut ret = self.retired.lock();
             let old = std::mem::take(&mut ret.1);
@@ -123,46 +118,16 @@ impl MontageRuntime {
     }
 
     /// Spawns a periodic epoch advancer.
-    pub fn start_checkpointer(self: &Arc<Self>, period: Duration) -> MontageCheckpointer {
+    pub fn start_checkpointer(self: &Arc<Self>, period: Duration) -> CheckpointerGuard {
         let this = Arc::clone(self);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("montage-ckpt".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(period);
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    this.checkpoint();
-                }
-            })
-            .expect("spawn montage checkpointer");
-        MontageCheckpointer {
-            stop,
-            handle: Some(handle),
-        }
+        CheckpointerGuard::every("montage-ckpt", period, move || {
+            this.checkpoint();
+        })
     }
 
     /// The region (diagnostics).
     pub fn region(&self) -> &Arc<Region> {
         self.heap.region()
-    }
-}
-
-/// Stops the periodic epoch advancer when dropped.
-pub struct MontageCheckpointer {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for MontageCheckpointer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 

@@ -10,16 +10,18 @@
 //!
 //! Reproduced here: DRAM working region + NVMM target region at identical
 //! offsets, store interception marking a page-granularity dirty bitmap, and
-//! a periodic checkpointer that quiesces (operations are the paper's
-//! critical sections), copies dirty pages, flushes, and fences. Following
-//! the paper's methodology note, our checkpoint copy loop is the
-//! *parallelized* variant the authors helped tune (a pool of copiers),
-//! reduced to inline copy on this 1-CPU container.
+//! a periodic checkpointer (on `respct`'s timer loop) that quiesces
+//! (operations are the paper's critical sections), copies dirty pages,
+//! flushes, and fences. The paper's methodology note describes the
+//! checkpoint copy loop as the *parallelized* variant the authors helped
+//! tune (a pool of copiers); here it is one inline copy loop. PMThreads
+//! keeps no persistent epoch counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use respct::CheckpointerGuard;
 use respct_pmem::{PAddr, Region};
 
 use crate::barrier::EpochBarrier;
@@ -99,46 +101,16 @@ impl PmThreadsPolicy {
     }
 
     /// Spawns a periodic checkpointer.
-    pub fn start_checkpointer(self: &Arc<Self>, period: Duration) -> PmCheckpointer {
+    pub fn start_checkpointer(self: &Arc<Self>, period: Duration) -> CheckpointerGuard {
         let this = Arc::clone(self);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("pmthreads-ckpt".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(period);
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    this.checkpoint();
-                }
-            })
-            .expect("spawn pmthreads checkpointer");
-        PmCheckpointer {
-            stop,
-            handle: Some(handle),
-        }
+        CheckpointerGuard::every("pmthreads-ckpt", period, move || {
+            this.checkpoint();
+        })
     }
 
     /// The NVMM region (flush-count diagnostics).
     pub fn nvmm(&self) -> &Arc<Region> {
         &self.nvmm
-    }
-}
-
-/// Stops the periodic checkpointer when dropped.
-pub struct PmCheckpointer {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for PmCheckpointer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 

@@ -1,6 +1,8 @@
-//! The checkpoint procedure (paper Fig. 4, lines 46–59) and its periodic
-//! driver, plus the parallel flush pipeline (§5 "a pool of flusher threads
-//! flushes data to NVMM in parallel during checkpoints").
+//! The checkpoint procedure (paper Fig. 4, lines 46–59), the parallel
+//! flush pipeline (§5 "a pool of flusher threads flushes data to NVMM in
+//! parallel during checkpoints"), and the workspace's one timer loop,
+//! [`CheckpointerGuard::every`], which runs ResPCT's 64 ms checkpointer and
+//! the epoch-based baselines' epoch advances alike.
 //!
 //! # The flush pipeline
 //!
@@ -15,8 +17,10 @@
 //! none) take from a shared counter. Each claimer writes its ranges back in
 //! one batch per range ([`Region::pwb_lines`]) and issues **one** fence
 //! after its last range ([`ShardJob::work`], the only shard loop). The
-//! drainer sends one job message per flusher and waits for one ack per
-//! flusher.
+//! drainer sends each flusher exactly one message on that flusher's own
+//! channel and waits for one ack per flusher. Both executors (the flusher
+//! threads and the [`DrainExec`] worker) receive on `std::sync::mpsc`
+//! channels.
 //!
 //! # One commit protocol
 //!
@@ -34,10 +38,10 @@
 //! checkpointer then recycles the frees whose epoch has committed.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use respct_pmem::{PAddr, Region, SyncToken, TraceMarker};
 
@@ -271,24 +275,9 @@ impl Pool {
     /// Dropping the returned guard stops and joins the thread.
     pub fn start_checkpointer(self: &Arc<Self>, period: Duration) -> CheckpointerGuard {
         let pool = Arc::clone(self);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("respct-ckpt".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(period);
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    pool.checkpoint_now();
-                }
-            })
-            .expect("spawn checkpointer");
-        CheckpointerGuard {
-            stop,
-            handle: Some(handle),
-        }
+        CheckpointerGuard::every("respct-ckpt", period, move || {
+            pool.checkpoint_now();
+        })
     }
 }
 
@@ -304,16 +293,60 @@ impl Quiesced<'_> {
     }
 }
 
-/// Stops the periodic checkpointer when dropped.
+/// A periodic timer: a named thread that sleeps one period, then ticks,
+/// until the guard is dropped. Every timer-driven epoch advance in the
+/// workspace runs on one — ResPCT's checkpointer and the epoch-based
+/// baselines' alike.
+///
+/// Dropping the guard stops and joins the thread, waking it if it is
+/// asleep: no tick follows the drop, and the drop does not wait out the
+/// period.
 pub struct CheckpointerGuard {
-    stop: Arc<std::sync::atomic::AtomicBool>,
+    stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl CheckpointerGuard {
+    /// Spawns thread `name`, which runs `tick` once per `period` (the first
+    /// time one period after the spawn) until the guard is dropped.
+    pub fn every(
+        name: &str,
+        period: Duration,
+        mut tick: impl FnMut() + Send + 'static,
+    ) -> CheckpointerGuard {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || loop {
+                // Park until the deadline: a spurious wake-up parks again,
+                // and the guard's drop unparks the thread to stop it.
+                let mut now = Instant::now();
+                let deadline = now + period;
+                while now < deadline && !stopped.load(Ordering::Relaxed) {
+                    std::thread::park_timeout(deadline - now);
+                    now = Instant::now();
+                }
+                if stopped.load(Ordering::Relaxed) {
+                    return;
+                }
+                tick();
+            })
+            .expect("spawn timer thread");
+        CheckpointerGuard {
+            stop,
+            handle: Some(handle),
+        }
+    }
 }
 
 impl Drop for CheckpointerGuard {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
+            // `unpark` happens-after the store: a parked timer thread wakes to
+            // find the flag set.
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -389,7 +422,7 @@ impl Flusher {
             // back, and write nothing.
             return (total, Vec::new());
         }
-        let claimers = self.workers.as_ref().map_or(1, |pool| pool.n);
+        let claimers = self.workers.as_ref().map_or(1, |pool| pool.flushers.len());
         let shards = shard_count(claimers, lines.len());
         // Test-only injected faults: drop one write-back (the middle line
         // of the epoch), every fence, one shard's fence (the last shard, so
@@ -478,10 +511,8 @@ impl ShardJob {
         // Shards written back by this claimer and not yet fenced.
         let mut unfenced: Vec<usize> = Vec::new();
         let fence = |unfenced: &mut Vec<usize>| {
-            // A claimer with nothing unfenced issues no fence. (This matters
-            // beyond perf: one fast worker can consume several of the job's
-            // messages, and a no-op psync on the later receives would fence
-            // write-backs the earlier invocation deliberately left unfenced.)
+            // A claimer with nothing unfenced issues no fence — after the
+            // racing shard, one would fence what must stay unfenced.
             if unfenced.is_empty() {
                 return;
             }
@@ -528,70 +559,60 @@ impl ShardJob {
     }
 }
 
-/// A fixed pool of threads that write back flush shards in parallel.
+/// One flush's message to one flusher: the job, and where to ack it.
+type FlushMsg = (Arc<ShardJob>, Sender<()>);
+
+/// A fixed pool of threads that write back flush shards in parallel. Each
+/// flusher has its own job channel and receives exactly one message per
+/// flush: the job and the sender of that flush's ack channel.
 pub(crate) struct FlusherPool {
-    workers: Vec<std::thread::JoinHandle<()>>,
-    job_tx: Sender<Arc<ShardJob>>,
-    done_rx: Receiver<()>,
+    flushers: Vec<(Sender<FlushMsg>, std::thread::JoinHandle<()>)>,
     region: Arc<Region>,
-    n: usize,
 }
 
 impl FlusherPool {
     pub(crate) fn new(n: usize, region: Arc<Region>) -> FlusherPool {
-        let (job_tx, job_rx) = bounded::<Arc<ShardJob>>(n * 2);
-        let (done_tx, done_rx) = bounded::<()>(n * 2);
-        let mut workers = Vec::with_capacity(n);
-        for i in 0..n {
-            let rx = job_rx.clone();
-            let tx = done_tx.clone();
-            let region = Arc::clone(&region);
-            workers.push(
-                std::thread::Builder::new()
+        let flushers = (0..n)
+            .map(|i| {
+                let (tx, rx) = mpsc::channel::<FlushMsg>();
+                let region = Arc::clone(&region);
+                let worker = std::thread::Builder::new()
                     .name(format!("respct-flusher-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        while let Ok((job, ack)) = rx.recv() {
                             job.work(&region);
-                            // The ack publishes this worker's fences to the
-                            // checkpointer: release before sending (unless a
+                            // The ack publishes this flusher's fences to the
+                            // drainer: release before sending (unless a
                             // DropSyncEdge(FlusherAck) fault ate the edge).
                             if !job.drop_ack_edge.swap(false, Ordering::Relaxed) {
                                 region.sync_release(job.chan_token());
                             }
-                            if tx.send(()).is_err() {
-                                break;
-                            }
+                            let _ = ack.send(());
                         }
                     })
-                    .expect("spawn flusher"),
-            );
-        }
-        FlusherPool {
-            workers,
-            job_tx,
-            done_rx,
-            region,
-            n,
-        }
+                    .expect("spawn flusher");
+                (tx, worker)
+            })
+            .collect();
+        FlusherPool { flushers, region }
     }
 
     /// Runs `job` across the pool; returns when every shard is written back
-    /// and fenced (one ack per worker, sent after that worker's fence).
+    /// and fenced (one ack per flusher, sent after that flusher's fence).
     fn run(&self, job: &Arc<ShardJob>) {
-        // One message per worker. A fast worker may consume several
-        // messages; the extra receives claim nothing and ack immediately,
-        // so n acks still imply every claimed shard was fenced by its
-        // claimer before that claimer's ack.
-        for _ in 0..self.n {
-            self.job_tx
-                .send(Arc::clone(job))
+        let (ack_tx, ack_rx) = mpsc::channel();
+        for (tx, _) in &self.flushers {
+            tx.send((Arc::clone(job), ack_tx.clone()))
                 .expect("flusher pool alive");
         }
-        for _ in 0..self.n {
-            self.done_rx.recv().expect("flusher pool alive");
-            // Each ack received joins that worker's fences into the
-            // checkpointer's clock: the epoch commit that follows is
-            // provably HB-after every shard write-back.
+        // Only the flushers hold ack senders now: a flusher that died
+        // mid-job fails the receive below instead of hanging it.
+        drop(ack_tx);
+        for _ in &self.flushers {
+            ack_rx.recv().expect("flusher pool alive");
+            // Each ack received joins that flusher's fences into the
+            // drainer's clock: the epoch commit that follows is provably
+            // HB-after every shard write-back.
             self.region.sync_acquire(job.chan_token());
         }
     }
@@ -599,11 +620,10 @@ impl FlusherPool {
 
 impl Drop for FlusherPool {
     fn drop(&mut self) {
-        // Closing the channel terminates the workers.
-        let (tx, _rx) = bounded(1);
-        drop(std::mem::replace(&mut self.job_tx, tx));
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        // Closing a flusher's channel terminates it.
+        for (tx, worker) in self.flushers.drain(..) {
+            drop(tx);
+            let _ = worker.join();
         }
     }
 }
@@ -743,7 +763,7 @@ pub(crate) struct DrainExec {
 
 impl DrainExec {
     pub(crate) fn new(ctx: Arc<DrainCtx>) -> DrainExec {
-        let (tx, rx) = unbounded::<DrainTicket>();
+        let (tx, rx) = mpsc::channel::<DrainTicket>();
         let worker = {
             let ctx = Arc::clone(&ctx);
             std::thread::Builder::new()
@@ -804,7 +824,7 @@ impl Drop for DrainExec {
         // pool's executor goes away, which is what lets tests (and apps)
         // crash the region right after dropping the pool.
         self.ctx.hold.store(false, Ordering::Release);
-        let (tx, _rx) = unbounded();
+        let (tx, _rx) = mpsc::channel();
         drop(std::mem::replace(&mut self.tx, tx));
         if let Some(w) = self.worker.take() {
             let _ = w.join();
@@ -1009,6 +1029,23 @@ mod tests {
         let epoch = pool.epoch();
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(pool.epoch(), epoch, "checkpointer must stop after drop");
+    }
+
+    /// A stop request wakes the sleeping timer thread: the drop does not wait out
+    /// the period, and no checkpoint follows it.
+    #[test]
+    fn dropping_the_checkpointer_does_not_wait_out_the_period() {
+        let region = Region::new(RegionConfig::fast(1 << 20));
+        let pool = Pool::create(region, PoolConfig::default()).unwrap();
+        let guard = pool.start_checkpointer(Duration::from_secs(10));
+        // Let the timer thread reach its sleep.
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        drop(guard);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "drop took {took:?}");
+        assert_eq!(pool.runtime_metrics().ckpt_snapshot().count, 0);
+        assert_eq!(pool.epoch(), 1);
     }
 
     proptest::proptest! {
