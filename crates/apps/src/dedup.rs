@@ -115,13 +115,10 @@ impl<T> Chan<T> {
                 // §3.3.3: allow checkpoints while blocked; on wake-up, wait
                 // out any in-flight checkpoint (releasing the lock).
                 let allow = h.allow_checkpoints();
-                cv.wait(&mut guard);
+                guard = cv.wait(guard);
                 allow.rearm_locked(&self.state, guard)
             }
-            None => {
-                cv.wait(&mut guard);
-                guard
-            }
+            None => cv.wait(guard),
         }
     }
 

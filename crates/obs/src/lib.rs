@@ -21,8 +21,9 @@
 //!   Prometheus text format (`GET /metrics`) and the JSON snapshot
 //!   (`GET /json`).
 //!
-//! Everything is dependency-free std (plus `crossbeam::CachePadded`); no
-//! allocation on any record path.
+//! Everything is std plus two workspace crates: `crossbeam::CachePadded`
+//! for the counter stripes, and the poison-free `parking_lot::Mutex` for
+//! the (cold) registration path. No allocation on any record path.
 
 mod counter;
 mod hist;

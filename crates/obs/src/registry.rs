@@ -2,26 +2,10 @@
 
 use std::sync::Arc;
 
-use parking_lot_shim::Mutex;
+use parking_lot::Mutex;
 
 use crate::counter::Counter;
 use crate::hist::Histogram;
-
-// The workspace vendors parking_lot; obs only needs a plain mutex for the
-// (cold) registration path, so std's suffices.
-mod parking_lot_shim {
-    /// Thin wrapper giving std's mutex parking_lot's panic-free `lock`.
-    #[derive(Debug, Default)]
-    pub struct Mutex<T>(std::sync::Mutex<T>);
-
-    impl<T> Mutex<T> {
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-    }
-}
 
 /// Unit hint attached to a metric (rendered into help text and used by
 /// consumers to scale values).

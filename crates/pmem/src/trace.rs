@@ -120,8 +120,9 @@ pub enum SyncToken {
     /// commit, acquired by whoever waited one out — a thread leaving the
     /// push-out wait, `checkpoint_here`, a checkpoint re-claiming the slot.
     Drain,
-    /// A mutex guarding pool stores (checkpoint serialization lock, data
-    /// structure bucket locks), identified by the lock's address.
+    /// A `TracedMutex` (data-structure bucket locks, the checkpoint lock,
+    /// the free-list class locks), identified by the lock's address:
+    /// released by each guard drop, acquired by each `lock`.
     Lock { id: u64 },
     /// A channel hand-off (flusher job acknowledgements, drain tickets),
     /// identified by the shared object's address: released by the sender,

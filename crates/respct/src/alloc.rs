@@ -41,7 +41,7 @@
 //! leak, which is safe (documented trade-off; Montage's epoch retirement
 //! makes the same compromise).
 
-use respct_pmem::{align_up, PAddr, SyncToken};
+use respct_pmem::{align_up, PAddr};
 
 use crate::incll::ICell;
 use crate::layout::{self, class_of, class_size};
@@ -87,18 +87,16 @@ impl Slot<'_> {
     fn alloc_class(&mut self, c: usize) -> PAddr {
         let pool = self.pool();
         // Free-list pop: volatile head under the class lock; the persistent
-        // head cell is synced at the next checkpoint.
+        // head cell is synced at the next checkpoint. The checkpointer
+        // stored this block's link word under the same traced lock
+        // ([`Slot::push_frees`]), so our upcoming payload stores are ordered
+        // after that write for the trace checker's happens-before rules.
         {
-            let mut head = pool.class_heads[c].lock();
+            let mut head = pool.class_heads[c].lock(pool);
             if *head != 0 {
                 let block = *head;
                 *head = pool.region.load(PAddr(block));
                 pool.region.prefetch(PAddr(*head));
-                // The checkpointer stored this block's link word under the
-                // same lock ([`Slot::push_frees`]); joining its published
-                // clock orders our upcoming payload stores after that
-                // write for the trace checker's happens-before rules.
-                pool.region.sync_acquire(pool.class_lock_token(c));
                 return PAddr(block);
             }
         }
@@ -148,25 +146,22 @@ impl Slot<'_> {
     /// `Timer` release and only once the epoch the blocks were freed in has
     /// committed: the link word overwrites the block's first 8 bytes, and
     /// until that commit lands a crash still rolls back to a state in which
-    /// the block was live.
+    /// the block was live. The application threads are running again, so
+    /// the traced class lock is the only ordering between a link-word store
+    /// and the payload stores of whichever thread pops that block.
     pub(crate) fn push_frees(&mut self, drained: Vec<(PAddr, usize)>) {
         let pool = self.pool();
         for (i, &(addr, c)) in drained.iter().enumerate() {
             if let Some(&(next, _)) = drained.get(i + 1) {
                 pool.region.prefetch(next);
             }
-            let mut head = pool.class_heads[c].lock();
+            let mut head = pool.class_heads[c].lock(pool);
             // Link word lives in the block's first 8 bytes. If the epoch
             // that persists this push crashes, the head cell rolls back and
             // the stale link word is unreachable garbage.
             pool.region.store(addr, *head);
             self.add_modified(addr, 8);
             *head = addr.0;
-            // Publish the link-word store to whichever thread pops this
-            // block: the application threads are running again, so the
-            // class lock is the only ordering between the store above and
-            // the popper's payload writes.
-            pool.region.sync_release(pool.class_lock_token(c));
         }
     }
 }
@@ -195,7 +190,7 @@ impl Quiesced<'_> {
         let bump = *pool.bump_vol.lock();
         sys.sync_cell(pool.bump_cell(), bump);
         for c in 0..layout::NUM_CLASSES {
-            let head = *pool.class_heads[c].lock();
+            let head = *pool.class_heads[c].lock(pool);
             sys.sync_cell(pool.freelist_cell(c), head);
         }
     }
@@ -247,14 +242,6 @@ impl Pool {
         );
         *bump = new;
         PAddr(start)
-    }
-
-    /// Happens-before token of a class free-list lock, keyed on the mutex
-    /// address (stable for the pool's lifetime).
-    fn class_lock_token(&self, c: usize) -> SyncToken {
-        SyncToken::Lock {
-            id: std::ptr::from_ref(&self.class_heads[c]) as u64,
-        }
     }
 
     /// Bytes handed out so far (volatile view; diagnostics).

@@ -45,10 +45,10 @@ impl RCondvar {
         &self,
         handle: &mut ThreadHandle,
         mutex: &'a Mutex<T>,
-        mut guard: MutexGuard<'a, T>,
+        guard: MutexGuard<'a, T>,
     ) -> MutexGuard<'a, T> {
         let allow = handle.allow_checkpoints();
-        self.cv.wait(&mut guard);
+        let guard = self.cv.wait(guard);
         allow.rearm_locked(mutex, guard)
     }
 
@@ -58,13 +58,12 @@ impl RCondvar {
         &self,
         handle: &mut ThreadHandle,
         mutex: &'a Mutex<T>,
-        mut guard: MutexGuard<'a, T>,
+        guard: MutexGuard<'a, T>,
         timeout: Duration,
     ) -> (MutexGuard<'a, T>, bool) {
         let allow = handle.allow_checkpoints();
-        let res = self.cv.wait_for(&mut guard, timeout);
-        let guard = allow.rearm_locked(mutex, guard);
-        (guard, res.timed_out())
+        let (guard, timed_out) = self.cv.wait_for(guard, timeout);
+        (allow.rearm_locked(mutex, guard), timed_out)
     }
 
     /// Wakes one waiter.

@@ -20,6 +20,7 @@ use crate::incll::ICell;
 use crate::layout::{
     self, FIRST_EPOCH, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_BUMP, OFF_MAGIC, OFF_ROOT, OFF_SIZE,
 };
+use crate::sync::{TracedGuard, TracedMutex};
 
 /// What the checkpoint procedure actually does — the knobs behind the
 /// paper's Fig. 10 overhead decomposition.
@@ -72,8 +73,9 @@ pub enum Fault {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncEdgeSite {
     /// The release edge of the next [`TracedMutex`](crate::TracedMutex)
-    /// guard drop: the next thread through that lock appears unsynchronized
-    /// with this one's stores — a persist race (rule a).
+    /// guard drop — an application lock's, the checkpoint lock's or a
+    /// free-list class lock's: the next thread through that lock appears
+    /// unsynchronized with this one's stores — a persist race (rule a).
     LockRelease,
     /// The release edge a flusher worker publishes with its shard
     /// acknowledgement: the epoch commit appears not HB-after that worker's
@@ -302,11 +304,12 @@ pub struct Pool {
     /// Volatile mirror of the global bump offset (the mutex is also the
     /// chunk-grab lock); synced into the bump cell at checkpoints.
     pub(crate) bump_vol: Mutex<u64>,
-    /// Volatile mirrors of the free-list heads, one mutex per size class;
-    /// synced into the head cells at checkpoints.
-    pub(crate) class_heads: Box<[Mutex<u64>]>,
+    /// Volatile mirrors of the free-list heads, one lock per size class;
+    /// synced into the head cells at checkpoints. Traced: a pop's payload
+    /// stores must be ordered after the push's link-word store.
+    pub(crate) class_heads: Box<[TracedMutex<u64>]>,
     /// Serializes checkpoints and registration/deregistration.
-    pub(crate) ckpt_lock: Mutex<()>,
+    pub(crate) ckpt_lock: TracedMutex<()>,
     /// Background drain executor (pools of depth ≥ 1 only): owns the
     /// worker thread that drains queued epoch tickets and commits their
     /// ring slots in order. Immutable after construction, so the hot path's
@@ -466,7 +469,7 @@ impl Pool {
         let u64_cell = |addr: PAddr| -> u64 { region.load(addr) };
         let slots = crate::slot::SlotTable::new(&region);
         let class_heads = (0..NUM_CLASSES)
-            .map(|c| Mutex::new(u64_cell(layout::freelist_cell(c))))
+            .map(|c| TracedMutex::new(u64_cell(layout::freelist_cell(c))))
             .collect::<Vec<_>>();
         let bump_vol = Mutex::new(u64_cell(OFF_BUMP));
         // Slots 1.. are free; 0 is the system slot.
@@ -492,18 +495,18 @@ impl Pool {
             free_slots: Mutex::new(free),
             bump_vol,
             class_heads: class_heads.into_boxed_slice(),
-            ckpt_lock: Mutex::new(()),
+            ckpt_lock: TracedMutex::new(()),
             pipeline,
             metrics,
             drain,
             scrub_fresh,
         });
         // Publish the constructing thread's work (header format, recovery
-        // phase-1 rollbacks) on the checkpoint-lock token: the first
-        // `register()` acquires it, so pool construction happens-before
-        // every handle's stores in the trace — matching the real `Arc`
-        // hand-off that publishes the pool to other threads.
-        pool.region.sync_release(pool.ckpt_lock_token());
+        // phase-1 rollbacks) through the checkpoint lock: the first
+        // `register()` takes it, so pool construction happens-before every
+        // handle's stores in the trace — matching the real `Arc` hand-off
+        // that publishes the pool to other threads.
+        drop(pool.ckpt_lock.lock(&pool));
         pool
     }
 
@@ -535,21 +538,14 @@ impl Pool {
         &self.region
     }
 
-    /// The happens-before token identifying `ckpt_lock` in the trace.
-    pub(crate) fn ckpt_lock_token(&self) -> SyncToken {
-        SyncToken::Lock {
-            id: &self.ckpt_lock as *const Mutex<()> as u64,
-        }
-    }
-
-    /// Takes the checkpoint-serialization lock, reporting acquire/release
-    /// happens-before edges to the trace sink. Every `ckpt_lock` user goes
-    /// through this so registration, deregistration, and checkpoints are
-    /// visibly ordered in the trace.
+    /// Takes the checkpoint-serialization lock. It is traced, so
+    /// registration, deregistration, and checkpoints are visibly ordered in
+    /// the trace.
     pub(crate) fn lock_ckpt(&self) -> CkptLockGuard<'_> {
-        let guard = self.ckpt_lock.lock();
-        self.region.sync_acquire(self.ckpt_lock_token());
-        CkptLockGuard { pool: self, guard }
+        CkptLockGuard {
+            pool: self,
+            _lock: self.ckpt_lock.lock(self),
+        }
     }
 
     /// The current epoch number.
@@ -675,19 +671,13 @@ pub(crate) fn spin_until(mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Guard for [`Pool::lock_ckpt`]: reports the release edge just before the
-/// lock is dropped (field order: the edge is emitted in `drop`, then the
-/// inner guard unlocks).
+/// Guard for [`Pool::lock_ckpt`]: the checkpoint lock's [`TracedGuard`],
+/// and the token [`CkptLockGuard::system_slot`] and
+/// [`Quiesced::new`](crate::slot::Quiesced::new) borrow as proof the lock
+/// is held.
 pub(crate) struct CkptLockGuard<'a> {
     pub(crate) pool: &'a Pool,
-    #[allow(dead_code)]
-    guard: parking_lot::MutexGuard<'a, ()>,
-}
-
-impl Drop for CkptLockGuard<'_> {
-    fn drop(&mut self) {
-        self.pool.region.sync_release(self.pool.ckpt_lock_token());
-    }
+    _lock: TracedGuard<'a, ()>,
 }
 
 impl std::fmt::Debug for Pool {

@@ -6,14 +6,17 @@
 //! the checkpoint timer, the drain handshake, flusher acknowledgements)
 //! emits those edges directly — but the locks *applications and data
 //! structures* use to order their pool stores are ordinary mutexes the
-//! region never sees. [`TracedMutex`] is the bridge: a `parking_lot` mutex
-//! that reports its acquire/release pairs to the trace sink of the pool it
-//! is locked against, so a store protected by it is provably ordered and
-//! not a persist race.
+//! region never sees. [`TracedMutex`] is the bridge, and the only lock that
+//! publishes happens-before edges: the workspace's poison-free mutex
+//! (`parking_lot::Mutex`), reporting its acquire/release pairs to the trace
+//! sink of the pool it is locked against, so a store protected by it is
+//! provably ordered and not a persist race. The runtime's own pool-ordering
+//! locks — the checkpoint lock and the free-list class locks — are
+//! `TracedMutex`es too.
 //!
 //! The lock holds no pool of its own — it is exactly as large as the
-//! `parking_lot` mutex it wraps, which matters for a structure with a lock
-//! per bucket. The caller names the pool at each [`TracedMutex::lock`]:
+//! mutex it wraps, which matters for a structure with a lock per bucket.
+//! The caller names the pool at each [`TracedMutex::lock`]:
 //!
 //! ```
 //! use respct::{Pool, PoolConfig, Region, RegionConfig, TracedMutex};
@@ -76,7 +79,7 @@ impl<T> TracedMutex<T> {
         TracedGuard {
             lock: self,
             pool,
-            guard: Some(guard),
+            guard,
         }
     }
 }
@@ -95,21 +98,21 @@ pub struct TracedGuard<'a, T> {
     lock: &'a TracedMutex<T>,
     /// Where the release edge (and the `DropSyncEdge` fault) goes.
     pool: &'a Pool,
-    /// `Some` for the guard's whole life; taken only in `drop` so the
-    /// release edge can be emitted *before* the inner unlock.
-    guard: Option<MutexGuard<'a, T>>,
+    /// Unlocks when the fields drop, after `drop` has reported the release
+    /// edge.
+    guard: MutexGuard<'a, T>,
 }
 
 impl<T> Deref for TracedGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present outside drop")
+        &self.guard
     }
 }
 
 impl<T> DerefMut for TracedGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard present outside drop")
+        &mut self.guard
     }
 }
 
@@ -124,7 +127,5 @@ impl<T> Drop for TracedGuard<'_, T> {
         if !dropped {
             self.pool.region().sync_release(self.lock.token());
         }
-        // Unlock strictly after the release edge has been reported.
-        drop(self.guard.take());
     }
 }

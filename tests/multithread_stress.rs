@@ -184,3 +184,52 @@ fn concurrent_checkpoint_now_calls_serialize() {
         "every checkpoint advances exactly one epoch"
     );
 }
+
+/// A worker that panics while holding a pool lock — here the allocator's
+/// bump lock, on pool exhaustion — must not take checkpoints down with it.
+/// The checkpointer locks the same mutex inside its stop-the-world window
+/// (`sync_deferred_cells`), so a lock the panic left poisoned would panic
+/// there with `timer` raised, and every live worker would park forever.
+#[test]
+fn panic_under_a_pool_lock_does_not_stop_checkpoints() {
+    let pool = pool(8);
+    let cell = {
+        let h = pool.register();
+        let cell = h.alloc_cell(1u64);
+        h.checkpoint_here();
+        cell
+    };
+    let ckpt = pool.start_checkpointer(Duration::from_millis(1));
+    let filler = {
+        let pool = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            let h = pool.register();
+            loop {
+                h.alloc(1 << 16, 64);
+                h.rp(1);
+            }
+        })
+    };
+    assert!(filler.join().is_err(), "the filler must exhaust the pool");
+
+    let start = pool.epoch();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while pool.epoch() < start + 3 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "checkpoints stopped after the panic (epoch {})",
+            pool.epoch()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let h = pool.register();
+    h.update(cell, 2);
+    h.checkpoint_here();
+    assert_eq!(h.get(cell), 2);
+    drop(h);
+    drop(ckpt);
+    pool.checkpoint_now();
+    let report = pool.verify();
+    assert!(report.is_clean(), "{report:#?}");
+}

@@ -8,9 +8,10 @@
 //!   apps, lock hand-offs, the drain push-out handshake and a parallel
 //!   recovery replay through the [`Checker`] with no error.
 //!   Every synchronization edge the runtime emits is load-bearing here:
-//!   quiescence flags, the checkpoint timer, traced bucket locks, flusher
-//!   acknowledgements, the drain-ticket hand-off, the drain-commit
-//!   handshake, and the free-list class locks.
+//!   quiescence flags, the checkpoint timer, the `TracedMutex` locks (bucket
+//!   locks, the checkpoint lock and the free-list class locks), flusher
+//!   acknowledgements, the drain-ticket hand-off and the drain-commit
+//!   handshake.
 //! * **Non-vacuity** — each [`Fault::DropSyncEdge`] site suppresses exactly
 //!   one of those edges (the execution still synchronizes; only the trace
 //!   loses the edge) and the corresponding happens-before rule must fire.
