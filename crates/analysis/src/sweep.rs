@@ -1,4 +1,4 @@
-//! Crash-point sweep (`respct-crashsim`): exhaustive crash/recover checking
+//! Crash-point sweep engine: exhaustive crash/recover checking
 //! over a recorded trace.
 //!
 //! The sweep replays a [`TraceEvent`] stream through a

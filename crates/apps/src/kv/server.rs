@@ -465,8 +465,8 @@ impl std::fmt::Debug for KvServerGuard {
 // ---- Client helper ------------------------------------------------------------
 
 /// A minimal blocking client for the kvd protocol: buffers requests,
-/// flushes them in one write, reads responses in arrival order. The load
-/// generator and the crash test drive it; it is not a production client.
+/// flushes them in one write, reads responses in arrival order. The
+/// crash and connection tests drive it; it is not a production client.
 pub struct KvClient {
     writer: KvClientWriter,
     reader: KvClientReader,

@@ -10,7 +10,7 @@
 //! |---------------|-------------------|----------------------------------|-----------|
 //! | [`transient_nvmm`] | Transient\<NVMM\> | none                        | unmodified code on NVMM |
 //! | [`undo`]      | NV-Heaps/PMDK-style | durable linearizability        | per-op undo log, flush per log entry + commit |
-//! | [`clobber`]   | Clobber-NVM        | durable linearizability         | WAR-only undo log, re-execution for the rest |
+//! | [`undo`] (`UndoPolicy::clobber`) | Clobber-NVM | durable linearizability | WAR-only undo log, re-execution for the rest |
 //! | [`quadra`]    | Quadra/Trinity     | durable linearizability         | in-cache-line logging, one fence per op |
 //! | [`pmthreads`] | PMThreads          | buffered durable linearizability | DRAM shadow copy + dirty-page tracking, epoch copy |
 //! | [`montage`]   | Montage            | buffered durable linearizability | copy-on-write payloads, DRAM index, epoch flush |
@@ -22,7 +22,6 @@
 //! and summarized in `DESIGN.md` §2.
 
 pub mod barrier;
-pub mod clobber;
 pub mod dali;
 pub mod friedman;
 pub mod montage;

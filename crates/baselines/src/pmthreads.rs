@@ -166,7 +166,6 @@ impl PersistPolicy for PmThreadsPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::conformance;
     use respct_ds::traits::BenchMap;
     use respct_pmem::RegionConfig;
 
@@ -175,21 +174,6 @@ mod tests {
             Region::new(RegionConfig::fast(16 << 20)),
             Region::new(RegionConfig::fast(16 << 20)),
         ))
-    }
-
-    #[test]
-    fn map_conformance() {
-        conformance::check_map(policy());
-    }
-
-    #[test]
-    fn queue_conformance() {
-        conformance::check_queue(policy());
-    }
-
-    #[test]
-    fn concurrent_map() {
-        conformance::check_map_concurrent(policy());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use respct_ds::hash_u64;
 use respct_ds::traits::{BenchMap, BenchQueue};
-use respct_pmem::PAddr;
+use respct_pmem::{PAddr, Region};
 
 /// How a store relates to the operation's read set — Clobber-NVM logs only
 /// writes to locations the operation has already read (WAR); others are
@@ -59,6 +59,22 @@ pub trait PersistPolicy: Send + Sync {
 
     /// Commits the operation (flushes + fences per the system's rules).
     fn commit(&self, ctx: &mut Self::Ctx);
+}
+
+/// The per-operation commit of the durably linearizable policies: writes
+/// back each of the operation's modified `lines` once, issues one fence when
+/// there were any, and clears the list.
+pub(crate) fn persist_lines(region: &Region, lines: &mut Vec<u64>) {
+    if lines.is_empty() {
+        return;
+    }
+    lines.sort_unstable();
+    lines.dedup();
+    for &line in lines.iter() {
+        region.pwb_line(line);
+    }
+    region.psync();
+    lines.clear();
 }
 
 /// Chained lock-per-bucket hash map over a [`PersistPolicy`].
@@ -294,13 +310,32 @@ impl<P: PersistPolicy> BenchQueue for PolicyQueue<P> {
     }
 }
 
-/// Shared conformance tests: every policy's map/queue must behave like a
-/// map/queue.
+/// Conformance: every policy's map/queue must behave like a map/queue.
 #[cfg(test)]
-pub(crate) mod conformance {
+mod conformance {
     use super::*;
+    use crate::pmthreads::PmThreadsPolicy;
+    use crate::quadra::QuadraPolicy;
+    use crate::undo::UndoPolicy;
+    use respct_pmem::RegionConfig;
 
-    pub fn check_map<P: PersistPolicy>(policy: Arc<P>) {
+    #[test]
+    fn every_policy_conforms() {
+        let fast = |mib: usize| Region::new(RegionConfig::fast(mib << 20));
+        check_all(|| UndoPolicy::new(fast(32)));
+        check_all(|| UndoPolicy::clobber(fast(32)));
+        check_all(|| QuadraPolicy::new(fast(64)));
+        check_all(|| PmThreadsPolicy::new(fast(16), fast(16)));
+    }
+
+    /// Runs the three checks, each on a fresh policy.
+    fn check_all<P: PersistPolicy + 'static>(policy: impl Fn() -> P) {
+        check_map(Arc::new(policy()));
+        check_queue(Arc::new(policy()));
+        check_map_concurrent(Arc::new(policy()));
+    }
+
+    fn check_map<P: PersistPolicy>(policy: Arc<P>) {
         let m = PolicyHashMap::new(policy, 4);
         let mut ctx = m.register();
         assert!(m.insert(&mut ctx, 1, 10));
@@ -324,7 +359,7 @@ pub(crate) mod conformance {
         }
     }
 
-    pub fn check_queue<P: PersistPolicy>(policy: Arc<P>) {
+    fn check_queue<P: PersistPolicy>(policy: Arc<P>) {
         let q = PolicyQueue::new(policy);
         let mut ctx = q.register();
         assert_eq!(q.dequeue(&mut ctx), None);
@@ -339,7 +374,7 @@ pub(crate) mod conformance {
         assert_eq!(q.dequeue(&mut ctx), Some(7));
     }
 
-    pub fn check_map_concurrent<P: PersistPolicy + 'static>(policy: Arc<P>) {
+    fn check_map_concurrent<P: PersistPolicy + 'static>(policy: Arc<P>) {
         let m = Arc::new(PolicyHashMap::new(policy, 64));
         std::thread::scope(|s| {
             for t in 0..4u64 {

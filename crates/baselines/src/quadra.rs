@@ -24,7 +24,7 @@ use std::sync::Arc;
 use respct_pmem::{PAddr, Region};
 
 use crate::nvheap::{NvCtx, NvHeap};
-use crate::policy::{PersistPolicy, WriteKind};
+use crate::policy::{persist_lines, PersistPolicy, WriteKind};
 
 /// The in-cache-line-logging durable policy.
 pub struct QuadraPolicy {
@@ -112,44 +112,15 @@ impl PersistPolicy for QuadraPolicy {
     fn commit(&self, ctx: &mut QuadraCtx) {
         // Durable linearizability: one flush per modified line + one fence,
         // on every operation.
-        let region = self.region();
-        if !ctx.modified.is_empty() {
-            ctx.modified.sort_unstable();
-            ctx.modified.dedup();
-            for &line in &ctx.modified {
-                region.pwb_line(line);
-            }
-            region.psync();
-            ctx.modified.clear();
-        }
+        persist_lines(self.region(), &mut ctx.modified);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::conformance;
     use respct_ds::traits::BenchMap;
     use respct_pmem::RegionConfig;
-
-    fn policy() -> Arc<QuadraPolicy> {
-        Arc::new(QuadraPolicy::new(Region::new(RegionConfig::fast(64 << 20))))
-    }
-
-    #[test]
-    fn map_conformance() {
-        conformance::check_map(policy());
-    }
-
-    #[test]
-    fn queue_conformance() {
-        conformance::check_queue(policy());
-    }
-
-    #[test]
-    fn concurrent_map() {
-        conformance::check_map_concurrent(policy());
-    }
 
     #[test]
     fn one_fence_per_update_op() {

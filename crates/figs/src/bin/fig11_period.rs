@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use respct::{Pool, PoolConfig};
+use respct::{CkptSnapshot, Pool, PoolConfig};
 use respct_ds::PHashMap;
 use respct_figs::args::BenchArgs;
 use respct_figs::driver::{prefill_map, run_map_mix};
@@ -60,7 +60,12 @@ fn main() {
             let _ckpt = pool.start_checkpointer(Duration::from_millis(period_ms));
             run_map_mix(&map, threads, args.secs, keyspace, update_pct, 0xf11)
         };
-        let snap = pool.runtime_metrics().ckpt_snapshot().since_counts(&before);
+        let after = pool.runtime_metrics().ckpt_snapshot();
+        let snap = CkptSnapshot {
+            count: after.count - before.count,
+            lines_flushed: after.lines_flushed - before.lines_flushed,
+            ..CkptSnapshot::default()
+        };
         let effective_ms = if snap.count > 0 {
             t.duration.as_secs_f64() * 1e3 / snap.count as f64
         } else {
@@ -88,24 +93,4 @@ fn main() {
     }
     println!("(Transient<DRAM> baseline: {} Mops)", f3(base));
     table.print();
-}
-
-/// Helper: difference of checkpoint snapshots.
-trait SnapDiff {
-    fn since_counts(&self, earlier: &respct::CkptSnapshot) -> respct::CkptSnapshot;
-}
-
-impl SnapDiff for respct::CkptSnapshot {
-    fn since_counts(&self, earlier: &respct::CkptSnapshot) -> respct::CkptSnapshot {
-        respct::CkptSnapshot {
-            count: self.count - earlier.count,
-            lines_flushed: self.lines_flushed - earlier.lines_flushed,
-            wait_ns: self.wait_ns - earlier.wait_ns,
-            partition_ns: self.partition_ns - earlier.partition_ns,
-            flush_ns: self.flush_ns - earlier.flush_ns,
-            stw_ns: self.stw_ns - earlier.stw_ns,
-            drain_ns: self.drain_ns - earlier.drain_ns,
-            total_ns: self.total_ns - earlier.total_ns,
-        }
-    }
 }

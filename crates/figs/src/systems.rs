@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use respct::{CheckpointMode, CkptSnapshot, Pool, PoolConfig};
-use respct_baselines::clobber::ClobberPolicy;
 use respct_baselines::dali::DaliHashMap;
 use respct_baselines::friedman::FriedmanQueue;
 use respct_baselines::montage::{MontageHashMap, MontageQueue, MontageRuntime};
@@ -112,19 +111,8 @@ pub fn measure_map_system(name: &str, s: MapBenchSpec) -> Throughput {
             let _ckpt = m.start_checkpointer(s.period);
             run_map_mix(&*m, s.threads, s.secs, s.keyspace, s.update_pct, s.seed)
         }
-        "clobber" => {
-            let p = Arc::new(ClobberPolicy::new(Region::new(RegionConfig::optane(
-                s.region_bytes,
-            ))));
-            let m = PolicyHashMap::new(p, s.nbuckets);
-            prefill_map(&m, s.keyspace);
-            run_map_mix(&m, s.threads, s.secs, s.keyspace, s.update_pct, s.seed)
-        }
-        "undo" => {
-            let p = Arc::new(UndoPolicy::new(Region::new(RegionConfig::optane(
-                s.region_bytes,
-            ))));
-            let m = PolicyHashMap::new(p, s.nbuckets);
+        "undo" | "clobber" => {
+            let m = PolicyHashMap::new(Arc::new(undo_policy(name, s.region_bytes)), s.nbuckets);
             prefill_map(&m, s.keyspace);
             run_map_mix(&m, s.threads, s.secs, s.keyspace, s.update_pct, s.seed)
         }
@@ -146,6 +134,17 @@ pub fn measure_map_system(name: &str, s: MapBenchSpec) -> Throughput {
             run_map_mix(&m, s.threads, s.secs, s.keyspace, s.update_pct, s.seed)
         }
         other => panic!("unknown map system {other}"),
+    }
+}
+
+/// The undo-log policy of `"undo"` (every store logged) or `"clobber"`
+/// (Clobber-NVM: write-after-read stores only) over a fresh Optane region.
+fn undo_policy(name: &str, region_bytes: usize) -> UndoPolicy {
+    let region = Region::new(RegionConfig::optane(region_bytes));
+    if name == "clobber" {
+        UndoPolicy::clobber(region)
+    } else {
+        UndoPolicy::new(region)
     }
 }
 
@@ -248,19 +247,8 @@ pub fn measure_queue_system(name: &str, s: QueueBenchSpec) -> Throughput {
             let _ckpt = rt.start_checkpointer(s.period);
             run_queue_mix(&q, s.threads, s.secs, s.seed)
         }
-        "clobber" => {
-            let p = Arc::new(ClobberPolicy::new(Region::new(RegionConfig::optane(
-                s.region_bytes,
-            ))));
-            let q = PolicyQueue::new(p);
-            prefill_queue(&q, s.prefill);
-            run_queue_mix(&q, s.threads, s.secs, s.seed)
-        }
-        "undo" => {
-            let p = Arc::new(UndoPolicy::new(Region::new(RegionConfig::optane(
-                s.region_bytes,
-            ))));
-            let q = PolicyQueue::new(p);
+        "undo" | "clobber" => {
+            let q = PolicyQueue::new(Arc::new(undo_policy(name, s.region_bytes)));
             prefill_queue(&q, s.prefill);
             run_queue_mix(&q, s.threads, s.secs, s.seed)
         }

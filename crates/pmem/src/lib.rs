@@ -16,7 +16,7 @@
 //!   the same cache line reach the persisted image in program order
 //!   because a write-back snapshots the whole line. The [`Replayer`] drives
 //!   it from a recorded trace and enumerates the crash images reachable at
-//!   every instant (the `respct-crashsim` sweep engine).
+//!   every instant (the `respct_analysis::sweep` engine).
 //! * [`sim`] — the live driver of that machine under a sim-mode region:
 //!   seeded random eviction on stores and seeded crash coin flips.
 //! * [`latency`] — a calibrated spin-wait latency model so that fast-mode

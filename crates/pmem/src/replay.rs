@@ -1,5 +1,5 @@
 //! The PCSO persistence state machine (paper §2.1), and trace replay over
-//! it (`respct-crashsim`).
+//! it (driven by `respct_analysis::sweep`).
 //!
 //! `Pcso` is the one model of what NVMM holds: the **persisted image**,
 //! the **dirty set** (lines whose volatile content may be newer than the

@@ -6,11 +6,11 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use respct_repro::baselines::clobber::ClobberPolicy;
 use respct_repro::baselines::dali::DaliHashMap;
 use respct_repro::baselines::friedman::FriedmanQueue;
 use respct_repro::baselines::montage::{MontageHashMap, MontageQueue, MontageRuntime};
 use respct_repro::baselines::pmthreads::PmThreadsPolicy;
+use respct_repro::baselines::policy::PersistPolicy;
 use respct_repro::baselines::quadra::QuadraPolicy;
 use respct_repro::baselines::soft::SoftHashMap;
 use respct_repro::baselines::transient_nvmm::{NvmmHashMap, NvmmQueue};
@@ -85,7 +85,7 @@ proptest! {
         check_map_against_model(&TransientHashMap::new(8), &ops)?;
         check_map_against_model(&NvmmHashMap::new(region(16), 8), &ops)?;
         check_map_against_model(&PolicyHashMap::new(Arc::new(UndoPolicy::new(region(16))), 8), &ops)?;
-        check_map_against_model(&PolicyHashMap::new(Arc::new(ClobberPolicy::new(region(16))), 8), &ops)?;
+        check_map_against_model(&PolicyHashMap::new(Arc::new(UndoPolicy::clobber(region(16))), 8), &ops)?;
         check_map_against_model(&PolicyHashMap::new(Arc::new(QuadraPolicy::new(region(32))), 8), &ops)?;
         check_map_against_model(
             &PolicyHashMap::new(Arc::new(PmThreadsPolicy::new(region(16), region(16))), 8),
@@ -129,10 +129,94 @@ proptest! {
         check(&TransientQueue::new(), &ops)?;
         check(&NvmmQueue::new(region(16)), &ops)?;
         check(&PolicyQueue::new(Arc::new(UndoPolicy::new(region(16)))), &ops)?;
-        check(&PolicyQueue::new(Arc::new(ClobberPolicy::new(region(16)))), &ops)?;
+        check(&PolicyQueue::new(Arc::new(UndoPolicy::clobber(region(16)))), &ops)?;
         check(&PolicyQueue::new(Arc::new(QuadraPolicy::new(region(32)))), &ops)?;
         check(&PolicyQueue::new(Arc::new(PmThreadsPolicy::new(region(16), region(16)))), &ops)?;
         check(&MontageQueue::new(MontageRuntime::new(region(16))), &ops)?;
         check(&FriedmanQueue::new(region(16)), &ops)?;
     }
+}
+
+/// `(pwb, psync)` deltas of one region across one phase of operations.
+fn cost<F: FnOnce()>(region: &Region, phase: F) -> (u64, u64) {
+    let before = region.stats().snapshot();
+    phase();
+    let d = region.stats().snapshot().since(&before);
+    (d.pwb, d.psync)
+}
+
+/// Per-phase `(pwb, psync)` of a 16-bucket map: insert 0..100, update the
+/// same keys, get them, remove the even keys.
+fn map_costs<P: PersistPolicy>(policy: fn(Arc<Region>) -> P) -> [(u64, u64); 4] {
+    let r = region(64);
+    let m = PolicyHashMap::new(Arc::new(policy(Arc::clone(&r))), 16);
+    let mut ctx = m.register();
+    let c = &mut ctx;
+    [
+        cost(&r, || {
+            for k in 0..100 {
+                assert!(m.insert(c, k, k));
+            }
+        }),
+        cost(&r, || {
+            for k in 0..100 {
+                assert!(!m.insert(c, k, k + 1));
+            }
+        }),
+        cost(&r, || {
+            for k in 0..100 {
+                assert_eq!(m.get(c, k), Some(k + 1));
+            }
+        }),
+        cost(&r, || {
+            for k in (0..100).step_by(2) {
+                assert!(m.remove(c, k));
+            }
+        }),
+    ]
+}
+
+/// Per-phase `(pwb, psync)` of a queue: enqueue 0..100, dequeue 100.
+fn queue_costs<P: PersistPolicy>(policy: fn(Arc<Region>) -> P) -> [(u64, u64); 2] {
+    let r = region(64);
+    let q = PolicyQueue::new(Arc::new(policy(Arc::clone(&r))));
+    let mut ctx = q.register();
+    let c = &mut ctx;
+    [
+        cost(&r, || {
+            for v in 0..100 {
+                q.enqueue(c, v);
+            }
+        }),
+        cost(&r, || {
+            for v in 0..100 {
+                assert_eq!(q.dequeue(c), Some(v));
+            }
+        }),
+    ]
+}
+
+/// Pins each durably linearizable policy's flushes and fences per phase:
+/// undo logs and fences every in-place store, Clobber-NVM only the
+/// write-after-read ones, Quadra/Trinity none (one fence per update op).
+#[test]
+fn durable_policies_pin_per_op_cost() {
+    let undo = UndoPolicy::new;
+    let clobber = UndoPolicy::clobber;
+    let quadra = QuadraPolicy::new;
+    assert_eq!(
+        map_costs(undo),
+        [(400, 300), (300, 300), (0, 0), (150, 150)]
+    );
+    assert_eq!(
+        map_costs(clobber),
+        [(400, 300), (100, 100), (0, 0), (150, 150)]
+    );
+    assert_eq!(
+        map_costs(quadra),
+        [(300, 100), (100, 100), (0, 0), (50, 50)]
+    );
+    assert_eq!(queue_costs(undo), [(524, 400), (301, 301)]);
+    assert_eq!(queue_costs(clobber), [(425, 301), (301, 301)]);
+    assert_eq!(queue_costs(quadra), [(299, 100), (100, 100)]);
 }

@@ -1,4 +1,4 @@
-//! Crash-point sweep property suite (`respct-crashsim`).
+//! Crash-point sweep property suite over `respct_analysis::sweep`.
 //!
 //! The sweep engine replays a recorded trace, materializes every crash
 //! image reachable under PCSO at each persistency-relevant instant
