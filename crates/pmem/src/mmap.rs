@@ -201,6 +201,23 @@ impl Mapping {
         }
         Ok(())
     }
+
+    /// Drops this process's page mappings of a file mapping (Linux
+    /// `MADV_DONTNEED`); the bytes stay in the pool file's page cache and
+    /// the next access to each page faults it in afresh. An error leaves
+    /// the mappings as they were, which is harmless, so it is ignored. A
+    /// no-op for an anonymous mapping, whose private pages it would zero,
+    /// and off Linux.
+    pub(crate) fn drop_file_pages(&self) {
+        #[cfg(target_os = "linux")]
+        if self.file.is_some() {
+            // SAFETY: `map` is the live shared file mapping of exactly
+            // `size` bytes; dropping its page-table entries loses no data.
+            unsafe {
+                let _ = sys::madvise(self.map.cast(), self.size, sys::MADV_DONTNEED);
+            }
+        }
+    }
 }
 
 /// Maps `size` zero-filled bytes, private and anonymous: no memset, no

@@ -571,6 +571,19 @@ impl Region {
         }
     }
 
+    /// Drops this process's page mappings of a file-backed region: the
+    /// bytes stay in the pool file's page cache, and the next access to
+    /// each page faults it in afresh. A page read first and written later
+    /// pays a read fault and then a read-only→writable upgrade; after the
+    /// drop, its first write is one fresh write fault. Like
+    /// [`prefetch`](Region::prefetch), only a hint: no trace event, no
+    /// latency charge, and a failed call is ignored. A no-op on every
+    /// backend but a Linux mmap region — on the anonymous arenas of Fast
+    /// and Sim it would zero the data.
+    pub fn drop_page_mappings(&self) {
+        self.arena.drop_file_pages();
+    }
+
     /// Drains this thread's outstanding write-backs (paper's `psync`,
     /// i.e. `sfence`).
     #[inline]
@@ -1216,6 +1229,46 @@ mod mmap_tests {
         assert_eq!(batched, looped);
         assert_eq!(batched.pwb, 4);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Dropping the page mappings loses nothing: not on a pool file, where
+    /// the pages refault from the page cache — also after a reopen — and
+    /// not on the anonymous arenas of Fast and Sim, which it must leave
+    /// alone.
+    #[test]
+    fn mmap_drop_page_mappings_keeps_the_data() {
+        const PAGE: u64 = 4096;
+        let words = |salt: u64| (0..8u64).map(move |p| (PAddr(p * PAGE + 8 * p), salt ^ p));
+        let round_trip = |r: &Region, salt| {
+            words(salt).for_each(|(at, v)| r.store(at, v));
+            r.drop_page_mappings();
+            for (at, v) in words(salt) {
+                assert_eq!(r.load::<u64>(at), v, "{:?} at {at:?}", r.backend_kind());
+            }
+        };
+        let path = tmp("drop_pages.pool");
+        {
+            let r = Region::new(RegionConfig::mmap(8 * PAGE as usize, &path));
+            round_trip(&r, 0xa5);
+            words(0x5a).for_each(|(at, v)| r.store(at, v));
+            r.drop_page_mappings();
+        }
+        let r = Region::new(RegionConfig::mmap(0, &path));
+        assert!(!r.was_created());
+        for (at, v) in words(0x5a) {
+            assert_eq!(r.load::<u64>(at), v, "reopened, at {at:?}");
+        }
+        drop(r);
+        std::fs::remove_file(&path).unwrap();
+        for r in [
+            Region::new(RegionConfig::fast(8 * PAGE as usize)),
+            Region::new(RegionConfig::sim(
+                8 * PAGE as usize,
+                SimConfig::no_eviction(3),
+            )),
+        ] {
+            round_trip(&r, 0xc3);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The raw libc calls this crate makes, in one place: `mmap`, `munmap` and
-//! `msync` for region arenas ([`crate::mmap`]) and `clock_gettime` for
-//! thread CPU time ([`crate::arch::thread_cpu_ns`]). std already links
-//! libc; the container has no `libc`/`memmap2` crate to lean on, so the
-//! handful of constants below are spelled out per `target_os`.
+//! The raw libc calls this crate makes, in one place: `mmap`, `munmap`,
+//! `msync` and (Linux only) `madvise` for region arenas ([`crate::mmap`])
+//! and `clock_gettime` for thread CPU time
+//! ([`crate::arch::thread_cpu_ns`]). std already links libc; the container
+//! has no `libc`/`memmap2` crate to lean on, so the handful of constants
+//! below are spelled out per `target_os`.
 //!
 //! `cargo run -p xtask -- lint` (rule `ffi-owner`) keeps every `extern "C"`
 //! block of the workspace in this file.
@@ -24,6 +25,8 @@ pub(crate) const MAP_ANONYMOUS: c_int = 0x1000; // macOS and the BSDs
 pub(crate) const MS_SYNC: c_int = 4;
 #[cfg(not(target_os = "linux"))]
 pub(crate) const MS_SYNC: c_int = 0x0010;
+#[cfg(target_os = "linux")]
+pub(crate) const MADV_DONTNEED: c_int = 4;
 #[cfg(target_os = "linux")]
 pub(crate) const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
 #[cfg(not(target_os = "linux"))]
@@ -47,5 +50,7 @@ extern "C" {
     ) -> *mut c_void;
     pub(crate) fn munmap(addr: *mut c_void, len: usize) -> c_int;
     pub(crate) fn msync(addr: *mut c_void, len: usize, flags: c_int) -> c_int;
+    #[cfg(target_os = "linux")]
+    pub(crate) fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     pub(crate) fn clock_gettime(clock_id: c_int, tp: *mut Timespec) -> c_int;
 }

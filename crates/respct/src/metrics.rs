@@ -17,7 +17,9 @@
 //!   logically stored, bytes flushed, and the derived first-touch rate and
 //!   write-amplification gauges;
 //! * the pmem substrate's `pwb`/`psync`/store/eviction counters, surfaced
-//!   as read-on-demand gauges over [`respct_pmem::PmemStats`].
+//!   as read-on-demand gauges over [`respct_pmem::PmemStats`];
+//! * what recovery did when the pool was opened (the
+//!   [`RecoveryReport`]'s epoch, counts and times; all 0 on a created pool).
 //!
 //! Hot-path instrumentation (per InCLL update / tracked byte) is gated on
 //! the pool's `metrics` config flag — one relaxed bool load when disabled.
@@ -28,7 +30,7 @@
 //! the [`CkptSnapshot`] aggregate is derived from it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crossbeam::utils::CachePadded;
@@ -37,6 +39,7 @@ use respct_obs::{Counter, Histogram, MetricsRegistry, Unit};
 
 use crate::checkpoint::CkptReport;
 use crate::layout::MAX_THREADS;
+use crate::recovery::RecoveryReport;
 use crate::stats::CkptSnapshot;
 
 /// One thread slot's hot-path totals. Only whoever holds the slot's token
@@ -105,6 +108,10 @@ pub struct RuntimeMetrics {
     /// Closed epochs whose ring slot is claimed but not yet committed.
     epochs_in_flight: Arc<AtomicU64>,
     ring_commits: Arc<Counter>,
+
+    /// The report of the recovery that opened the pool; unset when the
+    /// pool was created.
+    recovery: Arc<OnceLock<RecoveryReport>>,
 }
 
 impl RuntimeMetrics {
@@ -282,6 +289,42 @@ impl RuntimeMetrics {
             );
         }
 
+        let recovery: Arc<OnceLock<RecoveryReport>> = Arc::default();
+        type ReportFn = fn(&RecoveryReport) -> f64;
+        let fields: [(&'static str, &'static str, ReportFn); 5] = [
+            (
+                "respct_recovery_failed_epoch",
+                "Epoch the recovery that opened the pool rolled back",
+                |r| r.failed_epoch as f64,
+            ),
+            (
+                "respct_recovery_cells_scanned",
+                "Cells the opening recovery examined",
+                |r| r.cells_scanned as f64,
+            ),
+            (
+                "respct_recovery_cells_rolled_back",
+                "Cells the opening recovery restored from backup",
+                |r| r.cells_rolled_back as f64,
+            ),
+            (
+                "respct_recovery_duration_seconds",
+                "Wall-clock time of the opening recovery",
+                |r| r.duration.as_secs_f64(),
+            ),
+            (
+                "respct_recovery_scan_span_seconds",
+                "Longest registry-scan worker's CPU time in the opening recovery",
+                |r| r.scan_span.as_secs_f64(),
+            ),
+        ];
+        for (name, help, read) in fields {
+            let recovery = Arc::clone(&recovery);
+            r.gauge_fn(name, help, Unit::None, move || {
+                recovery.get().map_or(0.0, read)
+            });
+        }
+
         RuntimeMetrics {
             registry: r,
             enabled: AtomicBool::new(enabled),
@@ -303,6 +346,7 @@ impl RuntimeMetrics {
             drain_pushouts,
             epochs_in_flight,
             ring_commits,
+            recovery,
         }
     }
 
@@ -334,6 +378,12 @@ impl RuntimeMetrics {
             self.registry
                 .gauge_fn(name, help, Unit::None, move || read(&stats) as f64);
         }
+    }
+
+    /// Publishes the report of the recovery that opened the pool (once;
+    /// the recovery gauges read 0 until then).
+    pub(crate) fn on_recovery(&self, report: RecoveryReport) {
+        let _ = self.recovery.set(report);
     }
 
     /// Whether hot-path instrumentation is on.

@@ -12,14 +12,20 @@
 //! 2. rolls back every header cell ([`layout::header_cells`]) tagged inside
 //!    the rolled-back range;
 //! 3. lists every slot's registry chunks ([`crate::registry::list_chunks`];
-//!    lengths now rolled back to their checkpointed values), cuts the list
-//!    into one contiguous run per worker thread with near-equal entry counts
-//!    (cutting only between chunks, so a registry that one thread wrote
-//!    still splits), and rolls back every registered cell tagged inside the
-//!    range — the parallel scan is how the paper reconstructs a 4M-bucket
-//!    hash map in < 240 ms (Fig. 12);
-//! 4. re-tracks every such cell in the system tracking list, so the next
-//!    checkpoint persists both the rollback writes and any re-executed
+//!    lengths now rolled back to their checkpointed values) and cuts the
+//!    list into one contiguous run per worker thread with near-equal entry
+//!    counts (cutting only between chunks, so a registry that one thread
+//!    wrote still splits) — the parallel scan is how the paper reconstructs
+//!    a 4M-bucket hash map in < 240 ms (Fig. 12). Each worker first *finds*
+//!    its run's cells tagged inside the range, reading each one's backup,
+//!    and stores nothing; a corrupt registry entry therefore ends recovery
+//!    before any registered cell is rewritten. On a pool file the read
+//!    mappings are then dropped, and each worker *applies* its own list,
+//!    storing every backup over its record without loading from the line
+//!    again: a rolled-back page then costs one fresh write fault, not a
+//!    read fault plus a read-only→writable upgrade;
+//! 4. re-tracks every rolled-back cell in the system tracking list, so the
+//!    next checkpoint persists both the rollback writes and any re-executed
 //!    updates (which will skip `add_modified` because their `epoch_id`
 //!    already equals `E` — the subtle interaction the paper's recovery line
 //!    `epoch = failed_epoch` relies on);
@@ -52,15 +58,19 @@ pub struct RecoveryReport {
     /// Wall-clock duration of the recovery procedure.
     pub duration: Duration,
     /// Critical path of the registry scan: the longest per-worker thread
-    /// CPU time. The workers' runs hold near-equal entry counts, so on an
-    /// unloaded machine with a core per worker this is the scan's wall
-    /// time; with fewer cores than workers, wall time collapses towards the
-    /// sum of their work while the span still shows the per-worker share.
+    /// CPU time, a worker's find pass plus its apply pass. The workers'
+    /// runs hold near-equal entry counts, so on an unloaded machine with a
+    /// core per worker this is the scan's wall time; with fewer cores than
+    /// workers, wall time collapses towards the sum of their work while the
+    /// span still shows the per-worker share.
     pub scan_span: Duration,
     /// Worker threads the registry scan was cut for: the configured
     /// [`PoolConfig::recovery_threads`], else the available parallelism.
     pub threads: usize,
 }
+
+/// A cell to roll back and the backup it rolls back to.
+type Rollback = (PAddr, u64);
 
 /// One worker's share of the registry scan: `(scanned, rolled back,
 /// thread CPU ns, lines to re-track)`.
@@ -88,14 +98,56 @@ fn cut_runs(chunks: &[registry::Chunk], threads: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// Runs `work` on every item, the first on the calling thread and each
+/// other on a scoped thread of its own; results come back in item order.
+/// The scope join is a real happens-before edge from every worker to the
+/// caller: each worker releases [`recovery_join_token`] as it finishes and
+/// the caller acquires it once, so what the workers stored is visibly
+/// ordered before everything the caller does next.
+fn fork_join<T: Send, R: Send>(
+    region: &Region,
+    items: Vec<T>,
+    work: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let results = std::thread::scope(|s| {
+        let joins: Vec<_> = items
+            .map(|item| {
+                let work = &work;
+                s.spawn(move || {
+                    let r = work(item);
+                    region.sync_release(recovery_join_token(region));
+                    r
+                })
+            })
+            .collect();
+        let first = work(first);
+        let rest = joins
+            .into_iter()
+            .map(|j| j.join().expect("recovery worker"));
+        std::iter::once(first).chain(rest).collect()
+    });
+    region.sync_acquire(recovery_join_token(region));
+    results
+}
+
 /// Phase 2 of recovery: rolls back every registered cell, on `threads`
-/// workers. Returns the merged [`RunScan`], `cpu` being the longest
-/// worker's.
+/// workers, in two passes over the same runs. The find pass only loads: it
+/// lists every cell to roll back with its backup. The apply pass only
+/// stores those backups. In between, the prefault's read-only page mappings
+/// are dropped ([`Region::drop_page_mappings`]), so each page a rollback
+/// writes costs one fresh write fault rather than a read-only→writable
+/// upgrade. Returns the merged [`RunScan`], `cpu` being the longest
+/// worker's find plus apply time.
 ///
 /// # Errors
 ///
 /// The first [`PoolError::CorruptRegistry`] in walk order — the one a single
-/// worker would meet — whichever worker reaches its own first.
+/// worker would meet — whichever worker reaches its own first. The find
+/// pass meets it, so no registered cell has been rewritten.
 fn scan_registry(
     region: &Region,
     record: &EpochRecord,
@@ -106,96 +158,94 @@ fn scan_registry(
     // still come first in walk order, so they are scanned before it counts.
     let listed =
         (0..MAX_THREADS).try_for_each(|slot| registry::list_chunks(region, slot, &mut chunks));
-    let scan = |run: &[registry::Chunk]| -> Result<RunScan, PoolError> {
+    let runs: Vec<&[registry::Chunk]> = cut_runs(&chunks, threads)
+        .into_iter()
+        .filter(|run| !run.is_empty())
+        .map(|run| &chunks[run])
+        .collect();
+    let found = fork_join(region, runs, |run| {
         let cpu0 = thread_cpu_ns();
-        let (mut rolled, mut lines) = (0u64, Vec::new());
+        let mut rollbacks = Vec::new();
         for &c in run {
             registry::walk_chunk(region, c, |addr| {
-                if roll_back_cell(region, addr, record, &mut lines) {
-                    rolled += 1;
-                }
+                find_rollback(region, addr, record, &mut rollbacks);
             })?;
         }
-        let scanned = run.iter().map(|c| c.n).sum();
-        Ok((scanned, rolled, thread_cpu_ns().saturating_sub(cpu0), lines))
-    };
-    let runs = cut_runs(&chunks, threads);
-    // The first run is the calling thread's; every other non-empty run gets
-    // a worker. Results stay in run order.
-    let results: Vec<Result<RunScan, PoolError>> = std::thread::scope(|s| {
-        let joins: Vec<_> = runs[1..]
-            .iter()
-            .filter(|run| !run.is_empty())
-            .map(|run| {
-                let (scan, run) = (&scan, &chunks[run.clone()]);
-                s.spawn(move || {
-                    let r = scan(run);
-                    region.sync_release(recovery_join_token(region));
-                    r
-                })
-            })
-            .collect();
-        let first = scan(&chunks[runs[0].clone()]);
-        let rest = joins
-            .into_iter()
-            .map(|j| j.join().expect("recovery worker"));
-        std::iter::once(first).chain(rest).collect()
+        let scanned: u64 = run.iter().map(|c| c.n).sum();
+        Ok((scanned, rollbacks, thread_cpu_ns().saturating_sub(cpu0)))
     });
-    // The scope join is a real happens-before edge from every worker to
-    // this thread; report it so the workers' rollback stores are visibly
-    // ordered before post-recovery execution.
-    region.sync_acquire(recovery_join_token(region));
+    let found = found.into_iter().collect::<Result<Vec<_>, PoolError>>()?;
+    listed?;
+    if found.iter().any(|(_, rollbacks, _)| !rollbacks.is_empty()) {
+        region.drop_page_mappings();
+    }
+    let applied = fork_join(region, found, |(scanned, rollbacks, find_ns)| {
+        let cpu0 = thread_cpu_ns();
+        let rolled = rollbacks.len() as u64;
+        let lines = apply_rollbacks(region, rollbacks);
+        (
+            scanned,
+            rolled,
+            find_ns + thread_cpu_ns().saturating_sub(cpu0),
+            lines,
+        )
+    });
     let (mut scanned, mut rolled, mut span, mut lines) = (0, 0, 0, Vec::new());
-    for result in results {
-        let (s, r, cpu, mut l) = result?;
+    for (s, r, cpu, mut l) in applied {
         scanned += s;
         rolled += r;
         span = span.max(cpu);
         lines.append(&mut l);
     }
-    listed.map(|()| (scanned, rolled, span, lines))
+    Ok((scanned, rolled, span, lines))
 }
 
-/// The happens-before token for the parallel registry scan's fork/join:
-/// every worker releases it before finishing, the coordinating thread
-/// acquires it once after the scope join.
+/// The happens-before token for recovery's fork/joins: every worker
+/// releases it before finishing, the coordinating thread acquires it once
+/// after each scope join.
 fn recovery_join_token(region: &Region) -> SyncToken {
     SyncToken::Chan {
         id: region as *const Region as u64,
     }
 }
 
-/// Restores `record` from `backup` if the cell was touched in any epoch of
-/// the uncommitted range `record.failed ..= record.recorded` — the oldest
-/// epoch whose drain never committed through the epoch that was running at
-/// the crash (see [`crate::epoch_record`]; with a single drain in flight
-/// the range is one or two epochs, matching the original two-phase record).
-/// Returns whether a rollback happened. Collects the cell's line either way
-/// when it belongs to a rolled-back epoch (it must be flushed at the next
-/// checkpoint; see module docs). Garbage tags in never-initialized cells
+/// Lists the cell at `addr` in `out`, with its backup, if it was touched in
+/// any epoch of the uncommitted range `record.failed ..= record.recorded` —
+/// the oldest epoch whose drain never committed through the epoch that was
+/// running at the crash (see [`crate::epoch_record`]; with a single drain
+/// in flight the range is one or two epochs, matching the original
+/// two-phase record). Only loads. Garbage tags in never-initialized cells
 /// decode to astronomically large epochs and fall outside the range.
 ///
 /// `#[inline]`: the registry scan calls this once per registered cell and
 /// nearly always leaves at the tag test.
 #[inline]
-fn roll_back_cell(
-    region: &Region,
-    addr: PAddr,
-    record: &EpochRecord,
-    lines: &mut Vec<u64>,
-) -> bool {
+fn find_rollback(region: &Region, addr: PAddr, record: &EpochRecord, out: &mut Vec<Rollback>) {
     // The record's type does not matter: a rollback copies 8 bytes.
     let cell = ICell::<u64>::from_addr(addr);
-    let stored: u64 = region.load(cell.epoch_addr());
-    let tag = crate::incll::tag_epoch(addr, stored);
-    if tag < record.failed || tag > record.recorded {
-        return false;
+    let tag = crate::incll::tag_epoch(addr, region.load(cell.epoch_addr()));
+    if (record.failed..=record.recorded).contains(&tag) {
+        out.push((addr, region.load(cell.backup_addr())));
     }
-    let backup: u64 = region.load(cell.backup_addr());
-    region.trace_marker(TraceMarker::RecoveryApply { addr: addr.0 });
-    region.store(addr, backup);
-    lines.push(addr.line());
-    true
+}
+
+/// Restores every listed cell's record from the backup [`find_rollback`]
+/// read, and returns the lines to re-track (they must be flushed at the
+/// next checkpoint; see module docs), in the list's own allocation. Only
+/// stores: a load from a rolled-back line here would map its page
+/// read-only again, and the store would pay the upgrade fault that
+/// dropping the mappings saved.
+fn apply_rollbacks(region: &Region, rollbacks: Vec<Rollback>) -> Vec<u64> {
+    let mut lines: Vec<u64> = rollbacks
+        .into_iter()
+        .map(|(addr, backup)| {
+            region.trace_marker(TraceMarker::RecoveryApply { addr: addr.0 });
+            region.store(addr, backup);
+            addr.line()
+        })
+        .collect();
+    lines.shrink_to_fit();
+    lines
 }
 
 impl Pool {
@@ -225,7 +275,10 @@ impl Pool {
     /// region, [`PoolError::CorruptRing`] if the epoch-record ring shows a
     /// hole or a stray claim, [`PoolError::CorruptRegistry`] if a slot's
     /// cell registry holds a pointer, length or cell address the region
-    /// cannot back. Damaged media never panics recovery.
+    /// cannot back. Damaged media never panics recovery. A corrupt registry
+    /// is met before any registered cell is rewritten; the header cells
+    /// (the allocator's cursors, the registry lengths, the root) may
+    /// already be rolled back by then.
     pub fn recover(
         region: Arc<Region>,
         cfg: PoolConfig,
@@ -251,8 +304,11 @@ impl Pool {
         // bump cell's record or backup, whichever is higher: nothing past
         // it was ever handed out — one contiguous extent per scan worker,
         // so the fault storm parallelizes and each worker's stream keeps
-        // the kernel's readahead sequential. Runs before load tracing is
-        // enabled: warm-up reads carry no recovery semantics.
+        // the kernel's readahead sequential. The pages come in read-only:
+        // this speeds up the registry scan's find pass, and the scan drops
+        // these mappings again before it writes its rollbacks. Runs before
+        // load tracing is enabled: warm-up reads carry no recovery
+        // semantics.
         if region.backend_kind() == BackendKind::Mmap {
             const PAGE: u64 = 4096;
             let bump: u64 = region.load(OFF_BUMP);
@@ -278,16 +334,15 @@ impl Pool {
         // audits: surface them as Load events for the recovery window.
         region.set_trace_loads(true);
 
-        let mut lines: Vec<u64> = Vec::new();
-        let (mut scanned, mut rolled) = (0u64, 0u64);
-
         // Phase 1: header cells.
+        let mut header = Vec::new();
+        let mut scanned = 0u64;
         for addr in layout::header_cells() {
             scanned += 1;
-            if roll_back_cell(&region, addr, &record, &mut lines) {
-                rolled += 1;
-            }
+            find_rollback(&region, addr, &record, &mut header);
         }
+        let mut rolled = header.len() as u64;
+        let mut lines = apply_rollbacks(&region, header);
         // Phase 1.5: with the lengths restored, drop chains left empty.
         registry::clear_emptied_heads(&region);
 
@@ -328,6 +383,7 @@ impl Pool {
             scan_span: Duration::from_nanos(scan_span_ns),
             threads,
         };
+        pool.metrics.on_recovery(report);
         Ok((pool, report))
     }
 }

@@ -17,7 +17,7 @@ use respct_repro::respct::layout::{
     self, heap_start, reg_entry_off, slot_base, MAGIC, MAX_THREADS, NUM_CLASSES, OFF_MAGIC,
     REG_CHUNK_ENTRIES, REG_CHUNK_NEXT, REG_CHUNK_SIZE, SLOT_REG_HEAD, SLOT_REG_LEN,
 };
-use respct_repro::respct::{epoch_tag, Pool, PoolConfig, PoolError, RecoveryReport};
+use respct_repro::respct::{epoch_tag, ICell, Pool, PoolConfig, PoolError, RecoveryReport};
 
 const POOL_SIZE: usize = 4 << 20;
 /// The reason recovery gives for a registry entry naming a cell it cannot
@@ -223,6 +223,52 @@ fn corrupt_registry_is_a_typed_error() {
             "{name}: {}",
             errors[0]
         );
+    }
+}
+
+/// Recovery finds every rollback before it writes one, so a registry it
+/// refuses leaves every registered cell — record, backup and tag — as the
+/// damaged image holds it, whichever of 1, 2 or 8 threads scans it. (The
+/// header cells may already be rolled back; no registered cell is one.)
+#[test]
+fn refused_recovery_rewrites_no_registered_cell() {
+    let img = crashed_image();
+    let head = img.chunks[0];
+    let cells: Vec<ICell<u64>> = img
+        .chunks
+        .iter()
+        .enumerate()
+        .flat_map(|(k, &chunk)| {
+            let n = (CELLS - k as u64 * REG_CHUNK_ENTRIES).min(REG_CHUNK_ENTRIES);
+            (0..n).map(move |i| chunk + reg_entry_off(i))
+        })
+        .map(|entry| ICell::from_addr(PAddr(get(&img.bytes, entry))))
+        .collect();
+    assert_eq!(cells.len() as u64, CELLS);
+    let mut bytes = img.bytes.clone();
+    // The misaligned cell address of `corrupt_registry_is_a_typed_error`.
+    put(&mut bytes, head + reg_entry_off(7), cells[7].addr().0 + 4);
+    for n in [1, 2, 8] {
+        let region = Region::from_image(&bytes);
+        let err = Pool::recover(region.clone(), threads(n)).unwrap_err();
+        assert!(
+            matches!(err, PoolError::CorruptRegistry { entry: 7, .. }),
+            "{n} threads: {err:?}"
+        );
+        for c in &cells {
+            for (field, at) in [
+                ("record", c.addr()),
+                ("backup", c.backup_addr()),
+                ("tag", c.epoch_addr()),
+            ] {
+                assert_eq!(
+                    region.load::<u64>(at),
+                    get(&bytes, at.0),
+                    "{n} threads: {field} of the cell at {:?}",
+                    c.addr()
+                );
+            }
+        }
     }
 }
 

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use respct_repro::obs::Histogram;
 use respct_repro::pmem::{
-    PAddr, Region, RegionConfig, SimConfig, TraceEvent, TraceMarker, VecSink,
+    sim::CrashMode, PAddr, Region, RegionConfig, SimConfig, TraceEvent, TraceMarker, VecSink,
 };
 use respct_repro::respct::{Pool, PoolConfig};
 
@@ -470,6 +470,57 @@ fn prometheus_exposition_is_well_formed() {
             }
         }
     }
+}
+
+/// `Pool::recover` publishes its `RecoveryReport` as gauges on the pool's
+/// registry, read straight from the report; a created pool reads 0.
+#[test]
+fn recovery_report_is_exported_as_gauges() {
+    let gauge = |pool: &Pool, name: &str| -> f64 {
+        let text = pool.metrics().to_prometheus();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("{name} ")))
+            .unwrap_or_else(|| panic!("{name} missing in {text}"));
+        line[name.len() + 1..].parse().expect("gauge value")
+    };
+    const GAUGES: [&str; 5] = [
+        "respct_recovery_failed_epoch",
+        "respct_recovery_cells_scanned",
+        "respct_recovery_cells_rolled_back",
+        "respct_recovery_duration_seconds",
+        "respct_recovery_scan_span_seconds",
+    ];
+    let region = Region::new(RegionConfig::sim(4 << 20, SimConfig::no_eviction(43)));
+    let created = Pool::create(Arc::clone(&region), PoolConfig::default()).expect("pool");
+    for name in GAUGES {
+        assert_eq!(gauge(&created, name), 0.0, "{name}");
+    }
+    let h = created.register();
+    let cells: Vec<_> = (0..100u64).map(|i| h.alloc_cell(i)).collect();
+    h.checkpoint_here();
+    for c in &cells {
+        h.update(*c, 7); // the crashed epoch
+    }
+    drop(h);
+    drop(created);
+    // Every store persisted: the dirty tags reach the image.
+    let img = region.crash(CrashMode::EvictAll);
+    region.restore(&img);
+    let (pool, report) = Pool::recover(region, PoolConfig::default()).expect("recover");
+    assert!(report.cells_rolled_back >= 100, "{report:?}");
+    let wants = [
+        report.failed_epoch as f64,
+        report.cells_scanned as f64,
+        report.cells_rolled_back as f64,
+        report.duration.as_secs_f64(),
+        report.scan_span.as_secs_f64(),
+    ];
+    for (name, want) in GAUGES.into_iter().zip(wants) {
+        let got = gauge(&pool, name);
+        assert!((got - want).abs() <= want * 1e-6, "{name}: {got} vs {want}");
+    }
+    assert!(gauge(&pool, "respct_recovery_duration_seconds") > 0.0);
 }
 
 // ---- TCP sink -------------------------------------------------------------
