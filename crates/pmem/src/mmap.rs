@@ -4,7 +4,9 @@
 //! A Fast or Sim region's arena is a private anonymous mapping
 //! (`Mapping::anonymous`): zero-filled by the kernel on first touch, so a
 //! region costs the pages its program writes, not the capacity it reserved
-//! — the way a DAX-mapped NVMM file behaves. Nothing is prefaulted, and
+//! — the way a DAX-mapped NVMM file behaves. It is advised for 2 MiB
+//! transparent huge pages, as DAX maps NVMM, so a touch materialises a
+//! 2 MiB extent where the kernel grants one. Nothing is prefaulted, and
 //! creating a region does not prove the memory is there: a request the
 //! kernel's overcommit check refuses fails here as
 //! [`RegionError::Alloc`], anything else can only fail at first touch.
@@ -70,7 +72,10 @@ unsafe impl Sync for Mapping {}
 
 impl Mapping {
     /// A zero-filled anonymous arena of `size` bytes, rounded up to whole
-    /// cache lines. Its pages are materialised on first touch.
+    /// cache lines. Its pages are materialised on first touch, as 2 MiB
+    /// huge pages where the kernel grants them (`MADV_HUGEPAGE`; a kernel
+    /// without transparent huge pages, or a host set to `never`, gives
+    /// 4 KiB pages and nothing else changes).
     ///
     /// # Errors
     ///
@@ -221,7 +226,10 @@ impl Mapping {
 }
 
 /// Maps `size` zero-filled bytes, private and anonymous: no memset, no
-/// prefault.
+/// prefault. On Linux the mapping is advised for huge pages: InCLL cells
+/// and map nodes take two to four times their transient twins' bytes, and
+/// on 4 KiB pages that footprint pays a page walk per access. The advice
+/// is ignored where the kernel refuses it.
 #[cfg(all(unix, not(miri)))]
 fn map_anonymous(size: usize) -> Result<*mut u8, RegionError> {
     // SAFETY: a fresh private anonymous mapping: no fd, a null hint, and
@@ -238,6 +246,12 @@ fn map_anonymous(size: usize) -> Result<*mut u8, RegionError> {
     };
     if map as isize == -1 {
         return Err(RegionError::alloc(size, &std::io::Error::last_os_error()));
+    }
+    #[cfg(target_os = "linux")]
+    // SAFETY: `map` is the fresh mapping of exactly `size` bytes; the
+    // advice changes its page size, never its contents.
+    unsafe {
+        let _ = sys::madvise(map, size, sys::MADV_HUGEPAGE);
     }
     Ok(map.cast())
 }

@@ -141,10 +141,12 @@ impl Region {
     /// Opens a region on the configured backend.
     ///
     /// Fast and Sim map a zero-filled anonymous arena whose pages exist
-    /// once touched. [`RegionMode::Mmap`] resolves to create-or-recover: a
-    /// missing or empty pool file is created at the configured size; an
-    /// existing file is mapped as-is (check [`Region::was_created`] to know
-    /// which happened).
+    /// once touched; on Linux it is advised for 2 MiB transparent huge
+    /// pages, which the kernel grants per its own THP setting (a pool
+    /// file's mapping gets no advice). [`RegionMode::Mmap`] resolves to
+    /// create-or-recover: a missing or empty pool file is created at the
+    /// configured size; an existing file is mapped as-is (check
+    /// [`Region::was_created`] to know which happened).
     ///
     /// # Errors
     ///
@@ -1269,6 +1271,52 @@ mod mmap_tests {
         ] {
             round_trip(&r, 0xc3);
         }
+    }
+
+    /// The `VmFlags` of the mapping in `/proc/self/smaps` that holds `at`.
+    #[cfg(target_os = "linux")]
+    fn vm_flags(at: *mut u8) -> String {
+        let at = at as usize;
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let mut inside = false;
+        for line in smaps.lines() {
+            let range = line
+                .split_whitespace()
+                .next()
+                .and_then(|r| r.split_once('-'));
+            let bounds = range.and_then(|(lo, hi)| {
+                let lo = usize::from_str_radix(lo, 16).ok()?;
+                Some((lo, usize::from_str_radix(hi, 16).ok()?))
+            });
+            if let Some((lo, hi)) = bounds {
+                inside = (lo..hi).contains(&at);
+            } else if let Some(flags) = line.strip_prefix("VmFlags:").filter(|_| inside) {
+                return flags.to_string();
+            }
+        }
+        panic!("no mapping holds {at:#x}")
+    }
+
+    /// Fast and Sim arenas are advised for huge pages (`hg`); a pool
+    /// file's shared mapping is not.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn anonymous_arenas_are_advised_for_huge_pages() {
+        if !std::path::Path::new("/sys/kernel/mm/transparent_hugepage/enabled").exists() {
+            return;
+        }
+        let hg = |r: &Region| vm_flags(r.buf).split_whitespace().any(|f| f == "hg");
+        for r in [
+            Region::new(RegionConfig::fast(64 << 20)),
+            Region::new(RegionConfig::sim(64 << 20, SimConfig::no_eviction(0))),
+        ] {
+            assert!(hg(&r), "{:?} arena: {}", r.backend_kind(), vm_flags(r.buf));
+        }
+        let path = tmp("huge_pages.pool");
+        let r = Region::new(RegionConfig::mmap(4 << 20, &path));
+        assert!(!hg(&r), "pool file: {}", vm_flags(r.buf));
+        drop(r);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The raw libc calls this crate makes, in one place: `mmap`, `munmap`,
-//! `msync` and (Linux only) `madvise` for region arenas ([`crate::mmap`])
-//! and `clock_gettime` for thread CPU time
+//! `msync` and (Linux only) `madvise` for region arenas ([`crate::mmap`]:
+//! `MADV_HUGEPAGE` on every fresh anonymous arena, `MADV_DONTNEED` on a
+//! recovering pool file) and `clock_gettime` for thread CPU time
 //! ([`crate::arch::thread_cpu_ns`]). std already links libc; the container
 //! has no `libc`/`memmap2` crate to lean on, so the handful of constants
 //! below are spelled out per `target_os`.
@@ -27,6 +28,8 @@ pub(crate) const MS_SYNC: c_int = 4;
 pub(crate) const MS_SYNC: c_int = 0x0010;
 #[cfg(target_os = "linux")]
 pub(crate) const MADV_DONTNEED: c_int = 4;
+#[cfg(target_os = "linux")]
+pub(crate) const MADV_HUGEPAGE: c_int = 14;
 #[cfg(target_os = "linux")]
 pub(crate) const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
 #[cfg(not(target_os = "linux"))]

@@ -72,10 +72,6 @@ pub struct RecoveryReport {
 /// A cell to roll back and the backup it rolls back to.
 type Rollback = (PAddr, u64);
 
-/// One worker's share of the registry scan: `(scanned, rolled back,
-/// thread CPU ns, lines to re-track)`.
-type RunScan = (u64, u64, u64, Vec<u64>);
-
 /// Cuts `chunks` (in walk order) into `threads` contiguous runs with
 /// near-equal entry counts, cutting only between chunks: run `k` ends at
 /// the first chunk boundary at or past `⌈(k + 1) · total / threads⌉`
@@ -140,8 +136,9 @@ fn fork_join<T: Send, R: Send>(
 /// stores those backups. In between, the prefault's read-only page mappings
 /// are dropped ([`Region::drop_page_mappings`]), so each page a rollback
 /// writes costs one fresh write fault rather than a read-only→writable
-/// upgrade. Returns the merged [`RunScan`], `cpu` being the longest
-/// worker's find plus apply time.
+/// upgrade. Appends every worker's re-track lines to `lines`, growing it
+/// once, and returns `(scanned, rolled back, span)`, the span being the
+/// longest worker's find plus apply time.
 ///
 /// # Errors
 ///
@@ -152,7 +149,8 @@ fn scan_registry(
     region: &Region,
     record: &EpochRecord,
     threads: usize,
-) -> Result<RunScan, PoolError> {
+    lines: &mut Vec<u64>,
+) -> Result<(u64, u64, u64), PoolError> {
     let mut chunks = Vec::new();
     // A bad length or link word ends the listing; the chunks before it
     // still come first in walk order, so they are scanned before it counts.
@@ -190,14 +188,15 @@ fn scan_registry(
             lines,
         )
     });
-    let (mut scanned, mut rolled, mut span, mut lines) = (0, 0, 0, Vec::new());
+    lines.reserve_exact(applied.iter().map(|(_, _, _, l)| l.len()).sum());
+    let (mut scanned, mut rolled, mut span) = (0, 0, 0);
     for (s, r, cpu, mut l) in applied {
         scanned += s;
         rolled += r;
         span = span.max(cpu);
         lines.append(&mut l);
     }
-    Ok((scanned, rolled, span, lines))
+    Ok((scanned, rolled, span))
 }
 
 /// The happens-before token for recovery's fork/joins: every worker
@@ -349,23 +348,19 @@ impl Pool {
         // Phase 2: registered cells, scanned in parallel. Build the pool
         // now (no application thread exists yet).
         let pool = Pool::attach(Arc::clone(&region), cfg, failed_epoch, true);
-        let (s, r, scan_span_ns, mut l) = scan_registry(&region, &record, threads)
+        let (s, r, scan_span_ns) = scan_registry(&region, &record, threads, &mut lines)
             .inspect_err(|_| region.set_trace_loads(false))?;
         scanned += s;
         rolled += r;
-        lines.append(&mut l);
 
         // Phase 3: everything recovery rewrote — and every cell already
         // stamped with the failed epoch — must reach NVMM at the next
-        // checkpoint. `track_line` appends them to the system slot's list
-        // exactly as live tracking does, so the recovered lines flow
-        // through the same flush pipeline.
+        // checkpoint. `track_lines` hands the list to the system slot as
+        // its tracking list, so the recovered lines flow through the same
+        // flush pipeline as live tracking.
         let mut serial = pool.lock_ckpt();
-        for &line in &lines {
-            serial.system_slot().track_line(line);
-        }
-
         epoch_record::repair(&region, &record, &lines);
+        serial.system_slot().track_lines(lines);
         region.set_trace_loads(false);
         region.trace_marker(TraceMarker::RecoveryEnd {
             epoch: failed_epoch,

@@ -151,6 +151,24 @@ impl<'a> Slot<'a> {
         pool.region.trace_marker(TraceMarker::TrackLine { line });
     }
 
+    /// Tracks every line of `lines`, one `TrackLine` marker each, as
+    /// [`Slot::track_line`] would but without its repeat filter: the
+    /// checkpoint deduplicates the list anyway. An empty tracking list is
+    /// replaced by `lines` itself, so recovery hands over its re-track
+    /// lines without copying them.
+    pub(crate) fn track_lines(&mut self, lines: Vec<u64>) {
+        let region = &self.pool.region;
+        for &line in &lines {
+            region.trace_marker(TraceMarker::TrackLine { line });
+        }
+        let list = &mut self.state().to_flush;
+        if list.is_empty() {
+            *list = lines;
+        } else {
+            list.extend_from_slice(&lines);
+        }
+    }
+
     /// `update_InCLL` (paper Fig. 4, lines 24–29). Per the paper's model,
     /// the caller holds the lock protecting the variable in `cell` if it is
     /// shared.

@@ -1,8 +1,9 @@
 //! A region costs what it touches: the resident memory of a Fast or Sim
-//! region is the pages its program has written, not the capacity it
-//! reserved — the way a DAX-mapped NVMM file behaves. And the one volatile
-//! structure that grows with a map's capacity, its bucket locks, is no
-//! larger than the plain mutexes of the transient twin.
+//! region is the pages its program has written, in 2 MiB extents where the
+//! kernel grants them, not the capacity it reserved — the way a DAX-mapped
+//! NVMM file behaves. And the one volatile structure that grows with a
+//! map's capacity, its bucket locks, is no larger than the plain mutexes
+//! of the transient twin.
 //!
 //! One `#[test]`, so this binary runs it alone in its process and nothing
 //! else moves `VmRSS` between two readings.
@@ -65,6 +66,22 @@ fn a_region_costs_the_pages_it_touches() {
     );
     assert_eq!(region.load::<u64>(PAddr(tail + 7 * PAGE)), 7);
     drop((map, h, pool, region));
+
+    // A sparse touch costs at most a huge page per extent: one word in
+    // each of 32 separate 2 MiB extents of a fresh 1 GiB region.
+    let before = rss();
+    let region = Region::new(RegionConfig::optane(1 << 30));
+    let stride = region.size() as u64 / 32;
+    for e in 0..32 {
+        region.store(PAddr(e * stride), e);
+    }
+    let grown = rss().saturating_sub(before);
+    assert!(
+        grown <= 68 * MIB,
+        "one word in 32 extents of 1 GiB: +{} MiB",
+        grown / MIB
+    );
+    drop(region);
 
     // The simulator's arena and its persisted baseline are just as lazy.
     let before = rss();
